@@ -501,7 +501,7 @@ Receipt Blockchain::ExecuteEvidenceOn(StateView& state, const Transaction& tx,
 
 std::vector<AccessSet> Blockchain::ComputeAccessSets(
     const std::vector<Transaction>& txs, uint64_t block_number,
-    common::SimTime timestamp) {
+    common::SimTime timestamp) const {
   PDS2_TRACE_SPAN("chain.parallel.plan");
   std::vector<AccessSet> sets(txs.size());
   for (size_t i = 0; i < txs.size(); ++i) {
@@ -522,17 +522,16 @@ std::vector<AccessSet> Blockchain::ComputeAccessSets(
       // whole block rather than model that dependency.
       sets[i].global = true;
     } else {
-      // Contract call: run it against the pre-block state under a tracing
-      // view inside a checkpoint that is always rolled back. The traced
-      // footprint can diverge from the real one once earlier block txs
-      // mutate state — lane execution validates accesses at runtime and
-      // aborts to the sequential path on any miss.
-      AccessTracingView tracing(state_, &sets[i]);
+      // Contract call: run it on a throwaway overlay of the pre-block state
+      // and take its footprint. The footprint can diverge from the real
+      // one once earlier block txs mutate state — lane execution checks
+      // each lane's footprint and falls back to the sequential path on any
+      // miss.
+      StateOverlay overlay(state_);
       uint64_t scratch_instance_id = next_instance_id_;
-      state_.Begin();
-      ExecuteTransactionOn(tracing, &scratch_instance_id, tx, block_number,
+      ExecuteTransactionOn(overlay, &scratch_instance_id, tx, block_number,
                            timestamp);
-      state_.Rollback();
+      sets[i] = overlay.footprint();
     }
   }
   return sets;
@@ -548,14 +547,10 @@ bool Blockchain::TryExecuteLanes(const std::vector<Transaction>& txs,
   const std::vector<std::vector<size_t>> lanes = PartitionIntoLanes(sets);
   if (lanes.size() <= 1) return false;
 
-  // One private overlay view per lane over the frozen pre-block state.
-  std::vector<LaneStateView> views;
-  views.reserve(lanes.size());
-  for (const std::vector<size_t>& lane : lanes) {
-    AccessSet merged;
-    for (size_t i : lane) merged.Merge(sets[i]);
-    views.emplace_back(state_, std::move(merged));
-  }
+  // One private overlay per lane over the frozen pre-block state.
+  std::vector<StateOverlay> overlays;
+  overlays.reserve(lanes.size());
+  for (size_t li = 0; li < lanes.size(); ++li) overlays.emplace_back(state_);
 
   std::vector<Receipt> lane_receipts(txs.size());
   const obs::TraceContext parent_ctx = obs::CurrentTraceContext();
@@ -567,23 +562,26 @@ bool Blockchain::TryExecuteLanes(const std::vector<Transaction>& txs,
     // oblivious.
     uint64_t scratch_instance_id = next_instance_id_;
     for (size_t i : lanes[li]) {
-      lane_receipts[i] = ExecuteTransactionOn(views[li], &scratch_instance_id,
-                                              txs[i], block_number, timestamp);
+      lane_receipts[i] =
+          ExecuteTransactionOn(overlays[li], &scratch_instance_id, txs[i],
+                               block_number, timestamp);
     }
   });
 
-  for (const LaneStateView& view : views) {
-    if (view.violated()) {
-      // A transaction strayed outside its traced footprint. Nothing has
-      // touched state_ yet: drop every overlay and let the caller re-run
-      // the block sequentially.
+  for (size_t li = 0; li < lanes.size(); ++li) {
+    AccessSet allowed;
+    for (size_t i : lanes[li]) allowed.Merge(sets[i]);
+    if (!allowed.Includes(overlays[li].footprint())) {
+      // A transaction strayed outside its traced footprint, so lanes may
+      // have overlapped. Nothing has touched state_ yet: drop every
+      // overlay and let the caller re-run the block sequentially.
       PDS2_M_COUNT("chain.parallel.aborts", 1);
       return false;
     }
   }
   // Lane footprints are pairwise disjoint, so merge order cannot matter;
   // lane order keeps it deterministic anyway.
-  for (const LaneStateView& view : views) view.MergeInto(&state_);
+  for (const StateOverlay& overlay : overlays) overlay.MergeInto(state_);
   *receipts = std::move(lane_receipts);
   PDS2_M_COUNT("chain.parallel.blocks_parallel", 1);
   PDS2_M_COUNT("chain.parallel.lanes", lanes.size());
@@ -814,19 +812,16 @@ Result<Bytes> Blockchain::Query(const std::string& contract, uint64_t instance,
   if (logic == nullptr) {
     return Status::NotFound("unknown contract: " + contract);
   }
-  // Queries run against a scratch checkpoint that is always rolled back.
-  auto* mutable_this = const_cast<Blockchain*>(this);
-  WorldState& state = mutable_this->state_;
+  // Queries run on a private overlay that is dropped afterwards, so they
+  // never write state_ and may run concurrently.
+  StateOverlay overlay(state_);
   GasMeter gas(config_.block_gas_limit);
   BlockContext block_ctx{
       blocks_.empty() ? 0 : blocks_.back().header.number,
       blocks_.empty() ? 0 : blocks_.back().header.timestamp};
-  state.Begin();
-  CallContext ctx(state, gas, caller, 0, contract, instance, block_ctx,
+  CallContext ctx(overlay, gas, caller, 0, contract, instance, block_ctx,
                   nullptr);
-  auto result = logic->Call(ctx, method, args);
-  state.Rollback();
-  return result;
+  return logic->Call(ctx, method, args);
 }
 
 Bytes Blockchain::EncodeSnapshotState() const {

@@ -133,8 +133,9 @@ class Blockchain {
   /// Receipt of an executed transaction.
   common::Result<Receipt> GetReceipt(const Hash& tx_id) const;
 
-  /// Read-only contract call: executes against current state and rolls
-  /// everything back. Never mutates the ledger.
+  /// Read-only contract call: executes on a throwaway overlay of the
+  /// current state. Never mutates the ledger; safe to call concurrently
+  /// (with each other, not with block execution).
   common::Result<common::Bytes> Query(const std::string& contract,
                                       uint64_t instance,
                                       const std::string& method,
@@ -222,8 +223,9 @@ class Blockchain {
   /// Executes one transaction against an arbitrary state view. Pure with
   /// respect to the chain: receipts, gas and instance-id allocation go
   /// through the arguments, so the same routine serves sequential
-  /// execution on the real WorldState, the access-tracing pre-pass and
-  /// optimistic lane execution. Counters/metrics are the caller's job.
+  /// execution on the real WorldState and, on StateOverlays, the
+  /// access-set pre-pass and optimistic lane execution. Counters/metrics
+  /// are the caller's job.
   Receipt ExecuteTransactionOn(StateView& state, uint64_t* next_instance_id,
                                const Transaction& tx, uint64_t block_number,
                                common::SimTime timestamp) const;
@@ -241,12 +243,12 @@ class Blockchain {
   /// balance walk only runs when they are on.
   void PublishSupplyGauges() const;
 
-  /// Access set per transaction: declared for plain transfers, inferred by
-  /// a rolled-back tracing execution for contract calls, global for
-  /// deploys (they allocate the shared instance-id counter).
+  /// Access set per transaction: declared for plain transfers, the
+  /// footprint of a throwaway StateOverlay run for contract calls, global
+  /// for deploys (they allocate the shared instance-id counter).
   std::vector<AccessSet> ComputeAccessSets(
       const std::vector<Transaction>& txs, uint64_t block_number,
-      common::SimTime timestamp);
+      common::SimTime timestamp) const;
 
   /// Executes a block's transactions — in parallel conflict lanes when a
   /// multi-thread pool is available and the block splits, sequentially
@@ -257,9 +259,9 @@ class Blockchain {
                                        common::SimTime timestamp);
 
   /// The optimistic lane path of ExecuteBlockTxs. False (with no state
-  /// mutated) when the block does not split into >1 lane or any lane
-  /// violated its access set; true after overlays merged and `*receipts`
-  /// holds the per-transaction results.
+  /// mutated) when the block does not split into >1 lane or any lane's
+  /// footprint left its access set; true after overlays merged and
+  /// `*receipts` holds the per-transaction results.
   bool TryExecuteLanes(const std::vector<Transaction>& txs,
                        uint64_t block_number, common::SimTime timestamp,
                        common::ThreadPool* pool,

@@ -4,12 +4,9 @@
 #include <cassert>
 #include <numeric>
 
-#include "common/checked_math.h"
-
 namespace pds2::chain {
 
 using common::Bytes;
-using common::Status;
 
 void AccessSet::Merge(const AccessSet& other) {
   accounts.insert(other.accounts.begin(), other.accounts.end());
@@ -17,204 +14,55 @@ void AccessSet::Merge(const AccessSet& other) {
   global = global || other.global;
 }
 
-// --- AccessTracingView ------------------------------------------------------
-
-uint64_t AccessTracingView::GetBalance(const Address& addr) const {
-  out_->accounts.insert(addr);
-  return inner_.GetBalance(addr);
+bool AccessSet::Includes(const AccessSet& other) const {
+  return std::includes(accounts.begin(), accounts.end(),
+                       other.accounts.begin(), other.accounts.end()) &&
+         std::includes(spaces.begin(), spaces.end(), other.spaces.begin(),
+                       other.spaces.end());
 }
 
-uint64_t AccessTracingView::GetNonce(const Address& addr) const {
-  out_->accounts.insert(addr);
-  return inner_.GetNonce(addr);
-}
+// --- StateOverlay -----------------------------------------------------------
 
-Status AccessTracingView::Credit(const Address& addr, uint64_t amount) {
-  out_->accounts.insert(addr);
-  return inner_.Credit(addr, amount);
-}
-
-Status AccessTracingView::Debit(const Address& addr, uint64_t amount) {
-  out_->accounts.insert(addr);
-  return inner_.Debit(addr, amount);
-}
-
-Status AccessTracingView::Transfer(const Address& from, const Address& to,
-                                   uint64_t amount) {
-  out_->accounts.insert(from);
-  out_->accounts.insert(to);
-  return inner_.Transfer(from, to, amount);
-}
-
-void AccessTracingView::BumpNonce(const Address& addr) {
-  out_->accounts.insert(addr);
-  inner_.BumpNonce(addr);
-}
-
-std::optional<Bytes> AccessTracingView::StorageGet(const std::string& space,
-                                                   const Bytes& key) const {
-  out_->spaces.insert(space);
-  return inner_.StorageGet(space, key);
-}
-
-bool AccessTracingView::StoragePut(const std::string& space, const Bytes& key,
-                                   const Bytes& value) {
-  out_->spaces.insert(space);
-  return inner_.StoragePut(space, key, value);
-}
-
-void AccessTracingView::StorageDelete(const std::string& space,
-                                      const Bytes& key) {
-  out_->spaces.insert(space);
-  inner_.StorageDelete(space, key);
-}
-
-std::vector<std::pair<Bytes, Bytes>> AccessTracingView::StorageScan(
-    const std::string& space, const Bytes& prefix) const {
-  out_->spaces.insert(space);
-  return inner_.StorageScan(space, prefix);
-}
-
-// --- LaneStateView ----------------------------------------------------------
-
-void LaneStateView::CheckAccount(const Address& addr) const {
-  if (allowed_.accounts.count(addr) == 0) violated_ = true;
-}
-
-void LaneStateView::CheckSpace(const std::string& space) const {
-  if (allowed_.spaces.count(space) == 0) violated_ = true;
-}
-
-std::optional<Account> LaneStateView::LookupAccount(const Address& addr) const {
+std::optional<Account> StateOverlay::LoadAccount(const Address& addr) const {
+  footprint_.accounts.insert(addr);
   auto it = accounts_.find(addr);
   if (it != accounts_.end()) return it->second;
-  return base_.GetAccount(addr);
+  return base_.LoadAccount(addr);
 }
 
-void LaneStateView::PutOverlayAccount(const Address& addr,
-                                      const Account& account) {
-  if (!checkpoints_.empty()) {
-    JournalEntry entry;
-    entry.kind = JournalEntry::Kind::kAccount;
-    entry.addr = addr;
-    // The outer optional distinguishes "not in overlay" (empty) from "in
-    // overlay with this record" (engaged).
-    auto it = accounts_.find(addr);
-    if (it != accounts_.end()) {
-      entry.prior_account = std::optional<Account>(it->second);
-    }
-    journal_.push_back(std::move(entry));
-  }
+void StateOverlay::StoreAccount(const Address& addr,
+                                const std::optional<Account>& account) {
+  footprint_.accounts.insert(addr);
   accounts_[addr] = account;
 }
 
-uint64_t LaneStateView::GetBalance(const Address& addr) const {
-  CheckAccount(addr);
-  auto account = LookupAccount(addr);
-  return account ? account->balance : 0;
-}
-
-uint64_t LaneStateView::GetNonce(const Address& addr) const {
-  CheckAccount(addr);
-  auto account = LookupAccount(addr);
-  return account ? account->nonce : 0;
-}
-
-Status LaneStateView::Credit(const Address& addr, uint64_t amount) {
-  CheckAccount(addr);
-  auto account = LookupAccount(addr);
-  Account updated = account.value_or(Account{});
-  uint64_t new_balance;
-  if (!common::CheckedAdd(updated.balance, amount, &new_balance)) {
-    return Status::InvalidArgument("credit would overflow account balance");
-  }
-  updated.balance = new_balance;
-  PutOverlayAccount(addr, updated);
-  return Status::Ok();
-}
-
-Status LaneStateView::Debit(const Address& addr, uint64_t amount) {
-  CheckAccount(addr);
-  auto account = LookupAccount(addr);
-  if (!account || account->balance < amount) {
-    return Status::InsufficientFunds("balance below debit amount");
-  }
-  Account updated = *account;
-  updated.balance -= amount;
-  PutOverlayAccount(addr, updated);
-  return Status::Ok();
-}
-
-Status LaneStateView::Transfer(const Address& from, const Address& to,
-                               uint64_t amount) {
-  // Same check order as WorldState::Transfer so failures match bit for bit.
-  uint64_t new_balance;
-  if (!common::CheckedAdd(GetBalance(to), amount, &new_balance)) {
-    return Status::InvalidArgument("transfer would overflow recipient");
-  }
-  PDS2_RETURN_IF_ERROR(Debit(from, amount));
-  return Credit(to, amount);
-}
-
-void LaneStateView::BumpNonce(const Address& addr) {
-  CheckAccount(addr);
-  Account updated = LookupAccount(addr).value_or(Account{});
-  updated.nonce += 1;
-  PutOverlayAccount(addr, updated);
-}
-
-void LaneStateView::JournalStorageSlot(const std::string& space,
-                                       const Bytes& key) {
-  if (checkpoints_.empty()) return;
-  JournalEntry entry;
-  entry.kind = JournalEntry::Kind::kStorage;
-  entry.space = space;
-  entry.key = key;
-  // The outer optional distinguishes "not in overlay" (empty) from "in
-  // overlay" (engaged, possibly holding a tombstone).
-  auto space_it = storage_.find(space);
-  if (space_it != storage_.end()) {
-    auto it = space_it->second.find(key);
-    if (it != space_it->second.end()) entry.prior_value = it->second;
-  }
-  journal_.push_back(std::move(entry));
-}
-
-std::optional<Bytes> LaneStateView::StorageGet(const std::string& space,
-                                               const Bytes& key) const {
-  CheckSpace(space);
+std::optional<Bytes> StateOverlay::LoadSlot(const std::string& space,
+                                            const Bytes& key) const {
+  footprint_.spaces.insert(space);
   auto space_it = storage_.find(space);
   if (space_it != storage_.end()) {
     auto it = space_it->second.find(key);
     if (it != space_it->second.end()) return it->second;  // value or tombstone
   }
-  return base_.StorageGet(space, key);
+  return base_.LoadSlot(space, key);
 }
 
-bool LaneStateView::StoragePut(const std::string& space, const Bytes& key,
-                               const Bytes& value) {
-  const bool existed = StorageGet(space, key).has_value();  // checks space
-  JournalStorageSlot(space, key);
+void StateOverlay::StoreSlot(const std::string& space, const Bytes& key,
+                             const std::optional<Bytes>& value) {
+  footprint_.spaces.insert(space);
   storage_[space][key] = value;
-  return existed;
 }
 
-void LaneStateView::StorageDelete(const std::string& space, const Bytes& key) {
-  if (!StorageGet(space, key).has_value()) return;  // checks space; no-op
-  JournalStorageSlot(space, key);
-  storage_[space][key] = std::nullopt;  // tombstone
-}
-
-std::vector<std::pair<Bytes, Bytes>> LaneStateView::StorageScan(
-    const std::string& space, const Bytes& prefix) const {
-  CheckSpace(space);
-  std::vector<std::pair<Bytes, Bytes>> base_entries =
-      base_.StorageScan(space, prefix);
+StateView::Slots StateOverlay::ScanSlots(const std::string& space,
+                                         const Bytes& prefix) const {
+  footprint_.spaces.insert(space);
+  Slots base_entries = base_.ScanSlots(space, prefix);
   auto space_it = storage_.find(space);
   if (space_it == storage_.end()) return base_entries;
 
-  // Merge the sorted base scan with the overlay's entries in prefix range.
-  std::vector<std::pair<Bytes, Bytes>> out;
+  // Merge the sorted base scan with the overlay's entries in prefix range;
+  // an overlay entry shadows the base entry with the same key.
+  Slots out;
   auto overlay_it = space_it->second.lower_bound(prefix);
   auto overlay_end = space_it->second.end();
   auto in_prefix = [&prefix](const Bytes& key) {
@@ -235,58 +83,21 @@ std::vector<std::pair<Bytes, Bytes>> LaneStateView::StorageScan(
       }
       ++overlay_it;
     } else {
-      out.push_back(base_entries[b]);
+      out.push_back(std::move(base_entries[b]));
       ++b;
     }
   }
   return out;
 }
 
-void LaneStateView::Begin() { checkpoints_.push_back(journal_.size()); }
-
-void LaneStateView::Commit() {
-  assert(!checkpoints_.empty());
-  checkpoints_.pop_back();
-  if (checkpoints_.empty()) journal_.clear();
-}
-
-void LaneStateView::Rollback() {
-  assert(!checkpoints_.empty());
-  const size_t mark = checkpoints_.back();
-  checkpoints_.pop_back();
-  while (journal_.size() > mark) {
-    const JournalEntry& entry = journal_.back();
-    if (entry.kind == JournalEntry::Kind::kAccount) {
-      if (entry.prior_account.has_value() && entry.prior_account->has_value()) {
-        accounts_[entry.addr] = **entry.prior_account;
-      } else {
-        accounts_.erase(entry.addr);
-      }
-    } else {
-      if (entry.prior_value.has_value()) {
-        storage_[entry.space][entry.key] = *entry.prior_value;
-      } else {
-        auto space_it = storage_.find(entry.space);
-        if (space_it != storage_.end()) space_it->second.erase(entry.key);
-      }
-    }
-    journal_.pop_back();
-  }
-}
-
-void LaneStateView::MergeInto(WorldState* target) const {
-  assert(checkpoints_.empty());
-  assert(!violated_);
+void StateOverlay::MergeInto(StateView& target) const {
+  assert(CheckpointDepth() == 0);
   for (const auto& [addr, account] : accounts_) {
-    target->PutAccount(addr, account);
+    target.WriteAccount(addr, target.LoadAccount(addr), account);
   }
   for (const auto& [space, kv] : storage_) {
     for (const auto& [key, value] : kv) {
-      if (value.has_value()) {
-        target->StoragePut(space, key, *value);
-      } else {
-        target->StorageDelete(space, key);
-      }
+      target.WriteSlot(space, key, target.LoadSlot(space, key), value);
     }
   }
 }

@@ -14,10 +14,11 @@ namespace pds2::chain {
 
 /// The ledger footprint of one transaction: the native accounts and the
 /// contract storage spaces it may read or write. Plain transfers declare
-/// their sets exactly ({sender, recipient}); contract calls get theirs
-/// inferred by a tracing pre-pass (see Blockchain). `global` marks a
-/// transaction that conflicts with everything (deploys, which allocate the
-/// shared instance-id counter) and forces the whole block sequential.
+/// their sets exactly ({sender, recipient}); contract calls get theirs from
+/// the footprint of a throwaway StateOverlay run (see Blockchain). `global`
+/// marks a transaction that conflicts with everything (deploys, which
+/// allocate the shared instance-id counter) and forces the whole block
+/// sequential.
 struct AccessSet {
   std::set<Address> accounts;
   std::set<std::string> spaces;
@@ -25,114 +26,50 @@ struct AccessSet {
 
   /// Absorbs `other` into this set (lane union).
   void Merge(const AccessSet& other);
+  /// True when every account and space of `other` is in this set.
+  bool Includes(const AccessSet& other) const;
 };
 
-/// StateView decorator that records every account and storage space an
-/// execution touches. The tracing pre-pass runs each contract transaction
-/// against the pre-block state under one of these (inside a checkpoint that
-/// is rolled back), and the recorded footprint becomes the transaction's
-/// declared access set.
-class AccessTracingView final : public StateView {
+/// A copy-on-write store over a frozen base state: reads fall through to
+/// the base, writes (deleted slots and rolled-back account creations as
+/// tombstones) stay in private maps, and every account and storage space
+/// read or written is recorded in footprint(). The ledger rules and the
+/// journal are StateView's, so an overlay computes exactly what the base
+/// would. The base must not change while the overlay is alive; it is only
+/// read, so any number of overlays may share it across threads.
+///
+/// Uses: the access-set pre-pass (run a call, read off its footprint),
+/// optimistic lanes (run a lane, check footprint ⊆ allowed, merge) and
+/// read-only contract queries (run, then drop).
+class StateOverlay final : public StateView {
  public:
-  AccessTracingView(StateView& inner, AccessSet* out)
-      : inner_(inner), out_(out) {}
+  explicit StateOverlay(const StateView& base) : base_(base) {}
 
-  uint64_t GetBalance(const Address& addr) const override;
-  uint64_t GetNonce(const Address& addr) const override;
-  common::Status Credit(const Address& addr, uint64_t amount) override;
-  common::Status Debit(const Address& addr, uint64_t amount) override;
-  common::Status Transfer(const Address& from, const Address& to,
-                          uint64_t amount) override;
-  void BumpNonce(const Address& addr) override;
-  std::optional<common::Bytes> StorageGet(
-      const std::string& space, const common::Bytes& key) const override;
-  bool StoragePut(const std::string& space, const common::Bytes& key,
-                  const common::Bytes& value) override;
-  void StorageDelete(const std::string& space,
-                     const common::Bytes& key) override;
-  std::vector<std::pair<common::Bytes, common::Bytes>> StorageScan(
-      const std::string& space, const common::Bytes& prefix) const override;
-  void Begin() override { inner_.Begin(); }
-  void Commit() override { inner_.Commit(); }
-  void Rollback() override { inner_.Rollback(); }
+  /// Every account and storage space touched so far.
+  const AccessSet& footprint() const { return footprint_; }
+
+  /// Writes the buffered records into `target` (the base this overlay was
+  /// built over) through its journaled writes, so a checkpoint open on the
+  /// target also covers the merge. Requires no open checkpoint here.
+  void MergeInto(StateView& target) const;
 
  private:
-  StateView& inner_;
-  AccessSet* out_;
-};
-
-/// A lane's private view of the world during optimistic parallel execution:
-/// reads fall through to the frozen pre-block WorldState, writes are
-/// buffered in an overlay. Lanes have pairwise-disjoint access sets, so the
-/// base is never mutated while lanes run and overlay merging is
-/// order-independent.
-///
-/// Every access is validated against the lane's allowed set. A transaction
-/// that strays outside it (the traced footprint diverged from the real one)
-/// sets the `violated` flag — the access itself stays memory-safe because
-/// it only touches the immutable base and this lane's private overlay — and
-/// the executor discards all overlays and re-runs the block sequentially.
-///
-/// Semantics (including error strings, account-existence effects and the
-/// journaled Begin/Commit/Rollback contract) replicate WorldState exactly:
-/// a lane-executed transaction must produce a bit-identical receipt.
-class LaneStateView final : public StateView {
- public:
-  LaneStateView(const WorldState& base, AccessSet allowed)
-      : base_(base), allowed_(std::move(allowed)) {}
-
-  uint64_t GetBalance(const Address& addr) const override;
-  uint64_t GetNonce(const Address& addr) const override;
-  common::Status Credit(const Address& addr, uint64_t amount) override;
-  common::Status Debit(const Address& addr, uint64_t amount) override;
-  common::Status Transfer(const Address& from, const Address& to,
-                          uint64_t amount) override;
-  void BumpNonce(const Address& addr) override;
-  std::optional<common::Bytes> StorageGet(
+  std::optional<Account> LoadAccount(const Address& addr) const override;
+  void StoreAccount(const Address& addr,
+                    const std::optional<Account>& account) override;
+  std::optional<common::Bytes> LoadSlot(
       const std::string& space, const common::Bytes& key) const override;
-  bool StoragePut(const std::string& space, const common::Bytes& key,
-                  const common::Bytes& value) override;
-  void StorageDelete(const std::string& space,
-                     const common::Bytes& key) override;
-  std::vector<std::pair<common::Bytes, common::Bytes>> StorageScan(
-      const std::string& space, const common::Bytes& prefix) const override;
-  void Begin() override;
-  void Commit() override;
-  void Rollback() override;
+  void StoreSlot(const std::string& space, const common::Bytes& key,
+                 const std::optional<common::Bytes>& value) override;
+  Slots ScanSlots(const std::string& space,
+                  const common::Bytes& prefix) const override;
 
-  /// True once any access fell outside the allowed set.
-  bool violated() const { return violated_; }
-
-  /// Applies the buffered writes to `target` (the base this view was built
-  /// over). Must only be called with no open checkpoints and when no lane
-  /// violated its set.
-  void MergeInto(WorldState* target) const;
-
- private:
-  struct JournalEntry {
-    enum class Kind { kAccount, kStorage } kind;
-    Address addr;
-    std::optional<std::optional<Account>> prior_account;  // outer: in overlay?
-    std::string space;
-    common::Bytes key;
-    std::optional<std::optional<common::Bytes>> prior_value;
-  };
-
-  std::optional<Account> LookupAccount(const Address& addr) const;
-  void PutOverlayAccount(const Address& addr, const Account& account);
-  void JournalStorageSlot(const std::string& space, const common::Bytes& key);
-  void CheckAccount(const Address& addr) const;
-  void CheckSpace(const std::string& space) const;
-
-  const WorldState& base_;
-  AccessSet allowed_;
-  mutable bool violated_ = false;
-  std::map<Address, Account> accounts_;
-  // space -> key -> value (nullopt = deleted relative to base).
+  const StateView& base_;
+  mutable AccessSet footprint_;
+  // nullopt = absent here even if present in the base (a tombstone).
+  std::map<Address, std::optional<Account>> accounts_;
   std::map<std::string, std::map<common::Bytes, std::optional<common::Bytes>>>
       storage_;
-  std::vector<JournalEntry> journal_;
-  std::vector<size_t> checkpoints_;
 };
 
 /// Partitions transactions [0, n) into conflict lanes: union-find over

@@ -1,5 +1,6 @@
 #include "chain/state.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/bytes.h"
@@ -101,62 +102,41 @@ uint64_t StateView::TotalStaked() const {
   return total;
 }
 
-uint64_t WorldState::GetBalance(const Address& addr) const {
-  auto it = accounts_.find(addr);
-  return it == accounts_.end() ? 0 : it->second.balance;
+// --- Ledger rules -----------------------------------------------------------
+
+uint64_t StateView::GetBalance(const Address& addr) const {
+  auto account = LoadAccount(addr);
+  return account ? account->balance : 0;
 }
 
-uint64_t WorldState::GetNonce(const Address& addr) const {
-  auto it = accounts_.find(addr);
-  return it == accounts_.end() ? 0 : it->second.nonce;
+uint64_t StateView::GetNonce(const Address& addr) const {
+  auto account = LoadAccount(addr);
+  return account ? account->nonce : 0;
 }
 
-void WorldState::JournalAccount(const Address& addr) {
-  if (checkpoints_.empty()) return;
-  JournalEntry entry;
-  entry.kind = JournalEntry::Kind::kAccount;
-  entry.addr = addr;
-  auto it = accounts_.find(addr);
-  if (it != accounts_.end()) entry.prior_account = it->second;
-  journal_.push_back(std::move(entry));
-}
-
-void WorldState::JournalStorage(const std::string& space, const Bytes& key) {
-  if (checkpoints_.empty()) return;
-  JournalEntry entry;
-  entry.kind = JournalEntry::Kind::kStorage;
-  entry.space = space;
-  entry.key = key;
-  auto space_it = storage_.find(space);
-  if (space_it != storage_.end()) {
-    auto it = space_it->second.find(key);
-    if (it != space_it->second.end()) entry.prior_value = it->second;
-  }
-  journal_.push_back(std::move(entry));
-}
-
-Status WorldState::Credit(const Address& addr, uint64_t amount) {
-  uint64_t new_balance;
-  if (!common::CheckedAdd(GetBalance(addr), amount, &new_balance)) {
+Status StateView::Credit(const Address& addr, uint64_t amount) {
+  std::optional<Account> prior = LoadAccount(addr);
+  Account updated = prior.value_or(Account{});
+  if (!common::CheckedAdd(updated.balance, amount, &updated.balance)) {
     return Status::InvalidArgument("credit would overflow account balance");
   }
-  JournalAccount(addr);
-  accounts_[addr].balance = new_balance;
+  WriteAccount(addr, std::move(prior), updated);
   return Status::Ok();
 }
 
-Status WorldState::Debit(const Address& addr, uint64_t amount) {
-  auto it = accounts_.find(addr);
-  if (it == accounts_.end() || it->second.balance < amount) {
+Status StateView::Debit(const Address& addr, uint64_t amount) {
+  std::optional<Account> prior = LoadAccount(addr);
+  if (!prior || prior->balance < amount) {
     return Status::InsufficientFunds("balance below debit amount");
   }
-  JournalAccount(addr);
-  it->second.balance -= amount;
+  Account updated = *prior;
+  updated.balance -= amount;
+  WriteAccount(addr, std::move(prior), updated);
   return Status::Ok();
 }
 
-Status WorldState::Transfer(const Address& from, const Address& to,
-                            uint64_t amount) {
+Status StateView::Transfer(const Address& from, const Address& to,
+                           uint64_t amount) {
   // Guard the credit side *before* debiting so a failed transfer has no
   // side effects. With a capped total supply the credit cannot actually
   // overflow, but the check keeps Transfer safe on its own terms.
@@ -168,24 +148,88 @@ Status WorldState::Transfer(const Address& from, const Address& to,
   return Credit(to, amount);
 }
 
-void WorldState::BumpNonce(const Address& addr) {
-  JournalAccount(addr);
-  accounts_[addr].nonce += 1;
+void StateView::BumpNonce(const Address& addr) {
+  std::optional<Account> prior = LoadAccount(addr);
+  Account updated = prior.value_or(Account{});
+  updated.nonce += 1;
+  WriteAccount(addr, std::move(prior), updated);
 }
 
-std::optional<Account> WorldState::GetAccount(const Address& addr) const {
+bool StateView::StoragePut(const std::string& space, const Bytes& key,
+                           const Bytes& value) {
+  std::optional<Bytes> prior = LoadSlot(space, key);
+  const bool existed = prior.has_value();
+  WriteSlot(space, key, std::move(prior), value);
+  return existed;
+}
+
+void StateView::StorageDelete(const std::string& space, const Bytes& key) {
+  std::optional<Bytes> prior = LoadSlot(space, key);
+  if (!prior.has_value()) return;
+  WriteSlot(space, key, std::move(prior), std::nullopt);
+}
+
+// --- Journal ----------------------------------------------------------------
+
+void StateView::WriteAccount(const Address& addr, std::optional<Account> prior,
+                             const std::optional<Account>& value) {
+  if (!checkpoints_.empty()) {
+    journal_.push_back({true, addr, std::move(prior), {}, {}, std::nullopt});
+  }
+  StoreAccount(addr, value);
+}
+
+void StateView::WriteSlot(const std::string& space, const Bytes& key,
+                          std::optional<Bytes> prior,
+                          const std::optional<Bytes>& value) {
+  if (!checkpoints_.empty()) {
+    journal_.push_back({false, {}, std::nullopt, space, key, std::move(prior)});
+  }
+  StoreSlot(space, key, value);
+}
+
+void StateView::Commit() {
+  assert(!checkpoints_.empty());
+  checkpoints_.pop_back();
+  // An open outer checkpoint keeps the entries so its Rollback can still
+  // undo them; otherwise they are dead.
+  if (checkpoints_.empty()) journal_.clear();
+}
+
+void StateView::Rollback() {
+  assert(!checkpoints_.empty());
+  const size_t mark = checkpoints_.back();
+  checkpoints_.pop_back();
+  while (journal_.size() > mark) {
+    const JournalEntry& entry = journal_.back();
+    if (entry.is_account) {
+      StoreAccount(entry.addr, entry.account);
+    } else {
+      StoreSlot(entry.space, entry.key, entry.value);
+    }
+    journal_.pop_back();
+  }
+}
+
+// --- WorldState store -------------------------------------------------------
+
+std::optional<Account> WorldState::LoadAccount(const Address& addr) const {
   auto it = accounts_.find(addr);
   if (it == accounts_.end()) return std::nullopt;
   return it->second;
 }
 
-void WorldState::PutAccount(const Address& addr, const Account& account) {
-  JournalAccount(addr);
-  accounts_[addr] = account;
+void WorldState::StoreAccount(const Address& addr,
+                              const std::optional<Account>& account) {
+  if (account.has_value()) {
+    accounts_[addr] = *account;
+  } else {
+    accounts_.erase(addr);
+  }
 }
 
-std::optional<Bytes> WorldState::StorageGet(const std::string& space,
-                                            const Bytes& key) const {
+std::optional<Bytes> WorldState::LoadSlot(const std::string& space,
+                                          const Bytes& key) const {
   auto space_it = storage_.find(space);
   if (space_it == storage_.end()) return std::nullopt;
   auto it = space_it->second.find(key);
@@ -193,26 +237,21 @@ std::optional<Bytes> WorldState::StorageGet(const std::string& space,
   return it->second;
 }
 
-bool WorldState::StoragePut(const std::string& space, const Bytes& key,
-                            const Bytes& value) {
-  JournalStorage(space, key);
-  auto& space_map = storage_[space];
-  auto [it, inserted] = space_map.insert_or_assign(key, value);
-  (void)it;
-  return !inserted;
-}
-
-void WorldState::StorageDelete(const std::string& space, const Bytes& key) {
+void WorldState::StoreSlot(const std::string& space, const Bytes& key,
+                           const std::optional<Bytes>& value) {
+  if (value.has_value()) {
+    storage_[space].insert_or_assign(key, *value);
+    return;
+  }
   auto space_it = storage_.find(space);
   if (space_it == storage_.end()) return;
-  if (space_it->second.find(key) == space_it->second.end()) return;
-  JournalStorage(space, key);
   space_it->second.erase(key);
+  if (space_it->second.empty()) storage_.erase(space_it);
 }
 
-std::vector<std::pair<Bytes, Bytes>> WorldState::StorageScan(
-    const std::string& space, const Bytes& prefix) const {
-  std::vector<std::pair<Bytes, Bytes>> out;
+StateView::Slots WorldState::ScanSlots(const std::string& space,
+                                       const Bytes& prefix) const {
+  Slots out;
   auto space_it = storage_.find(space);
   if (space_it == storage_.end()) return out;
   for (auto it = space_it->second.lower_bound(prefix);
@@ -225,45 +264,6 @@ std::vector<std::pair<Bytes, Bytes>> WorldState::StorageScan(
     out.emplace_back(key, it->second);
   }
   return out;
-}
-
-void WorldState::Begin() { checkpoints_.push_back(journal_.size()); }
-
-void WorldState::Commit() {
-  assert(!checkpoints_.empty());
-  const size_t mark = checkpoints_.back();
-  checkpoints_.pop_back();
-  // If an outer checkpoint is still open, keep the journal entries so the
-  // outer Rollback can still undo; otherwise drop them.
-  if (checkpoints_.empty()) {
-    journal_.clear();
-  } else {
-    (void)mark;
-  }
-}
-
-void WorldState::Rollback() {
-  assert(!checkpoints_.empty());
-  const size_t mark = checkpoints_.back();
-  checkpoints_.pop_back();
-  while (journal_.size() > mark) {
-    const JournalEntry& entry = journal_.back();
-    if (entry.kind == JournalEntry::Kind::kAccount) {
-      if (entry.prior_account.has_value()) {
-        accounts_[entry.addr] = *entry.prior_account;
-      } else {
-        accounts_.erase(entry.addr);
-      }
-    } else {
-      if (entry.prior_value.has_value()) {
-        storage_[entry.space][entry.key] = *entry.prior_value;
-      } else {
-        auto space_it = storage_.find(entry.space);
-        if (space_it != storage_.end()) space_it->second.erase(entry.key);
-      }
-    }
-    journal_.pop_back();
-  }
 }
 
 uint64_t WorldState::TotalBalance() const {
@@ -279,7 +279,7 @@ uint64_t WorldState::TotalBalance() const {
 }
 
 common::Bytes WorldState::SerializeSnapshot() const {
-  assert(checkpoints_.empty() && "snapshot inside an open transaction");
+  assert(CheckpointDepth() == 0 && "snapshot inside an open transaction");
   common::Writer w;
   w.PutU64(accounts_.size());
   for (const auto& [addr, account] : accounts_) {
@@ -301,6 +301,12 @@ common::Bytes WorldState::SerializeSnapshot() const {
 
 common::Result<WorldState> WorldState::DeserializeSnapshot(
     const common::Bytes& data) {
+  // Canonical form only: every sequence strictly ascending (which also
+  // rules out duplicates) and no empty space, exactly what
+  // SerializeSnapshot writes.
+  auto after_last = [](const auto& map, const auto& key) {
+    return map.empty() || map.rbegin()->first < key;
+  };
   common::Reader r(data);
   WorldState state;
   PDS2_ASSIGN_OR_RETURN(uint64_t num_accounts, r.GetU64());
@@ -309,25 +315,30 @@ common::Result<WorldState> WorldState::DeserializeSnapshot(
     Account account;
     PDS2_ASSIGN_OR_RETURN(account.balance, r.GetU64());
     PDS2_ASSIGN_OR_RETURN(account.nonce, r.GetU64());
-    if (!state.accounts_.emplace(std::move(addr), account).second) {
-      return Status::Corruption("duplicate account in state snapshot");
+    if (!after_last(state.accounts_, addr)) {
+      return Status::Corruption("state snapshot accounts not ascending");
     }
+    state.accounts_.emplace_hint(state.accounts_.end(), std::move(addr),
+                                 account);
   }
   PDS2_ASSIGN_OR_RETURN(uint64_t num_spaces, r.GetU64());
   for (uint64_t i = 0; i < num_spaces; ++i) {
     PDS2_ASSIGN_OR_RETURN(std::string space, r.GetString());
-    auto [space_it, space_inserted] = state.storage_.try_emplace(space);
-    if (!space_inserted) {
-      return Status::Corruption("duplicate storage space in state snapshot");
+    if (!after_last(state.storage_, space)) {
+      return Status::Corruption("state snapshot spaces not ascending");
     }
     PDS2_ASSIGN_OR_RETURN(uint64_t num_slots, r.GetU64());
+    if (num_slots == 0) {
+      return Status::Corruption("empty storage space in state snapshot");
+    }
+    auto& slots = state.storage_[std::move(space)];
     for (uint64_t j = 0; j < num_slots; ++j) {
       PDS2_ASSIGN_OR_RETURN(Bytes key, r.GetBytes());
       PDS2_ASSIGN_OR_RETURN(Bytes value, r.GetBytes());
-      if (!space_it->second.emplace(std::move(key), std::move(value))
-               .second) {
-        return Status::Corruption("duplicate storage key in state snapshot");
+      if (!after_last(slots, key)) {
+        return Status::Corruption("state snapshot keys not ascending");
       }
+      slots.emplace_hint(slots.end(), std::move(key), std::move(value));
     }
   }
   if (!r.AtEnd()) {

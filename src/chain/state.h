@@ -28,47 +28,89 @@ inline constexpr char kBurnedKey[] = "burned-total";
 /// Denominator of the reporter's share of a slash (basis points).
 inline constexpr uint32_t kSlashBpsDenominator = 10'000;
 
-/// Abstract ledger surface transaction execution runs against. WorldState
-/// is the canonical implementation; the parallel executor substitutes
-/// per-lane overlay views (see parallel_exec.h) that buffer writes and
-/// validate the inferred access sets, so the same execution code serves
-/// both the sequential and the optimistic-parallel paths.
+/// The ledger surface transaction execution runs against, and the one
+/// implementation of the ledger rules: Credit, Debit, Transfer, BumpNonce,
+/// storage put/delete, the stake helpers and the nested Begin/Commit/
+/// Rollback journal are non-virtual code here. They sit on five protected
+/// storage primitives (load/store an account record, load/store a storage
+/// slot, scan a prefix), which a store implements:
+///   - WorldState: the replicated flat maps that Digest() commits to;
+///   - StateOverlay (parallel_exec.h): private copy-on-write maps over a
+///     frozen base, recording the footprint of what runs on it.
+/// Every store therefore applies the same rules by construction: the
+/// sequential path, lane execution, the access-set pre-pass and read-only
+/// queries cannot drift apart.
 class StateView {
  public:
+  StateView() = default;
+  StateView(const StateView&) = default;
+  StateView(StateView&&) = default;
+  StateView& operator=(const StateView&) = default;
+  StateView& operator=(StateView&&) = default;
   virtual ~StateView() = default;
 
-  // Accounts.
-  virtual uint64_t GetBalance(const Address& addr) const = 0;
-  virtual uint64_t GetNonce(const Address& addr) const = 0;
-  virtual common::Status Credit(const Address& addr, uint64_t amount) = 0;
-  virtual common::Status Debit(const Address& addr, uint64_t amount) = 0;
-  virtual common::Status Transfer(const Address& from, const Address& to,
-                                  uint64_t amount) = 0;
-  virtual void BumpNonce(const Address& addr) = 0;
+  // --- Accounts -----------------------------------------------------------
 
-  // Contract storage.
-  virtual std::optional<common::Bytes> StorageGet(
-      const std::string& space, const common::Bytes& key) const = 0;
-  virtual bool StoragePut(const std::string& space, const common::Bytes& key,
-                          const common::Bytes& value) = 0;
-  virtual void StorageDelete(const std::string& space,
-                             const common::Bytes& key) = 0;
-  virtual std::vector<std::pair<common::Bytes, common::Bytes>> StorageScan(
-      const std::string& space, const common::Bytes& prefix) const = 0;
+  /// Balance of `addr` (0 for unknown accounts).
+  uint64_t GetBalance(const Address& addr) const;
+  /// Current nonce of `addr` (0 for unknown accounts).
+  uint64_t GetNonce(const Address& addr) const;
+  /// Credits an account, creating it if absent (used for genesis
+  /// allocations, block rewards and gas refunds). Guarded: InvalidArgument
+  /// when the credit would wrap the balance past uint64, leaving the account
+  /// untouched. Transfers and fee credits can never trip the guard
+  /// (conservation bounds every balance by the total supply, which
+  /// CreditGenesis caps below uint64), so callers on those paths may assert
+  /// success.
+  common::Status Credit(const Address& addr, uint64_t amount);
+  /// Debits; InsufficientFunds if the balance is too small or the account
+  /// does not exist.
+  common::Status Debit(const Address& addr, uint64_t amount);
+  /// Atomic transfer from -> to: fails with no side effects.
+  common::Status Transfer(const Address& from, const Address& to,
+                          uint64_t amount);
+  /// Increments the account nonce, creating the account if absent.
+  void BumpNonce(const Address& addr);
 
-  // Journaling (transaction checkpoint scope).
-  virtual void Begin() = 0;
-  virtual void Commit() = 0;
-  virtual void Rollback() = 0;
+  // --- Contract storage ----------------------------------------------------
+
+  /// Reads a storage slot; nullopt when unset.
+  std::optional<common::Bytes> StorageGet(const std::string& space,
+                                          const common::Bytes& key) const {
+    return LoadSlot(space, key);
+  }
+  /// Writes a storage slot. Returns true if the slot already existed
+  /// (drives the cheaper "update" gas price).
+  bool StoragePut(const std::string& space, const common::Bytes& key,
+                  const common::Bytes& value);
+  /// Deletes a slot (no-op if absent).
+  void StorageDelete(const std::string& space, const common::Bytes& key);
+  /// All (key, value) pairs in a namespace whose key starts with `prefix`,
+  /// in key order. Used by read-only enumeration queries.
+  std::vector<std::pair<common::Bytes, common::Bytes>> StorageScan(
+      const std::string& space, const common::Bytes& prefix) const {
+    return ScanSlots(space, prefix);
+  }
+
+  // --- Journaling -----------------------------------------------------------
+
+  /// Opens a nested checkpoint. Every mutation after this point can be
+  /// undone with Rollback or kept with Commit.
+  void Begin() { checkpoints_.push_back(journal_.size()); }
+  /// Discards the most recent checkpoint, keeping its mutations (an outer
+  /// checkpoint can still undo them).
+  void Commit();
+  /// Undoes all mutations since the most recent checkpoint, restoring the
+  /// exact prior records (so the store is as if they never happened).
+  void Rollback();
+  /// Depth of open checkpoints (0 outside any transaction).
+  size_t CheckpointDepth() const { return checkpoints_.size(); }
 
   // --- Stake ledger ---------------------------------------------------------
-  // Accountability deposits (paper's D2M-style incentive layer). These are
-  // non-virtual helpers layered entirely on the virtual primitives above, so
-  // WorldState, lane overlays and tracing views all support them with
-  // identical semantics: stake lives in the kStakeSpace storage namespace
-  // and bonding/releasing moves value between an account's spendable balance
-  // and its stake record. The conserved quantity is
-  //   TotalBalance() + TotalStaked() + BurnedTotal().
+  // Accountability deposits (paper's D2M-style incentive layer). Stake
+  // lives in the kStakeSpace storage namespace and bonding/releasing moves
+  // value between an account's spendable balance and its stake record. The
+  // conserved quantity is TotalBalance() + TotalStaked() + BurnedTotal().
 
   /// Bonded stake of `addr` (0 when none).
   uint64_t StakeOf(const Address& addr) const;
@@ -86,71 +128,56 @@ class StateView {
   uint64_t BurnedTotal() const;
   /// Sum of all bonded stakes.
   uint64_t TotalStaked() const;
+
+ protected:
+  using Slots = std::vector<std::pair<common::Bytes, common::Bytes>>;
+
+  // Storage primitives. Loads return the visible record (nullopt: absent);
+  // stores install one verbatim (nullopt: remove) with no journaling.
+  virtual std::optional<Account> LoadAccount(const Address& addr) const = 0;
+  virtual void StoreAccount(const Address& addr,
+                            const std::optional<Account>& account) = 0;
+  virtual std::optional<common::Bytes> LoadSlot(
+      const std::string& space, const common::Bytes& key) const = 0;
+  virtual void StoreSlot(const std::string& space, const common::Bytes& key,
+                         const std::optional<common::Bytes>& value) = 0;
+  /// Visible slots of `space` whose key starts with `prefix`, in key order.
+  virtual Slots ScanSlots(const std::string& space,
+                          const common::Bytes& prefix) const = 0;
+
+ private:
+  // The overlay reads its base and merges into a target through the
+  // primitives and journaled writes below.
+  friend class StateOverlay;
+
+  // Journaled writes: `prior` is the visible record being replaced; it is
+  // recorded for Rollback while a checkpoint is open.
+  void WriteAccount(const Address& addr, std::optional<Account> prior,
+                    const std::optional<Account>& value);
+  void WriteSlot(const std::string& space, const common::Bytes& key,
+                 std::optional<common::Bytes> prior,
+                 const std::optional<common::Bytes>& value);
+
+  // The prior record of one account (is_account) or one slot.
+  struct JournalEntry {
+    bool is_account;
+    Address addr;
+    std::optional<Account> account;
+    std::string space;
+    common::Bytes key;
+    std::optional<common::Bytes> value;
+  };
+  std::vector<JournalEntry> journal_;
+  std::vector<size_t> checkpoints_;  // journal sizes at Begin()
 };
 
 /// The replicated ledger state: native-token accounts plus raw contract
-/// storage. Mutations are journaled so a failed transaction can be rolled
-/// back precisely (only the keys it touched are restored).
+/// storage in flat ordered maps. A storage space exists exactly while it
+/// holds a slot, so a rolled-back or emptied space leaves no trace in
+/// Digest() or a snapshot.
 class WorldState final : public StateView {
  public:
   WorldState() = default;
-
-  // --- Accounts -----------------------------------------------------------
-
-  /// Balance of `addr` (0 for unknown accounts).
-  uint64_t GetBalance(const Address& addr) const override;
-  /// Current nonce of `addr` (0 for unknown accounts).
-  uint64_t GetNonce(const Address& addr) const override;
-  /// Credits an account (used for genesis allocations, block rewards and
-  /// gas refunds). Guarded: InvalidArgument when the credit would wrap the
-  /// balance past uint64, leaving the account untouched. Transfers and fee
-  /// credits can never trip the guard (conservation bounds every balance by
-  /// the total supply, which CreditGenesis caps below uint64), so callers
-  /// on those paths may assert success.
-  common::Status Credit(const Address& addr, uint64_t amount) override;
-  /// Debits; InsufficientFunds if the balance is too small.
-  common::Status Debit(const Address& addr, uint64_t amount) override;
-  /// Atomic transfer from -> to.
-  common::Status Transfer(const Address& from, const Address& to,
-                          uint64_t amount) override;
-  /// Increments the account nonce.
-  void BumpNonce(const Address& addr) override;
-  /// Raw account record; nullopt when the account does not exist. The
-  /// existence distinction is observable (created-but-empty accounts are
-  /// hashed by Digest()), so overlay views replicate it exactly.
-  std::optional<Account> GetAccount(const Address& addr) const;
-  /// Installs an account record verbatim (journaled like any mutation).
-  /// Used by the parallel executor to merge lane overlays.
-  void PutAccount(const Address& addr, const Account& account);
-
-  // --- Contract storage ----------------------------------------------------
-
-  /// Reads a storage slot; nullopt when unset.
-  std::optional<common::Bytes> StorageGet(
-      const std::string& space, const common::Bytes& key) const override;
-  /// Writes a storage slot. Returns true if the slot already existed
-  /// (drives the cheaper "update" gas price).
-  bool StoragePut(const std::string& space, const common::Bytes& key,
-                  const common::Bytes& value) override;
-  /// Deletes a slot (no-op if absent).
-  void StorageDelete(const std::string& space,
-                     const common::Bytes& key) override;
-  /// All (key, value) pairs in a namespace whose key starts with `prefix`,
-  /// in key order. Used by read-only enumeration queries.
-  std::vector<std::pair<common::Bytes, common::Bytes>> StorageScan(
-      const std::string& space, const common::Bytes& prefix) const override;
-
-  // --- Journaling -----------------------------------------------------------
-
-  /// Opens a nested checkpoint. Every mutation after this point can be
-  /// undone with Rollback or kept with Commit.
-  void Begin() override;
-  /// Discards the most recent checkpoint, keeping its mutations.
-  void Commit() override;
-  /// Undoes all mutations since the most recent checkpoint.
-  void Rollback() override;
-  /// Depth of open checkpoints (0 outside any transaction).
-  size_t CheckpointDepth() const { return checkpoints_.size(); }
 
   /// Commitment to the full state (order-independent digest of accounts
   /// and storage). Included in block headers.
@@ -170,31 +197,27 @@ class WorldState final : public StateView {
   /// Requires no open checkpoints.
   common::Bytes SerializeSnapshot() const;
 
-  /// Rebuilds a state from SerializeSnapshot bytes. Corruption on any
-  /// malformed input; never crashes.
+  /// Rebuilds a state from SerializeSnapshot bytes. Canonical: accepts only
+  /// strictly ascending accounts, spaces and keys and no empty space, so
+  /// every accepted input re-serializes to itself. Corruption on anything
+  /// else; never crashes.
   static common::Result<WorldState> DeserializeSnapshot(
       const common::Bytes& data);
 
  private:
-  struct JournalEntry {
-    enum class Kind { kAccount, kStorage } kind;
-    // Account entries.
-    Address addr;
-    std::optional<Account> prior_account;
-    // Storage entries.
-    std::string space;
-    common::Bytes key;
-    std::optional<common::Bytes> prior_value;
-  };
-
-  void JournalAccount(const Address& addr);
-  void JournalStorage(const std::string& space, const common::Bytes& key);
+  std::optional<Account> LoadAccount(const Address& addr) const override;
+  void StoreAccount(const Address& addr,
+                    const std::optional<Account>& account) override;
+  std::optional<common::Bytes> LoadSlot(
+      const std::string& space, const common::Bytes& key) const override;
+  void StoreSlot(const std::string& space, const common::Bytes& key,
+                 const std::optional<common::Bytes>& value) override;
+  Slots ScanSlots(const std::string& space,
+                  const common::Bytes& prefix) const override;
 
   std::map<Address, Account> accounts_;
-  // space -> key -> value.
+  // space -> key -> value; never holds an empty space.
   std::map<std::string, std::map<common::Bytes, common::Bytes>> storage_;
-  std::vector<JournalEntry> journal_;
-  std::vector<size_t> checkpoints_;  // journal sizes at Begin()
 };
 
 }  // namespace pds2::chain

@@ -527,11 +527,14 @@ Result<RunReport> Marketplace::RunWorkload(ConsumerAgent& consumer,
   // simply go to a different attested enclave; a dead compute node costs
   // its own reward, not the workload.
   obs::ScopedSpan span_attest("market.attest_seal", &now_);
-  std::map<ExecutorAgent*, std::vector<SealedContribution>> per_executor;
+  // Keyed by index in executors_, so registration and audit order follow
+  // the seed, not heap addresses.
+  std::map<size_t, std::vector<SealedContribution>> per_executor;
   std::set<ExecutorAgent*> failed_executors;
-  auto drop_executor = [&](ExecutorAgent* executor, const Status& cause) {
+  auto drop_executor = [&](size_t index, const Status& cause) {
+    ExecutorAgent* executor = executors_[index].get();
     failed_executors.insert(executor);
-    per_executor.erase(executor);
+    per_executor.erase(index);
     report.dropped_executors.push_back(executor->name());
     PDS2_M_COUNT("market.executors_dropped", 1);
     audit("dropped executor " + executor->name() + ": " + cause.ToString());
@@ -540,35 +543,36 @@ Result<RunReport> Marketplace::RunWorkload(ConsumerAgent& consumer,
     Participation& p = participations[i];
     // Candidate order: the pinned executor first (if any), then round-robin
     // over the full set so a drop falls back to the next healthy one.
-    std::vector<ExecutorAgent*> candidates;
+    std::vector<size_t> candidates;
     if (!p.provider->preferred_executor().empty()) {
-      for (auto& candidate : executors_) {
-        if (candidate->name() == p.provider->preferred_executor()) {
-          candidates.push_back(candidate.get());
+      for (size_t k = 0; k < executors_.size(); ++k) {
+        if (executors_[k]->name() == p.provider->preferred_executor()) {
+          candidates.push_back(k);
           break;
         }
       }
     }
     for (size_t k = 0; k < executors_.size(); ++k) {
-      ExecutorAgent* candidate = executors_[(i + k) % executors_.size()].get();
+      const size_t candidate = (i + k) % executors_.size();
       if (candidates.empty() || candidates[0] != candidate) {
         candidates.push_back(candidate);
       }
     }
     p.executor = nullptr;
-    for (ExecutorAgent* candidate : candidates) {
+    for (size_t index : candidates) {
+      ExecutorAgent* candidate = executors_[index].get();
       if (failed_executors.count(candidate) > 0) continue;
-      if (per_executor.find(candidate) == per_executor.end()) {
+      if (per_executor.find(index) == per_executor.end()) {
         Status setup = [&] {
           obs::NodeScope scope("executor/", candidate->name());
           obs::ScopedSpan span("market.executor.setup", &now_);
           return candidate->Setup(spec);
         }();
         if (!setup.ok()) {
-          drop_executor(candidate, setup);
+          drop_executor(index, setup);
           continue;
         }
-        per_executor[candidate] = {};
+        per_executor[index] = {};
       }
       const tee::AttestationQuote quote = candidate->QuoteFor(report.instance);
       auto contribution = [&] {
@@ -583,7 +587,7 @@ Result<RunReport> Marketplace::RunWorkload(ConsumerAgent& consumer,
         // The provider refused to release data: the quote did not verify.
         // The provider's trust decision is authoritative (§II-E) — the
         // executor is dropped, and this provider tries the next one.
-        drop_executor(candidate, contribution.status());
+        drop_executor(index, contribution.status());
         continue;
       }
       auto loaded = [&] {
@@ -598,7 +602,7 @@ Result<RunReport> Marketplace::RunWorkload(ConsumerAgent& consumer,
               loaded.status().ToString());
         break;
       }
-      per_executor[candidate].push_back(std::move(*contribution));
+      per_executor[index].push_back(std::move(*contribution));
       p.executor = candidate;
       break;
     }
@@ -628,7 +632,8 @@ Result<RunReport> Marketplace::RunWorkload(ConsumerAgent& consumer,
 
   // --- Phase 4: executors register participation (certs go on-chain). ----
   obs::ScopedSpan span_register("market.register_executors", &now_);
-  for (auto& [executor, contributions] : per_executor) {
+  for (auto& [index, contributions] : per_executor) {
+    ExecutorAgent* executor = executors_[index].get();
     Writer args;
     args.PutBytes(executor->key().PublicKey());
     args.PutU32(static_cast<uint32_t>(contributions.size()));
@@ -668,8 +673,9 @@ Result<RunReport> Marketplace::RunWorkload(ConsumerAgent& consumer,
   // valid at sealing time but fails now (rollback, compromise) is reported
   // on-chain — the report converts the executor's bond into a slash at
   // settlement, which is exactly what the bond exists for.
-  for (auto& [executor, contributions] : per_executor) {
+  for (auto& [index, contributions] : per_executor) {
     (void)contributions;
+    ExecutorAgent* executor = executors_[index].get();
     const tee::AttestationQuote audit_quote =
         executor->AuditQuote(report.instance);
     const Status verified =
@@ -697,7 +703,9 @@ Result<RunReport> Marketplace::RunWorkload(ConsumerAgent& consumer,
   // finalize) and the remaining quorum carries the workload. Only losing
   // the whole quorum aborts.
   std::vector<ExecutorAgent*> active;
-  for (auto& [executor, _] : per_executor) active.push_back(executor);
+  for (auto& [index, _] : per_executor) {
+    active.push_back(executors_[index].get());
+  }
   std::sort(active.begin(), active.end(),
             [](const ExecutorAgent* a, const ExecutorAgent* b) {
               return a->name() < b->name();  // canonical order

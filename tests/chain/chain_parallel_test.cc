@@ -1,5 +1,5 @@
 // Parallel transaction execution suite: conflict-lane partitioning,
-// LaneStateView overlay semantics, the sharded mempool, and — the contract
+// StateOverlay store semantics, the sharded mempool, and — the contract
 // that matters — bit-identical receipts, state digests and block hashes for
 // every (conflict rate, thread count) combination. The sequential path is
 // the ground truth; the optimistic lane executor must be observationally
@@ -92,30 +92,32 @@ TEST(PartitionIntoLanesTest, LanesOrderedByLowestMember) {
   EXPECT_EQ(lanes[2], std::vector<size_t>{2});
 }
 
-// --- LaneStateView ----------------------------------------------------------
+// --- StateOverlay -----------------------------------------------------------
+// The ledger rules themselves are shared with WorldState (StateView); these
+// pin the overlay's store behaviour. state_test.cc holds the randomized
+// differential test against WorldState.
 
-TEST(LaneStateViewTest, ReadsFallThroughWritesStayInOverlay) {
+TEST(StateOverlayTest, ReadsFallThroughWritesStayInOverlay) {
   WorldState base;
   ASSERT_TRUE(base.Credit(TestAddress(1), 100).ok());
-  AccessSet allowed = Accounts({1, 2});
-  LaneStateView view(base, allowed);
+  StateOverlay overlay(base);
 
-  EXPECT_EQ(view.GetBalance(TestAddress(1)), 100u);
-  ASSERT_TRUE(view.Transfer(TestAddress(1), TestAddress(2), 40).ok());
-  EXPECT_EQ(view.GetBalance(TestAddress(1)), 60u);
-  EXPECT_EQ(view.GetBalance(TestAddress(2)), 40u);
+  EXPECT_EQ(overlay.GetBalance(TestAddress(1)), 100u);
+  ASSERT_TRUE(overlay.Transfer(TestAddress(1), TestAddress(2), 40).ok());
+  EXPECT_EQ(overlay.GetBalance(TestAddress(1)), 60u);
+  EXPECT_EQ(overlay.GetBalance(TestAddress(2)), 40u);
   // The base is untouched until MergeInto.
   EXPECT_EQ(base.GetBalance(TestAddress(1)), 100u);
   EXPECT_EQ(base.GetBalance(TestAddress(2)), 0u);
-  EXPECT_FALSE(view.violated());
+  EXPECT_TRUE(Accounts({1, 2}).Includes(overlay.footprint()));
 
-  view.MergeInto(&base);
+  overlay.MergeInto(base);
   EXPECT_EQ(base.GetBalance(TestAddress(1)), 60u);
   EXPECT_EQ(base.GetBalance(TestAddress(2)), 40u);
 }
 
-TEST(LaneStateViewTest, MatchesWorldStateSemanticsIncludingDigest) {
-  // Run the same op sequence against a WorldState and through a lane view,
+TEST(StateOverlayTest, MatchesWorldStateSemanticsIncludingDigest) {
+  // Run the same op sequence against a WorldState and through an overlay,
   // then compare digests: account-existence effects (zero-balance accounts
   // hash into the digest) must match exactly.
   WorldState direct;
@@ -137,58 +139,57 @@ TEST(LaneStateViewTest, MatchesWorldStateSemanticsIncludingDigest) {
   };
   script(direct);
 
-  AccessSet allowed = Accounts({1, 2, 3});
-  allowed.spaces.insert("space");
-  LaneStateView view(base, allowed);
-  script(view);
-  ASSERT_FALSE(view.violated());
-  view.MergeInto(&base);
+  StateOverlay overlay(base);
+  script(overlay);
+  overlay.MergeInto(base);
 
   EXPECT_EQ(base.Digest(), direct.Digest());
 }
 
-TEST(LaneStateViewTest, ErrorStringsMatchWorldState) {
+TEST(StateOverlayTest, ErrorStringsMatchWorldState) {
   WorldState base;
   ASSERT_TRUE(base.Credit(TestAddress(1), 5).ok());
-  AccessSet allowed = Accounts({1, 2});
-  LaneStateView view(base, allowed);
+  StateOverlay overlay(base);
 
   common::Status direct = base.Debit(TestAddress(2), 1);
-  common::Status lane = view.Debit(TestAddress(2), 1);
+  common::Status lane = overlay.Debit(TestAddress(2), 1);
   EXPECT_EQ(lane.ToString(), direct.ToString());
 
   direct = base.Credit(TestAddress(1), UINT64_MAX);
-  lane = view.Credit(TestAddress(1), UINT64_MAX);
+  lane = overlay.Credit(TestAddress(1), UINT64_MAX);
   EXPECT_EQ(lane.ToString(), direct.ToString());
 }
 
-TEST(LaneStateViewTest, OutOfSetAccessSetsViolatedFlag) {
+TEST(StateOverlayTest, FootprintRecordsOutOfSetAccess) {
+  // Lane validation is "footprint ⊆ allowed": every read counts, failed
+  // operations and no-op deletes included.
   WorldState base;
-  LaneStateView view(base, Accounts({1}));
-  (void)view.GetBalance(TestAddress(1));
-  EXPECT_FALSE(view.violated());
-  (void)view.GetBalance(TestAddress(9));  // outside the lane
-  EXPECT_TRUE(view.violated());
+  StateOverlay overlay(base);
+  (void)overlay.GetBalance(TestAddress(1));
+  EXPECT_TRUE(Accounts({1}).Includes(overlay.footprint()));
+  (void)overlay.GetBalance(TestAddress(9));  // outside the lane
+  EXPECT_FALSE(Accounts({1}).Includes(overlay.footprint()));
+  EXPECT_EQ(overlay.footprint().accounts.count(TestAddress(9)), 1u);
 
-  LaneStateView storage_view(base, Accounts({1}));
-  (void)storage_view.StorageGet("undeclared", ToBytes("k"));
-  EXPECT_TRUE(storage_view.violated());
+  StateOverlay storage_overlay(base);
+  ASSERT_FALSE(storage_overlay.Debit(TestAddress(1), 1).ok());
+  storage_overlay.StorageDelete("undeclared", ToBytes("k"));
+  EXPECT_FALSE(Accounts({1}).Includes(storage_overlay.footprint()));
+  EXPECT_EQ(storage_overlay.footprint().spaces.count("undeclared"), 1u);
 }
 
-TEST(LaneStateViewTest, StorageScanMergesOverlayAndBase) {
+TEST(StateOverlayTest, StorageScanMergesOverlayAndBase) {
   WorldState base;
   ASSERT_FALSE(base.StoragePut("s", ToBytes("a1"), ToBytes("base1")));
   ASSERT_FALSE(base.StoragePut("s", ToBytes("a3"), ToBytes("base3")));
   ASSERT_FALSE(base.StoragePut("s", ToBytes("a4"), ToBytes("base4")));
 
-  AccessSet allowed;
-  allowed.spaces.insert("s");
-  LaneStateView view(base, allowed);
-  ASSERT_FALSE(view.StoragePut("s", ToBytes("a2"), ToBytes("lane2")));
-  ASSERT_TRUE(view.StoragePut("s", ToBytes("a3"), ToBytes("lane3")));
-  view.StorageDelete("s", ToBytes("a4"));  // tombstone hides the base entry
+  StateOverlay overlay(base);
+  ASSERT_FALSE(overlay.StoragePut("s", ToBytes("a2"), ToBytes("lane2")));
+  ASSERT_TRUE(overlay.StoragePut("s", ToBytes("a3"), ToBytes("lane3")));
+  overlay.StorageDelete("s", ToBytes("a4"));  // tombstone hides the base entry
 
-  auto scan = view.StorageScan("s", ToBytes("a"));
+  auto scan = overlay.StorageScan("s", ToBytes("a"));
   ASSERT_EQ(scan.size(), 3u);
   EXPECT_EQ(scan[0].first, ToBytes("a1"));
   EXPECT_EQ(scan[0].second, ToBytes("base1"));
@@ -416,7 +417,7 @@ TEST_P(ParallelEquivalenceTest, BitIdenticalAcrossThreadCounts) {
 INSTANTIATE_TEST_SUITE_P(ConflictSweep, ParallelEquivalenceTest,
                          ::testing::Values(0, 25, 100));
 
-// Contract transactions exercise the tracing pre-pass: four independent
+// Contract transactions exercise the access-set pre-pass: four independent
 // ERC-20 instances, each with its own holders, split into four lanes; the
 // result must match the single-thread run bit for bit.
 RunResult RunErc20Workload(size_t threads) {
@@ -535,6 +536,64 @@ TEST(ParallelApplyTest, ProducerAndReplicaDisagreeOnNothing) {
       EXPECT_EQ(replica.StateDigest(), producer.StateDigest());
     }
   }
+}
+
+// Query runs on a private overlay, so concurrent queries share the chain's
+// state read-only. Under -DPDS2_SANITIZE=thread this is the race check for
+// the old Begin/Rollback-on-live-state query path.
+TEST(ConcurrentQueryTest, PoolWorkersSeeIdenticalResults) {
+  SigningKey validator = SigningKey::FromSeed(ToBytes("validator-0"));
+  SigningKey owner = SigningKey::FromSeed(ToBytes("owner-0"));
+  Blockchain chain({validator.PublicKey()}, ContractRegistry::CreateDefault());
+  ASSERT_TRUE(
+      chain.CreditGenesis(AddressFromPublicKey(owner.PublicKey()), kGenesisEach)
+          .ok());
+  Writer deploy_args;
+  deploy_args.PutString("TOK");
+  deploy_args.PutU64(1000);
+  ASSERT_TRUE(chain
+                  .SubmitTransaction(Transaction::Make(
+                      owner, 0, Address{}, 0, kGas,
+                      CallPayload{"erc20", 0, "deploy", deploy_args.Take()}))
+                  .ok());
+  constexpr uint64_t kHolders = 8;
+  for (uint64_t n = 0; n < kHolders; ++n) {
+    Writer args;
+    args.PutBytes(TestAddress(static_cast<uint8_t>(0x90 + n)));
+    args.PutU64(10 + n);
+    ASSERT_TRUE(chain
+                    .SubmitTransaction(Transaction::Make(
+                        owner, 1 + n, Address{}, 0, kGas,
+                        CallPayload{"erc20", 1, "transfer", args.Take()}))
+                    .ok());
+  }
+  ASSERT_TRUE(chain.ProduceBlock(validator, 1).ok());
+
+  auto query = [&chain](size_t i) {
+    if (i % kHolders == 0) {
+      return chain.Query("erc20", 1, "total_supply", {});
+    }
+    Writer args;
+    args.PutBytes(TestAddress(static_cast<uint8_t>(0x90 + i % kHolders)));
+    return chain.Query("erc20", 1, "balance_of", args.Take());
+  };
+  constexpr size_t kQueries = 256;
+  std::vector<Bytes> serial(kQueries);
+  for (size_t i = 0; i < kQueries; ++i) {
+    auto result = query(i);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    serial[i] = *result;
+  }
+  const Hash digest_before = chain.StateDigest();
+
+  common::ThreadPool pool(4);
+  std::vector<Bytes> concurrent(kQueries);
+  pool.ParallelFor(0, kQueries, [&](size_t i) {
+    auto result = query(i);
+    if (result.ok()) concurrent[i] = *result;
+  });
+  EXPECT_EQ(concurrent, serial);
+  EXPECT_EQ(chain.StateDigest(), digest_before);
 }
 
 }  // namespace

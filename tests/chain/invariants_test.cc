@@ -96,6 +96,7 @@ TEST_P(DeserializerFuzz, RandomBytesAreRejectedGracefully) {
     (void)market::WorkloadSpec::Deserialize(junk);
     (void)storage::SemanticMetadata::Deserialize(junk);
     (void)storage::DataRequirement::Deserialize(junk);
+    (void)WorldState::DeserializeSnapshot(junk);
   }
   SUCCEED();
 }

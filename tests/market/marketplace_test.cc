@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+
 #include "market/marketplace.h"
 #include "ml/metrics.h"
 
 namespace pds2::market {
 namespace {
 
+using common::Result;
 using common::Rng;
 
 storage::SemanticMetadata TempMeta() {
@@ -307,6 +311,43 @@ TEST_F(MarketplaceTest, AuditTrailOnChain) {
   auto participants =
       market_.chain().Query("workload", report->instance, "participants", {});
   ASSERT_TRUE(participants.ok());
+}
+
+// Replay must not depend on heap layout: two marketplaces built from the
+// same seed in one process reach the same head hash even when the second
+// one's executors sit in memory in the opposite order. Two freed blocks of
+// an executor's size steer the allocator: the higher one is freed first and
+// so most likely holds "executor-0", the lower one then "executor-1".
+Result<chain::Hash> RunSeededMarket(bool reverse_heap_order) {
+  Marketplace market(MarketConfig{});
+  Rng rng(5);
+  ml::Dataset data = ml::MakeTwoGaussians(400, 4, 4.0, rng);
+  auto parts = ml::PartitionWeighted(data, {1.0, 1.0, 1.0, 1.0}, rng);
+  for (int i = 0; i < 4; ++i) {
+    ProviderAgent& p = market.AddProvider("provider-" + std::to_string(i));
+    PDS2_RETURN_IF_ERROR(p.store().AddDataset("temps", parts[i], TempMeta()));
+  }
+  void* low = nullptr;
+  if (reverse_heap_order) {
+    low = ::operator new(sizeof(ExecutorAgent));
+    void* high = ::operator new(sizeof(ExecutorAgent));
+    if (std::less<void*>()(high, low)) std::swap(low, high);
+    ::operator delete(high);
+  }
+  market.AddExecutor("executor-0");
+  ::operator delete(low);
+  market.AddExecutor("executor-1");
+  ConsumerAgent& consumer = market.AddConsumer("consumer");
+  PDS2_RETURN_IF_ERROR(market.RunWorkload(consumer, BasicSpec()).status());
+  return market.chain().LastBlockHash();
+}
+
+TEST(MarketplaceReplayTest, SameSeedSameHeadHashWhateverTheHeapLayout) {
+  auto first = RunSeededMarket(false);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = RunSeededMarket(true);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(*second, *first);
 }
 
 }  // namespace
