@@ -6,7 +6,8 @@
 // anchor, and pays a reduced reuse fee. Alongside it:
 //   - dedup ratio of the chunked artifact store on overlapping datasets,
 //   - gossip discovery convergence time under fault-injected churn, with
-//     bit-identical index digests across runs of the same seed,
+//     bit-identical index digests for the same seed with no thread pool
+//     and on a 4-thread pool,
 //   - 100% artifact hash verification on every substituted run.
 // Writes the "discovery" section (plus metadata) of BENCH_discovery.json;
 // scripts/check_bench_schema.py enforces the acceptance floors.
@@ -18,6 +19,7 @@
 
 #include "bench_util.h"
 #include "common/fault.h"
+#include "common/thread_pool.h"
 #include "crypto/sha256.h"
 #include "dml/fault_injector.h"
 #include "market/marketplace.h"
@@ -135,13 +137,15 @@ struct ConvergenceOutcome {
   size_t adverts = 0;
 };
 
-ConvergenceOutcome RunConvergence(uint64_t seed) {
+// `pool` nullptr runs the simulator's partitions inline.
+ConvergenceOutcome RunConvergence(uint64_t seed, common::ThreadPool* pool) {
   constexpr size_t kNodes = 12, kAdverts = 8;
   dml::NetConfig net;
   net.base_latency = 20 * common::kMicrosPerMilli;
   net.latency_jitter = 10 * common::kMicrosPerMilli;
   net.drop_rate = 0.05;
   auto sim = std::make_unique<dml::NetSim>(net, seed);
+  sim->EnableParallel(pool);
   sim->Reserve(kNodes);
   std::vector<store::DiscoveryNode*> nodes;
   for (size_t i = 0; i < kNodes; ++i) {
@@ -241,15 +245,16 @@ int main() {
   std::printf("\n-- (b) dedup: 8 revisions sharing a 512 KiB base -> "
               "ratio %.2f\n", dedup_ratio);
 
-  // --- (c) discovery convergence under churn, twice per seed. ---------------
+  // --- (c) discovery convergence under churn: no pool vs 4 threads. --------
   std::printf("\n-- (c) discovery convergence (12 nodes, churn+corruption) "
               "--\n");
-  const ConvergenceOutcome c1 = RunConvergence(4242);
-  const ConvergenceOutcome c2 = RunConvergence(4242);
+  const ConvergenceOutcome c1 = RunConvergence(4242, nullptr);
+  common::ThreadPool pool(4);
+  const ConvergenceOutcome c2 = RunConvergence(4242, &pool);
   const bool deterministic =
       c1.converge_s >= 0 && c1.converge_s == c2.converge_s &&
       c1.digest == c2.digest;
-  std::printf("converged at %.0f s (rerun: %.0f s), digests %s\n",
+  std::printf("converged at %.0f s (4 threads: %.0f s), digests %s\n",
               c1.converge_s, c2.converge_s,
               deterministic ? "bit-identical" : "DIVERGED");
 

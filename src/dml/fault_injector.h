@@ -15,11 +15,10 @@ namespace pds2::dml {
 /// data and the injector draws no randomness of its own, replaying the same
 /// (plan, sim seed) pair reproduces the same run bit for bit.
 ///
-/// Works in sequential and parallel mode: churn goes through
-/// NodeContext::SetOnline, which applies immediately in the sequential
-/// loop and defers to the deterministic merge phase inside a parallel
-/// batch, so timer callbacks never mutate shared simulator state from a
-/// worker thread.
+/// Churn goes through NodeContext::SetOnline, which inside a handler defers
+/// to the deterministic merge phase after the batch, so timer callbacks
+/// never mutate shared simulator state from a worker thread and the run is
+/// identical at any pool size.
 class FaultInjector : public Node, public LinkFaultHook {
  public:
   /// Adds the injector to `sim` (as the highest node index) and installs it

@@ -72,24 +72,16 @@ void NetSim::Reserve(size_t num_nodes) {
   online_.reserve(num_nodes);
   epoch_.reserve(num_nodes);
   bytes_received_per_node_.reserve(num_nodes);
-  if (pool_ != nullptr) node_rngs_.reserve(num_nodes);
+  node_rngs_.reserve(num_nodes);
 }
 
 void NetSim::EnableParallel(common::ThreadPool* pool, SimTime batch_window) {
   assert(!started_);
-  assert(pool != nullptr);
   pool_ = pool;
   batch_window_ = batch_window;
-  // Backfill private streams for nodes added before the switch, in index
-  // order — together with the fork in AddNode this keeps every stream a
-  // pure function of (seed, node index) regardless of whether a node was
-  // added before or after EnableParallel.
-  node_rngs_.reserve(nodes_.size());
-  while (node_rngs_.size() < nodes_.size()) node_rngs_.push_back(rng_.Fork());
 }
 
 common::Rng& NetSim::RngFor(size_t node) {
-  if (pool_ == nullptr) return rng_;
   assert(node < node_rngs_.size());
   return node_rngs_[node];
 }
@@ -101,12 +93,9 @@ size_t NetSim::AddNode(std::unique_ptr<Node> node) {
   online_.push_back(true);
   epoch_.push_back(0);
   bytes_received_per_node_.push_back(0);
-  // Fork this node's private stream immediately (the old code forked all
-  // streams at Start(), so a node added after EnableParallel had no stream
-  // and RngFor read out of bounds). Forking here keeps the stream a pure
-  // function of (seed, node index) and leaves sequential-mode rng_
-  // consumption untouched.
-  if (pool_ != nullptr) node_rngs_.push_back(rng_.Fork());
+  // Forked here, in index order, so the stream is a pure function of
+  // (seed, node index) whether or not a pool is ever attached.
+  node_rngs_.push_back(rng_.Fork());
   return nodes_.size() - 1;
 }
 
@@ -164,12 +153,10 @@ size_t NetSim::PartitionOf(size_t node) const {
 void NetSim::Start() {
   assert(!started_);
   started_ = true;
-  if (pool_ != nullptr) {
-    const size_t partitions = NumPartitions();
-    stat_rows_.resize(1 + partitions);
-    partition_outboxes_.resize(partitions);
-    partition_events_.resize(partitions);
-  }
+  const size_t partitions = NumPartitions();
+  stat_rows_.resize(1 + partitions);
+  partition_outboxes_.resize(partitions);
+  partition_events_.resize(partitions);
   for (size_t i = 0; i < nodes_.size(); ++i) {
     NodeContext ctx(*this, i);
     nodes_[i]->OnStart(ctx);
@@ -178,8 +165,8 @@ void NetSim::Start() {
 
 void NetSim::ScheduleEvent(SimTime time, PdsEvent event) {
   if (time < queue_.frontier()) {
-    // A windowed parallel batch popped the wheel ahead of the clock; this
-    // event lands behind the frontier. Park it in the retro heap — it is
+    // A windowed batch popped the wheel ahead of the clock; this event
+    // lands behind the frontier. Park it in the retro heap — it is
     // strictly earlier than everything left in the wheel (see netsim.h).
     retro_.push_back(RetroEntry{time, retro_seq_++, std::move(event)});
     std::push_heap(retro_.begin(), retro_.end(), RetroLater{});
@@ -188,15 +175,8 @@ void NetSim::ScheduleEvent(SimTime time, PdsEvent event) {
   queue_.Schedule(time, std::move(event));
 }
 
-bool NetSim::NextEventTime(SimTime bound, SimTime* time) {
-  if (!retro_.empty() && retro_.front().time <= bound) {
-    *time = retro_.front().time;  // always earlier than any wheel event
-    return true;
-  }
-  return queue_.PeekNextTime(bound, time);
-}
-
 bool NetSim::PopNext(SimTime bound, SimTime* time, PdsEvent* event) {
+  // A retro event is always earlier than any wheel event.
   if (!retro_.empty() && retro_.front().time <= bound) {
     std::pop_heap(retro_.begin(), retro_.end(), RetroLater{});
     *time = retro_.back().time;
@@ -221,8 +201,8 @@ void NetSim::SendFrom(size_t from, size_t to, Bytes payload,
   // top of the homogeneous NetConfig link. All RNG draws below are gated on
   // their probability being positive so that runs without faults consume
   // the exact same stream as before the fault layer existed. SendFrom only
-  // ever runs on the merge/main thread, in event order, so these global
-  // draws are deterministic at any pool size.
+  // ever runs on the driving thread (merge phase or outside a batch), in
+  // event order, so these shared draws are deterministic at any pool size.
   LinkFaultHook::Effect effect;
   if (fault_hook_ != nullptr) {
     effect = fault_hook_->OnLink(from, to, clock_.Now());
@@ -290,7 +270,7 @@ void NetSim::SetTimerFor(size_t node, SimTime delay, uint64_t timer_id,
 
 void NetSim::SetOnline(size_t node, bool online) {
   assert(node < online_.size());
-  assert(!in_batch_);  // use NodeContext::SetOnline inside a parallel batch
+  assert(!in_batch_);  // use NodeContext::SetOnline inside a batch
   const bool was_online = online_[node];
   online_[node] = online;
   if (!online && was_online) {
@@ -317,8 +297,8 @@ bool NetSim::AdmitEvent(const PdsEvent& event, StatRow& row) {
   return false;
 }
 
-void NetSim::DispatchEvent(PdsEvent& event, NodeContext& ctx, StatRow& row,
-                           Bytes& scratch) {
+void NetSim::DispatchEvent(PdsEvent& event, NodeContext::Outbox& outbox,
+                           StatRow& row) {
   // Delivery re-establishes the sender's causal context: the handler span
   // parents under the span that sent the message (or armed the timer), and
   // is labeled with the receiving node's identity. All scopes are
@@ -327,13 +307,14 @@ void NetSim::DispatchEvent(PdsEvent& event, NodeContext& ctx, StatRow& row,
   obs::TraceContextScope trace_scope(event.trace);
   obs::NodeScope node_scope(
       "", obs::TracingEnabled() ? NodeName(event.target) : std::string());
+  NodeContext ctx(*this, event.target, &outbox);
   if (event.kind == PdsEvent::Kind::kMessage) {
     row.messages_delivered += 1;
     PDS2_M_COUNT("dml.net.messages_delivered", 1);
     bytes_received_per_node_[event.target] += event.payload.size();
     obs::ScopedSpan span("dml.net.deliver", &clock_);
-    nodes_[event.target]->OnMessage(ctx, event.from,
-                                    event.payload.AsBytes(scratch));
+    nodes_[event.target]->OnMessage(
+        ctx, event.from, event.payload.AsBytes(outbox.delivery_scratch));
   } else {
     obs::ScopedSpan span("dml.net.timer", &clock_);
     nodes_[event.target]->OnTimer(ctx, event.timer_id);
@@ -356,42 +337,12 @@ void NetSim::FireTicksBefore(SimTime bound) {
   }
 }
 
-void NetSim::FireTicksThrough(SimTime bound) {
-  while (tick_interval_ > 0 && next_tick_ <= bound) {
-    const SimTime tick = next_tick_;
-    next_tick_ += tick_interval_;
-    clock_.AdvanceTo(tick);
-    tick_hook_(tick);
-  }
-}
-
 void NetSim::RunUntil(SimTime t) {
   assert(started_);
   PDS2_TRACE_SPAN_SIM("dml.net.run_until", &clock_);
-  if (pool_ != nullptr) {
-    RunUntilParallel(t);
-    return;
-  }
-  SimTime event_time = 0;
-  PdsEvent event;
-  while (PopNext(t, &event_time, &event)) {
-    // Ticks strictly before this event fire first; an event stamped at
-    // exactly the tick time executes before the tick observes it.
-    FireTicksBefore(event_time);
-    clock_.AdvanceTo(event_time);
-    stat_rows_[0].events_processed += 1;
-    if (!AdmitEvent(event, stat_rows_[0])) continue;
-    NodeContext ctx(*this, event.target);
-    DispatchEvent(event, ctx, stat_rows_[0], delivery_scratch_);
-  }
-  FireTicksThrough(t);
-  clock_.AdvanceTo(t);
-}
-
-void NetSim::RunUntilParallel(SimTime t) {
-  const size_t num_partitions = NumPartitions();
   SimTime batch_time = 0;
-  while (NextEventTime(t, &batch_time)) {
+  PdsEvent event;
+  while (PopNext(t, &batch_time, &event)) {
     // One batch: every pending event within `batch_window_` of the earliest
     // one, treated as concurrent and stamped at the batch start time. New
     // events produced by the batch are scheduled relative to that stamp, so
@@ -399,19 +350,17 @@ void NetSim::RunUntilParallel(SimTime t) {
     // approximation that buys parallelism (0 = exact-tie batching only).
     const SimTime horizon = std::min(batch_time + batch_window_, t);
     // Ticks due strictly before this batch's stamp fire now, sequentially,
-    // against a quiescent sim — batch formation is pool-independent, so
-    // tick placement is too.
+    // against a quiescent sim; an event stamped at exactly a tick time
+    // executes before the tick observes it. Batch formation is
+    // pool-independent, so tick placement is too.
     FireTicksBefore(batch_time);
     clock_.AdvanceTo(batch_time);
 
     batch_.clear();
-    {
-      SimTime event_time = 0;
-      PdsEvent event;
-      while (PopNext(horizon, &event_time, &event)) {
-        batch_.push_back(std::move(event));
-      }
-    }
+    SimTime event_time = 0;
+    do {
+      batch_.push_back(std::move(event));
+    } while (PopNext(horizon, &event_time, &event));
     stat_rows_[0].events_processed += batch_.size();
 
     // Bucket the batch by target partition, preserving batch order inside
@@ -426,9 +375,10 @@ void NetSim::RunUntilParallel(SimTime t) {
     }
 
     // Admission (offline/stale filtering), delivery accounting and handler
-    // execution all happen inside the partition worker: churn is deferred
+    // execution all happen inside the partition task: churn is deferred
     // to the merge phase below, so online_/epoch_ are frozen for the whole
-    // batch and the checks are race-free and order-independent.
+    // batch and the checks are race-free and order-independent. Without a
+    // pool (or with one thread) the tasks run inline in ascending order.
     auto run_partition = [&](size_t a) {
       const size_t p = active_partitions_[a];
       NodeContext::Outbox& outbox = partition_outboxes_[p];
@@ -436,16 +386,15 @@ void NetSim::RunUntilParallel(SimTime t) {
       for (const uint32_t idx : partition_events_[p]) {
         PdsEvent& event = batch_[idx];
         outbox.current_event = idx;
-        if (!AdmitEvent(event, row)) continue;
-        NodeContext ctx(*this, event.target, &outbox);
         // Each worker thread has its own open-span stack, so installing
         // the remote context inside DispatchEvent is what parents this
         // handler (and the ops it buffers) under the sender's span.
-        DispatchEvent(event, ctx, row, outbox.delivery_scratch);
+        if (AdmitEvent(event, row)) DispatchEvent(event, outbox, row);
       }
     };
     in_batch_ = true;
-    if (pool_->NumThreads() > 1 && active_partitions_.size() > 1) {
+    if (pool_ != nullptr && pool_->NumThreads() > 1 &&
+        active_partitions_.size() > 1) {
       pool_->ParallelFor(0, active_partitions_.size(), run_partition);
     } else {
       for (size_t a = 0; a < active_partitions_.size(); ++a) {
@@ -461,11 +410,10 @@ void NetSim::RunUntilParallel(SimTime t) {
     // (drop, jitter, corruption) happen here, sequentially, as do churn
     // transitions and their OnRestart callbacks — deterministic for any
     // pool size.
-    partition_cursors_.assign(num_partitions, 0);
     for (size_t idx = 0; idx < batch_.size(); ++idx) {
-      const size_t p = PartitionOf(batch_[idx].target);
-      NodeContext::Outbox& outbox = partition_outboxes_[p];
-      size_t& cursor = partition_cursors_[p];
+      NodeContext::Outbox& outbox =
+          partition_outboxes_[PartitionOf(batch_[idx].target)];
+      size_t& cursor = outbox.merged;
       while (cursor < outbox.ops.size() &&
              outbox.ops[cursor].event_index == idx) {
         NodeContext::Outbox::Op& op = outbox.ops[cursor++];
@@ -490,11 +438,12 @@ void NetSim::RunUntilParallel(SimTime t) {
         PDS2_M_COUNT("dml.net.retries", outbox.retries);
       }
       outbox.ops.clear();
+      outbox.merged = 0;
       outbox.retries = 0;
       partition_events_[p].clear();
     }
   }
-  FireTicksThrough(t);
+  FireTicksBefore(t + 1);  // ticks at exactly `t` fire too
   clock_.AdvanceTo(t);
 }
 

@@ -168,10 +168,10 @@ class NodeContext {
   /// Arms a one-shot timer that fires OnTimer(timer_id) after `delay`.
   void SetTimer(common::SimTime delay, uint64_t timer_id);
 
-  /// Takes a node offline / brings it back (see NetSim::SetOnline). Safe
-  /// from inside a parallel batch: the transition is buffered and applied
-  /// on the merge thread in deterministic event order, after the batch
-  /// joins — which is what lets FaultInjector churn a parallel run.
+  /// Takes a node offline / brings it back (see NetSim::SetOnline). Inside
+  /// a handler the transition is buffered and applied on the driving
+  /// thread in deterministic event order, after the batch joins — which is
+  /// what lets FaultInjector churn a run at any pool size.
   void SetOnline(size_t node, bool online);
 
   /// Records one protocol-level retransmission in NetStats::retries —
@@ -179,22 +179,21 @@ class NodeContext {
   /// harnesses can see recovery effort without reaching into the protocol.
   void CountRetry();
 
-  /// The simulator-wide RNG in sequential mode; this node's private stream
-  /// in parallel mode (see NetSim::EnableParallel).
+  /// This node's private RNG stream, a pure function of (seed, node index).
   common::Rng& rng();
 
  private:
   friend class NetSim;
 
-  /// Side effects buffered during a parallel batch by all events of one
-  /// partition; the simulator replays them in deterministic event order
-  /// after the batch joins. Ops are tagged with the batch-wide index of
-  /// the event whose handler emitted them; because a partition processes
-  /// its events in batch order, each partition's op list is already
-  /// sorted by that tag and the merge is a single linear walk. The trace
+  /// Side effects buffered during a batch by all events of one partition;
+  /// the simulator replays them in deterministic event order after the
+  /// batch joins. Ops are tagged with the batch-wide index of the event
+  /// whose handler emitted them; because a partition processes its events
+  /// in batch order, each partition's op list is already sorted by that
+  /// tag and the merge is a single linear walk. The trace
   /// context is captured here, on the worker thread, where the sender's
   /// delivery span is still installed — by the time the outbox drains on
-  /// the merge thread that context is gone.
+  /// the driving thread that context is gone.
   struct Outbox {
     enum class OpKind : uint8_t { kSend, kTimer, kChurn };
     struct Op {
@@ -208,6 +207,7 @@ class NodeContext {
       obs::TraceContext trace;
     };
     std::vector<Op> ops;
+    size_t merged = 0;  // ops already replayed by the merge phase
     uint64_t retries = 0;
     uint32_t current_event = 0;  // set by the drain loop before each handler
     common::Bytes delivery_scratch;  // reused per-partition payload buffer
@@ -218,7 +218,7 @@ class NodeContext {
 
   NetSim& sim_;
   size_t self_;
-  Outbox* outbox_ = nullptr;  // non-null only inside a parallel batch
+  Outbox* outbox_ = nullptr;  // non-null only inside a batch
 };
 
 /// A protocol endpoint. Implementations: GossipNode, FedServerNode,
@@ -250,22 +250,22 @@ class Node {
 /// struct-of-arrays vectors (online bits, 32-bit epochs, interned names,
 /// RNG streams), message payloads are small-buffer MsgBufs, and the live
 /// counters are per-partition cache-line-aligned rows instead of shared
-/// atomics. By default single-threaded: events (message deliveries,
-/// timers) execute in timestamp order, ties broken by schedule order.
-/// Nodes can be taken offline and back online to model churn; messages to
-/// offline nodes are lost (no retransmission — protocol robustness under
-/// loss is part of what the experiments measure).
+/// atomics. Nodes can be taken offline and back online to model churn;
+/// messages to offline nodes are lost (no retransmission — protocol
+/// robustness under loss is part of what the experiments measure).
 ///
-/// Parallel mode (EnableParallel): events inside a small time window are
-/// treated as concurrent and their handlers run on a ThreadPool, grouped
-/// by *partition* — a contiguous block of node indices, so one task
-/// covers many nodes and the per-node arrays it touches are disjoint
-/// cache-line ranges. Determinism is preserved at any pool size: each
-/// node draws from its own RNG stream, handlers buffer their
+/// One run loop: events are drained in batches — every pending event at
+/// the earliest timestamp (or within `batch_window` of it, see
+/// EnableParallel) is treated as concurrent, and its handlers run grouped
+/// by *partition*, a contiguous block of node indices, so one task covers
+/// many nodes and the per-node arrays it touches are disjoint cache-line
+/// ranges. Each node draws from its own RNG stream, handlers buffer their
 /// sends/timers/churn in per-partition outboxes, and the simulator
 /// replays those outboxes (and all shared-RNG draws for drop/jitter) in
 /// batch event order after the join. Partition count is a pure function
-/// of the node count, never of the pool size.
+/// of the node count, so a ThreadPool only changes speed: results are
+/// bit-identical with no pool (partitions run inline in ascending order),
+/// a 1-thread pool or N threads.
 class NetSim {
  public:
   NetSim(NetConfig config, uint64_t seed);
@@ -277,12 +277,12 @@ class NetSim {
   /// Registers a node; returns its index.
   size_t AddNode(std::unique_ptr<Node> node);
 
-  /// Opts into parallel batch execution on `pool`. Must be called before
-  /// Start(). Events whose timestamps fall within `batch_window` of the
-  /// earliest pending event execute as one concurrent batch stamped at the
-  /// batch's start time (0 = only exact timestamp ties batch together).
-  /// Results are identical for every pool size, including 1; they differ
-  /// from sequential mode only because nodes use private RNG streams.
+  /// Attaches `pool` (nullptr = run partitions inline) and sets the batch
+  /// window. Must be called before Start(). Events whose timestamps fall
+  /// within `batch_window` of the earliest pending event execute as one
+  /// concurrent batch stamped at the batch's start time (0 = only exact
+  /// timestamp ties batch together — the default). The pool never changes
+  /// results: for a given window they are identical at every pool size.
   void EnableParallel(common::ThreadPool* pool,
                       common::SimTime batch_window = 0);
 
@@ -299,8 +299,8 @@ class NetSim {
   /// even if they come due after the restart, exactly as a real process
   /// loses its state when it dies. Drops are counted in NetStats
   /// (timers_dropped_offline / messages_dropped). On rejoin the node's
-  /// OnRestart hook runs so protocols can re-arm. From inside a parallel
-  /// batch use NodeContext::SetOnline, which defers the transition to the
+  /// OnRestart hook runs so protocols can re-arm. From inside a handler
+  /// use NodeContext::SetOnline, which defers the transition to the
   /// deterministic merge phase.
   void SetOnline(size_t node, bool online);
   bool IsOnline(size_t node) const { return online_[node]; }
@@ -311,10 +311,10 @@ class NetSim {
 
   /// Installs a deterministic periodic tick: `hook(t)` runs with the sim
   /// clock at exactly `t` for t = Now+interval, Now+2*interval, ... — always
-  /// on the driving thread, between events (never inside a parallel batch),
+  /// on the driving thread, between batches (never inside one),
   /// ordered so an event stamped at the tick time executes first. Batch
   /// formation is pool-size-independent, so tick placement is bit-identical
-  /// at 1 vs N threads — this is what drives health-plane sampling on
+  /// at any thread count — this is what drives health-plane sampling on
   /// 10^5-node runs. The hook must observe, not mutate, the simulation
   /// (snapshot metrics, evaluate rules); interval 0 or a null hook disables.
   void SetTickHook(common::SimTime interval,
@@ -332,11 +332,10 @@ class NetSim {
   std::string NodeName(size_t node) const;
 
   /// Point-in-time copy of the live counters (exact between RunUntil
-  /// calls; do not call concurrently with a running parallel batch).
+  /// calls; do not call concurrently with a running batch).
   NetStats stats() const;
   /// The simulator clock, for sim-time spans (PDS2_TRACE_SPAN_SIM).
   const common::SimClock* sim_clock() const { return &clock_; }
-  common::Rng& rng() { return rng_; }
 
   // Internal API used by NodeContext. The trace context rides the message
   // envelope (never the payload): delivery installs it as the remote
@@ -371,7 +370,7 @@ class NetSim {
   };
 
   /// Cache-line-aligned struct-of-arrays row of the live counters. Row 0
-  /// belongs to the sequential loop and the merge phase; in parallel mode
+  /// belongs to the driving thread (merge phase, sends outside a batch);
   /// each partition owns row 1 + partition, so hot counters are written
   /// without atomics and without false sharing, and stats() sums the rows.
   struct alignas(64) StatRow {
@@ -386,29 +385,24 @@ class NetSim {
     uint64_t timers_dropped_offline = 0;
   };
 
-  void RunUntilParallel(common::SimTime t);
-
   /// Fires the tick hook for every pending tick time strictly before
-  /// `bound` (FireTicksBefore) or up to and including it (FireTicksThrough),
-  /// advancing the clock to each tick time.
+  /// `bound`, advancing the clock to each tick time.
   void FireTicksBefore(common::SimTime bound);
-  void FireTicksThrough(common::SimTime bound);
 
   /// True when `event` is addressed to a live target (online and same
   /// life); otherwise records the drop in `row` and returns false. Reads
-  /// only state that is frozen during a parallel batch (churn is
-  /// deferred), so partition workers may call it concurrently.
+  /// only state that is frozen during a batch (churn is deferred), so
+  /// partition workers may call it concurrently.
   bool AdmitEvent(const PdsEvent& event, StatRow& row);
 
-  /// Delivery accounting + handler dispatch for one admitted event.
-  /// `ctx` carries the partition outbox in parallel mode (nullptr ==
-  /// sequential: side effects apply immediately).
-  void DispatchEvent(PdsEvent& event, NodeContext& ctx, StatRow& row,
-                     common::Bytes& scratch);
+  /// Delivery accounting + handler dispatch for one admitted event; the
+  /// handler's side effects go to its partition's `outbox`.
+  void DispatchEvent(PdsEvent& event, NodeContext::Outbox& outbox,
+                     StatRow& row);
 
   size_t PartitionOf(size_t node) const;
 
-  /// Routes an event to the wheel, or — when a windowed parallel batch
+  /// Routes an event to the wheel, or — when a windowed batch
   /// has already advanced the wheel's frontier past `time` — to the small
   /// retro heap. Retro events are strictly earlier than everything left
   /// in the wheel (the wheel's frontier never passes the last RunUntil
@@ -416,7 +410,6 @@ class NetSim {
   /// the two structures never have to break a timestamp tie against each
   /// other; within the retro heap, ties pop FIFO by insertion sequence.
   void ScheduleEvent(common::SimTime time, PdsEvent event);
-  bool NextEventTime(common::SimTime bound, common::SimTime* time);
   bool PopNext(common::SimTime bound, common::SimTime* time,
                PdsEvent* event);
 
@@ -444,12 +437,11 @@ class NetSim {
   /// metrics are enabled.
   std::vector<StatRow> stat_rows_;
   std::vector<uint64_t> bytes_received_per_node_;
-  common::Bytes delivery_scratch_;  // sequential-mode payload reuse
   bool started_ = false;
 
-  /// Events scheduled behind the wheel frontier by a windowed parallel
-  /// batch (see ScheduleEvent). Min-heap on (time, insertion seq) kept in
-  /// a vector with std::push_heap/pop_heap; empty except transiently when
+  /// Events scheduled behind the wheel frontier by a windowed batch (see
+  /// ScheduleEvent). Min-heap on (time, insertion seq) kept in a vector
+  /// with std::push_heap/pop_heap; empty except transiently when
   /// batch_window_ > 0.
   struct RetroEntry {
     common::SimTime time = 0;
@@ -465,8 +457,7 @@ class NetSim {
   std::vector<RetroEntry> retro_;
   uint64_t retro_seq_ = 0;
 
-  // Parallel-mode state (EnableParallel).
-  common::ThreadPool* pool_ = nullptr;
+  common::ThreadPool* pool_ = nullptr;  // nullptr = partitions run inline
   common::SimTime batch_window_ = 0;
   std::vector<common::Rng> node_rngs_;  // one private stream per node
   bool in_batch_ = false;  // guards direct SetOnline during a batch
@@ -475,7 +466,6 @@ class NetSim {
   std::vector<NodeContext::Outbox> partition_outboxes_;
   std::vector<std::vector<uint32_t>> partition_events_;
   std::vector<size_t> active_partitions_;
-  std::vector<size_t> partition_cursors_;
 };
 
 }  // namespace pds2::dml

@@ -20,11 +20,11 @@ struct RumorConfig {
 /// and starts pushing too. The protocol state is two words per node, so a
 /// sweep measures the simulator — event queue, churn, parallel batches —
 /// rather than any model math. Every random draw (timer jitter, peer
-/// choice) comes from ctx.rng(), i.e. the node's private stream in
-/// parallel mode, which is what makes runs bit-identical across pool
-/// sizes. Crash semantics: the timer chain dies with the node (NetSim
-/// drops old-life timers) but the infection bit survives, so OnRestart
-/// re-desynchronizes and resumes pushing.
+/// choice) comes from ctx.rng(), i.e. the node's private stream, which is
+/// what makes runs bit-identical across pool sizes. Crash semantics: the
+/// timer chain dies with the node (NetSim drops old-life timers) but the
+/// infection bit survives, so OnRestart re-desynchronizes and resumes
+/// pushing.
 class RumorNode : public Node {
  public:
   explicit RumorNode(RumorConfig config) : config_(config) {}

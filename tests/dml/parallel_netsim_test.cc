@@ -1,6 +1,6 @@
-// Parallel-mode NetSim determinism: identical gossip-learning trajectories
-// (model parameters, ages, network stats) for every pool size, with and
-// without a batching window.
+// NetSim determinism across thread counts: identical gossip-learning
+// trajectories (model parameters, ages, network stats) with no pool and
+// for every pool size, with and without a batching window.
 
 #include <gtest/gtest.h>
 
@@ -33,15 +33,21 @@ struct Fingerprint {
 
 bool operator==(const Fingerprint& a, const Fingerprint& b) {
   return a.params == b.params && a.ages == b.ages &&
+         a.stats.events_processed == b.stats.events_processed &&
          a.stats.messages_sent == b.stats.messages_sent &&
          a.stats.messages_delivered == b.stats.messages_delivered &&
          a.stats.messages_dropped == b.stats.messages_dropped &&
          a.stats.bytes_sent == b.stats.bytes_sent &&
+         a.stats.partition_drops == b.stats.partition_drops &&
+         a.stats.messages_corrupted == b.stats.messages_corrupted &&
+         a.stats.retries == b.stats.retries &&
+         a.stats.timers_dropped_offline == b.stats.timers_dropped_offline &&
          a.stats.bytes_received_per_node == b.stats.bytes_received_per_node;
 }
 
 // Runs a fresh 8-node gossip-learning simulation (lossy, jittery network)
 // and fingerprints every node's learned state plus the network counters.
+// `pool` nullptr skips EnableParallel: partitions run inline.
 Fingerprint RunGossipSim(ThreadPool* pool, SimTime batch_window) {
   NetConfig net;
   net.drop_rate = 0.1;
@@ -70,11 +76,13 @@ Fingerprint RunGossipSim(ThreadPool* pool, SimTime batch_window) {
 }
 
 TEST(ParallelNetSimTest, GossipRunIdenticalAcrossPoolSizes) {
-  ThreadPool pool1(1);
-  const Fingerprint reference = RunGossipSim(&pool1, /*batch_window=*/0);
+  // No pool is the reference: a pool of any size only changes speed.
+  const Fingerprint reference = RunGossipSim(nullptr, /*batch_window=*/0);
   EXPECT_GT(reference.stats.messages_delivered, 0u);  // the run did work
+  EXPECT_GT(reference.stats.messages_dropped, 0u);    // the link RNG ran
+  EXPECT_TRUE(RunGossipSim(nullptr, /*batch_window=*/0) == reference);
 
-  for (size_t threads : {2u, 4u}) {
+  for (size_t threads : {1u, 2u, 4u}) {
     ThreadPool pool(threads);
     const Fingerprint fp = RunGossipSim(&pool, /*batch_window=*/0);
     EXPECT_TRUE(fp == reference) << "threads=" << threads;
@@ -158,15 +166,6 @@ TEST(ParallelNetSimTest, RngStreamsIndependentOfEnableParallelOrder) {
     return fingerprint;
   };
   EXPECT_EQ(run(true), run(false));
-}
-
-TEST(ParallelNetSimTest, SequentialModeIsUntouchedByParallelSupport) {
-  // No EnableParallel call: two sequential runs still agree with each other
-  // — the pre-existing deterministic behavior survives the new machinery.
-  const Fingerprint a = RunGossipSim(nullptr, 0);
-  const Fingerprint b = RunGossipSim(nullptr, 0);
-  EXPECT_TRUE(a == b);
-  EXPECT_GT(a.stats.messages_delivered, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Scale determinism: a 10^4-node rumor epidemic under seeded churn must be
-// bit-identical at 1 vs N worker threads, in both exact-tie and windowed
-// batching modes. This pins the whole parallel path — per-node RNG
-// streams, partition-level execution, deferred churn, the deterministic
+// bit-identical with no pool and at 1 vs N worker threads, in both
+// exact-tie and windowed batching modes. This pins the run loop — per-node
+// RNG streams, partition-level execution, deferred churn, the deterministic
 // merge, and the timer wheel under heavy load (hundreds of thousands of
 // events) — to a scheduling-independent trajectory.
 
@@ -38,22 +38,31 @@ struct Fingerprint {
     return infected == other.infected &&
            infected_at_sum == other.infected_at_sum &&
            pushes == other.pushes &&
+           stats.events_processed == other.stats.events_processed &&
            stats.messages_sent == other.stats.messages_sent &&
            stats.messages_delivered == other.stats.messages_delivered &&
            stats.messages_dropped == other.stats.messages_dropped &&
            stats.bytes_sent == other.stats.bytes_sent &&
+           stats.partition_drops == other.stats.partition_drops &&
+           stats.messages_corrupted == other.stats.messages_corrupted &&
+           stats.retries == other.stats.retries &&
            stats.timers_dropped_offline == other.stats.timers_dropped_offline &&
            stats.bytes_received_per_node == other.stats.bytes_received_per_node;
   }
 };
 
+// `threads` 0 skips EnableParallel: no pool, partitions run inline (only
+// valid with the default exact-tie window).
 Fingerprint RunChurnEpidemic(size_t threads, SimTime batch_window) {
   NetConfig net;
   net.drop_rate = 0.01;
   net.bandwidth_bytes_per_sec = 0;  // rumor bytes are not the point here
   NetSim sim(net, /*seed=*/77);
-  ThreadPool pool(threads);
-  sim.EnableParallel(&pool, batch_window);
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) {
+    pool = std::make_unique<ThreadPool>(threads);
+    sim.EnableParallel(pool.get(), batch_window);
+  }
   sim.Reserve(kNodes + 1);  // + the fault injector
 
   RumorConfig rumor;
@@ -98,6 +107,8 @@ TEST(ScaleNetSimTest, ChurnEpidemicBitIdenticalOneVsManyThreads) {
   EXPECT_GT(reference.stats.timers_dropped_offline, 0u);
   EXPECT_GT(reference.stats.messages_dropped, 0u);
 
+  const Fingerprint no_pool = RunChurnEpidemic(0, /*batch_window=*/0);
+  EXPECT_TRUE(no_pool == reference);
   const Fingerprint parallel = RunChurnEpidemic(4, /*batch_window=*/0);
   EXPECT_TRUE(parallel == reference);
 }

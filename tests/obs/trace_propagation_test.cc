@@ -64,7 +64,7 @@ class PingPongNode : public dml::Node {
 };
 
 // Builds the two-node ping-pong sim, runs it, and returns the tracer
-// snapshot. `parallel` exercises the outbox capture/drain path.
+// snapshot. `parallel` runs the handlers on `pool`'s worker threads.
 std::vector<SpanRecord> RunPingPong(bool parallel, common::ThreadPool* pool) {
   dml::NetConfig config;
   config.drop_rate = 0.0;
@@ -101,8 +101,8 @@ TEST_F(TracePropagationTest, MessageEnvelopeCarriesContextSequential) {
 }
 
 TEST_F(TracePropagationTest, MessageEnvelopeCarriesContextParallel) {
-  // In parallel mode the context is captured into the outbox on the worker
-  // thread and re-applied when the batch drains; the chain must come out
+  // On a pool the context is captured into the outbox on the worker thread
+  // and re-applied when the batch drains; the chain must come out
   // identical in shape.
   common::ThreadPool pool(4);
   ExpectDeliveryChain(RunPingPong(/*parallel=*/true, &pool));
