@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Validates the BENCH_parallel.json report against its documented schema.
+"""Validates a committed BENCH_*.json report against its documented schema.
 
-BENCH_parallel.json is the shared flat-object report written by
-bench::MergeParallelReport ({"section": {...}, ...}). This checks the
-sections the parallel-execution work commits to (EXPERIMENTS.md E15 and
-the E6b consensus sweep): required keys, cell shapes, and the recorded
-acceptance floors — 4-thread apply >= 2.0x over the sequential baseline
-at 0% conflict and >= 1.0x at 100%. Wired into CTest under the
-`parallel` label against the checked-in artifact; also usable by hand:
+Every report is the flat-object format written by
+bench::MergeParallelReport ({"section": {...}, ...}) and is recognized by
+its section keys (see CHECKERS). BENCH_parallel.json, the fallback, holds
+the sections the parallel-execution work commits to (EXPERIMENTS.md E15
+and the E6b consensus sweep): required keys, cell shapes, and the
+recorded acceptance floors — 4-thread apply >= 2.0x over the sequential
+baseline at 0% conflict and >= 1.0x at 100%. Each report is wired into
+CTest as a *_bench_schema_check against the checked-in artifact; also
+usable by hand:
 
   check_bench_schema.py BENCH_parallel.json
 
@@ -360,6 +362,118 @@ def check_observability(doc):
             "true (same seed -> bit-identical alert stream at 1 vs N)")
 
 
+def cells_of(doc, section_name):
+    """The non-empty `cells` list of a required section, or []."""
+    section = doc.get(section_name)
+    if not isinstance(section, dict):
+        fail("report: missing required section %r" % section_name)
+        return []
+    cells = require(section, section_name, "cells",
+                    lambda v: isinstance(v, list) and v, "a non-empty list")
+    out = []
+    for i, cell in enumerate(cells or []):
+        if isinstance(cell, dict):
+            out.append(("%s cells[%d]" % (section_name, i), cell))
+        else:
+            fail("%s cells[%d]: not an object" % (section_name, i))
+    return out
+
+
+def check_robustness(doc):
+    """BENCH_robustness.json: the E11 convergence and liveness floors.
+
+    Every chaos cell of the validator convergence sweep converged; every
+    faulted lifecycle either finalized or refunded its escrow (the rates
+    sum to 1); and a faulty minority of executors never stops a run. No
+    timing floors.
+    """
+    for where, cell in cells_of(doc, "convergence_sweep"):
+        require(cell, where, "converged_rate",
+                lambda v: is_num(v) and v == 1.0,
+                "1.0 (every chaos seed converges)")
+    section = doc.get("lifecycle_completion")
+    executors = None
+    if isinstance(section, dict):
+        executors = require(section, "lifecycle_completion", "executors",
+                            lambda v: is_num(v) and v > 0,
+                            "a positive number")
+    for where, cell in cells_of(doc, "lifecycle_completion"):
+        faulty = require(cell, where, "faulty_executors",
+                         lambda v: is_num(v) and v >= 0,
+                         "a non-negative number")
+        completion = require(cell, where, "completion_rate", is_num,
+                             "a number")
+        refund = require(cell, where, "refund_rate", is_num, "a number")
+        # Rates are k/seeds fractions; allow only float rounding.
+        if completion is not None and refund is not None and \
+                abs(completion + refund - 1.0) > 1e-9:
+            fail("%s: completion_rate + refund_rate = %r, must be 1.0 "
+                 "(every run finalizes or refunds)" % (where,
+                                                       completion + refund))
+        if None not in (executors, faulty, completion) and \
+                2 * faulty < executors and completion != 1.0:
+            fail("%s: completion_rate %r with a faulty minority, must be "
+                 "1.0" % (where, completion))
+
+
+def check_durability(doc):
+    """BENCH_durability.json: the recovery sweep's consistency floors.
+
+    Recovery never replays more blocks than were written, it uses a
+    snapshot exactly when it replays fewer, and a sweep cell with
+    snapshots off (interval 0) never uses one. No timing floors.
+    """
+    for where, cell in cells_of(doc, "recovery_sweep"):
+        blocks = require(cell, where, "blocks", is_num, "a number")
+        replayed = require(cell, where, "replayed_blocks",
+                           lambda v: is_num(v) and v >= 0,
+                           "a non-negative number")
+        used = require(cell, where, "used_snapshot",
+                       lambda v: isinstance(v, bool), "a boolean")
+        interval = require(cell, where, "snapshot_interval",
+                           lambda v: is_num(v) and v >= 0,
+                           "a non-negative number")
+        if None in (blocks, replayed, used, interval):
+            continue
+        if replayed > blocks:
+            fail("%s: replayed_blocks %r > blocks %r" % (where, replayed,
+                                                         blocks))
+        if used != (replayed < blocks):
+            fail("%s: used_snapshot must be true exactly when "
+                 "replayed_blocks < blocks" % where)
+        if interval == 0 and used:
+            fail("%s: snapshot_interval 0 but a snapshot was used" % where)
+
+
+def check_parallel(doc):
+    """BENCH_parallel.json: the E15/E6b sections (see the module doc)."""
+    for name in ("consensus", "parallel_exec"):
+        if name not in doc or not isinstance(doc[name], dict):
+            fail("report: missing required section %r" % name)
+    if "consensus" in doc and isinstance(doc["consensus"], dict):
+        check_consensus(doc["consensus"])
+    if "parallel_exec" in doc and isinstance(doc["parallel_exec"], dict):
+        check_parallel_exec(doc["parallel_exec"])
+    if "shapley" in doc and isinstance(doc["shapley"], dict):
+        check_shapley(doc["shapley"])
+
+
+# Section key -> the checker of the report that carries it. A report is
+# validated by the checker of the first key it has, in this order;
+# BENCH_parallel.json carries none of them.
+CHECKERS = [
+    ("discovery", check_discovery),
+    ("scale", check_scale),
+    ("health", check_observability),
+    ("marketplace_lifecycle_overhead", check_observability),
+    ("validator_accountability", check_byzantine),
+    ("summary", check_byzantine),
+    ("lifecycle_completion", check_robustness),
+    ("convergence_sweep", check_robustness),
+    ("recovery_sweep", check_durability),
+]
+
+
 def check_metadata_if_present(doc):
     """Shared thread-context metadata, validated wherever a report has it.
 
@@ -380,7 +494,7 @@ def check_metadata_if_present(doc):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("report", help="BENCH_parallel.json to validate")
+    parser.add_argument("report", help="the BENCH_*.json report to validate")
     args = parser.parse_args()
 
     try:
@@ -393,66 +507,8 @@ def main():
         print("FAIL: report is not a JSON object", file=sys.stderr)
         return 1
 
-    # BENCH_discovery.json is recognized by its "discovery" section and
-    # validated against the E17 store/memoization floors.
-    if "discovery" in doc:
-        check_discovery(doc)
-        if _errors:
-            for msg in _errors:
-                print("FAIL: %s" % msg, file=sys.stderr)
-            print("%d schema violation(s)" % len(_errors), file=sys.stderr)
-            return 1
-        print("bench schema OK")
-        return 0
-
-    # BENCH_scale.json is recognized by its "scale" section and validated
-    # against the E18 NetSim-at-scale floors.
-    if "scale" in doc:
-        check_scale(doc)
-        check_metadata_if_present(doc)
-        if _errors:
-            for msg in _errors:
-                print("FAIL: %s" % msg, file=sys.stderr)
-            print("%d schema violation(s)" % len(_errors), file=sys.stderr)
-            return 1
-        print("bench schema OK")
-        return 0
-
-    # BENCH_observability.json is recognized by its health / lifecycle-
-    # overhead sections and validated against the E19 health-plane floors.
-    if "health" in doc or "marketplace_lifecycle_overhead" in doc:
-        check_observability(doc)
-        check_metadata_if_present(doc)
-        if _errors:
-            for msg in _errors:
-                print("FAIL: %s" % msg, file=sys.stderr)
-            print("%d schema violation(s)" % len(_errors), file=sys.stderr)
-            return 1
-        print("bench schema OK")
-        return 0
-
-    # BENCH_byzantine.json is recognized by its accountability sections and
-    # validated against the E16 safety floors instead of the E15 schema.
-    if "validator_accountability" in doc or "summary" in doc:
-        check_byzantine(doc)
-        check_metadata_if_present(doc)
-        if _errors:
-            for msg in _errors:
-                print("FAIL: %s" % msg, file=sys.stderr)
-            print("%d schema violation(s)" % len(_errors), file=sys.stderr)
-            return 1
-        print("bench schema OK")
-        return 0
-
-    for name in ("consensus", "parallel_exec"):
-        if name not in doc or not isinstance(doc[name], dict):
-            fail("report: missing required section %r" % name)
-    if "consensus" in doc and isinstance(doc["consensus"], dict):
-        check_consensus(doc["consensus"])
-    if "parallel_exec" in doc and isinstance(doc["parallel_exec"], dict):
-        check_parallel_exec(doc["parallel_exec"])
-    if "shapley" in doc and isinstance(doc["shapley"], dict):
-        check_shapley(doc["shapley"])
+    checker = next((c for key, c in CHECKERS if key in doc), check_parallel)
+    checker(doc)
     check_metadata_if_present(doc)
 
     if _errors:

@@ -81,11 +81,14 @@ Status Marketplace::Tick() {
     auto block = chain_->ProduceBlock(validators_[turn], now_);
     status = block.ok() ? Status::Ok() : block.status();
   }
-  if (health_ts_ != nullptr) {
-    health_ts_->Sample(obs::WallNowNs(), /*has_sim=*/true, now_);
-    if (health_monitor_ != nullptr) health_monitor_->EvaluateLatest();
-  }
+  SampleHealth();
   return status;
+}
+
+void Marketplace::SampleHealth() {
+  if (health_ts_ == nullptr) return;
+  health_ts_->Sample(obs::WallNowNs(), /*has_sim=*/true, now_);
+  if (health_monitor_ != nullptr) health_monitor_->EvaluateLatest();
 }
 
 Result<chain::Receipt> Marketplace::Execute(const crypto::SigningKey& sender,
@@ -102,53 +105,40 @@ Result<chain::Receipt> Marketplace::Execute(const crypto::SigningKey& sender,
   return chain_->GetReceipt(tx.Id());
 }
 
-Status Marketplace::RegisterActor(const crypto::SigningKey& key,
-                                  uint64_t roles,
-                                  const std::string& metadata) {
-  if (actor_registry_instance_ == 0) {
-    return Status::Internal("actor registry not deployed");
-  }
+// Funds a new actor from the treasury and registers its role on-chain.
+void Marketplace::Onboard(const crypto::SigningKey& key, uint64_t roles,
+                          const std::string& name) {
+  (void)Execute(validators_[0], chain::AddressFromPublicKey(key.PublicKey()),
+                config_.genesis_balance, kDefaultGas, chain::CallPayload{});
+  if (actor_registry_instance_ == 0) return;  // registry not deployed
   Writer args;
   args.PutBytes(key.PublicKey());
   args.PutU64(roles);
-  args.PutString(metadata);
-  PDS2_ASSIGN_OR_RETURN(
-      chain::Receipt receipt,
-      Execute(key, chain::Address{}, 0, kDefaultGas,
-              chain::CallPayload{"actors", actor_registry_instance_,
-                                 "register", args.Take()}));
-  if (!receipt.success) return Status::Internal(receipt.error);
-  return Status::Ok();
+  args.PutString(name);
+  (void)Execute(key, chain::Address{}, 0, kDefaultGas,
+                chain::CallPayload{"actors", actor_registry_instance_,
+                                   "register", args.Take()});
 }
 
 ProviderAgent& Marketplace::AddProvider(const std::string& name) {
   providers_.push_back(
       std::make_unique<ProviderAgent>(name, config_.seed + ++actor_seed_));
-  ProviderAgent& provider = *providers_.back();
-  (void)Execute(validators_[0], provider.address(), config_.genesis_balance,
-                kDefaultGas, chain::CallPayload{});
-  (void)RegisterActor(provider.key(), chain::contracts::kRoleProvider, name);
-  return provider;
+  Onboard(providers_.back()->key(), chain::contracts::kRoleProvider, name);
+  return *providers_.back();
 }
 
 ExecutorAgent& Marketplace::AddExecutor(const std::string& name) {
   executors_.push_back(std::make_unique<ExecutorAgent>(
       name, config_.seed + ++actor_seed_, attestation_));
-  ExecutorAgent& executor = *executors_.back();
-  (void)Execute(validators_[0], executor.address(), config_.genesis_balance,
-                kDefaultGas, chain::CallPayload{});
-  (void)RegisterActor(executor.key(), chain::contracts::kRoleExecutor, name);
-  return executor;
+  Onboard(executors_.back()->key(), chain::contracts::kRoleExecutor, name);
+  return *executors_.back();
 }
 
 ConsumerAgent& Marketplace::AddConsumer(const std::string& name) {
   consumers_.push_back(
       std::make_unique<ConsumerAgent>(name, config_.seed + ++actor_seed_));
-  ConsumerAgent& consumer = *consumers_.back();
-  (void)Execute(validators_[0], consumer.address(), config_.genesis_balance,
-                kDefaultGas, chain::CallPayload{});
-  (void)RegisterActor(consumer.key(), chain::contracts::kRoleConsumer, name);
-  return consumer;
+  Onboard(consumers_.back()->key(), chain::contracts::kRoleConsumer, name);
+  return *consumers_.back();
 }
 
 Result<common::Bytes> Marketplace::RegisterDatasetNft(
@@ -219,29 +209,373 @@ Result<store::Advert> Marketplace::AdvertiseDataset(
   return advert;
 }
 
+// ---------------------------------------------------------------------------
+// The Fig. 2 lifecycle. RunWorkload drives a table of steps, one per state
+// transition of the workload contract; the steps share one RunContext.
+
+namespace {
+
+using chain::contracts::WorkloadPhase;
+using Role = store::MemoBeneficiary::Role;
+
+// A chain identity acting in the lifecycle, with its trace node label.
+struct Actor {
+  const char* role;
+  const std::string& name;
+  const crypto::SigningKey& key;
+};
+Actor Of(const ConsumerAgent& a) { return {"consumer/", a.name(), a.key()}; }
+Actor Of(const ProviderAgent& a) { return {"provider/", a.name(), a.key()}; }
+Actor Of(const ExecutorAgent& a) { return {"executor/", a.name(), a.key()}; }
+
+// Runs `f` as `actor` inside the span `span`, timed on the simulated clock.
+template <typename F>
+auto InSpan(const Actor& actor, const char* span, const common::SimTime* now,
+            F&& f) {
+  obs::NodeScope scope(actor.role, actor.name);
+  obs::ScopedSpan timed(span, now);
+  return f();
+}
+
+// Internal unless the workload contract is in phase `want`.
+Status ExpectPhase(const chain::Blockchain& chain, uint64_t instance,
+                   WorkloadPhase want) {
+  PDS2_ASSIGN_OR_RETURN(Bytes phase,
+                        chain.Query("workload", instance, "phase", {}));
+  if (phase == Bytes{static_cast<uint8_t>(want)}) return Status::Ok();
+  return Status::Internal("workload contract in phase " +
+                          common::HexEncode(phase) + ", expected " +
+                          std::to_string(static_cast<int>(want)));
+}
+
+// Candidate executors for the i-th provider: its pinned executor first (if
+// any), then round-robin over the full set, so a drop falls back to the
+// next healthy one.
+std::vector<size_t> CandidateOrder(
+    const std::vector<std::unique_ptr<ExecutorAgent>>& executors, size_t i,
+    const std::string& preferred) {
+  std::vector<size_t> order;
+  for (size_t k = 0; k < executors.size() && order.empty(); ++k) {
+    if (!preferred.empty() && executors[k]->name() == preferred) {
+      order.push_back(k);
+    }
+  }
+  for (size_t k = 0; k < executors.size(); ++k) {
+    const size_t candidate = (i + k) % executors.size();
+    if (order.empty() || order[0] != candidate) order.push_back(candidate);
+  }
+  return order;
+}
+
+}  // namespace
+
+// One lifecycle's working state, shared by the steps.
+struct Marketplace::RunContext {
+  struct Participation {
+    ProviderAgent* provider;
+    storage::DatasetSummary offer;
+    ExecutorAgent* executor;
+  };
+
+  Marketplace& market;
+  ConsumerAgent& consumer;
+  const WorkloadSpec& spec;
+  const RunOptions& options;
+  RunReport report{};
+  common::SimTime deadline = 0;
+  std::vector<Participation> participations{};
+  // Sealed contributions keyed by index in executors_, so registration and
+  // audit order follow the seed, not heap addresses.
+  std::map<size_t, std::vector<SealedContribution>> per_executor{};
+  std::set<ExecutorAgent*> dropped{};
+  // Registration-time roster in canonical (name) order, kept for the
+  // reward report: executors dropped later still appear there, with 0.
+  std::vector<ExecutorAgent*> registered{};
+  std::vector<ExecutorAgent*> active{};  // executors still carrying the run
+  std::vector<std::pair<ml::Vec, uint64_t>> states{};  // (params, samples)
+  size_t result_size = 0;
+  std::vector<std::pair<std::string, uint64_t>> settled_weights{};
+
+  void Audit(std::string line) { report.audit_log.push_back(std::move(line)); }
+
+  // Drops an executor from the run: it forfeits its reward share.
+  void Drop(ExecutorAgent* executor, const Status& cause) {
+    dropped.insert(executor);
+    report.dropped_executors.push_back(executor->name());
+    PDS2_M_COUNT("market.executors_dropped", 1);
+    Audit("dropped executor " + executor->name() + ": " + cause.ToString());
+  }
+
+  // Calls `method` on this run's workload contract as `actor`, so the
+  // chain.submit_tx span (and through its link, the block executing the
+  // tx) is attributed to whoever acted; Tick() labels the validator's part.
+  Result<chain::Receipt> Call(const Actor& actor, const std::string& method,
+                              Bytes args = {}, uint64_t value = 0) {
+    obs::NodeScope scope(actor.role, actor.name);
+    return market.Execute(actor.key, chain::Address{}, value, kDefaultGas,
+                          chain::CallPayload{"workload", report.instance,
+                                             method, std::move(args)});
+  }
+
+  // Merges `inputs` in each executor's enclave, dropping the ones that
+  // fail. Returns the survivors; `merged` (if set) gets the last result.
+  std::vector<ExecutorAgent*> MergeOnEach(
+      const std::vector<ExecutorAgent*>& executors,
+      const std::vector<std::pair<ml::Vec, uint64_t>>& inputs,
+      ml::Vec* merged) {
+    std::vector<ExecutorAgent*> survivors;
+    for (ExecutorAgent* executor : executors) {
+      auto result = InSpan(Of(*executor), "market.executor.merge", &market.now_,
+                           [&] { return executor->MergeAll(inputs); });
+      if (!result.ok()) {
+        Drop(executor, result.status());
+        continue;
+      }
+      if (merged != nullptr) *merged = std::move(*result);
+      survivors.push_back(executor);
+    }
+    return survivors;
+  }
+
+  // Aborts the workload, refunding the escrow and every bond, and returns
+  // `cause`. The contract lets a consumer reclaim a *running* workload's
+  // escrow only past its deadline (executors who did honest work must not
+  // be rug-pulled), so if the immediate abort is refused the marketplace
+  // waits the deadline out in simulated time and claims the refund then:
+  // every failed run ends refunded, never with tokens stranded in the
+  // contract. A run that already settled has nothing left to refund.
+  Status Abort(const Status& cause) {
+    const chain::Blockchain& chain = *market.chain_;
+    if (ExpectPhase(chain, report.instance, WorkloadPhase::kPaid).ok() ||
+        ExpectPhase(chain, report.instance, WorkloadPhase::kAborted).ok()) {
+      return cause;
+    }
+    PDS2_M_COUNT("market.workloads_aborted", 1);
+    auto aborted = Call(Of(consumer), "abort");
+    if (aborted.ok() && !aborted->success && market.now_ <= deadline) {
+      market.now_ = deadline;  // the next block's timestamp lands past it
+      (void)Call(Of(consumer), "abort");
+      Audit("abort deferred to the workload deadline; escrow reclaimed");
+    }
+    return cause;
+  }
+};
+
+Result<RunReport> Marketplace::RunWorkload(ConsumerAgent& consumer,
+                                           const WorkloadSpec& spec,
+                                           const RunOptions& options) {
+  PDS2_RETURN_IF_ERROR(spec.Validate());
+  if (executors_.empty()) {
+    return Status::FailedPrecondition("no executors registered");
+  }
+  // What the driver does when a step fails.
+  enum class OnFailure {
+    kReturn,      // no workload instance exists yet: nothing to refund
+    kAbort,       // abort the contract (escrow refunded), then fail
+    kBestEffort,  // the run is settled; a failure costs only extras
+  };
+  struct Step {
+    const char* span;  // stage span, a direct child of market.run_workload
+    Status (Marketplace::*run)(RunContext&);
+    WorkloadPhase after;  // the contract's phase once the step succeeded
+    OnFailure on_failure;
+  };
+  using enum WorkloadPhase;
+  using enum OnFailure;
+  using M = Marketplace;
+  static const Step kSteps[] = {
+      {"market.post", &M::Post, kAccepting, kReturn},
+      {"market.match", &M::Match, kAccepting, kAbort},
+      {"market.substitute", &M::Substitute, kAccepting, kAbort},
+      {"market.attest_seal", &M::AttestSeal, kAccepting, kAbort},
+      {"market.register_executors", &M::RegisterExecutors, kAccepting, kAbort},
+      {"market.start", &M::Start, kRunning, kAbort},
+      {"market.train_aggregate", &M::TrainAggregate, kRunning, kAbort},
+      {"market.vote", &M::Vote, kCompleted, kAbort},
+      {"market.finalize", &M::Finalize, kPaid, kAbort},
+      {"market.publish_artifact", &M::PublishArtifact, kPaid, kBestEffort},
+  };
+
+  // The whole lifecycle plus one span per step, all against the simulated
+  // clock (now_ advances one block interval per produced block).
+  obs::ScopedSpan run_span("market.run_workload", &now_);
+  PDS2_M_COUNT("market.workloads_started", 1);
+  RunContext run{*this, consumer, spec, options};
+  const uint64_t gas_before = chain_->TotalGasUsed();
+  const uint64_t height_before = chain_->Height();
+  for (const Step& step : kSteps) {
+    obs::ScopedSpan span(step.span, &now_);
+    Status status = (this->*step.run)(run);
+    // Every step ends with the contract in its phase; a substituted run
+    // released its escrow instead.
+    if (status.ok()) {
+      status = ExpectPhase(*chain_, run.report.instance,
+                           run.report.substituted ? kAborted : step.after);
+    }
+    if (!status.ok() && step.on_failure == kReturn) return status;
+    if (!status.ok() && step.on_failure == kAbort) return run.Abort(status);
+    if (run.report.substituted) break;
+  }
+
+  run.report.gas_used = chain_->TotalGasUsed() - gas_before;
+  run.report.blocks_produced = chain_->Height() - height_before;
+  if (!run.report.substituted) PDS2_M_COUNT("market.workloads_completed", 1);
+  // Settlement-stage counters (slashes, completion) land after the last
+  // block's sample; one closing sample makes them visible to alert rules.
+  SampleHealth();
+  return std::move(run.report);
+}
+
+// Fig. 2, step 1: the consumer submits the workload specification and
+// escrows the reward pool in a fresh workload contract.
+Status Marketplace::Post(RunContext& run) {
+  const WorkloadSpec& spec = run.spec;
+  run.deadline = spec.deadline == 0 ? now_ + 3600 * common::kMicrosPerSecond
+                                    : spec.deadline;
+  Writer args;
+  args.PutBytes(spec.SpecHash());
+  args.PutU64(spec.reward_pool);
+  args.PutU64(spec.min_providers);
+  args.PutU64(spec.max_providers);
+  args.PutU64(spec.executor_reward_permille);
+  args.PutU64(run.deadline);
+  args.PutString("gossip");
+  args.PutU64(spec.executor_stake);
+  PDS2_ASSIGN_OR_RETURN(
+      chain::Receipt receipt,
+      run.Call(Of(run.consumer), "deploy", args.Take(), spec.reward_pool));
+  if (!receipt.success) {
+    return Status::Internal("workload deploy failed: " + receipt.error);
+  }
+  PDS2_ASSIGN_OR_RETURN(run.report.instance,
+                        chain::InstanceIdFromReceipt(receipt));
+  run.Audit("deployed workload '" + spec.name + "' as instance " +
+            std::to_string(run.report.instance) + ", escrow " +
+            std::to_string(spec.reward_pool));
+  return Status::Ok();
+}
+
+// Step 2: storage subsystems match data; providers decide.
+Status Marketplace::Match(RunContext& run) {
+  const WorkloadSpec& spec = run.spec;
+  // Discovery-assisted matching: when providers have gossiped dataset
+  // adverts, the ones whose advertised type tags cover the spec's
+  // requirement are consulted first — the consumer asks the network who
+  // claims to have the data before knocking on every door. An empty index
+  // degrades to the plain registration-order walk.
+  std::set<std::string> advertised;
+  for (const std::string& type : spec.requirement.required_types) {
+    for (const store::Advert& ad : discovery_index_.FindByTag(type)) {
+      advertised.insert(ad.provider);
+    }
+  }
+  std::vector<ProviderAgent*> order;
+  for (auto& provider : providers_) order.push_back(provider.get());
+  std::stable_partition(order.begin(), order.end(), [&](ProviderAgent* p) {
+    return advertised.count(p->name()) > 0;
+  });
+  if (!advertised.empty()) {
+    run.Audit("discovery index ranked " + std::to_string(advertised.size()) +
+              " advertised providers first");
+  }
+  for (ProviderAgent* provider : order) {
+    if (run.participations.size() >= spec.max_providers) break;
+    auto offer = InSpan(Of(*provider), "market.provider.evaluate", &now_, [&] {
+      return provider->EvaluateWorkload(config_.ontology, spec);
+    });
+    if (!offer.has_value()) continue;
+    run.participations.push_back({provider, std::move(*offer), nullptr});
+  }
+  run.Audit(std::to_string(run.participations.size()) + " providers accepted");
+  if (run.participations.size() < spec.min_providers) {
+    return Status::FailedPrecondition(
+        "only " + std::to_string(run.participations.size()) +
+        " providers accepted (need " + std::to_string(spec.min_providers) +
+        "); workload aborted and escrow refunded");
+  }
+  return Status::Ok();
+}
+
+// Substitution probe (store/memo.h): the matched inputs plus the training
+// fingerprint and the enclave code measurement fully determine the result,
+// so if the network already computed this exact function the consumer
+// fetches the attested artifact instead of paying for training. The
+// artifact is trusted only after it verifies against the *chain*: the
+// source workload's anchored artifact address and agreed result hash. Any
+// verification failure falls back to an honest recompute.
+Status Marketplace::Substitute(RunContext& run) {
+  RunReport& report = run.report;
+  std::vector<Bytes> input_hashes;
+  for (const auto& p : run.participations) {
+    input_hashes.push_back(p.offer.commitment);
+  }
+  report.memo_key = store::ComputeMemoKey(
+      tee::MeasureKernel("pds2.training", tee::TrainingKernel::kVersion),
+      std::move(input_hashes), run.spec.TrainingFingerprint());
+  if (!config_.enable_substitution) return Status::Ok();
+  const store::MemoEntry* hit = memo_index_.Lookup(report.memo_key);
+  if (hit == nullptr) return Status::Ok();
+
+  PDS2_M_COUNT("market.substitution_probes_hit", 1);
+  // The memo entry is trusted only as far as the chain anchors it; the
+  // artifact is then fetched and verified like any consumer's result.
+  RunReport source;
+  source.result_address = hit->artifact_address;
+  source.result_hash = hit->result_hash;
+  auto anchored =
+      chain_->Query("workload", hit->source_instance, "artifact", {});
+  auto agreed = chain_->Query("workload", hit->source_instance, "result", {});
+  Result<ml::Vec> params =
+      Status::Corruption("memo entry disagrees with its chain anchor");
+  if (anchored.ok() && *anchored == source.result_address && agreed.ok() &&
+      *agreed == source.result_hash) {
+    params = FetchResult(source);
+  }
+  if (!params.ok()) {
+    run.Audit("substitution declined: " + params.status().ToString());
+    PDS2_M_COUNT("market.substitution_verify_failures", 1);
+    return Status::Ok();
+  }
+  run.Audit("memo key hit: artifact " +
+            common::HexPrefix(hit->artifact_address, 12) +
+            " verified against the anchor of instance " +
+            std::to_string(hit->source_instance));
+  // Release this run's escrow (still in Accepting, so the abort refunds
+  // immediately), then settle the reduced reuse fee.
+  (void)run.Call(Of(run.consumer), "abort");
+  PDS2_RETURN_IF_ERROR(SettleReuseFee(run, *hit));
+  report.substituted = true;
+  report.reused_from_instance = hit->source_instance;
+  report.result_hash = hit->result_hash;
+  report.result_address = hit->artifact_address;
+  report.model_params = std::move(*params);
+  report.num_providers = run.participations.size();
+  PDS2_M_COUNT("market.workloads_substituted", 1);
+  run.Audit("substituted memoized result; reuse fee " +
+            std::to_string(report.reuse_fee) + " of pool " +
+            std::to_string(run.spec.reward_pool) + " settled");
+  return Status::Ok();
+}
+
 // Pays the reduced reuse fee for a memoized artifact through the ledger.
 // The split mirrors finalize: the executor share (current spec's permille)
 // divides evenly among the producing executors, the remainder goes to the
 // producing providers by their recorded weights. Every token moves as a
 // plain ledger transfer from the consumer, so conservation is inherited
 // from the chain; integer-division dust simply never leaves the consumer.
-Status Marketplace::SettleReuseFee(ConsumerAgent& consumer,
-                                   const store::MemoEntry& entry,
-                                   const WorkloadSpec& spec,
-                                   RunReport& report) {
-  const uint64_t fee = spec.reward_pool * config_.reuse_fee_permille / 1000;
+Status Marketplace::SettleReuseFee(RunContext& run,
+                                   const store::MemoEntry& entry) {
+  const uint64_t fee = run.spec.reward_pool * config_.reuse_fee_permille / 1000;
   if (fee == 0) return Status::Ok();
 
   auto resolve =
       [&](const store::MemoBeneficiary& b) -> std::optional<chain::Address> {
-    if (b.role == store::MemoBeneficiary::Role::kProvider) {
-      for (auto& p : providers_) {
-        if (p->name() == b.account) return p->address();
-      }
-    } else {
-      for (auto& e : executors_) {
-        if (e->name() == b.account) return e->address();
-      }
+    const bool provider = b.role == Role::kProvider;
+    for (auto& p : providers_) {
+      if (provider && p->name() == b.account) return p->address();
+    }
+    for (auto& e : executors_) {
+      if (!provider && e->name() == b.account) return e->address();
     }
     return std::nullopt;
   };
@@ -249,7 +583,7 @@ Status Marketplace::SettleReuseFee(ConsumerAgent& consumer,
   uint64_t executor_count = 0;
   uint64_t provider_weight_total = 0;
   for (const store::MemoBeneficiary& b : entry.beneficiaries) {
-    if (b.role == store::MemoBeneficiary::Role::kExecutor) {
+    if (b.role == Role::kExecutor) {
       executor_count++;
     } else {
       provider_weight_total += b.weight;
@@ -258,12 +592,12 @@ Status Marketplace::SettleReuseFee(ConsumerAgent& consumer,
   const uint64_t executor_pool =
       provider_weight_total == 0
           ? fee
-          : fee * spec.executor_reward_permille / 1000;
+          : fee * run.spec.executor_reward_permille / 1000;
   const uint64_t provider_pool = fee - executor_pool;
 
   for (const store::MemoBeneficiary& b : entry.beneficiaries) {
     uint64_t amount = 0;
-    if (b.role == store::MemoBeneficiary::Role::kExecutor) {
+    if (b.role == Role::kExecutor) {
       if (executor_count > 0) amount = executor_pool / executor_count;
     } else if (provider_weight_total > 0) {
       amount = static_cast<uint64_t>(
@@ -273,565 +607,243 @@ Status Marketplace::SettleReuseFee(ConsumerAgent& consumer,
     if (amount == 0) continue;
     std::optional<chain::Address> to = resolve(b);
     if (!to.has_value()) continue;  // beneficiary left; share stays unpaid
-    obs::NodeScope scope("consumer/", consumer.name());
-    PDS2_ASSIGN_OR_RETURN(
-        chain::Receipt receipt,
-        Execute(consumer.key(), *to, amount, kDefaultGas, chain::CallPayload{}));
+    obs::NodeScope scope("consumer/", run.consumer.name());
+    PDS2_ASSIGN_OR_RETURN(chain::Receipt receipt,
+                          Execute(run.consumer.key(), *to, amount, kDefaultGas,
+                                  chain::CallPayload{}));
     if (!receipt.success) {
       return Status::Internal("reuse fee transfer failed: " + receipt.error);
     }
-    report.reuse_fee += amount;
-    if (b.role == store::MemoBeneficiary::Role::kExecutor) {
-      report.executor_rewards[b.account] += amount;
+    run.report.reuse_fee += amount;
+    if (b.role == Role::kExecutor) {
+      run.report.executor_rewards[b.account] += amount;
     } else {
-      report.provider_rewards[b.account] += amount;
+      run.report.provider_rewards[b.account] += amount;
     }
   }
   return Status::Ok();
 }
 
-Result<RunReport> Marketplace::RunWorkload(ConsumerAgent& consumer,
-                                           const WorkloadSpec& spec,
-                                           const RunOptions& options) {
-  PDS2_RETURN_IF_ERROR(spec.Validate());
-  if (executors_.empty()) {
-    return Status::FailedPrecondition("no executors registered");
-  }
-
-  // The whole lifecycle plus one span per Fig. 2 stage, all against the
-  // marketplace's simulated clock (now_ advances one block interval per
-  // produced block). Stage spans are closed explicitly at each phase
-  // boundary; an early return ends whichever are still open.
-  obs::ScopedSpan run_span("market.run_workload", &now_);
-  PDS2_M_COUNT("market.workloads_started", 1);
-
-  RunReport report;
-  const uint64_t gas_before = chain_->TotalGasUsed();
-  const uint64_t height_before = chain_->Height();
-  auto audit = [&report](std::string line) {
-    report.audit_log.push_back(std::move(line));
-  };
-  // Execute() with the acting role's node identity installed, so the
-  // chain.submit_tx span (and through its link, the block that executes
-  // the tx) is attributed to the consumer/provider/executor that acted —
-  // Tick() re-labels the production itself with the proposing validator.
-  auto execute_as = [&](const char* role, const std::string& actor,
-                        const crypto::SigningKey& sender,
-                        const chain::Address& to, uint64_t value,
-                        uint64_t gas_limit, chain::CallPayload payload) {
-    obs::NodeScope scope(role, actor);
-    return Execute(sender, to, value, gas_limit, std::move(payload));
-  };
-
-  // --- Phase 1 (Fig. 2): consumer submits the workload specification. ----
-  obs::ScopedSpan span_post("market.post", &now_);
-  Writer deploy_args;
-  deploy_args.PutBytes(spec.SpecHash());
-  deploy_args.PutU64(spec.reward_pool);
-  deploy_args.PutU64(spec.min_providers);
-  deploy_args.PutU64(spec.max_providers);
-  deploy_args.PutU64(spec.executor_reward_permille);
-  const common::SimTime deadline =
-      spec.deadline == 0 ? now_ + 3600 * common::kMicrosPerSecond
-                         : spec.deadline;
-  deploy_args.PutU64(deadline);
-  deploy_args.PutString("gossip");
-  deploy_args.PutU64(spec.executor_stake);
-  PDS2_ASSIGN_OR_RETURN(
-      chain::Receipt deploy_receipt,
-      execute_as("consumer/", consumer.name(), consumer.key(),
-                 chain::Address{}, spec.reward_pool, kDefaultGas,
-                 chain::CallPayload{"workload", 0, "deploy",
-                                    deploy_args.Take()}));
-  if (!deploy_receipt.success) {
-    return Status::Internal("workload deploy failed: " + deploy_receipt.error);
-  }
-  PDS2_ASSIGN_OR_RETURN(report.instance,
-                        chain::InstanceIdFromReceipt(deploy_receipt));
-  audit("deployed workload '" + spec.name + "' as instance " +
-        std::to_string(report.instance) + ", escrow " +
-        std::to_string(spec.reward_pool));
-
-  // Abort helper used on every failure past this point. The contract only
-  // lets a consumer reclaim a *running* workload's escrow past its
-  // deadline (executors who did honest work must not be rug-pulled), so if
-  // the immediate abort is refused the marketplace waits the deadline out
-  // in simulated time and claims the refund then — every failed run ends
-  // refunded, never with tokens stranded in the contract.
-  auto abort_and_fail = [&](const Status& cause) -> Status {
-    PDS2_M_COUNT("market.workloads_aborted", 1);
-    auto aborted = execute_as(
-        "consumer/", consumer.name(), consumer.key(), chain::Address{}, 0,
-        kDefaultGas,
-        chain::CallPayload{"workload", report.instance, "abort", {}});
-    if (aborted.ok() && !aborted->success && now_ <= deadline) {
-      now_ = deadline;  // the next block's timestamp lands past the deadline
-      (void)execute_as(
-          "consumer/", consumer.name(), consumer.key(), chain::Address{}, 0,
-          kDefaultGas,
-          chain::CallPayload{"workload", report.instance, "abort", {}});
-      audit("abort deferred to the workload deadline; escrow reclaimed");
-    }
-    return cause;
-  };
-
-  span_post.End();
-
-  // --- Phase 2: storage subsystems match data; providers decide. ---------
-  obs::ScopedSpan span_match("market.match", &now_);
-  struct Participation {
-    ProviderAgent* provider;
-    storage::DatasetSummary offer;
-    ExecutorAgent* executor;
-  };
-  std::vector<Participation> participations;
-  // Discovery-assisted matching: when providers have gossiped dataset
-  // adverts, the ones whose advertised type tags cover the spec's
-  // requirement are consulted first — the consumer asks the network who
-  // claims to have the data before knocking on every door. An empty index
-  // degrades to the plain registration-order walk.
-  std::vector<ProviderAgent*> match_order;
-  if (discovery_index_.size() > 0 && !spec.requirement.required_types.empty()) {
-    std::set<std::string> advertised;
-    for (const std::string& type : spec.requirement.required_types) {
-      for (const store::Advert& ad : discovery_index_.FindByTag(type)) {
-        advertised.insert(ad.provider);
-      }
-    }
-    for (auto& provider : providers_) {
-      if (advertised.count(provider->name()) > 0) {
-        match_order.push_back(provider.get());
-      }
-    }
-    for (auto& provider : providers_) {
-      if (advertised.count(provider->name()) == 0) {
-        match_order.push_back(provider.get());
-      }
-    }
-    if (!advertised.empty()) {
-      audit("discovery index ranked " + std::to_string(advertised.size()) +
-            " advertised providers first");
-    }
-  } else {
-    for (auto& provider : providers_) match_order.push_back(provider.get());
-  }
-  for (ProviderAgent* provider : match_order) {
-    if (participations.size() >=
-        static_cast<size_t>(spec.max_providers)) {
-      break;
-    }
-    auto offer = [&] {
-      obs::NodeScope scope("provider/", provider->name());
-      obs::ScopedSpan span("market.provider.evaluate", &now_);
-      return provider->EvaluateWorkload(config_.ontology, spec);
-    }();
-    if (!offer.has_value()) continue;
-    participations.push_back({provider, std::move(*offer), nullptr});
-  }
-  audit(std::to_string(participations.size()) + " providers accepted");
-  if (participations.size() < spec.min_providers) {
-    return abort_and_fail(Status::FailedPrecondition(
-        "only " + std::to_string(participations.size()) +
-        " providers accepted (need " + std::to_string(spec.min_providers) +
-        "); workload aborted and escrow refunded"));
-  }
-
-  span_match.End();
-
-  // --- Substitution probe (store/memo.h): the matched inputs plus the
-  // training fingerprint and the enclave code measurement fully determine
-  // the result, so if the network already computed this exact function the
-  // consumer fetches the attested artifact instead of paying for training.
-  // The artifact is trusted only after it verifies against the *chain*:
-  // the source workload's anchored artifact address and agreed result
-  // hash. Any verification failure falls back to an honest recompute.
-  {
-    std::vector<Bytes> input_hashes;
-    for (const Participation& p : participations) {
-      input_hashes.push_back(p.offer.commitment);
-    }
-    report.memo_key = store::ComputeMemoKey(
-        tee::MeasureKernel("pds2.training", tee::TrainingKernel::kVersion),
-        std::move(input_hashes), spec.TrainingFingerprint());
-  }
-  const store::MemoEntry* memo_hit =
-      config_.enable_substitution ? memo_index_.Lookup(report.memo_key)
-                                  : nullptr;
-  if (memo_hit != nullptr) {
-    obs::ScopedSpan span_subst("market.substitute", &now_);
-    PDS2_M_COUNT("market.substitution_probes_hit", 1);
-    auto verified_fetch = [&]() -> Result<Bytes> {
-      PDS2_ASSIGN_OR_RETURN(
-          Bytes anchored,
-          chain_->Query("workload", memo_hit->source_instance, "artifact",
-                        {}));
-      if (anchored != memo_hit->artifact_address) {
-        return Status::Corruption("memo entry disagrees with chain anchor");
-      }
-      PDS2_ASSIGN_OR_RETURN(
-          Bytes agreed_hash,
-          chain_->Query("workload", memo_hit->source_instance, "result", {}));
-      if (agreed_hash != memo_hit->result_hash) {
-        return Status::Corruption("memo result hash disagrees with chain");
-      }
-      PDS2_ASSIGN_OR_RETURN(Bytes blob,
-                            artifact_store_->Get(memo_hit->artifact_address));
-      if (crypto::Sha256::Hash(blob) != memo_hit->result_hash) {
-        return Status::Corruption("fetched artifact fails hash verification");
-      }
-      return blob;
-    };
-    auto blob = verified_fetch();
-    if (blob.ok()) {
-      Reader blob_reader(*blob);
-      auto params = blob_reader.GetDoubleVector();
-      if (params.ok()) {
-        audit("memo key hit: artifact " +
-              common::HexPrefix(memo_hit->artifact_address, 12) +
-              " verified against the anchor of instance " +
-              std::to_string(memo_hit->source_instance));
-        // Release this run's escrow (still in Accepting, so the abort
-        // refunds immediately), then settle the reduced reuse fee.
-        (void)execute_as(
-            "consumer/", consumer.name(), consumer.key(), chain::Address{}, 0,
-            kDefaultGas,
-            chain::CallPayload{"workload", report.instance, "abort", {}});
-        PDS2_RETURN_IF_ERROR(
-            SettleReuseFee(consumer, *memo_hit, spec, report));
-        report.substituted = true;
-        report.reused_from_instance = memo_hit->source_instance;
-        report.result_hash = memo_hit->result_hash;
-        report.result_address = memo_hit->artifact_address;
-        report.model_params = *params;
-        report.num_providers = participations.size();
-        report.gas_used = chain_->TotalGasUsed() - gas_before;
-        report.blocks_produced = chain_->Height() - height_before;
-        audit("substituted memoized result; reuse fee " +
-              std::to_string(report.reuse_fee) + " of pool " +
-              std::to_string(spec.reward_pool) + " settled");
-        PDS2_M_COUNT("market.workloads_substituted", 1);
-        return report;
-      }
-      audit("substitution declined: " + params.status().ToString());
-    } else {
-      audit("substitution declined: " + blob.status().ToString());
-      PDS2_M_COUNT("market.substitution_verify_failures", 1);
-    }
-  }
-
-  // --- Phase 3: providers pick executors, verify attestation, send data.
-  // Providers with their own hardware (Fig. 3) pin their preferred
-  // executor; the rest are assigned round-robin across third parties. An
-  // executor that crashes during setup or fails attestation is dropped and
-  // its providers re-assigned to surviving executors — their sealed shards
-  // simply go to a different attested enclave; a dead compute node costs
-  // its own reward, not the workload.
-  obs::ScopedSpan span_attest("market.attest_seal", &now_);
-  // Keyed by index in executors_, so registration and audit order follow
-  // the seed, not heap addresses.
-  std::map<size_t, std::vector<SealedContribution>> per_executor;
-  std::set<ExecutorAgent*> failed_executors;
-  auto drop_executor = [&](size_t index, const Status& cause) {
-    ExecutorAgent* executor = executors_[index].get();
-    failed_executors.insert(executor);
-    per_executor.erase(index);
-    report.dropped_executors.push_back(executor->name());
-    PDS2_M_COUNT("market.executors_dropped", 1);
-    audit("dropped executor " + executor->name() + ": " + cause.ToString());
-  };
-  for (size_t i = 0; i < participations.size(); ++i) {
-    Participation& p = participations[i];
-    // Candidate order: the pinned executor first (if any), then round-robin
-    // over the full set so a drop falls back to the next healthy one.
-    std::vector<size_t> candidates;
-    if (!p.provider->preferred_executor().empty()) {
-      for (size_t k = 0; k < executors_.size(); ++k) {
-        if (executors_[k]->name() == p.provider->preferred_executor()) {
-          candidates.push_back(k);
-          break;
-        }
-      }
-    }
-    for (size_t k = 0; k < executors_.size(); ++k) {
-      const size_t candidate = (i + k) % executors_.size();
-      if (candidates.empty() || candidates[0] != candidate) {
-        candidates.push_back(candidate);
-      }
-    }
-    p.executor = nullptr;
-    for (size_t index : candidates) {
+// Step 3: providers pick executors, verify attestation, send data.
+// Providers with their own hardware (Fig. 3) pin their preferred executor;
+// the rest are assigned round-robin across third parties. An executor that
+// crashes during setup or fails attestation is dropped and its providers
+// re-assigned to surviving executors — their sealed shards simply go to a
+// different attested enclave; a dead compute node costs its own reward,
+// not the workload.
+Status Marketplace::AttestSeal(RunContext& run) {
+  for (size_t i = 0; i < run.participations.size(); ++i) {
+    RunContext::Participation& p = run.participations[i];
+    for (size_t index : CandidateOrder(executors_, i,
+                                       p.provider->preferred_executor())) {
       ExecutorAgent* candidate = executors_[index].get();
-      if (failed_executors.count(candidate) > 0) continue;
-      if (per_executor.find(index) == per_executor.end()) {
-        Status setup = [&] {
-          obs::NodeScope scope("executor/", candidate->name());
-          obs::ScopedSpan span("market.executor.setup", &now_);
-          return candidate->Setup(spec);
-        }();
+      if (run.dropped.count(candidate) > 0) continue;
+      if (run.per_executor.find(index) == run.per_executor.end()) {
+        Status setup = InSpan(Of(*candidate), "market.executor.setup", &now_,
+                              [&] { return candidate->Setup(run.spec); });
         if (!setup.ok()) {
-          drop_executor(index, setup);
+          run.Drop(candidate, setup);
           continue;
         }
-        per_executor[index] = {};
+        run.per_executor[index] = {};
       }
-      const tee::AttestationQuote quote = candidate->QuoteFor(report.instance);
-      auto contribution = [&] {
-        obs::NodeScope scope("provider/", p.provider->name());
-        obs::ScopedSpan span("market.provider.prepare", &now_);
-        return p.provider->PrepareContribution(
-            p.offer, spec, report.instance, quote,
-            attestation_.RootPublicKey(), candidate->enclave().Measurement(),
-            candidate->key().PublicKey());
-      }();
+      const tee::AttestationQuote quote =
+          candidate->QuoteFor(run.report.instance);
+      auto contribution =
+          InSpan(Of(*p.provider), "market.provider.prepare", &now_, [&] {
+            return p.provider->PrepareContribution(
+                p.offer, run.spec, run.report.instance, quote,
+                attestation_.RootPublicKey(),
+                candidate->enclave().Measurement(),
+                candidate->key().PublicKey());
+          });
       if (!contribution.ok()) {
         // The provider refused to release data: the quote did not verify.
         // The provider's trust decision is authoritative (§II-E) — the
         // executor is dropped, and this provider tries the next one.
-        drop_executor(index, contribution.status());
+        run.Drop(candidate, contribution.status());
         continue;
       }
-      auto loaded = [&] {
-        obs::NodeScope scope("executor/", candidate->name());
-        obs::ScopedSpan span("market.executor.accept", &now_);
-        return candidate->AcceptContribution(*contribution);
-      }();
+      auto loaded = InSpan(Of(*candidate), "market.executor.accept", &now_,
+                           [&] { return candidate->AcceptContribution(
+                                     *contribution); });
       if (!loaded.ok()) {
         // In-enclave validation (§IV-C) may reject the data; the provider
         // is excluded rather than the workload failing.
-        audit("excluded " + p.provider->name() + ": " +
-              loaded.status().ToString());
+        run.Audit("excluded " + p.provider->name() + ": " +
+                  loaded.status().ToString());
         break;
       }
-      per_executor[index].push_back(std::move(*contribution));
+      run.per_executor[index].push_back(std::move(*contribution));
       p.executor = candidate;
       break;
     }
   }
-  participations.erase(
-      std::remove_if(participations.begin(), participations.end(),
-                     [&](const Participation& p) {
-                       return p.executor == nullptr ||
-                              failed_executors.count(p.executor) > 0;
-                     }),
-      participations.end());
-  if (participations.size() < spec.min_providers) {
-    return abort_and_fail(Status::FailedPrecondition(
-        failed_executors.size() == executors_.size()
+  std::erase_if(run.participations, [&](const auto& p) {
+    return p.executor == nullptr || run.dropped.count(p.executor) > 0;
+  });
+  if (run.participations.size() < run.spec.min_providers) {
+    return Status::FailedPrecondition(
+        run.dropped.size() == executors_.size()
             ? "no executor passed attestation and setup"
-            : "too few providers passed in-enclave validation"));
+            : "too few providers passed in-enclave validation");
   }
-  // Executors whose every assigned provider was excluded sit this one out.
-  for (auto it = per_executor.begin(); it != per_executor.end();) {
-    it = it->second.empty() ? per_executor.erase(it) : std::next(it);
-  }
-  report.num_providers = participations.size();
-  report.num_executors = per_executor.size();
-  audit("data sealed to " + std::to_string(per_executor.size()) +
-        " attested executors");
-  span_attest.End();
+  // Dropped executors, and those whose every assigned provider was
+  // excluded, sit this one out.
+  std::erase_if(run.per_executor, [&](const auto& entry) {
+    return entry.second.empty() ||
+           run.dropped.count(executors_[entry.first].get()) > 0;
+  });
+  run.report.num_providers = run.participations.size();
+  run.report.num_executors = run.per_executor.size();
+  run.Audit("data sealed to " + std::to_string(run.per_executor.size()) +
+            " attested executors");
+  return Status::Ok();
+}
 
-  // --- Phase 4: executors register participation (certs go on-chain). ----
-  obs::ScopedSpan span_register("market.register_executors", &now_);
-  for (auto& [index, contributions] : per_executor) {
+// Step 4: executors register participation (certs go on-chain) and bond
+// their stake.
+Status Marketplace::RegisterExecutors(RunContext& run) {
+  for (const auto& [index, contributions] : run.per_executor) {
     ExecutorAgent* executor = executors_[index].get();
     Writer args;
     args.PutBytes(executor->key().PublicKey());
     args.PutU32(static_cast<uint32_t>(contributions.size()));
     for (const auto& c : contributions) args.PutBytes(c.cert.Serialize());
-    PDS2_ASSIGN_OR_RETURN(
-        chain::Receipt receipt,
-        execute_as("executor/", executor->name(), executor->key(),
-                   chain::Address{}, spec.executor_stake, kDefaultGas,
-                   chain::CallPayload{"workload", report.instance,
-                                      "register_executor", args.Take()}));
+    PDS2_ASSIGN_OR_RETURN(chain::Receipt receipt,
+                          run.Call(Of(*executor), "register_executor",
+                                   args.Take(), run.spec.executor_stake));
     if (!receipt.success) {
-      return abort_and_fail(
-          Status::Internal("executor registration failed: " + receipt.error));
+      return Status::Internal("executor registration failed: " + receipt.error);
     }
   }
-  audit(spec.executor_stake > 0
-            ? "all executor registrations validated on-chain, " +
-                  std::to_string(spec.executor_stake) + " tokens bonded each"
-            : "all executor registrations validated on-chain");
-  span_register.End();
+  std::string line = "all executor registrations validated on-chain";
+  const uint64_t stake = run.spec.executor_stake;
+  if (stake > 0) line += ", " + std::to_string(stake) + " tokens bonded each";
+  run.Audit(std::move(line));
+  return Status::Ok();
+}
 
-  // --- Phase 5: governance starts the workload. ---------------------------
-  obs::ScopedSpan span_start("market.start", &now_);
-  PDS2_ASSIGN_OR_RETURN(
-      chain::Receipt start_receipt,
-      execute_as("consumer/", consumer.name(), consumer.key(),
-                 chain::Address{}, 0, kDefaultGas,
-                 chain::CallPayload{"workload", report.instance, "start", {}}));
-  if (!start_receipt.success) {
-    return abort_and_fail(Status::Internal(start_receipt.error));
-  }
-  audit("workload started");
-  span_start.End();
+// Step 5: governance starts the workload.
+Status Marketplace::Start(RunContext& run) {
+  PDS2_ASSIGN_OR_RETURN(chain::Receipt receipt,
+                        run.Call(Of(run.consumer), "start"));
+  if (!receipt.success) return Status::Internal(receipt.error);
+  run.Audit("workload started");
 
   // Runtime attestation re-audit (paper §II-D): now that executors are
   // bonded, the consumer re-verifies each enclave's quote. A quote that was
   // valid at sealing time but fails now (rollback, compromise) is reported
   // on-chain — the report converts the executor's bond into a slash at
   // settlement, which is exactly what the bond exists for.
-  for (auto& [index, contributions] : per_executor) {
-    (void)contributions;
-    ExecutorAgent* executor = executors_[index].get();
-    const tee::AttestationQuote audit_quote =
-        executor->AuditQuote(report.instance);
-    const Status verified =
-        tee::VerifyQuote(audit_quote, attestation_.RootPublicKey(),
-                         executor->enclave().Measurement());
+  for (const auto& entry : run.per_executor) {
+    ExecutorAgent* executor = executors_[entry.first].get();
+    const Status verified = tee::VerifyQuote(
+        executor->AuditQuote(run.report.instance),
+        attestation_.RootPublicKey(), executor->enclave().Measurement());
     if (verified.ok()) continue;
-    Writer fault_args;
-    fault_args.PutBytes(executor->address());
-    auto reported = execute_as(
-        "consumer/", consumer.name(), consumer.key(), chain::Address{}, 0,
-        kDefaultGas,
-        chain::CallPayload{"workload", report.instance, "report_attestation",
-                           fault_args.Take()});
+    Writer args;
+    args.PutBytes(executor->address());
+    auto reported =
+        run.Call(Of(run.consumer), "report_attestation", args.Take());
     if (reported.ok() && reported->success) {
       PDS2_M_COUNT("market.attestation_faults_reported", 1);
-      audit("runtime attestation audit failed for " + executor->name() +
-            "; fault reported on-chain");
+      run.Audit("runtime attestation audit failed for " + executor->name() +
+                "; fault reported on-chain");
     }
   }
+  return Status::Ok();
+}
 
-  obs::ScopedSpan span_train("market.train_aggregate", &now_);
-  // --- Phase 6: in-enclave training + decentralized aggregation. An
-  // executor that crashes here is already registered on-chain: it is
-  // dropped from the run (its reward share passes to the survivors at
-  // finalize) and the remaining quorum carries the workload. Only losing
-  // the whole quorum aborts.
-  std::vector<ExecutorAgent*> active;
-  for (auto& [index, _] : per_executor) {
-    active.push_back(executors_[index].get());
+// Step 6: in-enclave training + decentralized aggregation. An executor that
+// crashes here is already registered on-chain: it is dropped from the run
+// (its reward share passes to the survivors at finalize) and the remaining
+// quorum carries the workload. Only losing the whole quorum aborts.
+Status Marketplace::TrainAggregate(RunContext& run) {
+  for (const auto& entry : run.per_executor) {
+    run.registered.push_back(executors_[entry.first].get());
   }
-  std::sort(active.begin(), active.end(),
-            [](const ExecutorAgent* a, const ExecutorAgent* b) {
-              return a->name() < b->name();  // canonical order
-            });
-  // Registration-time roster, kept for the reward report (phase 8):
-  // executors dropped from here on still appear there, with 0 tokens.
-  const std::vector<ExecutorAgent*> registered = active;
-  auto drop_lost = [&](ExecutorAgent* executor, const Status& cause) {
-    report.dropped_executors.push_back(executor->name());
-    PDS2_M_COUNT("market.executors_dropped", 1);
-    audit("lost executor " + executor->name() + ": " + cause.ToString());
-  };
-  std::vector<std::pair<ml::Vec, uint64_t>> states;
-  {
-    std::vector<ExecutorAgent*> live;
-    for (ExecutorAgent* executor : active) {
-      auto trained = [&] {
-        obs::NodeScope scope("executor/", executor->name());
-        obs::ScopedSpan span("market.executor.train", &now_);
-        return executor->Train();
-      }();
-      if (!trained.ok()) {
-        drop_lost(executor, trained.status());
-        continue;
-      }
-      auto params = executor->Params();
-      auto samples = executor->SampleCount();
-      if (!params.ok() || !samples.ok()) {
-        drop_lost(executor,
-                  params.ok() ? samples.status() : params.status());
-        continue;
-      }
-      live.push_back(executor);
-      states.emplace_back(std::move(*params), *samples);
+  std::sort(run.registered.begin(), run.registered.end(),  // canonical order
+            [](auto* a, auto* b) { return a->name() < b->name(); });
+  for (ExecutorAgent* executor : run.registered) {
+    auto trained = InSpan(Of(*executor), "market.executor.train", &now_,
+                          [&] { return executor->Train(); });
+    if (!trained.ok()) {
+      run.Drop(executor, trained.status());
+      continue;
     }
-    active = std::move(live);
+    auto params = executor->Params();
+    auto samples = executor->SampleCount();
+    if (!params.ok() || !samples.ok()) {
+      run.Drop(executor, params.ok() ? samples.status() : params.status());
+      continue;
+    }
+    run.active.push_back(executor);
+    run.states.emplace_back(std::move(*params), *samples);
   }
-  if (active.empty()) {
-    return abort_and_fail(Status::FailedPrecondition(
-        "every executor crashed before training completed"));
+  if (run.active.empty()) {
+    return Status::FailedPrecondition(
+        "every executor crashed before training completed");
   }
   ml::Vec final_params;
-  if (spec.aggregation == AggregationMethod::kTeeStar && active.size() > 1) {
+  if (run.spec.aggregation == AggregationMethod::kTeeStar &&
+      run.active.size() > 1) {
     // Star topology: the first (canonical) live executor's enclave
     // aggregates; everyone else adopts the distributed result. If the
     // aggregator dies, the next live executor takes over the star center.
-    while (!active.empty()) {
-      auto merged = [&] {
-        obs::NodeScope scope("executor/", active[0]->name());
-        obs::ScopedSpan span("market.executor.merge", &now_);
-        return active[0]->MergeAll(states);
-      }();
-      if (merged.ok()) {
-        final_params = *merged;
-        break;
+    std::vector<ExecutorAgent*> star;
+    size_t next = 0;
+    while (star.empty() && next < run.active.size()) {
+      star = run.MergeOnEach({run.active[next++]}, run.states, &final_params);
+    }
+    if (!star.empty()) {
+      uint64_t total_samples = 0;
+      for (const auto& state : run.states) total_samples += state.second;
+      for (ExecutorAgent* adopted : run.MergeOnEach(
+               {run.active.begin() + next, run.active.end()},
+               {{final_params, total_samples}}, nullptr)) {
+        star.push_back(adopted);
       }
-      drop_lost(active[0], merged.status());
-      active.erase(active.begin());
+      run.Audit("aggregation: TEE-hosted star via " + star[0]->name());
     }
-    if (active.empty()) {
-      return abort_and_fail(Status::FailedPrecondition(
-          "every executor crashed during aggregation"));
-    }
-    uint64_t total_samples = 0;
-    for (const auto& [_, samples] : states) total_samples += samples;
-    std::vector<ExecutorAgent*> adopted_ok = {active[0]};
-    for (size_t i = 1; i < active.size(); ++i) {
-      auto adopted = [&] {
-        obs::NodeScope scope("executor/", active[i]->name());
-        obs::ScopedSpan span("market.executor.merge", &now_);
-        return active[i]->MergeAll({{final_params, total_samples}});
-      }();
-      if (!adopted.ok()) {
-        drop_lost(active[i], adopted.status());
-        continue;
-      }
-      adopted_ok.push_back(active[i]);
-    }
-    audit("aggregation: TEE-hosted star via " + active[0]->name());
-    active = std::move(adopted_ok);
+    run.active = std::move(star);
   } else {
     // Deterministic all-reduce: every executor merges the same state list.
-    std::vector<ExecutorAgent*> merged_ok;
-    for (ExecutorAgent* executor : active) {
-      auto merged = [&] {
-        obs::NodeScope scope("executor/", executor->name());
-        obs::ScopedSpan span("market.executor.merge", &now_);
-        return executor->MergeAll(states);
-      }();
-      if (!merged.ok()) {
-        drop_lost(executor, merged.status());
-        continue;
-      }
-      final_params = *merged;
-      merged_ok.push_back(executor);
-    }
-    if (merged_ok.empty()) {
-      return abort_and_fail(Status::FailedPrecondition(
-          "every executor crashed during aggregation"));
-    }
-    active = std::move(merged_ok);
+    run.active = run.MergeOnEach(run.active, run.states, &final_params);
+  }
+  if (run.active.empty()) {
+    return Status::FailedPrecondition(
+        "every executor crashed during aggregation");
   }
   Writer params_writer;
   params_writer.PutDoubleVector(final_params);
   const Bytes result_blob = params_writer.Take();
-  const Bytes result_hash = crypto::Sha256::Hash(result_blob);
+  run.report.result_hash = crypto::Sha256::Hash(result_blob);
+  run.report.model_params = std::move(final_params);
+  run.result_size = result_blob.size();
   // Executors publish the result blob off-chain; only its hash goes on
   // the ledger (the chain "is not used for storing any ... code or data").
   // The content-addressed store chunks and dedups it, and the address is
-  // anchored on-chain at finalize for substitution consumers.
-  PDS2_ASSIGN_OR_RETURN(report.result_address,
+  // anchored on-chain at publication for substitution consumers.
+  PDS2_ASSIGN_OR_RETURN(run.report.result_address,
                         artifact_store_->Put(result_blob));
-  audit("decentralized aggregation complete; result " +
-        common::HexPrefix(result_hash, 12));
-  span_train.End();
+  run.Audit("decentralized aggregation complete; result " +
+            common::HexPrefix(run.report.result_hash, 12));
+  return Status::Ok();
+}
 
-  obs::ScopedSpan span_vote("market.vote", &now_);
-  // --- Phase 7: every surviving executor puts its vote on record (the
-  // contract accepts late votes after the quorum completes the workload,
-  // because finalize pays only executors whose vote matches the result).
-  // An executor that crashes before voting forfeits its reward share; only
-  // an unattainable quorum aborts the run.
-  for (ExecutorAgent* executor : active) {
-    if (executor->injected_fault() == ExecutorFault::kVote) {
-      drop_lost(executor,
-                Status::Unavailable("crashed before submitting its result"));
+// Step 7: every surviving executor puts its vote on record (the contract
+// accepts late votes after the quorum completes the workload, because
+// finalize pays only executors whose vote matches the result). An executor
+// that crashes before voting forfeits its reward share; only an
+// unattainable quorum aborts the run.
+Status Marketplace::Vote(RunContext& run) {
+  const Bytes& result_hash = run.report.result_hash;
+  for (ExecutorAgent* executor : run.active) {
+    const ExecutorFault fault = executor->injected_fault();
+    if (fault == ExecutorFault::kVote) {
+      run.Drop(executor,
+               Status::Unavailable("crashed before submitting its result"));
       continue;
     }
     // Byzantine voters commit on-chain to a result they never computed (or
@@ -839,167 +851,139 @@ Result<RunReport> Marketplace::RunWorkload(ConsumerAgent& consumer,
     // the fraud provable: finalize compares every recorded vote against
     // the agreed result and slashes the minority cheaters' bonds.
     Bytes vote_hash = result_hash;
-    if (executor->injected_fault() == ExecutorFault::kWrongVote ||
-        executor->injected_fault() == ExecutorFault::kTamperedUpdate) {
-      Bytes tampered = result_hash;
-      common::Append(tampered,
-                     ToBytes(executor->injected_fault() ==
-                                     ExecutorFault::kWrongVote
-                                 ? "wrong-vote"
-                                 : "tampered-update"));
-      vote_hash = crypto::Sha256::Hash(tampered);
-      audit("executor " + executor->name() +
-            " voted for a divergent result (injected fraud)");
+    if (fault == ExecutorFault::kWrongVote ||
+        fault == ExecutorFault::kTamperedUpdate) {
+      common::Append(vote_hash, ToBytes(fault == ExecutorFault::kWrongVote
+                                            ? "wrong-vote"
+                                            : "tampered-update"));
+      vote_hash = crypto::Sha256::Hash(vote_hash);
+      run.Audit("executor " + executor->name() +
+                " voted for a divergent result (injected fraud)");
     }
     Writer args;
     args.PutBytes(vote_hash);
     PDS2_ASSIGN_OR_RETURN(
         chain::Receipt receipt,
-        execute_as("executor/", executor->name(), executor->key(),
-                   chain::Address{}, 0, kDefaultGas,
-                   chain::CallPayload{"workload", report.instance,
-                                      "submit_result", args.Take()}));
+        run.Call(Of(*executor), "submit_result", args.Take()));
     if (!receipt.success) {
-      drop_lost(executor, Status::Internal("result submission failed: " +
-                                           receipt.error));
+      run.Drop(executor, Status::Internal("result submission failed: " +
+                                          receipt.error));
     }
   }
-  auto agreed = chain_->Query("workload", report.instance, "result", {});
+  auto agreed = chain_->Query("workload", run.report.instance, "result", {});
   if (!agreed.ok() || *agreed != result_hash) {
-    return abort_and_fail(Status::Internal(
-        "no on-chain result agreement reached (quorum unattainable)"));
+    return Status::Internal(
+        "no on-chain result agreement reached (quorum unattainable)");
   }
-  report.result_hash = result_hash;
-  report.model_params = final_params;
-  audit("executor quorum agreed on the result");
-  span_vote.End();
+  run.Audit("executor quorum agreed on the result");
+  return Status::Ok();
+}
 
-  // --- Phase 8: consumer finalizes; contract pays out. ---------------------
-  obs::ScopedSpan span_finalize("market.finalize", &now_);
+// Step 8: the consumer finalizes; the contract pays out.
+Status Marketplace::Finalize(RunContext& run) {
+  RunReport& report = run.report;
   std::map<std::string, uint64_t> balances_before;
-  for (const auto& p : participations) {
+  for (const auto& p : run.participations) {
     balances_before[p.provider->name()] =
         chain_->GetBalance(p.provider->address());
   }
-  for (ExecutorAgent* executor : registered) {
+  for (ExecutorAgent* executor : run.registered) {
     balances_before[executor->name()] = chain_->GetBalance(executor->address());
   }
 
   Writer fin;
-  fin.PutU32(static_cast<uint32_t>(participations.size()));
-  std::vector<std::pair<std::string, uint64_t>> settled_weights;
-  for (const auto& p : participations) {
+  fin.PutU32(static_cast<uint32_t>(run.participations.size()));
+  for (const auto& p : run.participations) {
     uint64_t weight = p.offer.num_records;
-    if (spec.reward_policy == RewardPolicy::kShapley) {
-      auto it = options.provider_weights.find(p.provider->name());
-      if (it != options.provider_weights.end()) weight = it->second;
+    if (run.spec.reward_policy == RewardPolicy::kShapley) {
+      auto it = run.options.provider_weights.find(p.provider->name());
+      if (it != run.options.provider_weights.end()) weight = it->second;
     }
+    weight = std::max<uint64_t>(1, weight);
     fin.PutBytes(p.provider->address());
-    fin.PutU64(std::max<uint64_t>(1, weight));
-    settled_weights.emplace_back(p.provider->name(),
-                                 std::max<uint64_t>(1, weight));
+    fin.PutU64(weight);
+    run.settled_weights.emplace_back(p.provider->name(), weight);
   }
   const uint64_t burned_before = chain_->BurnedTotal();
-  PDS2_ASSIGN_OR_RETURN(
-      chain::Receipt fin_receipt,
-      execute_as("consumer/", consumer.name(), consumer.key(),
-                 chain::Address{}, 0, kDefaultGas,
-                 chain::CallPayload{"workload", report.instance, "finalize",
-                                    fin.Take()}));
-  if (!fin_receipt.success) {
-    return abort_and_fail(Status::Internal(fin_receipt.error));
-  }
+  PDS2_ASSIGN_OR_RETURN(chain::Receipt receipt,
+                        run.Call(Of(run.consumer), "finalize", fin.Take()));
+  if (!receipt.success) return Status::Internal(receipt.error);
   report.tokens_burned = chain_->BurnedTotal() - burned_before;
   // Name the slashed executors from the settlement's audit events.
-  for (const chain::Event& event : fin_receipt.events) {
+  for (const chain::Event& event : receipt.events) {
     if (event.name != "ExecutorSlashed") continue;
     Reader ev(event.data);
     auto addr = ev.GetBytes();
     auto stake = ev.GetU64();
     if (!addr.ok() || !stake.ok()) continue;
-    for (ExecutorAgent* executor : registered) {
+    for (ExecutorAgent* executor : run.registered) {
       if (executor->address() == *addr) {
         report.slashed_executors[executor->name()] = *stake;
         PDS2_M_COUNT("market.executors_slashed", 1);
-        audit("slashed executor " + executor->name() + ": bond of " +
-              std::to_string(*stake) + " forfeited (half to consumer, half "
-              "burned)");
+        run.Audit("slashed executor " + executor->name() + ": bond of " +
+                  std::to_string(*stake) +
+                  " forfeited (half to consumer, half burned)");
       }
     }
   }
-  for (const auto& p : participations) {
+  for (const auto& p : run.participations) {
     report.provider_rewards[p.provider->name()] =
         chain_->GetBalance(p.provider->address()) -
         balances_before[p.provider->name()];
   }
-  for (ExecutorAgent* executor : registered) {
+  for (ExecutorAgent* executor : run.registered) {
     uint64_t delta = chain_->GetBalance(executor->address()) -
                      balances_before[executor->name()];
     // An honest executor's balance delta includes its refunded bond; the
     // report keeps "rewards" meaning rewards.
     if (report.slashed_executors.count(executor->name()) == 0) {
-      delta -= std::min(delta, spec.executor_stake);
+      delta -= std::min(delta, run.spec.executor_stake);
     }
     report.executor_rewards[executor->name()] = delta;
   }
-  audit("escrow discharged; rewards distributed");
-  span_finalize.End();
+  run.Audit("escrow discharged; rewards distributed");
+  return Status::Ok();
+}
 
-  // --- Publication: pin the artifact, anchor its address on-chain, and
-  // memoize the computation so future identical workloads substitute
-  // instead of retraining. Publication is best-effort — the workload is
-  // already settled, so a failure here costs only future cache hits.
-  {
-    obs::ScopedSpan span_publish("market.publish_artifact", &now_);
-    (void)artifact_store_->AddRoot(report.result_address);
-    Writer anchor_args;
-    anchor_args.PutBytes(report.result_address);
-    anchor_args.PutBytes(result_hash);
-    auto anchored = execute_as(
-        "consumer/", consumer.name(), consumer.key(), chain::Address{}, 0,
-        kDefaultGas,
-        chain::CallPayload{"workload", report.instance, "anchor_artifact",
-                           anchor_args.Take()});
-    if (anchored.ok() && anchored->success) {
-      audit("artifact " + common::HexPrefix(report.result_address, 12) +
+// Publication: pin the artifact, anchor its address on-chain, and memoize
+// the computation so future identical workloads substitute instead of
+// retraining. Best-effort: the workload is already settled, so a failure
+// here costs only future cache hits.
+Status Marketplace::PublishArtifact(RunContext& run) {
+  const RunReport& report = run.report;
+  (void)artifact_store_->AddRoot(report.result_address);
+  Writer args;
+  args.PutBytes(report.result_address);
+  args.PutBytes(report.result_hash);
+  PDS2_ASSIGN_OR_RETURN(
+      chain::Receipt receipt,
+      run.Call(Of(run.consumer), "anchor_artifact", args.Take()));
+  if (!receipt.success) return Status::Internal(receipt.error);
+  run.Audit("artifact " + common::HexPrefix(report.result_address, 12) +
             " anchored on-chain");
-      store::MemoEntry entry;
-      entry.memo_key = report.memo_key;
-      entry.artifact_address = report.result_address;
-      entry.result_hash = result_hash;
-      entry.source_instance = report.instance;
-      for (ExecutorAgent* executor : active) {
-        entry.beneficiaries.push_back(
-            {executor->name(), store::MemoBeneficiary::Role::kExecutor, 1});
-      }
-      for (const auto& [provider_name, weight] : settled_weights) {
-        entry.beneficiaries.push_back(
-            {provider_name, store::MemoBeneficiary::Role::kProvider, weight});
-      }
-      if (memo_index_.Insert(std::move(entry))) {
-        PDS2_M_COUNT("market.memo_entries_published", 1);
-      }
-      store::Advert advert;
-      advert.content_hash = report.result_address;
-      advert.provider = consumer.name();
-      advert.tags = {"model:" + spec.model_kind,
-                     "memo:" + common::HexEncode(report.memo_key)};
-      advert.size_bytes = result_blob.size();
-      advert.price = spec.reward_pool * config_.reuse_fee_permille / 1000;
-      discovery_index_.Upsert(advert);
-    }
+  store::MemoEntry entry;
+  entry.memo_key = report.memo_key;
+  entry.artifact_address = report.result_address;
+  entry.result_hash = report.result_hash;
+  entry.source_instance = report.instance;
+  for (ExecutorAgent* executor : run.active) {
+    entry.beneficiaries.push_back({executor->name(), Role::kExecutor, 1});
   }
-
-  report.gas_used = chain_->TotalGasUsed() - gas_before;
-  report.blocks_produced = chain_->Height() - height_before;
-  PDS2_M_COUNT("market.workloads_completed", 1);
-  // Settlement-stage counters (slashes, completion) land after the last
-  // block's sample; one closing sample makes them visible to alert rules.
-  if (health_ts_ != nullptr) {
-    health_ts_->Sample(obs::WallNowNs(), /*has_sim=*/true, now_);
-    if (health_monitor_ != nullptr) health_monitor_->EvaluateLatest();
+  for (const auto& [provider_name, weight] : run.settled_weights) {
+    entry.beneficiaries.push_back({provider_name, Role::kProvider, weight});
   }
-  return report;
+  if (memo_index_.Insert(std::move(entry))) {
+    PDS2_M_COUNT("market.memo_entries_published", 1);
+  }
+  store::Advert advert;
+  advert.content_hash = report.result_address;
+  advert.provider = run.consumer.name();
+  advert.tags = {"model:" + run.spec.model_kind,
+                 "memo:" + common::HexEncode(report.memo_key)};
+  advert.size_bytes = run.result_size;
+  advert.price = run.spec.reward_pool * config_.reuse_fee_permille / 1000;
+  discovery_index_.Upsert(advert);
+  return Status::Ok();
 }
 
 }  // namespace pds2::market

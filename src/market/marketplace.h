@@ -121,8 +121,11 @@ class Marketplace {
     return executors_;
   }
 
-  /// Runs a complete workload lifecycle for `consumer`. On failure the
-  /// contract is aborted (escrow refunded) before the error is returned.
+  /// Runs a complete workload lifecycle for `consumer`, one Fig. 2 step
+  /// per contract state transition, checking the contract's phase after
+  /// each. Once the contract is deployed, any failure aborts it (escrow and
+  /// bonds refunded) before the error is returned; publication alone is
+  /// best-effort.
   common::Result<RunReport> RunWorkload(ConsumerAgent& consumer,
                                         const WorkloadSpec& spec,
                                         const RunOptions& options = {});
@@ -170,8 +173,24 @@ class Marketplace {
   store::ArtifactStore& artifact_store() { return *artifact_store_; }
 
  private:
-  common::Status RegisterActor(const crypto::SigningKey& key, uint64_t roles,
-                               const std::string& metadata);
+  void Onboard(const crypto::SigningKey& key, uint64_t roles,
+               const std::string& name);
+  void SampleHealth();
+
+  // The lifecycle steps RunWorkload drives, sharing one run's state.
+  struct RunContext;
+  common::Status Post(RunContext& run);
+  common::Status Match(RunContext& run);
+  common::Status Substitute(RunContext& run);
+  common::Status AttestSeal(RunContext& run);
+  common::Status RegisterExecutors(RunContext& run);
+  common::Status Start(RunContext& run);
+  common::Status TrainAggregate(RunContext& run);
+  common::Status Vote(RunContext& run);
+  common::Status Finalize(RunContext& run);
+  common::Status PublishArtifact(RunContext& run);
+  common::Status SettleReuseFee(RunContext& run,
+                                const store::MemoEntry& entry);
 
   MarketConfig config_;
   std::vector<crypto::SigningKey> validators_;
@@ -190,14 +209,10 @@ class Marketplace {
 
   // Off-chain result distribution (the chain stores only hashes): results
   // live in the content-addressed store, deduplicated and GC-rooted, with
-  // their addresses anchored on-chain at finalize.
+  // their addresses anchored on-chain at publication.
   std::unique_ptr<store::ArtifactStore> artifact_store_;
   store::MemoIndex memo_index_;
   store::DiscoveryIndex discovery_index_;
-
-  common::Status SettleReuseFee(ConsumerAgent& consumer,
-                                const store::MemoEntry& entry,
-                                const WorkloadSpec& spec, RunReport& report);
 };
 
 }  // namespace pds2::market

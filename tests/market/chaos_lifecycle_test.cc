@@ -250,6 +250,23 @@ TEST_F(ChaosLifecycleTest, EscrowConservedAcrossFailedPreconditionAbort) {
   EXPECT_EQ(market_.chain().TotalSupply(), supply_before);
 }
 
+TEST_F(ChaosLifecycleTest, EscrowConservedAcrossUnminedRegistration) {
+  // A bond larger than any executor's balance: the register_executor tx is
+  // admitted but never mined, so it gets no receipt. The run must still
+  // abort and refund instead of stranding the pool in kAccepting.
+  WorkloadSpec spec = BasicSpec();
+  spec.executor_stake = MarketConfig{}.genesis_balance * 2;
+  const uint64_t supply_before = market_.chain().TotalSupply();
+  const uint64_t consumer_before =
+      market_.chain().GetBalance(consumer_->address());
+  auto report = market_.RunWorkload(*consumer_, spec);
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(market_.chain().TotalSupply(), supply_before);
+  const uint64_t consumer_after =
+      market_.chain().GetBalance(consumer_->address());
+  EXPECT_LT(consumer_before - consumer_after, BasicSpec().reward_pool / 2);
+}
+
 TEST_F(ChaosLifecycleTest, EscrowConservedAcrossDeadlineAbort) {
   // Drive the contract directly: a running workload whose executor goes
   // silent forever; past the deadline the consumer claws the escrow back.

@@ -182,8 +182,9 @@ TEST(ObsLifecycleTraceTest, ChaosRunProducesFullTelemetryAndExports) {
   EXPECT_TRUE(run->has_sim);
   EXPECT_GT(run->sim_end, run->sim_start);  // the lifecycle consumed sim time
   for (const char* stage :
-       {"market.post", "market.attest_seal", "market.train_aggregate",
-        "market.vote", "market.finalize"}) {
+       {"market.post", "market.match", "market.attest_seal",
+        "market.register_executors", "market.start", "market.train_aggregate",
+        "market.vote", "market.finalize", "market.publish_artifact"}) {
     const SpanRecord* span = FindSpan(spans, stage);
     ASSERT_TRUE(span != nullptr) << stage;
     EXPECT_EQ(span->parent, run->id) << stage;
