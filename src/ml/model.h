@@ -2,7 +2,6 @@
 #define PDS2_ML_MODEL_H_
 
 #include <memory>
-#include <string>
 
 #include "ml/dataset.h"
 #include "ml/linalg.h"
@@ -19,10 +18,6 @@ class Model {
 
   /// Deep copy with identical parameters.
   virtual std::unique_ptr<Model> Clone() const = 0;
-
-  /// Self-describing architecture string ("logistic:5", "mlp:5:4",
-  /// "softmax:5:3", "linear:5") used by the model snapshot format.
-  virtual std::string Architecture() const = 0;
 
   virtual size_t NumParams() const = 0;
   virtual Vec GetParams() const = 0;
@@ -48,9 +43,6 @@ class LinearRegressionModel : public Model {
   explicit LinearRegressionModel(size_t num_features);
 
   std::unique_ptr<Model> Clone() const override;
-  std::string Architecture() const override {
-    return "linear:" + std::to_string(weights_.size() - 1);
-  }
   size_t NumParams() const override { return weights_.size(); }
   Vec GetParams() const override { return weights_; }
   void SetParams(const Vec& params) override;
@@ -68,9 +60,6 @@ class LogisticRegressionModel : public Model {
   explicit LogisticRegressionModel(size_t num_features);
 
   std::unique_ptr<Model> Clone() const override;
-  std::string Architecture() const override {
-    return "logistic:" + std::to_string(weights_.size() - 1);
-  }
   size_t NumParams() const override { return weights_.size(); }
   Vec GetParams() const override { return weights_; }
   void SetParams(const Vec& params) override;
@@ -91,10 +80,6 @@ class SoftmaxRegressionModel : public Model {
   SoftmaxRegressionModel(size_t num_features, size_t num_classes);
 
   std::unique_ptr<Model> Clone() const override;
-  std::string Architecture() const override {
-    return "softmax:" + std::to_string(num_features_) + ":" +
-           std::to_string(num_classes_);
-  }
   size_t NumParams() const override { return params_.size(); }
   Vec GetParams() const override { return params_; }
   void SetParams(const Vec& params) override;
@@ -120,10 +105,6 @@ class MlpModel : public Model {
   MlpModel(size_t num_features, size_t hidden_units, common::Rng& rng);
 
   std::unique_ptr<Model> Clone() const override;
-  std::string Architecture() const override {
-    return "mlp:" + std::to_string(num_features_) + ":" +
-           std::to_string(hidden_);
-  }
   size_t NumParams() const override { return params_.size(); }
   Vec GetParams() const override { return params_; }
   void SetParams(const Vec& params) override;

@@ -7,10 +7,8 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
-#include "common/crc32.h"
 #include "common/fault.h"
 #include "storage/record_io.h"
 #include "common/thread_pool.h"
@@ -43,18 +41,6 @@ constexpr char kTmpSuffix[] = ".tmp";
 bool HasSuffix(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-// One log/snapshot record, in the storage layer's shared CRC framing
-// ([u32 len][u32 crc][payload]; see storage/record_io.h).
-Bytes EncodeRecord(const Bytes& payload) { return EncodeCrcRecord(payload); }
-
-Status ReadFileBytes(const std::string& path, Bytes* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open file: " + path);
-  out->assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
-  return Status::Ok();
 }
 
 }  // namespace
@@ -213,7 +199,7 @@ Status ChainStore::AppendBlock(const chain::Block& block) {
     return Status::Unavailable("chain store crashed; reopen to continue");
   }
   PDS2_M_TIME_US("store.append_us");
-  const Bytes record = EncodeRecord(block.Serialize());
+  const Bytes record = EncodeCrcRecord(block.Serialize());
 
   if (common::CrashRequested(CrashPoint::kLogMidAppend)) {
     // The process dies with only half the record flushed to the OS — the
@@ -259,7 +245,7 @@ Status ChainStore::WriteSnapshot(const chain::Blockchain& chain) {
   PDS2_M_TIME_US("store.snapshot_us");
   const uint64_t height = chain.Height();
   const Bytes payload = chain.EncodeSnapshotState();
-  const Bytes record = EncodeRecord(payload);
+  const Bytes record = EncodeCrcRecord(payload);
   const std::string final_path = SnapshotPath(height);
   const std::string tmp_path = final_path + kTmpSuffix;
 
@@ -364,7 +350,7 @@ Status ChainStore::Rewrite(const chain::Blockchain& chain) {
   uint64_t offset = sizeof(kLogMagic);
   bool short_write = false;
   for (const chain::Block& block : chain.blocks()) {
-    const Bytes record = EncodeRecord(block.Serialize());
+    const Bytes record = EncodeCrcRecord(block.Serialize());
     if (std::fwrite(record.data(), 1, record.size(), f) != record.size()) {
       short_write = true;
       break;

@@ -39,6 +39,11 @@ Result<ml::Dataset> DeserializeDataset(const Bytes& bytes) {
   Reader r(bytes);
   ml::Dataset data;
   PDS2_ASSIGN_OR_RETURN(uint64_t n, r.GetU64());
+  // Each record takes at least a u32 feature count and a label, so a count
+  // the remaining bytes cannot hold is rejected before anything is reserved.
+  if (n > r.remaining() / (sizeof(uint32_t) + sizeof(double))) {
+    return Status::Corruption("dataset record count exceeds its bytes");
+  }
   data.x.reserve(n);
   data.y.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -58,37 +63,43 @@ Bytes DatasetCommitment(const ml::Dataset& data) {
 ProviderStorage::ProviderStorage(Bytes master_key)
     : master_key_(std::move(master_key)) {}
 
+namespace {
+
+crypto::AuthCipher AtRestCipher(const Bytes& master_key,
+                                const std::string& name) {
+  return crypto::AuthCipher(
+      crypto::DeriveKey(master_key, "pds2.storage." + name, 32));
+}
+
+}  // namespace
+
 Status ProviderStorage::AddDataset(const std::string& name,
                                    const ml::Dataset& data,
                                    SemanticMetadata metadata) {
   if (data.Size() == 0) {
     return Status::InvalidArgument("refusing to register an empty dataset");
   }
-  if (index_.count(name) != 0) {
+  if (datasets_.count(name) != 0) {
     return Status::AlreadyExists("dataset already registered: " + name);
   }
 
   // Encrypt at rest under a per-dataset key derived from the master key.
-  const Bytes dataset_key =
-      crypto::DeriveKey(master_key_, "pds2.storage." + name, 32);
-  crypto::AuthCipher cipher(dataset_key);
-  const Bytes sealed =
-      cipher.Seal(SerializeDataset(data), common::ToBytes(name));
-
-  IndexEntry entry;
-  entry.address = store_.Put(sealed);
+  Entry entry;
+  entry.sealed = AtRestCipher(master_key_, name)
+                     .Seal(SerializeDataset(data), common::ToBytes(name));
   entry.summary.name = name;
   entry.summary.num_records = data.Size();
   entry.summary.commitment = DatasetCommitment(data);
   entry.summary.metadata = std::move(metadata);
-  index_.emplace(name, std::move(entry));
+  stored_bytes_ += entry.sealed.size();
+  datasets_.emplace(name, std::move(entry));
   return Status::Ok();
 }
 
 std::vector<DatasetSummary> ProviderStorage::Match(
     const Ontology& ontology, const DataRequirement& requirement) const {
   std::vector<DatasetSummary> eligible;
-  for (const auto& [name, entry] : index_) {
+  for (const auto& [name, entry] : datasets_) {
     if (requirement.Matches(ontology, entry.summary.metadata,
                             entry.summary.num_records)) {
       eligible.push_back(entry.summary);
@@ -98,28 +109,33 @@ std::vector<DatasetSummary> ProviderStorage::Match(
 }
 
 Result<DatasetSummary> ProviderStorage::Summary(const std::string& name) const {
-  auto it = index_.find(name);
-  if (it == index_.end()) return Status::NotFound("unknown dataset: " + name);
+  auto it = datasets_.find(name);
+  if (it == datasets_.end()) {
+    return Status::NotFound("unknown dataset: " + name);
+  }
   return it->second.summary;
 }
 
+Result<Bytes> ProviderStorage::OpenAtRest(const std::string& name) const {
+  auto it = datasets_.find(name);
+  if (it == datasets_.end()) {
+    return Status::NotFound("unknown dataset: " + name);
+  }
+  return AtRestCipher(master_key_, name).Open(it->second.sealed);
+}
+
 Result<ml::Dataset> ProviderStorage::Load(const std::string& name) const {
-  auto it = index_.find(name);
-  if (it == index_.end()) return Status::NotFound("unknown dataset: " + name);
-  PDS2_ASSIGN_OR_RETURN(Bytes sealed, store_.Get(it->second.address));
-  const Bytes dataset_key =
-      crypto::DeriveKey(master_key_, "pds2.storage." + name, 32);
-  crypto::AuthCipher cipher(dataset_key);
-  PDS2_ASSIGN_OR_RETURN(Bytes plain, cipher.Open(sealed));
+  PDS2_ASSIGN_OR_RETURN(Bytes plain, OpenAtRest(name));
   return DeserializeDataset(plain);
 }
 
 Result<Bytes> ProviderStorage::SealForTransfer(
     const std::string& name, const Bytes& transport_key) const {
-  PDS2_ASSIGN_OR_RETURN(ml::Dataset data, Load(name));
-  crypto::AuthCipher cipher(transport_key);
-  Bytes nonce_seed = common::ToBytes("transfer." + name);
-  return cipher.Seal(SerializeDataset(data), nonce_seed);
+  // The at-rest plaintext is already the SerializeDataset wire form, so it
+  // is resealed as is.
+  PDS2_ASSIGN_OR_RETURN(Bytes plain, OpenAtRest(name));
+  return crypto::AuthCipher(transport_key)
+      .Seal(plain, common::ToBytes("transfer." + name));
 }
 
 Result<ml::Dataset> ProviderStorage::OpenTransfer(

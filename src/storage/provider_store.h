@@ -8,7 +8,6 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "ml/dataset.h"
-#include "storage/content_store.h"
 #include "storage/semantic.h"
 
 namespace pds2::storage {
@@ -35,10 +34,10 @@ struct DatasetSummary {
   SemanticMetadata metadata;
 };
 
-/// A provider's storage subsystem (paper §II-C): keeps the data encrypted
-/// at rest in a content-addressed store, matches it against workload
-/// requirements using metadata only, and releases it exclusively as sealed
-/// transfers to executors the provider authorized.
+/// A provider's storage subsystem (paper §II-C): keeps each dataset as one
+/// blob sealed under its own derived key, matches datasets against workload
+/// requirements using metadata only, and releases records exclusively as
+/// sealed transfers to executors the provider authorized.
 class ProviderStorage {
  public:
   /// `master_key` encrypts everything at rest (derived per dataset).
@@ -55,7 +54,7 @@ class ProviderStorage {
   /// Summary of one dataset by name.
   common::Result<DatasetSummary> Summary(const std::string& name) const;
 
-  /// Decrypts a dataset back out of the store (the owner's own access path).
+  /// Decrypts a dataset (the owner's own access path).
   common::Result<ml::Dataset> Load(const std::string& name) const;
 
   /// Seals a dataset for transfer under a transport key the provider
@@ -71,19 +70,22 @@ class ProviderStorage {
       const common::Bytes& sealed, const common::Bytes& transport_key,
       const common::Bytes& expected_commitment);
 
-  size_t DatasetCount() const { return index_.size(); }
-  /// Bytes held by the underlying content store (encrypted at rest).
-  size_t StoredBytes() const { return store_.StoredBytes(); }
+  size_t DatasetCount() const { return datasets_.size(); }
+  /// Bytes of sealed blobs held at rest.
+  size_t StoredBytes() const { return stored_bytes_; }
 
  private:
-  struct IndexEntry {
-    common::Bytes address;  // content address of the encrypted blob
+  struct Entry {
+    common::Bytes sealed;  // SerializeDataset bytes, sealed at rest
     DatasetSummary summary;
   };
 
+  /// Opens a dataset's at-rest blob back to its SerializeDataset bytes.
+  common::Result<common::Bytes> OpenAtRest(const std::string& name) const;
+
   common::Bytes master_key_;
-  ContentStore store_;
-  std::map<std::string, IndexEntry> index_;
+  std::map<std::string, Entry> datasets_;
+  size_t stored_bytes_ = 0;
 };
 
 }  // namespace pds2::storage

@@ -1,5 +1,8 @@
 #include "storage/record_io.h"
 
+#include <fstream>
+#include <iterator>
+
 #include "common/crc32.h"
 
 namespace pds2::storage {
@@ -42,6 +45,14 @@ Result<Bytes> DecodeCrcRecord(const Bytes& record) {
   }
   if (!r.AtEnd()) return Status::Corruption("trailing bytes after record");
   return payload;
+}
+
+Status ReadFileBytes(const std::string& path, Bytes* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot open file: " + path);
+  out->assign(std::istreambuf_iterator<char>(in),
+              std::istreambuf_iterator<char>());
+  return Status::Ok();
 }
 
 }  // namespace pds2::storage

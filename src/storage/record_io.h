@@ -1,6 +1,8 @@
 #ifndef PDS2_STORAGE_RECORD_IO_H_
 #define PDS2_STORAGE_RECORD_IO_H_
 
+#include <string>
+
 #include "common/bytes.h"
 #include "common/result.h"
 #include "common/serial.h"
@@ -29,6 +31,9 @@ common::Result<common::Bytes> ReadCrcRecord(common::Reader& r);
 /// e.g. a snapshot file body. Corruption on any framing violation or
 /// trailing bytes.
 common::Result<common::Bytes> DecodeCrcRecord(const common::Bytes& record);
+
+/// Reads a whole file into `out`. NotFound if it cannot be opened.
+common::Status ReadFileBytes(const std::string& path, common::Bytes* out);
 
 }  // namespace pds2::storage
 

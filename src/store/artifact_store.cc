@@ -36,14 +36,6 @@ constexpr char kRootsMagic[8] = {'P', 'D', 'S', '2', 'R', 'T', 'S', '\x01'};
 // artifact's address can never collide with its own chunk's address.
 constexpr char kManifestDomain[] = "pds2.store.manifest.v1";
 
-Status ReadFileBytes(const std::string& path, Bytes* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open file: " + path);
-  out->assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
-  return Status::Ok();
-}
-
 Status AppendRecord(const std::string& path, const char magic[8],
                     const Bytes& payload, bool fsync) {
   const bool fresh = !fs::exists(path);
@@ -62,29 +54,42 @@ Status AppendRecord(const std::string& path, const char magic[8],
   if (status.ok() && std::fflush(f) != 0) {
     status = Status::Internal("flush failed for " + path);
   }
-  if (status.ok() && fsync) ::fsync(::fileno(f));
+  if (status.ok() && fsync && ::fsync(::fileno(f)) != 0) {
+    status = Status::Internal("fsync failed for " + path);
+  }
   std::fclose(f);
   return status;
 }
 
-/// Reads every intact record from `path`; stops (without error) at the
-/// first torn or bit-rotted record, like chain-log replay.
+/// Reads every intact record from `path`. Like chain-log replay, it stops
+/// at the first torn or bit-rotted record and truncates the file back to
+/// the last clean record, so later appends land where replay reads them.
 Result<std::vector<Bytes>> ReadRecords(const std::string& path,
                                        const char magic[8]) {
   std::vector<Bytes> records;
   if (!fs::exists(path)) return records;
   Bytes buf;
-  PDS2_RETURN_IF_ERROR(ReadFileBytes(path, &buf));
+  PDS2_RETURN_IF_ERROR(storage::ReadFileBytes(path, &buf));
   if (buf.size() < 8 ||
       std::memcmp(buf.data(), magic, 8) != 0) {
     return Status::Corruption("bad magic in " + path);
   }
-  Bytes body(buf.begin() + 8, buf.end());
-  Reader r(body);
+  Reader r(buf);
+  (void)r.GetRaw(8);
+  uint64_t valid_bytes = 8;
   while (true) {
     auto payload = storage::ReadCrcRecord(r);
     if (!payload.ok()) break;  // clean end, torn tail, or bit rot
+    valid_bytes += storage::kRecordFrameBytes + payload->size();
     records.push_back(std::move(*payload));
+  }
+  if (valid_bytes < buf.size()) {
+    std::error_code ec;
+    fs::resize_file(path, valid_bytes, ec);
+    if (ec) {
+      return Status::Internal("cannot truncate torn tail of " + path + ": " +
+                              ec.message());
+    }
   }
   return records;
 }

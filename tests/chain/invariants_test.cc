@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "common/serial.h"
 #include "market/spec.h"
+#include "storage/provider_store.h"
 #include "storage/semantic.h"
 #include "tee/attestation.h"
 
@@ -97,12 +98,29 @@ TEST_P(DeserializerFuzz, RandomBytesAreRejectedGracefully) {
     (void)storage::SemanticMetadata::Deserialize(junk);
     (void)storage::DataRequirement::Deserialize(junk);
     (void)WorldState::DeserializeSnapshot(junk);
+    (void)storage::DeserializeDataset(junk);
   }
   SUCCEED();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeserializerFuzz,
                          ::testing::Values(10, 20, 30, 40));
+
+// Crafted seeds: a huge element count with no elements behind it must be
+// rejected as Corruption, not turned into a giant reserve() that aborts.
+TEST(CraftedDecoderInput, HugeElementCountsAreRejected) {
+  Bytes block = Block().Serialize();
+  for (size_t i = block.size() - 4; i < block.size(); ++i) block[i] = 0xFF;
+  auto parsed_block = Block::Deserialize(block);
+  ASSERT_FALSE(parsed_block.ok());
+  EXPECT_EQ(parsed_block.status().code(), common::StatusCode::kCorruption);
+
+  Writer dataset;
+  dataset.PutU64(uint64_t{1} << 63);
+  auto parsed_dataset = storage::DeserializeDataset(dataset.Take());
+  ASSERT_FALSE(parsed_dataset.ok());
+  EXPECT_EQ(parsed_dataset.status().code(), common::StatusCode::kCorruption);
+}
 
 // --- Truncation fuzz: every prefix of a valid message is rejected -----------
 

@@ -283,7 +283,7 @@ TEST_F(MarketplaceTest, DatasetNftRegistration) {
   EXPECT_FALSE(market_.DatasetOwner(common::Bytes(32, 0x1)).ok());
 }
 
-TEST_F(MarketplaceTest, ResultRetrievableFromContentStoreAndVerified) {
+TEST_F(MarketplaceTest, ResultRetrievableFromArtifactStoreAndVerified) {
   auto report = market_.RunWorkload(*consumer_, BasicSpec());
   ASSERT_TRUE(report.ok());
   ASSERT_FALSE(report->result_address.empty());

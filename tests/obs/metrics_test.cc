@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "obs/export.h"
 #include "obs/metrics.h"
 
 namespace pds2::obs {
@@ -233,143 +230,6 @@ TEST(MacroTest, EnabledMacrosRecordIntoGlobalRegistry) {
   EXPECT_EQ(Registry::Global().GetHistogram("obs_test.hist").Count(), 1u);
 }
 #endif  // PDS2_METRICS
-
-TEST(ExportTest, JsonAndJsonLinesContainEveryMetric) {
-  Registry registry;
-  registry.GetCounter("chain.blocks_applied").Add(12);
-  registry.GetGauge("pool.queue_depth").Set(3);
-  registry.GetHistogram("chain.apply_us").Observe(500);
-  Snapshot snap = registry.TakeSnapshot();
-
-  std::ostringstream json;
-  WriteSnapshotJson(snap, json);
-  EXPECT_NE(json.str().find("\"chain.blocks_applied\": 12"), std::string::npos)
-      << json.str();
-  EXPECT_NE(json.str().find("\"pool.queue_depth\": 3"), std::string::npos);
-  EXPECT_NE(json.str().find("\"chain.apply_us\""), std::string::npos);
-
-  std::ostringstream lines;
-  WriteSnapshotJsonLines(snap, lines);
-  // One object per line, each self-describing.
-  int line_count = 0;
-  std::string line;
-  std::istringstream in(lines.str());
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++line_count;
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"type\""), std::string::npos);
-  }
-  // One line per series, guard sinks included.
-  EXPECT_EQ(line_count,
-            static_cast<int>(snap.counters.size() + snap.gauges.size() +
-                             snap.histograms.size()));
-}
-
-TEST(ExportTest, PrometheusNamesAndFormat) {
-  EXPECT_EQ(PrometheusName("chain.blocks_applied"), "chain_blocks_applied");
-  EXPECT_EQ(PrometheusName("a-b c.d"), "a_b_c_d");
-  EXPECT_EQ(PrometheusName("9lives"), "_9lives");
-
-  Registry registry;
-  registry.GetCounter("chain.blocks_applied").Add(2);
-  registry.GetHistogram("chain.apply_us").Observe(100);
-  std::ostringstream out;
-  WriteSnapshotPrometheus(registry.TakeSnapshot(), out);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("# TYPE chain_blocks_applied counter"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("chain_blocks_applied 2"), std::string::npos);
-  EXPECT_NE(text.find("chain_apply_us_count 1"), std::string::npos);
-  EXPECT_NE(text.find("quantile=\"0.99\""), std::string::npos);
-}
-
-// Minimal reader for the Prometheus text exposition format: enough to load
-// back what WriteSnapshotPrometheus emits (TYPE comments, plain samples,
-// {quantile="q"} labels, _sum/_count series).
-struct PromData {
-  std::map<std::string, std::string> types;        // name -> counter/gauge/...
-  std::map<std::string, int64_t> samples;          // plain series
-  std::map<std::string, std::map<std::string, uint64_t>> quantiles;
-};
-
-PromData ParsePrometheus(const std::string& text) {
-  PromData data;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line.rfind("# TYPE ", 0) == 0) {
-      std::istringstream fields(line.substr(7));
-      std::string name, type;
-      fields >> name >> type;
-      data.types[name] = type;
-      continue;
-    }
-    EXPECT_NE(line[0], '#') << "unexpected comment: " << line;
-    const size_t space = line.rfind(' ');
-    EXPECT_NE(space, std::string::npos) << line;
-    if (space == std::string::npos) continue;
-    std::string series = line.substr(0, space);
-    const int64_t value = std::stoll(line.substr(space + 1));
-    const size_t brace = series.find('{');
-    if (brace != std::string::npos) {
-      const std::string name = series.substr(0, brace);
-      const std::string label = series.substr(brace);
-      const std::string prefix = "{quantile=\"";
-      EXPECT_EQ(label.rfind(prefix, 0), 0u) << line;
-      if (label.rfind(prefix, 0) != 0) continue;
-      const std::string q =
-          label.substr(prefix.size(), label.size() - prefix.size() - 2);
-      data.quantiles[name][q] = static_cast<uint64_t>(value);
-    } else {
-      data.samples[series] = value;
-    }
-  }
-  return data;
-}
-
-TEST(ExportTest, PrometheusQuantileSeriesRoundTrip) {
-  Registry registry;
-  registry.GetCounter("chain.blocks_applied").Add(42);
-  registry.GetGauge("pool.queue_depth").Set(-3);
-  Histogram& hist = registry.GetHistogram("chain.apply_us");
-  for (uint64_t v = 1; v <= 1000; ++v) hist.Observe(v * 10);
-  const Snapshot snap = registry.TakeSnapshot();
-  const HistogramSummary* found = nullptr;
-  for (const auto& [name, s] : snap.histograms) {
-    if (name == "chain.apply_us") found = &s;
-  }
-  ASSERT_NE(found, nullptr);
-  const HistogramSummary& summary = *found;
-
-  std::ostringstream out;
-  WriteSnapshotPrometheus(snap, out);
-  PromData parsed = ParsePrometheus(out.str());
-
-  // Every metric came back with its declared type and exact value...
-  EXPECT_EQ(parsed.types["chain_blocks_applied"], "counter");
-  EXPECT_EQ(parsed.samples["chain_blocks_applied"], 42);
-  EXPECT_EQ(parsed.types["pool_queue_depth"], "gauge");
-  EXPECT_EQ(parsed.samples["pool_queue_depth"], -3);
-  EXPECT_EQ(parsed.types["chain_apply_us"], "summary");
-  EXPECT_EQ(parsed.samples["chain_apply_us_count"],
-            static_cast<int64_t>(summary.count));
-  EXPECT_EQ(parsed.samples["chain_apply_us_sum"],
-            static_cast<int64_t>(summary.sum));
-
-  // ...and the three quantile-labelled series match the snapshot summary.
-  const auto& q = parsed.quantiles["chain_apply_us"];
-  ASSERT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.at("0.5"), summary.p50);
-  EXPECT_EQ(q.at("0.9"), summary.p90);
-  EXPECT_EQ(q.at("0.99"), summary.p99);
-  // Sanity on the distribution itself: 10..10000 uniform.
-  EXPECT_GT(q.at("0.9"), q.at("0.5"));
-  EXPECT_GE(q.at("0.99"), q.at("0.9"));
-}
 
 // --- Cardinality guard ------------------------------------------------------
 // Dynamically named series (chain.mempool.shard_depth.<i>, per-node labels

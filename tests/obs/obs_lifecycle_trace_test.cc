@@ -3,7 +3,7 @@
 // run, with metrics and tracing enabled end to end. The run must yield
 //   - a metrics snapshot covering chain.*, p2p.*, market.* and dml.*,
 //   - a hierarchical span trace carrying simulated time, and
-//   - per-run exports (trace JSON lines, snapshot JSON, Prometheus text).
+//   - a per-run trace export as JSON lines.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "dml/fault_injector.h"
 #include "market/marketplace.h"
-#include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -248,25 +247,15 @@ TEST(ObsLifecycleTraceTest, ChaosRunProducesFullTelemetryAndExports) {
   EXPECT_NE(dump_text.find("\"counter_deltas\""), std::string::npos);
   std::remove(dump_path.c_str());
 
-  // --- Per-run exports. ---
+  // --- Per-run trace export. ---
   {
     std::ofstream trace_out("obs_lifecycle_trace.jsonl");
     Tracer::Global().WriteJsonLines(trace_out);
-    std::ofstream json_out("obs_lifecycle_metrics.json");
-    WriteSnapshotJson(snap, json_out);
-    std::ofstream prom_out("obs_lifecycle_metrics.prom");
-    WriteSnapshotPrometheus(snap, prom_out);
   }
   const std::string trace_text = Slurp("obs_lifecycle_trace.jsonl");
   EXPECT_NE(trace_text.find("\"name\":\"market.run_workload\""),
             std::string::npos);
   EXPECT_NE(trace_text.find("\"sim_dur_us\":"), std::string::npos);
-  const std::string json_text = Slurp("obs_lifecycle_metrics.json");
-  EXPECT_NE(json_text.find("\"chain.blocks_produced\""), std::string::npos);
-  EXPECT_NE(json_text.find("\"histograms\""), std::string::npos);
-  const std::string prom_text = Slurp("obs_lifecycle_metrics.prom");
-  EXPECT_NE(prom_text.find("# TYPE chain_blocks_produced counter"),
-            std::string::npos);
 
   Registry::Global().ResetValues();
   Tracer::Global().Reset();

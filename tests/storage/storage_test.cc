@@ -2,9 +2,8 @@
 
 #include "common/rng.h"
 #include "common/serial.h"
+#include "crypto/cipher.h"
 #include "ml/dataset.h"
-#include "storage/content_store.h"
-#include "storage/key_escrow.h"
 #include "storage/provider_store.h"
 #include "storage/semantic.h"
 
@@ -14,61 +13,6 @@ namespace {
 using common::Bytes;
 using common::Rng;
 using common::ToBytes;
-
-// --- ContentStore ----------------------------------------------------------
-
-TEST(ContentStoreTest, PutGetRoundTrip) {
-  ContentStore store;
-  Bytes blob = ToBytes("hello content-addressed world");
-  Bytes addr = store.Put(blob);
-  auto back = store.Get(addr);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, blob);
-  EXPECT_TRUE(store.Has(addr));
-}
-
-TEST(ContentStoreTest, EmptyBlob) {
-  ContentStore store;
-  Bytes addr = store.Put({});
-  auto back = store.Get(addr);
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->empty());
-}
-
-TEST(ContentStoreTest, MultiChunkBlob) {
-  Rng rng(1);
-  ContentStore store;
-  Bytes blob = rng.NextBytes(3 * ContentStore::kChunkSize + 17);
-  Bytes addr = store.Put(blob);
-  auto back = store.Get(addr);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, blob);
-  EXPECT_EQ(store.ChunkCount(), 4u);
-}
-
-TEST(ContentStoreTest, SameContentSameAddress) {
-  ContentStore store;
-  Bytes blob = ToBytes("identical");
-  EXPECT_EQ(store.Put(blob), store.Put(blob));
-}
-
-TEST(ContentStoreTest, DeduplicatesSharedChunks) {
-  ContentStore store;
-  Bytes blob(2 * ContentStore::kChunkSize, 0xaa);
-  store.Put(blob);
-  const size_t chunks_after_first = store.ChunkCount();
-  // The two identical chunks within the blob are stored once.
-  EXPECT_EQ(chunks_after_first, 1u);
-  Bytes blob2(ContentStore::kChunkSize, 0xaa);  // same chunk again
-  store.Put(blob2);
-  EXPECT_EQ(store.ChunkCount(), 1u);
-}
-
-TEST(ContentStoreTest, UnknownAddressNotFound) {
-  ContentStore store;
-  EXPECT_FALSE(store.Get(Bytes(32, 0x42)).ok());
-  EXPECT_FALSE(store.Has(Bytes(32, 0x42)));
-}
 
 // --- Ontology & semantics ---------------------------------------------------
 
@@ -276,6 +220,17 @@ TEST_F(ProviderStorageTest, TransferSealAndOpen) {
   EXPECT_EQ(opened->x, data_.x);
 }
 
+// The transfer is the at-rest plaintext resealed under the transport key:
+// byte for byte the seal of the dataset's wire encoding.
+TEST_F(ProviderStorageTest, TransferCiphertextIsPinned) {
+  const Bytes transport_key = ToBytes("negotiated-transport-key");
+  auto sealed = store_.SealForTransfer("temps", transport_key);
+  ASSERT_TRUE(sealed.ok());
+  EXPECT_EQ(*sealed, crypto::AuthCipher(transport_key)
+                         .Seal(SerializeDataset(data_),
+                               ToBytes("transfer.temps")));
+}
+
 TEST_F(ProviderStorageTest, TransferRejectsWrongKeyAndTampering) {
   Bytes transport_key = ToBytes("key-A");
   auto sealed = store_.SealForTransfer("temps", transport_key);
@@ -302,65 +257,13 @@ TEST_F(ProviderStorageTest, TransferRejectsCommitmentMismatch) {
 }
 
 TEST_F(ProviderStorageTest, DataIsEncryptedAtRest) {
-  // The raw dataset bytes must not appear in the content store: check that
-  // loading with a different master key fails outright.
+  // A store under another master key holds and loads its own copy.
   ProviderStorage other(ToBytes("different-master-key"));
   ASSERT_TRUE(other.AddDataset("temps", data_, TempMeta()).ok());
-  // Equal plaintext, different keys -> different stored footprints is hard
-  // to check directly; instead verify Load fails after key change by
-  // rebuilding a store with the same data but reading via wrong key store.
   EXPECT_TRUE(other.Load("temps").ok());
-  EXPECT_GT(store_.StoredBytes(), 0u);
-}
-
-// --- KeyEscrow ---------------------------------------------------------------
-
-TEST(KeyEscrowTest, DepositRecoverRoundTrip) {
-  Rng rng(11);
-  KeyEscrow escrow(5, 3);
-  Bytes key = rng.NextBytes(32);
-  ASSERT_TRUE(escrow.Deposit(key, rng).ok());
-  auto recovered = escrow.Recover({0, 2, 4});
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(*recovered, key);
-}
-
-TEST(KeyEscrowTest, BelowThresholdDenied) {
-  Rng rng(12);
-  KeyEscrow escrow(5, 3);
-  ASSERT_TRUE(escrow.Deposit(rng.NextBytes(32), rng).ok());
-  auto result = escrow.Recover({0, 1});
-  EXPECT_EQ(result.status().code(), common::StatusCode::kPermissionDenied);
-}
-
-TEST(KeyEscrowTest, InvalidParametersRejected) {
-  Rng rng(13);
-  KeyEscrow bad(2, 3);
-  EXPECT_FALSE(bad.Deposit(rng.NextBytes(32), rng).ok());
-  KeyEscrow escrow(3, 2);
-  EXPECT_FALSE(escrow.Deposit(rng.NextBytes(16), rng).ok());  // wrong size
-  EXPECT_FALSE(escrow.Recover({0, 1}).ok());  // nothing deposited
-}
-
-TEST(KeyEscrowTest, UnknownKeeperRejected) {
-  Rng rng(14);
-  KeyEscrow escrow(3, 2);
-  ASSERT_TRUE(escrow.Deposit(rng.NextBytes(32), rng).ok());
-  EXPECT_FALSE(escrow.Recover({0, 7}).ok());
-}
-
-TEST(KeyEscrowTest, AnyThresholdSubsetWorks) {
-  Rng rng(15);
-  KeyEscrow escrow(4, 2);
-  Bytes key = rng.NextBytes(32);
-  ASSERT_TRUE(escrow.Deposit(key, rng).ok());
-  for (size_t a = 0; a < 4; ++a) {
-    for (size_t b = a + 1; b < 4; ++b) {
-      auto recovered = escrow.Recover({a, b});
-      ASSERT_TRUE(recovered.ok());
-      EXPECT_EQ(*recovered, key) << a << "," << b;
-    }
-  }
+  // What is held is one sealed blob: the wire encoding plus the cipher's
+  // 16-byte nonce and 32-byte tag.
+  EXPECT_EQ(store_.StoredBytes(), SerializeDataset(data_).size() + 16 + 32);
 }
 
 }  // namespace
