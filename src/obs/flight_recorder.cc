@@ -6,39 +6,12 @@
 #include <map>
 #include <utility>
 
+#include "obs/json_codec.h"
 #include "obs/trace.h"
 
 namespace pds2::obs {
 
 namespace {
-
-std::string EscapeJson(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += ' ';
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 const char* KindName(FlightEntry::Kind kind) {
   switch (kind) {
@@ -195,7 +168,7 @@ void FlightRecorder::WriteDump(const std::string& reason,
   std::map<std::string, uint64_t> base_counters(baseline.counters.begin(),
                                                 baseline.counters.end());
 
-  out << "{\n  \"reason\": \"" << EscapeJson(reason) << "\",\n";
+  out << "{\n  \"reason\": \"" << JsonEscape(reason) << "\",\n";
   out << "  \"entries\": [";
   for (size_t i = 0; i < entries.size(); ++i) {
     const FlightEntry& entry = entries[i];
@@ -205,9 +178,9 @@ void FlightRecorder::WriteDump(const std::string& reason,
     if (entry.span_id != 0) out << ",\"span_id\":" << entry.span_id;
     if (entry.has_sim) out << ",\"sim_us\":" << entry.sim_us;
     if (!entry.node.empty()) {
-      out << ",\"node\":\"" << EscapeJson(entry.node) << "\"";
+      out << ",\"node\":\"" << JsonEscape(entry.node) << "\"";
     }
-    out << ",\"text\":\"" << EscapeJson(entry.text) << "\"}";
+    out << ",\"text\":\"" << JsonEscape(entry.text) << "\"}";
   }
   out << "\n  ],\n";
   out << "  \"counter_deltas\": {";
@@ -216,14 +189,14 @@ void FlightRecorder::WriteDump(const std::string& reason,
     const auto it = base_counters.find(name);
     const uint64_t base = it == base_counters.end() ? 0 : it->second;
     if (value <= base) continue;  // unchanged (or reset) since baseline
-    out << (first ? "\n" : ",\n") << "    \"" << EscapeJson(name)
+    out << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name)
         << "\": " << (value - base);
     first = false;
   }
   out << "\n  },\n  \"gauges\": {";
   first = true;
   for (const auto& [name, value] : current.gauges) {
-    out << (first ? "\n" : ",\n") << "    \"" << EscapeJson(name)
+    out << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name)
         << "\": " << value;
     first = false;
   }

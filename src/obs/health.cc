@@ -1,26 +1,16 @@
 #include "obs/health.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <set>
 
 #include "common/logging.h"
 #include "obs/flight_recorder.h"
+#include "obs/json_codec.h"
 
 namespace pds2::obs {
 
 namespace {
-
-std::string EscapeJson(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 void HashMix(uint64_t* h, uint64_t v) {
   // FNV-1a over the value's 8 bytes.
@@ -361,17 +351,19 @@ uint64_t HealthMonitor::EventsDigest() const {
 void HealthMonitor::WriteJsonLines(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const AlertEvent& event : events_) {
-    out << "{\"type\":\"alert\",\"rule\":\"" << EscapeJson(event.rule_id)
+    out << "{\"type\":\"alert\",\"rule\":\"" << JsonEscape(event.rule_id)
         << "\",\"severity\":\"" << SeverityName(event.severity)
         << "\",\"fired\":" << (event.fired ? "true" : "false")
         << ",\"sample\":" << event.sample_index
         << ",\"first_bad\":" << event.first_bad_sample
         << ",\"wall_ns\":" << event.wall_ns;
     if (event.has_sim) out << ",\"sim_us\":" << event.sim_us;
-    out << ",\"observed\":" << event.observed
-        << ",\"bound\":" << event.bound;
+    out << ",\"observed\":";
+    WriteJsonNumber(out, event.observed);
+    out << ",\"bound\":";
+    WriteJsonNumber(out, event.bound);
     if (!event.detail.empty()) {
-      out << ",\"detail\":\"" << EscapeJson(event.detail) << "\"";
+      out << ",\"detail\":\"" << JsonEscape(event.detail) << "\"";
     }
     out << "}\n";
   }

@@ -76,8 +76,8 @@ struct AlertEvent {
   std::string rule_id;
   Severity severity = Severity::kWarning;
   bool fired = true;  // false = resolve
-  size_t sample_index = 0;
-  size_t first_bad_sample = 0;  // first sample of the current bad streak
+  uint64_t sample_index = 0;
+  uint64_t first_bad_sample = 0;  // first sample of the current bad streak
   uint64_t wall_ns = 0;
   bool has_sim = false;
   common::SimTime sim_us = 0;
@@ -130,7 +130,7 @@ class HealthMonitor {
   uint64_t EventsDigest() const;
 
   /// JSON-lines alert export, one {"type":"alert",...} object per event
-  /// (appended after TimeSeries::WriteJsonLines for pds2_health).
+  /// (appended after TimeSeries::WriteJsonLines in a run export).
   void WriteJsonLines(std::ostream& out) const;
 
   /// Drops events and per-rule state; rules stay registered.

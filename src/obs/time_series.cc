@@ -1,40 +1,10 @@
 #include "obs/time_series.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "obs/json_codec.h"
 
 namespace pds2::obs {
-
-namespace {
-
-// Metric names are dotted identifiers; escaping keeps arbitrary names safe.
-std::string EscapeJson(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-void WriteDouble(std::ostream& out, double v) {
-  if (!std::isfinite(v)) {
-    out << "0";
-    return;
-  }
-  // Integral values (the common case: counters, gauges, quantile
-  // midpoints) print exactly; everything else round-trips via %.17g.
-  if (v == std::floor(v) && std::abs(v) < 9.0e15) {
-    out << static_cast<long long>(v);
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out << buf;
-}
-
-}  // namespace
 
 const char* SeriesKindName(SeriesKind kind) {
   switch (kind) {
@@ -300,12 +270,12 @@ void TimeSeries::WriteJsonLines(std::ostream& out) const {
   for (const auto& [name, s] : series_) {
     const size_t start = std::max(s.first_sample, lo);
     if (start >= samples_) continue;
-    out << "{\"type\":\"series\",\"name\":\"" << EscapeJson(name)
+    out << "{\"type\":\"series\",\"name\":\"" << JsonEscape(name)
         << "\",\"kind\":\"" << SeriesKindName(s.kind)
         << "\",\"start\":" << start << ",\"values\":[";
     for (size_t i = start; i < samples_; ++i) {
       if (i != start) out << ",";
-      WriteDouble(out, s.ring[i % config_.capacity]);
+      WriteJsonNumber(out, s.ring[i % config_.capacity]);
     }
     out << "]}\n";
   }

@@ -105,7 +105,7 @@ class TimeSeries {
   std::optional<SeriesKind> KindOf(const std::string& series) const;
   std::vector<std::string> SeriesNames() const;
 
-  /// JSON-lines export (schema: docs/PROTOCOL.md "Health export schema"):
+  /// JSON-lines export (schema: docs/PROTOCOL.md "Run export schema"):
   ///   {"type":"meta",...}
   ///   {"type":"sample","index":I,"wall_ns":W[,"sim_us":S]}   per retained
   ///   {"type":"series","name":N,"kind":K,"start":I,"values":[...]}

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/flight_recorder.h"
+#include "obs/json_codec.h"
 
 namespace pds2::obs {
 
@@ -21,30 +22,6 @@ struct OpenSpan {
 };
 thread_local std::vector<OpenSpan> t_open_spans;
 thread_local std::string t_node_label;
-
-std::string EscapeJson(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -192,8 +169,8 @@ void Tracer::WriteJsonLines(std::ostream& out) const {
     if (record.wall_end_ns == 0) continue;  // still open
     out << "{\"id\":" << record.id << ",\"parent\":" << record.parent
         << ",\"trace\":" << record.trace_id
-        << ",\"name\":\"" << EscapeJson(record.name) << "\""
-        << ",\"node\":\"" << EscapeJson(record.node) << "\""
+        << ",\"name\":\"" << JsonEscape(record.name) << "\""
+        << ",\"node\":\"" << JsonEscape(record.node) << "\""
         << ",\"thread\":" << record.thread;
     if (!record.links.empty()) {
       out << ",\"links\":[";

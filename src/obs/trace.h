@@ -118,7 +118,7 @@ class Tracer {
   size_t SpanCount() const;
 
   /// One JSON object per line per completed span — the per-run trace
-  /// export (schema: docs/PROTOCOL.md "Trace export schema"). Open spans
+  /// export (schema: docs/PROTOCOL.md "Run export schema"). Open spans
   /// are skipped.
   void WriteJsonLines(std::ostream& out) const;
 

@@ -1,222 +1,172 @@
 #include "obs/trace_analysis.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <set>
+#include <string_view>
+#include <utility>
+
+#include "obs/json_codec.h"
 
 namespace pds2::obs {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal parser for the flat one-object-per-line span schema. Not a general
-// JSON parser: objects are flat, keys are from a fixed set, values are
-// unsigned integers, strings, or arrays of unsigned integers — exactly what
-// Tracer::WriteJsonLines emits.
-// ---------------------------------------------------------------------------
-
-class LineParser {
- public:
-  explicit LineParser(const std::string& line) : s_(line) {}
-
-  bool Fail(std::string* error, const std::string& what) {
-    if (error != nullptr) {
-      *error = what + " at offset " + std::to_string(i_);
-    }
-    return false;
+// Reads `key` into its slot, or fails on a key this record type lacks.
+bool ReadUint(JsonLineParser& p, const std::string& key,
+              std::initializer_list<std::pair<std::string_view, uint64_t*>>
+                  slots,
+              std::string* error) {
+  for (const auto& [name, slot] : slots) {
+    if (key == name) return p.ParseUint(slot, error);
   }
-
-  void SkipSpace() {
-    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\t')) ++i_;
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return false;
-  }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return i_ < s_.size() && s_[i_] == c;
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return i_ >= s_.size();
-  }
-
-  bool ParseString(std::string* out, std::string* error) {
-    if (!Consume('"')) return Fail(error, "expected string");
-    out->clear();
-    while (i_ < s_.size() && s_[i_] != '"') {
-      char c = s_[i_++];
-      if (c == '\\') {
-        if (i_ >= s_.size()) return Fail(error, "bad escape");
-        char e = s_[i_++];
-        switch (e) {
-          case '"':
-            out->push_back('"');
-            break;
-          case '\\':
-            out->push_back('\\');
-            break;
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 't':
-            out->push_back('\t');
-            break;
-          case '/':
-            out->push_back('/');
-            break;
-          default:
-            return Fail(error, "unsupported escape");
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    if (i_ >= s_.size()) return Fail(error, "unterminated string");
-    ++i_;  // closing quote
-    return true;
-  }
-
-  bool ParseUint(uint64_t* out, std::string* error) {
-    SkipSpace();
-    if (i_ >= s_.size() || s_[i_] < '0' || s_[i_] > '9') {
-      return Fail(error, "expected number");
-    }
-    uint64_t value = 0;
-    while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9') {
-      value = value * 10 + static_cast<uint64_t>(s_[i_] - '0');
-      ++i_;
-    }
-    *out = value;
-    return true;
-  }
-
-  bool ParseUintArray(std::vector<uint64_t>* out, std::string* error) {
-    if (!Consume('[')) return Fail(error, "expected array");
-    out->clear();
-    if (Consume(']')) return true;
-    while (true) {
-      uint64_t value = 0;
-      if (!ParseUint(&value, error)) return false;
-      out->push_back(value);
-      if (Consume(']')) return true;
-      if (!Consume(',')) return Fail(error, "expected ',' in array");
-    }
-  }
-
- private:
-  const std::string& s_;
-  size_t i_ = 0;
-};
-
-bool ParseSpanLine(const std::string& line, SpanRecord* record,
-                   std::string* error) {
-  LineParser p(line);
-  if (!p.Consume('{')) return p.Fail(error, "expected '{'");
-  bool saw_id = false;
-  bool saw_name = false;
-  uint64_t wall_dur = 0;
-  common::SimTime sim_dur = 0;
-  bool saw_sim_start = false;
-  bool first = true;
-  while (!p.Consume('}')) {
-    if (!first && !p.Consume(',')) return p.Fail(error, "expected ','");
-    first = false;
-    std::string key;
-    if (!p.ParseString(&key, error)) return false;
-    if (!p.Consume(':')) return p.Fail(error, "expected ':'");
-    if (key == "name") {
-      if (!p.ParseString(&record->name, error)) return false;
-      saw_name = true;
-    } else if (key == "node") {
-      if (!p.ParseString(&record->node, error)) return false;
-    } else if (key == "links") {
-      if (!p.ParseUintArray(&record->links, error)) return false;
-    } else {
-      uint64_t value = 0;
-      if (!p.ParseUint(&value, error)) return false;
-      if (key == "id") {
-        record->id = value;
-        saw_id = true;
-      } else if (key == "parent") {
-        record->parent = value;
-      } else if (key == "trace") {
-        record->trace_id = value;
-      } else if (key == "thread") {
-        record->thread = static_cast<uint32_t>(value);
-      } else if (key == "wall_start_ns") {
-        record->wall_start_ns = value;
-      } else if (key == "wall_dur_ns") {
-        wall_dur = value;
-      } else if (key == "sim_start_us") {
-        record->sim_start = static_cast<common::SimTime>(value);
-        record->has_sim = true;
-        saw_sim_start = true;
-      } else if (key == "sim_dur_us") {
-        sim_dur = static_cast<common::SimTime>(value);
-      } else {
-        return p.Fail(error, "unknown key \"" + key + "\"");
-      }
-    }
-  }
-  if (!p.AtEnd()) return p.Fail(error, "trailing characters");
-  if (!saw_id || record->id == 0) return p.Fail(error, "missing span id");
-  if (!saw_name) return p.Fail(error, "missing span name");
-  record->wall_end_ns = record->wall_start_ns + wall_dur;
-  if (saw_sim_start) record->sim_end = record->sim_start + sim_dur;
-  return true;
+  return p.Fail(error, "unknown key \"" + key + "\"");
 }
 
-std::string EscapeJson(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
+struct SpanLine {
+  SpanRecord span;
+  uint64_t thread = 0;
+  uint64_t wall_dur = 0;
+  uint64_t sim_dur = 0;
+};
+
+bool ReadSpanField(JsonLineParser& p, const std::string& key, SpanLine* line,
+                   std::string* error) {
+  SpanRecord& span = line->span;
+  if (key == "name") return p.ParseString(&span.name, error);
+  if (key == "node") return p.ParseString(&span.node, error);
+  if (key == "links") {
+    return p.ParseArray(&span.links, error, &JsonLineParser::ParseUint);
   }
-  return out;
+  if (key == "sim_start_us") span.has_sim = true;
+  return ReadUint(p, key,
+                  {{"id", &span.id},
+                   {"parent", &span.parent},
+                   {"trace", &span.trace_id},
+                   {"thread", &line->thread},
+                   {"wall_start_ns", &span.wall_start_ns},
+                   {"wall_dur_ns", &line->wall_dur},
+                   {"sim_start_us", &span.sim_start},
+                   {"sim_dur_us", &line->sim_dur}},
+                  error);
+}
+
+bool ReadAlertField(JsonLineParser& p, const std::string& key,
+                    AlertEvent* alert, std::string* error) {
+  if (key == "rule") return p.ParseString(&alert->rule_id, error);
+  if (key == "detail") return p.ParseString(&alert->detail, error);
+  if (key == "fired") return p.ParseBool(&alert->fired, error);
+  if (key == "observed") return p.ParseNumber(&alert->observed, error);
+  if (key == "bound") return p.ParseNumber(&alert->bound, error);
+  if (key == "severity") {
+    std::string name;
+    if (!p.ParseString(&name, error)) return false;
+    for (Severity s : {Severity::kInfo, Severity::kWarning,
+                       Severity::kCritical}) {
+      if (name == SeverityName(s)) {
+        alert->severity = s;
+        return true;
+      }
+    }
+    return p.Fail(error, "unknown severity \"" + name + "\"");
+  }
+  if (key == "sim_us") alert->has_sim = true;
+  return ReadUint(p, key,
+                  {{"sample", &alert->sample_index},
+                   {"first_bad", &alert->first_bad_sample},
+                   {"wall_ns", &alert->wall_ns},
+                   {"sim_us", &alert->sim_us}},
+                  error);
+}
+
+bool ParseExportLine(const std::string& line, RunExport* run,
+                     std::string* error) {
+  JsonLineParser p(line);
+  HealthExport& health = run->health;
+  std::string type;  // empty: a span line
+  SpanLine span;
+  HealthExport::Sample sample;
+  std::string series_name;
+  HealthExport::Series series;
+  AlertEvent alert;
+  bool first = true;
+  const auto field = [&](const std::string& key) {
+    if (std::exchange(first, false) && key == "type") {
+      if (!p.ParseString(&type, error)) return false;
+      if (type == "meta" || type == "sample" || type == "series" ||
+          type == "alert") {
+        return true;
+      }
+      return p.Fail(error, "unknown record type \"" + type + "\"");
+    }
+    if (type.empty()) return ReadSpanField(p, key, &span, error);
+    if (type == "meta") {
+      return ReadUint(p, key,
+                      {{"samples", &health.samples},
+                       {"retained", &health.retained},
+                       {"capacity", &health.capacity},
+                       {"series", &health.series_count},
+                       {"dropped_series", &health.dropped_series}},
+                      error);
+    }
+    if (type == "sample") {
+      if (key == "sim_us") sample.info.has_sim = true;
+      return ReadUint(p, key,
+                      {{"index", &sample.index},
+                       {"wall_ns", &sample.info.wall_ns},
+                       {"sim_us", &sample.info.sim_us}},
+                      error);
+    }
+    if (type == "series") {
+      if (key == "name") return p.ParseString(&series_name, error);
+      if (key == "kind") return p.ParseString(&series.kind, error);
+      if (key == "values") {
+        return p.ParseArray(&series.values, error,
+                            &JsonLineParser::ParseNumber);
+      }
+      return ReadUint(p, key, {{"start", &series.start}}, error);
+    }
+    return ReadAlertField(p, key, &alert, error);
+  };
+  if (!p.ParseObject(error, field)) return false;
+
+  if (type.empty()) {
+    SpanRecord& record = span.span;
+    if (record.id == 0) return p.Fail(error, "missing span id");
+    if (record.name.empty()) return p.Fail(error, "missing span name");
+    record.thread = static_cast<uint32_t>(span.thread);
+    record.wall_end_ns = record.wall_start_ns + span.wall_dur;
+    record.sim_end = record.has_sim ? record.sim_start + span.sim_dur : 0;
+    run->spans.push_back(std::move(record));
+  } else if (type == "sample") {
+    health.sample_lines.push_back(sample);
+  } else if (type == "series") {
+    if (series_name.empty()) return p.Fail(error, "missing series name");
+    health.series[series_name] = std::move(series);
+  } else if (type == "alert") {
+    if (alert.rule_id.empty()) return p.Fail(error, "missing alert rule");
+    health.alerts.push_back(std::move(alert));
+  }
+  return true;
 }
 
 }  // namespace
 
-bool ParseSpanJsonLines(std::istream& in, std::vector<SpanRecord>* out,
-                        std::string* error) {
+bool ParseExportJsonLines(std::istream& in, RunExport* out,
+                          std::string* error) {
   std::string line;
   size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     if (!line.empty() && line.back() == '\r') line.pop_back();
-    SpanRecord record;
     std::string line_error;
-    if (!ParseSpanLine(line, &record, &line_error)) {
+    if (!ParseExportLine(line, out, &line_error)) {
       if (error != nullptr) {
         *error = "line " + std::to_string(line_no) + ": " + line_error;
       }
       return false;
     }
-    out->push_back(std::move(record));
   }
   return true;
 }
@@ -473,8 +423,9 @@ FanOutStats TraceDag::FanOut() const {
   return stats;
 }
 
-void WriteChromeTrace(const std::vector<SpanRecord>& spans, std::ostream& out,
+void WriteChromeTrace(const RunExport& run, std::ostream& out,
                       bool use_sim_time) {
+  const std::vector<SpanRecord>& spans = run.spans;
   // One Chrome "process" per node label so Perfetto groups tracks by role.
   std::map<std::string, uint64_t> pid_of;
   for (const SpanRecord& span : spans) {
@@ -510,7 +461,7 @@ void WriteChromeTrace(const std::vector<SpanRecord>& spans, std::ostream& out,
   for (const auto& [node, pid] : pid_of) {
     sep() << "{\"ph\":\"M\",\"pid\":" << pid
           << ",\"name\":\"process_name\",\"args\":{\"name\":\""
-          << EscapeJson(node.empty() ? "(unlabeled)" : node) << "\"}}";
+          << JsonEscape(node.empty() ? "(unlabeled)" : node) << "\"}}";
   }
 
   for (const SpanRecord& span : spans) {
@@ -519,7 +470,7 @@ void WriteChromeTrace(const std::vector<SpanRecord>& spans, std::ostream& out,
     const uint64_t dur = end_ts(span) >= ts ? end_ts(span) - ts : 0;
     sep() << "{\"ph\":\"X\",\"pid\":" << pid_of.at(span.node)
           << ",\"tid\":" << span.thread << ",\"ts\":" << ts
-          << ",\"dur\":" << dur << ",\"name\":\"" << EscapeJson(span.name)
+          << ",\"dur\":" << dur << ",\"name\":\"" << JsonEscape(span.name)
           << "\",\"cat\":\"span\",\"args\":{\"id\":" << span.id
           << ",\"parent\":" << span.parent << ",\"trace\":" << span.trace_id
           << "}}";
@@ -552,6 +503,63 @@ void WriteChromeTrace(const std::vector<SpanRecord>& spans, std::ostream& out,
             << ",\"tid\":" << span.thread << ",\"ts\":" << start_ts(span)
             << ",\"id\":" << flow_id
             << ",\"name\":\"causal\",\"cat\":\"causal\"}";
+    }
+  }
+
+  // Alerts: one "health" process, one track per rule, one slice per
+  // fire→resolve interval; an alert still active at export closes at the
+  // last retained sample.
+  const HealthExport& health = run.health;
+  if (!health.alerts.empty()) {
+    const uint64_t pid = next_pid;
+    const auto ts_of = [&](const TimeSeries::SampleInfo& info,
+                           uint64_t sample) -> uint64_t {
+      if (!use_sim_time) return info.wall_ns / 1000;
+      return info.has_sim ? info.sim_us : sample;
+    };
+    const uint64_t export_end =
+        health.sample_lines.empty()
+            ? 0
+            : ts_of(health.sample_lines.back().info,
+                    health.sample_lines.back().index);
+    std::map<std::string, std::vector<const AlertEvent*>> by_rule;
+    for (const AlertEvent& alert : health.alerts) {
+      by_rule[alert.rule_id].push_back(&alert);
+    }
+    sep() << "{\"ph\":\"M\",\"pid\":" << pid
+          << ",\"name\":\"process_name\",\"args\":{\"name\":\"health\"}}";
+    uint64_t tid = 0;
+    for (const auto& [rule, events] : by_rule) {
+      ++tid;
+      sep() << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << tid
+            << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
+            << JsonEscape(rule) << "\"}}";
+      const AlertEvent* open = nullptr;
+      const auto slice = [&](uint64_t end) {
+        const uint64_t begin = ts_of(
+            {open->wall_ns, open->has_sim, open->sim_us}, open->sample_index);
+        sep() << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
+              << ",\"ts\":" << begin
+              << ",\"dur\":" << (end > begin ? end - begin : 1)
+              << ",\"name\":\"" << JsonEscape(rule) << "\",\"cat\":\""
+              << SeverityName(open->severity)
+              << "\",\"args\":{\"sample\":" << open->sample_index
+              << ",\"observed\":";
+        WriteJsonNumber(out, open->observed);
+        out << ",\"bound\":";
+        WriteJsonNumber(out, open->bound);
+        out << "}}";
+      };
+      for (const AlertEvent* alert : events) {
+        if (alert->fired) {
+          open = alert;
+        } else if (open != nullptr) {
+          slice(ts_of({alert->wall_ns, alert->has_sim, alert->sim_us},
+                      alert->sample_index));
+          open = nullptr;
+        }
+      }
+      if (open != nullptr) slice(export_end);
     }
   }
 

@@ -8,18 +8,50 @@
 #include <string>
 #include <vector>
 
+#include "obs/health.h"
 #include "obs/trace.h"
 
 namespace pds2::obs {
 
-/// Parses the one-object-per-line span export written by
-/// Tracer::WriteJsonLines back into SpanRecords. Returns false and sets
-/// `*error` (if non-null) on the first malformed line; blank lines are
-/// skipped. Only the fields the exporter emits are understood — this is a
-/// schema check as much as a loader, and scripts/check_trace_schema.py
-/// validates the same schema from the outside.
-bool ParseSpanJsonLines(std::istream& in, std::vector<SpanRecord>* out,
-                        std::string* error);
+/// The health half of a run export: what TimeSeries::WriteJsonLines and
+/// HealthMonitor::WriteJsonLines wrote, read back.
+struct HealthExport {
+  struct Sample {
+    uint64_t index = 0;
+    TimeSeries::SampleInfo info;
+  };
+  struct Series {
+    std::string kind;
+    uint64_t start = 0;  // sample index of values[0]
+    std::vector<double> values;
+  };
+  // The "meta" record.
+  uint64_t samples = 0;
+  uint64_t retained = 0;
+  uint64_t capacity = 0;
+  uint64_t series_count = 0;
+  uint64_t dropped_series = 0;
+
+  std::vector<Sample> sample_lines;
+  std::map<std::string, Series> series;
+  std::vector<AlertEvent> alerts;
+};
+
+/// Everything one run exports: spans, then health records.
+struct RunExport {
+  std::vector<SpanRecord> spans;
+  HealthExport health;
+};
+
+/// Parses a JSON-lines run export (schema: docs/PROTOCOL.md, "Run export
+/// schema"). A line without a "type" key is a span written by
+/// Tracer::WriteJsonLines; a line whose first key is "type" ("meta",
+/// "sample", "series" or "alert") is a health record. Returns false and
+/// sets `*error` (if non-null) to "line N: <what> at offset K" on the first
+/// malformed line or unknown key; blank lines are skipped.
+/// scripts/check_trace_schema.py validates the same schema from outside.
+bool ParseExportJsonLines(std::istream& in, RunExport* out,
+                          std::string* error);
 
 /// One step of a critical path, innermost cause last.
 struct CriticalPathStep {
@@ -114,12 +146,14 @@ class TraceDag {
   std::map<uint64_t, std::vector<uint64_t>> children_;  // causal edges
 };
 
-/// Writes spans as a Chrome trace_event JSON document (catapult / Perfetto
+/// Writes a run as a Chrome trace_event JSON document (catapult / Perfetto
 /// "traceEvents" array): one complete ("ph":"X") event per finished span,
 /// one process per node label, plus flow arrows ("s"/"f") for every
-/// cross-node parent edge and every link. With `use_sim_time` timestamps
-/// are simulated microseconds; otherwise wall-clock microseconds.
-void WriteChromeTrace(const std::vector<SpanRecord>& spans, std::ostream& out,
+/// cross-node parent edge and every link. Alerts go in one more "health"
+/// process, one thread per rule and one complete event per fire→resolve
+/// interval. With `use_sim_time` timestamps are simulated microseconds;
+/// otherwise wall-clock microseconds.
+void WriteChromeTrace(const RunExport& run, std::ostream& out,
                       bool use_sim_time);
 
 }  // namespace pds2::obs

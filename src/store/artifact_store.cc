@@ -139,7 +139,7 @@ Result<std::unique_ptr<ArtifactStore>> ArtifactStore::Open(
   return s;
 }
 
-Bytes ArtifactStore::EncodeManifest(const Manifest& m) const {
+Bytes ArtifactStore::EncodeManifest(const Manifest& m) {
   Writer w;
   w.PutU64(m.blob_size);
   w.PutU32(static_cast<uint32_t>(m.chunk_hashes.size()));
@@ -153,6 +153,10 @@ Result<ArtifactStore::Manifest> ArtifactStore::DecodeManifest(
   Manifest m;
   PDS2_ASSIGN_OR_RETURN(m.blob_size, r.GetU64());
   PDS2_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
+  // Each hash takes at least its u32 length prefix.
+  if (n > r.remaining() / sizeof(uint32_t)) {
+    return Status::Corruption("manifest chunk count exceeds its bytes");
+  }
   m.chunk_hashes.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     PDS2_ASSIGN_OR_RETURN(Bytes h, r.GetBytes());

@@ -93,9 +93,6 @@ class ArtifactStore {
   size_t NumArtifacts() const { return manifests_.size(); }
   size_t NumChunks() const { return chunks_.size(); }
 
- private:
-  explicit ArtifactStore(ArtifactStoreOptions options);
-
   struct Manifest {
     uint64_t blob_size = 0;
     std::vector<common::Bytes> chunk_hashes;
@@ -103,8 +100,14 @@ class ArtifactStore {
     uint64_t logical_size = 0;
   };
 
-  common::Bytes EncodeManifest(const Manifest& m) const;
+  /// Manifest wire format: u64 blob size, u32 chunk count, then one
+  /// length-prefixed hash per chunk. Decode reads bytes from disk, so a
+  /// count the input cannot hold is Corruption, never a huge reserve.
+  static common::Bytes EncodeManifest(const Manifest& m);
   static common::Result<Manifest> DecodeManifest(const common::Bytes& raw);
+
+ private:
+  explicit ArtifactStore(ArtifactStoreOptions options);
 
   common::Status ReplayDisk();
   common::Status AppendChunkRecord(const common::Bytes& hash,

@@ -12,6 +12,7 @@
 #include "market/spec.h"
 #include "storage/provider_store.h"
 #include "storage/semantic.h"
+#include "store/artifact_store.h"
 #include "tee/attestation.h"
 
 namespace pds2::chain {
@@ -99,6 +100,7 @@ TEST_P(DeserializerFuzz, RandomBytesAreRejectedGracefully) {
     (void)storage::DataRequirement::Deserialize(junk);
     (void)WorldState::DeserializeSnapshot(junk);
     (void)storage::DeserializeDataset(junk);
+    (void)store::ArtifactStore::DecodeManifest(junk);
   }
   SUCCEED();
 }
@@ -120,6 +122,13 @@ TEST(CraftedDecoderInput, HugeElementCountsAreRejected) {
   auto parsed_dataset = storage::DeserializeDataset(dataset.Take());
   ASSERT_FALSE(parsed_dataset.ok());
   EXPECT_EQ(parsed_dataset.status().code(), common::StatusCode::kCorruption);
+
+  Writer manifest;
+  manifest.PutU64(0);
+  manifest.PutU32(0xFFFFFFFF);
+  auto parsed_manifest = store::ArtifactStore::DecodeManifest(manifest.Take());
+  ASSERT_FALSE(parsed_manifest.ok());
+  EXPECT_EQ(parsed_manifest.status().code(), common::StatusCode::kCorruption);
 }
 
 // --- Truncation fuzz: every prefix of a valid message is rejected -----------

@@ -102,6 +102,15 @@ TEST_F(FlightRecorderTest, CapturesSpansLogsAndMetricDeltas) {
   EXPECT_NE(dump.find("\"flight.test_gauge\": -7"), std::string::npos);
 }
 
+TEST_F(FlightRecorderTest, DumpEscapesControlBytesInsteadOfBlankingThem) {
+  FlightRecorder::Global().Note("bell\x07 tab\t");
+  std::ostringstream out;
+  FlightRecorder::Global().WriteDump("why\r", out);
+  const std::string dump = out.str();
+  EXPECT_NE(dump.find("\"reason\": \"why\\r\""), std::string::npos) << dump;
+  EXPECT_NE(dump.find("bell\\u0007 tab\\t"), std::string::npos) << dump;
+}
+
 TEST_F(FlightRecorderTest, DumpNowWritesAReadableFile) {
   FlightRecorder::Global().Note("pre-dump breadcrumb");
   const uint64_t dumps_before = FlightRecorder::Global().dumps_written();

@@ -1,6 +1,7 @@
-// obs::TraceAnalysis: JSON-lines round-trip, DAG queries (components,
-// roots, descendants through links), sim-time critical paths with latency
-// attribution, fan-out stats, and the Chrome trace_event export.
+// obs::TraceAnalysis: run-export round-trip (spans and health records
+// through the one codec), DAG queries (components, roots, descendants
+// through links), sim-time critical paths with latency attribution,
+// fan-out stats, and the Chrome trace_event export.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/health.h"
+#include "obs/metrics.h"
+#include "obs/time_series.h"
 #include "obs/trace.h"
 #include "obs/trace_analysis.h"
 
@@ -54,9 +58,10 @@ TEST(TraceAnalysisTest, JsonLinesRoundTripPreservesEverySemanticField) {
   Tracer::Global().Reset();
 
   std::istringstream in(exported.str());
-  std::vector<SpanRecord> parsed;
+  RunExport run;
   std::string error;
-  ASSERT_TRUE(ParseSpanJsonLines(in, &parsed, &error)) << error;
+  ASSERT_TRUE(ParseExportJsonLines(in, &run, &error)) << error;
+  const std::vector<SpanRecord>& parsed = run.spans;
   ASSERT_EQ(parsed.size(), original.size());
   for (size_t i = 0; i < parsed.size(); ++i) {
     EXPECT_EQ(parsed[i].id, original[i].id);
@@ -84,23 +89,133 @@ TEST(TraceAnalysisTest, ParserRejectsMalformedLinesWithPosition) {
       {"{\"id\":1,\"name\":\"x\",\"bogus\":3}", "unknown key"},
       {"{\"id\":1,\"name\":\"x\"", "expected ','"},
       {"not json", "expected '{'"},
+      {"{\"id\":1,\"name\":\"a\x01\"}", "control byte in string"},
+      {"{\"id\":1,\"name\":\"a\\/b\"}", "unsupported escape"},
+      {"{\"id\":1,\"name\":\"a\\u0041\"}", "unsupported escape"},
+      {"{\"id\":1,\"type\":\"meta\"}", "unknown key \"type\""},
+      {"{\"type\":\"bogus\"}", "unknown record type"},
+      {"{\"type\":\"meta\",\"samples\":1,\"extra\":2}", "unknown key"},
+      {"{\"type\":\"sample\",\"index\":\"0\"}", "expected number"},
+      {"{\"type\":\"sample\",\"index\":18446744073709551616}",
+       "number out of range"},
+      {"{\"type\":\"series\",\"name\":\"s\",\"values\":[1,]}",
+       "expected number"},
+      {"{\"type\":\"series\",\"values\":[1]}", "missing series name"},
+      {"{\"type\":\"alert\",\"rule\":\"r\",\"fired\":yes}",
+       "expected boolean"},
+      {"{\"type\":\"alert\",\"rule\":\"r\",\"severity\":\"dire\"}",
+       "unknown severity"},
+      {"{\"type\":\"alert\",\"observed\":inf,\"rule\":\"r\"}",
+       "expected number"},
+      {"{\"type\":\"alert\",\"sample\":1}", "missing alert rule"},
   };
   for (const auto& c : cases) {
     std::istringstream in(std::string(c.line) + "\n");
-    std::vector<SpanRecord> parsed;
+    RunExport run;
     std::string error;
-    EXPECT_FALSE(ParseSpanJsonLines(in, &parsed, &error)) << c.line;
+    EXPECT_FALSE(ParseExportJsonLines(in, &run, &error)) << c.line;
     EXPECT_NE(error.find(c.why), std::string::npos)
         << "got \"" << error << "\" for " << c.line;
     EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+    EXPECT_NE(error.find("at offset"), std::string::npos) << error;
   }
   // Blank lines are not errors.
   std::istringstream in("\n   \n{\"id\":1,\"name\":\"ok\"}\n\n");
-  std::vector<SpanRecord> parsed;
+  RunExport run;
   std::string error;
-  ASSERT_TRUE(ParseSpanJsonLines(in, &parsed, &error)) << error;
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_FALSE(parsed[0].has_sim);
+  ASSERT_TRUE(ParseExportJsonLines(in, &run, &error)) << error;
+  ASSERT_EQ(run.spans.size(), 1u);
+  EXPECT_FALSE(run.spans[0].has_sim);
+}
+
+// Every record the exporters write is one line with no raw control byte,
+// whatever bytes its names carry, and reads back unchanged.
+TEST(TraceAnalysisTest, EveryExportedRecordIsOneEscapedLineThatRoundTrips) {
+  const std::string label = "actor\r\x01name";
+  const std::string detail = "two\nlines \"quoted\" \\ \x1f";
+  SetTracingEnabled(true);
+  Tracer::Global().Reset();
+  {
+    NodeScope node(label);
+    ScopedSpan span("odd \"span\"\tname");
+  }
+  SetTracingEnabled(false);
+
+  Registry reg;
+  reg.GetGauge("odd\x02series").Set(-3);
+  TimeSeries ts({.capacity = 4, .max_series = 16}, &reg);
+  HealthMonitor monitor(&ts, {.dump_on_critical = false});
+  monitor.AddRule(InvariantRule("odd\nrule", Severity::kCritical,
+                                [&](const TimeSeries&) {
+                                  return InvariantResult{false, 0.5, 1e300,
+                                                         detail};
+                                }));
+  ts.Sample(1000, /*has_sim=*/true, 7);
+  monitor.EvaluateLatest();
+
+  std::ostringstream exported;
+  Tracer::Global().WriteJsonLines(exported);
+  ts.WriteJsonLines(exported);
+  monitor.WriteJsonLines(exported);
+  Tracer::Global().Reset();
+
+  const std::string text = exported.str();
+  size_t lines = 0;
+  for (const char c : text) {
+    if (c == '\n') {
+      ++lines;
+    } else {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << text;
+    }
+  }
+  std::istringstream in(text);
+  RunExport run;
+  std::string error;
+  ASSERT_TRUE(ParseExportJsonLines(in, &run, &error)) << error;
+  // Spans, then meta, samples, series and alerts: one line each.
+  EXPECT_EQ(lines, run.spans.size() + 1 + run.health.sample_lines.size() +
+                       run.health.series.size() + run.health.alerts.size());
+  ASSERT_EQ(run.spans.size(), 1u);
+  EXPECT_EQ(run.spans[0].node, label);
+  EXPECT_EQ(run.spans[0].name, "odd \"span\"\tname");
+  ASSERT_EQ(run.health.series.count("odd\x02series"), 1u);
+  EXPECT_EQ(run.health.series.at("odd\x02series").values,
+            (std::vector<double>{-3}));
+  ASSERT_EQ(run.health.alerts.size(), 1u);
+  const AlertEvent& alert = run.health.alerts[0];
+  EXPECT_EQ(alert.rule_id, "odd\nrule");
+  EXPECT_EQ(alert.detail, detail);
+  EXPECT_EQ(alert.severity, Severity::kCritical);
+  EXPECT_TRUE(alert.fired);
+  EXPECT_TRUE(alert.has_sim);
+  EXPECT_EQ(alert.sim_us, 7u);
+}
+
+// An alert's observed and bound survive the export bit for bit: the
+// supply-conservation gap of 256 on 1e18 must stay visible.
+TEST(TraceAnalysisTest, AlertValuesParseBackExactly) {
+  Registry reg;
+  TimeSeries ts({.capacity = 4, .max_series = 16}, &reg);
+  HealthMonitor monitor(&ts, {.dump_on_critical = false});
+  const double supply = 1e18;
+  const double observed = supply + 256;
+  monitor.AddRule(InvariantRule("chain.supply-conservation",
+                                Severity::kCritical, [&](const TimeSeries&) {
+                                  return InvariantResult{false, observed,
+                                                         supply, ""};
+                                }));
+  ts.Sample(1000);
+  monitor.EvaluateLatest();
+
+  std::stringstream exported;
+  monitor.WriteJsonLines(exported);
+  RunExport run;
+  std::string error;
+  ASSERT_TRUE(ParseExportJsonLines(exported, &run, &error)) << error;
+  ASSERT_EQ(run.health.alerts.size(), 1u);
+  EXPECT_EQ(run.health.alerts[0].observed, observed);
+  EXPECT_EQ(run.health.alerts[0].bound, supply);
+  EXPECT_NE(run.health.alerts[0].observed, run.health.alerts[0].bound);
 }
 
 // Fixture DAG, two components:
@@ -205,7 +320,7 @@ TEST(TraceAnalysisTest, StageStatsAggregateByName) {
 
 TEST(TraceAnalysisTest, ChromeTraceExportsProcessesEventsAndFlows) {
   std::ostringstream out;
-  WriteChromeTrace(FixtureSpans(), out, /*use_sim_time=*/true);
+  WriteChromeTrace({FixtureSpans(), {}}, out, /*use_sim_time=*/true);
   const std::string text = out.str();
   // One process per node label...
   EXPECT_NE(text.find("\"process_name\",\"args\":{\"name\":\"consumer/c\"}"),
@@ -237,12 +352,50 @@ TEST(TraceAnalysisTest, ChromeTraceExportsProcessesEventsAndFlows) {
   wall_only.wall_start_ns = 2000;
   wall_only.wall_end_ns = 5000;
   std::ostringstream wall_out;
-  WriteChromeTrace({wall_only}, wall_out, /*use_sim_time=*/false);
+  WriteChromeTrace({{wall_only}, {}}, wall_out, /*use_sim_time=*/false);
   EXPECT_NE(wall_out.str().find("\"ts\":2,\"dur\":3,\"name\":\"w\""),
             std::string::npos);
   std::ostringstream sim_out;
-  WriteChromeTrace({wall_only}, sim_out, /*use_sim_time=*/true);
+  WriteChromeTrace({{wall_only}, {}}, sim_out, /*use_sim_time=*/true);
   EXPECT_EQ(sim_out.str().find("\"ph\":\"X\""), std::string::npos);
+}
+
+TEST(TraceAnalysisTest, ChromeTracePutsAlertsInOneHealthProcess) {
+  RunExport run{FixtureSpans(), {}};
+  const auto alert = [](std::string rule, bool fired, uint64_t sample) {
+    AlertEvent event;
+    event.rule_id = std::move(rule);
+    event.fired = fired;
+    event.sample_index = sample;
+    event.has_sim = true;
+    event.sim_us = 100 * sample;
+    event.observed = 0.25;
+    return event;
+  };
+  run.health.sample_lines = {{0, {0, true, 0}}, {9, {0, true, 900}}};
+  run.health.alerts = {alert("a.rule", true, 2), alert("a.rule", false, 5),
+                       alert("b.rule", true, 4)};
+  std::ostringstream out;
+  WriteChromeTrace(run, out, /*use_sim_time=*/true);
+  const std::string text = out.str();
+  // Node processes 1..3, then "health" with one named thread per rule.
+  EXPECT_NE(text.find("\"pid\":4,\"name\":\"process_name\",\"args\":"
+                      "{\"name\":\"health\"}"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\"pid\":4,\"tid\":1,\"name\":\"thread_name\","
+                      "\"args\":{\"name\":\"a.rule\"}"),
+            std::string::npos);
+  EXPECT_NE(text.find("\"pid\":4,\"tid\":2,\"name\":\"thread_name\","
+                      "\"args\":{\"name\":\"b.rule\"}"),
+            std::string::npos);
+  // Fire→resolve interval, and an alert still active at the last sample.
+  EXPECT_NE(text.find("\"ts\":200,\"dur\":300,\"name\":\"a.rule\",\"cat\":"
+                      "\"warning\",\"args\":{\"sample\":2,\"observed\":0.25,"
+                      "\"bound\":0}"),
+            std::string::npos);
+  EXPECT_NE(text.find("\"ts\":400,\"dur\":500,\"name\":\"b.rule\""),
+            std::string::npos);
 }
 
 }  // namespace
