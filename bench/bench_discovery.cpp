@@ -12,7 +12,6 @@
 // Writes the "discovery" section (plus metadata) of BENCH_discovery.json;
 // scripts/check_bench_schema.py enforces the acceptance floors.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -234,9 +233,7 @@ int main() {
                 o.hit ? (o.verified ? "yes" : "NO") : "miss",
                 static_cast<unsigned long long>(o.reuse_fee));
   }
-  std::sort(speedups.begin(), speedups.end());
-  const double median_speedup =
-      speedups.empty() ? 0.0 : speedups[speedups.size() / 2];
+  const double median_speedup = bench::Median(speedups);
   const double verify_rate =
       hits == 0 ? 0.0 : static_cast<double>(verified) / hits;
 
@@ -259,35 +256,29 @@ int main() {
               deterministic ? "bit-identical" : "DIVERGED");
 
   // --- report ---------------------------------------------------------------
-  char json[1024];
-  std::snprintf(
-      json, sizeof(json),
-      "{\n"
-      "    \"pairs\": %d,\n"
-      "    \"cache_hits\": %d,\n"
-      "    \"hit_miss_speedup_median\": %.2f,\n"
-      "    \"miss_ms_mean\": %.2f,\n"
-      "    \"hit_ms_mean\": %.2f,\n"
-      "    \"miss_gas\": %llu,\n"
-      "    \"hit_gas\": %llu,\n"
-      "    \"artifact_verify_rate\": %.4f,\n"
-      "    \"dedup_ratio\": %.4f,\n"
-      "    \"discovery_nodes\": 12,\n"
-      "    \"discovery_converge_s\": %.1f,\n"
-      "    \"discovery_deterministic\": %s\n"
-      "  }",
-      kPairs, hits, median_speedup,
-      hits ? miss_ms_sum / hits : 0.0, hits ? hit_ms_sum / hits : 0.0,
-      static_cast<unsigned long long>(miss_gas),
-      static_cast<unsigned long long>(hit_gas), verify_rate, dedup_ratio,
-      c1.converge_s, deterministic ? "true" : "false");
-  bench::MergeParallelReport("discovery", json, "BENCH_discovery.json");
-  bench::WriteBenchMetadata("BENCH_discovery.json");
+  const bench::Json report =
+      bench::Json()
+          .Add("pairs", kPairs)
+          .Add("cache_hits", hits)
+          .Add("hit_miss_speedup_median", median_speedup)
+          .Add("miss_ms_mean", hits ? miss_ms_sum / hits : 0.0)
+          .Add("hit_ms_mean", hits ? hit_ms_sum / hits : 0.0)
+          .Add("miss_gas", miss_gas)
+          .Add("hit_gas", hit_gas)
+          .Add("artifact_verify_rate", verify_rate)
+          .Add("dedup_ratio", dedup_ratio)
+          .Add("discovery_nodes", 12)
+          .Add("discovery_converge_s", c1.converge_s)
+          .Add("discovery_deterministic", deterministic);
+  if (!bench::WriteReportSection("BENCH_discovery.json", "discovery",
+                                 report)) {
+    return 1;
+  }
 
   const bool pass = hits == kPairs && verify_rate == 1.0 &&
                     median_speedup >= 5.0 && dedup_ratio > 1.0 &&
                     deterministic;
-  std::printf("\n%s\nwrote BENCH_discovery.json\n",
+  std::printf("%s\n",
               pass ? "E17 PASS: substitution >=5x, every artifact verified, "
                      "dedup > 1, discovery deterministic"
                    : "E17 FAIL: acceptance floor violated");

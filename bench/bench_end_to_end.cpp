@@ -33,54 +33,60 @@ namespace {
 
 using namespace pds2;
 
-storage::SemanticMetadata Meta() {
-  storage::SemanticMetadata meta;
-  meta.types = {"iot/sensor/temperature"};
-  return meta;
-}
+constexpr char kReport[] = "BENCH_observability.json";
 
-// One full lifecycle at the E12 scale; returns wall-clock ms (negative on
-// failure).
-double OneLifecycleMs(uint64_t seed) {
-  constexpr size_t n = 8, n_exec = 2;
-  market::MarketConfig config;
-  config.seed = seed;
-  market::Marketplace m(config);
-
-  common::Rng rng(seed);
+// Adds `n` providers holding IID shards of one 6-feature dataset drawn
+// from `data_seed`, `n_exec` executors and consumer "c" to `m`. The
+// held-out split goes to `test` when given.
+market::ConsumerAgent& Populate(market::Marketplace& m, size_t n,
+                                size_t n_exec, uint64_t data_seed,
+                                ml::Dataset* test = nullptr) {
+  common::Rng rng(data_seed);
   ml::Dataset world = ml::MakeTwoGaussians(60 * n + 500, 6, 3.5, rng);
-  auto [train, test] = ml::TrainTestSplit(
+  auto [train, held_out] = ml::TrainTestSplit(
       world, 500.0 / static_cast<double>(world.Size()), rng);
   auto parts = ml::PartitionIid(train, n, rng);
+  storage::SemanticMetadata meta;
+  meta.types = {"iot/sensor/temperature"};
   for (size_t i = 0; i < n; ++i) {
     auto& p = m.AddProvider("p" + std::to_string(i));
-    (void)p.store().AddDataset("d", parts[i], Meta());
+    (void)p.store().AddDataset("d", parts[i], meta);
   }
   for (size_t i = 0; i < n_exec; ++i) m.AddExecutor("e" + std::to_string(i));
-  auto& consumer = m.AddConsumer("c");
+  if (test != nullptr) *test = std::move(held_out);
+  return m.AddConsumer("c");
+}
 
+// The logistic-regression job over Populate()'s providers.
+market::WorkloadSpec Spec(const char* name, size_t min_providers,
+                          size_t max_providers) {
   market::WorkloadSpec spec;
-  spec.name = "e12";
+  spec.name = name;
   spec.requirement.required_types = {"iot/sensor"};
   spec.model_kind = "logistic";
   spec.features = 6;
   spec.epochs = 5;
   spec.reward_pool = 1'000'000;
-  spec.min_providers = n;
-  spec.max_providers = n;
+  spec.min_providers = min_providers;
+  spec.max_providers = max_providers;
   spec.executor_reward_permille = 150;
+  return spec;
+}
 
+// One full lifecycle at the E12 scale; returns wall-clock ms (negative on
+// failure).
+double OneLifecycleMs(uint64_t seed) {
+  market::MarketConfig config;
+  config.seed = seed;
+  market::Marketplace m(config);
+  auto& consumer = Populate(m, 8, 2, seed);
+  const market::WorkloadSpec spec = Spec("e12", 8, 8);
   bench::Timer timer;
   auto report = m.RunWorkload(consumer, spec);
   return report.ok() ? timer.ElapsedMs() : -1.0;
 }
 
-double Median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  return xs.empty() ? 0.0 : xs[xs.size() / 2];
-}
-
-void RunE12() {
+bool RunE12() {
   bench::Banner("E12: observability overhead on a full marketplace run",
                 "metrics+tracing add low-single-digit % to the lifecycle");
   constexpr int kTrials = 7;
@@ -103,9 +109,9 @@ void RunE12() {
   }
   obs::SetMetricsEnabled(false);
   obs::SetTracingEnabled(false);
-  const double off = Median(off_ms);
-  const double metrics_on = Median(metrics_ms);
-  const double trace_on = Median(trace_ms);
+  const double off = bench::Median(off_ms);
+  const double metrics_on = bench::Median(metrics_ms);
+  const double trace_on = bench::Median(trace_ms);
   const double overhead_pct =
       off <= 0.0 ? 0.0 : (trace_on - off) / off * 100.0;
   const double propagation_pct =
@@ -118,23 +124,17 @@ void RunE12() {
               "(%zu spans/run)\n",
               overhead_pct, propagation_pct, spans_per_run);
 
-  char json[512];
-  std::snprintf(json, sizeof(json),
-                "{\n"
-                "    \"trials\": %d,\n"
-                "    \"lifecycle_median_ms_obs_off\": %.2f,\n"
-                "    \"lifecycle_median_ms_metrics_on\": %.2f,\n"
-                "    \"lifecycle_median_ms_obs_on\": %.2f,\n"
-                "    \"enabled_overhead_pct\": %.2f,\n"
-                "    \"trace_propagation_overhead_pct\": %.2f,\n"
-                "    \"spans_per_lifecycle\": %zu\n"
-                "  }",
-                kTrials, off, metrics_on, trace_on, overhead_pct,
-                propagation_pct, spans_per_run);
-  bench::MergeParallelReport("marketplace_lifecycle_overhead", json,
-                             "BENCH_observability.json");
-  bench::WriteBenchMetadata("BENCH_observability.json");
-  std::printf("-> BENCH_observability.json\n");
+  const bench::Json section =
+      bench::Json()
+          .Add("trials", kTrials)
+          .Add("lifecycle_median_ms_obs_off", off)
+          .Add("lifecycle_median_ms_metrics_on", metrics_on)
+          .Add("lifecycle_median_ms_obs_on", trace_on)
+          .Add("enabled_overhead_pct", overhead_pct)
+          .Add("trace_propagation_overhead_pct", propagation_pct)
+          .Add("spans_per_lifecycle", spans_per_run);
+  return bench::WriteReportSection(kReport, "marketplace_lifecycle_overhead",
+                                   section);
 }
 
 // ---------------------------------------------------------------------------
@@ -163,32 +163,11 @@ HealthRun OneHealthLifecycle(uint64_t seed, int mode,
   config.seed = seed;
   config.thread_pool = pool;
   market::Marketplace m(config);
-
-  common::Rng rng(seed);
-  ml::Dataset world = ml::MakeTwoGaussians(60 * n + 500, 6, 3.5, rng);
-  auto [train, test] = ml::TrainTestSplit(
-      world, 500.0 / static_cast<double>(world.Size()), rng);
-  auto parts = ml::PartitionIid(train, n, rng);
-  for (size_t i = 0; i < n; ++i) {
-    auto& p = m.AddProvider("p" + std::to_string(i));
-    (void)p.store().AddDataset("d", parts[i], Meta());
-  }
-  for (size_t i = 0; i < n_exec; ++i) m.AddExecutor("e" + std::to_string(i));
-  auto& consumer = m.AddConsumer("c");
+  auto& consumer = Populate(m, n, n_exec, seed);
   for (size_t i = 0; i < faults.size() && i < n_exec; ++i) {
     m.executors()[i]->InjectFault(faults[i]);
   }
-
-  market::WorkloadSpec spec;
-  spec.name = "e19";
-  spec.requirement.required_types = {"iot/sensor"};
-  spec.model_kind = "logistic";
-  spec.features = 6;
-  spec.epochs = 5;
-  spec.reward_pool = 1'000'000;
-  spec.min_providers = 2;
-  spec.max_providers = n;
-  spec.executor_reward_permille = 150;
+  market::WorkloadSpec spec = Spec("e19", 2, n);
   spec.executor_stake = 100'000;  // a real bond, so slashes are observable
 
   obs::TimeSeries ts({.capacity = 4096, .max_series = 4096});
@@ -214,7 +193,7 @@ HealthRun OneHealthLifecycle(uint64_t seed, int mode,
   return out;
 }
 
-void RunE19() {
+bool RunE19() {
   bench::Banner("E19: health plane overhead and alert quality",
                 "per-block sampling + rule evaluation <= 2%; every injected "
                 "fault fires exactly its mapped alerts");
@@ -235,9 +214,9 @@ void RunE19() {
     samples = enabled.samples;
     rules = enabled.rules;
   }
-  const double base = Median(base_ms);
-  const double disabled = Median(disabled_ms);
-  const double enabled = Median(enabled_ms);
+  const double base = bench::Median(base_ms);
+  const double disabled = bench::Median(disabled_ms);
+  const double enabled = bench::Median(enabled_ms);
   const double disabled_pct =
       base <= 0.0 ? 0.0 : (disabled - base) / base * 100.0;
   const double enabled_pct =
@@ -315,36 +294,24 @@ void RunE19() {
               static_cast<unsigned long long>(max_latency),
               threads_identical ? "identical" : "DIVERGED");
 
-  char json[1024];
-  std::snprintf(
-      json, sizeof(json),
-      "{\n"
-      "    \"trials\": %d,\n"
-      "    \"lifecycle_median_ms_base\": %.2f,\n"
-      "    \"lifecycle_median_ms_health_disabled\": %.2f,\n"
-      "    \"lifecycle_median_ms_health_enabled\": %.2f,\n"
-      "    \"disabled_overhead_pct\": %.2f,\n"
-      "    \"enabled_overhead_pct\": %.2f,\n"
-      "    \"samples_per_lifecycle\": %llu,\n"
-      "    \"rules_per_sample\": %llu,\n"
-      "    \"fault_cells\": %zu,\n"
-      "    \"alerts_expected\": %llu,\n"
-      "    \"alerts_fired\": %llu,\n"
-      "    \"alert_precision\": %.4f,\n"
-      "    \"alert_recall\": %.4f,\n"
-      "    \"max_detection_latency_samples\": %llu,\n"
-      "    \"threads_identical\": %s\n"
-      "  }",
-      kTrials, base, disabled, enabled, disabled_pct, enabled_pct,
-      static_cast<unsigned long long>(samples),
-      static_cast<unsigned long long>(rules), cells.size(),
-      static_cast<unsigned long long>(expected_total),
-      static_cast<unsigned long long>(fired_total), precision, recall,
-      static_cast<unsigned long long>(max_latency),
-      threads_identical ? "true" : "false");
-  bench::MergeParallelReport("health", json, "BENCH_observability.json");
-  bench::WriteBenchMetadata("BENCH_observability.json");
-  std::printf("-> BENCH_observability.json\n");
+  const bench::Json section =
+      bench::Json()
+          .Add("trials", kTrials)
+          .Add("lifecycle_median_ms_base", base)
+          .Add("lifecycle_median_ms_health_disabled", disabled)
+          .Add("lifecycle_median_ms_health_enabled", enabled)
+          .Add("disabled_overhead_pct", disabled_pct)
+          .Add("enabled_overhead_pct", enabled_pct)
+          .Add("samples_per_lifecycle", samples)
+          .Add("rules_per_sample", rules)
+          .Add("fault_cells", cells.size())
+          .Add("alerts_expected", expected_total)
+          .Add("alerts_fired", fired_total)
+          .Add("alert_precision", precision)
+          .Add("alert_recall", recall)
+          .Add("max_detection_latency_samples", max_latency)
+          .Add("threads_identical", threads_identical);
+  return bench::WriteReportSection(kReport, "health", section);
 }
 
 }  // namespace
@@ -362,29 +329,9 @@ int main() {
     market::MarketConfig config;
     config.seed = 1000 + n;
     market::Marketplace m(config);
-
-    common::Rng rng(n);
-    ml::Dataset world = ml::MakeTwoGaussians(60 * n + 500, 6, 3.5, rng);
-    auto [train, test] = ml::TrainTestSplit(
-        world, 500.0 / static_cast<double>(world.Size()), rng);
-    auto parts = ml::PartitionIid(train, n, rng);
-    for (size_t i = 0; i < n; ++i) {
-      auto& p = m.AddProvider("p" + std::to_string(i));
-      (void)p.store().AddDataset("d", parts[i], Meta());
-    }
-    for (size_t i = 0; i < n_exec; ++i) m.AddExecutor("e" + std::to_string(i));
-    auto& consumer = m.AddConsumer("c");
-
-    market::WorkloadSpec spec;
-    spec.name = "feasibility";
-    spec.requirement.required_types = {"iot/sensor"};
-    spec.model_kind = "logistic";
-    spec.features = 6;
-    spec.epochs = 5;
-    spec.reward_pool = 1'000'000;
-    spec.min_providers = n;
-    spec.max_providers = n;
-    spec.executor_reward_permille = 150;
+    ml::Dataset test;
+    auto& consumer = Populate(m, n, n_exec, n, &test);
+    const market::WorkloadSpec spec = Spec("feasibility", n, n);
 
     bench::Timer timer;
     auto report = m.RunWorkload(consumer, spec);
@@ -418,7 +365,5 @@ int main() {
               "dominates; accuracy is flat: the same data, more finely "
               "sharded)\n");
 
-  RunE12();
-  RunE19();
-  return 0;
+  return RunE12() && RunE19() ? 0 : 1;
 }

@@ -234,12 +234,7 @@ double TimedBlockApplyUs(const chain::Block& block,
   return us;
 }
 
-double Median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  return xs.empty() ? 0.0 : xs[xs.size() / 2];
-}
-
-void WriteObservabilityReport() {
+bool WriteObservabilityReport() {
   using namespace chain;
   constexpr int kTrials = 31;
   constexpr int kTxs = 100;
@@ -253,7 +248,7 @@ void WriteObservabilityReport() {
     PDS2_M_COUNT("bench.obs.report_probe", 1);
   }
   double probe_elapsed_us = probe.ElapsedUs();
-  pds2::bench::DoNotOptimize(probe_elapsed_us);
+  benchmark::DoNotOptimize(probe_elapsed_us);
   const double disabled_macro_ns =
       probe_elapsed_us * 1000.0 / static_cast<double>(kProbeIters);
 
@@ -272,11 +267,8 @@ void WriteObservabilityReport() {
         sender, static_cast<uint64_t>(i), to, 1, 100000, CallPayload{}));
   }
   auto block = producer.ProduceBlock(validator, 1);
-  if (!block.ok()) {
-    std::fprintf(stderr, "overhead bench: produce failed: %s\n",
-                 block.status().ToString().c_str());
-    return;
-  }
+  pds2::bench::Require(block.ok(), "overhead bench: produce failed: " +
+                                       block.status().ToString());
 
   // How many instrumentation sites one apply actually crosses: run one
   // instrumented apply against a zeroed registry and sum the deltas.
@@ -306,8 +298,8 @@ void WriteObservabilityReport() {
     enabled_us.push_back(TimedBlockApplyUs(*block, validator, sender_addr));
   }
   obs::SetMetricsEnabled(false);
-  const double median_disabled_us = Median(disabled_us);
-  const double median_enabled_us = Median(enabled_us);
+  const double median_disabled_us = pds2::bench::Median(disabled_us);
+  const double median_enabled_us = pds2::bench::Median(enabled_us);
 
   // The disabled path differs from a PDS2_METRICS=0 build by `macro_hits`
   // flag checks per apply; that product over the apply time is the
@@ -323,31 +315,25 @@ void WriteObservabilityReport() {
           : (median_enabled_us - median_disabled_us) / median_disabled_us *
                 100.0;
 
-  char json[1024];
-  std::snprintf(
-      json, sizeof(json),
-      "{\n"
-      "    \"block_txs\": %d,\n"
-      "    \"trials\": %d,\n"
-      "    \"disabled_macro_ns\": %.3f,\n"
-      "    \"macro_sites_per_block_apply\": %.0f,\n"
-      "    \"block_apply_median_us_metrics_disabled\": %.1f,\n"
-      "    \"block_apply_median_us_metrics_enabled\": %.1f,\n"
-      "    \"disabled_path_overhead_pct\": %.4f,\n"
-      "    \"enabled_path_overhead_pct\": %.2f,\n"
-      "    \"budget_pct\": 2.0\n"
-      "  }",
-      kTxs, kTrials, disabled_macro_ns, macro_hits, median_disabled_us,
-      median_enabled_us, disabled_overhead_pct, enabled_overhead_pct);
-  pds2::bench::MergeParallelReport("block_validation_overhead", json,
-                                   "BENCH_observability.json");
-  pds2::bench::WriteBenchMetadata("BENCH_observability.json");
+  const pds2::bench::Json section =
+      pds2::bench::Json()
+          .Add("block_txs", kTxs)
+          .Add("trials", kTrials)
+          .Add("disabled_macro_ns", disabled_macro_ns)
+          .Add("macro_sites_per_block_apply", macro_hits)
+          .Add("block_apply_median_us_metrics_disabled", median_disabled_us)
+          .Add("block_apply_median_us_metrics_enabled", median_enabled_us)
+          .Add("disabled_path_overhead_pct", disabled_overhead_pct)
+          .Add("enabled_path_overhead_pct", enabled_overhead_pct)
+          .Add("budget_pct", 2.0);
   std::printf(
       "\nobservability overhead: disabled macro %.2f ns, %.0f sites/apply, "
       "apply median %.0f us -> disabled-path overhead %.4f%% (budget 2%%); "
-      "enabled delta %.2f%%\n-> BENCH_observability.json\n",
+      "enabled delta %.2f%%\n",
       disabled_macro_ns, macro_hits, median_disabled_us, disabled_overhead_pct,
       enabled_overhead_pct);
+  return pds2::bench::WriteReportSection("BENCH_observability.json",
+                                         "block_validation_overhead", section);
 }
 
 }  // namespace
@@ -357,6 +343,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  WriteObservabilityReport();
-  return 0;
+  return WriteObservabilityReport() ? 0 : 1;
 }

@@ -146,23 +146,26 @@ int main() {
               threads);
   std::printf("%9s %12s %10s %14s %12s %10s\n", "nodes", "events", "wall ms",
               "events/s", "converge s", "infected");
-  std::vector<CellResult> sweep;
+  std::vector<bench::Json> sweep;
+  double max_events_per_sec = 0.0;
   for (const size_t n : sweep_nodes) {
     const CellResult cell =
         RunCell(n, threads, /*max_sim=*/30 * kMicrosPerSecond,
                 /*with_churn=*/true, /*seed=*/1800 + n);
-    sweep.push_back(cell);
+    max_events_per_sec = std::max(max_events_per_sec, cell.events_per_sec);
     std::printf("%9zu %12llu %10.1f %14.0f %12.2f %9.1f%%\n", cell.nodes,
                 static_cast<unsigned long long>(cell.events), cell.wall_ms,
                 cell.events_per_sec, cell.converge_sim_s,
                 100.0 * cell.infected_fraction);
+    sweep.push_back(bench::Json()
+                        .Add("nodes", cell.nodes)
+                        .Add("events", cell.events)
+                        .Add("wall_ms", cell.wall_ms)
+                        .Add("events_per_sec", cell.events_per_sec)
+                        .Add("converge_sim_s", cell.converge_sim_s)
+                        .Add("infected_fraction", cell.infected_fraction)
+                        .Add("churn_transitions", cell.churn_transitions));
   }
-  const double max_events_per_sec =
-      std::max_element(sweep.begin(), sweep.end(),
-                       [](const CellResult& a, const CellResult& b) {
-                         return a.events_per_sec < b.events_per_sec;
-                       })
-          ->events_per_sec;
 
   // --- (b) determinism: same cell at 1 vs N threads. ------------------------
   std::printf("\n-- (b) determinism at 10^4 nodes: 1 vs %zu threads --\n",
@@ -193,38 +196,21 @@ int main() {
   }
 
   // --- report ---------------------------------------------------------------
-  std::string sweep_json;
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    char cell_json[512];
-    std::snprintf(
-        cell_json, sizeof(cell_json),
-        "%s      {\"nodes\": %zu, \"events\": %llu, \"wall_ms\": %.1f, "
-        "\"events_per_sec\": %.0f, \"converge_sim_s\": %.2f, "
-        "\"infected_fraction\": %.4f, \"churn_transitions\": %llu}",
-        i == 0 ? "" : ",\n", sweep[i].nodes,
-        static_cast<unsigned long long>(sweep[i].events), sweep[i].wall_ms,
-        sweep[i].events_per_sec, sweep[i].converge_sim_s,
-        sweep[i].infected_fraction,
-        static_cast<unsigned long long>(sweep[i].churn_transitions));
-    sweep_json += cell_json;
+  const bench::Json report =
+      bench::Json()
+          .Add("sweep", sweep)
+          .Add("max_nodes", sweep_nodes.back())
+          .Add("max_events_per_sec", max_events_per_sec)
+          .Add("deterministic_across_threads", deterministic)
+          .Add("million_smoke", bench::Json()
+                                    .Add("ran", run_million)
+                                    .Add("nodes", million.nodes)
+                                    .Add("events", million.events)
+                                    .Add("wall_ms", million.wall_ms)
+                                    .Add("events_per_sec",
+                                         million.events_per_sec));
+  if (!bench::WriteReportSection("BENCH_scale.json", "scale", report)) {
+    return 1;
   }
-  char json[2048];
-  std::snprintf(
-      json, sizeof(json),
-      "{\n"
-      "    \"sweep\": [\n%s\n    ],\n"
-      "    \"max_nodes\": %zu,\n"
-      "    \"max_events_per_sec\": %.0f,\n"
-      "    \"deterministic_across_threads\": %s,\n"
-      "    \"million_smoke\": {\"ran\": %s, \"nodes\": %zu, "
-      "\"events\": %llu, \"wall_ms\": %.1f, \"events_per_sec\": %.0f}\n"
-      "  }",
-      sweep_json.c_str(), sweep.back().nodes, max_events_per_sec,
-      deterministic ? "true" : "false", run_million ? "true" : "false",
-      million.nodes, static_cast<unsigned long long>(million.events),
-      million.wall_ms, million.events_per_sec);
-  bench::MergeParallelReport("scale", json, "BENCH_scale.json");
-  bench::WriteBenchMetadata("BENCH_scale.json");
-  std::printf("\nwrote BENCH_scale.json\n");
   return deterministic ? 0 : 1;
 }

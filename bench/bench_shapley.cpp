@@ -10,7 +10,6 @@
 //      must be bit-identical at every pool size. Appends the "shapley"
 //      section of BENCH_parallel.json.
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -125,20 +124,13 @@ int main() {
   // sweep measures genuine parallel scaling, not cache-hit luck.
   rewards::UtilityFn putility = rewards::MakeMlUtility(pparts, ptest, 7);
 
-  std::vector<size_t> thread_counts = {1, 2, 4,
-                                       common::ThreadPool::DefaultThreadCount()};
-  std::sort(thread_counts.begin(), thread_counts.end());
-  thread_counts.erase(
-      std::unique(thread_counts.begin(), thread_counts.end()),
-      thread_counts.end());
-
   std::printf("%10s %12s %10s %12s\n", "threads", "ms", "speedup",
               "identical");
   std::vector<double> reference;
   double base_ms = 0.0;
   bool all_identical = true;
-  std::string sweep_json;
-  for (size_t threads : thread_counts) {
+  std::vector<bench::Json> sweep;
+  for (size_t threads : bench::ThreadSweep()) {
     common::ThreadPool pool(threads);
     bench::Timer timer;
     auto values = rewards::ParallelMonteCarloShapley(pn, putility, pperms,
@@ -153,25 +145,21 @@ int main() {
     const double speedup = ms > 0.0 ? base_ms / ms : 0.0;
     std::printf("%10zu %12.1f %10.2f %12s\n", threads, ms, speedup,
                 identical ? "yes" : "NO");
-    char entry[160];
-    std::snprintf(entry, sizeof(entry),
-                  "%s\n      {\"threads\": %zu, \"ms\": %.3f, "
-                  "\"speedup\": %.3f, \"identical\": %s}",
-                  sweep_json.empty() ? "" : ",", threads, ms, speedup,
-                  identical ? "true" : "false");
-    sweep_json += entry;
+    sweep.push_back(bench::Json()
+                        .Add("threads", threads)
+                        .Add("ms", ms)
+                        .Add("speedup", speedup)
+                        .Add("identical", identical));
   }
   std::printf("(bit-identical results at every pool size is the determinism "
               "contract, not a tolerance)\n");
 
-  char section[256];
-  std::snprintf(section, sizeof(section),
-                "{\n    \"providers\": %zu,\n    \"permutations\": %zu,\n"
-                "    \"all_identical\": %s,\n    \"sweep\": [",
-                pn, pperms, all_identical ? "true" : "false");
-  bench::MergeParallelReport("shapley",
-                             std::string(section) + sweep_json + "\n    ]\n  }");
-  bench::WriteBenchMetadata("BENCH_parallel.json");
-  std::printf("wrote BENCH_parallel.json (shapley section)\n");
-  return 0;
+  const bench::Json section = bench::Json()
+                                  .Add("providers", pn)
+                                  .Add("permutations", pperms)
+                                  .Add("all_identical", all_identical)
+                                  .Add("sweep", sweep);
+  return bench::WriteReportSection("BENCH_parallel.json", "shapley", section)
+             ? 0
+             : 1;
 }

@@ -1,17 +1,21 @@
 #ifndef PDS2_BENCH_BENCH_UTIL_H_
 #define PDS2_BENCH_BENCH_UTIL_H_
 
-#include <cctype>
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "obs/json_codec.h"
 #include "obs/stopwatch.h"
 
 namespace pds2::bench {
@@ -28,6 +32,30 @@ inline void DoNotOptimize(T& value) {
   asm volatile("" : "+r,m"(value) : : "memory");
 }
 
+/// Ends the bench with `what` on stderr unless `ok`: a failed setup step
+/// leaves nothing worth reporting.
+inline void Require(bool ok, const std::string& what) {
+  if (ok) return;
+  std::fprintf(stderr, "%s\n", what.c_str());
+  std::exit(1);
+}
+
+/// The pool sizes of a thread sweep: 1, 2, 4 and the default worker
+/// count, ascending and without repeats.
+inline std::vector<size_t> ThreadSweep() {
+  std::vector<size_t> counts = {1, 2, 4,
+                                common::ThreadPool::DefaultThreadCount()};
+  std::sort(counts.begin(), counts.end());
+  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
+  return counts;
+}
+
+/// Upper median (0 for no samples).
+inline double Median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs.empty() ? 0.0 : xs[xs.size() / 2];
+}
+
 /// Section banner shared by all experiment binaries.
 inline void Banner(const char* experiment, const char* claim) {
   std::printf("\n==========================================================\n");
@@ -36,110 +64,176 @@ inline void Banner(const char* experiment, const char* claim) {
   std::printf("==========================================================\n");
 }
 
-/// Replaces (or appends) one named top-level section of the shared
-/// BENCH_parallel.json report, preserving sections written by the other
-/// bench binaries. The file is a flat object {"name": {...}, ...}; a
-/// malformed file is discarded and the report starts fresh. The scanner is
-/// a brace-depth walk that respects string literals, not a full JSON
-/// parser — exactly enough for the reports these binaries emit.
-inline void MergeParallelReport(const std::string& section,
-                                const std::string& object_json,
-                                const std::string& path =
-                                    "BENCH_parallel.json") {
-  std::vector<std::pair<std::string, std::string>> sections;
+/// Ordered JSON object for bench reports. Numbers follow one rule:
+/// integral values print exactly, others at %.6g, and non-finite values as
+/// `null` so a schema check rejects them. Strings go through
+/// obs::JsonEscape. A nested object prints on one line; an array of
+/// objects prints one object per line.
+class Json {
+ public:
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  Json& Add(const std::string& key, T value) {
+    std::ostringstream out;
+    if constexpr (std::is_integral_v<T>) {
+      out << +value;
+    } else if (!std::isfinite(value)) {
+      out << "null";
+    } else if (value == std::floor(value) && std::abs(value) < 9.0e15) {
+      out << static_cast<long long>(value);
+    } else {
+      out.precision(6);  // the default float format at precision 6 is %.6g
+      out << value;
+    }
+    return Put(key, out.str());
+  }
+  Json& Add(const std::string& key, bool value) {
+    return Put(key, value ? "true" : "false");
+  }
+  Json& Add(const std::string& key, const std::string& value) {
+    return Put(key, Quoted(value));
+  }
+  Json& Add(const std::string& key, const char* value) {
+    return Put(key, Quoted(value));
+  }
+  Json& Add(const std::string& key, const Json& object) {
+    return Put(key, object.Inline());
+  }
+  Json& Add(const std::string& key, const std::vector<Json>& cells) {
+    std::string text = "[";
+    for (size_t i = 0; i < cells.size(); ++i) {
+      text += (i == 0 ? "\n      " : ",\n      ") + cells[i].Inline();
+    }
+    return Put(key, text + (cells.empty() ? "]" : "\n    ]"));
+  }
 
-  std::ifstream in(path);
-  if (in) {
+  /// `{"a": 1, "b": 2}` on one line.
+  std::string Inline() const { return Render("", ", ", ""); }
+  /// The multi-line body of one top-level report section.
+  std::string Section() const { return Render("\n    ", ",\n    ", "\n  "); }
+
+ private:
+  static std::string Quoted(const std::string& text) {
+    return '"' + obs::JsonEscape(text) + '"';
+  }
+
+  Json& Put(const std::string& key, std::string value) {
+    members_.emplace_back(Quoted(key), std::move(value));
+    return *this;
+  }
+
+  std::string Render(const char* open, const char* separator,
+                     const char* close) const {
+    std::string out = "{";
+    for (size_t i = 0; i < members_.size(); ++i) {
+      out += i == 0 ? open : separator;
+      out += members_[i].first + ": " + members_[i].second;
+    }
+    return out + (members_.empty() ? "" : close) + "}";
+  }
+
+  std::vector<std::pair<std::string, std::string>> members_;
+};
+
+/// One top-level report section: its escaped name and its body text.
+using ReportSection = std::pair<std::string, std::string>;
+
+/// Splits a report into its sections. Accepts only the layout
+/// WriteReportSection emits: "{" and "}" on the first and last lines and
+/// one `  "name": ` line opening each section; else sets `error`.
+inline bool ReadReportSections(const std::string& text,
+                               std::vector<ReportSection>* sections,
+                               std::string* error) {
+  sections->clear();
+  if (!text.starts_with("{\n") || !text.ends_with("\n}\n")) {
+    *error = "\"{\" and \"}\" are not on the first and last lines";
+    return false;
+  }
+  std::istringstream lines(text.substr(2, text.size() - 4));
+  for (std::string line; std::getline(lines, line);) {
+    const size_t colon = line.find("\": ");
+    if (line.starts_with("  \"") && colon != std::string::npos) {
+      sections->emplace_back(line.substr(3, colon - 3),
+                             line.substr(colon + 3));
+    } else if (!sections->empty()) {
+      sections->back().second += "\n" + line;
+    } else {
+      *error = "line 2 does not open a section";
+      return false;
+    }
+  }
+  for (auto& [name, body] : *sections) {
+    if (&name != &sections->back().first && body.ends_with(',')) {
+      body.pop_back();
+    }
+    if (!body.starts_with('{') || !body.ends_with('}')) {
+      *error = "section \"" + name + "\" is not one object";
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Replaces (or adds, before `metadata`) the top-level `section` of the
+/// report at `path` and re-stamps its `metadata`; every other section is
+/// kept byte for byte. A file in any other layout is left untouched: the
+/// reason goes to stderr and the call returns false, so the bench exits
+/// non-zero instead of dropping another binary's sections. On success it
+/// prints which file and section it wrote.
+inline bool WriteReportSection(const std::string& path,
+                               const std::string& section, const Json& json) {
+  std::vector<ReportSection> sections;
+  if (std::ifstream in(path); in) {
     const std::string text((std::istreambuf_iterator<char>(in)),
                            std::istreambuf_iterator<char>());
-    size_t i = 0;
-    auto skip_ws = [&] {
-      while (i < text.size() && std::isspace(static_cast<unsigned char>(
-                                    text[i]))) {
-        ++i;
-      }
+    std::string error;
+    if (!ReadReportSections(text, &sections, &error)) {
+      std::fprintf(stderr, "%s left unchanged: %s\n", path.c_str(),
+                   error.c_str());
+      return false;
+    }
+  }
+  // Thread and build context: the worker count every parallel stage ran
+  // with, the raw PDS2_THREADS override and bench/CMakeLists.txt's build.
+  const char* env = std::getenv("PDS2_THREADS");
+  const Json metadata =
+      Json()
+          .Add("threads_effective", common::ThreadPool::DefaultThreadCount())
+          .Add("pds2_threads_env", env ? env : "")
+          .Add("hardware_concurrency",
+               std::max(1u, std::thread::hardware_concurrency()))
+          .Add("build_type", PDS2_BENCH_BUILD_TYPE)
+          .Add("compiler", PDS2_BENCH_COMPILER);
+  auto upsert = [&sections](const std::string& name, const Json& body) {
+    auto named = [](const std::string& key) {
+      return [key](const ReportSection& s) { return s.first == key; };
     };
-    bool ok = false;
-    skip_ws();
-    if (i < text.size() && text[i] == '{') {
-      ++i;
-      ok = true;
-      while (ok) {
-        skip_ws();
-        if (i < text.size() && text[i] == '}') break;  // end of report
-        if (i >= text.size() || text[i] != '"') { ok = false; break; }
-        const size_t key_begin = ++i;
-        while (i < text.size() && text[i] != '"') ++i;
-        if (i >= text.size()) { ok = false; break; }
-        const std::string key = text.substr(key_begin, i - key_begin);
-        ++i;
-        skip_ws();
-        if (i >= text.size() || text[i] != ':') { ok = false; break; }
-        ++i;
-        skip_ws();
-        if (i >= text.size() || text[i] != '{') { ok = false; break; }
-        const size_t value_begin = i;
-        int depth = 0;
-        bool in_string = false;
-        for (; i < text.size(); ++i) {
-          const char c = text[i];
-          if (in_string) {
-            if (c == '\\') ++i;
-            else if (c == '"') in_string = false;
-          } else if (c == '"') {
-            in_string = true;
-          } else if (c == '{') {
-            ++depth;
-          } else if (c == '}') {
-            if (--depth == 0) { ++i; break; }
-          }
-        }
-        if (depth != 0) { ok = false; break; }
-        sections.emplace_back(key, text.substr(value_begin, i - value_begin));
-        skip_ws();
-        if (i < text.size() && text[i] == ',') ++i;
-      }
+    auto it = std::find_if(sections.begin(), sections.end(),
+                           named(obs::JsonEscape(name)));
+    if (it == sections.end()) {
+      it = sections.insert(
+          std::find_if(sections.begin(), sections.end(), named("metadata")),
+          {obs::JsonEscape(name), ""});
     }
-    if (!ok) sections.clear();
-  }
-
-  bool replaced = false;
-  for (auto& [key, value] : sections) {
-    if (key == section) {
-      value = object_json;
-      replaced = true;
-    }
-  }
-  if (!replaced) sections.emplace_back(section, object_json);
+    it->second = body.Section();
+  };
+  upsert(section, json);
+  upsert("metadata", metadata);
 
   std::ofstream out(path, std::ios::trunc);
   out << "{\n";
-  for (size_t s = 0; s < sections.size(); ++s) {
-    out << "  \"" << sections[s].first << "\": " << sections[s].second
-        << (s + 1 < sections.size() ? "," : "") << "\n";
+  for (size_t i = 0; i < sections.size(); ++i) {
+    out << "  \"" << sections[i].first << "\": " << sections[i].second
+        << (i + 1 < sections.size() ? ",\n" : "\n");
   }
   out << "}\n";
-}
-
-/// Writes the shared "metadata" section of a bench report: the effective
-/// worker count every parallel stage ran with, the raw PDS2_THREADS
-/// override (empty when unset) and the machine's hardware concurrency.
-/// Bench numbers are meaningless without the thread context, so every
-/// BENCH_*.json emitter calls this once per report file it touches.
-inline void WriteBenchMetadata(const std::string& path =
-                                   "BENCH_parallel.json") {
-  const char* env = std::getenv("PDS2_THREADS");
-  std::string json = "{\n";
-  json += "    \"threads_effective\": " +
-          std::to_string(common::ThreadPool::DefaultThreadCount()) + ",\n";
-  json += "    \"pds2_threads_env\": \"" + std::string(env ? env : "") +
-          "\",\n";
-  json += "    \"hardware_concurrency\": " +
-          std::to_string(std::thread::hardware_concurrency() == 0
-                             ? 1
-                             : std::thread::hardware_concurrency()) +
-          "\n  }";
-  MergeParallelReport("metadata", json, path);
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s (%s section)\n", path.c_str(), section.c_str());
+  return true;
 }
 
 }  // namespace pds2::bench

@@ -2,7 +2,7 @@
 """Validates a committed BENCH_*.json report against its documented schema.
 
 Every report is the flat-object format written by
-bench::MergeParallelReport ({"section": {...}, ...}) and is recognized by
+bench::WriteReportSection ({"section": {...}, ...}) and is recognized by
 its section keys (see CHECKERS). BENCH_parallel.json, the fallback, holds
 the sections the parallel-execution work commits to (EXPERIMENTS.md E15
 and the E6b consensus sweep): required keys, cell shapes, and the
@@ -490,6 +490,11 @@ def check_metadata_if_present(doc):
             lambda v: is_num(v) and v >= 1, ">= 1")
     require(metadata, "metadata", "pds2_threads_env",
             lambda v: isinstance(v, str), "a string")
+    # Build context; older artifacts predate it, a present key must be set.
+    for key in ("build_type", "compiler"):
+        if key in metadata:
+            require(metadata, "metadata", key,
+                    lambda v: isinstance(v, str) and v, "a non-empty string")
 
 
 def main():

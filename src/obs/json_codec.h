@@ -2,8 +2,10 @@
 #define PDS2_OBS_JSON_CODEC_H_
 
 // The one JSON codec behind every obs export (spans, time series, alerts,
-// flight dumps, Chrome traces). Internal to src/obs: the schema it writes
-// is documented in docs/PROTOCOL.md, "Run export schema".
+// flight dumps, Chrome traces); the schema it writes is documented in
+// docs/PROTOCOL.md, "Run export schema". Outside src/obs, only JsonEscape
+// is used: the bench report writer (bench/bench_util.h) escapes its
+// strings with it.
 
 #include <cctype>
 #include <cmath>
