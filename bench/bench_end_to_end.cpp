@@ -171,7 +171,7 @@ HealthRun OneHealthLifecycle(uint64_t seed, int mode,
   spec.executor_stake = 100'000;  // a real bond, so slashes are observable
 
   obs::TimeSeries ts({.capacity = 4096, .max_series = 4096});
-  obs::HealthMonitor monitor(&ts, {.dump_on_critical = false});
+  obs::HealthMonitor monitor(&ts);
   if (mode >= 1) monitor.AddRules(obs::rules::DefaultRules());
   if (mode == 2) m.SetHealthSampling(&ts, &monitor);
 

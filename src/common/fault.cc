@@ -52,12 +52,8 @@ bool CrashRequested(CrashPoint point) {
     // The scripted kill is about to take effect: capture the black box
     // while the dying code path is still on the stack.
     obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
-    if (recorder.enabled()) {
-      recorder.Note(std::string("crash point fired: ") +
-                    CrashPointName(point));
-      (void)recorder.DumpNow(std::string("crashpoint-") +
-                             CrashPointName(point));
-    }
+    recorder.Note(std::string("crash point fired: ") + CrashPointName(point));
+    (void)recorder.DumpNow(std::string("crashpoint-") + CrashPointName(point));
     return true;
   }
   return false;

@@ -65,12 +65,9 @@ LogSink* SetLogSink(LogSink* sink) {
 void LogDispatch(LogRecord&& record) {
   record.file = Basename(record.file);
   CountRecord(record.level);
-  {
-    // The flight recorder keeps the most recent log lines alongside spans
-    // so a post-mortem dump shows what the process was saying when it died.
-    obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
-    if (recorder.enabled()) recorder.OnLog(record);
-  }
+  // The flight recorder keeps the most recent log lines so a post-mortem
+  // dump shows what the process was saying when it died.
+  obs::FlightRecorder::Global().OnLog(record);
   LogSink* sink = g_sink.load(std::memory_order_acquire);
   if (sink != nullptr) {
     sink->Write(record);

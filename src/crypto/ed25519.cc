@@ -459,6 +459,11 @@ Result<EdPoint> EdPoint::Decode(const Bytes& enc) {
   Bytes yb(enc.begin() + 32, enc.end());
   const Fe25519 x = Fe25519::FromBytes(xb);
   const Fe25519 y = Fe25519::FromBytes(yb);
+  // FromBytes drops bit 255 and accepts values >= p; re-encoding catches
+  // both, so each point has exactly one accepted encoding.
+  if (x.ToBytes() != xb || y.ToBytes() != yb) {
+    return Status::InvalidArgument("non-canonical point encoding");
+  }
   if (!OnCurve(x, y)) {
     return Status::InvalidArgument("encoded point not on curve");
   }

@@ -78,7 +78,8 @@ class EdPoint {
   void ToAffine(Fe25519* x, Fe25519* y) const;
   /// 64-byte encoding: x(32 LE) || y(32 LE).
   common::Bytes Encode() const;
-  /// Rejects encodings whose coordinates are not on the curve.
+  /// Rejects non-canonical encodings (a coordinate >= p or with bit 255
+  /// set) and coordinates that are not on the curve.
   static common::Result<EdPoint> Decode(const common::Bytes& enc);
 
   bool Equals(const EdPoint& other) const;

@@ -32,21 +32,19 @@ void FaultInjector::OnStart(NodeContext& ctx) {
   // marketplace harnesses), not by this injector, so a chaos dump would
   // otherwise not show who was scripted to cheat.
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
-  if (recorder.enabled()) {
-    for (const common::ByzantineValidatorSpec& spec :
-         plan_.byzantine_validators) {
-      recorder.Note("fault plan scripts byzantine behavior " +
-                        std::to_string(static_cast<int>(spec.behavior)) +
-                        " on validator " + std::to_string(spec.node),
-                    /*has_sim=*/true, ctx.Now());
-    }
-    for (const common::ByzantineExecutorSpec& spec :
-         plan_.byzantine_executors) {
-      recorder.Note("fault plan scripts executor fault " +
-                        std::to_string(static_cast<int>(spec.fault)) +
-                        " on executor slot " + std::to_string(spec.executor),
-                    /*has_sim=*/true, ctx.Now());
-    }
+  for (const common::ByzantineValidatorSpec& spec :
+       plan_.byzantine_validators) {
+    recorder.Note("fault plan scripts byzantine behavior " +
+                      std::to_string(static_cast<int>(spec.behavior)) +
+                      " on validator " + std::to_string(spec.node),
+                  /*has_sim=*/true, ctx.Now());
+  }
+  for (const common::ByzantineExecutorSpec& spec :
+       plan_.byzantine_executors) {
+    recorder.Note("fault plan scripts executor fault " +
+                      std::to_string(static_cast<int>(spec.fault)) +
+                      " on executor slot " + std::to_string(spec.executor),
+                  /*has_sim=*/true, ctx.Now());
   }
 }
 
@@ -70,11 +68,9 @@ void FaultInjector::OnTimer(NodeContext& ctx, uint64_t timer_id) {
     // readable record of what that node (and the rest of the fleet) was
     // doing in its final moments.
     obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
-    if (recorder.enabled()) {
-      recorder.Note("fault injector crashed " + sim_->NodeName(event.node),
-                    /*has_sim=*/true, sim_->Now());
-      (void)recorder.DumpNow("node-crash-" + sim_->NodeName(event.node));
-    }
+    recorder.Note("fault injector crashed " + sim_->NodeName(event.node),
+                  /*has_sim=*/true, sim_->Now());
+    (void)recorder.DumpNow("node-crash-" + sim_->NodeName(event.node));
   }
 }
 

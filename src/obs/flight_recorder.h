@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -14,33 +15,33 @@
 
 namespace pds2::obs {
 
-/// One event captured by the flight recorder.
+/// One log line or note captured by the flight recorder.
 struct FlightEntry {
-  enum class Kind : uint8_t { kSpanBegin, kSpanEnd, kLog, kNote };
+  enum class Kind : uint8_t { kLog, kNote };
   Kind kind = Kind::kNote;
-  uint64_t seq = 0;       // global capture order across threads
   uint32_t thread = 0;    // capturing thread's small index
   uint64_t wall_ns = 0;   // WallNowNs at capture
-  uint64_t span_id = 0;   // span events only
   bool has_sim = false;
   common::SimTime sim_us = 0;
-  std::string text;  // span name / formatted log line / note
+  std::string text;  // formatted log line / note
   std::string node;  // NodeScope label at capture time, may be ""
 };
 
-/// Crash-survivable "black box": fixed-size per-thread ring buffers of the
-/// most recent spans, log lines and notes, plus metric deltas since the
-/// recorder was enabled. Recording costs one ring slot write under a
-/// per-shard mutex; old entries are overwritten, so memory stays bounded
-/// no matter how long the run. DumpNow() serializes everything to a JSON
-/// file for post-mortem analysis — it is invoked by common::CrashPoint
-/// scripted kills, by dml::FaultInjector node crashes, and by chaos tests
-/// on failure, giving the chaos suites an artifact to assert on instead of
-/// only exit codes.
+/// Crash-survivable "black box": one bounded ring of the most recent log
+/// lines and notes, plus metric deltas since the recorder was enabled.
+/// Spans are not copied here — a dump reads the newest ones from the
+/// Tracer, the only span store. Old entries are dropped once the ring is
+/// full, so memory stays bounded no matter how long the run. DumpNow()
+/// serializes everything to a JSON file for post-mortem analysis — it is
+/// invoked by common::CrashPoint scripted kills, by dml::FaultInjector
+/// node crashes, and by critical health alerts, giving the chaos suites an
+/// artifact to assert on instead of only exit codes.
 class FlightRecorder {
  public:
-  static constexpr size_t kShards = 16;
-  static constexpr size_t kDefaultCapacityPerShard = 256;
+  /// Log lines and notes retained.
+  static constexpr size_t kCapacity = 1024;
+  /// Newest tracer spans written into each dump.
+  static constexpr size_t kDumpSpans = 256;
 
   static FlightRecorder& Global();
 
@@ -51,34 +52,28 @@ class FlightRecorder {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Ring capacity per shard (shard = thread index mod kShards). Applies
-  /// on the next Clear/SetEnabled(true).
-  void SetCapacityPerShard(size_t capacity);
-
   /// Directory DumpNow writes into (default "."). Created lazily.
   void SetDumpDir(std::string dir);
 
-  // Capture hooks (called by Tracer, LogDispatch, and user code).
-  void OnSpanBegin(uint64_t id, const char* name, const std::string& node,
-                   uint64_t wall_ns, bool has_sim, common::SimTime sim_us);
-  void OnSpanEnd(uint64_t id, const std::string& name,
-                 const std::string& node, uint64_t wall_ns, bool has_sim,
-                 common::SimTime sim_us);
+  // Capture hooks (called by LogDispatch and user code). No-ops while the
+  // recorder is disabled.
   void OnLog(const common::LogRecord& record);
   /// Free-form breadcrumb ("marketplace phase 6 begin", …).
   void Note(std::string text, bool has_sim = false,
             common::SimTime sim_us = 0);
 
-  /// Writes every buffered entry (globally ordered by capture sequence)
-  /// plus counter/gauge deltas since enable to
-  /// `<dump_dir>/flight-<n>-<reason>.json`. Returns the path, or "" when
-  /// the file could not be written. Thread-safe; never throws.
+  /// Writes the dump (see WriteDump) to
+  /// `<dump_dir>/flight-<n>-<reason>.json`, where n counts the dumps
+  /// written before it. Returns the path, or "" when the recorder is
+  /// disabled or the file could not be written. Thread-safe; never throws.
   std::string DumpNow(const std::string& reason);
 
-  /// Serializes the dump JSON to a stream (what DumpNow writes).
+  /// Serializes the dump JSON to a stream: the reason, the tracer's last
+  /// kDumpSpans spans (open ones marked "open"), every buffered entry,
+  /// counter deltas since enable, and gauges.
   void WriteDump(const std::string& reason, std::ostream& out) const;
 
-  /// Entries in capture order (tests / post-mortem tooling).
+  /// Buffered entries, oldest first (tests / post-mortem tooling).
   std::vector<FlightEntry> SnapshotEntries() const;
 
   /// Drops all buffered entries and re-baselines the metric deltas.
@@ -91,21 +86,13 @@ class FlightRecorder {
   std::string LastDumpPath() const;
 
  private:
-  struct Ring {
-    mutable std::mutex mu;
-    std::vector<FlightEntry> slots;  // circular once full
-    size_t next = 0;
-    bool wrapped = false;
-  };
-
   void Record(FlightEntry entry);
 
   std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> dumps_written_{0};
-  Ring rings_[kShards];
-  mutable std::mutex config_mu_;
-  size_t capacity_ = kDefaultCapacityPerShard;
+  mutable std::mutex ring_mu_;
+  std::deque<FlightEntry> ring_;  // at most kCapacity, oldest first
+  mutable std::mutex config_mu_;  // also serializes DumpNow's file writes
   std::string dump_dir_ = ".";
   std::string last_dump_path_;
   Snapshot baseline_;  // metrics at SetEnabled(true) / Clear

@@ -135,11 +135,6 @@ HealthRule InvariantRule(
   return rule;
 }
 
-HealthMonitor::HealthMonitor(const TimeSeries* ts, HealthConfig config)
-    : ts_(ts), config_(config) {
-  if (config_.min_consecutive == 0) config_.min_consecutive = 1;
-}
-
 void HealthMonitor::AddRule(HealthRule rule) {
   std::lock_guard<std::mutex> lock(mu_);
   rules_.push_back(std::move(rule));
@@ -228,11 +223,10 @@ void HealthMonitor::EmitLocked(const HealthRule& rule, const RuleState& state,
   event.bound = check.bound;
   event.detail = check.detail;
   events_.push_back(std::move(event));
-  if (events_.size() > config_.max_events) {
+  if (events_.size() > kMaxEvents) {
     events_.erase(events_.begin(),
                   events_.begin() +
-                      static_cast<ptrdiff_t>(events_.size() -
-                                             config_.max_events));
+                      static_cast<ptrdiff_t>(events_.size() - kMaxEvents));
   }
 
   if (fired) {
@@ -258,7 +252,7 @@ void HealthMonitor::EmitLocked(const HealthRule& rule, const RuleState& state,
           << "health alert fired: " << rule.id << " (observed "
           << check.observed << " vs bound " << check.bound << ")";
     }
-    if (rule.severity >= Severity::kCritical && config_.dump_on_critical) {
+    if (rule.severity >= Severity::kCritical) {
       FlightRecorder::Global().Note("health alert: " + rule.id, info.has_sim,
                                     info.sim_us);
       FlightRecorder::Global().DumpNow("alert-" + rule.id);
@@ -285,22 +279,11 @@ size_t HealthMonitor::EvaluateLatest() {
     RuleState& state = states_[i];
     const Check check = EvaluateRuleLocked(rule);
     const bool bad = check.applicable && check.bad;
-    if (bad) {
-      if (state.bad_streak == 0) state.first_bad_sample = sample_index;
-      ++state.bad_streak;
-      if (!state.active && state.bad_streak >= config_.min_consecutive) {
-        state.active = true;
-        EmitLocked(rule, state, /*fired=*/true, check, sample_index, info);
-        ++emitted;
-      }
-    } else {
-      state.bad_streak = 0;
-      if (state.active) {
-        state.active = false;
-        EmitLocked(rule, state, /*fired=*/false, check, sample_index, info);
-        ++emitted;
-      }
-    }
+    if (bad == state.active) continue;  // no transition
+    state.active = bad;
+    if (bad) state.first_bad_sample = sample_index;
+    EmitLocked(rule, state, /*fired=*/bad, check, sample_index, info);
+    ++emitted;
   }
   return emitted;
 }

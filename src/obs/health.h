@@ -86,20 +86,12 @@ struct AlertEvent {
   std::string detail;
 };
 
-struct HealthConfig {
-  /// Consecutive bad samples required before a rule fires (debounce).
-  size_t min_consecutive = 1;
-  /// DumpNow("alert-<rule>") on the first fire of a critical rule.
-  bool dump_on_critical = true;
-  /// Alert events retained (oldest dropped beyond this).
-  size_t max_events = 4096;
-};
-
 /// Declarative SLO/invariant engine over a TimeSeries: Evaluate() checks
-/// every rule against the latest sample, tracks per-rule fire/resolve state
-/// with debounce, and emits AlertEvents into (a) its own bounded event log,
-/// (b) the metrics registry (obs.health.* counters), (c) the log sink, and
-/// (d) on critical fires, an automatic FlightRecorder dump — so a seeded
+/// every rule against the latest sample, fires a rule on its first bad
+/// sample and resolves it on its first good one, and emits AlertEvents
+/// into (a) its own event log (the newest kMaxEvents), (b) the metrics
+/// registry (obs.health.* counters), (c) the log sink, and (d) on critical
+/// fires, a FlightRecorder dump when the recorder is enabled — so a seeded
 /// chaos run that goes bad leaves a post-mortem artifact without crashing.
 ///
 /// Rules that reference series absent from the time series are skipped
@@ -107,7 +99,10 @@ struct HealthConfig {
 /// instrumented in a given run, and clean runs must never false-fire.
 class HealthMonitor {
  public:
-  explicit HealthMonitor(const TimeSeries* ts, HealthConfig config = {});
+  /// Alert events retained (oldest dropped beyond this).
+  static constexpr size_t kMaxEvents = 4096;
+
+  explicit HealthMonitor(const TimeSeries* ts) : ts_(ts) {}
 
   void AddRule(HealthRule rule);
   void AddRules(std::vector<HealthRule> rules);
@@ -138,7 +133,6 @@ class HealthMonitor {
 
  private:
   struct RuleState {
-    size_t bad_streak = 0;
     bool active = false;
     size_t first_bad_sample = 0;
   };
@@ -157,7 +151,6 @@ class HealthMonitor {
 
   mutable std::mutex mu_;
   const TimeSeries* ts_;
-  HealthConfig config_;
   std::vector<HealthRule> rules_;
   std::vector<RuleState> states_;
   std::vector<AlertEvent> events_;

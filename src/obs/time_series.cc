@@ -169,57 +169,6 @@ std::optional<double> TimeSeries::RatePerSecond(const std::string& series,
   return (*newest - *oldest) / seconds;
 }
 
-std::vector<double> TimeSeries::WindowLocked(const Series& s,
-                                             size_t window) const {
-  std::vector<double> values;
-  if (samples_ == 0 || window == 0) return values;
-  const size_t last = samples_ - 1;
-  const size_t lo =
-      std::max(s.first_sample,
-               std::max(OldestRetainedLocked(),
-                        last + 1 >= window ? last + 1 - window : size_t{0}));
-  for (size_t i = lo; i <= last; ++i) {
-    values.push_back(s.ring[i % config_.capacity]);
-  }
-  return values;
-}
-
-std::optional<double> TimeSeries::WindowMin(const std::string& series,
-                                            size_t window) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = series_.find(series);
-  if (it == series_.end()) return std::nullopt;
-  const std::vector<double> values = WindowLocked(it->second, window);
-  if (values.empty()) return std::nullopt;
-  return *std::min_element(values.begin(), values.end());
-}
-
-std::optional<double> TimeSeries::WindowMax(const std::string& series,
-                                            size_t window) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = series_.find(series);
-  if (it == series_.end()) return std::nullopt;
-  const std::vector<double> values = WindowLocked(it->second, window);
-  if (values.empty()) return std::nullopt;
-  return *std::max_element(values.begin(), values.end());
-}
-
-std::optional<double> TimeSeries::WindowQuantile(const std::string& series,
-                                                 size_t window,
-                                                 double q) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = series_.find(series);
-  if (it == series_.end()) return std::nullopt;
-  std::vector<double> values = WindowLocked(it->second, window);
-  if (values.empty()) return std::nullopt;
-  std::sort(values.begin(), values.end());
-  q = std::min(1.0, std::max(0.0, q));
-  const size_t rank = std::min(
-      values.size() - 1,
-      static_cast<size_t>(q * static_cast<double>(values.size() - 1) + 0.5));
-  return values[rank];
-}
-
 std::optional<size_t> TimeSeries::SamplesSinceChange(
     const std::string& series) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -242,14 +191,6 @@ std::optional<SeriesKind> TimeSeries::KindOf(const std::string& series) const {
   auto it = series_.find(series);
   if (it == series_.end()) return std::nullopt;
   return it->second.kind;
-}
-
-std::vector<std::string> TimeSeries::SeriesNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(series_.size());
-  for (const auto& [name, s] : series_) names.push_back(name);
-  return names;
 }
 
 void TimeSeries::WriteJsonLines(std::ostream& out) const {

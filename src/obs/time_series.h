@@ -87,15 +87,6 @@ class TimeSeries {
   std::optional<double> RatePerSecond(const std::string& series,
                                       size_t window) const;
 
-  /// Aggregations over the last `window` retained points (clamped).
-  std::optional<double> WindowMin(const std::string& series,
-                                  size_t window) const;
-  std::optional<double> WindowMax(const std::string& series,
-                                  size_t window) const;
-  /// Order statistic at q in [0,1] over the last `window` points.
-  std::optional<double> WindowQuantile(const std::string& series,
-                                       size_t window, double q) const;
-
   /// Number of trailing samples whose value equals the latest (staleness:
   /// 0 = the series changed at the latest sample). Clamped to the retained
   /// span; nullopt for unknown series or when nothing is retained.
@@ -103,7 +94,6 @@ class TimeSeries {
 
   /// Kind of a known series.
   std::optional<SeriesKind> KindOf(const std::string& series) const;
-  std::vector<std::string> SeriesNames() const;
 
   /// JSON-lines export (schema: docs/PROTOCOL.md "Run export schema"):
   ///   {"type":"meta",...}
@@ -129,8 +119,6 @@ class TimeSeries {
   void AppendLocked(const std::string& name, SeriesKind kind, double value);
   std::optional<double> ValueAtLocked(const Series& s, size_t index) const;
   size_t OldestRetainedLocked() const;
-  /// Last `window` values of `series` (clamped), oldest first.
-  std::vector<double> WindowLocked(const Series& s, size_t window) const;
 
   mutable std::mutex mu_;
   TimeSeriesConfig config_;

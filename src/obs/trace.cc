@@ -3,7 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "obs/flight_recorder.h"
 #include "obs/json_codec.h"
 
 namespace pds2::obs {
@@ -96,10 +95,6 @@ uint64_t Tracer::Begin(const char* name, bool has_sim,
     records_.push_back(std::move(record));
   }
   t_open_spans.push_back({id, trace_id, epoch, /*remote=*/false});
-  FlightRecorder& recorder = FlightRecorder::Global();
-  if (recorder.enabled()) {
-    recorder.OnSpanBegin(id, name, t_node_label, now_ns, has_sim, sim_start);
-  }
   return id;
 }
 
@@ -116,19 +111,11 @@ void Tracer::End(uint64_t id, uint64_t epoch, bool has_sim,
   }
   if (epoch != this->epoch()) return;  // tracer was Reset since Begin
   const uint64_t now_ns = WallNowNs();
-  std::string name;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (id == 0 || id > records_.size()) return;
-    SpanRecord& record = records_[id - 1];
-    record.wall_end_ns = now_ns;
-    if (has_sim && record.has_sim) record.sim_end = sim_end;
-    name = record.name;
-  }
-  FlightRecorder& recorder = FlightRecorder::Global();
-  if (recorder.enabled()) {
-    recorder.OnSpanEnd(id, name, t_node_label, now_ns, has_sim, sim_end);
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (id == 0 || id > records_.size()) return;
+  SpanRecord& record = records_[id - 1];
+  record.wall_end_ns = now_ns;
+  if (has_sim && record.has_sim) record.sim_end = sim_end;
 }
 
 void Tracer::AddLink(uint64_t id, uint64_t epoch, const TraceContext& ctx) {
@@ -163,29 +150,45 @@ size_t Tracer::SpanCount() const {
   return records_.size();
 }
 
+std::vector<SpanRecord> Tracer::Tail(size_t n) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const size_t first = records_.size() > n ? records_.size() - n : 0;
+  return {records_.begin() + static_cast<long>(first), records_.end()};
+}
+
+void WriteSpanJson(std::ostream& out, const SpanRecord& record) {
+  out << "{\"id\":" << record.id << ",\"parent\":" << record.parent
+      << ",\"trace\":" << record.trace_id
+      << ",\"name\":\"" << JsonEscape(record.name) << "\""
+      << ",\"node\":\"" << JsonEscape(record.node) << "\""
+      << ",\"thread\":" << record.thread;
+  if (!record.links.empty()) {
+    out << ",\"links\":[";
+    for (size_t i = 0; i < record.links.size(); ++i) {
+      out << (i == 0 ? "" : ",") << record.links[i];
+    }
+    out << "]";
+  }
+  const bool open = record.wall_end_ns == 0;
+  out << ",\"wall_start_ns\":" << record.wall_start_ns;
+  if (open) {
+    out << ",\"open\":true";
+  } else {
+    out << ",\"wall_dur_ns\":" << (record.wall_end_ns - record.wall_start_ns);
+  }
+  if (record.has_sim) {
+    out << ",\"sim_start_us\":" << record.sim_start;
+    if (!open) out << ",\"sim_dur_us\":" << (record.sim_end - record.sim_start);
+  }
+  out << "}";
+}
+
 void Tracer::WriteJsonLines(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const SpanRecord& record : records_) {
     if (record.wall_end_ns == 0) continue;  // still open
-    out << "{\"id\":" << record.id << ",\"parent\":" << record.parent
-        << ",\"trace\":" << record.trace_id
-        << ",\"name\":\"" << JsonEscape(record.name) << "\""
-        << ",\"node\":\"" << JsonEscape(record.node) << "\""
-        << ",\"thread\":" << record.thread;
-    if (!record.links.empty()) {
-      out << ",\"links\":[";
-      for (size_t i = 0; i < record.links.size(); ++i) {
-        out << (i == 0 ? "" : ",") << record.links[i];
-      }
-      out << "]";
-    }
-    out << ",\"wall_start_ns\":" << record.wall_start_ns
-        << ",\"wall_dur_ns\":" << (record.wall_end_ns - record.wall_start_ns);
-    if (record.has_sim) {
-      out << ",\"sim_start_us\":" << record.sim_start
-          << ",\"sim_dur_us\":" << (record.sim_end - record.sim_start);
-    }
-    out << "}\n";
+    WriteSpanJson(out, record);
+    out << "\n";
   }
 }
 

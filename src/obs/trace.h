@@ -115,6 +115,10 @@ class Tracer {
   /// Copy of all recorded spans (open spans have wall_end_ns == 0).
   std::vector<SpanRecord> Snapshot() const;
 
+  /// Copy of the last `n` recorded spans, open ones included (what a
+  /// flight dump shows).
+  std::vector<SpanRecord> Tail(size_t n) const;
+
   size_t SpanCount() const;
 
   /// One JSON object per line per completed span — the per-run trace
@@ -137,6 +141,11 @@ class Tracer {
   size_t capacity_ = kDefaultCapacity;  // guarded by mu_
   Counter* dropped_counter_ = nullptr;  // lazily bound registry counter
 };
+
+/// Writes `record` as one JSON object with no trailing newline — one line
+/// of Tracer::WriteJsonLines. An open span carries "open":true in place of
+/// its durations.
+void WriteSpanJson(std::ostream& out, const SpanRecord& record);
 
 /// RAII span handle. Construction is a single relaxed load + branch while
 /// tracing is disabled. `End()` may be called early to close the span

@@ -4,13 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <vector>
+
 #include "auth/device.h"
 #include "chain/chain.h"
 #include "chain/contracts/workload.h"
+#include "common/hex.h"
 #include "common/rng.h"
 #include "common/serial.h"
+#include "crypto/ed25519.h"
 #include "market/spec.h"
 #include "storage/provider_store.h"
+#include "storage/record_io.h"
 #include "storage/semantic.h"
 #include "store/artifact_store.h"
 #include "tee/attestation.h"
@@ -101,12 +108,70 @@ TEST_P(DeserializerFuzz, RandomBytesAreRejectedGracefully) {
     (void)WorldState::DeserializeSnapshot(junk);
     (void)storage::DeserializeDataset(junk);
     (void)store::ArtifactStore::DecodeManifest(junk);
+    (void)crypto::EdPoint::Decode(junk);
+    (void)storage::DecodeCrcRecord(junk);
   }
   SUCCEED();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeserializerFuzz,
                          ::testing::Values(10, 20, 30, 40));
+
+// Canonicality: every accepted input must re-encode to exactly itself, so
+// no value has two accepted wire forms. Driven by every single-bit flip and
+// every truncation of each valid seed, plus random extensions.
+void ExpectCanonicalUnderMutation(
+    const std::vector<Bytes>& seeds, Rng& rng,
+    const std::function<std::optional<Bytes>(const Bytes&)>& reencode) {
+  auto check = [&](const Bytes& input) {
+    const std::optional<Bytes> again = reencode(input);
+    if (again) EXPECT_EQ(*again, input) << common::HexEncode(input);
+  };
+  for (const Bytes& seed : seeds) {
+    ASSERT_EQ(reencode(seed), seed);
+    for (size_t bit = 0; bit < seed.size() * 8; ++bit) {
+      Bytes flipped = seed;
+      flipped[bit / 8] ^= static_cast<uint8_t>(1 << (bit % 8));
+      check(flipped);
+    }
+    for (size_t len = 0; len < seed.size(); ++len) {
+      check(Bytes(seed.begin(), seed.begin() + static_cast<ptrdiff_t>(len)));
+    }
+    for (int trial = 0; trial < 16; ++trial) {
+      Bytes extended = seed;
+      common::Append(extended, rng.NextBytes(1 + rng.NextU64(8)));
+      check(extended);
+    }
+  }
+}
+
+TEST(CanonicalEncoding, EdPointDecodeAcceptsOnlyCanonicalBytes) {
+  Rng rng(11);
+  std::vector<Bytes> seeds = {crypto::EdPoint::Identity().Encode()};
+  for (uint64_t k : {1, 2, 12345}) {
+    seeds.push_back(
+        crypto::EdPoint::ScalarBaseMul(crypto::BigUint(k)).Encode());
+  }
+  ExpectCanonicalUnderMutation(
+      seeds, rng, [](const Bytes& b) -> std::optional<Bytes> {
+        auto point = crypto::EdPoint::Decode(b);
+        if (!point.ok()) return std::nullopt;
+        return point->Encode();
+      });
+}
+
+TEST(CanonicalEncoding, CrcRecordDecodeAcceptsOnlyCanonicalBytes) {
+  Rng rng(12);
+  const std::vector<Bytes> seeds = {
+      storage::EncodeCrcRecord({}), storage::EncodeCrcRecord(ToBytes("x")),
+      storage::EncodeCrcRecord(rng.NextBytes(40))};
+  ExpectCanonicalUnderMutation(
+      seeds, rng, [](const Bytes& b) -> std::optional<Bytes> {
+        auto payload = storage::DecodeCrcRecord(b);
+        if (!payload.ok()) return std::nullopt;
+        return storage::EncodeCrcRecord(*payload);
+      });
+}
 
 // Crafted seeds: a huge element count with no elements behind it must be
 // rejected as Corruption, not turned into a giant reserve() that aborts.

@@ -127,6 +127,31 @@ TEST(EdPointTest, DecodeRejectsOffCurvePoints) {
   EXPECT_FALSE(EdPoint::Decode(Bytes(10, 0)).ok());
 }
 
+TEST(EdPointTest, DecodeRejectsNonCanonicalEncodings) {
+  // A public key with bit 255 of y (or of x) flipped names the same point;
+  // only the canonical form may decode.
+  const Bytes key = SigningKey::FromSeed(common::ToBytes("k")).PublicKey();
+  ASSERT_TRUE(EdPoint::Decode(key).ok());
+  for (size_t top_byte : {size_t{31}, size_t{63}}) {
+    Bytes flipped = key;
+    flipped[top_byte] ^= 0x80;
+    EXPECT_FALSE(EdPoint::Decode(flipped).ok()) << "byte " << top_byte;
+  }
+
+  // x = p (ed ff .. ff 7f little-endian) reduces to 0: with y = 1 this is
+  // a second spelling of the identity.
+  Bytes x_is_p(64, 0);
+  x_is_p[0] = 0xed;
+  for (size_t i = 1; i < 31; ++i) x_is_p[i] = 0xff;
+  x_is_p[31] = 0x7f;
+  x_is_p[32] = 1;
+  EXPECT_FALSE(EdPoint::Decode(x_is_p).ok());
+  Bytes identity(64, 0);
+  identity[32] = 1;
+  ASSERT_TRUE(EdPoint::Decode(identity).ok());
+  EXPECT_TRUE(EdPoint::Decode(identity)->IsIdentity());
+}
+
 TEST(SchnorrTest, SignVerifyRoundTrip) {
   Rng rng(7);
   SigningKey key = SigningKey::Generate(rng);

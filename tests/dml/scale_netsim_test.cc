@@ -156,7 +156,7 @@ TEST(ScaleNetSimTest, TickSampledHealthSeriesBitIdenticalAcrossThreads) {
     nodes[0]->Seed();
 
     obs::TimeSeries ts({.capacity = 256, .max_series = 4096});
-    obs::HealthMonitor monitor(&ts, {.dump_on_critical = false});
+    obs::HealthMonitor monitor(&ts);
     monitor.AddRules(obs::rules::DmlRules());
     AttachHealthSampler(sim, kTick, &ts, &monitor);
 

@@ -356,7 +356,7 @@ TEST_F(ChaosLifecycleTest, HealthPlaneFlagsInjectedFaultAndSupplyHolds) {
   obs::SetMetricsEnabled(true);
   obs::Registry::Global().ResetValues();
   obs::TimeSeries ts({.capacity = 2048, .max_series = 4096});
-  obs::HealthMonitor monitor(&ts, {.dump_on_critical = false});
+  obs::HealthMonitor monitor(&ts);
   monitor.AddRules(obs::rules::DefaultRules());
   market_.SetHealthSampling(&ts, &monitor);
 

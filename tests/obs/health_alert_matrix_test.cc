@@ -95,7 +95,7 @@ CellResult RunMarketCell(const std::vector<ExecutorFault>& faults,
   market::ConsumerAgent& consumer = market.AddConsumer("consumer");
 
   TimeSeries ts({.capacity = 1024, .max_series = 4096});
-  HealthMonitor monitor(&ts, {.dump_on_critical = false});
+  HealthMonitor monitor(&ts);
   monitor.AddRules(rules::DefaultRules());
   market.SetHealthSampling(&ts, &monitor);
 
@@ -193,7 +193,7 @@ CellResult RunValidatorCell(bool equivocate) {
   }
 
   TimeSeries ts({.capacity = 1024, .max_series = 4096});
-  HealthMonitor monitor(&ts, {.dump_on_critical = false});
+  HealthMonitor monitor(&ts);
   monitor.AddRules(rules::DefaultRules());
   dml::AttachHealthSampler(*sim, kBlockInterval, &ts, &monitor);
 
@@ -259,7 +259,7 @@ CellResult RunChatterCell(double corrupt_rate) {
   dml::FaultInjector::Install(sim, plan);
 
   TimeSeries ts({.capacity = 256, .max_series = 4096});
-  HealthMonitor monitor(&ts, {.dump_on_critical = false});
+  HealthMonitor monitor(&ts);
   monitor.AddRules(rules::DefaultRules());
   dml::AttachHealthSampler(sim, common::kMicrosPerSecond / 2, &ts, &monitor);
 
@@ -321,7 +321,7 @@ CellResult RunDiscoveryCell(double corrupt_rate) {
   dml::FaultInjector::Install(sim, plan);
 
   TimeSeries ts({.capacity = 256, .max_series = 4096});
-  HealthMonitor monitor(&ts, {.dump_on_critical = false});
+  HealthMonitor monitor(&ts);
   monitor.AddRules(rules::DefaultRules());
   dml::AttachHealthSampler(sim, common::kMicrosPerSecond, &ts, &monitor);
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,8 +17,8 @@ constexpr uint64_t kNs = 1'000'000'000ull;
 
 // Each test owns a Registry + TimeSeries so the global registry (shared
 // with other suites in this binary) never leaks series into rule
-// evaluation. dump_on_critical stays off except in the dedicated
-// flight-dump test.
+// evaluation. The flight recorder stays disabled (so critical fires dump
+// nothing) except in the dedicated flight-dump test.
 
 class HealthMonitorTest : public ::testing::Test {
  protected:
@@ -39,7 +40,7 @@ class HealthMonitorTest : public ::testing::Test {
 };
 
 TEST_F(HealthMonitorTest, ThresholdRuleFiresAndResolves) {
-  HealthMonitor monitor(&ts_, {.dump_on_critical = false});
+  HealthMonitor monitor(&ts_);
   monitor.AddRule(ThresholdRule("t.too-high", Severity::kWarning, "t.g",
                                 Comparison::kGt, 3.0));
   Gauge& g = reg_.GetGauge("t.g");
@@ -69,31 +70,8 @@ TEST_F(HealthMonitorTest, ThresholdRuleFiresAndResolves) {
   EXPECT_EQ(monitor.FiredRuleIds(), std::vector<std::string>{"t.too-high"});
 }
 
-TEST_F(HealthMonitorTest, DebounceRequiresConsecutiveBadSamples) {
-  HealthMonitor monitor(
-      &ts_, {.min_consecutive = 3, .dump_on_critical = false});
-  monitor.AddRule(ThresholdRule("t.debounced", Severity::kWarning, "t.g",
-                                Comparison::kGt, 0.0));
-  Gauge& g = reg_.GetGauge("t.g");
-
-  g.Set(1);
-  EXPECT_EQ(Step(monitor), 0u);  // bad #1
-  EXPECT_EQ(Step(monitor), 0u);  // bad #2
-  g.Set(0);
-  EXPECT_EQ(Step(monitor), 0u);  // healthy: streak resets
-  g.Set(1);
-  EXPECT_EQ(Step(monitor), 0u);  // bad #1 again (sample 3)
-  EXPECT_EQ(Step(monitor), 0u);  // bad #2
-  EXPECT_EQ(Step(monitor), 1u);  // bad #3: fires
-
-  const std::vector<AlertEvent> events = monitor.Events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].sample_index, 5u);
-  EXPECT_EQ(events[0].first_bad_sample, 3u);  // start of the final streak
-}
-
 TEST_F(HealthMonitorTest, MissingSeriesIsSkippedNotFired) {
-  HealthMonitor monitor(&ts_, {.dump_on_critical = false});
+  HealthMonitor monitor(&ts_);
   monitor.AddRule(ThresholdRule("t.absent-series", Severity::kCritical,
                                 "never.published", Comparison::kGe, 0.0));
   monitor.AddRule(RateRule("t.absent-rate", Severity::kCritical,
@@ -106,7 +84,7 @@ TEST_F(HealthMonitorTest, MissingSeriesIsSkippedNotFired) {
 }
 
 TEST_F(HealthMonitorTest, RateRuleFiresOnSustainedGrowth) {
-  HealthMonitor monitor(&ts_, {.dump_on_critical = false});
+  HealthMonitor monitor(&ts_);
   monitor.AddRule(RateRule("t.retry-storm", Severity::kWarning, "t.c",
                            /*window=*/4, Comparison::kGt,
                            /*bound_per_second=*/5.0));
@@ -125,7 +103,7 @@ TEST_F(HealthMonitorTest, RateRuleFiresOnSustainedGrowth) {
 }
 
 TEST_F(HealthMonitorTest, AbsenceRuleOnlyFiresWhileActivityMoves) {
-  HealthMonitor monitor(&ts_, {.dump_on_critical = false});
+  HealthMonitor monitor(&ts_);
   monitor.AddRule(AbsenceRule("t.stalled", Severity::kWarning, "t.progress",
                               /*max_stale_samples=*/2,
                               /*activity_series=*/"t.traffic"));
@@ -155,7 +133,7 @@ TEST_F(HealthMonitorTest, AbsenceRuleOnlyFiresWhileActivityMoves) {
 }
 
 TEST_F(HealthMonitorTest, InvariantRuleCarriesObservedBoundAndDetail) {
-  HealthMonitor monitor(&ts_, {.dump_on_critical = false});
+  HealthMonitor monitor(&ts_);
   monitor.AddRule(InvariantRule(
       "t.conservation", Severity::kWarning, [](const TimeSeries& ts) {
         InvariantResult r;
@@ -186,9 +164,10 @@ TEST_F(HealthMonitorTest, InvariantRuleCarriesObservedBoundAndDetail) {
 TEST_F(HealthMonitorTest, CriticalFireTriggersFlightDump) {
   FlightRecorder& recorder = FlightRecorder::Global();
   recorder.SetDumpDir(::testing::TempDir());
+  recorder.SetEnabled(true);
   const uint64_t dumps_before = recorder.dumps_written();
 
-  HealthMonitor monitor(&ts_, {.dump_on_critical = true});
+  HealthMonitor monitor(&ts_);
   monitor.AddRule(ThresholdRule("t.critical", Severity::kCritical, "t.g",
                                 Comparison::kGt, 0.0));
   monitor.AddRule(ThresholdRule("t.warning", Severity::kWarning, "t.g",
@@ -198,17 +177,39 @@ TEST_F(HealthMonitorTest, CriticalFireTriggersFlightDump) {
   EXPECT_EQ(Step(monitor), 2u);  // both rules fire...
   EXPECT_EQ(recorder.dumps_written(), dumps_before + 1);  // ...one dump
   // The recorder sanitizes the reason for the filename: '.' becomes '-'.
-  EXPECT_NE(recorder.LastDumpPath().find("alert-t-critical"),
-            std::string::npos);
+  const std::string path = recorder.LastDumpPath();
+  EXPECT_NE(path.find("alert-t-critical"), std::string::npos);
 
   // Staying bad does not dump again; only a fresh fire would.
   EXPECT_EQ(Step(monitor), 0u);
   EXPECT_EQ(recorder.dumps_written(), dumps_before + 1);
+  std::filesystem::remove(path);
+  recorder.SetEnabled(false);
+  recorder.Clear();
+  recorder.SetDumpDir(".");
+}
+
+TEST_F(HealthMonitorTest, CriticalFireWithRecorderDisabledWritesNoDump) {
+  FlightRecorder& recorder = FlightRecorder::Global();
+  ASSERT_FALSE(recorder.enabled());
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "health-no-dump";
+  std::filesystem::remove_all(dir);
+  recorder.SetDumpDir(dir.string());
+  const uint64_t dumps_before = recorder.dumps_written();
+
+  HealthMonitor monitor(&ts_);
+  monitor.AddRule(ThresholdRule("t.critical", Severity::kCritical, "t.g",
+                                Comparison::kGt, 0.0));
+  reg_.GetGauge("t.g").Set(1);
+  EXPECT_EQ(Step(monitor), 1u);
+  EXPECT_EQ(recorder.dumps_written(), dumps_before);
+  EXPECT_FALSE(std::filesystem::exists(dir));
   recorder.SetDumpDir(".");
 }
 
 TEST_F(HealthMonitorTest, EvaluateLatestIsOncePerSample) {
-  HealthMonitor monitor(&ts_, {.dump_on_critical = false});
+  HealthMonitor monitor(&ts_);
   monitor.AddRule(ThresholdRule("t.hot", Severity::kWarning, "t.g",
                                 Comparison::kGt, 0.0));
   reg_.GetGauge("t.g").Set(1);
@@ -225,7 +226,7 @@ TEST_F(HealthMonitorTest, EventsDigestIgnoresWallClockButSeesAlerts) {
   auto run = [this](uint64_t wall_offset) {
     Registry reg;
     TimeSeries ts({.capacity = 64, .max_series = 256}, &reg);
-    HealthMonitor monitor(&ts, {.dump_on_critical = false});
+    HealthMonitor monitor(&ts);
     monitor.AddRule(ThresholdRule("t.hot", Severity::kWarning, "t.g",
                                   Comparison::kGt, 2.0));
     Gauge& g = reg.GetGauge("t.g");
@@ -243,12 +244,12 @@ TEST_F(HealthMonitorTest, EventsDigestIgnoresWallClockButSeesAlerts) {
   EXPECT_EQ(run(55'555 * kNs), base);  // wall time shifts, digest does not
 
   // An empty event log digests differently from a fired one.
-  HealthMonitor quiet(&ts_, {.dump_on_critical = false});
+  HealthMonitor quiet(&ts_);
   EXPECT_NE(quiet.EventsDigest(), base);
 }
 
 TEST_F(HealthMonitorTest, DefaultRulePacksStayQuietOnHealthyRun) {
-  HealthMonitor monitor(&ts_, {.dump_on_critical = false});
+  HealthMonitor monitor(&ts_);
   monitor.AddRules(rules::DefaultRules());
   ASSERT_GT(monitor.RuleCount(), 10u);
 
@@ -275,7 +276,7 @@ TEST_F(HealthMonitorTest, DefaultRulePacksStayQuietOnHealthyRun) {
 }
 
 TEST_F(HealthMonitorTest, WriteJsonLinesEmitsOneAlertPerEvent) {
-  HealthMonitor monitor(&ts_, {.dump_on_critical = false});
+  HealthMonitor monitor(&ts_);
   monitor.AddRule(ThresholdRule("t.hot", Severity::kWarning, "t.g",
                                 Comparison::kGt, 0.0));
   Gauge& g = reg_.GetGauge("t.g");

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -68,6 +72,28 @@ TEST(CompiledOutTest, DirectApiStillWorks) {
   SetTracingEnabled(false);
   Registry::Global().ResetValues();
   Tracer::Global().Reset();
+}
+
+TEST(CompiledOutTest, FlightDumpKeepsNotesWithNoSpans) {
+  // With the span macros compiled out the tracer stays empty, so a dump
+  // has an empty spans array but still carries the recorder's notes.
+  SetTracingEnabled(true);
+  Tracer::Global().Reset();
+  FlightRecorder& recorder = FlightRecorder::Global();
+  recorder.SetEnabled(true);
+  recorder.Clear();
+  { PDS2_TRACE_SPAN("compiled_out.span"); }
+  recorder.Note("compiled-out breadcrumb");
+
+  std::ostringstream out;
+  recorder.WriteDump("compiled-out", out);
+  const std::string dump = out.str();
+  EXPECT_NE(dump.find("\"spans\": [\n  ]"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("compiled-out breadcrumb"), std::string::npos) << dump;
+
+  recorder.SetEnabled(false);
+  recorder.Clear();
+  SetTracingEnabled(false);
 }
 
 }  // namespace

@@ -107,7 +107,8 @@ TEST(ObsRegistryRaceTest, TimeSeriesSamplingRacesWritersAndExport) {
       std::ostringstream out;
       ts.WriteJsonLines(out);
       (void)ts.Latest("race.c");
-      (void)ts.WindowQuantile("race.c", 16, 0.9);
+      (void)ts.RatePerSecond("race.c", 16);
+      (void)ts.SamplesSinceChange("race.c");
     }
   });
 

@@ -107,22 +107,6 @@ TEST(TimeSeriesTest, RatePerSecondNeedsTwoDistinctSamples) {
   EXPECT_FALSE(ts.RatePerSecond("t.c", 8).has_value());  // one sample
 }
 
-TEST(TimeSeriesTest, WindowAggregationsOverLastSamples) {
-  Registry reg;
-  Gauge& g = reg.GetGauge("t.g");
-  TimeSeries ts({}, &reg);
-  for (int64_t v : {5, 1, 9, 3}) {
-    g.Set(v);
-    ts.Sample(kNs * static_cast<uint64_t>(v));
-  }
-  EXPECT_EQ(ts.WindowMin("t.g", 4), 1.0);
-  EXPECT_EQ(ts.WindowMax("t.g", 4), 9.0);
-  EXPECT_EQ(ts.WindowQuantile("t.g", 4, 0.5), 5.0);  // sorted {1,3,5,9}
-  EXPECT_EQ(ts.WindowQuantile("t.g", 4, 1.0), 9.0);
-  EXPECT_EQ(ts.WindowMax("t.g", 2), 9.0);  // only the last two: {9, 3}
-  EXPECT_EQ(ts.WindowMin("t.g", 2), 3.0);
-}
-
 TEST(TimeSeriesTest, SamplesSinceChangeTracksStaleness) {
   Registry reg;
   Gauge& g = reg.GetGauge("t.g");

@@ -144,7 +144,7 @@ TEST(TraceAnalysisTest, EveryExportedRecordIsOneEscapedLineThatRoundTrips) {
   Registry reg;
   reg.GetGauge("odd\x02series").Set(-3);
   TimeSeries ts({.capacity = 4, .max_series = 16}, &reg);
-  HealthMonitor monitor(&ts, {.dump_on_critical = false});
+  HealthMonitor monitor(&ts);
   monitor.AddRule(InvariantRule("odd\nrule", Severity::kCritical,
                                 [&](const TimeSeries&) {
                                   return InvariantResult{false, 0.5, 1e300,
@@ -196,7 +196,7 @@ TEST(TraceAnalysisTest, EveryExportedRecordIsOneEscapedLineThatRoundTrips) {
 TEST(TraceAnalysisTest, AlertValuesParseBackExactly) {
   Registry reg;
   TimeSeries ts({.capacity = 4, .max_series = 16}, &reg);
-  HealthMonitor monitor(&ts, {.dump_on_critical = false});
+  HealthMonitor monitor(&ts);
   const double supply = 1e18;
   const double observed = supply + 256;
   monitor.AddRule(InvariantRule("chain.supply-conservation",

@@ -224,7 +224,7 @@ TEST_F(ByzantineConvergenceTest, HealthPlaneFlagsEquivocationSupplyHolds) {
   nodes_[1]->SetByzantine(ByzantineBehavior::kEquivocate);
 
   obs::TimeSeries ts({.capacity = 256, .max_series = 4096});
-  obs::HealthMonitor monitor(&ts, {.dump_on_critical = false});
+  obs::HealthMonitor monitor(&ts);
   monitor.AddRules(obs::rules::DefaultRules());
   dml::AttachHealthSampler(*sim_, kBlockInterval, &ts, &monitor);
   sim_->RunUntil(30 * kBlockInterval);

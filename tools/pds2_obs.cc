@@ -69,7 +69,7 @@ bool RunDemo(std::ostream& export_out, std::string* error) {
   obs::Tracer::Global().Reset();
 
   obs::TimeSeries ts({.capacity = 512, .max_series = 2048});
-  obs::HealthMonitor monitor(&ts, {.dump_on_critical = false});
+  obs::HealthMonitor monitor(&ts);
   monitor.AddRules(obs::rules::DefaultRules());
 
   market::MarketConfig config;
