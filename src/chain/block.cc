@@ -60,11 +60,8 @@ Result<Block> Block::Deserialize(const Bytes& data) {
   PDS2_ASSIGN_OR_RETURN(Bytes header_bytes, r.GetBytes());
   PDS2_ASSIGN_OR_RETURN(block.header, BlockHeader::Deserialize(header_bytes));
   PDS2_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
-  // Each transaction takes at least its u32 length prefix, so a count the
-  // remaining bytes cannot hold is rejected before anything is reserved.
-  if (n > r.remaining() / sizeof(uint32_t)) {
-    return Status::Corruption("block transaction count exceeds its bytes");
-  }
+  // Each transaction takes at least its u32 length prefix.
+  PDS2_RETURN_IF_ERROR(r.CheckCount(n, sizeof(uint32_t)));
   block.transactions.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     PDS2_ASSIGN_OR_RETURN(Bytes tx_bytes, r.GetBytes());

@@ -122,6 +122,13 @@ Result<Bytes> Reader::GetRaw(size_t n) {
   return out;
 }
 
+Status Reader::CheckCount(uint64_t count, size_t min_element_bytes) const {
+  if (count > remaining() / min_element_bytes) {
+    return Status::Corruption("element count exceeds the remaining bytes");
+  }
+  return Status::Ok();
+}
+
 Result<std::vector<uint64_t>> Reader::GetU64Vector() {
   PDS2_ASSIGN_OR_RETURN(uint32_t n, GetU32());
   PDS2_RETURN_IF_ERROR(Need(static_cast<size_t>(n) * 8));

@@ -63,6 +63,12 @@ class Reader {
   Result<std::vector<uint64_t>> GetU64Vector();
   Result<std::vector<double>> GetDoubleVector();
 
+  /// Checks an element count read from the wire against the bytes left:
+  /// Corruption unless `count` elements of at least `min_element_bytes`
+  /// each fit. Decoders call it before reserve(), so a hostile count cannot
+  /// turn into a huge allocation.
+  Status CheckCount(uint64_t count, size_t min_element_bytes) const;
+
   /// True when every byte has been consumed. Deserializers should check
   /// this to reject trailing garbage.
   bool AtEnd() const { return pos_ == data_.size(); }

@@ -73,13 +73,8 @@ ValidatorNode::ValidatorNode(size_t index,
       store_options_(store_options),
       block_interval_(block_interval) {
   if (!store_dir_.empty()) {
-    std::vector<storage::GenesisAccount> accounts;
-    accounts.reserve(genesis_.size());
-    for (const GenesisAlloc& alloc : genesis_) {
-      accounts.push_back({alloc.address, alloc.amount});
-    }
     auto recovered = storage::OpenBlockchain(
-        store_dir_, validator_keys_, accounts, chain_config_, store_options_);
+        store_dir_, validator_keys_, genesis_, chain_config_, store_options_);
     if (recovered.ok()) {
       chain_ = std::move(recovered->chain);
       store_ = std::move(recovered->store);
@@ -97,11 +92,19 @@ ValidatorNode::ValidatorNode(size_t index,
                     << store_dir_ << ": " << recovered.status().ToString()
                     << "; running in-memory";
   }
+  auto fresh = storage::ReplayFromGenesis(
+      validator_keys_, chain::ContractRegistry::CreateDefault(),
+      chain_config_, genesis_, {});
+  if (fresh.ok()) {
+    chain_ = std::move(*fresh);
+    return;
+  }
+  // Only an allocation that overflows the supply cap gets here; keep the
+  // node constructible with an empty genesis.
+  PDS2_LOG(kError) << "validator " << index_ << " rejected its genesis: "
+                   << fresh.status().ToString();
   chain_ = std::make_unique<chain::Blockchain>(
       validator_keys_, chain::ContractRegistry::CreateDefault(), chain_config_);
-  for (const GenesisAlloc& alloc : genesis_) {
-    (void)chain_->CreditGenesis(alloc.address, alloc.amount);
-  }
 }
 
 void ValidatorNode::OnStart(dml::NodeContext& ctx) {
@@ -464,18 +467,13 @@ void ValidatorNode::MaybeAdoptChain(const std::vector<chain::Block>& blocks) {
     if (ours == 0) return;
     if (!(blocks.back().header.Id() < chain_->LastBlockHash())) return;
   }
-  auto candidate = std::make_unique<chain::Blockchain>(
+  auto candidate = storage::ReplayFromGenesis(
       validator_keys_, chain::ContractRegistry::CreateDefault(),
-      chain_config_);
-  for (const GenesisAlloc& alloc : genesis_) {
-    (void)candidate->CreditGenesis(alloc.address, alloc.amount);
-  }
-  for (const chain::Block& block : blocks) {
-    if (!candidate->ApplyExternalBlock(block).ok()) return;  // invalid snapshot
-  }
+      chain_config_, genesis_, blocks);
+  if (!candidate.ok()) return;  // invalid snapshot
   // Local mempool content is not carried over: pending txs were gossiped
   // to every replica when submitted, so the network still holds them.
-  chain_ = std::move(candidate);
+  chain_ = std::move(*candidate);
   future_blocks_.clear();
   if (store_ != nullptr) {
     // The on-disk log describes the orphaned branch; atomically rewrite it

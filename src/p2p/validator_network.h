@@ -17,10 +17,7 @@
 namespace pds2::p2p {
 
 /// Genesis allocation for a replicated chain deployment.
-struct GenesisAlloc {
-  chain::Address address;
-  uint64_t amount = 0;
-};
+using GenesisAlloc = storage::GenesisAccount;
 
 /// One validator's network endpoint: a full chain replica that
 ///  - gossips transactions submitted to it,

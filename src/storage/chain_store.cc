@@ -1,285 +1,91 @@
 #include "storage/chain_store.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
-#include <filesystem>
 #include <utility>
 
-#include "common/fault.h"
-#include "storage/record_io.h"
-#include "common/thread_pool.h"
 #include "common/logging.h"
-#include "common/serial.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/stopwatch.h"
 
 namespace pds2::storage {
 
-namespace fs = std::filesystem;
-
 using common::Bytes;
-using common::CrashPoint;
-using common::Reader;
 using common::Result;
 using common::Status;
-using common::Writer;
 
 namespace {
 
-// 8-byte file magics. The trailing byte is a format version; bumping it
-// makes old readers fail cleanly with "bad magic" instead of misparsing.
-constexpr char kLogMagic[8] = {'P', 'D', 'S', '2', 'L', 'O', 'G', '\x01'};
-constexpr char kSnapshotMagic[8] = {'P', 'D', 'S', '2',
-                                    'S', 'N', 'P', '\x01'};
+constexpr FileMagic kLogMagic = {'P', 'D', 'S', '2', 'L', 'O', 'G', '\x01'};
+constexpr FileMagic kSnapshotMagic = {'P', 'D', 'S', '2',
+                                      'S', 'N', 'P', '\x01'};
+constexpr char kLogName[] = "blocks.log";
 constexpr char kSnapshotPrefix[] = "snapshot-";
-constexpr char kTmpSuffix[] = ".tmp";
+// Newest snapshot files kept after a snapshot write: the bounded on-disk
+// footprint of the snapshot side, with one fallback behind the newest.
+constexpr size_t kKeepSnapshots = 2;
 
-bool HasSuffix(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+std::string SnapshotName(uint64_t height) {
+  return kSnapshotPrefix + std::to_string(height);
 }
 
 }  // namespace
 
-ChainStore::ChainStore(std::string dir, ChainStoreOptions options)
+ChainStore::ChainStore(std::unique_ptr<RecordDir> dir,
+                       ChainStoreOptions options)
     : dir_(std::move(dir)), options_(options) {}
-
-ChainStore::~ChainStore() { CloseAppendHandle(); }
-
-void ChainStore::CloseAppendHandle() {
-  if (log_file_ != nullptr) {
-    std::fclose(log_file_);
-    log_file_ = nullptr;
-  }
-}
-
-std::string ChainStore::LogPath() const { return dir_ + "/blocks.log"; }
-
-std::string ChainStore::SnapshotPath(uint64_t height) const {
-  return dir_ + "/" + kSnapshotPrefix + std::to_string(height);
-}
-
-Status ChainStore::SyncFile(std::FILE* file) {
-  if (std::fflush(file) != 0) {
-    return Status::Internal(std::string("fflush failed: ") +
-                            std::strerror(errno));
-  }
-  if (!options_.fsync) return Status::Ok();
-  obs::Stopwatch watch;
-  if (::fsync(::fileno(file)) != 0) {
-    return Status::Internal(std::string("fsync failed: ") +
-                            std::strerror(errno));
-  }
-  PDS2_M_OBSERVE("store.fsync_us", watch.ElapsedUs());
-  return Status::Ok();
-}
-
-Status ChainStore::SyncDir() {
-  if (!options_.fsync) return Status::Ok();
-  const int fd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::Internal(std::string("cannot open dir for fsync: ") +
-                            std::strerror(errno));
-  }
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) {
-    return Status::Internal(std::string("dir fsync failed: ") +
-                            std::strerror(errno));
-  }
-  return Status::Ok();
-}
 
 Result<std::unique_ptr<ChainStore>> ChainStore::Open(
     const std::string& dir, ChainStoreOptions options) {
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    return Status::Internal("cannot create store directory " + dir + ": " +
-                            ec.message());
-  }
-  std::unique_ptr<ChainStore> store(new ChainStore(dir, options));
+  PDS2_ASSIGN_OR_RETURN(std::unique_ptr<RecordDir> records,
+                        RecordDir::Open(dir, options.fsync));
+  std::unique_ptr<ChainStore> store(
+      new ChainStore(std::move(records), options));
 
-  // Garbage-collect unrenamed temp files (a crash mid-snapshot leaves one
-  // behind; its content never became visible to recovery) and index the
-  // snapshots that did get renamed in.
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (HasSuffix(name, kTmpSuffix)) {
-      fs::remove(entry.path(), ec);
-      continue;
+  // Index the snapshots that were renamed in.
+  const std::string prefix = kSnapshotPrefix;
+  for (const std::string& name : store->dir_->List()) {
+    if (name.rfind(prefix, 0) != 0) continue;
+    const std::string digits = name.substr(prefix.size());
+    if (digits.empty() || digits.size() > 19 ||
+        digits.find_first_not_of("0123456789") != std::string::npos) {
+      continue;  // not a height we could have written
     }
-    if (name.rfind(kSnapshotPrefix, 0) == 0) {
-      const std::string digits = name.substr(std::strlen(kSnapshotPrefix));
-      if (digits.empty() || digits.size() > 19 ||
-          digits.find_first_not_of("0123456789") != std::string::npos) {
-        continue;  // not a height we could have written
-      }
-      store->snapshot_heights_.push_back(std::stoull(digits));
-    }
+    store->snapshot_heights_.push_back(std::stoull(digits));
   }
   std::sort(store->snapshot_heights_.begin(), store->snapshot_heights_.end());
 
-  PDS2_RETURN_IF_ERROR(store->ScanLog());
-  PDS2_RETURN_IF_ERROR(store->OpenAppendHandle());
+  // A CRC-valid record that does not decode as a block ends the log too:
+  // every later block links to it by parent hash.
+  std::vector<chain::Block>& blocks = store->recovered_blocks_;
+  PDS2_ASSIGN_OR_RETURN(
+      store->log_, store->dir_->OpenLog(kLogName, kLogMagic, [&](Bytes p) {
+        auto block = chain::Block::Deserialize(p);
+        if (!block.ok()) return false;
+        blocks.push_back(std::move(*block));
+        return true;
+      }));
+  store->blocks_logged_ = blocks.size();
   return store;
 }
 
-Status ChainStore::ScanLog() {
-  const std::string path = LogPath();
-  std::error_code ec;
-  const bool exists = fs::exists(path, ec);
-  Bytes buf;
-  if (exists) PDS2_RETURN_IF_ERROR(ReadFileBytes(path, &buf));
-
-  if (buf.empty()) {
-    // Fresh (or created-then-killed-before-magic) log: write the magic.
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-      return Status::Internal("cannot create block log: " + path);
-    }
-    std::fwrite(kLogMagic, 1, sizeof(kLogMagic), f);
-    Status sync = SyncFile(f);
-    std::fclose(f);
-    PDS2_RETURN_IF_ERROR(sync);
-    return SyncDir();
-  }
-  if (buf.size() < sizeof(kLogMagic) ||
-      std::memcmp(buf.data(), kLogMagic, sizeof(kLogMagic)) != 0) {
-    return Status::Corruption("bad block log magic: " + path);
-  }
-
-  Reader r(buf);
-  (void)r.GetRaw(sizeof(kLogMagic));
-  uint64_t valid_bytes = sizeof(kLogMagic);
-  while (true) {
-    auto payload = ReadCrcRecord(r);  // torn or bit-rotted frames fail here
-    if (!payload.ok()) break;
-    auto block = chain::Block::Deserialize(*payload);
-    if (!block.ok()) break;
-    recovered_blocks_.push_back(std::move(*block));
-    valid_bytes += kRecordFrameBytes + payload->size();
-    record_end_offsets_.push_back(valid_bytes);
-  }
-  blocks_logged_ = recovered_blocks_.size();
-
-  if (valid_bytes < buf.size()) {
-    // Torn or corrupt tail: every record after the first bad one is
-    // unusable anyway (blocks chain by parent hash), so truncate the log
-    // back to the last clean record boundary.
-    truncated_bytes_ = buf.size() - valid_bytes;
-    fs::resize_file(path, valid_bytes, ec);
-    if (ec) {
-      return Status::Internal("cannot truncate torn log tail: " +
-                              ec.message());
-    }
-    PDS2_M_COUNT("store.log_truncations", 1);
-    PDS2_LOG(kWarn) << "chain store " << dir_ << ": truncated "
-                    << truncated_bytes_ << " torn log bytes after block "
-                    << recovered_blocks_.size();
-  }
-  return Status::Ok();
-}
-
-Status ChainStore::OpenAppendHandle() {
-  CloseAppendHandle();
-  log_file_ = std::fopen(LogPath().c_str(), "ab");
-  if (log_file_ == nullptr) {
-    return Status::Internal("cannot open block log for append: " + LogPath());
-  }
-  return Status::Ok();
-}
-
 Status ChainStore::AppendBlock(const chain::Block& block) {
-  if (dead_) {
-    return Status::Unavailable("chain store crashed; reopen to continue");
-  }
   PDS2_M_TIME_US("store.append_us");
-  const Bytes record = EncodeCrcRecord(block.Serialize());
-
-  if (common::CrashRequested(CrashPoint::kLogMidAppend)) {
-    // The process dies with only half the record flushed to the OS — the
-    // classic torn write. Recovery must drop this record.
-    std::fwrite(record.data(), 1, record.size() / 2, log_file_);
-    std::fflush(log_file_);
-    dead_ = true;
-    PDS2_M_COUNT("store.crashes_simulated", 1);
-    return Status::Unavailable("simulated crash mid-append");
-  }
-
-  if (std::fwrite(record.data(), 1, record.size(), log_file_) !=
-      record.size()) {
-    dead_ = true;  // the log tail is now indeterminate; force a reopen
-    return Status::Internal("short write appending block record");
-  }
-
-  if (common::CrashRequested(CrashPoint::kLogPreFsync)) {
-    // Full record handed to the OS, process dies before fsync. Within one
-    // machine the page cache survives a process kill, so recovery sees the
-    // whole record — it may legitimately keep this block.
-    std::fflush(log_file_);
-    dead_ = true;
-    PDS2_M_COUNT("store.crashes_simulated", 1);
-    return Status::Unavailable("simulated crash before fsync");
-  }
-
-  PDS2_RETURN_IF_ERROR(SyncFile(log_file_));
+  const Bytes payload = block.Serialize();
+  PDS2_RETURN_IF_ERROR(log_->Append(payload));
   ++blocks_logged_;
-  record_end_offsets_.push_back(
-      (record_end_offsets_.empty() ? sizeof(kLogMagic)
-                                   : record_end_offsets_.back()) +
-      record.size());
   PDS2_M_COUNT("store.log_appends", 1);
-  PDS2_M_OBSERVE("store.log_record_bytes", record.size());
+  PDS2_M_OBSERVE("store.log_record_bytes", kRecordFrameBytes + payload.size());
   return Status::Ok();
 }
 
 Status ChainStore::WriteSnapshot(const chain::Blockchain& chain) {
-  if (dead_) {
-    return Status::Unavailable("chain store crashed; reopen to continue");
-  }
   PDS2_M_TIME_US("store.snapshot_us");
   const uint64_t height = chain.Height();
-  const Bytes payload = chain.EncodeSnapshotState();
-  const Bytes record = EncodeCrcRecord(payload);
-  const std::string final_path = SnapshotPath(height);
-  const std::string tmp_path = final_path + kTmpSuffix;
-
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot create snapshot temp file: " + tmp_path);
-  }
-  std::fwrite(kSnapshotMagic, 1, sizeof(kSnapshotMagic), f);
-
-  if (common::CrashRequested(CrashPoint::kSnapshotMidWrite)) {
-    // Half the snapshot reaches the temp file; the rename never happens, so
-    // recovery never even considers these bytes.
-    std::fwrite(record.data(), 1, record.size() / 2, f);
-    std::fclose(f);
-    dead_ = true;
-    PDS2_M_COUNT("store.crashes_simulated", 1);
-    return Status::Unavailable("simulated crash mid-snapshot");
-  }
-
-  const size_t written = std::fwrite(record.data(), 1, record.size(), f);
-  Status sync = written == record.size()
-                    ? SyncFile(f)
-                    : Status::Internal("short write in snapshot temp file");
-  std::fclose(f);
-  PDS2_RETURN_IF_ERROR(sync);
-
-  // The atomic cut-over: readers see either the old snapshot set or the
-  // new file, never a half-written one.
-  std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    return Status::Internal("snapshot rename failed: " + ec.message());
-  }
-  PDS2_RETURN_IF_ERROR(SyncDir());
+  std::vector<Bytes> payload;  // one record, moved in rather than copied
+  payload.push_back(chain.EncodeSnapshotState());
+  PDS2_RETURN_IF_ERROR(
+      dir_->Replace(SnapshotName(height), kSnapshotMagic, payload));
   snapshot_heights_.push_back(height);
   std::sort(snapshot_heights_.begin(), snapshot_heights_.end());
   snapshot_heights_.erase(
@@ -287,100 +93,39 @@ Status ChainStore::WriteSnapshot(const chain::Blockchain& chain) {
       snapshot_heights_.end());
   last_snapshot_height_ = height;
   PDS2_M_COUNT("store.snapshots_written", 1);
-  PDS2_M_OBSERVE("store.snapshot_bytes", record.size());
+  PDS2_M_OBSERVE("store.snapshot_bytes",
+                 kRecordFrameBytes + payload[0].size());
+  return GarbageCollectSnapshots();
+}
 
-  if (common::CrashRequested(CrashPoint::kSnapshotPostRename)) {
-    // Snapshot is durable but the old-snapshot GC never runs; recovery
-    // just sees one extra stale file and ignores it.
-    dead_ = true;
-    PDS2_M_COUNT("store.crashes_simulated", 1);
-    return Status::Unavailable("simulated crash after snapshot rename");
+Status ChainStore::GarbageCollectSnapshots() {
+  while (snapshot_heights_.size() > kKeepSnapshots) {
+    PDS2_RETURN_IF_ERROR(dir_->Remove(SnapshotName(snapshot_heights_.front())));
+    snapshot_heights_.erase(snapshot_heights_.begin());
   }
-
-  GarbageCollectSnapshots();
   return Status::Ok();
 }
 
-void ChainStore::GarbageCollectSnapshots() {
-  while (snapshot_heights_.size() > options_.keep_snapshots) {
-    std::error_code ec;
-    fs::remove(SnapshotPath(snapshot_heights_.front()), ec);
-    snapshot_heights_.erase(snapshot_heights_.begin());
-  }
-}
-
 Result<Bytes> ChainStore::LoadSnapshot(uint64_t height) const {
-  Bytes buf;
-  PDS2_RETURN_IF_ERROR(ReadFileBytes(SnapshotPath(height), &buf));
-  Reader r(buf);
-  auto magic = r.GetRaw(sizeof(kSnapshotMagic));
-  if (!magic.ok() ||
-      std::memcmp(magic->data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
-          0) {
-    return Status::Corruption("bad snapshot magic at height " +
-                              std::to_string(height));
-  }
-  auto payload = ReadCrcRecord(r);
-  if (!payload.ok()) {
-    return Status::Corruption("snapshot checksum mismatch at height " +
-                              std::to_string(height));
-  }
-  if (!r.AtEnd()) {
-    return Status::Corruption("trailing bytes in snapshot at height " +
-                              std::to_string(height));
-  }
-  return *payload;
+  return dir_->ReadOne(SnapshotName(height), kSnapshotMagic);
 }
 
 Status ChainStore::Rewrite(const chain::Blockchain& chain) {
-  if (dead_) {
-    return Status::Unavailable("chain store crashed; reopen to continue");
-  }
   // Fork adoption replaced the chain's history; the log on disk describes
-  // an orphaned branch. Rebuild it atomically next to the old one and
-  // rename over, then drop every snapshot (their heights indexed the old
-  // branch).
-  const std::string tmp_path = LogPath() + kTmpSuffix;
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot create log rewrite file: " + tmp_path);
-  }
-  std::fwrite(kLogMagic, 1, sizeof(kLogMagic), f);
-  std::vector<uint64_t> offsets;
-  uint64_t offset = sizeof(kLogMagic);
-  bool short_write = false;
-  for (const chain::Block& block : chain.blocks()) {
-    const Bytes record = EncodeCrcRecord(block.Serialize());
-    if (std::fwrite(record.data(), 1, record.size(), f) != record.size()) {
-      short_write = true;
-      break;
-    }
-    offset += record.size();
-    offsets.push_back(offset);
-  }
-  Status sync = short_write ? Status::Internal("short write rewriting log")
-                            : SyncFile(f);
-  std::fclose(f);
-  if (!sync.ok()) {
-    std::error_code ec;
-    fs::remove(tmp_path, ec);
-    return sync;
-  }
-  CloseAppendHandle();
-  std::error_code ec;
-  fs::rename(tmp_path, LogPath(), ec);
-  if (ec) {
-    return Status::Internal("log rewrite rename failed: " + ec.message());
-  }
-  PDS2_RETURN_IF_ERROR(SyncDir());
+  // an orphaned branch. Drop every snapshot first (their heights index the
+  // old branch), then replace the log atomically.
   for (uint64_t height : snapshot_heights_) {
-    fs::remove(SnapshotPath(height), ec);
+    PDS2_RETURN_IF_ERROR(dir_->Remove(SnapshotName(height)));
   }
   snapshot_heights_.clear();
   last_snapshot_height_ = 0;
-  record_end_offsets_ = std::move(offsets);
+  std::vector<Bytes> payloads;
+  payloads.reserve(chain.blocks().size());
+  for (const chain::Block& block : chain.blocks()) {
+    payloads.push_back(block.Serialize());
+  }
+  PDS2_RETURN_IF_ERROR(log_->Replace(payloads));
   blocks_logged_ = chain.Height();
-  PDS2_RETURN_IF_ERROR(OpenAppendHandle());
   PDS2_M_COUNT("store.log_rewrites", 1);
   if (options_.snapshot_interval > 0 && chain.Height() > 0) {
     return WriteSnapshot(chain);
@@ -397,10 +142,30 @@ void ChainStore::OnBlockCommitted(const chain::Blockchain& chain,
   }
   if (!status.ok()) {
     last_error_ = status;
-    PDS2_LOG(kWarn) << "chain store " << dir_ << ": commit of block "
+    PDS2_LOG(kWarn) << "chain store " << dir_->path() << ": commit of block "
                     << block.header.number
                     << " not persisted: " << status.ToString();
   }
+}
+
+Result<std::unique_ptr<chain::Blockchain>> ReplayFromGenesis(
+    std::vector<Bytes> validator_public_keys,
+    std::unique_ptr<chain::ContractRegistry> registry,
+    chain::ChainConfig config, const std::vector<GenesisAccount>& genesis,
+    const std::vector<chain::Block>& blocks) {
+  auto replica = std::make_unique<chain::Blockchain>(
+      std::move(validator_public_keys), std::move(registry), config);
+  for (const GenesisAccount& alloc : genesis) {
+    PDS2_RETURN_IF_ERROR(replica->CreditGenesis(alloc.address, alloc.amount));
+  }
+  for (size_t h = 0; h < blocks.size(); ++h) {
+    Status status = replica->ApplyExternalBlock(blocks[h]);
+    if (!status.ok()) {
+      return Status::Corruption("log replay failed at block " +
+                                std::to_string(h) + ": " + status.ToString());
+    }
+  }
+  return replica;
 }
 
 Result<RecoveredChain> OpenBlockchain(
@@ -424,24 +189,6 @@ Result<RecoveredChain> OpenBlockchain(
   auto fresh_chain = [&] {
     return std::make_unique<chain::Blockchain>(validator_public_keys,
                                                registry_factory(), config);
-  };
-  auto replay_from_genesis =
-      [&](uint64_t upto, const chain::ChainConfig& replay_config)
-      -> Result<std::unique_ptr<chain::Blockchain>> {
-    auto replica = std::make_unique<chain::Blockchain>(
-        validator_public_keys, registry_factory(), replay_config);
-    for (const GenesisAccount& alloc : genesis) {
-      PDS2_RETURN_IF_ERROR(replica->CreditGenesis(alloc.address, alloc.amount));
-    }
-    for (uint64_t h = 0; h < upto; ++h) {
-      Status status = replica->ApplyExternalBlock(blocks[h]);
-      if (!status.ok()) {
-        return Status::Corruption("log replay failed at block " +
-                                  std::to_string(h) + ": " +
-                                  status.ToString());
-      }
-    }
-    return replica;
   };
 
   // Newest usable snapshot first; a corrupt or inconsistent snapshot is
@@ -473,7 +220,9 @@ Result<RecoveredChain> OpenBlockchain(
     info.snapshot_height = height;
   }
   if (!replica) {
-    PDS2_ASSIGN_OR_RETURN(replica, replay_from_genesis(0, config));
+    PDS2_ASSIGN_OR_RETURN(
+        replica, ReplayFromGenesis(validator_public_keys, registry_factory(),
+                                   config, genesis, {}));
   }
 
   // Replay the log tail through the normal validation path (proposer turn,
@@ -508,7 +257,8 @@ Result<RecoveredChain> OpenBlockchain(
     sequential_config.thread_pool = &sequential_pool;
     PDS2_ASSIGN_OR_RETURN(
         std::unique_ptr<chain::Blockchain> reference,
-        replay_from_genesis(blocks.size(), sequential_config));
+        ReplayFromGenesis(validator_public_keys, registry_factory(),
+                          sequential_config, genesis, blocks));
     if (reference->StateDigest() != replica->StateDigest()) {
       return Status::Corruption(
           "recovered state diverges from sequential full replay");

@@ -1,7 +1,6 @@
 #ifndef PDS2_STORAGE_CHAIN_STORE_H_
 #define PDS2_STORAGE_CHAIN_STORE_H_
 
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -9,6 +8,7 @@
 
 #include "chain/chain.h"
 #include "common/result.h"
+#include "storage/record_io.h"
 
 namespace pds2::storage {
 
@@ -22,9 +22,6 @@ struct ChainStoreOptions {
   /// Turning this off trades the post-OS-crash guarantee for throughput;
   /// process-crash tolerance (torn-tail truncation) is unaffected.
   bool fsync = true;
-  /// Newest snapshot files retained after a successful snapshot write; the
-  /// bounded on-disk footprint of the snapshot side.
-  size_t keep_snapshots = 2;
   /// During recovery, additionally replay the whole chain from genesis on a
   /// scratch replica forced onto a single-thread pool and require the
   /// recovered state digest to bit-match it. Catches both a snapshot that
@@ -45,35 +42,31 @@ struct RecoveryInfo {
   uint64_t replayed_blocks = 0;  // blocks re-executed through validation
 };
 
-/// The chain durability layer: an append-only, length-prefixed,
-/// CRC-32C-checksummed block log plus periodic whole-state snapshots
-/// written with a write-to-temp-then-rename protocol. Attached to a
-/// Blockchain as its CommitListener, it persists every committed block
-/// (ProduceBlock and ApplyExternalBlock) so a restarted process resumes
-/// from disk instead of a genesis full-sync.
+/// The chain durability layer: an append-only block log plus periodic
+/// whole-state snapshots. Attached to a Blockchain as its CommitListener,
+/// it persists every committed block (ProduceBlock and ApplyExternalBlock)
+/// so a restarted process resumes from disk instead of a genesis full-sync.
 ///
-/// Crash model: a scripted common::CrashPoint (armed by chaos tests) stops
-/// a write exactly where a SIGKILL would — possibly mid-record — and marks
-/// the store dead; every later operation fails with Unavailable until the
-/// directory is reopened. Recovery (OpenBlockchain) truncates a torn final
-/// record, ignores unrenamed snapshot temp files, falls back across corrupt
-/// snapshots, and verifies the recovered head state root before handing the
-/// chain back.
+/// Every file goes through a storage::RecordDir (record_io.h), which owns
+/// the framing, torn-tail truncation, atomic replace and crash model: after
+/// a scripted common::CrashPoint the store fails every write with
+/// Unavailable until the directory is reopened. Recovery (OpenBlockchain)
+/// falls back across corrupt snapshots and verifies the recovered head
+/// state root before handing the chain back.
 ///
 /// On-disk layout under `dir`:
 ///   blocks.log          8-byte magic, then records [u32 len][u32 crc][block]
 ///   snapshot-<height>   8-byte magic, [u32 len][u32 crc][chain snapshot]
-///   *.tmp               in-flight snapshot/log writes; garbage on reopen
+///   *.tmp               in-flight snapshot/log replaces; swept on reopen
 class ChainStore : public chain::CommitListener {
  public:
-  /// Opens (creating if needed) the store directory, scans the block log —
-  /// validating record CRCs and truncating a torn tail in place — and
-  /// removes leftover temp files. The decoded blocks are exposed via
-  /// recovered_blocks() for OpenBlockchain to replay.
+  /// Opens (creating if needed) the store directory and its block log. The
+  /// log ends at the first torn, corrupt or undecodable record, and is
+  /// truncated there. The decoded blocks are exposed via recovered_blocks()
+  /// for OpenBlockchain to replay.
   static common::Result<std::unique_ptr<ChainStore>> Open(
       const std::string& dir, ChainStoreOptions options = {});
 
-  ~ChainStore() override;
   ChainStore(const ChainStore&) = delete;
   ChainStore& operator=(const ChainStore&) = delete;
 
@@ -83,11 +76,11 @@ class ChainStore : public chain::CommitListener {
   void OnBlockCommitted(const chain::Blockchain& chain,
                         const chain::Block& block) override;
 
-  /// Appends one block record (length + CRC + payload) and fsyncs it.
+  /// Appends one block record and fsyncs it.
   common::Status AppendBlock(const chain::Block& block);
 
-  /// Writes a snapshot of the chain's current state atomically
-  /// (temp + fsync + rename) and garbage-collects old snapshots.
+  /// Writes a snapshot of the chain's current state as a one-record file
+  /// through the atomic replace, and garbage-collects old snapshots.
   common::Status WriteSnapshot(const chain::Blockchain& chain);
 
   /// Replaces the entire log (and all snapshots) with the given chain's
@@ -103,54 +96,50 @@ class ChainStore : public chain::CommitListener {
   const std::vector<uint64_t>& snapshot_heights() const {
     return snapshot_heights_;
   }
-  /// Reads and CRC-checks the snapshot file at `height`, returning the
-  /// chain snapshot payload. Corruption on any mismatch; never crashes.
+  /// Reads the snapshot file at `height`, returning the chain snapshot
+  /// payload. Corruption on any mismatch; never crashes.
   common::Result<common::Bytes> LoadSnapshot(uint64_t height) const;
 
   /// Bytes of torn/corrupt log tail dropped when the store was opened.
-  uint64_t truncated_bytes() const { return truncated_bytes_; }
+  uint64_t truncated_bytes() const { return log_->truncated_bytes(); }
   /// True after a scripted CrashPoint fired; reopen the directory to
   /// continue (mirrors a killed process).
-  bool dead() const { return dead_; }
+  bool dead() const { return dir_->dead(); }
   /// Last append/snapshot failure observed by OnBlockCommitted.
   const common::Status& last_error() const { return last_error_; }
   uint64_t blocks_logged() const { return blocks_logged_; }
   uint64_t last_snapshot_height() const { return last_snapshot_height_; }
-  const std::string& dir() const { return dir_; }
-  const ChainStoreOptions& options() const { return options_; }
 
  private:
-  ChainStore(std::string dir, ChainStoreOptions options);
+  ChainStore(std::unique_ptr<RecordDir> dir, ChainStoreOptions options);
 
-  common::Status ScanLog();
-  common::Status OpenAppendHandle();
-  common::Status SyncFile(std::FILE* file);
-  common::Status SyncDir();
-  std::string LogPath() const;
-  std::string SnapshotPath(uint64_t height) const;
-  void GarbageCollectSnapshots();
-  void CloseAppendHandle();
+  common::Status GarbageCollectSnapshots();
 
-  std::string dir_;
+  std::unique_ptr<RecordDir> dir_;
+  std::unique_ptr<RecordLog> log_;  // blocks.log
   ChainStoreOptions options_;
-  std::FILE* log_file_ = nullptr;  // append handle
-  bool dead_ = false;
   common::Status last_error_;
 
   std::vector<chain::Block> recovered_blocks_;
-  std::vector<uint64_t> record_end_offsets_;  // log offset after each block
-  std::vector<uint64_t> snapshot_heights_;    // ascending
-  uint64_t truncated_bytes_ = 0;
+  std::vector<uint64_t> snapshot_heights_;  // ascending
   uint64_t blocks_logged_ = 0;
   uint64_t last_snapshot_height_ = 0;
 };
 
-/// One genesis allocation for rebuilding a chain from an empty directory
-/// (mirrors p2p::GenesisAlloc without depending on the p2p module).
+/// One genesis allocation (p2p::GenesisAlloc is an alias of it).
 struct GenesisAccount {
   chain::Address address;
   uint64_t amount = 0;
 };
+
+/// Builds a chain from genesis: a fresh replica over `registry` with
+/// `genesis` credited, then `blocks` applied in order through the normal
+/// validation path. Corruption names the first block that fails.
+common::Result<std::unique_ptr<chain::Blockchain>> ReplayFromGenesis(
+    std::vector<common::Bytes> validator_public_keys,
+    std::unique_ptr<chain::ContractRegistry> registry,
+    chain::ChainConfig config, const std::vector<GenesisAccount>& genesis,
+    const std::vector<chain::Block>& blocks);
 
 /// A recovered durable chain: the replica, its attached store (already
 /// registered as the chain's commit listener), and what recovery did.

@@ -39,11 +39,8 @@ Result<ml::Dataset> DeserializeDataset(const Bytes& bytes) {
   Reader r(bytes);
   ml::Dataset data;
   PDS2_ASSIGN_OR_RETURN(uint64_t n, r.GetU64());
-  // Each record takes at least a u32 feature count and a label, so a count
-  // the remaining bytes cannot hold is rejected before anything is reserved.
-  if (n > r.remaining() / (sizeof(uint32_t) + sizeof(double))) {
-    return Status::Corruption("dataset record count exceeds its bytes");
-  }
+  // Each record takes at least a u32 feature count and a label.
+  PDS2_RETURN_IF_ERROR(r.CheckCount(n, sizeof(uint32_t) + sizeof(double)));
   data.x.reserve(n);
   data.y.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

@@ -9,6 +9,7 @@
 
 #include "common/bytes.h"
 #include "common/result.h"
+#include "storage/record_io.h"
 
 namespace pds2::store {
 
@@ -24,19 +25,20 @@ namespace pds2::store {
 ///    before reassembly, so silent corruption cannot escape the store.
 ///  - GC roots pin artifacts; `CollectGarbage` mark-and-sweeps manifests
 ///    and chunks reachable from no root.
-///  - The optional on-disk layout reuses the storage layer's CRC-framed
-///    record format (storage/record_io.h): `chunks.pack`, `manifests.log`
-///    and `roots.log` are append-only record streams with 8-byte magics;
-///    a torn or bit-rotted tail record is detected by its CRC and the
-///    affected artifact fails closed on read instead of returning garbage.
+///  - The optional on-disk layout is three record files of the storage
+///    layer (storage/record_io.h): `chunks.pack`, `manifests.log` and
+///    `roots.log` take appends through handles that stay open, and GC
+///    compacts them through the atomic replace. A torn or bit-rotted tail
+///    record is truncated on open, and the affected artifact fails closed
+///    on read instead of returning garbage. The store shares the chain
+///    store's crash model (a scripted common::CrashPoint kills it until
+///    reopened). Writes are flushed to the OS but never fsynced: they
+///    survive a process kill, not a power loss.
 struct ArtifactStoreOptions {
   /// Chunking granularity. Smaller chunks dedup better, cost more hashes.
   size_t chunk_size = 4096;
   /// Directory for the durable layout; empty = in-memory only.
   std::string dir;
-  /// fsync after appends (disk mode). Off by default: tests and benches
-  /// exercise the format, not the disk.
-  bool fsync = false;
 };
 
 /// What `CollectGarbage` reclaimed.
@@ -54,8 +56,6 @@ class ArtifactStore {
   /// way fail closed on Get.
   static common::Result<std::unique_ptr<ArtifactStore>> Open(
       ArtifactStoreOptions options = {});
-
-  ~ArtifactStore();
 
   /// Stores a blob; returns its content address (hash of the manifest).
   /// Idempotent: re-putting the same bytes returns the same address and
@@ -75,8 +75,8 @@ class ArtifactStore {
 
   /// Mark-and-sweep: drops every manifest not reachable from a root, then
   /// every chunk referenced by no surviving manifest. In disk mode the
-  /// pack and manifest log are compacted through a tmp-file + rename, the
-  /// same crash-safe pattern as the chain snapshot.
+  /// manifest log, the root log and the pack are compacted through the
+  /// atomic replace, the same one the chain snapshot uses.
   common::Result<GcStats> CollectGarbage();
 
   /// Dedup accounting. Logical = sum of blob sizes accepted by Put;
@@ -110,14 +110,14 @@ class ArtifactStore {
   explicit ArtifactStore(ArtifactStoreOptions options);
 
   common::Status ReplayDisk();
-  common::Status AppendChunkRecord(const common::Bytes& hash,
-                                   const common::Bytes& data);
-  common::Status AppendManifestRecord(const common::Bytes& address,
-                                      const common::Bytes& manifest);
-  common::Status AppendRootRecord(const common::Bytes& address, int64_t delta);
   common::Status RewriteDisk();
 
   ArtifactStoreOptions options_;
+  // Disk mode only; null in memory.
+  std::unique_ptr<storage::RecordDir> disk_;
+  std::unique_ptr<storage::RecordLog> chunk_log_;     // chunks.pack
+  std::unique_ptr<storage::RecordLog> manifest_log_;  // manifests.log
+  std::unique_ptr<storage::RecordLog> root_log_;      // roots.log
   std::map<common::Bytes, common::Bytes> chunks_;    // chunk hash -> data
   std::map<common::Bytes, Manifest> manifests_;      // address -> manifest
   std::map<common::Bytes, uint64_t> roots_;          // address -> refcount

@@ -41,6 +41,8 @@ Result<Advert> Advert::Deserialize(Reader& r) {
   PDS2_ASSIGN_OR_RETURN(a.content_hash, r.GetBytes());
   PDS2_ASSIGN_OR_RETURN(a.provider, r.GetString());
   PDS2_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
+  // Each tag takes at least its u32 length prefix.
+  PDS2_RETURN_IF_ERROR(r.CheckCount(n, sizeof(uint32_t)));
   a.tags.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     PDS2_ASSIGN_OR_RETURN(std::string t, r.GetString());
@@ -134,6 +136,8 @@ Result<DiscoveryIndex::MergeResult> DiscoveryIndex::Merge(
   }
   Reader r(payload);
   PDS2_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
+  // Each advert takes at least its u32 length prefix.
+  PDS2_RETURN_IF_ERROR(r.CheckCount(n, sizeof(uint32_t)));
   std::vector<Advert> incoming;
   incoming.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

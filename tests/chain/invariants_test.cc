@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "auth/device.h"
 #include "chain/chain.h"
 #include "chain/contracts/workload.h"
+#include "common/crc32.h"
 #include "common/hex.h"
 #include "common/rng.h"
 #include "common/serial.h"
@@ -20,6 +23,7 @@
 #include "storage/record_io.h"
 #include "storage/semantic.h"
 #include "store/artifact_store.h"
+#include "store/discovery.h"
 #include "tee/attestation.h"
 
 namespace pds2::chain {
@@ -110,8 +114,74 @@ TEST_P(DeserializerFuzz, RandomBytesAreRejectedGracefully) {
     (void)store::ArtifactStore::DecodeManifest(junk);
     (void)crypto::EdPoint::Decode(junk);
     (void)storage::DecodeCrcRecord(junk);
+    common::Reader advert_reader(junk);
+    (void)store::Advert::Deserialize(advert_reader);
+    // The index checks its CRC first, so frame the junk with a valid one
+    // as any sender can: the count and advert decoders must hold alone.
+    store::DiscoveryIndex index;
+    (void)index.Merge(junk);
+    Writer framed;
+    framed.PutU32(common::Crc32c(junk));
+    framed.PutRaw(junk);
+    (void)index.Merge(framed.Take());
   }
   SUCCEED();
+}
+
+// The record-file open: intact records, then random damage, after a valid
+// magic. The open must not crash, must hand back a prefix of the intact
+// records, and must cut the file to the end of that prefix.
+TEST_P(DeserializerFuzz, RecordFileOpenKeepsAnIntactPrefix) {
+  namespace fs = std::filesystem;
+  const storage::FileMagic magic = {'F', 'U', 'Z', 'Z', 'R', 'E', 'C', 1};
+  const std::string dir = ::testing::TempDir() + "record_fuzz_" +
+                          std::to_string(GetParam());
+  fs::remove_all(dir);
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<Bytes> written(rng.NextU64(5));
+    Bytes file(magic.begin(), magic.end());
+    for (Bytes& payload : written) {
+      payload = rng.NextBytes(rng.NextU64(40));
+      common::Append(file, storage::EncodeCrcRecord(payload));
+    }
+    switch (rng.NextU64(3)) {
+      case 0:  // random bytes behind the records
+        common::Append(file, rng.NextBytes(rng.NextU64(64)));
+        break;
+      case 1:  // a flipped byte anywhere after the magic
+        if (file.size() > magic.size()) {
+          file[magic.size() + rng.NextU64(file.size() - magic.size())] ^=
+              static_cast<uint8_t>(1 + rng.NextU64(255));
+        }
+        break;
+      default:  // a torn tail
+        file.resize(magic.size() + rng.NextU64(file.size() - magic.size() + 1));
+        break;
+    }
+    fs::create_directories(dir);
+    std::ofstream(dir + "/log", std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(file.data()),
+               static_cast<std::streamsize>(file.size()));
+
+    auto records = storage::RecordDir::Open(dir, /*fsync=*/false);
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
+    std::vector<Bytes> read;
+    auto log = (*records)->OpenLog("log", magic, [&read](Bytes payload) {
+      read.push_back(std::move(payload));
+      return true;
+    });
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    ASSERT_LE(read.size(), written.size());
+    uint64_t prefix_bytes = magic.size();
+    for (size_t i = 0; i < read.size(); ++i) {
+      ASSERT_EQ(read[i], written[i]) << "trial " << trial << " record " << i;
+      prefix_bytes += storage::kRecordFrameBytes + read[i].size();
+    }
+    EXPECT_EQ(fs::file_size(dir + "/log"), prefix_bytes) << "trial " << trial;
+    EXPECT_EQ((*log)->truncated_bytes(), file.size() - prefix_bytes);
+  }
+  fs::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeserializerFuzz,
@@ -173,6 +243,26 @@ TEST(CanonicalEncoding, CrcRecordDecodeAcceptsOnlyCanonicalBytes) {
       });
 }
 
+TEST(CanonicalEncoding, AdvertDecodeAcceptsOnlyCanonicalBytes) {
+  Rng rng(13);
+  store::Advert full;
+  full.content_hash = rng.NextBytes(32);
+  full.provider = "provider-7";
+  full.tags = {"schema:iot", "memo:ab12", ""};
+  full.size_bytes = 4096;
+  full.price = 17;
+  full.version = 3;
+  const std::vector<Bytes> seeds = {store::Advert().Serialize(),
+                                    full.Serialize()};
+  ExpectCanonicalUnderMutation(
+      seeds, rng, [](const Bytes& b) -> std::optional<Bytes> {
+        common::Reader r(b);
+        auto advert = store::Advert::Deserialize(r);
+        if (!advert.ok() || !r.AtEnd()) return std::nullopt;
+        return advert->Serialize();
+      });
+}
+
 // Crafted seeds: a huge element count with no elements behind it must be
 // rejected as Corruption, not turned into a giant reserve() that aborts.
 TEST(CraftedDecoderInput, HugeElementCountsAreRejected) {
@@ -194,6 +284,29 @@ TEST(CraftedDecoderInput, HugeElementCountsAreRejected) {
   auto parsed_manifest = store::ArtifactStore::DecodeManifest(manifest.Take());
   ASSERT_FALSE(parsed_manifest.ok());
   EXPECT_EQ(parsed_manifest.status().code(), common::StatusCode::kCorruption);
+
+  // Gossip input: any sender can compute the index CRC, so only the count
+  // check stands between a peer and a huge reserve().
+  Writer advert;
+  advert.PutBytes(Bytes(32, 1));
+  advert.PutString("p");
+  advert.PutU32(0xFFFFFFFF);
+  const Bytes advert_bytes = advert.Take();
+  common::Reader advert_reader(advert_bytes);
+  auto parsed_advert = store::Advert::Deserialize(advert_reader);
+  ASSERT_FALSE(parsed_advert.ok());
+  EXPECT_EQ(parsed_advert.status().code(), common::StatusCode::kCorruption);
+
+  Writer index_body;
+  index_body.PutU32(0xFFFFFFFF);
+  const Bytes body = index_body.Take();
+  Writer index;
+  index.PutU32(common::Crc32c(body));
+  index.PutRaw(body);
+  store::DiscoveryIndex discovery;
+  auto merged = discovery.Merge(index.Take());
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().code(), common::StatusCode::kCorruption);
 }
 
 // --- Truncation fuzz: every prefix of a valid message is rejected -----------

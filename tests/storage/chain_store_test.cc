@@ -150,7 +150,6 @@ TEST_F(ChainStoreTest, SnapshotBoundsRecoveryReplay) {
 TEST_F(ChainStoreTest, OldSnapshotsAreGarbageCollected) {
   ChainStoreOptions options;
   options.snapshot_interval = 2;
-  options.keep_snapshots = 2;
   RecoveredChain rec = MustOpen(options);
   ProduceBlocks(*rec.chain, 9);  // snapshots at 2,4,6,8; keep newest two
   EXPECT_FALSE(fs::exists(SnapshotPath(2)));
@@ -207,7 +206,6 @@ TEST_F(ChainStoreTest, CorruptedMiddleRecordDropsTheSuffix) {
 TEST_F(ChainStoreTest, CorruptNewestSnapshotFallsBackToOlder) {
   ChainStoreOptions options;
   options.snapshot_interval = 4;
-  options.keep_snapshots = 2;
   {
     RecoveredChain rec = MustOpen(options);
     ProduceBlocks(*rec.chain, 10);  // snapshots at 4 and 8

@@ -1,7 +1,8 @@
 // Content-addressed artifact store: Put/Get roundtrips, chunk-level dedup
 // accounting, refcounted GC roots with mark-and-sweep, verified reads that
 // fail closed on corruption, and the durable CRC-framed layout (reopen,
-// torn-tail truncation, bit-rot detection).
+// torn-tail truncation, bit-rot detection, interrupted creation, and
+// kill-and-reopen at the scripted crash points the chain store shares).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/fault.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "store/artifact_store.h"
@@ -36,12 +38,15 @@ class ArtifactStoreTest : public ::testing::Test {
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     fs::remove_all(dir_);
   }
-  ~ArtifactStoreTest() override { fs::remove_all(dir_); }
+  ~ArtifactStoreTest() override {
+    common::DisarmCrash();
+    fs::remove_all(dir_);
+  }
 
   static std::unique_ptr<ArtifactStore> OpenOrDie(ArtifactStoreOptions opt) {
     auto store = ArtifactStore::Open(opt);
     EXPECT_TRUE(store.ok()) << store.status().message();
-    return std::move(*store);
+    return store.ok() ? std::move(*store) : nullptr;
   }
 
   Rng rng_;
@@ -343,6 +348,146 @@ TEST_F(ArtifactStoreTest, BitRottedChunkIsRejectedByCrcAtReplay) {
   auto store = OpenOrDie(opt);
   auto got = store->Get(addr);
   EXPECT_FALSE(got.ok());
+}
+
+// Creation killed before the magic landed leaves an empty file; it opens as
+// a fresh one, as the chain store's empty blocks.log does.
+TEST_F(ArtifactStoreTest, EmptyFileFromInterruptedCreationOpensFresh) {
+  for (const char* name : {"chunks.pack", "manifests.log", "roots.log"}) {
+    SCOPED_TRACE(name);
+    fs::remove_all(dir_);
+    ArtifactStoreOptions opt;
+    opt.dir = dir_;
+    opt.chunk_size = 256;
+    const Bytes blob = RandomBlob(3 * 256, rng_);
+    Bytes addr;
+    {
+      auto store = OpenOrDie(opt);
+      ASSERT_NE(store, nullptr);
+      auto a = store->Put(blob);
+      ASSERT_TRUE(a.ok());
+      addr = *a;
+      ASSERT_TRUE(store->AddRoot(addr).ok());
+    }
+    fs::resize_file(dir_ + "/" + name, 0);
+
+    {
+      auto store = OpenOrDie(opt);
+      ASSERT_NE(store, nullptr);
+      // The store keeps working: a fresh put and root land in the file.
+      auto a = store->Put(blob);
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(store->AddRoot(*a).ok());
+    }
+    auto store = OpenOrDie(opt);
+    ASSERT_NE(store, nullptr);
+    auto back = store->Get(addr);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(*back, blob);
+    auto stats = store->CollectGarbage();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->manifests_removed, 0u);
+  }
+}
+
+TEST_F(ArtifactStoreTest, LeftoverTmpFileIsSweptOnOpen) {
+  ArtifactStoreOptions opt;
+  opt.dir = dir_;
+  fs::create_directories(dir_);
+  const std::string tmp = dir_ + "/chunks.pack.tmp";
+  std::ofstream(tmp, std::ios::binary) << "half a compaction";
+  ASSERT_TRUE(fs::exists(tmp));
+  auto store = OpenOrDie(opt);
+  ASSERT_NE(store, nullptr);
+  EXPECT_FALSE(fs::exists(tmp));
+}
+
+// kLogMidAppend inside a multi-chunk Put: the store dies with half a chunk
+// record on disk. After a reopen the earlier artifact still reads back and
+// the interrupted one was never stored.
+TEST_F(ArtifactStoreTest, CrashMidAppendDuringPutKeepsEarlierArtifacts) {
+  ArtifactStoreOptions opt;
+  opt.dir = dir_;
+  opt.chunk_size = 256;
+  const Bytes earlier_blob = RandomBlob(4 * 256, rng_);
+  const Bytes torn_blob = RandomBlob(5 * 256, rng_);
+  Bytes earlier, torn;
+  {
+    auto store = OpenOrDie(opt);
+    auto a = store->Put(earlier_blob);
+    ASSERT_TRUE(a.ok());
+    earlier = *a;
+    // The address the interrupted put would have had.
+    ArtifactStoreOptions in_memory;
+    in_memory.chunk_size = opt.chunk_size;
+    torn = *OpenOrDie(in_memory)->Put(torn_blob);
+
+    const uint64_t fired_before = common::CrashesFired();
+    common::ArmCrash(common::CrashPoint::kLogMidAppend);
+    auto b = store->Put(torn_blob);
+    ASSERT_FALSE(b.ok());
+    EXPECT_EQ(b.status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(common::CrashesFired(), fired_before + 1);
+    // Dead until reopened, like a killed process.
+    EXPECT_EQ(store->AddRoot(earlier).code(), StatusCode::kUnavailable);
+  }
+  auto store = OpenOrDie(opt);
+  auto back = store->Get(earlier);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, earlier_blob);
+  EXPECT_FALSE(store->Contains(torn));
+  // The reopened store accepts the interrupted put again.
+  auto again = store->Put(torn_blob);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, torn);
+}
+
+// kSnapshotMidWrite inside CollectGarbage: the compaction dies with half a
+// tmp file written and nothing renamed, so every pre-GC artifact survives
+// the reopen and the tmp file is swept.
+TEST_F(ArtifactStoreTest, CrashMidCompactionKeepsPreGcArtifacts) {
+  ArtifactStoreOptions opt;
+  opt.dir = dir_;
+  opt.chunk_size = 256;
+  const Bytes keep_blob = RandomBlob(3 * 256, rng_);
+  const Bytes drop_blob = RandomBlob(2 * 256, rng_);
+  Bytes keep, drop;
+  {
+    auto store = OpenOrDie(opt);
+    auto k = store->Put(keep_blob);
+    auto d = store->Put(drop_blob);
+    ASSERT_TRUE(k.ok());
+    ASSERT_TRUE(d.ok());
+    keep = *k;
+    drop = *d;
+    ASSERT_TRUE(store->AddRoot(keep).ok());
+
+    common::ArmCrash(common::CrashPoint::kSnapshotMidWrite);
+    auto stats = store->CollectGarbage();
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), StatusCode::kUnavailable);
+  }
+  bool saw_tmp = false;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    saw_tmp |= entry.path().extension() == ".tmp";
+  }
+  EXPECT_TRUE(saw_tmp);  // the crash left real torn bytes behind
+
+  auto store = OpenOrDie(opt);
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+  auto back_keep = store->Get(keep);
+  auto back_drop = store->Get(drop);
+  ASSERT_TRUE(back_keep.ok());
+  ASSERT_TRUE(back_drop.ok());
+  EXPECT_EQ(*back_keep, keep_blob);
+  EXPECT_EQ(*back_drop, drop_blob);
+  // The root survived too: a clean GC now drops only the unrooted one.
+  auto stats = store->CollectGarbage();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->manifests_removed, 1u);
+  EXPECT_TRUE(store->Contains(keep));
 }
 
 }  // namespace
