@@ -13,6 +13,7 @@
 #include "chain/chain.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "crypto/cipher.h"
 #include "crypto/merkle.h"
 #include "crypto/paillier.h"
 #include "crypto/schnorr.h"
@@ -57,6 +58,36 @@ void BM_SchnorrVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchnorrVerify);
+
+void BM_KeyFromSeed(benchmark::State& state) {
+  const common::Bytes seed = common::ToBytes("device-001");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::SigningKey::FromSeed(seed));
+  }
+}
+BENCHMARK(BM_KeyFromSeed);
+
+void BM_SharedSecret(benchmark::State& state) {
+  common::Rng rng(8);
+  crypto::SigningKey key = crypto::SigningKey::Generate(rng);
+  crypto::SigningKey peer = crypto::SigningKey::Generate(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(key.SharedSecret(peer.PublicKey()));
+  }
+}
+BENCHMARK(BM_SharedSecret);
+
+void BM_AuthCipherSeal(benchmark::State& state) {
+  common::Rng rng(9);
+  crypto::AuthCipher cipher(rng.NextBytes(32));
+  common::Bytes plaintext = rng.NextBytes(static_cast<size_t>(state.range(0)));
+  common::Bytes nonce_seed = rng.NextBytes(16);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cipher.Seal(plaintext, nonce_seed));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_AuthCipherSeal)->Arg(65536);
 
 void BM_PaillierEncrypt(benchmark::State& state) {
   common::Rng rng(4);

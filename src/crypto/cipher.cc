@@ -18,22 +18,20 @@ AuthCipher::AuthCipher(const Bytes& key)
       mac_key_(DeriveKey(key, "pds2.cipher.mac", 32)) {}
 
 Bytes AuthCipher::Keystream(const Bytes& nonce, size_t len) const {
+  // One subkey per message; block i is then SHA-256(subkey || ctr_i), 40
+  // bytes, which is a single compression.
+  const Bytes subkey = Sha256::Hash2(enc_key_, nonce);
   Bytes stream;
-  stream.reserve(len);
-  uint64_t counter = 0;
-  while (stream.size() < len) {
+  stream.reserve(len + kSha256DigestSize);
+  for (uint64_t counter = 0; stream.size() < len; ++counter) {
     Sha256 h;
-    h.Update(enc_key_);
-    h.Update(nonce);
+    h.Update(subkey);
     uint8_t ctr[8];
     for (int i = 0; i < 8; ++i) ctr[i] = static_cast<uint8_t>(counter >> (8 * i));
     h.Update(ctr, sizeof(ctr));
-    Bytes block = h.Finish();
-    const size_t take = std::min(block.size(), len - stream.size());
-    stream.insert(stream.end(), block.begin(),
-                  block.begin() + static_cast<ptrdiff_t>(take));
-    ++counter;
+    common::Append(stream, h.Finish());
   }
+  stream.resize(len);
   return stream;
 }
 

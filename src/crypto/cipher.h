@@ -7,10 +7,11 @@
 namespace pds2::crypto {
 
 /// Authenticated symmetric encryption in encrypt-then-MAC composition:
-/// keystream = SHA-256 in counter mode keyed via HKDF("enc"), integrity by
-/// HMAC-SHA256 keyed via HKDF("mac") over nonce || ciphertext. This is the
-/// sealing primitive of the TEE simulator and the transport protection for
-/// provider data in flight to executors.
+/// keystream block i = SHA-256(K || i) under the per-message subkey
+/// K = SHA-256(HKDF("enc") || nonce), one compression per 32-byte block;
+/// integrity by HMAC-SHA256 keyed via HKDF("mac") over nonce || ciphertext.
+/// This is the sealing primitive of the TEE simulator and the transport
+/// protection for provider data in flight to executors.
 ///
 /// Wire format: nonce(16) || ciphertext || tag(32).
 class AuthCipher {

@@ -1,6 +1,8 @@
 #include "crypto/ed25519.h"
 
 #include <cassert>
+#include <cstdlib>
+#include <cstring>
 
 namespace pds2::crypto {
 
@@ -80,23 +82,14 @@ Bytes Fe25519::ToBytes() const {
     if (borrow == 0) t.limbs_ = diff;
   }
 
-  // Pack 5x51 bits into 32 bytes little-endian.
-  Bytes out(32, 0);
-  u128 acc = 0;
-  int acc_bits = 0;
-  size_t byte = 0;
-  for (int i = 0; i < 5; ++i) {
-    acc |= static_cast<u128>(t.limbs_[i]) << acc_bits;
-    acc_bits += 51;
-    while (acc_bits >= 8 && byte < 32) {
-      out[byte++] = static_cast<uint8_t>(acc);
-      acc >>= 8;
-      acc_bits -= 8;
-    }
-  }
-  while (byte < 32) {
-    out[byte++] = static_cast<uint8_t>(acc);
-    acc >>= 8;
+  // Pack 5x51 bits into four 64-bit words, then 32 bytes little-endian.
+  const auto& l = t.limbs_;
+  const uint64_t words[4] = {l[0] | (l[1] << 51), (l[1] >> 13) | (l[2] << 38),
+                             (l[2] >> 26) | (l[3] << 25),
+                             (l[3] >> 39) | (l[4] << 12)};
+  Bytes out(32);
+  for (size_t i = 0; i < 32; ++i) {
+    out[i] = static_cast<uint8_t>(words[i / 8] >> (8 * (i % 8)));
   }
   return out;
 }
@@ -162,54 +155,59 @@ Fe25519 Fe25519::Mul(const Fe25519& f, const Fe25519& g) {
   out.limbs_[4] = static_cast<uint64_t>(t4) & kMask51;
   carry = static_cast<uint64_t>(t4 >> 51);
   out.limbs_[0] += carry * 19;
-  out.Carry();
+  out.limbs_[1] += out.limbs_[0] >> 51;  // every limb now < 2^52
+  out.limbs_[0] &= kMask51;
   return out;
 }
 
 namespace {
 
-// MSB-first square-and-multiply over an exponent given as 32 LE bytes.
-Fe25519 PowBytesLe(const Fe25519& base, const uint8_t exp_le[32]) {
+// base^e by MSB-first square-and-multiply, for e with the little-endian
+// bytes lo, ff x 30, hi — the shape of every fixed exponent here.
+Fe25519 PowBytesLe(const Fe25519& base, uint8_t lo, uint8_t hi) {
+  uint8_t exp_le[32];
+  exp_le[0] = lo;
+  std::memset(exp_le + 1, 0xff, 30);
+  exp_le[31] = hi;
   Fe25519 result = Fe25519::FromU64(1);
-  bool started = false;
-  for (int byte = 31; byte >= 0; --byte) {
-    for (int bit = 7; bit >= 0; --bit) {
-      if (started) result = Fe25519::Square(result);
-      if ((exp_le[byte] >> bit) & 1) {
-        result = Fe25519::Mul(result, base);
-        started = true;
-      }
-    }
+  for (int i = 255; i >= 0; --i) {
+    result = Fe25519::Square(result);
+    if ((exp_le[i / 8] >> (i % 8)) & 1) result = Fe25519::Mul(result, base);
   }
   return result;
+}
+
+// a^(2^n).
+Fe25519 SquareTimes(Fe25519 a, int n) {
+  for (int i = 0; i < n; ++i) a = Fe25519::Square(a);
+  return a;
 }
 
 }  // namespace
 
 Fe25519 Fe25519::Invert(const Fe25519& a) {
-  // Exponent p - 2 = 2^255 - 21: bytes eb ff .. ff 7f.
-  uint8_t exp[32];
-  exp[0] = 0xeb;
-  for (int i = 1; i < 31; ++i) exp[i] = 0xff;
-  exp[31] = 0x7f;
-  return PowBytesLe(a, exp);
+  // a^(p-2), p - 2 = 2^255 - 21, by the standard addition chain: 254
+  // squarings and 11 multiplications. aM_N names a^(2^M - 2^N).
+  const Fe25519 a2 = Square(a);
+  const Fe25519 a9 = Mul(SquareTimes(a2, 2), a);
+  const Fe25519 a11 = Mul(a9, a2);
+  const Fe25519 a5_0 = Mul(Square(a11), a9);
+  const Fe25519 a10_0 = Mul(SquareTimes(a5_0, 5), a5_0);
+  const Fe25519 a20_0 = Mul(SquareTimes(a10_0, 10), a10_0);
+  const Fe25519 a40_0 = Mul(SquareTimes(a20_0, 20), a20_0);
+  const Fe25519 a50_0 = Mul(SquareTimes(a40_0, 10), a10_0);
+  const Fe25519 a100_0 = Mul(SquareTimes(a50_0, 50), a50_0);
+  const Fe25519 a200_0 = Mul(SquareTimes(a100_0, 100), a100_0);
+  const Fe25519 a250_0 = Mul(SquareTimes(a200_0, 50), a50_0);
+  // (2^250 - 1) * 2^5 + 11 = 2^255 - 21.
+  return Mul(SquareTimes(a250_0, 5), a11);
 }
 
 Fe25519 Fe25519::PowP38(const Fe25519& a) {
-  // Exponent (p + 3) / 8 = 2^252 - 2: bytes fe ff .. ff 0f.
-  uint8_t exp[32];
-  exp[0] = 0xfe;
-  for (int i = 1; i < 31; ++i) exp[i] = 0xff;
-  exp[31] = 0x0f;
-  return PowBytesLe(a, exp);
+  return PowBytesLe(a, 0xfe, 0x0f);  // (p + 3) / 8 = 2^252 - 2
 }
 
-bool Fe25519::IsZero() const {
-  Bytes b = ToBytes();
-  uint8_t acc = 0;
-  for (uint8_t v : b) acc |= v;
-  return acc == 0;
-}
+bool Fe25519::IsZero() const { return ToBytes() == Bytes(32, 0); }
 
 bool Fe25519::Equals(const Fe25519& other) const {
   return ToBytes() == other.ToBytes();
@@ -235,21 +233,8 @@ const CurveConstants& Constants() {
     const Fe25519 den_inv = Fe25519::Invert(Fe25519::FromU64(121666));
     c->d = Fe25519::Mul(num, den_inv);
     c->d2 = Fe25519::Add(c->d, c->d);
-    // sqrt(-1) = 2^((p-1)/4); exponent (p-1)/4 = (2^255 - 20)/4 = 2^253 - 5:
-    // bytes fb ff .. ff 1f.
-    uint8_t exp[32];
-    exp[0] = 0xfb;
-    for (int i = 1; i < 31; ++i) exp[i] = 0xff;
-    exp[31] = 0x1f;
-    Fe25519 base = Fe25519::FromU64(2);
-    Fe25519 result = Fe25519::FromU64(1);
-    for (int byte = 31; byte >= 0; --byte) {
-      for (int bit = 7; bit >= 0; --bit) {
-        result = Fe25519::Square(result);
-        if ((exp[byte] >> bit) & 1) result = Fe25519::Mul(result, base);
-      }
-    }
-    c->sqrt_m1 = result;
+    // sqrt(-1) = 2^((p-1)/4), (p - 1) / 4 = 2^253 - 5.
+    c->sqrt_m1 = PowBytesLe(Fe25519::FromU64(2), 0xfb, 0x1f);
     return c;
   }();
   return *consts;
@@ -352,18 +337,80 @@ EdPoint EdPoint::Double(const EdPoint& p) {
   return out;
 }
 
+EdPoint EdPoint::Negate(const EdPoint& p) {
+  EdPoint out = p;
+  out.x_ = Fe25519::Sub(Fe25519(), p.x_);
+  out.t_ = Fe25519::Sub(Fe25519(), p.t_);
+  return out;
+}
+
 EdPoint EdPoint::ScalarMul(const BigUint& k, const EdPoint& p) {
+  // Width-5 wNAF digits of k: each nonzero digit is odd with |d| < 16, and
+  // a nonzero digit is followed by at least four zeros. k is not reduced
+  // mod l, since p may carry a torsion component.
+  std::vector<int> naf(k.BitLength() + 1, 0);
+  int carry = 0;
+  for (size_t pos = 0; pos < naf.size();) {
+    int window = carry;
+    for (int b = 0; b < 5; ++b) window += k.Bit(pos + b) << b;
+    if ((window & 1) == 0) {
+      ++pos;
+      continue;
+    }
+    carry = window >= 16;
+    naf[pos] = window - 32 * carry;
+    pos += 5;
+  }
+
+  // odd[j] = (2j + 1) * p.
+  std::vector<EdPoint> odd(1, p);
+  const EdPoint p2 = Double(p);
+  for (int j = 1; j < 8; ++j) odd.push_back(Add(odd.back(), p2));
+
   EdPoint acc = Identity();
-  const size_t bits = k.BitLength();
-  for (size_t i = bits; i-- > 0;) {
+  for (size_t pos = naf.size(); pos-- > 0;) {
     acc = Double(acc);
-    if (k.Bit(i)) acc = Add(acc, p);
+    const int d = naf[pos];
+    if (d == 0) continue;
+    const EdPoint& q = odd[std::abs(d) / 2];
+    acc = Add(acc, d > 0 ? q : Negate(q));
   }
   return acc;
 }
 
 EdPoint EdPoint::ScalarBaseMul(const BigUint& k) {
-  return ScalarMul(k, Base());
+  // table[8i + j] = (j + 1) * 16^i * B, built at first use from Base().
+  static const std::vector<EdPoint>* table = [] {
+    auto* t = new std::vector<EdPoint>();
+    t->reserve(64 * 8);
+    EdPoint row_base = Base();
+    for (int i = 0; i < 64; ++i) {
+      t->push_back(row_base);
+      for (int j = 1; j < 8; ++j) t->push_back(Add(t->back(), row_base));
+      row_base = Double(t->back());
+    }
+    return t;
+  }();
+
+  // Signed radix-16 digits e[i] in [-8, 8) of k mod l < 2^253, so that
+  // k * B = sum_i e[i] * 16^i * B.
+  const BigUint r = k.Mod(GroupOrder());
+  std::array<int, 64> e{};
+  for (size_t i = 0; i < 256; ++i) e[i / 4] |= r.Bit(i) << (i % 4);
+  for (size_t i = 0; i < 63; ++i) {
+    const int carry = (e[i] + 8) >> 4;
+    e[i] -= carry << 4;
+    e[i + 1] += carry;
+  }
+
+  EdPoint acc = Identity();
+  for (size_t i = 0; i < 64; ++i) {
+    const int d = e[i];
+    if (d == 0) continue;
+    const EdPoint& q = (*table)[8 * i + std::abs(d) - 1];
+    acc = Add(acc, d > 0 ? q : Negate(q));
+  }
+  return acc;
 }
 
 EdPoint EdPoint::MultiScalarMul(const std::vector<BigUint>& scalars,
@@ -371,15 +418,6 @@ EdPoint EdPoint::MultiScalarMul(const std::vector<BigUint>& scalars,
   assert(scalars.size() == points.size());
   const size_t n = scalars.size();
   if (n == 0) return Identity();
-
-  // Below this size the bucket setup dominates; plain double-and-add wins.
-  if (n < 4) {
-    EdPoint acc = Identity();
-    for (size_t i = 0; i < n; ++i) {
-      acc = Add(acc, ScalarMul(scalars[i], points[i]));
-    }
-    return acc;
-  }
 
   // Fixed-width little-endian limbs for cheap window extraction.
   size_t max_bits = 0;

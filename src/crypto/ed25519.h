@@ -29,7 +29,7 @@ class Fe25519 {
   static Fe25519 Sub(const Fe25519& a, const Fe25519& b);
   static Fe25519 Mul(const Fe25519& a, const Fe25519& b);
   static Fe25519 Square(const Fe25519& a) { return Mul(a, a); }
-  /// Multiplicative inverse via Fermat (x^(p-2)); inverse of 0 is 0.
+  /// Multiplicative inverse x^(p-2) by an addition chain; inverse of 0 is 0.
   static Fe25519 Invert(const Fe25519& a);
   /// x^((p+3)/8), the square-root candidate exponentiation.
   static Fe25519 PowP38(const Fe25519& a);
@@ -60,17 +60,17 @@ class EdPoint {
 
   static EdPoint Add(const EdPoint& p, const EdPoint& q);
   static EdPoint Double(const EdPoint& p);
-  /// Scalar multiplication, double-and-add (not constant-time; the
-  /// simulated adversary model does not include timing attacks on the
-  /// simulator host).
+  static EdPoint Negate(const EdPoint& p);
+  /// Exactly k * p (k is not reduced mod l, so a torsion component of p
+  /// survives), by width-5 wNAF over p, 3p, ..., 15p. Not constant-time:
+  /// the simulated adversary model has no timing attacks on the host.
   static EdPoint ScalarMul(const BigUint& k, const EdPoint& p);
-  /// k * Base().
+  /// k * Base(): 64 signed radix-16 digits of k mod l summed from a table
+  /// of 64 x 8 multiples of B (~80 KiB) built at first use.
   static EdPoint ScalarBaseMul(const BigUint& k);
   /// sum_i scalars[i] * points[i] via Pippenger's bucket method — the
-  /// workhorse of batch signature verification, roughly an order of
-  /// magnitude fewer point operations than independent ScalarMul calls at
-  /// block-sized inputs. Scalars must be < 2^256 (callers pass values
-  /// reduced mod the group order). Sizes must match.
+  /// workhorse of batch signature verification. Scalars must be < 2^256
+  /// and, as in ScalarMul, are not reduced. Sizes must match.
   static EdPoint MultiScalarMul(const std::vector<BigUint>& scalars,
                                 const std::vector<EdPoint>& points);
 

@@ -5,6 +5,7 @@
 namespace pds2::crypto {
 
 using common::Bytes;
+using common::Result;
 using common::Status;
 
 namespace {
@@ -12,6 +13,47 @@ namespace {
 // Hash arbitrary bytes to a scalar mod the group order.
 BigUint HashToScalar(const Bytes& data) {
   return BigUint::FromBytesBE(Sha256::Hash(data)).Mod(EdPoint::GroupOrder());
+}
+
+// [8]p == O: p lies in the torsion subgroup (order 1, 2, 4 or 8).
+bool HasSmallOrder(EdPoint p) {
+  for (int i = 0; i < 3; ++i) p = EdPoint::Double(p);
+  return p.IsIdentity();
+}
+
+// A signature that passed the checks both verification paths share, with
+// its challenge c = H(R || P || message).
+struct ParsedSignature {
+  EdPoint big_r, pub;
+  BigUint s, c;
+};
+
+Result<ParsedSignature> Parse(const Bytes& public_key, const Bytes& message,
+                              const Bytes& signature) {
+  if (public_key.size() != kPublicKeySize) {
+    return Status::Unauthenticated("malformed public key");
+  }
+  if (signature.size() != kSignatureSize) {
+    return Status::Unauthenticated("malformed signature");
+  }
+  Bytes r_enc(signature.begin(), signature.begin() + kPublicKeySize);
+  auto big_r = EdPoint::Decode(r_enc);
+  if (!big_r.ok()) return Status::Unauthenticated("signature R not on curve");
+  auto pub = EdPoint::Decode(public_key);
+  if (!pub.ok()) return Status::Unauthenticated("public key not on curve");
+  if (HasSmallOrder(*pub)) {
+    return Status::Unauthenticated("public key has small order");
+  }
+  BigUint s = BigUint::FromBytesBE(
+      Bytes(signature.begin() + kPublicKeySize, signature.end()));
+  if (s >= EdPoint::GroupOrder()) {
+    return Status::Unauthenticated("signature s out of range");
+  }
+  Bytes challenge_input = std::move(r_enc);
+  common::Append(challenge_input, public_key);
+  common::Append(challenge_input, message);
+  return ParsedSignature{*big_r, *pub, std::move(s),
+                         HashToScalar(challenge_input)};
 }
 
 Bytes WithDomain(const std::string& domain, const Bytes& message) {
@@ -77,34 +119,14 @@ common::Result<Bytes> SigningKey::SharedSecret(
 
 Status VerifySignature(const Bytes& public_key, const Bytes& message,
                        const Bytes& signature) {
-  if (public_key.size() != kPublicKeySize) {
-    return Status::Unauthenticated("malformed public key");
-  }
-  if (signature.size() != kSignatureSize) {
-    return Status::Unauthenticated("malformed signature");
-  }
-
-  Bytes r_enc(signature.begin(), signature.begin() + kPublicKeySize);
-  Bytes s_bytes(signature.begin() + kPublicKeySize, signature.end());
-
-  auto big_r = EdPoint::Decode(r_enc);
-  if (!big_r.ok()) return Status::Unauthenticated("signature R not on curve");
-  auto pub = EdPoint::Decode(public_key);
-  if (!pub.ok()) return Status::Unauthenticated("public key not on curve");
-
-  const BigUint s = BigUint::FromBytesBE(s_bytes);
-  const BigUint& order = EdPoint::GroupOrder();
-  if (s >= order) return Status::Unauthenticated("signature s out of range");
-
-  Bytes challenge_input = r_enc;
-  common::Append(challenge_input, public_key);
-  common::Append(challenge_input, message);
-  const BigUint c = HashToScalar(challenge_input);
-
-  // Check s*B == R + c*P.
-  const EdPoint lhs = EdPoint::ScalarBaseMul(s);
-  const EdPoint rhs = EdPoint::Add(*big_r, EdPoint::ScalarMul(c, *pub));
-  if (!lhs.Equals(rhs)) {
+  PDS2_ASSIGN_OR_RETURN(const ParsedSignature sig,
+                        Parse(public_key, message, signature));
+  // Cofactored check [8](s*B - R - c*P) == O, the equation the batch path
+  // checks too, so torsion components never split the two verdicts.
+  const EdPoint rhs =
+      EdPoint::Add(sig.big_r, EdPoint::ScalarMul(sig.c, sig.pub));
+  if (!HasSmallOrder(EdPoint::Add(EdPoint::ScalarBaseMul(sig.s),
+                                  EdPoint::Negate(rhs)))) {
     return Status::Unauthenticated("signature verification failed");
   }
   return Status::Ok();
@@ -132,34 +154,14 @@ bool VerifySignatureBatch(const std::vector<BatchVerifyEntry>& entries) {
 
   const BigUint& order = EdPoint::GroupOrder();
 
-  // Structural checks, point decoding and per-entry challenges. Any
-  // malformed entry fails the batch outright — exactly what individual
-  // verification would conclude about it.
-  std::vector<EdPoint> big_r, pub;
-  std::vector<BigUint> s(n), c(n);
-  big_r.reserve(n);
-  pub.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const BatchVerifyEntry& e = entries[i];
-    if (e.public_key.size() != kPublicKeySize ||
-        e.signature.size() != kSignatureSize) {
-      return false;
-    }
-    Bytes r_enc(e.signature.begin(), e.signature.begin() + kPublicKeySize);
-    Bytes s_bytes(e.signature.begin() + kPublicKeySize, e.signature.end());
-    auto r_point = EdPoint::Decode(r_enc);
-    if (!r_point.ok()) return false;
-    auto p_point = EdPoint::Decode(e.public_key);
-    if (!p_point.ok()) return false;
-    s[i] = BigUint::FromBytesBE(s_bytes);
-    if (s[i] >= order) return false;
-
-    Bytes challenge_input = std::move(r_enc);
-    common::Append(challenge_input, e.public_key);
-    common::Append(challenge_input, e.message);
-    c[i] = HashToScalar(challenge_input);
-    big_r.push_back(std::move(r_point).value());
-    pub.push_back(std::move(p_point).value());
+  // Any entry that fails the shared checks fails the batch outright —
+  // exactly what individual verification would conclude about it.
+  std::vector<ParsedSignature> sigs;
+  sigs.reserve(n);
+  for (const BatchVerifyEntry& e : entries) {
+    auto sig = Parse(e.public_key, e.message, e.signature);
+    if (!sig.ok()) return false;
+    sigs.push_back(std::move(sig).value());
   }
 
   // Deterministic Fiat-Shamir coefficients: one digest over the whole batch
@@ -190,15 +192,15 @@ bool VerifySignatureBatch(const std::vector<BatchVerifyEntry>& entries) {
     if (z.IsZero()) z = BigUint(1);  // z = 0 would exempt entry i
 
     scalars.push_back(z);
-    points.push_back(big_r[i]);
-    scalars.push_back(BigUint::MulMod(z, c[i], order));
-    points.push_back(pub[i]);
-    z_dot_s = z_dot_s.Add(BigUint::MulMod(z, s[i], order)).Mod(order);
+    points.push_back(sigs[i].big_r);
+    scalars.push_back(BigUint::MulMod(z, sigs[i].c, order));
+    points.push_back(sigs[i].pub);
+    z_dot_s = z_dot_s.Add(BigUint::MulMod(z, sigs[i].s, order)).Mod(order);
   }
 
   const EdPoint lhs = EdPoint::ScalarBaseMul(z_dot_s);
   const EdPoint rhs = EdPoint::MultiScalarMul(scalars, points);
-  return lhs.Equals(rhs);
+  return HasSmallOrder(EdPoint::Add(lhs, EdPoint::Negate(rhs)));
 }
 
 }  // namespace pds2::crypto

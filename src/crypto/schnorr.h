@@ -56,8 +56,11 @@ class SigningKey {
   common::Bytes public_key_;
 };
 
-/// Verifies `signature` over `message` against `public_key`. Returns OK on
-/// a valid signature, Unauthenticated otherwise.
+/// Verifies `signature` over `message` against `public_key` with the
+/// cofactored equation [8](s*B - R - c*P) == O, where c = H(R || P || m).
+/// Public keys of small order ([8]P == O, the identity included) are
+/// rejected: anyone could sign for them. Returns OK on a valid signature,
+/// Unauthenticated otherwise.
 common::Status VerifySignature(const common::Bytes& public_key,
                                const common::Bytes& message,
                                const common::Bytes& signature);
@@ -83,13 +86,15 @@ struct BatchVerifyEntry {
 };
 
 /// Verifies a whole batch with one randomized linear combination,
-///   (sum z_i s_i) * B == sum z_i * R_i + sum (z_i c_i) * P_i,
+///   [8]((sum z_i s_i) * B - sum z_i * R_i - sum (z_i c_i) * P_i) == O,
 /// evaluated by Pippenger multi-scalar multiplication — amortized cost per
 /// signature shrinks with batch size (~5-10x fewer point operations than
 /// independent verification at block-sized batches). The coefficients z_i
 /// are 128-bit and derived Fiat-Shamir style from a hash of the entire
 /// batch, so the check is deterministic yet an adversary cannot choose
-/// signatures that cancel (false-accept probability ~2^-128).
+/// signatures that cancel (false-accept probability ~2^-128). The cofactor
+/// kills every torsion component, so (up to that 2^-128) a batch accepts
+/// iff each entry passes VerifySignature, whatever the batch composition.
 ///
 /// Returns true iff every signature verifies. On false the caller should
 /// fall back to per-entry VerifySignature to locate the failures (a batch

@@ -2,8 +2,10 @@
 
 #include "chain/chain.h"
 #include "chain/contracts/actor_registry.h"
+#include "common/hex.h"
 #include "common/rng.h"
 #include "common/serial.h"
+#include "crypto/sha256.h"
 
 namespace pds2::chain {
 namespace {
@@ -443,6 +445,24 @@ TEST_F(ChainTest, CallToUndeployedInstanceFails) {
       alice_, 0, Address{}, 0, kGas,
       CallPayload{"erc20", 99, "total_supply", {}}));
   EXPECT_FALSE(receipt.success);
+}
+
+// A known block-header signature: replicas of every build must sign and
+// verify headers to the same bytes.
+TEST(BlockHeaderKatTest, ProposerSignature) {
+  const SigningKey proposer = SigningKey::FromSeed(ToBytes("validator-0"));
+  BlockHeader h;
+  h.parent_hash = Bytes(32, 0);
+  h.number = 7;
+  h.timestamp = 1000;
+  h.tx_root = crypto::Sha256::Hash(std::string_view("tx"));
+  h.state_root = crypto::Sha256::Hash(std::string_view("state"));
+  h.proposer_public_key = proposer.PublicKey();
+  EXPECT_EQ(common::HexEncode(proposer.SignWithDomain(BlockHeader::Domain(),
+                                                      h.SigningBytes())),
+            "7a923990d78309ab3fac850146e816b25e3a666c5ce8074c0e6f62c95c80fa1e"
+            "90d8f9e307de913fdea81b625617b098e3b562dc3a319a0ee3a3dbb0c392392d"
+            "0f3c8a43f1a29c4d4168d29062d16264c40516c3b31ea90056da0168221b475f");
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "../crypto/ed25519_oracle.h"
 #include "chain/chain.h"
 #include "common/rng.h"
+#include "common/serial.h"
 #include "common/thread_pool.h"
 
 namespace pds2::chain {
@@ -14,6 +16,8 @@ namespace {
 using common::Bytes;
 using common::ThreadPool;
 using common::ToBytes;
+using common::Writer;
+using crypto::BigUint;
 using crypto::SigningKey;
 
 constexpr uint64_t kGas = 2'000'000;
@@ -180,6 +184,121 @@ TEST_F(ParallelChainTest, ParallelValidationRejectsBadSignatureInBlock) {
     Blockchain replica = MakeChain(config);
     EXPECT_FALSE(replica.ApplyExternalBlock(forged).ok());
     EXPECT_EQ(replica.Height(), 0u);
+  }
+}
+
+// A plain transfer (nonce 0, value 1) from `pub`, signed the way
+// SigningKey does with `secret` but with the nonce point R = r * B +
+// nonce_offset. Builds the torsion and small-order-key cases only a
+// Byzantine sender makes.
+Transaction CraftedTransfer(const BigUint& secret, const Bytes& pub,
+                            const BigUint& r,
+                            const crypto::EdPoint& nonce_offset,
+                            const Address& to, uint64_t gas_limit) {
+  Writer w;  // Transaction::SigningBytes of a plain transfer
+  w.PutBytes(pub);
+  w.PutU64(0);  // nonce
+  w.PutBytes(to);
+  w.PutU64(1);  // value
+  w.PutU64(gas_limit);
+  w.PutU64(1);  // gas price
+  w.PutString("");
+  w.PutU64(0);
+  w.PutString("");
+  w.PutBytes({});
+  const Bytes raw = w.Take();
+  Writer full;
+  full.PutRaw(raw);
+  full.PutBytes(crypto::oracle::SignWithNonce(
+      secret, pub, crypto::DomainSeparatedMessage(Transaction::Domain(), raw),
+      r, nonce_offset));
+  auto tx = Transaction::Deserialize(full.Take());
+  EXPECT_TRUE(tx.ok());
+  EXPECT_EQ(tx->SigningBytes(), raw);
+  return *tx;
+}
+
+TEST_F(ParallelChainTest, TorsionSignatureGetsOneVerdictAtEveryPoolSize) {
+  // 64 unverified signatures split into 1, 2 and 4 batches at 1, 2 and 4
+  // threads. Under an uncofactored equation, a signature whose nonce point
+  // carries an order-2 component fails alone but passes in a batch whose
+  // coefficient for it is even, so replicas with different pool sizes
+  // would disagree about the same block.
+  constexpr uint64_t kTransferGas = 1'000'000;
+  const BigUint secret(12345);
+  const Bytes pub = crypto::EdPoint::ScalarBaseMul(secret).Encode();
+  auto torsion = [&](uint64_t r) {
+    return CraftedTransfer(secret, pub, BigUint(r),
+                           crypto::oracle::OrderTwoPoint(), bob_,
+                           kTransferGas);
+  };
+  auto make_chain = [&](ChainConfig config) {
+    Blockchain chain = MakeChain(config);
+    EXPECT_TRUE(
+        chain.CreditGenesis(AddressFromPublicKey(pub), 1'000'000'000).ok());
+    return chain;
+  };
+  // 64 transfers from alice, as an honest proposer produced them.
+  Blockchain producer = make_chain({});
+  for (uint64_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(producer
+                    .SubmitTransaction(Transaction::Make(
+                        alice_, i, bob_, 1, kTransferGas, CallPayload{}))
+                    .ok());
+  }
+  const Block honest = producer.ProduceBlock(validator_, 1).value();
+  ASSERT_EQ(honest.transactions.size(), 64u);
+  // The honest block with its last transfer swapped for `tx` by a Byzantine
+  // proposer, which re-signs the header over the new tx root.
+  auto with_last = [&](const Transaction& tx) {
+    Block block = honest;
+    block.transactions.back() = tx;
+    block.header.tx_root = Block::ComputeTxRoot(block.transactions);
+    block.header.signature = validator_.SignWithDomain(
+        BlockHeader::Domain(), block.header.SigningBytes());
+    return block;
+  };
+  auto statuses = [&](const Block& block) {
+    std::vector<std::string> out;
+    for (size_t threads : {1u, 2u, 4u}) {
+      ThreadPool pool(threads);
+      ChainConfig config;
+      config.thread_pool = &pool;
+      Blockchain replica = make_chain(config);
+      out.push_back(replica.ApplyExternalBlock(block).ToString());
+    }
+    return out;
+  };
+
+  // Torsion transfers pass signature checks at every pool size; the block
+  // then fails on its stale state root, the same way everywhere. Each
+  // nonce gives the batches different coefficients.
+  std::string torsion_status;
+  for (uint64_t r = 1; r <= 8; ++r) {
+    const std::vector<std::string> got = statuses(with_last(torsion(r)));
+    EXPECT_EQ(got[0], got[1]) << "r=" << r;
+    EXPECT_EQ(got[0], got[2]) << "r=" << r;
+    torsion_status = got[0];
+  }
+
+  // A forgery under the identity key (secret 0, so s = r) is refused at
+  // every pool size with the same status.
+  Bytes identity(64, 0);
+  identity[32] = 1;
+  const std::vector<std::string> forged = statuses(with_last(CraftedTransfer(
+      BigUint(), identity, BigUint(7), crypto::EdPoint::Identity(), bob_,
+      kTransferGas)));
+  EXPECT_NE(forged[0], torsion_status);
+  EXPECT_EQ(forged[0], forged[1]);
+  EXPECT_EQ(forged[0], forged[2]);
+
+  // And an honest proposer may include a torsion transfer: every replica
+  // accepts the block.
+  Blockchain torsion_producer = make_chain({});
+  ASSERT_TRUE(torsion_producer.SubmitTransaction(torsion(1)).ok());
+  const Block block = torsion_producer.ProduceBlock(validator_, 1).value();
+  for (const std::string& status : statuses(block)) {
+    EXPECT_EQ(status, common::Status::Ok().ToString());
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/hex.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "crypto/cipher.h"
@@ -85,6 +86,28 @@ TEST(AuthCipherTest, CiphertextHidesPlaintextPatterns) {
     if (sealed[i] == 0) ++zero_count;
   }
   EXPECT_LT(zero_count, 24);  // ~4 expected for uniform bytes
+}
+
+TEST(AuthCipherTest, SealKnownAnswer) {
+  // Keystream block i = SHA-256(SHA-256(enc_key || nonce) || i as 8 LE
+  // bytes); this value also follows from a hashlib re-derivation.
+  AuthCipher cipher(ToBytes("shared secret"));
+  EXPECT_EQ(common::HexEncode(cipher.Seal(ToBytes("sensor reading batch #42"),
+                                          ToBytes("nonce-1"))),
+            "9e3f156324d42f0ea4b6f4fce81d56fb"
+            "40eeeea5d2ca77af5f5086d2dd7c538500925f2c0b7fdd5f"
+            "f4f241baa1026fd22ea896beb6dc5f42eba28c97c4c717fc5a4378b20270114b");
+}
+
+TEST(AuthCipherTest, SixtyFourKiBRoundTrip) {
+  common::Rng rng(2);
+  AuthCipher cipher(rng.NextBytes(32));
+  const Bytes plaintext = rng.NextBytes(64 * 1024);
+  const Bytes sealed = cipher.Seal(plaintext, ToBytes("n"));
+  ASSERT_EQ(sealed.size(), 16 + plaintext.size() + 32);
+  auto opened = cipher.Open(sealed);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened, plaintext);
 }
 
 }  // namespace

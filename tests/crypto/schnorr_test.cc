@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include "common/hex.h"
 #include "common/rng.h"
 #include "crypto/ed25519.h"
 #include "crypto/schnorr.h"
+#include "ed25519_oracle.h"
 
 namespace pds2::crypto {
 namespace {
 
 using common::Bytes;
+using common::HexEncode;
 using common::Rng;
 using common::ToBytes;
 
@@ -233,6 +236,94 @@ TEST(SchnorrTest, SRangeChecked) {
   // Force s out of range (>= group order): set all s bytes to 0xff.
   for (size_t i = 64; i < sig.size(); ++i) sig[i] = 0xff;
   EXPECT_FALSE(VerifySignature(key.PublicKey(), msg, sig).ok());
+}
+
+// Known answers. Keys, signatures and shared secrets reach the chain and
+// the wire, so no change to the point arithmetic may alter them.
+TEST(SchnorrKatTest, PublicKeyFromSeed) {
+  EXPECT_EQ(HexEncode(SigningKey::FromSeed(ToBytes("device-001")).PublicKey()),
+            "bee41bcfbc479defdb44eb40739d5ffaf23ecefa019ad27ad79799f20925bb41"
+            "0bb2d8b2c1bcff9390b2b4dddf93b785a82e44b896aad7ebc01d1a776a6f3123");
+}
+
+TEST(SchnorrKatTest, Sign) {
+  const SigningKey key = SigningKey::FromSeed(ToBytes("device-001"));
+  EXPECT_EQ(HexEncode(key.Sign(ToBytes("reading"))),
+            "7094971121b3dc17ac67ba588a54583578d48c969f9fedcdce5ed506498dc34b"
+            "b807ce5d8dc42563c61c07750b9a04970e0bdf7716974e1ab3bbaa8e6ccdc874"
+            "0b29174d1d3703e9b53c117885a7f0353aca0b4f5cbf5c49ce09df2e5f3948bb");
+}
+
+TEST(SchnorrKatTest, SharedSecret) {
+  const SigningKey a = SigningKey::FromSeed(ToBytes("provider-0"));
+  const SigningKey b = SigningKey::FromSeed(ToBytes("executor-0"));
+  const std::string expected =
+      "c784ba661de53d7cdd4ed4eaa6931664472f0c9976dac1591e8d35d3ce86ed31";
+  EXPECT_EQ(HexEncode(a.SharedSecret(b.PublicKey()).value()), expected);
+  EXPECT_EQ(HexEncode(b.SharedSecret(a.PublicKey()).value()), expected);
+}
+
+// Signatures whose key or nonce point carries the order-2 point T2. An
+// uncofactored single check rejects both while an uncofactored batch
+// accepts them whenever its coefficient z for the entry is even, so the
+// verdict would depend on batch composition; both paths must agree.
+TEST(SchnorrTorsionTest, SingleAndBatchAgreeOnTorsionComponents) {
+  Rng rng(14);
+  const BigUint a = BigUint::RandomBelow(EdPoint::GroupOrder(), rng);
+  const EdPoint t2 = oracle::OrderTwoPoint();
+  const Bytes msg = ToBytes("torsion");
+
+  // Key P = a*B + T2, signed with the first nonce whose challenge c is
+  // odd, so that s*B - R - c*P = T2.
+  const Bytes torsion_key =
+      EdPoint::Add(EdPoint::ScalarBaseMul(a), t2).Encode();
+  Bytes key_sig;
+  for (uint64_t r = 1;; ++r) {
+    key_sig = oracle::SignWithNonce(a, torsion_key, msg, BigUint(r),
+                                    EdPoint::Identity());
+    const Bytes r_enc(key_sig.begin(), key_sig.begin() + 64);
+    if (oracle::Challenge(r_enc, torsion_key, msg).IsOdd()) break;
+  }
+  // Honest key a*B, nonce point R = 7*B + T2.
+  const Bytes key = EdPoint::ScalarBaseMul(a).Encode();
+  const Bytes nonce_sig = oracle::SignWithNonce(a, key, msg, BigUint(7), t2);
+
+  const SigningKey honest = SigningKey::Generate(rng);
+  for (const auto& [pub, sig] :
+       {std::pair{torsion_key, key_sig}, std::pair{key, nonce_sig}}) {
+    EXPECT_TRUE(VerifySignature(pub, msg, sig).ok());
+    for (int i = 0; i < 40; ++i) {
+      const Bytes honest_msg = rng.NextBytes(16);
+      EXPECT_TRUE(VerifySignatureBatch(
+          {{honest.PublicKey(), honest_msg, honest.Sign(honest_msg)},
+           {pub, msg, sig}}))
+          << "batch " << i;
+    }
+  }
+}
+
+TEST(SchnorrTorsionTest, SmallOrderKeysRejected) {
+  // With secret 0 the forgery s = r satisfies s*B - R - c*P = -c*P, which
+  // is O (or of small order) for every small-order key P: anyone could
+  // sign for these keys. Both paths must refuse the key itself.
+  Bytes identity(64, 0);
+  identity[32] = 1;
+  const EdPoint t2 = oracle::OrderTwoPoint();
+  const Bytes order_two = t2.Encode();
+  Rng rng(16);
+  const SigningKey honest = SigningKey::Generate(rng);
+  const Bytes honest_msg = ToBytes("honest");
+  for (const Bytes& pub : {identity, order_two}) {
+    const Bytes msg = ToBytes("forged");
+    for (uint64_t r = 1; r <= 4; ++r) {
+      const Bytes sig = oracle::SignWithNonce(BigUint(), pub, msg, BigUint(r),
+                                              EdPoint::Identity());
+      EXPECT_FALSE(VerifySignature(pub, msg, sig).ok());
+      EXPECT_FALSE(VerifySignatureBatch(
+          {{honest.PublicKey(), honest_msg, honest.Sign(honest_msg)},
+           {pub, msg, sig}}));
+    }
+  }
 }
 
 }  // namespace
