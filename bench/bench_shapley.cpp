@@ -6,9 +6,9 @@
 //  (c) misallocation of the naive size-proportional split when one provider
 //      contributes label noise ("monetization of data based on size does
 //      not work well", [27]);
-//  (e) thread-count sweep of the parallel Monte-Carlo estimator; results
-//      must be bit-identical at every pool size. Appends the "shapley"
-//      section of BENCH_parallel.json.
+//  (e) thread-count sweep of the sampling estimator; values and utility
+//      call counts must be bit-identical at every pool size, else the bench
+//      exits 1. Writes the "shapley" section of BENCH_parallel.json.
 
 #include <cmath>
 #include <cstdio>
@@ -27,8 +27,6 @@ int main() {
 
   bench::Banner("E4: Shapley-value reward schemes",
                 "fair but exponential; approximations needed (IV-A)");
-
-  common::Rng rng(3);
 
   // --- (a)+(b): cost and error vs provider count. -------------------------
   std::printf("%4s | %12s %10s | %12s %10s | %12s %10s\n", "n", "exact ms",
@@ -57,18 +55,18 @@ int main() {
       return total / static_cast<double>(n);
     };
 
+    // Same seed: the truncated run samples the plain run's permutations.
     const size_t perms = 60;
     CachedUtility mc_utility(rewards::MakeMlUtility(parts, test, 7));
-    auto mc =
-        rewards::MonteCarloShapley(n, std::ref(mc_utility), perms, rng);
-    const size_t mc_calls = mc_utility.misses();
+    auto mc = rewards::SampleShapley(n, std::ref(mc_utility), {perms, 0.0},
+                                     /*seed=*/3, nullptr);
 
     CachedUtility tmc_utility(rewards::MakeMlUtility(parts, test, 7));
-    auto tmc = rewards::TruncatedMonteCarloShapley(n, std::ref(tmc_utility),
-                                                   perms, 0.02, rng);
+    auto tmc = rewards::SampleShapley(n, std::ref(tmc_utility), {perms, 0.02},
+                                      /*seed=*/3, nullptr);
     std::printf("%4zu | %12.1f %10zu | %12.4f %10zu | %12.4f %10zu\n", n,
-                exact_ms, exact_calls, err(mc), mc_calls, err(tmc.values),
-                tmc_utility.misses());
+                exact_ms, exact_calls, err(mc.values), mc_utility.misses(),
+                err(tmc.values), tmc_utility.misses());
   }
   std::printf("(exact calls = 2^n distinct coalitions; the paper's "
               "exponential-complexity point)\n");
@@ -112,7 +110,8 @@ int main() {
               "Banzhaf weights all coalition sizes equally)\n");
 
   // --- (e): parallel Monte-Carlo thread sweep. ------------------------------
-  std::printf("\n-- parallel MC Shapley (n=12 providers, 32 permutations) --\n");
+  std::printf("\n-- sampled Shapley on a pool (n=12 providers, 32 "
+              "permutations) --\n");
   const size_t pn = 12;
   const size_t pperms = 32;
   common::Rng pdata_rng(200);
@@ -124,31 +123,33 @@ int main() {
   // sweep measures genuine parallel scaling, not cache-hit luck.
   rewards::UtilityFn putility = rewards::MakeMlUtility(pparts, ptest, 7);
 
-  std::printf("%10s %12s %10s %12s\n", "threads", "ms", "speedup",
-              "identical");
-  std::vector<double> reference;
+  std::printf("%10s %12s %10s %14s %12s\n", "threads", "ms", "speedup",
+              "utility calls", "identical");
+  rewards::SampleResult reference;
   double base_ms = 0.0;
   bool all_identical = true;
   std::vector<bench::Json> sweep;
   for (size_t threads : bench::ThreadSweep()) {
     common::ThreadPool pool(threads);
     bench::Timer timer;
-    auto values = rewards::ParallelMonteCarloShapley(pn, putility, pperms,
-                                                     /*seed=*/9, &pool);
+    auto result = rewards::SampleShapley(pn, putility, {pperms, 0.0},
+                                         /*seed=*/9, &pool);
     const double ms = timer.ElapsedMs();
-    if (reference.empty()) {
-      reference = values;
+    if (reference.values.empty()) {
+      reference = result;
       base_ms = ms;
     }
-    const bool identical = values == reference;
+    const bool identical = result.values == reference.values &&
+                           result.utility_calls == reference.utility_calls;
     all_identical = all_identical && identical;
     const double speedup = ms > 0.0 ? base_ms / ms : 0.0;
-    std::printf("%10zu %12.1f %10.2f %12s\n", threads, ms, speedup,
-                identical ? "yes" : "NO");
+    std::printf("%10zu %12.1f %10.2f %14zu %12s\n", threads, ms, speedup,
+                result.utility_calls, identical ? "yes" : "NO");
     sweep.push_back(bench::Json()
                         .Add("threads", threads)
                         .Add("ms", ms)
                         .Add("speedup", speedup)
+                        .Add("utility_calls", result.utility_calls)
                         .Add("identical", identical));
   }
   std::printf("(bit-identical results at every pool size is the determinism "
@@ -159,7 +160,7 @@ int main() {
                                   .Add("permutations", pperms)
                                   .Add("all_identical", all_identical)
                                   .Add("sweep", sweep);
-  return bench::WriteReportSection("BENCH_parallel.json", "shapley", section)
-             ? 0
-             : 1;
+  const bool written =
+      bench::WriteReportSection("BENCH_parallel.json", "shapley", section);
+  return written && all_identical ? 0 : 1;
 }

@@ -6,6 +6,8 @@
 // without ever seeing records. Reports cost (ecalls, wall time) versus
 // provider count and confirms the noisy provider is priced down.
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -28,8 +30,8 @@ int main() {
   bench::Banner("E4b: in-enclave Shapley valuation",
                 "data value computed inside the TEE (IV-A x III-B)");
 
-  std::printf("%6s | %12s %12s %10s | %16s %16s\n", "n", "ecalls",
-              "wall ms", "perms", "clean avg wt", "noisy wt");
+  std::printf("%6s | %12s %12s %10s | %16s %16s %16s\n", "n", "ecalls",
+              "wall ms", "perms", "clean avg wt", "clean min wt", "noisy wt");
 
   for (size_t n : {4u, 6u, 8u, 10u}) {
     market::MarketConfig config;
@@ -69,9 +71,9 @@ int main() {
     }
 
     const size_t perms = 20;
-    common::Rng mc_rng(77);
     bench::Timer timer;
-    auto weights = valuation.ComputeWeights(validation, perms, 0.01, mc_rng);
+    auto weights =
+        valuation.ComputeWeights(validation, perms, 0.01, /*seed=*/77);
     const double wall_ms = timer.ElapsedMs();
     if (!weights.ok()) {
       std::printf("valuation failed: %s\n",
@@ -80,13 +82,17 @@ int main() {
     }
 
     uint64_t clean_total = 0;
+    uint64_t clean_min = UINT64_MAX;
     for (size_t i = 0; i + 1 < n; ++i) {
-      clean_total += weights->at("p" + std::to_string(i));
+      const uint64_t weight = weights->at("p" + std::to_string(i));
+      clean_total += weight;
+      clean_min = std::min(clean_min, weight);
     }
     const uint64_t noisy = weights->at("p" + std::to_string(n - 1));
-    std::printf("%6zu | %12zu %12.1f %10zu | %16llu %16llu\n", n,
+    std::printf("%6zu | %12zu %12.1f %10zu | %16llu %16llu %16llu\n", n,
                 valuation.last_utility_calls(), wall_ms, perms,
                 static_cast<unsigned long long>(clean_total / (n - 1)),
+                static_cast<unsigned long long>(clean_min),
                 static_cast<unsigned long long>(noisy));
   }
   std::printf("\n(noisy provider consistently valued far below clean "

@@ -115,8 +115,22 @@ def check_parallel_exec(section):
 
 
 def check_shapley(section):
-    require(section, "shapley", "all_identical", lambda v: v is True,
+    where = "shapley"
+    require(section, where, "all_identical", lambda v: v is True,
             "true (bit-identical results at every pool size)")
+    sweep = require(section, where, "sweep",
+                    lambda v: isinstance(v, list) and v, "a non-empty list")
+    if sweep is None:
+        return
+    for i, entry in enumerate(sweep):
+        w = "shapley sweep[%d]" % i
+        if not isinstance(entry, dict):
+            fail("%s: not an object" % w)
+            continue
+        require(entry, w, "threads", is_num, "a number")
+        require(entry, w, "utility_calls", is_num, "a number")
+        require(entry, w, "identical", lambda v: v is True,
+                "true (same values and utility calls as the first row)")
 
 
 def check_byzantine(doc):

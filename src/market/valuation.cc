@@ -72,7 +72,7 @@ Result<size_t> ValuationService::AddContribution(
 
 Result<std::map<std::string, uint64_t>> ValuationService::ComputeWeights(
     const ml::Dataset& validation, size_t permutations, double tolerance,
-    common::Rng& rng, uint64_t weight_scale) {
+    uint64_t seed, uint64_t weight_scale) {
   if (provider_names_.empty()) {
     return Status::FailedPrecondition("no contributions to value");
   }
@@ -97,14 +97,15 @@ Result<std::map<std::string, uint64_t>> ValuationService::ComputeWeights(
         return acc.ok() ? *acc : 0.5;
       });
 
-  auto tmc = rewards::TruncatedMonteCarloShapley(
-      provider_names_.size(), std::ref(utility), permutations, tolerance, rng);
+  auto sampled = rewards::SampleShapley(
+      provider_names_.size(), std::ref(utility), {permutations, tolerance},
+      seed, /*pool=*/nullptr);
   PDS2_RETURN_IF_ERROR(oracle_error);
-  last_values_ = tmc.values;
+  last_values_ = sampled.values;
   last_utility_calls_ = utility.misses();
 
   const std::vector<double> normalized = rewards::NormalizeToRewards(
-      tmc.values, static_cast<double>(weight_scale));
+      sampled.values, static_cast<double>(weight_scale));
   std::map<std::string, uint64_t> weights;
   for (size_t i = 0; i < provider_names_.size(); ++i) {
     weights[provider_names_[i]] =

@@ -39,12 +39,14 @@ class ValuationService {
       ProviderAgent& provider, const storage::DatasetSummary& offer,
       const WorkloadSpec& spec, const common::Bytes& attestation_root);
 
-  /// Truncated-Monte-Carlo data Shapley over the enclave utility, scored
-  /// against the consumer's validation set. Returns per-provider integer
+  /// Truncated-Monte-Carlo data Shapley (`rewards::SampleShapley`, seeded
+  /// by `seed`) over the enclave utility, scored against the consumer's
+  /// validation set. Runs without a pool: the oracle issues ecalls, which
+  /// the enclave does not synchronise. Returns per-provider integer
   /// weights (scaled to sum to ~`weight_scale`) keyed by provider name.
   common::Result<std::map<std::string, uint64_t>> ComputeWeights(
       const ml::Dataset& validation, size_t permutations, double tolerance,
-      common::Rng& rng, uint64_t weight_scale = 1'000'000);
+      uint64_t seed, uint64_t weight_scale = 1'000'000);
 
   /// Raw (possibly negative) Shapley estimates from the last ComputeWeights
   /// call, by coalition index.

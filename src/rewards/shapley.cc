@@ -1,7 +1,6 @@
 #include "rewards/shapley.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
 
@@ -39,22 +38,19 @@ std::vector<size_t> MaskToCoalition(uint64_t mask, size_t n) {
 }  // namespace
 
 double CachedUtility::operator()(const std::vector<size_t>& coalition) const {
-  uint64_t mask = 0;
-  for (size_t i : coalition) {
-    assert(i < 64);
-    mask |= uint64_t{1} << i;
-  }
+  std::vector<size_t> key = coalition;
+  std::sort(key.begin(), key.end());
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(mask);
+    auto it = cache_.find(key);
     if (it != cache_.end()) return it->second;
   }
   // The utility is a pure set function, so concurrent misses on the same
-  // mask compute the same value; the first insert wins and the duplicate
-  // work is bounded by the number of workers.
+  // coalition compute the same value; the first insert wins and the
+  // duplicate work is bounded by the number of workers.
   const double value = inner_(coalition);
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = cache_.emplace(mask, value);
+  auto [it, inserted] = cache_.emplace(std::move(key), value);
   if (inserted) ++misses_;
   return it->second;
 }
@@ -68,8 +64,7 @@ Result<std::vector<double>> ExactShapley(size_t n, const UtilityFn& utility) {
   if (n == 0) return std::vector<double>{};
   if (n > 20) {
     return Status::InvalidArgument(
-        "exact Shapley is exponential; refusing n > 20 (use the Monte-Carlo "
-        "estimators)");
+        "exact Shapley is exponential; refusing n > 20 (use SampleShapley)");
   }
 
   // Cache all subset utilities once.
@@ -95,64 +90,45 @@ Result<std::vector<double>> ExactShapley(size_t n, const UtilityFn& utility) {
   return shapley;
 }
 
-std::vector<double> MonteCarloShapley(size_t n, const UtilityFn& utility,
-                                      size_t permutations, Rng& rng) {
-  std::vector<double> shapley(n, 0.0);
-  if (n == 0 || permutations == 0) return shapley;
+SampleResult SampleShapley(size_t n, const UtilityFn& utility,
+                           SampleConfig config, uint64_t seed,
+                           common::ThreadPool* pool) {
+  const size_t permutations = config.permutations;
+  SampleResult result{std::vector<double>(n, 0.0), 0};
+  if (n == 0 || permutations == 0) return result;
 
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
+  const bool truncate = config.tolerance > 0.0;
+  std::vector<size_t> everyone(n);
+  std::iota(everyone.begin(), everyone.end(), 0);
+  const double grand_value = truncate ? utility(everyone) : 0.0;
   const double empty_value = utility({});
+  result.utility_calls = truncate ? 2 : 1;
 
-  for (size_t p = 0; p < permutations; ++p) {
-    rng.Shuffle(order);
-    std::vector<size_t> coalition;
-    double previous = empty_value;
-    for (size_t i : order) {
-      coalition.push_back(i);
-      // Utilities are coalition (set) functions: keep a sorted copy so the
-      // cache hits regardless of arrival order.
-      std::vector<size_t> sorted = coalition;
-      std::sort(sorted.begin(), sorted.end());
-      const double current = utility(sorted);
-      shapley[i] += current - previous;
-      previous = current;
-    }
-  }
-  for (double& v : shapley) v /= static_cast<double>(permutations);
-  return shapley;
-}
-
-std::vector<double> ParallelMonteCarloShapley(size_t n,
-                                              const UtilityFn& utility,
-                                              size_t permutations,
-                                              uint64_t seed,
-                                              common::ThreadPool* pool) {
-  std::vector<double> shapley(n, 0.0);
-  if (n == 0 || permutations == 0) return shapley;
-
-  const double empty_value = utility({});
-
-  // Marginal contributions indexed (permutation, player). Execution order
-  // never matters: permutation p's stream depends only on (seed, p), each
-  // worker writes a disjoint row, and the reduction below runs in fixed
-  // permutation order — hence bit-identical results at any pool size.
+  // Marginals indexed (permutation, player) and call counts by permutation.
+  // Execution order never matters: permutation p's stream depends only on
+  // (seed, p), each run writes only its own row, and the reduction below
+  // runs in permutation order.
   std::vector<double> deltas(permutations * n, 0.0);
+  std::vector<size_t> calls(permutations, 0);
   auto run_permutation = [&](size_t p) {
     uint64_t stream = seed + 0x9e3779b97f4a7c15ULL * (p + 1);
-    common::Rng rng(common::SplitMix64(stream));
-    std::vector<size_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
+    Rng rng(common::SplitMix64(stream));
+    std::vector<size_t> order = everyone;
     rng.Shuffle(order);
 
+    // The coalition stays sorted: an oracle that depends on member order
+    // (training on the union) still sees each set one way.
     std::vector<size_t> coalition;
     coalition.reserve(n);
     double previous = empty_value;
     for (size_t i : order) {
-      coalition.push_back(i);
-      std::vector<size_t> sorted = coalition;
-      std::sort(sorted.begin(), sorted.end());
-      const double current = utility(sorted);
+      if (truncate && std::abs(grand_value - previous) < config.tolerance) {
+        break;  // the remaining players contribute ~nothing this pass
+      }
+      coalition.insert(
+          std::lower_bound(coalition.begin(), coalition.end(), i), i);
+      const double current = utility(coalition);
+      ++calls[p];
       deltas[p * n + i] = current - previous;
       previous = current;
     }
@@ -165,43 +141,8 @@ std::vector<double> ParallelMonteCarloShapley(size_t n,
   }
 
   for (size_t p = 0; p < permutations; ++p) {
-    for (size_t i = 0; i < n; ++i) shapley[i] += deltas[p * n + i];
-  }
-  for (double& v : shapley) v /= static_cast<double>(permutations);
-  return shapley;
-}
-
-TmcResult TruncatedMonteCarloShapley(size_t n, const UtilityFn& utility,
-                                     size_t permutations, double tolerance,
-                                     Rng& rng) {
-  TmcResult result;
-  result.values.assign(n, 0.0);
-  if (n == 0 || permutations == 0) return result;
-
-  std::vector<size_t> full(n);
-  std::iota(full.begin(), full.end(), 0);
-  const double grand_value = utility(full);
-  const double empty_value = utility({});
-  result.utility_calls = 2;
-
-  std::vector<size_t> order = full;
-  for (size_t p = 0; p < permutations; ++p) {
-    rng.Shuffle(order);
-    std::vector<size_t> coalition;
-    double previous = empty_value;
-    for (size_t i : order) {
-      if (std::abs(grand_value - previous) < tolerance) {
-        // Truncation: remaining players contribute ~nothing this pass.
-        break;
-      }
-      coalition.push_back(i);
-      std::vector<size_t> sorted = coalition;
-      std::sort(sorted.begin(), sorted.end());
-      const double current = utility(sorted);
-      ++result.utility_calls;
-      result.values[i] += current - previous;
-      previous = current;
-    }
+    for (size_t i = 0; i < n; ++i) result.values[i] += deltas[p * n + i];
+    result.utility_calls += calls[p];
   }
   for (double& v : result.values) v /= static_cast<double>(permutations);
   return result;

@@ -28,36 +28,35 @@ using UtilityFn = std::function<double(const std::vector<size_t>&)>;
 common::Result<std::vector<double>> ExactShapley(size_t n,
                                                  const UtilityFn& utility);
 
-/// Monte-Carlo permutation estimator: samples `permutations` random player
-/// orders and averages marginal contributions. Unbiased; error shrinks as
-/// 1/sqrt(permutations).
-std::vector<double> MonteCarloShapley(size_t n, const UtilityFn& utility,
-                                      size_t permutations, common::Rng& rng);
+/// Parameters of the permutation-sampling estimator. `tolerance == 0`
+/// samples every permutation in full; `tolerance > 0` is truncated
+/// Monte-Carlo (Ghorbani & Zou [30]): a permutation stops scanning once its
+/// running coalition's utility is within `tolerance` of the grand
+/// coalition's, and the remaining players get a zero marginal for it. Far
+/// fewer utility calls on diminishing-returns games.
+struct SampleConfig {
+  size_t permutations = 0;
+  double tolerance = 0.0;
+};
 
-/// Monte-Carlo permutation estimator parallelized over permutations. Each
-/// permutation p draws from its own RNG stream derived from (seed, p), and
-/// marginal contributions are reduced in permutation order, so the result is
-/// bit-identical for every pool size — pool == nullptr (or 1 thread) IS the
-/// sequential reference. `utility` must be safe to call concurrently
-/// (CachedUtility is; MakeMlUtility's closure is pure).
-std::vector<double> ParallelMonteCarloShapley(size_t n,
-                                              const UtilityFn& utility,
-                                              size_t permutations,
-                                              uint64_t seed,
-                                              common::ThreadPool* pool);
-
-/// Truncated Monte-Carlo (Ghorbani & Zou [30]): within each sampled
-/// permutation, stops scanning once the running coalition's utility is
-/// within `tolerance` of the grand coalition's — the remaining players get
-/// zero marginal for that permutation. Far fewer utility calls on
-/// diminishing-returns games.
-struct TmcResult {
+struct SampleResult {
   std::vector<double> values;
+  /// Calls to `utility`: v({}), v(N) when truncating, and every step of
+  /// every permutation.
   size_t utility_calls = 0;
 };
-TmcResult TruncatedMonteCarloShapley(size_t n, const UtilityFn& utility,
-                                     size_t permutations, double tolerance,
-                                     common::Rng& rng);
+
+/// Permutation-sampling Shapley estimator. Unbiased at tolerance 0; error
+/// shrinks as 1/sqrt(permutations). Permutation p draws its order from its
+/// own RNG stream derived from (seed, p), truncation is decided inside one
+/// permutation, and marginals and call counts are reduced in permutation
+/// order, so the result is bit-identical for every pool size: `pool ==
+/// nullptr` (or 1 thread) is the sequential reference. With a pool,
+/// `utility` must be safe to call concurrently (CachedUtility is;
+/// MakeMlUtility's closure is pure).
+SampleResult SampleShapley(size_t n, const UtilityFn& utility,
+                           SampleConfig config, uint64_t seed,
+                           common::ThreadPool* pool);
 
 /// The naive baseline the paper says "does not work well" ([27]): split
 /// `total` proportionally to dataset sizes, ignoring data quality.
@@ -82,7 +81,7 @@ std::vector<double> BanzhafIndex(size_t n, const UtilityFn& utility,
 std::vector<double> NormalizeToRewards(const std::vector<double>& values,
                                        double total);
 
-/// Caching wrapper: memoizes coalition utilities by bitmask (n <= 63) so
+/// Caching wrapper: memoizes coalition utilities by sorted member list so
 /// repeated evaluations (exact enumeration, MC permutations) pay for each
 /// distinct coalition once. Safe to call from multiple pool workers: the
 /// cache is mutex-guarded and the (pure) inner utility is evaluated outside
@@ -99,7 +98,7 @@ class CachedUtility {
  private:
   UtilityFn inner_;
   mutable std::mutex mu_;
-  mutable std::map<uint64_t, double> cache_;
+  mutable std::map<std::vector<size_t>, double> cache_;
   mutable size_t misses_ = 0;
 };
 

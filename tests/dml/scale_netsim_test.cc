@@ -10,10 +10,10 @@
 #include <memory>
 #include <vector>
 
+#include "health_sampler.h"
 #include "common/fault.h"
 #include "common/thread_pool.h"
 #include "dml/fault_injector.h"
-#include "dml/health_sampler.h"
 #include "dml/netsim.h"
 #include "dml/rumor.h"
 #include "obs/health_rules.h"

@@ -64,9 +64,8 @@ TEST_F(ValuationTest, EnclaveShapleyRanksNoisyProviderLast) {
     ASSERT_TRUE(index.ok()) << index.status().ToString();
   }
 
-  Rng mc_rng(5);
   auto weights = valuation.ComputeWeights(validation_, /*permutations=*/25,
-                                          /*tolerance=*/0.01, mc_rng);
+                                          /*tolerance=*/0.01, /*seed=*/5);
   ASSERT_TRUE(weights.ok()) << weights.status().ToString();
   ASSERT_EQ(weights->size(), 4u);
   // The corrupted provider must be valued below every clean one.
@@ -88,8 +87,7 @@ TEST_F(ValuationTest, WeightsDriveOnChainSettlement) {
                                      market_.attestation().RootPublicKey())
                     .ok());
   }
-  Rng mc_rng(6);
-  auto weights = valuation.ComputeWeights(validation_, 25, 0.01, mc_rng);
+  auto weights = valuation.ComputeWeights(validation_, 25, 0.01, /*seed=*/6);
   ASSERT_TRUE(weights.ok());
 
   RunOptions options;
@@ -106,8 +104,7 @@ TEST_F(ValuationTest, WeightsDriveOnChainSettlement) {
 TEST_F(ValuationTest, NoContributionsFails) {
   ValuationService valuation(market_.attestation(), 73);
   ASSERT_TRUE(valuation.Setup(ValuationSpec()).ok());
-  Rng mc_rng(7);
-  auto weights = valuation.ComputeWeights(validation_, 10, 0.01, mc_rng);
+  auto weights = valuation.ComputeWeights(validation_, 10, 0.01, /*seed=*/7);
   EXPECT_FALSE(weights.ok());
 }
 

@@ -14,11 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "../dml/health_sampler.h"
 #include "common/fault.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dml/fault_injector.h"
-#include "dml/health_sampler.h"
 #include "market/marketplace.h"
 #include "obs/health_rules.h"
 #include "p2p/validator_network.h"

@@ -11,9 +11,9 @@
 
 #include <algorithm>
 
+#include "../dml/health_sampler.h"
 #include "common/fault.h"
 #include "dml/fault_injector.h"
-#include "dml/health_sampler.h"
 #include "obs/health_rules.h"
 #include "obs/time_series.h"
 #include "p2p/validator_network.h"

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "ml/metrics.h"
 #include "ml/sgd.h"
 #include "rewards/pricing.h"
@@ -13,6 +19,7 @@ namespace pds2::rewards {
 namespace {
 
 using common::Rng;
+using common::ThreadPool;
 
 // Additive game: v(S) = sum of per-player worths — Shapley must recover
 // exactly the worths.
@@ -89,48 +96,173 @@ TEST(ExactShapleyTest, RefusesLargeN) {
   EXPECT_FALSE(result.ok());
 }
 
-TEST(MonteCarloShapleyTest, ConvergesToExact) {
-  Rng rng(2);
-  const std::vector<double> worths = {3.0, 1.0, 0.5, 2.0};
-  UtilityFn game = AdditiveGame(worths);
-  auto mc = MonteCarloShapley(4, game, 400, rng);
-  for (size_t i = 0; i < worths.size(); ++i) {
-    EXPECT_NEAR(mc[i], worths[i], 1e-9);  // additive games are exact per-permutation
-  }
-}
-
-TEST(MonteCarloShapleyTest, NonAdditiveGameApproximation) {
-  Rng rng(3);
-  UtilityFn game = [](const std::vector<size_t>& coalition) {
+// v(S) = sqrt(|S|): symmetric, so every player's value is sqrt(n) / n, but
+// marginals vary with arrival position.
+UtilityFn SqrtGame() {
+  return [](const std::vector<size_t>& coalition) {
     return std::sqrt(static_cast<double>(coalition.size()));
   };
-  auto exact = ExactShapley(6, game);
-  ASSERT_TRUE(exact.ok());
-  auto mc = MonteCarloShapley(6, game, 3000, rng);
-  for (size_t i = 0; i < 6; ++i) {
-    EXPECT_NEAR(mc[i], (*exact)[i], 0.05) << i;
+}
+
+// Diminishing returns: each member closes 70% of the remaining gap to 1, so
+// truncation cuts permutations short.
+UtilityFn DiminishingGame() {
+  return [](const std::vector<size_t>& coalition) {
+    return 1.0 - std::pow(0.3, static_cast<double>(coalition.size()));
+  };
+}
+
+struct SampledGame {
+  const char* name;
+  size_t n;
+  size_t permutations;
+  UtilityFn utility;
+};
+
+// Every game has n <= 10, so ExactShapley gives the reference values.
+std::vector<SampledGame> SampledGames() {
+  return {{"additive4", 4, 400, AdditiveGame({3.0, 1.0, 0.5, 2.0})},
+          {"additive5", 5, 50, AdditiveGame({3.0, 1.0, 0.5, 2.0, 0.0})},
+          {"sqrt6", 6, 3000, SqrtGame()},
+          {"sqrt9", 9, 64, SqrtGame()},
+          {"diminishing10", 10, 100, DiminishingGame()}};
+}
+
+double Grand(const SampledGame& game) {
+  std::vector<size_t> everyone(game.n);
+  std::iota(everyone.begin(), everyone.end(), 0);
+  return game.utility(everyone);
+}
+
+// max - min of player i's marginal v(S + i) - v(S) over every coalition S.
+std::vector<double> MarginalRanges(const SampledGame& game) {
+  const uint64_t full = uint64_t{1} << game.n;
+  std::vector<double> value(full);
+  for (uint64_t mask = 0; mask < full; ++mask) {
+    std::vector<size_t> coalition;
+    for (size_t i = 0; i < game.n; ++i) {
+      if ((mask >> i) & 1) coalition.push_back(i);
+    }
+    value[mask] = game.utility(coalition);
+  }
+  std::vector<double> ranges(game.n);
+  for (size_t i = 0; i < game.n; ++i) {
+    const uint64_t bit = uint64_t{1} << i;
+    double lo = INFINITY, hi = -INFINITY;
+    for (uint64_t mask = 0; mask < full; ++mask) {
+      if (mask & bit) continue;
+      lo = std::min(lo, value[mask | bit] - value[mask]);
+      hi = std::max(hi, value[mask | bit] - value[mask]);
+    }
+    ranges[i] = hi - lo;
+  }
+  return ranges;
+}
+
+constexpr uint64_t kSeed = 0xfeedbeef;
+
+// The determinism contract: for a fixed seed, every pool size (none, 1, 2,
+// 4, 8 threads) gives the same values and utility_calls, with and without
+// truncation, and a memoizing utility changes no bit either.
+class SampleShapleyPoolTest
+    : public ::testing::TestWithParam<std::tuple<size_t, double>> {};
+
+TEST_P(SampleShapleyPoolTest, BitIdenticalToNoPool) {
+  const auto [threads, tolerance] = GetParam();
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+  for (const SampledGame& game : SampledGames()) {
+    SCOPED_TRACE(game.name);
+    const SampleConfig config{game.permutations, tolerance};
+    const SampleResult reference =
+        SampleShapley(game.n, game.utility, config, kSeed, nullptr);
+
+    std::atomic<size_t> inner_calls{0};
+    CachedUtility cached([&](const std::vector<size_t>& coalition) {
+      inner_calls.fetch_add(1);
+      return game.utility(coalition);
+    });
+    const SampleResult got =
+        SampleShapley(game.n, std::ref(cached), config, kSeed, pool.get());
+    // EXPECT_EQ, not EXPECT_NEAR: the contract is identical bits.
+    EXPECT_EQ(got.values, reference.values);
+    EXPECT_EQ(got.utility_calls, reference.utility_calls);
+    // Concurrent misses on one coalition may both evaluate the inner
+    // function, but misses() counts each distinct coalition once.
+    EXPECT_GE(inner_calls.load(), cached.misses());
+    EXPECT_GT(cached.misses(), 0u);
+
+    // Every permutation's marginals telescope to v(last) - v({}), and a
+    // truncated permutation stops within `tolerance` of v(N).
+    const double sum =
+        std::accumulate(got.values.begin(), got.values.end(), 0.0);
+    EXPECT_NEAR(sum, Grand(game) - game.utility({}), tolerance + 1e-9);
   }
 }
 
-TEST(TruncatedMonteCarloTest, FewerCallsSimilarValues) {
-  Rng rng_a(4), rng_b(4);
-  // Diminishing-returns game: truncation should kick in.
-  UtilityFn base = [](const std::vector<size_t>& coalition) {
-    return 1.0 - std::pow(0.3, static_cast<double>(coalition.size()));
-  };
-  size_t plain_calls = 0;
-  UtilityFn counted = [&](const std::vector<size_t>& c) {
-    ++plain_calls;
-    return base(c);
-  };
+INSTANTIATE_TEST_SUITE_P(PoolsByTolerance, SampleShapleyPoolTest,
+                         ::testing::Combine(::testing::Values(0, 1, 2, 4, 8),
+                                            ::testing::Values(0.0, 0.01)));
+
+// Untruncated, each estimate is the mean of `permutations` independent
+// marginals, each within player i's marginal range R_i. By Hoeffding's
+// inequality |estimate - exact| < 3 R_i / sqrt(permutations) fails with
+// probability below 2 exp(-18) ~ 3e-8. Additive games have R_i = 0: exact
+// on every permutation.
+TEST(SampleShapleyTest, WithinHoeffdingBoundOfExact) {
+  for (const SampledGame& game : SampledGames()) {
+    SCOPED_TRACE(game.name);
+    auto exact = ExactShapley(game.n, game.utility);
+    ASSERT_TRUE(exact.ok());
+    const std::vector<double> ranges = MarginalRanges(game);
+    const SampleResult sampled = SampleShapley(
+        game.n, game.utility, {game.permutations, 0.0}, kSeed, nullptr);
+    const double scale = 3.0 / std::sqrt(static_cast<double>(
+                                   game.permutations));
+    for (size_t i = 0; i < game.n; ++i) {
+      EXPECT_NEAR(sampled.values[i], (*exact)[i], scale * ranges[i] + 1e-9)
+          << i;
+    }
+    // The seed steers the permutation streams.
+    if (*std::max_element(ranges.begin(), ranges.end()) > 0.0) {
+      EXPECT_NE(SampleShapley(game.n, game.utility,
+                              {game.permutations, 0.0}, kSeed + 1, nullptr)
+                    .values,
+                sampled.values);
+    }
+  }
+}
+
+TEST(SampleShapleyTest, TruncationSavesCalls) {
   const size_t n = 10, perms = 100;
-  auto plain = MonteCarloShapley(n, counted, perms, rng_a);
-  auto tmc = TruncatedMonteCarloShapley(n, base, perms, 0.01, rng_b);
-  EXPECT_LT(tmc.utility_calls, plain_calls / 2);  // big savings
-  double plain_sum = std::accumulate(plain.begin(), plain.end(), 0.0);
-  double tmc_sum =
-      std::accumulate(tmc.values.begin(), tmc.values.end(), 0.0);
-  EXPECT_NEAR(tmc_sum, plain_sum, 0.05);
+  size_t counted_calls = 0;
+  const UtilityFn game = DiminishingGame();
+  UtilityFn counted = [&](const std::vector<size_t>& c) {
+    ++counted_calls;
+    return game(c);
+  };
+  const SampleResult plain = SampleShapley(n, counted, {perms, 0.0}, 4,
+                                           nullptr);
+  EXPECT_EQ(plain.utility_calls, counted_calls);
+  EXPECT_EQ(plain.utility_calls, 1 + perms * n);  // v({}) + every step
+  counted_calls = 0;
+  const SampleResult truncated =
+      SampleShapley(n, counted, {perms, 0.01}, 4, nullptr);
+  EXPECT_EQ(truncated.utility_calls, counted_calls);
+  EXPECT_LT(truncated.utility_calls, plain.utility_calls / 2);
+  EXPECT_NEAR(
+      std::accumulate(truncated.values.begin(), truncated.values.end(), 0.0),
+      std::accumulate(plain.values.begin(), plain.values.end(), 0.0), 0.05);
+}
+
+TEST(SampleShapleyTest, EmptyInputsReturnZeros) {
+  ThreadPool pool(2);
+  EXPECT_TRUE(SampleShapley(0, SqrtGame(), {10, 0.0}, kSeed, &pool)
+                  .values.empty());
+  const SampleResult none = SampleShapley(4, SqrtGame(), {0, 0.0}, kSeed,
+                                          &pool);
+  EXPECT_EQ(none.values, std::vector<double>(4, 0.0));
+  EXPECT_EQ(none.utility_calls, 0u);
 }
 
 TEST(CachedUtilityTest, MemoizesCoalitions) {
@@ -147,6 +279,21 @@ TEST(CachedUtilityTest, MemoizesCoalitions) {
   std::vector<size_t> d = {1};
   (void)cached(d);
   EXPECT_EQ(calls, 2u);
+  (void)cached({2, 0});  // a set: member order does not matter
+  EXPECT_EQ(calls, 2u);
+}
+
+// Regression: the cache was keyed by a 64-bit mask, so players i and i + 64
+// shared a bit and a 70-player coalition could read another's utility.
+TEST(CachedUtilityTest, SeventyPlayersDoNotAlias) {
+  std::vector<double> worths(70);
+  for (size_t i = 0; i < worths.size(); ++i) worths[i] = 1.0 + i;
+  CachedUtility cached(AdditiveGame(worths));
+  const SampleResult sampled =
+      SampleShapley(worths.size(), std::ref(cached), {20, 0.0}, 1, nullptr);
+  for (size_t i = 0; i < worths.size(); ++i) {
+    EXPECT_NEAR(sampled.values[i], worths[i], 1e-9) << i;
+  }
 }
 
 TEST(SizeProportionalTest, SplitsBySize) {
