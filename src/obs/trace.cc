@@ -53,6 +53,10 @@ Tracer& Tracer::Global() {
 uint64_t Tracer::Begin(const char* name, bool has_sim,
                        common::SimTime sim_start) {
   const uint64_t now_ns = WallNowNs();
+  std::lock_guard<std::mutex> lock(mu_);
+  // Read the generation under mu_, which Reset also holds: a Reset racing
+  // this Begin then either empties records_ before this span is stored or
+  // runs after it, never in between.
   const uint64_t epoch = this->epoch();
 
   uint64_t parent = 0;
@@ -65,35 +69,30 @@ uint64_t Tracer::Begin(const char* name, bool has_sim,
     trace_id = t_open_spans.back().trace_id;
   }
 
-  uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (capacity_ != 0 && records_.size() >= capacity_) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      if (dropped_counter_ == nullptr) {
-        dropped_counter_ = &Registry::Global().GetCounter("obs.trace.dropped");
-      }
-      dropped_counter_->Add(1);
-      return 0;
+  if (capacity_ != 0 && records_.size() >= capacity_) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    if (dropped_counter_ == nullptr) {
+      dropped_counter_ = &Registry::Global().GetCounter("obs.trace.dropped");
     }
-    id = static_cast<uint64_t>(records_.size()) + 1;
-    if (trace_id == 0) {
-      trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
-    }
-    SpanRecord record;
-    record.id = id;
-    record.parent = parent;
-    record.trace_id = trace_id;
-    record.name = name;
-    record.node = t_node_label;
-    record.thread =
-        static_cast<uint32_t>(internal_metrics::ThisThreadIndex());
-    record.wall_start_ns = now_ns;
-    record.has_sim = has_sim;
-    record.sim_start = sim_start;
-    record.sim_end = sim_start;
-    records_.push_back(std::move(record));
+    dropped_counter_->Add(1);
+    return 0;
   }
+  const uint64_t id = static_cast<uint64_t>(records_.size()) + 1;
+  if (trace_id == 0) {
+    trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
+  }
+  SpanRecord record;
+  record.id = id;
+  record.parent = parent;
+  record.trace_id = trace_id;
+  record.name = name;
+  record.node = t_node_label;
+  record.thread = static_cast<uint32_t>(internal_metrics::ThisThreadIndex());
+  record.wall_start_ns = now_ns;
+  record.has_sim = has_sim;
+  record.sim_start = sim_start;
+  record.sim_end = sim_start;
+  records_.push_back(std::move(record));
   t_open_spans.push_back({id, trace_id, epoch, /*remote=*/false});
   return id;
 }
@@ -109,9 +108,11 @@ void Tracer::End(uint64_t id, uint64_t epoch, bool has_sim,
       break;
     }
   }
-  if (epoch != this->epoch()) return;  // tracer was Reset since Begin
   const uint64_t now_ns = WallNowNs();
   std::lock_guard<std::mutex> lock(mu_);
+  // Checked under mu_: after a Reset, `id` may name a span of the new
+  // generation, and stamping it would give that span an end before its start.
+  if (epoch != this->epoch()) return;  // tracer was Reset since Begin
   if (id == 0 || id > records_.size()) return;
   SpanRecord& record = records_[id - 1];
   record.wall_end_ns = now_ns;
@@ -120,9 +121,9 @@ void Tracer::End(uint64_t id, uint64_t epoch, bool has_sim,
 
 void Tracer::AddLink(uint64_t id, uint64_t epoch, const TraceContext& ctx) {
   if (id == 0 || !ctx.valid()) return;
-  if (epoch != this->epoch() || ctx.epoch != epoch) return;
+  if (ctx.epoch != epoch) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (id > records_.size()) return;
+  if (epoch != this->epoch() || id > records_.size()) return;
   records_[id - 1].links.push_back(ctx.span_id);
 }
 
@@ -204,12 +205,13 @@ void ScopedSpan::Start(const char* name, bool has_sim,
                        common::SimTime sim_start) {
   if (!TracingEnabled()) return;
   Tracer& tracer = Tracer::Global();
-  epoch_ = tracer.epoch();
   has_sim_ = has_sim;
   id_ = tracer.Begin(name, has_sim, sim_start);
   if (id_ != 0) {
-    // Begin left this span on top of the thread's open stack.
+    // Begin left this span, stamped with its generation, on top of the
+    // thread's open stack.
     trace_id_ = t_open_spans.back().trace_id;
+    epoch_ = t_open_spans.back().epoch;
   }
 }
 
