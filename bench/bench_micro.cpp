@@ -203,6 +203,39 @@ void BM_NativeTransferBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_NativeTransferBlock)->Arg(10)->Arg(100);
 
+void BM_StateRoot(benchmark::State& state) {
+  // Args: {accounts, incremental}. Each iteration credits 256 random
+  // accounts, untimed, then times WorldState::Digest(): on a state whose
+  // root cache is current up to those writes (incremental = 1), or on a
+  // copy that never computed a root (0, the from-scratch cost).
+  using namespace chain;
+  common::Rng rng(9);
+  WorldState base;
+  std::vector<Address> addrs;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    addrs.push_back(rng.NextBytes(kAddressSize));
+    (void)base.Credit(addrs.back(), 1'000);
+  }
+  const bool incremental = state.range(1) == 1;
+  WorldState target = base;
+  if (incremental) (void)target.Digest();
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (!incremental) target = base;
+    for (int i = 0; i < 256; ++i) {
+      (void)target.Credit(addrs[rng.NextU64(addrs.size())], 1);
+    }
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(target.Digest());
+  }
+}
+BENCHMARK(BM_StateRoot)
+    ->Args({1'000, 0})
+    ->Args({1'000, 1})
+    ->Args({100'000, 0})
+    ->Args({100'000, 1})
+    ->Unit(benchmark::kMicrosecond);
+
 // --- pds2::obs primitives ---------------------------------------------------
 
 void BM_ObsDisabledMacro(benchmark::State& state) {

@@ -85,7 +85,7 @@ Status Blockchain::CreditGenesis(const Address& addr, uint64_t amount) {
   // and fee settlement only move existing tokens, so no account can ever
   // reach a value the genesis total did not. Before the first block the
   // only balances are prior genesis credits, so the running counter equals
-  // state_.TotalBalance() without the O(accounts) walk per credit.
+  // state_.TotalBalance().
   uint64_t new_supply;
   if (!common::CheckedAdd(genesis_minted_, amount, &new_supply)) {
     return Status::InvalidArgument("genesis allocation overflows total supply");
@@ -668,7 +668,7 @@ Result<Block> Blockchain::ProduceBlock(const crypto::SigningKey& proposer,
   block.header.timestamp = timestamp;
   block.header.tx_root =
       Block::ComputeTxRoot(block.transactions, config_.thread_pool);
-  block.header.state_root = state_.Digest();
+  block.header.state_root = state_.Digest(ExecutionPool());
   block.header.proposer_public_key = proposer.PublicKey();
   block.header.signature = proposer.SignWithDomain(
       BlockHeader::Domain(), block.header.SigningBytes());
@@ -760,7 +760,7 @@ Status Blockchain::ApplyExternalBlockInner(const Block& block) {
     assert(credit_status.ok());  // fees were debited from senders above
     (void)credit_status;
   }
-  if (state_.Digest() != block.header.state_root) {
+  if (state_.Digest(ExecutionPool()) != block.header.state_root) {
     state_.Rollback();
     total_gas_used_ = saved_gas_used;
     next_instance_id_ = saved_instance_id;
@@ -822,6 +822,15 @@ Result<Bytes> Blockchain::Query(const std::string& contract, uint64_t instance,
   CallContext ctx(overlay, gas, caller, 0, contract, instance, block_ctx,
                   nullptr);
   return logic->Call(ctx, method, args);
+}
+
+Result<StateProof> Blockchain::QuerySlot(const std::string& contract,
+                                         uint64_t instance,
+                                         const Bytes& key) const {
+  if (blocks_.empty()) {
+    return Status::FailedPrecondition("no block header to prove against");
+  }
+  return state_.ProveSlot(ContractSpace(contract, instance), key);
 }
 
 Bytes Blockchain::EncodeSnapshotState() const {
@@ -895,7 +904,7 @@ Status Blockchain::RestoreFromSnapshot(const Bytes& snapshot_state,
     parent = header.Id();
     last_ts = header.timestamp;
   }
-  if (state.Digest() != history.back().header.state_root) {
+  if (state.Digest(ExecutionPool()) != history.back().header.state_root) {
     return Status::Corruption(
         "snapshot state digest does not match head state root");
   }

@@ -142,6 +142,17 @@ class Blockchain {
                                       const common::Bytes& args,
                                       const Address& caller = Address{}) const;
 
+  /// Proven read of storage slot `key` of a contract instance: the slot's
+  /// bucket and path against the head block's state_root, which the head
+  /// state always equals. Check it with WorldState::VerifySlot(head
+  /// state_root, ContractSpace(contract, instance), key, proof): that
+  /// yields the value, or nullopt for a slot the proof shows absent.
+  /// FailedPrecondition before the first block. Not safe concurrently with
+  /// block execution or another proven read.
+  common::Result<StateProof> QuerySlot(const std::string& contract,
+                                       uint64_t instance,
+                                       const common::Bytes& key) const;
+
   /// Height = number of blocks (genesis is implicit; first block is 0).
   uint64_t Height() const { return blocks_.size(); }
   Hash LastBlockHash() const;
@@ -195,7 +206,7 @@ class Blockchain {
 
   /// Commitment to the current world state (equals the head block's
   /// state_root right after a commit). Exposed for durability verification.
-  Hash StateDigest() const { return state_.Digest(); }
+  Hash StateDigest() const { return state_.Digest(ExecutionPool()); }
 
   // --- Durability ----------------------------------------------------------
 
@@ -239,8 +250,8 @@ class Blockchain {
 
   /// Publishes the chain.supply.* gauges (circulating/staked/burned/genesis)
   /// after a commit so the health plane can watch supply conservation live.
-  /// No-op (one relaxed load) while metrics are disabled; the O(accounts)
-  /// balance walk only runs when they are on.
+  /// No-op (one relaxed load) while metrics are disabled; with them on it
+  /// reads the state's running totals.
   void PublishSupplyGauges() const;
 
   /// Access set per transaction: declared for plain transfers, the

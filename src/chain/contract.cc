@@ -15,6 +15,10 @@ using common::Bytes;
 using common::Result;
 using common::Status;
 
+std::string ContractSpace(const std::string& contract, uint64_t instance) {
+  return contract + "/" + std::to_string(instance);
+}
+
 CallContext::CallContext(StateView& state, GasMeter& gas, Address sender,
                          uint64_t value, std::string contract_name,
                          uint64_t instance, const BlockContext& block,
@@ -25,7 +29,7 @@ CallContext::CallContext(StateView& state, GasMeter& gas, Address sender,
       value_(value),
       contract_name_(std::move(contract_name)),
       instance_(instance),
-      space_(contract_name_ + "/" + std::to_string(instance)),
+      space_(ContractSpace(contract_name_, instance)),
       block_(block),
       events_(events) {}
 

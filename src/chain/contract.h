@@ -29,6 +29,10 @@ struct Event {
   common::Bytes data;
 };
 
+/// The WorldState storage space of contract instance (`contract`,
+/// `instance`): "<contract>/<instance>".
+std::string ContractSpace(const std::string& contract, uint64_t instance);
+
 /// Everything a contract method may touch during execution. All state
 /// access goes through this object, which meters gas and scopes storage to
 /// the contract instance's namespace.

@@ -1,13 +1,18 @@
 #ifndef PDS2_CHAIN_STATE_H_
 #define PDS2_CHAIN_STATE_H_
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "chain/types.h"
 #include "common/result.h"
+#include "crypto/merkle.h"
 
 namespace pds2::chain {
 
@@ -19,7 +24,7 @@ struct Account {
 
 /// Reserved storage space holding the stake ledger: 20-byte address keys map
 /// to u64 bonded amounts, plus the (non-address-sized) burned-total key. The
-/// space lives in ordinary contract storage, so journaling, digests,
+/// space lives in ordinary contract storage, so journaling, state roots,
 /// snapshots and lane overlays all cover it with no special cases.
 inline constexpr char kStakeSpace[] = "pds2.stake";
 /// Key under kStakeSpace accumulating burned (slashed-and-destroyed) tokens.
@@ -124,10 +129,8 @@ class StateView {
   /// split always sums to `amount`.
   common::Status StakeSlash(const Address& offender, uint64_t amount,
                             const Address& reporter, uint32_t reporter_bps);
-  /// Total tokens destroyed by slashing so far.
+  /// Total tokens destroyed by slashing so far (one record read).
   uint64_t BurnedTotal() const;
-  /// Sum of all bonded stakes.
-  uint64_t TotalStaked() const;
 
  protected:
   using Slots = std::vector<std::pair<common::Bytes, common::Bytes>>;
@@ -171,30 +174,81 @@ class StateView {
   std::vector<size_t> checkpoints_;  // journal sizes at Begin()
 };
 
+/// One key's bucket of a state root plus the Merkle path from that bucket
+/// to the root (docs/PROTOCOL.md "State root"). The same proof shows a key
+/// present (its record is in the bucket) or absent (it is not).
+struct StateProof {
+  common::Bytes bucket;      // the bucket's leaf encoding; empty: no entries
+  crypto::MerkleProof path;  // siblings from the bucket up to the root
+
+  common::Bytes Serialize() const;
+  /// Canonical: every accepted input re-serializes to itself. Corruption on
+  /// anything else; never crashes.
+  static common::Result<StateProof> Deserialize(const common::Bytes& data);
+};
+
 /// The replicated ledger state: native-token accounts plus raw contract
 /// storage in flat ordered maps. A storage space exists exactly while it
 /// holds a slot, so a rolled-back or emptied space leaves no trace in
 /// Digest() or a snapshot.
+///
+/// StoreAccount/StoreSlot, the only write path (journal rollback and
+/// overlay merges included), also keep the supply totals and mark the state
+/// root's bucket of every key they write, so Digest() rehashes only buckets
+/// written since the last call.
 class WorldState final : public StateView {
  public:
+  /// The state root is a Merkle tree over 2^kStateRootDepth buckets.
+  static constexpr unsigned kStateRootDepth = 12;
+  static constexpr size_t kStateRootBuckets = size_t{1} << kStateRootDepth;
+
   WorldState() = default;
 
-  /// Commitment to the full state (order-independent digest of accounts
-  /// and storage). Included in block headers.
-  Hash Digest() const;
+  /// The state root: a Merkle root over the key buckets of every account
+  /// and slot (docs/PROTOCOL.md "State root"). Included in block headers.
+  /// The first call hashes every non-empty bucket; later calls rehash the
+  /// buckets written since, on `pool` when given (same root at any pool
+  /// size). Updates a cache, so it must not run concurrently with any other
+  /// call on this state.
+  Hash Digest(common::ThreadPool* pool = nullptr) const;
+
+  /// SHA-256 leaf and node hashes Digest() has spent on this state (and the
+  /// states it was copied from): the state root's whole cost.
+  uint64_t RootHashCount() const { return root_tree_.hash_count(); }
 
   /// Sum of all account balances — the circulating native supply. Only
   /// genesis allocations create tokens, so this is invariant across
   /// transaction execution (fees merely move value to the proposer); the
-  /// audit tests assert it.
+  /// audit tests assert it. A running total: O(1).
   uint64_t TotalBalance() const;
+  /// Sum of all bonded stakes. A running total: O(1).
+  uint64_t TotalStaked() const;
+
+  // --- Proofs ---------------------------------------------------------------
+
+  /// The bucket of `addr` with its path to Digest() (which it brings up to
+  /// date, so the same concurrency rule applies).
+  StateProof ProveAccount(const Address& addr) const;
+  /// The bucket of slot (`space`, `key`) with its path to Digest().
+  StateProof ProveSlot(const std::string& space,
+                       const common::Bytes& key) const;
+
+  /// Checks `proof` for account `addr` under `state_root`: the account's
+  /// record, or nullopt when the proof shows it absent. Corruption when the
+  /// proof is not a proof of that key's bucket under that root.
+  static common::Result<std::optional<Account>> VerifyAccount(
+      const Hash& state_root, const Address& addr, const StateProof& proof);
+  /// Checks `proof` for slot (`space`, `key`) under `state_root`: the
+  /// slot's value, or nullopt when absent. Corruption as for VerifyAccount.
+  static common::Result<std::optional<common::Bytes>> VerifySlot(
+      const Hash& state_root, const std::string& space,
+      const common::Bytes& key, const StateProof& proof);
 
   // --- Snapshots ------------------------------------------------------------
 
   /// Canonical byte serialization of the full state (accounts in address
-  /// order, then storage spaces in name/key order — the same iteration
-  /// order Digest() hashes, so a restored state digests identically).
-  /// Requires no open checkpoints.
+  /// order, then storage spaces in name/key order), so a restored state
+  /// digests identically. Requires no open checkpoints.
   common::Bytes SerializeSnapshot() const;
 
   /// Rebuilds a state from SerializeSnapshot bytes. Canonical: accepts only
@@ -215,9 +269,27 @@ class WorldState final : public StateView {
   Slots ScanSlots(const std::string& space,
                   const common::Bytes& prefix) const override;
 
+  void MarkDirty(uint32_t bucket) const {
+    dirty_[bucket / 64] |= uint64_t{1} << (bucket % 64);
+  }
+  // The leaf encoding of one bucket (empty when it holds nothing).
+  common::Bytes EncodeBucket(uint32_t bucket) const;
+
   std::map<Address, Account> accounts_;
   // space -> key -> value; never holds an empty space.
   std::map<std::string, std::map<common::Bytes, common::Bytes>> storage_;
+  // (bucket, space, key) of every slot, so a bucket's slots are one range.
+  // Accounts need no index: a bucket is a prefix range of accounts_.
+  std::set<std::tuple<uint32_t, std::string, common::Bytes>> slot_buckets_;
+  // Exact running sums (no uint64 wrap); reads saturate.
+  unsigned __int128 total_balance_ = 0;
+  unsigned __int128 total_staked_ = 0;
+
+  // The state root cache. Until the first Digest() nothing is marked and
+  // the tree holds no nodes; that call marks every non-empty bucket.
+  mutable crypto::IncrementalMerkleTree root_tree_{kStateRootDepth};
+  mutable bool root_built_ = false;
+  mutable std::array<uint64_t, kStateRootBuckets / 64> dirty_{};
 };
 
 }  // namespace pds2::chain

@@ -1,6 +1,9 @@
 #ifndef PDS2_CRYPTO_MERKLE_H_
 #define PDS2_CRYPTO_MERKLE_H_
 
+#include <array>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/bytes.h"
@@ -55,6 +58,46 @@ class MerkleTree {
   std::vector<std::vector<common::Bytes>> levels_;
   common::Bytes root_;
   size_t leaf_count_ = 0;
+};
+
+/// A MerkleTree of fixed shape, 2^depth leaves, that keeps every node so a
+/// changed leaf rehashes only its own path. Leaves and nodes hash exactly as
+/// in MerkleTree, so Root() equals MerkleTree over the same 2^depth leaf
+/// strings and Prove() paths verify with MerkleTree::Verify. A leaf never
+/// set holds empty data; a subtree of such leaves hashes to a per-height
+/// constant computed once per process, so a new tree hashes nothing and
+/// allocates its nodes (flat, 32 bytes each) only at the first Update.
+class IncrementalMerkleTree {
+ public:
+  explicit IncrementalMerkleTree(unsigned depth);
+
+  size_t LeafCount() const { return size_t{1} << depth_; }
+
+  /// Sets every leaf i in `indices` (each < LeafCount()) to `data(i)` and
+  /// rehashes the paths above the leaves whose hash changed. With a pool,
+  /// the leaves (`data` included, so it must be safe to call concurrently)
+  /// and then each level are computed in parallel; the tree is the same at
+  /// any pool size.
+  void Update(const std::vector<size_t>& indices,
+              const std::function<common::Bytes(size_t)>& data,
+              common::ThreadPool* pool = nullptr);
+
+  /// The root over the current leaves.
+  common::Bytes Root() const;
+  /// Inclusion proof for leaf `index` (< LeafCount()): one step per level.
+  MerkleProof Prove(size_t index) const;
+
+  /// SHA-256 leaf and node hashes computed so far: the tree's whole cost.
+  uint64_t hash_count() const { return hash_count_; }
+
+ private:
+  using Node = std::array<uint8_t, 32>;
+
+  unsigned depth_;
+  // Heap order: nodes_[1] is the root, the children of i are 2i and 2i+1,
+  // leaf j is nodes_[LeafCount() + j]. Empty until the first Update.
+  std::vector<Node> nodes_;
+  uint64_t hash_count_ = 0;
 };
 
 }  // namespace pds2::crypto

@@ -183,6 +183,26 @@ Result<chain::Address> Marketplace::DatasetOwner(
 }
 
 Result<ml::Vec> Marketplace::FetchResult(const RunReport& report) const {
+  // Light verification: the agreed result hash and the settled phase are
+  // checked by proofs against the head header's state_root, not taken from
+  // the report.
+  const uint64_t instance =
+      report.substituted ? report.reused_from_instance : report.instance;
+  auto proven = [&](const char* key) -> Result<std::optional<Bytes>> {
+    PDS2_ASSIGN_OR_RETURN(chain::StateProof proof,
+                          chain_->QuerySlot("workload", instance, ToBytes(key)));
+    return chain::WorldState::VerifySlot(
+        chain_->blocks().back().header.state_root,
+        chain::ContractSpace("workload", instance), ToBytes(key), proof);
+  };
+  PDS2_ASSIGN_OR_RETURN(std::optional<Bytes> agreed, proven("result"));
+  PDS2_ASSIGN_OR_RETURN(std::optional<Bytes> phase, proven("phase"));
+  if (agreed != report.result_hash ||
+      phase != Bytes{static_cast<uint8_t>(
+                   chain::contracts::WorkloadPhase::kPaid)}) {
+    return Status::Corruption(
+        "result hash or settlement not proven against the head block");
+  }
   PDS2_ASSIGN_OR_RETURN(Bytes blob,
                         artifact_store_->Get(report.result_address));
   if (crypto::Sha256::Hash(blob) != report.result_hash) {
@@ -519,16 +539,16 @@ Status Marketplace::Substitute(RunContext& run) {
   PDS2_M_COUNT("market.substitution_probes_hit", 1);
   // The memo entry is trusted only as far as the chain anchors it; the
   // artifact is then fetched and verified like any consumer's result.
+  // FetchResult proves the source's agreed result hash.
   RunReport source;
+  source.instance = hit->source_instance;
   source.result_address = hit->artifact_address;
   source.result_hash = hit->result_hash;
   auto anchored =
       chain_->Query("workload", hit->source_instance, "artifact", {});
-  auto agreed = chain_->Query("workload", hit->source_instance, "result", {});
   Result<ml::Vec> params =
       Status::Corruption("memo entry disagrees with its chain anchor");
-  if (anchored.ok() && *anchored == source.result_address && agreed.ok() &&
-      *agreed == source.result_hash) {
+  if (anchored.ok() && *anchored == source.result_address) {
     params = FetchResult(source);
   }
   if (!params.ok()) {

@@ -151,8 +151,11 @@ class Marketplace {
 
   /// Retrieves a finished workload's model from the off-chain artifact
   /// store by its report and verifies it against the on-chain result hash —
-  /// the consumer-side integrity check of Fig. 2's final step. Corruption
-  /// if the stored blob does not hash to the agreed result.
+  /// the consumer-side integrity check of Fig. 2's final step. The result
+  /// hash and the paid phase of the workload (the reused one for a
+  /// substituted run) are checked against the head block's state_root by
+  /// proofs. Corruption if either is not proven or the stored blob does not
+  /// hash to the agreed result.
   common::Result<ml::Vec> FetchResult(const RunReport& report) const;
 
   /// Publishes a discovery advert for one of the provider's registered

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "chain/chain.h"
 #include "chain/contracts/actor_registry.h"
 #include "common/hex.h"
@@ -360,6 +362,65 @@ TEST_F(ChainTest, ExternalBlockReplayReproducesState) {
   EXPECT_EQ(replica.GetBalance(AddressOf(bob_)),
             chain_.GetBalance(AddressOf(bob_)));
   EXPECT_EQ(replica.LastBlockHash(), chain_.LastBlockHash());
+}
+
+TEST_F(ChainTest, QuerySlotIsProvenAgainstTheHeadHeader) {
+  EXPECT_EQ(chain_.QuerySlot("erc20", 1, ToBytes("meta/name")).status().code(),
+            common::StatusCode::kFailedPrecondition);  // no header yet
+  (void)Run(Transfer(bob_, AddressOf(alice_), 1));
+  Writer deploy_args;
+  deploy_args.PutString("P");
+  deploy_args.PutU64(5);
+  const uint64_t inst = *InstanceIdFromReceipt(Run(Transaction::Make(
+      alice_, 0, Address{}, 0, kGas,
+      CallPayload{"erc20", 0, "deploy", deploy_args.Take()})));
+  const Hash& root = chain_.blocks().back().header.state_root;
+  const std::string space = ContractSpace("erc20", inst);
+
+  auto name = chain_.QuerySlot("erc20", inst, ToBytes("meta/name"));
+  ASSERT_TRUE(name.ok()) << name.status().ToString();
+  auto shown = WorldState::VerifySlot(root, space, ToBytes("meta/name"), *name);
+  ASSERT_TRUE(shown.ok()) << shown.status().ToString();
+  EXPECT_EQ(*shown, ToBytes("P"));
+
+  auto missing = chain_.QuerySlot("erc20", inst, ToBytes("meta/none"));
+  ASSERT_TRUE(missing.ok());
+  shown = WorldState::VerifySlot(root, space, ToBytes("meta/none"), *missing);
+  ASSERT_TRUE(shown.ok()) << shown.status().ToString();
+  EXPECT_FALSE(shown->has_value());
+
+  // The previous header's root does not vouch for the new slot.
+  EXPECT_FALSE(WorldState::VerifySlot(chain_.blocks()[0].header.state_root,
+                                      space, ToBytes("meta/name"), *name)
+                   .ok());
+}
+
+TEST_F(ChainTest, SnapshotRestoreChecksTheRecomputedRootAgainstTheHeader) {
+  (void)Run(Transfer(alice_, AddressOf(bob_), 5));
+  (void)Run(Transfer(bob_, AddressOf(alice_), 7));
+  const Bytes snapshot = chain_.EncodeSnapshotState();
+  auto fresh_chain = [&] {
+    return std::make_unique<Blockchain>(
+        std::vector<Bytes>{validator_.PublicKey()},
+        ContractRegistry::CreateDefault());
+  };
+
+  auto restored = fresh_chain();
+  ASSERT_TRUE(restored->RestoreFromSnapshot(snapshot, chain_.blocks()).ok());
+  EXPECT_EQ(restored->StateDigest(), chain_.blocks().back().header.state_root);
+
+  // A well-formed snapshot of a state no header committed to.
+  Reader r(snapshot);
+  Writer tampered;
+  for (int i = 0; i < 3; ++i) tampered.PutU64(*r.GetU64());
+  auto state = WorldState::DeserializeSnapshot(*r.GetBytes());
+  ASSERT_TRUE(state.ok());
+  ASSERT_TRUE(state->Credit(AddressOf(bob_), 1).ok());
+  tampered.PutBytes(state->SerializeSnapshot());
+  EXPECT_EQ(fresh_chain()
+                ->RestoreFromSnapshot(tampered.Take(), chain_.blocks())
+                .code(),
+            common::StatusCode::kCorruption);
 }
 
 TEST_F(ChainTest, TamperedExternalBlockRejected) {

@@ -110,6 +110,7 @@ TEST_P(DeserializerFuzz, RandomBytesAreRejectedGracefully) {
     (void)storage::SemanticMetadata::Deserialize(junk);
     (void)storage::DataRequirement::Deserialize(junk);
     (void)WorldState::DeserializeSnapshot(junk);
+    (void)StateProof::Deserialize(junk);
     (void)storage::DeserializeDataset(junk);
     (void)store::ArtifactStore::DecodeManifest(junk);
     (void)crypto::EdPoint::Decode(junk);
@@ -263,6 +264,27 @@ TEST(CanonicalEncoding, AdvertDecodeAcceptsOnlyCanonicalBytes) {
       });
 }
 
+TEST(CanonicalEncoding, StateProofDecodeAcceptsOnlyCanonicalBytes) {
+  Rng rng(14);
+  WorldState state;
+  ASSERT_TRUE(state.Credit(Bytes(kAddressSize, 3), 9).ok());
+  state.StoragePut("ns", ToBytes("k"), ToBytes("v"));
+  const Hash root = state.Digest();
+  const std::vector<Bytes> seeds = {
+      StateProof().Serialize(),
+      state.ProveAccount(Bytes(kAddressSize, 3)).Serialize(),
+      state.ProveSlot("ns", ToBytes("absent")).Serialize()};
+  ExpectCanonicalUnderMutation(
+      seeds, rng, [&root](const Bytes& b) -> std::optional<Bytes> {
+        auto proof = StateProof::Deserialize(b);
+        if (!proof.ok()) return std::nullopt;
+        // Whatever decodes must also be safe to verify.
+        (void)WorldState::VerifySlot(root, "ns", ToBytes("k"), *proof);
+        (void)WorldState::VerifyAccount(root, Bytes(kAddressSize, 3), *proof);
+        return proof->Serialize();
+      });
+}
+
 // Crafted seeds: a huge element count with no elements behind it must be
 // rejected as Corruption, not turned into a giant reserve() that aborts.
 TEST(CraftedDecoderInput, HugeElementCountsAreRejected) {
@@ -307,6 +329,13 @@ TEST(CraftedDecoderInput, HugeElementCountsAreRejected) {
   auto merged = discovery.Merge(index.Take());
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), common::StatusCode::kCorruption);
+
+  Writer proof;
+  proof.PutBytes({});
+  proof.PutU32(0xFFFFFFFF);  // path steps
+  auto parsed_proof = StateProof::Deserialize(proof.Take());
+  ASSERT_FALSE(parsed_proof.ok());
+  EXPECT_EQ(parsed_proof.status().code(), common::StatusCode::kCorruption);
 }
 
 // --- Truncation fuzz: every prefix of a valid message is rejected -----------

@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "chain/parallel_exec.h"
 #include "chain/state.h"
 #include "common/bytes.h"
+#include "common/checked_math.h"
 #include "common/hex.h"
 #include "common/rng.h"
 #include "common/serial.h"
+#include "crypto/merkle.h"
+#include "crypto/sha256.h"
 
 namespace pds2::chain {
 namespace {
@@ -155,6 +162,20 @@ TEST(WorldStateTest, DigestChangesWithState) {
   EXPECT_NE(d1, d2);
 }
 
+TEST(WorldStateTest, DigestSeparatesSpaceKeyAndValue) {
+  // Regression: the old flat digest fed space, key and value to SHA-256
+  // with no length prefixes, so moving a byte across a field boundary gave
+  // the same root.
+  auto root = [](const std::string& space, const std::string& key,
+                 const std::string& value) {
+    WorldState state;
+    state.StoragePut(space, ToBytes(key), ToBytes(value));
+    return state.Digest();
+  };
+  EXPECT_NE(root("s", "ab", "c"), root("s", "a", "bc"));  // key | value
+  EXPECT_NE(root("s", "ab", "c"), root("sa", "b", "c"));  // space | key
+}
+
 TEST(WorldStateTest, DigestDeterministic) {
   WorldState a, b;
   // Same mutations in different order -> same digest (map-ordered).
@@ -212,8 +233,10 @@ Op RandomOp(Rng& rng, bool with_checkpoints) {
   Op op;
   op.kind =
       static_cast<int>(rng.NextU64(with_checkpoints ? kRollback + 1 : kBegin));
-  op.a = Addr(static_cast<uint8_t>(1 + rng.NextU64(kNumAddrs)));
-  op.b = Addr(static_cast<uint8_t>(1 + rng.NextU64(kNumAddrs)));
+  // Addresses 1..kNumAddrs exist from the start; kNumAddrs + 1 does not,
+  // so writes to it create (and rollbacks remove) an account.
+  op.a = Addr(static_cast<uint8_t>(1 + rng.NextU64(kNumAddrs + 1)));
+  op.b = Addr(static_cast<uint8_t>(1 + rng.NextU64(kNumAddrs + 1)));
   op.space = kSpaces[rng.NextU64(3)];
   op.key = ToBytes(kKeys[rng.NextU64(6)]);
   if (op.space == kStakeSpace && rng.NextU64(2) == 0) op.key = op.a;
@@ -257,7 +280,7 @@ std::string Apply(StateView& s, const Op& op) {
     case 11:
       return std::to_string(s.GetBalance(op.a)) + "/" +
              std::to_string(s.GetNonce(op.a)) + "/" +
-             std::to_string(s.TotalStaked()) + "/" +
+             std::to_string(s.StakeOf(op.b)) + "/" +
              std::to_string(s.BurnedTotal());
     case kBegin: s.Begin(); return "";
     case kCommit:
@@ -293,6 +316,113 @@ std::string Observe(const StateView& s) {
   return out;
 }
 
+// --- Oracles: the state root and the supply totals from scratch ------------
+// Both read the snapshot bytes of the visible state (open checkpoints
+// committed on a copy), so neither shares the incremental bookkeeping.
+
+struct SnapshotEntries {
+  std::vector<std::pair<Address, Account>> accounts;
+  std::vector<std::tuple<std::string, Bytes, Bytes>> slots;
+};
+
+Bytes VisibleSnapshot(const WorldState& state) {
+  WorldState copy = state;
+  while (copy.CheckpointDepth() > 0) copy.Commit();
+  return copy.SerializeSnapshot();
+}
+
+SnapshotEntries ParseSnapshot(const Bytes& bytes) {
+  common::Reader r(bytes);
+  SnapshotEntries out;
+  for (uint64_t n = *r.GetU64(); n > 0; --n) {
+    Address addr = *r.GetBytes();
+    Account account{*r.GetU64(), *r.GetU64()};
+    out.accounts.emplace_back(std::move(addr), account);
+  }
+  for (uint64_t spaces = *r.GetU64(); spaces > 0; --spaces) {
+    const std::string space = *r.GetString();
+    for (uint64_t n = *r.GetU64(); n > 0; --n) {
+      Bytes key = *r.GetBytes();
+      out.slots.emplace_back(space, std::move(key), *r.GetBytes());
+    }
+  }
+  return out;
+}
+
+// Bucket of an account (its address) or of a slot (the hash of its
+// length-prefixed space and key): the top 12 bits, zero-padded.
+uint32_t SpecBucket(const Bytes& b) {
+  const uint32_t b0 = b.size() > 0 ? b[0] : 0;
+  const uint32_t b1 = b.size() > 1 ? b[1] : 0;
+  return ((b0 << 8) | b1) >> 4;
+}
+
+uint32_t SpecSlotBucket(const std::string& space, const Bytes& key) {
+  Writer id;
+  id.PutString(space);
+  id.PutBytes(key);
+  return SpecBucket(crypto::Sha256::Hash(id.data()));
+}
+
+// The state root as docs/PROTOCOL.md defines it, built with MerkleTree over
+// all 4096 bucket leaves.
+Hash SpecRoot(const WorldState& state) {
+  const SnapshotEntries entries = ParseSnapshot(VisibleSnapshot(state));
+  std::map<uint32_t, SnapshotEntries> buckets;
+  for (const auto& account : entries.accounts) {
+    buckets[SpecBucket(account.first)].accounts.push_back(account);
+  }
+  for (const auto& slot : entries.slots) {
+    buckets[SpecSlotBucket(std::get<0>(slot), std::get<1>(slot))]
+        .slots.push_back(slot);
+  }
+  std::vector<Bytes> leaves(WorldState::kStateRootBuckets);
+  for (auto& [bucket, contents] : buckets) {
+    std::sort(contents.slots.begin(), contents.slots.end());
+    Writer w;
+    w.PutU32(static_cast<uint32_t>(contents.accounts.size()));
+    for (const auto& [addr, account] : contents.accounts) {
+      w.PutBytes(addr);
+      w.PutU64(account.balance);
+      w.PutU64(account.nonce);
+    }
+    w.PutU32(static_cast<uint32_t>(contents.slots.size()));
+    for (const auto& [space, key, value] : contents.slots) {
+      w.PutString(space);
+      w.PutBytes(key);
+      w.PutBytes(value);
+    }
+    leaves[bucket] = w.Take();
+  }
+  return crypto::MerkleTree(leaves).Root();
+}
+
+// Digest() equals the root of the same state rebuilt from scratch, and the
+// running totals equal a walk over every account and stake record.
+void ExpectMatchesOracles(const WorldState& state, const std::string& where) {
+  const Bytes snapshot = VisibleSnapshot(state);
+  auto fresh = WorldState::DeserializeSnapshot(snapshot);
+  ASSERT_TRUE(fresh.ok()) << where;
+  EXPECT_EQ(state.Digest(), fresh->Digest()) << where;
+
+  const SnapshotEntries entries = ParseSnapshot(snapshot);
+  uint64_t balance = 0, staked = 0, burned = 0;
+  for (const auto& [addr, account] : entries.accounts) {
+    balance = common::SaturatingAdd(balance, account.balance);
+  }
+  for (const auto& [space, key, value] : entries.slots) {
+    if (space != kStakeSpace) continue;
+    const uint64_t amount = *common::Reader(value).GetU64();
+    if (key.size() == kAddressSize) {
+      staked = common::SaturatingAdd(staked, amount);
+    }
+    if (key == ToBytes(kBurnedKey)) burned = amount;
+  }
+  EXPECT_EQ(state.TotalBalance(), balance) << where;
+  EXPECT_EQ(state.TotalStaked(), staked) << where;
+  EXPECT_EQ(state.BurnedTotal(), burned) << where;
+}
+
 class StateDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(StateDifferentialTest, OverlayThenMergeMatchesWorldState) {
@@ -301,37 +431,195 @@ TEST_P(StateDifferentialTest, OverlayThenMergeMatchesWorldState) {
   WorldState direct = base;
   WorldState target = base;
   StateOverlay overlay(target);
+  std::optional<WorldState> copied;  // a copy taken mid-run, cache included
 
   for (int step = 0; step < 400; ++step) {
     const Op op = RandomOp(rng, true);
+    const std::string where =
+        "seed " + std::to_string(GetParam()) + " step " + std::to_string(step);
     ASSERT_EQ(Apply(overlay, op), Apply(direct, op))
-        << "seed " << GetParam() << " step " << step << " kind " << op.kind;
+        << where << " kind " << op.kind;
+    ExpectMatchesOracles(direct, where);
+    if (copied) {
+      Apply(*copied, op);
+      EXPECT_EQ(copied->Digest(), direct.Digest()) << where;
+    } else if (step == 200) {
+      copied = direct;
+    }
   }
   while (direct.CheckpointDepth() > 0) {
     const Op close{rng.NextU64(2) == 0 ? kCommit : kRollback, {}, {}, {},
                    {}, {}, 0};
     Apply(direct, close);
     Apply(overlay, close);
+    Apply(*copied, close);
+    ExpectMatchesOracles(direct, "closing");
+    EXPECT_EQ(copied->Digest(), direct.Digest());
   }
   ASSERT_EQ(overlay.CheckpointDepth(), 0u);
   EXPECT_EQ(Observe(overlay), Observe(direct));
+  EXPECT_EQ(direct.Digest(), SpecRoot(direct));
   EXPECT_EQ(target.Digest(), base.Digest());  // untouched until the merge
 
   // The merge is journaled on the target: a rolled-back merge is exact.
   target.Begin();
   overlay.MergeInto(target);
   EXPECT_EQ(target.Digest(), direct.Digest());
+  ExpectMatchesOracles(target, "merge");
   target.Rollback();
   EXPECT_EQ(target.Digest(), base.Digest());
+  ExpectMatchesOracles(target, "rolled-back merge");
 
   overlay.MergeInto(target);
   EXPECT_EQ(target.Digest(), direct.Digest());
+  ExpectMatchesOracles(target, "merge");
   EXPECT_EQ(target.SerializeSnapshot(), direct.SerializeSnapshot());
   EXPECT_EQ(Observe(target), Observe(direct));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StateDifferentialTest,
                          ::testing::Range<uint64_t>(1, 41));
+
+// Many accounts per bucket: 20,000 random addresses fill every bucket about
+// five deep, so an update must re-encode its neighbours exactly.
+TEST(StateRootTest, CrowdedBucketsMatchTheSpecUnderRollback) {
+  Rng rng(7);
+  WorldState state;
+  std::vector<Address> addrs;
+  for (int i = 0; i < 20'000; ++i) {
+    addrs.push_back(rng.NextBytes(kAddressSize));
+    ASSERT_TRUE(state.Credit(addrs.back(), 1 + rng.NextU64(1000)).ok());
+  }
+  state.StoragePut("s", ToBytes("k"), ToBytes("v"));
+  EXPECT_EQ(state.Digest(), SpecRoot(state));
+  for (int round = 0; round < 20; ++round) {
+    state.Begin();
+    for (int i = 0; i < 50; ++i) {
+      const Address& from = addrs[rng.NextU64(addrs.size())];
+      (void)state.Transfer(from, addrs[rng.NextU64(addrs.size())],
+                           rng.NextU64(10));
+      (void)state.Transfer(from, rng.NextBytes(kAddressSize), 1);  // new
+      state.StoragePut("s", rng.NextBytes(1 + rng.NextU64(4)), ToBytes("x"));
+    }
+    (void)state.Digest();  // rolled back after the root saw it
+    if (round % 2 == 0) {
+      state.Rollback();
+    } else {
+      state.Commit();
+    }
+    ExpectMatchesOracles(state, "round " + std::to_string(round));
+  }
+  EXPECT_EQ(state.Digest(), SpecRoot(state));
+}
+
+TEST(StateRootTest, OneWriteRehashesOneBucketPath) {
+  Rng rng(3);
+  WorldState state;
+  for (int i = 0; i < 100'000; ++i) {
+    ASSERT_TRUE(state.Credit(rng.NextBytes(kAddressSize), 5).ok());
+  }
+  EXPECT_EQ(state.RootHashCount(), 0u);  // nothing hashed before a root
+  (void)state.Digest();
+  const uint64_t built = state.RootHashCount();
+  (void)state.Digest();
+  EXPECT_EQ(state.RootHashCount(), built);  // a clean root costs nothing
+
+  ASSERT_TRUE(state.Credit(Addr(9), 1).ok());
+  (void)state.Digest();
+  // One bucket leaf, then one node per level up to the root.
+  EXPECT_EQ(state.RootHashCount() - built, 1u + WorldState::kStateRootDepth);
+}
+
+// --- State proofs -------------------------------------------------------------
+
+TEST(StateProofTest, PresentAndAbsentKeysVerify) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    WorldState state = RandomState(rng, 80);
+    for (int i = 0; i < 200; ++i) {  // crowd some buckets
+      (void)state.Credit(rng.NextBytes(kAddressSize), 1);
+    }
+    const Hash root = state.Digest();
+    const SnapshotEntries entries = ParseSnapshot(state.SerializeSnapshot());
+    for (size_t i = 0; i <= kNumAddrs + 1; ++i) {
+      const Address addr = Addr(static_cast<uint8_t>(i));
+      const StateProof proof = state.ProveAccount(addr);
+      auto shown = WorldState::VerifyAccount(root, addr, proof);
+      ASSERT_TRUE(shown.ok()) << seed << ": " << shown.status().ToString();
+      const bool exists = std::any_of(
+          entries.accounts.begin(), entries.accounts.end(),
+          [&](const auto& entry) { return entry.first == addr; });
+      ASSERT_EQ(shown->has_value(), exists) << seed << " account " << i;
+      if (shown->has_value()) {
+        EXPECT_EQ((*shown)->balance, state.GetBalance(addr));
+        EXPECT_EQ((*shown)->nonce, state.GetNonce(addr));
+      }
+      auto again = StateProof::Deserialize(proof.Serialize());
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(again->Serialize(), proof.Serialize());
+    }
+    for (const char* space : kSpaces) {
+      for (const char* key : kKeys) {
+        const StateProof proof = state.ProveSlot(space, ToBytes(key));
+        auto shown = WorldState::VerifySlot(root, space, ToBytes(key), proof);
+        ASSERT_TRUE(shown.ok()) << seed << ": " << shown.status().ToString();
+        EXPECT_EQ(*shown, state.StorageGet(space, ToBytes(key)))
+            << seed << " " << space << "/" << key;
+      }
+    }
+  }
+}
+
+TEST(StateProofTest, TamperedProofsAndValuesAreRejected) {
+  WorldState state;
+  ASSERT_TRUE(state.Credit(Addr(1), 10).ok());
+  state.StoragePut("ns", ToBytes("result"), ToBytes("hash-a"));
+  const Hash root = state.Digest();
+  const StateProof good = state.ProveSlot("ns", ToBytes("result"));
+  ASSERT_EQ(*WorldState::VerifySlot(root, "ns", ToBytes("result"), good),
+            ToBytes("hash-a"));
+
+  auto rejected = [&](const StateProof& proof, const std::string& space,
+                      const std::string& key) {
+    return WorldState::VerifySlot(root, space, ToBytes(key), proof)
+               .status()
+               .code() == common::StatusCode::kCorruption;
+  };
+  // A different value in the bucket, re-encoded as a prover would.
+  WorldState forged;
+  ASSERT_TRUE(forged.Credit(Addr(1), 10).ok());
+  forged.StoragePut("ns", ToBytes("result"), ToBytes("hash-b"));
+  EXPECT_TRUE(rejected(forged.ProveSlot("ns", ToBytes("result")), "ns",
+                       "result"));
+  // A value hidden: the bucket claims the slot is absent.
+  WorldState hidden;
+  ASSERT_TRUE(hidden.Credit(Addr(1), 10).ok());
+  EXPECT_TRUE(rejected(hidden.ProveSlot("ns", ToBytes("result")), "ns",
+                       "result"));
+  // Every single-bit flip of the bucket or of a sibling.
+  for (size_t bit = 0; bit < good.bucket.size() * 8; ++bit) {
+    StateProof bad = good;
+    bad.bucket[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    EXPECT_TRUE(rejected(bad, "ns", "result")) << "bucket bit " << bit;
+  }
+  for (size_t step = 0; step < good.path.size(); ++step) {
+    StateProof bad = good;
+    bad.path[step].sibling[step % 32] ^= 1;
+    EXPECT_TRUE(rejected(bad, "ns", "result")) << "sibling " << step;
+    bad = good;
+    bad.path[step].sibling_is_left = !bad.path[step].sibling_is_left;
+    EXPECT_TRUE(rejected(bad, "ns", "result")) << "side " << step;
+  }
+  StateProof shorter = good;
+  shorter.path.pop_back();
+  EXPECT_TRUE(rejected(shorter, "ns", "result"));
+  // A valid proof of one key says nothing about a key in another bucket.
+  ASSERT_NE(SpecSlotBucket("ns", ToBytes("other-key-7")),
+            SpecSlotBucket("ns", ToBytes("result")));
+  EXPECT_TRUE(rejected(good, "ns", "other-key-7"));
+  EXPECT_FALSE(
+      WorldState::VerifySlot(Hash(32, 0), "ns", ToBytes("result"), good).ok());
+}
 
 // --- Snapshot encoding ------------------------------------------------------
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
 
@@ -116,6 +117,75 @@ TEST(MerkleTest, LargeRandomTree) {
     EXPECT_TRUE(MerkleTree::Verify(tree.Root(), leaves[i], *proof));
   }
   EXPECT_FALSE(tree.Prove(500).ok());
+}
+
+// --- IncrementalMerkleTree --------------------------------------------------
+
+TEST(IncrementalMerkleTest, FreshTreeHashesNothing) {
+  for (unsigned depth : {0u, 1u, 5u, 12u}) {
+    IncrementalMerkleTree tree(depth);
+    const std::vector<Bytes> empty(tree.LeafCount());
+    EXPECT_EQ(tree.Root(), MerkleTree(empty).Root()) << depth;
+    auto proof = tree.Prove(tree.LeafCount() - 1);
+    EXPECT_EQ(proof.size(), depth);
+    EXPECT_TRUE(MerkleTree::Verify(tree.Root(), {}, proof));
+    EXPECT_EQ(tree.hash_count(), 0u) << depth;
+  }
+}
+
+TEST(IncrementalMerkleTest, MatchesMerkleTreeUnderRandomUpdates) {
+  Rng rng(5);
+  for (unsigned depth : {1u, 3u, 8u}) {
+    IncrementalMerkleTree tree(depth);
+    std::vector<Bytes> leaves(tree.LeafCount());
+    for (int round = 0; round < 40; ++round) {
+      std::vector<size_t> touched;
+      for (uint64_t n = 1 + rng.NextU64(4); n > 0; --n) {
+        touched.push_back(rng.NextU64(leaves.size()));
+        leaves[touched.back()] =
+            rng.NextU64(4) == 0 ? Bytes{} : rng.NextBytes(1 + n);
+      }
+      tree.Update(touched, [&](size_t i) { return leaves[i]; });
+      ASSERT_EQ(tree.Root(), MerkleTree(leaves).Root()) << depth;
+      const size_t i = rng.NextU64(leaves.size());
+      EXPECT_TRUE(MerkleTree::Verify(tree.Root(), leaves[i], tree.Prove(i)));
+      EXPECT_FALSE(MerkleTree::Verify(tree.Root(), ToBytes("other"),
+                                      tree.Prove(i)));
+    }
+  }
+}
+
+TEST(IncrementalMerkleTest, OneLeafRehashesOnePath) {
+  IncrementalMerkleTree tree(10);
+  std::vector<size_t> all(tree.LeafCount());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  auto leaf = [](size_t i) { return ToBytes("leaf-" + std::to_string(i)); };
+  tree.Update(all, leaf);
+  const uint64_t built = tree.hash_count();
+  EXPECT_EQ(built, 2 * tree.LeafCount() - 1);
+  auto changed = [](size_t) { return ToBytes("changed"); };
+  tree.Update({7}, changed);
+  EXPECT_EQ(tree.hash_count() - built, 1u + 10u);
+  tree.Update({7}, changed);  // same leaf: the path is current
+  EXPECT_EQ(tree.hash_count() - built, 2u + 10u);
+}
+
+TEST(IncrementalMerkleTest, SameTreeAtAnyPoolSize) {
+  Rng rng(8);
+  std::vector<Bytes> leaves(1 << 9);
+  for (Bytes& leaf : leaves) leaf = rng.NextBytes(1 + rng.NextU64(40));
+  std::vector<size_t> all(leaves.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  auto data = [&](size_t i) { return leaves[i]; };
+  IncrementalMerkleTree inline_tree(9);
+  inline_tree.Update(all, data);
+  for (size_t threads : {1u, 2u, 4u}) {
+    common::ThreadPool pool(threads);
+    IncrementalMerkleTree tree(9);
+    tree.Update(all, data, &pool);
+    EXPECT_EQ(tree.Root(), inline_tree.Root()) << threads;
+    EXPECT_EQ(tree.Root(), MerkleTree(leaves).Root()) << threads;
+  }
 }
 
 }  // namespace
