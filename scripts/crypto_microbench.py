@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Prints the crypto microbench table: sign, verify, ECDH, keygen, seal.
+"""Prints the crypto microbench table: public-key ops, seal and kernels.
 
 Runs the crypto benchmarks of bench_micro and prints one markdown row per
 operation with its median real time over the repetitions:
@@ -9,7 +9,8 @@ operation with its median real time over the repetitions:
 
 bench_micro also writes its BENCH_observability.json section after the
 benchmarks; the run happens in a temporary directory so no checked-in
-report is touched. Stdlib only.
+report is touched. A row whose benchmark the binary lacks (an older
+build) prints "n/a". Stdlib only.
 """
 
 import argparse
@@ -27,6 +28,16 @@ ROWS = (
     ("BM_KeyFromSeed", "key generation (`FromSeed`)"),
     ("BM_AuthCipherSeal/65536", "`AuthCipher::Seal`, 64 KiB"),
     ("BM_Sha256/65536", "SHA-256, 64 KiB"),
+    ("BM_Sha256Compress/dispatched:0/blocks:1",
+     "SHA-256 compression, portable, 1 block"),
+    ("BM_Sha256Compress/dispatched:1/blocks:1",
+     "SHA-256 compression, dispatched, 1 block"),
+    ("BM_Sha256Compress/dispatched:0/blocks:1024",
+     "SHA-256 compression, portable, 1024 blocks"),
+    ("BM_Sha256Compress/dispatched:1/blocks:1024",
+     "SHA-256 compression, dispatched, 1024 blocks"),
+    ("BM_FieldMul", "`Fe25519::Mul`"),
+    ("BM_FieldSquare", "`Fe25519::Square`"),
 )
 
 
@@ -52,13 +63,19 @@ def main():
         if row.get("aggregate_name", "median") == "median":
             scale = {"ns": 1e-6, "us": 1e-3, "ms": 1.0}[row["time_unit"]]
             medians[row["run_name"]] = row["real_time"] * scale
+    if not medians:
+        print("no benchmark matched", file=sys.stderr)
+        return 1
     print("| operation | time |")
     print("|---|---|")
     for name, label in ROWS:
         if name not in medians:
             print(f"missing benchmark {name}", file=sys.stderr)
-            return 1
-        print(f"| {label} | {medians[name]:.3f} ms |")
+            print(f"| {label} | n/a |")
+        elif medians[name] < 0.01:
+            print(f"| {label} | {medians[name] * 1e6:.1f} ns |")
+        else:
+            print(f"| {label} | {medians[name]:.3f} ms |")
     return 0
 
 

@@ -137,7 +137,40 @@ Fe25519 Fe25519::Mul(const Fe25519& f, const Fe25519& g) {
             static_cast<u128>(a[2]) * b[2] + static_cast<u128>(a[3]) * b[1] +
             static_cast<u128>(a[4]) * b[0];
 
-  // Carry chain over the 128-bit accumulators.
+  return CarryWide(t0, t1, t2, t3, t4);
+}
+
+// The curve25519-donna fsquare shape: each cross term once, doubled. The
+// five column sums are the integers Mul(a, a) forms, so the limbs match.
+Fe25519 Fe25519::Square(const Fe25519& f) {
+  const uint64_t* a = f.limbs_.data();
+  const uint64_t a0_2 = a[0] * 2;
+  const uint64_t a1_2 = a[1] * 2;
+  const uint64_t a2_38 = a[2] * 38;
+  const uint64_t a3_19 = a[3] * 19;
+  const uint64_t a4_19 = a[4] * 19;
+  const uint64_t a4_38 = a4_19 * 2;
+
+  const u128 t0 = static_cast<u128>(a[0]) * a[0] +
+                  static_cast<u128>(a4_38) * a[1] +
+                  static_cast<u128>(a2_38) * a[3];
+  const u128 t1 = static_cast<u128>(a0_2) * a[1] +
+                  static_cast<u128>(a4_38) * a[2] +
+                  static_cast<u128>(a3_19) * a[3];
+  const u128 t2 = static_cast<u128>(a0_2) * a[2] +
+                  static_cast<u128>(a[1]) * a[1] +
+                  static_cast<u128>(a4_38) * a[3];
+  const u128 t3 = static_cast<u128>(a0_2) * a[3] +
+                  static_cast<u128>(a1_2) * a[2] +
+                  static_cast<u128>(a4_19) * a[4];
+  const u128 t4 = static_cast<u128>(a0_2) * a[4] +
+                  static_cast<u128>(a1_2) * a[3] +
+                  static_cast<u128>(a[2]) * a[2];
+  return CarryWide(t0, t1, t2, t3, t4);
+}
+
+// Carry chain over the 128-bit column sums of a product.
+Fe25519 Fe25519::CarryWide(u128 t0, u128 t1, u128 t2, u128 t3, u128 t4) {
   Fe25519 out;
   uint64_t carry;
   out.limbs_[0] = static_cast<uint64_t>(t0) & kMask51;

@@ -28,7 +28,8 @@ class Fe25519 {
   static Fe25519 Add(const Fe25519& a, const Fe25519& b);
   static Fe25519 Sub(const Fe25519& a, const Fe25519& b);
   static Fe25519 Mul(const Fe25519& a, const Fe25519& b);
-  static Fe25519 Square(const Fe25519& a) { return Mul(a, a); }
+  /// a^2 with 15 limb products instead of Mul's 25; same limbs as Mul(a, a).
+  static Fe25519 Square(const Fe25519& a);
   /// Multiplicative inverse x^(p-2) by an addition chain; inverse of 0 is 0.
   static Fe25519 Invert(const Fe25519& a);
   /// x^((p+3)/8), the square-root candidate exponentiation.
@@ -42,6 +43,9 @@ class Fe25519 {
 
  private:
   void Carry();
+  static Fe25519 CarryWide(unsigned __int128 t0, unsigned __int128 t1,
+                           unsigned __int128 t2, unsigned __int128 t3,
+                           unsigned __int128 t4);
 
   std::array<uint64_t, 5> limbs_;
 };

@@ -36,8 +36,6 @@ class Sha256 {
   static common::Bytes Hash2(const common::Bytes& a, const common::Bytes& b);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   std::array<uint32_t, 8> state_;
   uint64_t total_len_ = 0;
   uint8_t buffer_[64];

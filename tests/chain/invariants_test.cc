@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "common/serial.h"
 #include "crypto/ed25519.h"
+#include "crypto/sha256.h"
 #include "market/spec.h"
 #include "storage/provider_store.h"
 #include "storage/record_io.h"
@@ -190,13 +191,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeserializerFuzz,
 
 // Canonicality: every accepted input must re-encode to exactly itself, so
 // no value has two accepted wire forms. Driven by every single-bit flip and
-// every truncation of each valid seed, plus random extensions.
+// every truncation of each valid seed, random extensions, and shifted
+// length prefixes (every little-endian u32 that could be one).
 void ExpectCanonicalUnderMutation(
     const std::vector<Bytes>& seeds, Rng& rng,
     const std::function<std::optional<Bytes>(const Bytes&)>& reencode) {
   auto check = [&](const Bytes& input) {
     const std::optional<Bytes> again = reencode(input);
-    if (again) EXPECT_EQ(*again, input) << common::HexEncode(input);
+    if (again) {
+      EXPECT_EQ(*again, input) << common::HexEncode(input);
+    }
   };
   for (const Bytes& seed : seeds) {
     ASSERT_EQ(reencode(seed), seed);
@@ -212,6 +216,19 @@ void ExpectCanonicalUnderMutation(
       Bytes extended = seed;
       common::Append(extended, rng.NextBytes(1 + rng.NextU64(8)));
       check(extended);
+    }
+    for (size_t at = 0; at + 4 <= seed.size(); ++at) {
+      uint32_t prefix = 0;
+      for (int i = 0; i < 4; ++i) prefix |= uint32_t{seed[at + i]} << (8 * i);
+      if (prefix > seed.size()) continue;
+      for (uint32_t shifted : {prefix - 1, prefix + 1, prefix + 32, 0u,
+                               0xFFFFFFFFu}) {
+        Bytes mutated = seed;
+        for (int i = 0; i < 4; ++i) {
+          mutated[at + i] = static_cast<uint8_t>(shifted >> (8 * i));
+        }
+        check(mutated);
+      }
     }
   }
 }
@@ -282,6 +299,84 @@ TEST(CanonicalEncoding, StateProofDecodeAcceptsOnlyCanonicalBytes) {
         (void)WorldState::VerifySlot(root, "ns", ToBytes("k"), *proof);
         (void)WorldState::VerifyAccount(root, Bytes(kAddressSize, 3), *proof);
         return proof->Serialize();
+      });
+}
+
+// A transaction or header id hashes the re-serialization, so the check
+// pins that the bytes a node accepts are the bytes the id names.
+std::vector<Transaction> SeedTransactions() {
+  const SigningKey sender = SigningKey::FromSeed(ToBytes("canonical-tx"));
+  CallPayload call;
+  call.contract = "workload";
+  call.instance = 3;
+  call.method = "vote";
+  call.args = ToBytes("args");
+  return {Transaction(),
+          Transaction::Make(sender, 0, Bytes(kAddressSize, 9), 5, 21000,
+                            CallPayload{}),
+          Transaction::Make(sender, 7, Bytes(kAddressSize, 1), 0, 90000,
+                            call, 2)};
+}
+
+// Two blocks of a running chain: one empty, one with transactions.
+std::vector<Block> SeedBlocks() {
+  const SigningKey validator = SigningKey::FromSeed(ToBytes("canonical-v"));
+  const SigningKey sender = SigningKey::FromSeed(ToBytes("canonical-s"));
+  Blockchain chain({validator.PublicKey()}, ContractRegistry::CreateDefault());
+  EXPECT_TRUE(chain.CreditGenesis(AddressFromPublicKey(sender.PublicKey()),
+                                  1'000'000)
+                  .ok());
+  std::vector<Block> blocks = {Block(), *chain.ProduceBlock(validator, 1)};
+  for (uint64_t nonce = 0; nonce < 2; ++nonce) {
+    EXPECT_TRUE(chain
+                    .SubmitTransaction(Transaction::Make(
+                        sender, nonce, Bytes(kAddressSize, 4), 10, 100000,
+                        CallPayload{}))
+                    .ok());
+  }
+  blocks.push_back(*chain.ProduceBlock(validator, 2));
+  return blocks;
+}
+
+TEST(CanonicalEncoding, TransactionDecodeAcceptsOnlyCanonicalBytes) {
+  Rng rng(15);
+  std::vector<Bytes> seeds;
+  for (const Transaction& tx : SeedTransactions()) {
+    seeds.push_back(tx.Serialize());
+  }
+  ExpectCanonicalUnderMutation(
+      seeds, rng, [](const Bytes& b) -> std::optional<Bytes> {
+        auto tx = Transaction::Deserialize(b);
+        if (!tx.ok()) return std::nullopt;
+        EXPECT_EQ(tx->Id(), crypto::Sha256::Hash(b));
+        return tx->Serialize();
+      });
+}
+
+TEST(CanonicalEncoding, BlockHeaderDecodeAcceptsOnlyCanonicalBytes) {
+  Rng rng(16);
+  std::vector<Bytes> seeds;
+  for (const Block& block : SeedBlocks()) {
+    seeds.push_back(block.header.Serialize());
+  }
+  ExpectCanonicalUnderMutation(
+      seeds, rng, [](const Bytes& b) -> std::optional<Bytes> {
+        auto header = BlockHeader::Deserialize(b);
+        if (!header.ok()) return std::nullopt;
+        EXPECT_EQ(header->Id(), crypto::Sha256::Hash(b));
+        return header->Serialize();
+      });
+}
+
+TEST(CanonicalEncoding, BlockDecodeAcceptsOnlyCanonicalBytes) {
+  Rng rng(17);
+  std::vector<Bytes> seeds;
+  for (const Block& block : SeedBlocks()) seeds.push_back(block.Serialize());
+  ExpectCanonicalUnderMutation(
+      seeds, rng, [](const Bytes& b) -> std::optional<Bytes> {
+        auto block = Block::Deserialize(b);
+        if (!block.ok()) return std::nullopt;
+        return block->Serialize();
       });
 }
 

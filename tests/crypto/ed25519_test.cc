@@ -1,7 +1,8 @@
 // Differential test of EdPoint's fast paths (fixed-base table, wNAF,
-// Pippenger) and of the addition-chain inversion against the plain
-// double-and-add and Fermat oracles, compared by canonical encoding over
-// random and edge-case scalars and over points with torsion components.
+// Pippenger), of the addition-chain inversion and of the dedicated field
+// squaring against the plain double-and-add, Fermat and Mul(a, a) oracles,
+// compared by canonical encoding over random and edge-case inputs and over
+// points with torsion components.
 
 #include <gtest/gtest.h>
 
@@ -20,11 +21,12 @@ using oracle::DoubleAndAdd;
 
 BigUint Hex(const std::string& hex) { return BigUint::FromHex(hex).value(); }
 
-// a^e by square-and-multiply over the bits of e.
+// a^e by square-and-multiply over the bits of e. Squares through Mul, so
+// it stays an oracle for Fe25519::Square as well.
 Fe25519 Pow(const Fe25519& a, const BigUint& e) {
   Fe25519 result = Fe25519::FromU64(1);
   for (size_t i = e.BitLength(); i-- > 0;) {
-    result = Fe25519::Square(result);
+    result = Fe25519::Mul(result, result);
     if (e.Bit(i)) result = Fe25519::Mul(result, a);
   }
   return result;
@@ -126,6 +128,38 @@ TEST(Ed25519OracleTest, InvertMatchesFermat) {
   for (int i = 0; i < 20; ++i) {
     const Fe25519 a = Fe25519::FromBytes(rng.NextBytes(32));
     EXPECT_EQ(Fe25519::Invert(a).ToBytes(), FermatInvert(a).ToBytes());
+  }
+}
+
+TEST(Ed25519OracleTest, SquareMatchesMul) {
+  Rng rng(25);
+  // Canonical and non-canonical encodings (FromBytes ignores only the top
+  // bit, so all-ones is 2^255 - 1 >= p), then loosely reduced outputs of
+  // Mul, Add and Sub, whose limbs may exceed 2^51.
+  std::vector<Fe25519> inputs = {Fe25519(), Fe25519::FromU64(1),
+                                 Fe25519::Sub(Fe25519(), Fe25519::FromU64(1)),
+                                 Fe25519::FromBytes(Bytes(32, 0xff))};
+  for (int i = 0; i < 40; ++i) {
+    inputs.push_back(Fe25519::FromBytes(rng.NextBytes(32)));
+  }
+  const size_t n = inputs.size();
+  for (size_t i = 0; i < n; ++i) {
+    const Fe25519 a = inputs[i];  // copies: push_back may reallocate
+    const Fe25519 b = inputs[(i * 7 + 3) % n];
+    inputs.push_back(Fe25519::Mul(a, b));
+    inputs.push_back(Fe25519::Add(a, b));
+    inputs.push_back(Fe25519::Sub(a, b));
+    inputs.push_back(Fe25519::Add(Fe25519::Mul(a, a), Fe25519::Mul(b, b)));
+  }
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    Fe25519 a = inputs[i];
+    // A chain of squarings feeds each output back in, as Invert does.
+    for (int step = 0; step < 4; ++step) {
+      const Fe25519 square = Fe25519::Square(a);
+      ASSERT_EQ(square.ToBytes(), Fe25519::Mul(a, a).ToBytes())
+          << "input " << i << " step " << step;
+      a = square;
+    }
   }
 }
 
