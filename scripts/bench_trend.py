@@ -7,6 +7,9 @@ the repo root holds the committed reference copies. This walks every
 numeric leaf shared by a fresh/baseline pair, prints the delta, and flags
 probable regressions using a direction heuristic on the metric name
 (latencies/overheads should not grow, rates/speedups should not shrink).
+A leaf that is a number on one side and text on the other (an overhead
+that reads "below resolution" in one report) is listed as a change of
+kind, since no delta can be taken.
 
   bench_trend.py [--fresh-dir build/bench] [--baseline-dir .]
                  [--threshold-pct 25] [--strict]
@@ -68,21 +71,40 @@ def direction(path):
     return 0
 
 
-def numeric_leaves(node, prefix=""):
-    """Flattens a report into {dotted.path: number}. Bools count as 0/1 so
-    a flipped invariant (threads_identical, supply_conserved) shows up."""
+def leaves(node, prefix=""):
+    """Flattens a report into {dotted.path: number or str}. Bools count as
+    0/1 so a flipped invariant (threads_identical, supply_conserved) shows
+    up."""
     out = {}
     if isinstance(node, dict):
         for key, value in sorted(node.items()):
-            out.update(numeric_leaves(value, prefix + key + "."))
+            out.update(leaves(value, prefix + key + "."))
     elif isinstance(node, list):
         for i, value in enumerate(node):
-            out.update(numeric_leaves(value, prefix + "%d." % i))
+            out.update(leaves(value, prefix + "%d." % i))
     elif isinstance(node, bool):
         out[prefix[:-1]] = 1.0 if node else 0.0
     elif isinstance(node, (int, float)):
         out[prefix[:-1]] = float(node)
+    elif isinstance(node, str):
+        out[prefix[:-1]] = node
     return out
+
+
+def numeric_leaves(node):
+    """The numeric leaves of leaves()."""
+    return {path: value for path, value in leaves(node).items()
+            if isinstance(value, float)}
+
+
+def kind_changes(fresh, baseline):
+    """[(path, old, new)] for leaves that are a number on one side and text
+    on the other."""
+    fresh_leaves, base_leaves = leaves(fresh), leaves(baseline)
+    return [(path, base_leaves[path], fresh_leaves[path])
+            for path in sorted(set(fresh_leaves) & set(base_leaves))
+            if isinstance(fresh_leaves[path], str)
+            != isinstance(base_leaves[path], str)]
 
 
 def load(path):
@@ -99,6 +121,9 @@ def compare(name, fresh, baseline, threshold_pct):
     fresh_leaves = numeric_leaves(fresh)
     base_leaves = numeric_leaves(baseline)
     shared = sorted(set(fresh_leaves) & set(base_leaves))
+    for path, old, new in kind_changes(fresh, baseline):
+        print("  %-58s %12s -> %-12s (changed kind)"
+              % (path, json.dumps(old), json.dumps(new)))
     if not shared:
         print("  (no shared numeric metrics)")
         return regressions
@@ -118,7 +143,7 @@ def compare(name, fresh, baseline, threshold_pct):
             flag = "  (worse, within threshold)"
         print("  %-58s %12.4g -> %-12.4g %+8.1f%%%s"
               % (path, old, new, delta_pct, flag))
-    only_fresh = sorted(set(fresh_leaves) - set(base_leaves))
+    only_fresh = sorted(set(fresh_leaves) - set(leaves(baseline)))
     if only_fresh:
         print("  new metrics (no baseline): %s" % ", ".join(only_fresh))
     return regressions

@@ -52,6 +52,37 @@ uint64_t Histogram::Max() const {
   return 0;
 }
 
+HistogramSummary Histogram::Summarize() const {
+  HistogramSummary summary;
+  summary.count = Count();
+  summary.sum = Sum();
+  if (summary.count == 0) return summary;
+  constexpr double kQuantiles[3] = {0.50, 0.90, 0.99};
+  uint64_t* const out[3] = {&summary.p50, &summary.p90, &summary.p99};
+  uint64_t rank[3];
+  for (size_t q = 0; q < 3; ++q) {
+    rank[q] = std::max<uint64_t>(
+        1, static_cast<uint64_t>(std::ceil(
+               kQuantiles[q] * static_cast<double>(summary.count))));
+  }
+  size_t next = 0;
+  uint64_t seen = 0;
+  for (size_t i = 0; i < kNumBuckets; ++i) {
+    const uint64_t n = buckets_[i].load(std::memory_order_relaxed);
+    if (n == 0) continue;
+    const uint64_t value = BucketMidpoint(i);
+    if (seen == 0) summary.min = value;
+    summary.max = value;
+    seen += n;
+    while (next < 3 && seen >= rank[next]) *out[next++] = value;
+    if (seen >= summary.count) break;  // every later bucket is empty
+  }
+  // A concurrent Observe bumped count_ before its bucket: as in
+  // ValueAtQuantile, an unreached quantile reads the highest bucket.
+  while (next < 3) *out[next++] = summary.max;
+  return summary;
+}
+
 void Histogram::Reset() {
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
@@ -142,17 +173,30 @@ Snapshot Registry::TakeSnapshot() const {
   }
   snapshot.histograms.reserve(histograms_.size());
   for (const auto& [name, histogram] : histograms_) {
-    HistogramSummary summary;
-    summary.count = histogram->Count();
-    summary.sum = histogram->Sum();
-    summary.min = histogram->Min();
-    summary.p50 = histogram->ValueAtQuantile(0.50);
-    summary.p90 = histogram->ValueAtQuantile(0.90);
-    summary.p99 = histogram->ValueAtQuantile(0.99);
-    summary.max = histogram->Max();
-    snapshot.histograms.emplace_back(name, summary);
+    snapshot.histograms.emplace_back(name, histogram->Summarize());
   }
   return snapshot;
+}
+
+Registry::Handles Registry::GetHandles() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  Handles handles;
+  for (const auto& [name, counter] : counters_) {
+    handles.counters.emplace_back(name, counter.get());
+  }
+  for (const auto& [name, gauge] : gauges_) {
+    handles.gauges.emplace_back(name, gauge.get());
+  }
+  for (const auto& [name, histogram] : histograms_) {
+    handles.histograms.emplace_back(name, histogram.get());
+  }
+  handles.names = counters_.size() + gauges_.size() + histograms_.size();
+  return handles;
+}
+
+size_t Registry::NamesRegistered() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 void Registry::ResetValues() {

@@ -86,6 +86,17 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
+/// Read-only summary of one histogram, as captured in a Snapshot.
+struct HistogramSummary {
+  uint64_t count = 0;
+  uint64_t sum = 0;
+  uint64_t min = 0;
+  uint64_t p50 = 0;
+  uint64_t p90 = 0;
+  uint64_t p99 = 0;
+  uint64_t max = 0;
+};
+
 /// Log-linear-bucket histogram over uint64 values (HdrHistogram-style):
 /// each power-of-two range is split into kSubBuckets linear sub-buckets, so
 /// any recorded value lands in a bucket whose width is at most value /
@@ -123,6 +134,11 @@ class Histogram {
   uint64_t Min() const;
   uint64_t Max() const;
 
+  /// Count, sum, Min, the 0.5/0.9/0.99 ValueAtQuantile and Max, from one
+  /// scan that stops at the highest non-empty bucket. Equal to the separate
+  /// calls when no Observe runs concurrently.
+  HistogramSummary Summarize() const;
+
   void Reset();
 
   /// Index of the bucket holding `value`.
@@ -155,17 +171,6 @@ class Histogram {
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::vector<std::atomic<uint64_t>> buckets_;
-};
-
-/// Read-only summary of one histogram, as captured in a Snapshot.
-struct HistogramSummary {
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  uint64_t min = 0;
-  uint64_t p50 = 0;
-  uint64_t p90 = 0;
-  uint64_t p99 = 0;
-  uint64_t max = 0;
 };
 
 /// Point-in-time copy of every metric in a registry, sorted by name.
@@ -203,6 +208,19 @@ class Registry {
   Histogram& GetHistogram(const std::string& name);
 
   Snapshot TakeSnapshot() const;
+
+  /// Every metric's handle, each kind sorted by name as in a Snapshot, for
+  /// a reader that samples the same metrics again and again (TimeSeries).
+  struct Handles {
+    std::vector<std::pair<std::string, const Counter*>> counters;
+    std::vector<std::pair<std::string, const Gauge*>> gauges;
+    std::vector<std::pair<std::string, const Histogram*>> histograms;
+    size_t names = 0;  // NamesRegistered() when these were taken
+  };
+  Handles GetHandles() const;
+  /// Names registered so far over all kinds. Names are never removed, so
+  /// an unchanged count means an unchanged set of names.
+  size_t NamesRegistered() const;
 
   /// Zeroes every metric, keeping all handles valid (per-run isolation for
   /// tests and benches).

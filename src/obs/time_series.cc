@@ -6,6 +6,12 @@
 
 namespace pds2::obs {
 
+namespace {
+// Ring slots reserved when a series first appears, so its first points do
+// not reallocate one by one; the ring grows past this only as it fills.
+constexpr size_t kInitialRingSlots = 64;
+}  // namespace
+
 const char* SeriesKindName(SeriesKind kind) {
   switch (kind) {
     case SeriesKind::kCounter:
@@ -25,44 +31,78 @@ TimeSeries::TimeSeries(TimeSeriesConfig config, Registry* registry)
   time_ring_.resize(config_.capacity);
 }
 
-void TimeSeries::AppendLocked(const std::string& name, SeriesKind kind,
-                              double value) {
-  auto it = series_.find(name);
-  if (it == series_.end()) {
-    if (series_.size() >= config_.max_series) {
-      ++dropped_series_;
-      PDS2_M_COUNT("obs.timeseries.dropped_series", 1);
-      return;
-    }
-    Series s;
-    s.kind = kind;
-    s.first_sample = samples_;
-    s.ring.resize(config_.capacity, 0.0);
-    it = series_.emplace(name, std::move(s)).first;
+void TimeSeries::BindLocked() {
+  if (!bindings_.empty() && registry_->NamesRegistered() == bound_names_) {
+    return;
   }
-  it->second.ring[samples_ % config_.capacity] = value;
+  const Registry::Handles handles = registry_->GetHandles();
+  bindings_.clear();
+  for (const auto& [name, counter] : handles.counters) {
+    bindings_.push_back({.name = name, .counter = counter});
+  }
+  for (const auto& [name, gauge] : handles.gauges) {
+    bindings_.push_back({.name = name, .gauge = gauge});
+  }
+  for (const auto& [name, histogram] : handles.histograms) {
+    bindings_.push_back({.name = name, .histogram = histogram});
+  }
+  bound_names_ = handles.names;
+}
+
+void TimeSeries::AppendLocked(Series*& series, const std::string& name,
+                              const char* suffix, SeriesKind kind,
+                              double value) {
+  if (series == nullptr) {
+    const std::string key = name + suffix;
+    auto it = series_.find(key);
+    if (it == series_.end()) {
+      if (series_.size() >= config_.max_series) {
+        ++dropped_series_;
+        PDS2_M_COUNT("obs.timeseries.dropped_series", 1);
+        return;
+      }
+      Series s;
+      s.kind = kind;
+      s.first_sample = samples_;
+      s.ring.reserve(std::min(config_.capacity, kInitialRingSlots));
+      it = series_.emplace(key, std::move(s)).first;
+    }
+    series = &it->second;
+  }
+  std::vector<double>& ring = series->ring;
+  const size_t slot = samples_ % config_.capacity;
+  if (slot >= ring.size()) ring.resize(slot + 1, 0.0);
+  ring[slot] = value;
+}
+
+double TimeSeries::SlotValue(const Series& s, size_t index) const {
+  const size_t slot = index % config_.capacity;
+  return slot < s.ring.size() ? s.ring[slot] : 0.0;
 }
 
 size_t TimeSeries::Sample(uint64_t wall_ns, bool has_sim,
                           common::SimTime sim_us) {
-  const Snapshot snapshot = registry_->TakeSnapshot();
   std::lock_guard<std::mutex> lock(mu_);
+  BindLocked();
   time_ring_[samples_ % config_.capacity] = {wall_ns, has_sim, sim_us};
-  for (const auto& [name, value] : snapshot.counters) {
-    AppendLocked(name, SeriesKind::kCounter, static_cast<double>(value));
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    AppendLocked(name, SeriesKind::kGauge, static_cast<double>(value));
-  }
-  for (const auto& [name, summary] : snapshot.histograms) {
-    AppendLocked(name + "#count", SeriesKind::kCounter,
-                 static_cast<double>(summary.count));
-    AppendLocked(name + "#p50", SeriesKind::kQuantile,
-                 static_cast<double>(summary.p50));
-    AppendLocked(name + "#p90", SeriesKind::kQuantile,
-                 static_cast<double>(summary.p90));
-    AppendLocked(name + "#p99", SeriesKind::kQuantile,
-                 static_cast<double>(summary.p99));
+  for (Binding& b : bindings_) {
+    if (b.counter != nullptr) {
+      AppendLocked(b.series[0], b.name, "", SeriesKind::kCounter,
+                   static_cast<double>(b.counter->Value()));
+    } else if (b.gauge != nullptr) {
+      AppendLocked(b.series[0], b.name, "", SeriesKind::kGauge,
+                   static_cast<double>(b.gauge->Value()));
+    } else {
+      const HistogramSummary summary = b.histogram->Summarize();
+      AppendLocked(b.series[0], b.name, "#count", SeriesKind::kCounter,
+                   static_cast<double>(summary.count));
+      AppendLocked(b.series[1], b.name, "#p50", SeriesKind::kQuantile,
+                   static_cast<double>(summary.p50));
+      AppendLocked(b.series[2], b.name, "#p90", SeriesKind::kQuantile,
+                   static_cast<double>(summary.p90));
+      AppendLocked(b.series[3], b.name, "#p99", SeriesKind::kQuantile,
+                   static_cast<double>(summary.p99));
+    }
   }
   return samples_++;
 }
@@ -108,7 +148,7 @@ std::optional<double> TimeSeries::ValueAtLocked(const Series& s,
   if (index < s.first_sample || index < OldestRetainedLocked()) {
     return std::nullopt;
   }
-  return s.ring[index % config_.capacity];
+  return SlotValue(s, index);
 }
 
 std::optional<double> TimeSeries::ValueAt(const std::string& series,
@@ -216,7 +256,7 @@ void TimeSeries::WriteJsonLines(std::ostream& out) const {
         << "\",\"start\":" << start << ",\"values\":[";
     for (size_t i = start; i < samples_; ++i) {
       if (i != start) out << ",";
-      WriteJsonNumber(out, s.ring[i % config_.capacity]);
+      WriteJsonNumber(out, SlotValue(s, i));
     }
     out << "]}\n";
   }
@@ -224,6 +264,7 @@ void TimeSeries::WriteJsonLines(std::ostream& out) const {
 
 void TimeSeries::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
+  bindings_.clear();
   series_.clear();
   samples_ = 0;
   dropped_series_ = 0;

@@ -33,9 +33,9 @@ struct TimeSeriesConfig {
 };
 
 /// Compact ring-buffer time-series store over the metrics Registry: each
-/// Sample() takes one registry snapshot and appends one point per known
-/// series, stamped with wall time and (when the caller runs under a DES)
-/// sim time. Old points are overwritten once the ring wraps, so a sampler
+/// Sample() reads every registry metric (through handles bound once, see
+/// BindLocked) and appends one point per known series, stamped with wall
+/// time and (when the caller runs under a DES) sim time. Old points are overwritten once the ring wraps, so a sampler
 /// ticking for hours holds the same memory as one that ticked twice.
 ///
 /// All public methods are thread-safe; Sample() is expected to be called
@@ -46,7 +46,7 @@ class TimeSeries {
   explicit TimeSeries(TimeSeriesConfig config = {},
                       Registry* registry = nullptr);  // nullptr = Global()
 
-  /// Snapshots the registry and appends one sample at (wall_ns, sim_us).
+  /// Reads the registry and appends one sample at (wall_ns, sim_us).
   /// Returns the new sample's index (0-based, monotonically increasing for
   /// the lifetime of the object — ring eviction never renumbers).
   size_t Sample(uint64_t wall_ns, bool has_sim = false,
@@ -111,19 +111,42 @@ class TimeSeries {
     /// sampling started; earlier samples have no value for it).
     size_t first_sample = 0;
     /// Ring of points, slot = sample_index % capacity. Valid range is
-    /// [max(first_sample, oldest retained), SampleCount()).
+    /// [max(first_sample, oldest retained), SampleCount()). It grows as
+    /// slots are first written, up to capacity slots, so a short run pays
+    /// for the points it took rather than for a full ring per series.
     std::vector<double> ring;
   };
 
+  /// One registry metric and the series it feeds. A histogram feeds four
+  /// (#count, #p50, #p90, #p99); a counter or gauge only series[0].
+  struct Binding {
+    std::string name;
+    const Counter* counter = nullptr;
+    const Gauge* gauge = nullptr;
+    const Histogram* histogram = nullptr;
+    Series* series[4] = {};
+  };
+
   // All Require a held mu_.
-  void AppendLocked(const std::string& name, SeriesKind kind, double value);
+  /// Rebuilds bindings_ when the registry has names it had not at the
+  /// last call: the handles stay valid, so an unchanged registry is read
+  /// through them with no snapshot and no name lookups.
+  void BindLocked();
+  /// Appends `value` to the series `name` + `suffix`, found (or created)
+  /// once and then cached in `series`.
+  void AppendLocked(Series*& series, const std::string& name,
+                    const char* suffix, SeriesKind kind, double value);
   std::optional<double> ValueAtLocked(const Series& s, size_t index) const;
+  /// The ring slot of `index`; 0 for a slot not yet written.
+  double SlotValue(const Series& s, size_t index) const;
   size_t OldestRetainedLocked() const;
 
   mutable std::mutex mu_;
   TimeSeriesConfig config_;
   Registry* registry_;
   std::map<std::string, Series> series_;
+  std::vector<Binding> bindings_;  // counters, gauges, histograms; by name
+  size_t bound_names_ = 0;         // Registry::NamesRegistered() at bind
   std::vector<SampleInfo> time_ring_;  // slot = sample_index % capacity
   size_t samples_ = 0;
   uint64_t dropped_series_ = 0;

@@ -81,6 +81,25 @@ TEST(HistogramTest, EmptyHistogramReturnsZeros) {
   EXPECT_EQ(h.Mean(), 0.0);
 }
 
+TEST(HistogramTest, SummarizeMatchesTheSeparateQueries) {
+  std::mt19937_64 rng(7);
+  for (size_t n : {0, 1, 2, 5, 100, 10000}) {
+    Histogram h;
+    for (size_t i = 0; i < n; ++i) {
+      // Values across many bucket groups, with repeats.
+      h.Observe(rng() >> (rng() % 64));
+    }
+    const HistogramSummary s = h.Summarize();
+    EXPECT_EQ(s.count, h.Count()) << n;
+    EXPECT_EQ(s.sum, h.Sum()) << n;
+    EXPECT_EQ(s.min, h.Min()) << n;
+    EXPECT_EQ(s.p50, h.ValueAtQuantile(0.50)) << n;
+    EXPECT_EQ(s.p90, h.ValueAtQuantile(0.90)) << n;
+    EXPECT_EQ(s.p99, h.ValueAtQuantile(0.99)) << n;
+    EXPECT_EQ(s.max, h.Max()) << n;
+  }
+}
+
 // Compares the histogram's quantile estimate against the exact order
 // statistic of the recorded sample.
 void ExpectQuantilesAccurate(Histogram& h, std::vector<uint64_t> values) {

@@ -137,6 +137,55 @@ TEST(TimeSeriesTest, LateAppearingSeriesHasNoEarlierValues) {
   EXPECT_EQ(ts.Delta("late.c", 100), 0.0);
 }
 
+TEST(TimeSeriesTest, NewMetricsThatShiftSnapshotOrderKeepEverySeriesApart) {
+  // Sample caches each snapshot entry's series by position; names that
+  // sort before existing ones move every later entry.
+  Registry reg;
+  reg.GetCounter("m.b").Add(1);
+  reg.GetGauge("m.g").Set(5);
+  TimeSeries ts({.capacity = 4, .max_series = 64}, &reg);
+  ts.Sample(kNs);
+  reg.GetCounter("m.a").Add(10);
+  reg.GetCounter("m.b").Add(1);
+  reg.GetGauge("m.f").Set(7);
+  reg.GetHistogram("m.h").Observe(3);
+  ts.Sample(2 * kNs);
+  reg.GetCounter("m.b").Add(1);
+  ts.Sample(3 * kNs);
+
+  EXPECT_EQ(ts.ValueAt("m.b", 0), 1.0);
+  EXPECT_EQ(ts.ValueAt("m.b", 1), 2.0);
+  EXPECT_EQ(ts.Latest("m.b"), 3.0);
+  EXPECT_FALSE(ts.ValueAt("m.a", 0).has_value());
+  EXPECT_EQ(ts.Latest("m.a"), 10.0);
+  EXPECT_EQ(ts.Latest("m.g"), 5.0);
+  EXPECT_EQ(ts.Latest("m.f"), 7.0);
+  EXPECT_EQ(ts.KindOf("m.f"), SeriesKind::kGauge);
+  EXPECT_EQ(ts.Latest("m.h#count"), 1.0);
+  EXPECT_EQ(ts.Latest("m.h#p99"), 3.0);
+}
+
+TEST(TimeSeriesTest, LateSeriesAcrossRingWrapReadsItsOwnPoints) {
+  // A series first seen mid-ring grows its ring up to capacity as it goes.
+  Registry reg;
+  TimeSeries ts({.capacity = 4, .max_series = 64}, &reg);
+  for (int i = 0; i < 5; ++i) ts.Sample(kNs * static_cast<uint64_t>(i + 1));
+  Counter& c = reg.GetCounter("late.c");
+  for (int i = 5; i < 11; ++i) {
+    c.Add(1);
+    ts.Sample(kNs * static_cast<uint64_t>(i + 1));
+  }
+  EXPECT_EQ(ts.OldestRetained(), 7u);
+  for (size_t i = 7; i < 11; ++i) {
+    EXPECT_EQ(ts.ValueAt("late.c", i), static_cast<double>(i - 4)) << i;
+  }
+  std::ostringstream out;
+  ts.WriteJsonLines(out);
+  EXPECT_NE(out.str().find("\"name\":\"late.c\",\"kind\":\"counter\","
+                           "\"start\":7,\"values\":[3,4,5,6]}"),
+            std::string::npos);
+}
+
 TEST(TimeSeriesTest, MaxSeriesCapDropsNewSeriesAndCountsThem) {
   Registry reg;
   // A fresh registry snapshots to 7 would-be series: 2 counters
