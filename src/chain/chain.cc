@@ -24,8 +24,7 @@ Blockchain::Blockchain(std::vector<Bytes> validator_public_keys,
                        ChainConfig config)
     : validators_(std::move(validator_public_keys)),
       registry_(std::move(registry)),
-      config_(config),
-      mempool_(config_.mempool) {
+      config_(config) {
   assert(!validators_.empty());
   assert(registry_ != nullptr);
   // Accountability bonds: mint and immediately stake the deposit of every
@@ -135,8 +134,8 @@ void Blockchain::CacheVerified(Hash tx_id) {
   verified_txs_.insert(std::move(tx_id));
 }
 
-Status Blockchain::VerifyTransactionCached(const Transaction& tx) {
-  Hash id = tx.Id();
+Status Blockchain::VerifyTransactionCached(const Transaction& tx,
+                                           const Hash& id) {
   if (verified_txs_.count(id) > 0) {
     PDS2_M_COUNT("chain.sig_cache_hits", 1);
     return Status::Ok();
@@ -144,7 +143,7 @@ Status Blockchain::VerifyTransactionCached(const Transaction& tx) {
   ++signature_verifications_;
   PDS2_M_COUNT("chain.sig_verifications", 1);
   PDS2_RETURN_IF_ERROR(tx.VerifySignature());
-  CacheVerified(std::move(id));
+  CacheVerified(id);
   return Status::Ok();
 }
 
@@ -215,12 +214,12 @@ Status Blockchain::VerifyBlockSignatures(
 
 Status Blockchain::SubmitTransaction(const Transaction& tx) {
   obs::ScopedSpan span("chain.submit_tx");
-  PDS2_RETURN_IF_ERROR(VerifyTransactionCached(tx));
+  const Hash id = tx.Id();
+  PDS2_RETURN_IF_ERROR(VerifyTransactionCached(tx, id));
   // A tx id already executed is a duplicate: the signature cache would
   // happily re-admit it (it only dedups the *verification*), so check the
   // receipt history before queueing a copy that would burn the sender's
   // fee twice. Mempool duplicates are caught by Mempool::Add itself.
-  const Hash id = tx.Id();
   if (receipts_.count(id) > 0) {
     return Status::AlreadyExists("transaction already executed");
   }
@@ -235,7 +234,7 @@ Status Blockchain::SubmitTransaction(const Transaction& tx) {
     if (HasEvidenceFor(evidence->Offender(), evidence->Height())) {
       return Status::AlreadyExists("offence already punished on chain");
     }
-    PDS2_RETURN_IF_ERROR(mempool_.Add(tx));
+    PDS2_RETURN_IF_ERROR(mempool_.Add(tx, id));
     if (span.id() != 0) tx_trace_ctx_[id] = span.context();
     return Status::Ok();
   }
@@ -262,7 +261,7 @@ Status Blockchain::SubmitTransaction(const Transaction& tx) {
       registry_->Find(tx.payload().contract) == nullptr) {
     return Status::NotFound("unknown contract type: " + tx.payload().contract);
   }
-  PDS2_RETURN_IF_ERROR(mempool_.Add(tx));
+  PDS2_RETURN_IF_ERROR(mempool_.Add(tx, id));
   // Remember where the tx came from so the block that executes it can
   // link back to the submitter's span (the tx bytes stay trace-free).
   if (span.id() != 0) tx_trace_ctx_[id] = span.context();
@@ -285,20 +284,22 @@ Hash Blockchain::LastBlockHash() const {
   return blocks_.back().header.Id();
 }
 
-const Bytes& Blockchain::NextProposer() const {
-  return validators_[blocks_.size() % validators_.size()];
+const Bytes& Blockchain::ProposerFor(uint64_t height,
+                                     common::SimTime parent_ts,
+                                     common::SimTime timestamp) const {
+  // One allowed proposer per grace window: the primary for the first
+  // window, then the rotation shifts one position per elapsed window.
+  const uint64_t shift =
+      config_.proposer_grace == 0 || timestamp <= parent_ts
+          ? 0
+          : (timestamp - parent_ts) / config_.proposer_grace;
+  return validators_[(height + shift) % validators_.size()];
 }
 
 const Bytes& Blockchain::ProposerAt(common::SimTime timestamp) const {
-  if (config_.proposer_grace == 0) return NextProposer();
-  const common::SimTime parent_ts =
-      blocks_.empty() ? 0 : blocks_.back().header.timestamp;
-  const common::SimTime elapsed =
-      timestamp > parent_ts ? timestamp - parent_ts : 0;
-  // One allowed proposer per grace window: the primary for the first
-  // window, then the rotation shifts one position per elapsed window.
-  const uint64_t shift = elapsed / config_.proposer_grace;
-  return validators_[(blocks_.size() + shift) % validators_.size()];
+  return ProposerFor(blocks_.size(),
+                     blocks_.empty() ? 0 : blocks_.back().header.timestamp,
+                     timestamp);
 }
 
 Receipt Blockchain::ExecuteTransactionOn(StateView& state,
@@ -615,6 +616,84 @@ std::vector<Receipt> Blockchain::ExecuteBlockTxs(
   return receipts;
 }
 
+Status Blockchain::CheckHeader(const Block& block,
+                               const BlockHeader* parent) const {
+  const BlockHeader& header = block.header;
+  if (header.number != (parent == nullptr ? 0 : parent->number + 1)) {
+    return Status::InvalidArgument("block number out of sequence");
+  }
+  if (header.parent_hash != (parent == nullptr ? Hash(32, 0) : parent->Id())) {
+    return Status::InvalidArgument("parent hash mismatch");
+  }
+  const common::SimTime parent_ts = parent == nullptr ? 0 : parent->timestamp;
+  if (header.proposer_public_key !=
+      ProposerFor(header.number, parent_ts, header.timestamp)) {
+    return Status::PermissionDenied("proposer out of turn");
+  }
+  if (parent != nullptr && header.timestamp <= parent_ts) {
+    return Status::InvalidArgument("non-monotonic block timestamp");
+  }
+  PDS2_RETURN_IF_ERROR(crypto::VerifySignatureWithDomain(
+      header.proposer_public_key, BlockHeader::Domain(),
+      header.SigningBytes(), header.signature));
+  if (header.tx_root !=
+      Block::ComputeTxRoot(block.transactions, ExecutionPool())) {
+    return Status::Corruption("transaction root mismatch");
+  }
+  return Status::Ok();
+}
+
+Status Blockchain::CommitBlock(Block block, const crypto::SigningKey* signer,
+                               obs::ScopedSpan* span) {
+  // Transactional for external blocks: a Byzantine proposer can sign a
+  // block whose state_root does not match its own transactions, and
+  // rejecting it must leave no trace (no mutated balances, no receipts, no
+  // counter drift), or the replica silently forks from every honest peer.
+  // Lane merges are journaled writes, so one outer checkpoint covers the
+  // parallel path too.
+  const uint64_t saved_gas_used = total_gas_used_;
+  const uint64_t saved_instance_id = next_instance_id_;
+  state_.Begin();
+  std::vector<Receipt> receipts = ExecuteBlockTxs(
+      block.transactions, block.header.number, block.header.timestamp);
+  uint64_t fees = 0;
+  for (size_t i = 0; i < receipts.size(); ++i) {
+    fees += receipts[i].gas_used * block.transactions[i].gas_price();
+  }
+  // Fees go to the proposer. Cannot overflow: fees were just debited from
+  // senders, so crediting them merely moves supply (conservation).
+  if (fees > 0) {
+    Status credit_status = state_.Credit(
+        AddressFromPublicKey(block.header.proposer_public_key), fees);
+    assert(credit_status.ok());
+    (void)credit_status;
+  }
+  const Hash state_root = state_.Digest(ExecutionPool());
+  if (signer != nullptr) {
+    block.header.state_root = state_root;
+    block.header.signature = signer->SignWithDomain(
+        BlockHeader::Domain(), block.header.SigningBytes());
+  } else if (state_root != block.header.state_root) {
+    state_.Rollback();
+    total_gas_used_ = saved_gas_used;
+    next_instance_id_ = saved_instance_id;
+    return Status::Corruption("state root mismatch after execution");
+  }
+  state_.Commit();
+
+  for (Receipt& receipt : receipts) {
+    receipts_[receipt.tx_id] = std::move(receipt);
+  }
+  blocks_.push_back(std::move(block));
+  const Block& head = blocks_.back();
+  LinkAndForgetTxContexts(head.transactions, span);
+  PublishSupplyGauges();
+  PDS2_LOG(kDebug) << "committed block " << head.header.number << " with "
+                   << head.transactions.size() << " txs, fees " << fees;
+  if (listener_ != nullptr) listener_->OnBlockCommitted(*this, head);
+  return Status::Ok();
+}
+
 Result<Block> Blockchain::ProduceBlock(const crypto::SigningKey& proposer,
                                        common::SimTime timestamp) {
   // The block's own timestamp is the span's sim time: block production is
@@ -629,13 +708,6 @@ Result<Block> Blockchain::ProduceBlock(const crypto::SigningKey& proposer,
     return Status::InvalidArgument("block timestamp must increase");
   }
 
-  const uint64_t block_number = blocks_.size();
-  const Address proposer_addr = AddressFromPublicKey(proposer.PublicKey());
-
-  Block block;
-  uint64_t block_gas = 0;
-  uint64_t fees = 0;
-
   // Selection is separated from execution: the mempool hands over the
   // block's transactions in canonical order (per-sender nonce runs,
   // first-come-first-served, packed under the gas limit by worst case) and
@@ -644,82 +716,37 @@ Result<Block> Blockchain::ProduceBlock(const crypto::SigningKey& proposer,
   Mempool::Selection selection = mempool_.SelectForBlock(
       state_, config_.block_gas_limit, config_.gas_price);
   for (const Hash& dropped : selection.dropped) tx_trace_ctx_.erase(dropped);
+
+  Block block;
   block.transactions = std::move(selection.selected);
-
-  std::vector<Receipt> receipts =
-      ExecuteBlockTxs(block.transactions, block_number, timestamp);
-  for (size_t i = 0; i < receipts.size(); ++i) {
-    Receipt& receipt = receipts[i];
-    block_gas += receipt.gas_used;
-    fees += receipt.gas_used * block.transactions[i].gas_price();
-    receipts_[receipt.tx_id] = std::move(receipt);
-  }
-
-  // Fees go to the proposer. Cannot overflow: fees were just debited from
-  // senders, so crediting them merely moves supply (conservation).
-  if (fees > 0) {
-    Status credit_status = state_.Credit(proposer_addr, fees);
-    assert(credit_status.ok());
-    (void)credit_status;
-  }
-
   block.header.parent_hash = LastBlockHash();
-  block.header.number = block_number;
+  block.header.number = blocks_.size();
   block.header.timestamp = timestamp;
   block.header.tx_root =
-      Block::ComputeTxRoot(block.transactions, config_.thread_pool);
-  block.header.state_root = state_.Digest(ExecutionPool());
+      Block::ComputeTxRoot(block.transactions, ExecutionPool());
   block.header.proposer_public_key = proposer.PublicKey();
-  block.header.signature = proposer.SignWithDomain(
-      BlockHeader::Domain(), block.header.SigningBytes());
-
-  blocks_.push_back(block);
-  LinkAndForgetTxContexts(block.transactions, &span);
+  PDS2_RETURN_IF_ERROR(CommitBlock(std::move(block), &proposer, &span));
   PDS2_M_COUNT("chain.blocks_produced", 1);
-  PublishSupplyGauges();
-  PDS2_LOG(kDebug) << "produced block " << block_number << " with "
-                   << block.transactions.size() << " txs, gas " << block_gas;
-  if (listener_ != nullptr) listener_->OnBlockCommitted(*this, blocks_.back());
-  return block;
+  return blocks_.back();
 }
 
 Status Blockchain::ApplyExternalBlock(const Block& block) {
   const common::SimTime span_sim = block.header.timestamp;
   obs::ScopedSpan span("chain.apply_block", &span_sim);
   PDS2_M_TIME_US("chain.apply_block_us");
-  Status status = ApplyExternalBlockInner(block);
+  Status status = ApplyExternalBlockInner(block, &span);
   if (status.ok()) {
     PDS2_M_COUNT("chain.blocks_applied", 1);
-    LinkAndForgetTxContexts(block.transactions, &span);
-    PublishSupplyGauges();
   } else {
     PDS2_M_COUNT("chain.blocks_rejected", 1);
   }
   return status;
 }
 
-Status Blockchain::ApplyExternalBlockInner(const Block& block) {
-  // Consensus validation.
-  if (block.header.number != blocks_.size()) {
-    return Status::InvalidArgument("block number out of sequence");
-  }
-  if (block.header.parent_hash != LastBlockHash()) {
-    return Status::InvalidArgument("parent hash mismatch");
-  }
-  if (block.header.proposer_public_key != ProposerAt(block.header.timestamp)) {
-    return Status::PermissionDenied("proposer out of turn");
-  }
-  if (!blocks_.empty() &&
-      block.header.timestamp <= blocks_.back().header.timestamp) {
-    return Status::InvalidArgument("non-monotonic block timestamp");
-  }
-  PDS2_RETURN_IF_ERROR(crypto::VerifySignatureWithDomain(
-      block.header.proposer_public_key, BlockHeader::Domain(),
-      block.header.SigningBytes(), block.header.signature));
-  if (block.header.tx_root !=
-      Block::ComputeTxRoot(block.transactions, config_.thread_pool)) {
-    return Status::Corruption("transaction root mismatch");
-  }
+Status Blockchain::ApplyExternalBlockInner(const Block& block,
+                                           obs::ScopedSpan* span) {
+  PDS2_RETURN_IF_ERROR(
+      CheckHeader(block, blocks_.empty() ? nullptr : &blocks_.back().header));
   // Per-block resource rules: the sum of gas limits is the proposer's
   // worst-case execution budget and must respect the consensus cap (a
   // gas-cheating proposer packs more), and every non-evidence transaction
@@ -738,44 +765,11 @@ Status Blockchain::ApplyExternalBlockInner(const Block& block) {
     return Status::InvalidArgument("block exceeds the block gas limit");
   }
   PDS2_RETURN_IF_ERROR(VerifyBlockSignatures(block.transactions));
-
-  // Execute and check the resulting state commitment — transactionally: a
-  // Byzantine proposer can sign a block whose state_root does not match its
-  // own transactions, and rejecting it must leave no trace (no mutated
-  // balances, no receipts, no counter drift), or the replica silently forks
-  // from every honest peer. Lane merges are journaled writes, so one outer
-  // checkpoint covers the parallel path too.
-  const uint64_t saved_gas_used = total_gas_used_;
-  const uint64_t saved_instance_id = next_instance_id_;
-  state_.Begin();
-  uint64_t fees = 0;
-  std::vector<Receipt> receipts = ExecuteBlockTxs(
-      block.transactions, block.header.number, block.header.timestamp);
-  for (size_t i = 0; i < receipts.size(); ++i) {
-    fees += receipts[i].gas_used * block.transactions[i].gas_price();
-  }
-  if (fees > 0) {
-    Status credit_status = state_.Credit(
-        AddressFromPublicKey(block.header.proposer_public_key), fees);
-    assert(credit_status.ok());  // fees were debited from senders above
-    (void)credit_status;
-  }
-  if (state_.Digest(ExecutionPool()) != block.header.state_root) {
-    state_.Rollback();
-    total_gas_used_ = saved_gas_used;
-    next_instance_id_ = saved_instance_id;
-    return Status::Corruption("state root mismatch after execution");
-  }
-  state_.Commit();
-  for (Receipt& receipt : receipts) {
-    receipts_[receipt.tx_id] = std::move(receipt);
-  }
-  blocks_.push_back(block);
+  PDS2_RETURN_IF_ERROR(CommitBlock(block, /*signer=*/nullptr, span));
   // Locally queued copies of the block's transactions are now executed;
   // drop them instead of waiting for stale-nonce eviction at the next
   // production turn.
   mempool_.RemoveExecuted(block.transactions);
-  if (listener_ != nullptr) listener_->OnBlockCommitted(*this, blocks_.back());
   return Status::Ok();
 }
 
@@ -866,43 +860,14 @@ Status Blockchain::RestoreFromSnapshot(const Bytes& snapshot_state,
   PDS2_ASSIGN_OR_RETURN(WorldState state,
                         WorldState::DeserializeSnapshot(state_bytes));
 
-  // Verify the history's header chain: numbering, parent linkage, monotone
-  // timestamps, and each proposer's signature. Transaction execution and
-  // per-tx signatures are skipped — that is the whole point of a snapshot —
-  // but the final state_root must match the restored state's digest, so a
-  // snapshot can only reproduce a state some validator actually signed.
-  Hash parent = Hash(32, 0);  // genesis sentinel
-  common::SimTime last_ts = 0;
+  // Every history header passes the header rule replication applies.
+  // Transaction execution and per-tx signatures are skipped — that is the
+  // whole point of a snapshot — but the final state_root must match the
+  // restored state's digest, so a snapshot can only reproduce a state some
+  // validator actually signed.
   for (size_t i = 0; i < history.size(); ++i) {
-    const BlockHeader& header = history[i].header;
-    if (header.number != i) {
-      return Status::Corruption("snapshot history numbering out of sequence");
-    }
-    if (header.parent_hash != parent) {
-      return Status::Corruption("snapshot history parent hash mismatch");
-    }
-    if (i > 0 && header.timestamp <= last_ts) {
-      return Status::Corruption("snapshot history timestamps not increasing");
-    }
-    bool known_proposer = false;
-    for (const Bytes& validator : validators_) {
-      if (validator == header.proposer_public_key) {
-        known_proposer = true;
-        break;
-      }
-    }
-    if (!known_proposer) {
-      return Status::PermissionDenied("snapshot history proposer unknown");
-    }
-    PDS2_RETURN_IF_ERROR(crypto::VerifySignatureWithDomain(
-        header.proposer_public_key, BlockHeader::Domain(),
-        header.SigningBytes(), header.signature));
-    if (header.tx_root !=
-        Block::ComputeTxRoot(history[i].transactions, config_.thread_pool)) {
-      return Status::Corruption("snapshot history transaction root mismatch");
-    }
-    parent = header.Id();
-    last_ts = header.timestamp;
+    PDS2_RETURN_IF_ERROR(
+        CheckHeader(history[i], i == 0 ? nullptr : &history[i - 1].header));
   }
   if (state.Digest(ExecutionPool()) != history.back().header.state_root) {
     return Status::Corruption(

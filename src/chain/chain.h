@@ -73,8 +73,6 @@ struct ChainConfig {
   /// sequential code path exactly. Any pool size yields bit-identical
   /// blocks, receipts and state (see DESIGN.md "Parallel execution").
   common::ThreadPool* thread_pool = nullptr;
-  /// Mempool shape (shard count, admission bound).
-  Mempool::Config mempool;
   /// Crash tolerance of the PoA rotation. 0 = strict round-robin: only
   /// validators_[height % n] may propose, so an offline proposer stalls the
   /// chain forever. > 0 = deadline fallback: for every `proposer_grace` of
@@ -113,14 +111,22 @@ class Blockchain {
   common::Status SubmitTransaction(const Transaction& tx);
 
   /// Produces, executes and appends the next block. Fails unless `proposer`
-  /// is the validator whose round-robin turn it is. `timestamp` must be
-  /// strictly after the previous block's.
+  /// is ProposerAt(timestamp). `timestamp` must be strictly after the
+  /// previous block's.
   common::Result<Block> ProduceBlock(const crypto::SigningKey& proposer,
                                      common::SimTime timestamp);
 
-  /// Validates an externally produced block (proposer turn, signatures,
-  /// parent linkage, tx root) and executes it. Used when replicating
-  /// another node's chain.
+  /// Validates an externally produced block (the header rule below, the
+  /// block gas cap and price floor, every transaction signature) and
+  /// executes it; its post-state must equal the header's state_root. Used
+  /// when replicating another node's chain.
+  ///
+  /// The header rule, the same here and in RestoreFromSnapshot: block n
+  /// follows its parent (n = parent's number + 1, or 0 with no parent;
+  /// parent_hash = parent's Id(), or 32 zero bytes; timestamp strictly
+  /// after the parent's), its proposer is ProposerFor(n, parent timestamp,
+  /// timestamp), the proposer's signature verifies, and tx_root commits to
+  /// the block's transactions.
   common::Status ApplyExternalBlock(const Block& block);
 
   // --- Queries -------------------------------------------------------------
@@ -159,12 +165,14 @@ class Blockchain {
   const std::vector<Block>& blocks() const { return blocks_; }
   size_t MempoolSize() const { return mempool_.Size(); }
   const std::vector<common::Bytes>& validators() const { return validators_; }
-  /// Validator whose turn it is to propose the next block.
-  const common::Bytes& NextProposer() const;
+  /// Validator allowed to propose block `height` at `timestamp` when its
+  /// parent's timestamp is `parent_ts` (0 for block 0), under the
+  /// ChainConfig::proposer_grace rotation: a pure function of its
+  /// arguments and the configuration.
+  const common::Bytes& ProposerFor(uint64_t height, common::SimTime parent_ts,
+                                   common::SimTime timestamp) const;
 
-  /// Validator allowed to propose the next block at `timestamp` under the
-  /// proposer_grace fallback rule (equals NextProposer() when grace is 0 or
-  /// within the primary's window).
+  /// Validator allowed to propose the next block at `timestamp`.
   const common::Bytes& ProposerAt(common::SimTime timestamp) const;
 
   /// Total gas consumed by all executed transactions (experiment E6).
@@ -222,9 +230,11 @@ class Blockchain {
 
   /// Rebuilds a freshly constructed chain (no blocks, no genesis credits)
   /// from a snapshot payload plus the block history up to the snapshot
-  /// height. Header linkage of `history` is verified and the restored
-  /// state's digest must equal the last history block's state_root — the
-  /// snapshot cannot smuggle in a state the chain never committed.
+  /// height. Every history header must pass the header rule (see
+  /// ApplyExternalBlock) and the restored state's digest must equal the
+  /// last history block's state_root — the snapshot cannot smuggle in a
+  /// state the chain never committed, nor a history that replication
+  /// would refuse.
   /// Receipts and mempool start empty (pre-snapshot receipts are gone, as
   /// documented in DESIGN.md "Durability & recovery").
   common::Status RestoreFromSnapshot(const common::Bytes& snapshot_state,
@@ -280,10 +290,30 @@ class Blockchain {
 
   /// ApplyExternalBlock's validation/execution body; the public wrapper
   /// adds the applied/rejected accounting around it.
-  common::Status ApplyExternalBlockInner(const Block& block);
+  common::Status ApplyExternalBlockInner(const Block& block,
+                                         obs::ScopedSpan* span);
 
-  /// Verifies one signature through the cache (submit path).
-  common::Status VerifyTransactionCached(const Transaction& tx);
+  /// The header rule (see ApplyExternalBlock) for `block` following
+  /// `parent` (nullptr: `block` must be block 0).
+  common::Status CheckHeader(const Block& block,
+                             const BlockHeader* parent) const;
+
+  /// The commit step of ProduceBlock and ApplyExternalBlock. Executes
+  /// `block`'s transactions at its header's number and timestamp and
+  /// credits their fees to the header's proposer. With a `signer`
+  /// (production) it then sets the header's state_root and signature;
+  /// without one the post-state root must equal the header's, or every
+  /// effect is rolled back and Corruption returned. On success it stores
+  /// the receipts, appends the block, links the transactions' submit
+  /// contexts to `span`, publishes the supply gauges and notifies the
+  /// commit listener.
+  common::Status CommitBlock(Block block, const crypto::SigningKey* signer,
+                             obs::ScopedSpan* span);
+
+  /// Verifies one signature through the cache (submit path); `id` is
+  /// tx.Id().
+  common::Status VerifyTransactionCached(const Transaction& tx,
+                                         const Hash& id);
 
   /// Verifies a block's signatures, skipping cached ones and checking the
   /// rest with batched Schnorr verification (one randomized linear

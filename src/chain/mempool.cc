@@ -10,81 +10,32 @@ namespace pds2::chain {
 
 using common::Status;
 
-Mempool::Mempool(Config config) : config_(config) {
-  if (config_.num_shards == 0) config_.num_shards = 1;
-  shards_ = std::vector<Shard>(config_.num_shards);
+void Mempool::PublishDepth() const {
+  PDS2_M_GAUGE_SET("chain.mempool.depth", ids_.size());
 }
 
-size_t Mempool::ShardIndexFor(const Address& sender) const {
-  // FNV-1a over the address bytes; senders map stably to shards.
-  uint64_t h = 1469598103934665603ull;
-  for (uint8_t b : sender) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return static_cast<size_t>(h % config_.num_shards);
+void Mempool::Erase(std::map<uint64_t, Entry>& chain,
+                    std::map<uint64_t, Entry>::iterator it) {
+  ids_.erase(it->second.id);
+  chain.erase(it);
 }
 
-void Mempool::PublishShardDepth(size_t shard_index, size_t depth) const {
-#if PDS2_METRICS
-  if (obs::MetricsEnabled()) {
-    obs::Registry::Global()
-        .GetGauge("chain.mempool.shard_depth." + std::to_string(shard_index))
-        .Set(static_cast<int64_t>(depth));
-    PDS2_M_GAUGE_SET("chain.mempool.depth",
-                     count_.load(std::memory_order_relaxed));
-  }
-#else
-  (void)shard_index;
-  (void)depth;
-#endif
-}
-
-Status Mempool::Add(const Transaction& tx) {
-  // Reserve capacity optimistically; release on any rejection.
-  if (count_.fetch_add(1, std::memory_order_relaxed) >=
-      config_.max_transactions) {
-    count_.fetch_sub(1, std::memory_order_relaxed);
+Status Mempool::Add(const Transaction& tx, Hash id) {
+  if (ids_.size() >= max_transactions_) {
     PDS2_M_COUNT("chain.mempool.admission_rejected", 1);
     return Status::ResourceExhausted("mempool is full");
   }
-  const Address sender = tx.SenderAddress();
-  const size_t shard_index = ShardIndexFor(sender);
-  Shard& shard = shards_[shard_index];
-  size_t depth;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    Hash id = tx.Id();
-    if (shard.ids.count(id) > 0) {
-      count_.fetch_sub(1, std::memory_order_relaxed);
-      return Status::AlreadyExists("transaction already queued in mempool");
-    }
-    auto& chain = shard.by_sender[sender];
-    Entry entry{tx, id, next_seq_.fetch_add(1, std::memory_order_relaxed)};
-    auto [it, inserted] = chain.emplace(tx.nonce(), std::move(entry));
-    (void)it;
-    if (!inserted) {
-      count_.fetch_sub(1, std::memory_order_relaxed);
-      return Status::AlreadyExists(
-          "transaction with this sender nonce already queued");
-    }
-    shard.ids.insert(std::move(id));
-    depth = shard.ids.size();
+  if (ids_.count(id) > 0) {
+    return Status::AlreadyExists("transaction already queued in mempool");
   }
-  PublishShardDepth(shard_index, depth);
+  auto& chain = by_sender_[tx.SenderAddress()];
+  if (!chain.emplace(tx.nonce(), Entry{tx, id, next_seq_++}).second) {
+    return Status::AlreadyExists(
+        "transaction with this sender nonce already queued");
+  }
+  ids_.insert(std::move(id));
+  PublishDepth();
   return Status::Ok();
-}
-
-bool Mempool::Contains(const Hash& id) const {
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.ids.count(id) > 0) return true;
-  }
-  return false;
-}
-
-size_t Mempool::Size() const {
-  return count_.load(std::memory_order_relaxed);
 }
 
 Mempool::Selection Mempool::SelectForBlock(const WorldState& state,
@@ -92,81 +43,63 @@ Mempool::Selection Mempool::SelectForBlock(const WorldState& state,
                                            uint64_t gas_price_floor) {
   Selection result;
 
-  // Pass 1, per shard under its lock: evict stale nonces and pre-doomed
-  // chain heads, then pull each sender's executable run (consecutive nonces
-  // from the account nonce, affordable under a worst-case running balance)
-  // into a shared candidate list.
+  // Pass 1: evict stale nonces and pre-doomed chain heads, then pull each
+  // sender's executable run (consecutive nonces from the account nonce,
+  // affordable under a worst-case running balance) into a candidate list.
   struct Candidate {
-    const Transaction* tx;
-    const Hash* id;
-    uint64_t seq;
-    uint64_t max_cost;  // value + gas_limit * gas_price
-    Address sender;
-    uint64_t gas_price;
+    std::map<Address, std::map<uint64_t, Entry>>::iterator sender;
+    std::map<uint64_t, Entry>::iterator entry;
     bool is_evidence;
   };
   std::vector<Candidate> candidates;
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (Shard& shard : shards_) {
-    locks.emplace_back(shard.mu);
-    for (auto sender_it = shard.by_sender.begin();
-         sender_it != shard.by_sender.end();) {
-      const Address& sender = sender_it->first;
-      auto& chain = sender_it->second;
-      const uint64_t account_nonce = state.GetNonce(sender);
+  for (auto sender_it = by_sender_.begin(); sender_it != by_sender_.end();) {
+    const Address& sender = sender_it->first;
+    auto& chain = sender_it->second;
+    const uint64_t account_nonce = state.GetNonce(sender);
 
-      // Stale: superseded by an executed transaction with the same nonce.
-      while (!chain.empty() && chain.begin()->first < account_nonce) {
-        result.dropped.push_back(chain.begin()->second.id);
-        shard.ids.erase(chain.begin()->second.id);
-        chain.erase(chain.begin());
-        count_.fetch_sub(1, std::memory_order_relaxed);
-      }
+    // Stale: superseded by an executed transaction with the same nonce.
+    while (!chain.empty() && chain.begin()->first < account_nonce) {
+      result.dropped.push_back(chain.begin()->second.id);
+      Erase(chain, chain.begin());
+    }
 
-      uint64_t balance = state.GetBalance(sender);
-      uint64_t expected_nonce = account_nonce;
-      for (auto it = chain.begin(); it != chain.end(); ++it) {
-        if (it->first != expected_nonce) break;  // gap: rest is future
-        const Transaction& tx = it->second.tx;
-        const bool is_evidence = tx.payload().contract == kEvidenceContract;
-        uint64_t max_fee, max_cost;
-        const bool representable =
-            common::CheckedMul(tx.gas_limit(), tx.gas_price(), &max_fee) &&
-            common::CheckedAdd(tx.value(), max_fee, &max_cost);
-        // A below-floor offer can never be carried by a valid block; treat
-        // it like an unaffordable head (evidence is fee-exempt).
-        const bool below_floor =
-            !is_evidence && tx.gas_price() < gas_price_floor;
-        if (!representable || below_floor || max_cost > balance) {
-          // The chain head can never execute before anything tops the
-          // sender up: it is pre-doomed, evict it so no block carries it.
-          // Later entries in the run merely wait for the head's actual
-          // (possibly smaller) spend and stay queued.
-          if (it->first == account_nonce) {
-            result.dropped.push_back(it->second.id);
-            shard.ids.erase(it->second.id);
-            chain.erase(it);
-            count_.fetch_sub(1, std::memory_order_relaxed);
-            PDS2_M_COUNT("chain.mempool.predoomed_evicted", 1);
-            if (below_floor) {
-              PDS2_M_COUNT("chain.mempool.evicted_below_floor", 1);
-            }
+    uint64_t balance = state.GetBalance(sender);
+    uint64_t expected_nonce = account_nonce;
+    for (auto it = chain.begin(); it != chain.end(); ++it) {
+      if (it->first != expected_nonce) break;  // gap: rest is future
+      const Transaction& tx = it->second.tx;
+      const bool is_evidence = tx.payload().contract == kEvidenceContract;
+      uint64_t max_fee, max_cost;
+      const bool representable =
+          common::CheckedMul(tx.gas_limit(), tx.gas_price(), &max_fee) &&
+          common::CheckedAdd(tx.value(), max_fee, &max_cost);
+      // A below-floor offer can never be carried by a valid block; treat
+      // it like an unaffordable head (evidence is fee-exempt).
+      const bool below_floor = !is_evidence && tx.gas_price() < gas_price_floor;
+      if (!representable || below_floor || max_cost > balance) {
+        // The chain head can never execute before anything tops the
+        // sender up: it is pre-doomed, evict it so no block carries it.
+        // Later entries in the run merely wait for the head's actual
+        // (possibly smaller) spend and stay queued.
+        if (it->first == account_nonce) {
+          result.dropped.push_back(it->second.id);
+          Erase(chain, it);
+          PDS2_M_COUNT("chain.mempool.predoomed_evicted", 1);
+          if (below_floor) {
+            PDS2_M_COUNT("chain.mempool.evicted_below_floor", 1);
           }
-          break;
         }
-        balance -= max_cost;
-        candidates.push_back(Candidate{&tx, &it->second.id, it->second.seq,
-                                       max_cost, sender, tx.gas_price(),
-                                       is_evidence});
-        ++expected_nonce;
+        break;
       }
+      balance -= max_cost;
+      candidates.push_back(Candidate{sender_it, it, is_evidence});
+      ++expected_nonce;
+    }
 
-      if (chain.empty()) {
-        sender_it = shard.by_sender.erase(sender_it);
-      } else {
-        ++sender_it;
-      }
+    if (chain.empty()) {
+      sender_it = by_sender_.erase(sender_it);
+    } else {
+      ++sender_it;
     }
   }
 
@@ -180,8 +113,12 @@ Mempool::Selection Mempool::SelectForBlock(const WorldState& state,
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
               if (a.is_evidence != b.is_evidence) return a.is_evidence;
-              if (a.gas_price != b.gas_price) return a.gas_price > b.gas_price;
-              return a.seq < b.seq;
+              const Entry& x = a.entry->second;
+              const Entry& y = b.entry->second;
+              if (x.tx.gas_price() != y.tx.gas_price()) {
+                return x.tx.gas_price() > y.tx.gas_price();
+              }
+              return x.seq < y.seq;
             });
   std::map<Address, uint64_t> included_upto;  // sender -> next expected nonce
   std::vector<bool> taken(candidates.size(), false);
@@ -191,62 +128,42 @@ Mempool::Selection Mempool::SelectForBlock(const WorldState& state,
     progressed = false;
     for (size_t i = 0; i < candidates.size(); ++i) {
       if (taken[i]) continue;
-      const Candidate& cand = candidates[i];
+      const Transaction& tx = candidates[i].entry->second.tx;
       auto [it, inserted] = included_upto.try_emplace(
-          cand.sender, state.GetNonce(cand.sender));
-      if (cand.tx->nonce() != it->second) continue;
-      if (block_gas + cand.tx->gas_limit() > block_gas_limit) continue;
-      block_gas += cand.tx->gas_limit();
-      it->second = cand.tx->nonce() + 1;
+          candidates[i].sender->first,
+          state.GetNonce(candidates[i].sender->first));
+      if (tx.nonce() != it->second) continue;
+      if (block_gas + tx.gas_limit() > block_gas_limit) continue;
+      block_gas += tx.gas_limit();
+      it->second = tx.nonce() + 1;
       taken[i] = true;
-      result.selected.push_back(*cand.tx);
+      result.selected.push_back(tx);
       progressed = true;
     }
   }
 
-  // Remove the selected entries from their shards (still locked).
+  // Remove the selected entries. A sender's map node is erased only once
+  // its chain is empty, so no other candidate still points into it.
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (!taken[i]) continue;
-    const Candidate& cand = candidates[i];
-    Shard& shard = shards_[ShardIndexFor(cand.sender)];
-    auto sender_it = shard.by_sender.find(cand.sender);
-    if (sender_it == shard.by_sender.end()) continue;
-    shard.ids.erase(*cand.id);
-    sender_it->second.erase(cand.tx->nonce());
-    if (sender_it->second.empty()) shard.by_sender.erase(sender_it);
-    count_.fetch_sub(1, std::memory_order_relaxed);
+    auto& chain = candidates[i].sender->second;
+    Erase(chain, candidates[i].entry);
+    if (chain.empty()) by_sender_.erase(candidates[i].sender);
   }
-  locks.clear();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s].mu);
-    PublishShardDepth(s, shards_[s].ids.size());
-  }
+  PublishDepth();
   return result;
 }
 
 void Mempool::RemoveExecuted(const std::vector<Transaction>& txs) {
   for (const Transaction& tx : txs) {
-    const Address sender = tx.SenderAddress();
-    const size_t shard_index = ShardIndexFor(sender);
-    Shard& shard = shards_[shard_index];
-    size_t depth;
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      const Hash id = tx.Id();
-      if (shard.ids.erase(id) == 0) continue;
-      auto sender_it = shard.by_sender.find(sender);
-      if (sender_it != shard.by_sender.end()) {
-        auto it = sender_it->second.find(tx.nonce());
-        if (it != sender_it->second.end() && it->second.id == id) {
-          sender_it->second.erase(it);
-        }
-        if (sender_it->second.empty()) shard.by_sender.erase(sender_it);
-      }
-      count_.fetch_sub(1, std::memory_order_relaxed);
-      depth = shard.ids.size();
-    }
-    PublishShardDepth(shard_index, depth);
+    const Hash id = tx.Id();
+    if (ids_.count(id) == 0) continue;
+    auto sender_it = by_sender_.find(tx.SenderAddress());
+    auto& chain = sender_it->second;
+    Erase(chain, chain.find(tx.nonce()));
+    if (chain.empty()) by_sender_.erase(sender_it);
   }
+  PublishDepth();
 }
 
 }  // namespace pds2::chain

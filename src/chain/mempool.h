@@ -1,9 +1,7 @@
 #ifndef PDS2_CHAIN_MEMPOOL_H_
 #define PDS2_CHAIN_MEMPOOL_H_
 
-#include <atomic>
 #include <map>
-#include <mutex>
 #include <set>
 #include <vector>
 
@@ -14,13 +12,11 @@
 
 namespace pds2::chain {
 
-/// Sharded transaction pool. Transactions are bucketed by a hash of the
-/// sender address — all of one sender's pending transactions share a shard,
-/// which is what lets selection walk nonce chains under a single shard lock
-/// — and every shard has its own mutex, so concurrent submitters no longer
-/// serialize against each other or against block production. A global
-/// submission sequence number preserves the first-come-first-served
-/// ordering of the previous deque-based pool.
+/// Transaction pool of one Blockchain, which is its single owner: every
+/// caller reaches it through that chain from one thread at a time, so it
+/// takes no locks. Pending transactions are kept per sender in nonce order
+/// (the order selection walks them in), and a submission sequence number
+/// keeps first-come-first-served as the final tiebreak.
 ///
 /// Admission is bounded (ResourceExhausted beyond `max_transactions`), and
 /// selection evicts transactions that can never execute: stale nonces and
@@ -29,47 +25,20 @@ namespace pds2::chain {
 /// pre-doomed transaction.
 class Mempool {
  public:
-  struct Config {
-    size_t num_shards = 16;
-    size_t max_transactions = 1 << 16;
-  };
+  explicit Mempool(size_t max_transactions = 1 << 16)
+      : max_transactions_(max_transactions) {}
 
-  Mempool() : Mempool(Config{}) {}
-  explicit Mempool(Config config);
-
-  /// Moves transplant the shard vector wholesale (a vector move never moves
-  /// its elements, so the per-shard mutexes stay put). Not safe while any
-  /// other thread touches either pool — moving a live mempool is a bug.
-  Mempool(Mempool&& other) noexcept
-      : config_(other.config_),
-        shards_(std::move(other.shards_)),
-        next_seq_(other.next_seq_.load(std::memory_order_relaxed)),
-        count_(other.count_.load(std::memory_order_relaxed)) {
-    other.count_.store(0, std::memory_order_relaxed);
-  }
-  Mempool& operator=(Mempool&& other) noexcept {
-    if (this != &other) {
-      config_ = other.config_;
-      shards_ = std::move(other.shards_);
-      next_seq_.store(other.next_seq_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-      count_.store(other.count_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-      other.count_.store(0, std::memory_order_relaxed);
-    }
-    return *this;
-  }
-
-  /// Queues a transaction the chain has already signature-checked.
-  /// AlreadyExists on a duplicate id or an occupied (sender, nonce) slot
-  /// (first submission wins); ResourceExhausted when the pool is full.
-  common::Status Add(const Transaction& tx);
+  /// Queues a transaction the chain has already signature-checked; `id` is
+  /// its tx.Id(). AlreadyExists on a duplicate id or an occupied (sender,
+  /// nonce) slot (first submission wins); ResourceExhausted when the pool
+  /// is full.
+  common::Status Add(const Transaction& tx, Hash id);
 
   /// Whether a transaction id is currently queued.
-  bool Contains(const Hash& id) const;
+  bool Contains(const Hash& id) const { return ids_.count(id) > 0; }
 
-  /// Total queued transactions across all shards.
-  size_t Size() const;
+  /// Total queued transactions.
+  size_t Size() const { return ids_.size(); }
 
   struct Selection {
     std::vector<Transaction> selected;  // canonical block order
@@ -97,20 +66,17 @@ class Mempool {
     Hash id;
     uint64_t seq = 0;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    // sender -> nonce -> entry; nonce order is selection order.
-    std::map<Address, std::map<uint64_t, Entry>> by_sender;
-    std::set<Hash> ids;
-  };
 
-  size_t ShardIndexFor(const Address& sender) const;
-  void PublishShardDepth(size_t shard_index, size_t depth) const;
+  /// Erases the entry at `it` from `chain` and the id set.
+  void Erase(std::map<uint64_t, Entry>& chain,
+             std::map<uint64_t, Entry>::iterator it);
+  void PublishDepth() const;
 
-  Config config_;
-  std::vector<Shard> shards_;
-  std::atomic<uint64_t> next_seq_{0};
-  std::atomic<size_t> count_{0};
+  size_t max_transactions_;
+  // sender -> nonce -> entry; nonce order is selection order.
+  std::map<Address, std::map<uint64_t, Entry>> by_sender_;
+  std::set<Hash> ids_;
+  uint64_t next_seq_ = 0;
 };
 
 }  // namespace pds2::chain

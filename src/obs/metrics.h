@@ -186,8 +186,8 @@ struct Snapshot {
 /// PDS2_M_* macros do with a function-local static. Creation takes a mutex;
 /// updates through the returned handles are lock-free.
 ///
-/// Cardinality guard: dynamically named series (per-shard mempool depths,
-/// per-node labels at 10^5-node scale) could otherwise grow the maps
+/// Cardinality guard: dynamically named series (per-node labels at
+/// 10^5-node scale) could otherwise grow the maps
 /// without bound. Once a kind's map reaches the cap, Get* for a NEW name
 /// returns that kind's shared overflow sink instead of allocating, and the
 /// "obs.metrics.dropped_series" counter records the spill. Existing names

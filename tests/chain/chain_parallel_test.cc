@@ -3,9 +3,9 @@
 //    one Schnorr check per (tx, signature) across the submit -> validate
 //    path, and bit-identical blocks for every thread-pool size;
 //  - parallel transaction execution: conflict-lane partitioning,
-//    StateOverlay store semantics, the sharded mempool, and — the contract
-//    that matters — bit-identical receipts, state digests and block hashes
-//    for every (conflict rate, thread count) combination. The sequential
+//    StateOverlay store semantics, and — the contract that matters —
+//    bit-identical receipts, state digests and block hashes for every
+//    (conflict rate, thread count) combination. The sequential
 //    path is the ground truth; the optimistic lane executor must be
 //    observationally indistinguishable from it.
 //
@@ -18,7 +18,6 @@
 
 #include "../crypto/ed25519_oracle.h"
 #include "chain/chain.h"
-#include "chain/mempool.h"
 #include "chain/parallel_exec.h"
 #include "common/rng.h"
 #include "common/serial.h"
@@ -29,7 +28,6 @@ namespace {
 
 using common::Bytes;
 using common::Reader;
-using common::StatusCode;
 using common::ThreadPool;
 using common::ToBytes;
 using common::Writer;
@@ -320,7 +318,7 @@ TEST_F(ParallelChainTest, TorsionSignatureGetsOneVerdictAtEveryPoolSize) {
   }
 }
 
-// --- Conflict lanes, StateOverlay, mempool -----------------------------------
+// --- Conflict lanes, StateOverlay ------------------------------------------
 
 Address TestAddress(uint8_t tag) { return Address(kAddressSize, tag); }
 
@@ -488,116 +486,6 @@ TEST(StateOverlayTest, StorageScanMergesOverlayAndBase) {
   EXPECT_EQ(scan[1].second, ToBytes("lane2"));
   EXPECT_EQ(scan[2].first, ToBytes("a3"));
   EXPECT_EQ(scan[2].second, ToBytes("lane3"));
-}
-
-// --- Sharded mempool --------------------------------------------------------
-
-class MempoolTest : public ::testing::Test {
- protected:
-  static Transaction Tx(const SigningKey& from, uint64_t nonce,
-                        uint64_t value = 1, uint64_t gas_limit = kGas) {
-    return Transaction::Make(from, nonce, TestAddress(0xbb), value, gas_limit,
-                             CallPayload{});
-  }
-
-  static SigningKey Key(const std::string& seed) {
-    return SigningKey::FromSeed(ToBytes(seed));
-  }
-};
-
-TEST_F(MempoolTest, DuplicateIdAndNonceSlotRejected) {
-  Mempool pool;
-  SigningKey alice = Key("alice");
-  Transaction tx = Tx(alice, 0);
-  ASSERT_TRUE(pool.Add(tx).ok());
-  EXPECT_EQ(pool.Add(tx).code(), StatusCode::kAlreadyExists);
-  // Different tx, same (sender, nonce): first submission wins.
-  EXPECT_EQ(pool.Add(Tx(alice, 0, 2)).code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(pool.Size(), 1u);
-  EXPECT_TRUE(pool.Contains(tx.Id()));
-}
-
-TEST_F(MempoolTest, AdmissionIsBounded) {
-  Mempool::Config config;
-  config.max_transactions = 2;
-  Mempool pool(config);
-  SigningKey alice = Key("alice");
-  ASSERT_TRUE(pool.Add(Tx(alice, 0)).ok());
-  ASSERT_TRUE(pool.Add(Tx(alice, 1)).ok());
-  EXPECT_EQ(pool.Add(Tx(alice, 2)).code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(pool.Size(), 2u);
-}
-
-TEST_F(MempoolTest, SelectionFollowsNonceRunsAndEvictsStale) {
-  Mempool pool;
-  SigningKey alice = Key("alice");
-  WorldState state;
-  ASSERT_TRUE(state.Credit(AddressFromPublicKey(alice.PublicKey()),
-                           kGenesisEach)
-                  .ok());
-  state.BumpNonce(AddressFromPublicKey(alice.PublicKey()));  // nonce = 1
-
-  Transaction stale = Tx(alice, 0);
-  Transaction current = Tx(alice, 1);
-  Transaction next = Tx(alice, 2);
-  Transaction future = Tx(alice, 4);  // gap at 3: stays queued
-  ASSERT_TRUE(pool.Add(stale).ok());
-  ASSERT_TRUE(pool.Add(next).ok());
-  ASSERT_TRUE(pool.Add(current).ok());
-  ASSERT_TRUE(pool.Add(future).ok());
-
-  auto selection = pool.SelectForBlock(state, 100 * kGas, 1);
-  ASSERT_EQ(selection.selected.size(), 2u);
-  EXPECT_EQ(selection.selected[0].Id(), current.Id());
-  EXPECT_EQ(selection.selected[1].Id(), next.Id());
-  ASSERT_EQ(selection.dropped.size(), 1u);
-  EXPECT_EQ(selection.dropped[0], stale.Id());
-  EXPECT_EQ(pool.Size(), 1u);  // the future-nonce tx waits
-  EXPECT_TRUE(pool.Contains(future.Id()));
-}
-
-TEST_F(MempoolTest, PreDoomedHeadEvictedAffordableHeadKept) {
-  Mempool pool;
-  SigningKey pauper = Key("pauper");
-  SigningKey alice = Key("alice");
-  WorldState state;
-  ASSERT_TRUE(state.Credit(AddressFromPublicKey(alice.PublicKey()),
-                           kGenesisEach)
-                  .ok());
-
-  Transaction doomed = Tx(pauper, 0);  // no balance at all
-  Transaction fine = Tx(alice, 0);
-  ASSERT_TRUE(pool.Add(doomed).ok());
-  ASSERT_TRUE(pool.Add(fine).ok());
-
-  auto selection = pool.SelectForBlock(state, 100 * kGas, 1);
-  ASSERT_EQ(selection.selected.size(), 1u);
-  EXPECT_EQ(selection.selected[0].Id(), fine.Id());
-  ASSERT_EQ(selection.dropped.size(), 1u);
-  EXPECT_EQ(selection.dropped[0], doomed.Id());
-  EXPECT_EQ(pool.Size(), 0u);
-}
-
-TEST_F(MempoolTest, GasLimitBoundsSelectionByWorstCase) {
-  Mempool pool;
-  SigningKey alice = Key("alice");
-  SigningKey bob = Key("bob");
-  WorldState state;
-  ASSERT_TRUE(state.Credit(AddressFromPublicKey(alice.PublicKey()),
-                           kGenesisEach)
-                  .ok());
-  ASSERT_TRUE(state.Credit(AddressFromPublicKey(bob.PublicKey()),
-                           kGenesisEach)
-                  .ok());
-  ASSERT_TRUE(pool.Add(Tx(alice, 0)).ok());
-  ASSERT_TRUE(pool.Add(Tx(bob, 0)).ok());
-
-  // Budget fits exactly one gas_limit: first-come-first-served picks
-  // alice's (submitted first); bob's stays queued for the next block.
-  auto selection = pool.SelectForBlock(state, kGas, 1);
-  ASSERT_EQ(selection.selected.size(), 1u);
-  EXPECT_TRUE(selection.dropped.empty());
-  EXPECT_EQ(pool.Size(), 1u);
 }
 
 // --- End-to-end bit-equality sweep ------------------------------------------

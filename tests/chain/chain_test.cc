@@ -423,6 +423,36 @@ TEST_F(ChainTest, SnapshotRestoreChecksTheRecomputedRootAgainstTheHeader) {
             common::StatusCode::kCorruption);
 }
 
+// Restore applies the same header rule as replication: a history block
+// re-signed by a validator whose turn it was not is refused by both, even
+// though its signature verifies and the snapshot matches the head root.
+TEST(SnapshotRestoreTest, OutOfTurnProposerRejectedLikeReplication) {
+  const SigningKey a = SigningKey::FromSeed(ToBytes("validator-a"));
+  const SigningKey b = SigningKey::FromSeed(ToBytes("validator-b"));
+  const std::vector<Bytes> validators = {a.PublicKey(), b.PublicKey()};
+  Blockchain chain(validators, ContractRegistry::CreateDefault());
+  ASSERT_TRUE(chain.ProduceBlock(a, 1).ok());
+  ASSERT_TRUE(chain.ProduceBlock(b, 2).ok());
+  const Bytes snapshot = chain.EncodeSnapshotState();
+
+  std::vector<Block> forged = chain.blocks();
+  BlockHeader& header = forged[1].header;
+  header.proposer_public_key = a.PublicKey();
+  header.signature =
+      a.SignWithDomain(BlockHeader::Domain(), header.SigningBytes());
+
+  Blockchain replica(validators, ContractRegistry::CreateDefault());
+  ASSERT_TRUE(replica.ApplyExternalBlock(forged[0]).ok());
+  EXPECT_EQ(replica.ApplyExternalBlock(forged[1]).code(),
+            common::StatusCode::kPermissionDenied);
+
+  Blockchain restored(validators, ContractRegistry::CreateDefault());
+  EXPECT_EQ(restored.RestoreFromSnapshot(snapshot, forged).code(),
+            common::StatusCode::kPermissionDenied);
+  Blockchain honest(validators, ContractRegistry::CreateDefault());
+  EXPECT_TRUE(honest.RestoreFromSnapshot(snapshot, chain.blocks()).ok());
+}
+
 TEST_F(ChainTest, TamperedExternalBlockRejected) {
   (void)Run(Transfer(alice_, AddressOf(bob_), 1));
   Block block = chain_.blocks()[0];

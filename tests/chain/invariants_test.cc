@@ -13,6 +13,7 @@
 #include "auth/device.h"
 #include "chain/chain.h"
 #include "chain/contracts/workload.h"
+#include "chain/evidence.h"
 #include "common/crc32.h"
 #include "common/hex.h"
 #include "common/rng.h"
@@ -104,10 +105,12 @@ TEST_P(DeserializerFuzz, RandomBytesAreRejectedGracefully) {
     (void)Transaction::Deserialize(junk);
     (void)BlockHeader::Deserialize(junk);
     (void)Block::Deserialize(junk);
+    (void)EquivocationEvidence::Deserialize(junk);
     (void)contracts::ParticipationCert::Deserialize(junk);
     (void)tee::AttestationQuote::Deserialize(junk);
     (void)auth::SignedReading::Deserialize(junk);
     (void)market::WorkloadSpec::Deserialize(junk);
+    (void)storage::Ontology::Deserialize(junk);
     (void)storage::SemanticMetadata::Deserialize(junk);
     (void)storage::DataRequirement::Deserialize(junk);
     (void)WorldState::DeserializeSnapshot(junk);
@@ -377,6 +380,30 @@ TEST(CanonicalEncoding, BlockDecodeAcceptsOnlyCanonicalBytes) {
         auto block = Block::Deserialize(b);
         if (!block.ok()) return std::nullopt;
         return block->Serialize();
+      });
+}
+
+// Evidence arrives inside transaction args from any submitter. The seed is
+// a real double-sign: one validator's block 0 on two chains with different
+// timestamps.
+TEST(CanonicalEncoding, EquivocationEvidenceDecodeAcceptsOnlyCanonicalBytes) {
+  Rng rng(18);
+  const SigningKey validator = SigningKey::FromSeed(ToBytes("canonical-v"));
+  const std::vector<Bytes> validators = {validator.PublicKey()};
+  Blockchain fork_a(validators, ContractRegistry::CreateDefault());
+  Blockchain fork_b(validators, ContractRegistry::CreateDefault());
+  const EquivocationEvidence evidence{
+      fork_a.ProduceBlock(validator, 1)->header,
+      fork_b.ProduceBlock(validator, 2)->header};
+  ASSERT_TRUE(evidence.Verify(validators).ok());
+  ExpectCanonicalUnderMutation(
+      {EquivocationEvidence().Serialize(), evidence.Serialize()}, rng,
+      [&validators](const Bytes& b) -> std::optional<Bytes> {
+        auto decoded = EquivocationEvidence::Deserialize(b);
+        if (!decoded.ok()) return std::nullopt;
+        // Whatever decodes must also be safe to verify.
+        (void)decoded->Verify(validators);
+        return decoded->Serialize();
       });
 }
 

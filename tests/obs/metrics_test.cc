@@ -251,9 +251,9 @@ TEST(MacroTest, EnabledMacrosRecordIntoGlobalRegistry) {
 #endif  // PDS2_METRICS
 
 // --- Cardinality guard ------------------------------------------------------
-// Dynamically named series (chain.mempool.shard_depth.<i>, per-node labels
-// at 10^5-node scale) must not grow the registry without bound: past the
-// cap, new names share the per-kind overflow sink and the spill is counted.
+// Dynamically named series (per-node labels at 10^5-node scale) must not
+// grow the registry without bound: past the cap, new names share the
+// per-kind overflow sink and the spill is counted.
 
 TEST(RegistryCardinalityTest, NewNamesPastCapShareTheOverflowSink) {
   Registry registry;
