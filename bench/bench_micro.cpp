@@ -86,6 +86,28 @@ void BM_FieldSquare(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldSquare);
 
+void BM_PointDouble(benchmark::State& state) {
+  crypto::EdPoint p = crypto::EdPoint::Base();
+  for (auto _ : state) {
+    p = crypto::EdPoint::Double(p);
+    benchmark::DoNotOptimize(p);
+  }
+}
+BENCHMARK(BM_PointDouble);
+
+// One addition of a table entry (cached form), the inner step of every
+// scalar multiplication.
+void BM_PointAddCached(benchmark::State& state) {
+  crypto::EdPoint p = crypto::EdPoint::Base();
+  const crypto::EdPoint::Cached q =
+      crypto::EdPoint::ScalarBaseMul(crypto::BigUint(7)).ToCached();
+  for (auto _ : state) {
+    p = crypto::EdPoint::Add(p, q);
+    benchmark::DoNotOptimize(p);
+  }
+}
+BENCHMARK(BM_PointAddCached);
+
 void BM_SchnorrSign(benchmark::State& state) {
   common::Rng rng(2);
   crypto::SigningKey key = crypto::SigningKey::Generate(rng);

@@ -255,17 +255,6 @@ def check_discovery(doc):
     require(section, where, "discovery_deterministic", lambda v: v is True,
             "true (same seed -> bit-identical digests)")
 
-    metadata = doc.get("metadata")
-    if not isinstance(metadata, dict):
-        fail("report: missing required section 'metadata'")
-    else:
-        require(metadata, "metadata", "threads_effective",
-                lambda v: is_num(v) and v >= 1, ">= 1")
-        require(metadata, "metadata", "hardware_concurrency",
-                lambda v: is_num(v) and v >= 1, ">= 1")
-        require(metadata, "metadata", "pds2_threads_env",
-                lambda v: isinstance(v, str), "a string")
-
 
 def check_scale(doc):
     """BENCH_scale.json: the E18 NetSim-at-scale floors.
@@ -532,15 +521,15 @@ CHECKERS = [
 ]
 
 
-def check_metadata_if_present(doc):
-    """Shared thread-context metadata, validated wherever a report has it.
+def check_metadata(doc):
+    """The thread and build context every report carries.
 
-    Older committed artifacts predate the metadata emitter, so absence is
-    not an error outside BENCH_discovery.json — but a present section must
-    be well-formed.
+    A number without its worker count, build type and compiler cannot be
+    compared with another, so every report must have all five keys.
     """
     metadata = doc.get("metadata")
     if not isinstance(metadata, dict):
+        fail("report: missing required section 'metadata'")
         return
     require(metadata, "metadata", "threads_effective",
             lambda v: is_num(v) and v >= 1, ">= 1")
@@ -548,11 +537,9 @@ def check_metadata_if_present(doc):
             lambda v: is_num(v) and v >= 1, ">= 1")
     require(metadata, "metadata", "pds2_threads_env",
             lambda v: isinstance(v, str), "a string")
-    # Build context; older artifacts predate it, a present key must be set.
     for key in ("build_type", "compiler"):
-        if key in metadata:
-            require(metadata, "metadata", key,
-                    lambda v: isinstance(v, str) and v, "a non-empty string")
+        require(metadata, "metadata", key,
+                lambda v: isinstance(v, str) and v, "a non-empty string")
 
 
 def main():
@@ -572,7 +559,7 @@ def main():
 
     checker = next((c for key, c in CHECKERS if key in doc), check_parallel)
     checker(doc)
-    check_metadata_if_present(doc)
+    check_metadata(doc)
 
     if _errors:
         for msg in _errors:

@@ -24,6 +24,8 @@ import tempfile
 ROWS = (
     ("BM_SchnorrSign", "`SigningKey::Sign`"),
     ("BM_SchnorrVerify", "`VerifySignature`"),
+    ("BM_SchnorrVerifyBatchParallel/64/1",
+     "`VerifySignature` x 64 on a 1-thread pool"),
     ("BM_SharedSecret", "`SharedSecret`"),
     ("BM_KeyFromSeed", "key generation (`FromSeed`)"),
     ("BM_AuthCipherSeal/65536", "`AuthCipher::Seal`, 64 KiB"),
@@ -38,6 +40,8 @@ ROWS = (
      "SHA-256 compression, dispatched, 1024 blocks"),
     ("BM_FieldMul", "`Fe25519::Mul`"),
     ("BM_FieldSquare", "`Fe25519::Square`"),
+    ("BM_PointDouble", "`EdPoint::Double`"),
+    ("BM_PointAddCached", "`EdPoint::Add`, cached addend"),
 )
 
 

@@ -22,24 +22,29 @@ constexpr uint64_t kTwoPn = 0xffffffffffffeULL;  // 2*(2^51 - 1)
 
 }  // namespace
 
-void Fe25519::Carry() {
-  // Propagate carries; fold the top carry back with factor 19
-  // (2^255 = 19 mod p).
-  for (int pass = 0; pass < 2; ++pass) {
-    uint64_t c = 0;
-    for (int i = 0; i < 5; ++i) {
-      limbs_[i] += c;
-      c = limbs_[i] >> 51;
-      limbs_[i] &= kMask51;
-    }
-    limbs_[0] += 19 * c;
-  }
+// Every limb keeps its low 51 bits plus the carry of the limb below; the top
+// carry folds back with factor 19 (2^255 = 19 mod p). Scalar arguments, not
+// a loop over limbs_: GCC vectorizes such a loop into overlapping stores
+// and loads that stall on store forwarding.
+Fe25519 Fe25519::WeakReduce(uint64_t l0, uint64_t l1, uint64_t l2, uint64_t l3,
+                            uint64_t l4) {
+  Fe25519 out;
+  out.limbs_ = {(l0 & kMask51) + 19 * (l4 >> 51), (l1 & kMask51) + (l0 >> 51),
+                (l2 & kMask51) + (l1 >> 51), (l3 & kMask51) + (l2 >> 51),
+                (l4 & kMask51) + (l3 >> 51)};
+  return out;
 }
 
 Fe25519 Fe25519::FromU64(uint64_t v) {
   Fe25519 out;
   out.limbs_[0] = v & kMask51;
   out.limbs_[1] = v >> 51;
+  return out;
+}
+
+Fe25519 Fe25519::FromLimbs(const std::array<uint64_t, 5>& limbs) {
+  Fe25519 out;
+  out.limbs_ = limbs;
   return out;
 }
 
@@ -59,34 +64,25 @@ Fe25519 Fe25519::FromBytes(const Bytes& b) {
   return out;
 }
 
-Bytes Fe25519::ToBytes() const {
-  // Fully reduce: carry, then conditionally subtract p (twice suffices for
-  // loosely reduced values).
-  Fe25519 t = *this;
-  t.Carry();
-  for (int round = 0; round < 2; ++round) {
-    // Compute t - p and keep it if non-negative.
-    uint64_t borrow = 0;
-    std::array<uint64_t, 5> diff;
-    const uint64_t p0 = kMask51 - 18;  // 2^51 - 19
-    for (int i = 0; i < 5; ++i) {
-      const uint64_t sub = (i == 0 ? p0 : kMask51) + borrow;
-      if (t.limbs_[i] >= sub) {
-        diff[i] = t.limbs_[i] - sub;
-        borrow = 0;
-      } else {
-        diff[i] = t.limbs_[i] + (uint64_t{1} << 51) - sub;
-        borrow = 1;
-      }
-    }
-    if (borrow == 0) t.limbs_ = diff;
+std::array<uint64_t, 4> Fe25519::Canonical() const {
+  // After one carry pass the value v is below 2p, so v mod p = v - q*p with
+  // q = 1 exactly when v + 19 carries out of bit 255.
+  const auto& in = limbs_;
+  auto l = WeakReduce(in[0], in[1], in[2], in[3], in[4]).limbs_;
+  uint64_t q = (l[0] + 19) >> 51;
+  for (int i = 1; i < 5; ++i) q = (l[i] + q) >> 51;
+  l[0] += 19 * q;
+  for (int i = 0; i < 4; ++i) {
+    l[i + 1] += l[i] >> 51;
+    l[i] &= kMask51;
   }
+  l[4] &= kMask51;  // drops q * 2^255
+  return {l[0] | (l[1] << 51), (l[1] >> 13) | (l[2] << 38),
+          (l[2] >> 26) | (l[3] << 25), (l[3] >> 39) | (l[4] << 12)};
+}
 
-  // Pack 5x51 bits into four 64-bit words, then 32 bytes little-endian.
-  const auto& l = t.limbs_;
-  const uint64_t words[4] = {l[0] | (l[1] << 51), (l[1] >> 13) | (l[2] << 38),
-                             (l[2] >> 26) | (l[3] << 25),
-                             (l[3] >> 39) | (l[4] << 12)};
+Bytes Fe25519::ToBytes() const {
+  const std::array<uint64_t, 4> words = Canonical();
   Bytes out(32);
   for (size_t i = 0; i < 32; ++i) {
     out[i] = static_cast<uint8_t>(words[i / 8] >> (8 * (i % 8)));
@@ -95,20 +91,16 @@ Bytes Fe25519::ToBytes() const {
 }
 
 Fe25519 Fe25519::Add(const Fe25519& a, const Fe25519& b) {
-  Fe25519 out;
-  for (int i = 0; i < 5; ++i) out.limbs_[i] = a.limbs_[i] + b.limbs_[i];
-  out.Carry();
-  return out;
+  const auto &x = a.limbs_, &y = b.limbs_;
+  return WeakReduce(x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3],
+                    x[4] + y[4]);
 }
 
 Fe25519 Fe25519::Sub(const Fe25519& a, const Fe25519& b) {
-  Fe25519 out;
-  out.limbs_[0] = a.limbs_[0] + kTwoP0 - b.limbs_[0];
-  for (int i = 1; i < 5; ++i) {
-    out.limbs_[i] = a.limbs_[i] + kTwoPn - b.limbs_[i];
-  }
-  out.Carry();
-  return out;
+  const auto &x = a.limbs_, &y = b.limbs_;
+  return WeakReduce(x[0] + kTwoP0 - y[0], x[1] + kTwoPn - y[1],
+                    x[2] + kTwoPn - y[2], x[3] + kTwoPn - y[3],
+                    x[4] + kTwoPn - y[4]);
 }
 
 Fe25519 Fe25519::Mul(const Fe25519& f, const Fe25519& g) {
@@ -240,13 +232,15 @@ Fe25519 Fe25519::PowP38(const Fe25519& a) {
   return PowBytesLe(a, 0xfe, 0x0f);  // (p + 3) / 8 = 2^252 - 2
 }
 
-bool Fe25519::IsZero() const { return ToBytes() == Bytes(32, 0); }
-
-bool Fe25519::Equals(const Fe25519& other) const {
-  return ToBytes() == other.ToBytes();
+bool Fe25519::IsZero() const {
+  return Canonical() == std::array<uint64_t, 4>{};
 }
 
-bool Fe25519::IsNegative() const { return ToBytes()[0] & 1; }
+bool Fe25519::Equals(const Fe25519& other) const {
+  return Canonical() == other.Canonical();
+}
+
+bool Fe25519::IsNegative() const { return Canonical()[0] & 1; }
 
 // ---------------------------------------------------------------------------
 // Curve constants, computed once.
@@ -332,95 +326,181 @@ const BigUint& EdPoint::GroupOrder() {
   return *order;
 }
 
-EdPoint EdPoint::Add(const EdPoint& p, const EdPoint& q) {
-  // RFC 8032 extended-coordinates addition (a = -1).
-  using F = Fe25519;
-  const F a = F::Mul(F::Sub(p.y_, p.x_), F::Sub(q.y_, q.x_));
-  const F b = F::Mul(F::Add(p.y_, p.x_), F::Add(q.y_, q.x_));
-  const F c = F::Mul(F::Mul(p.t_, Constants().d2), q.t_);
-  const F d = F::Mul(F::Add(p.z_, p.z_), q.z_);
-  const F e = F::Sub(b, a);
-  const F f = F::Sub(d, c);
-  const F g = F::Add(d, c);
-  const F h = F::Add(b, a);
-  EdPoint out;
-  out.x_ = F::Mul(e, f);
-  out.y_ = F::Mul(g, h);
-  out.t_ = F::Mul(e, h);
-  out.z_ = F::Mul(f, g);
-  return out;
-}
+// ---------------------------------------------------------------------------
+// Point arithmetic in the ref10 layout. An addition or a doubling yields a
+// completed point ((E : G), (H : F)), x = E/G and y = H/F. Converting it to
+// extended coordinates costs four multiplications; to projective (X : Y : Z),
+// all a following doubling reads, three. So a chain of doublings skips T and
+// forms it only before an addition.
 
-EdPoint EdPoint::Double(const EdPoint& p) {
+struct EdPoint::Completed {
+  Fe25519 e, f, g, h;
+
+  // T is left zero: the result only feeds DoubleCompleted or IsIdentity.
+  EdPoint Projective() const {
+    EdPoint out;
+    out.x_ = Fe25519::Mul(e, f);
+    out.y_ = Fe25519::Mul(g, h);
+    out.z_ = Fe25519::Mul(f, g);
+    return out;
+  }
+  EdPoint Extended() const {
+    EdPoint out = Projective();
+    out.t_ = Fe25519::Mul(e, h);
+    return out;
+  }
+};
+
+EdPoint::Completed EdPoint::DoubleCompleted(const EdPoint& p) {
   using F = Fe25519;
   const F a = F::Square(p.x_);
   const F b = F::Square(p.y_);
   const F zz = F::Square(p.z_);
-  const F c = F::Add(zz, zz);
   const F h = F::Add(a, b);
-  const F xy = F::Add(p.x_, p.y_);
-  const F e = F::Sub(h, F::Square(xy));
   const F g = F::Sub(a, b);
-  const F f = F::Add(c, g);
-  EdPoint out;
-  out.x_ = F::Mul(e, f);
-  out.y_ = F::Mul(g, h);
-  out.t_ = F::Mul(e, h);
-  out.z_ = F::Mul(f, g);
-  return out;
+  return {F::Sub(h, F::Square(F::Add(p.x_, p.y_))), F::Add(F::Add(zz, zz), g),
+          g, h};
 }
 
-EdPoint EdPoint::Negate(const EdPoint& p) {
-  EdPoint out = p;
-  out.x_ = Fe25519::Sub(Fe25519(), p.x_);
-  out.t_ = Fe25519::Sub(Fe25519(), p.t_);
-  return out;
+// RFC 8032 extended-coordinates addition (a = -1) with q's sums, doubled Z
+// and 2d*T precomputed. Negating q swaps Y+X with Y-X and the sign of T.
+EdPoint::Completed EdPoint::AddCompleted(const EdPoint& p, const Cached& q,
+                                         bool negate_q) {
+  using F = Fe25519;
+  const F a = F::Mul(F::Sub(p.y_, p.x_), negate_q ? q.y_plus_x : q.y_minus_x);
+  const F b = F::Mul(F::Add(p.y_, p.x_), negate_q ? q.y_minus_x : q.y_plus_x);
+  const F c = F::Mul(p.t_, q.t2d);
+  const F d = F::Mul(p.z_, q.z2);
+  const F d_minus_c = F::Sub(d, c), d_plus_c = F::Add(d, c);
+  return {F::Sub(b, a), negate_q ? d_plus_c : d_minus_c,
+          negate_q ? d_minus_c : d_plus_c, F::Add(b, a)};
 }
 
-EdPoint EdPoint::ScalarMul(const BigUint& k, const EdPoint& p) {
-  // Width-5 wNAF digits of k: each nonzero digit is odd with |d| < 16, and
-  // a nonzero digit is followed by at least four zeros. k is not reduced
-  // mod l, since p may carry a torsion component.
-  std::vector<int> naf(k.BitLength() + 1, 0);
+EdPoint::Cached EdPoint::ToCached() const {
+  return {Fe25519::Add(y_, x_), Fe25519::Sub(y_, x_), Fe25519::Add(z_, z_),
+          Fe25519::Mul(t_, Constants().d2)};
+}
+
+EdPoint EdPoint::Add(const EdPoint& p, const Cached& q, bool negate_q) {
+  return AddCompleted(p, q, negate_q).Extended();
+}
+
+EdPoint EdPoint::Add(const EdPoint& p, const EdPoint& q) {
+  return Add(p, q.ToCached());
+}
+
+EdPoint EdPoint::Double(const EdPoint& p) {
+  return DoubleCompleted(p).Extended();
+}
+
+EdPoint EdPoint::DoubleTimes(const EdPoint& p, int n) {
+  Completed acc = DoubleCompleted(p);
+  for (int i = 1; i < n; ++i) acc = DoubleCompleted(acc.Projective());
+  return acc.Extended();
+}
+
+namespace {
+
+using Naf = std::array<int8_t, 257>;
+
+// Width-w NAF of k < 2^256, read from its limbs: each nonzero digit is odd
+// with |d| < 2^(w-1), and a nonzero digit is followed by at least w - 1
+// zeros.
+Naf Wnaf(const BigUint& k, int w) {
+  const std::vector<uint64_t>& limbs = k.limbs();
+  assert(limbs.size() <= 4 && "scalar exceeds 256 bits");
+  auto bits_at = [&](size_t pos) {
+    const size_t i = pos / 64, off = pos % 64;
+    uint64_t v = i < limbs.size() ? limbs[i] >> off : 0;
+    if (off + w > 64 && i + 1 < limbs.size()) v |= limbs[i + 1] << (64 - off);
+    return static_cast<int>(v & ((uint64_t{1} << w) - 1));
+  };
+  Naf naf{};
   int carry = 0;
   for (size_t pos = 0; pos < naf.size();) {
-    int window = carry;
-    for (int b = 0; b < 5; ++b) window += k.Bit(pos + b) << b;
+    const int window = bits_at(pos) + carry;
     if ((window & 1) == 0) {
       ++pos;
       continue;
     }
-    carry = window >= 16;
-    naf[pos] = window - 32 * carry;
-    pos += 5;
+    carry = window >> (w - 1);
+    naf[pos] = static_cast<int8_t>(window - (carry << w));
+    pos += w;
   }
+  return naf;
+}
 
-  // odd[j] = (2j + 1) * p.
-  std::vector<EdPoint> odd(1, p);
-  const EdPoint p2 = Double(p);
-  for (int j = 1; j < 8; ++j) odd.push_back(Add(odd.back(), p2));
+// odd[j] = (2j + 1) * p.
+template <size_t N>
+std::array<EdPoint::Cached, N> OddMultiples(const EdPoint& p) {
+  std::array<EdPoint::Cached, N> odd;
+  const EdPoint::Cached p2 = EdPoint::Double(p).ToCached();
+  EdPoint cur = p;
+  odd[0] = cur.ToCached();
+  for (size_t j = 1; j < N; ++j) {
+    cur = EdPoint::Add(cur, p2);
+    odd[j] = cur.ToCached();
+  }
+  return odd;
+}
 
+}  // namespace
+
+// sum over the terms of (+-) naf * p, by one chain of doublings that all
+// terms share (Straus).
+EdPoint EdPoint::Straus(std::initializer_list<WnafTerm> terms) {
+  size_t top = Naf().size();
+  auto any_digit = [&](size_t pos) {
+    for (const WnafTerm& t : terms) {
+      if ((*t.naf)[pos] != 0) return true;
+    }
+    return false;
+  };
+  while (top > 0 && !any_digit(top - 1)) --top;
   EdPoint acc = Identity();
-  for (size_t pos = naf.size(); pos-- > 0;) {
-    acc = Double(acc);
-    const int d = naf[pos];
-    if (d == 0) continue;
-    const EdPoint& q = odd[std::abs(d) / 2];
-    acc = Add(acc, d > 0 ? q : Negate(q));
+  for (size_t pos = top; pos-- > 0;) {
+    Completed sum = DoubleCompleted(acc);
+    for (const WnafTerm& t : terms) {
+      const int d = (*t.naf)[pos];
+      if (d == 0) continue;
+      sum = AddCompleted(sum.Extended(), t.odd[std::abs(d) / 2],
+                         (d < 0) != t.negate);
+    }
+    acc = pos == 0 ? sum.Extended() : sum.Projective();
   }
   return acc;
 }
 
+EdPoint EdPoint::ScalarMul(const BigUint& k, const EdPoint& p) {
+  const std::array<Cached, 8> odd = OddMultiples<8>(p);
+  const Naf naf = Wnaf(k, 5);
+  return Straus({{&naf, odd.data(), false}});
+}
+
+EdPoint EdPoint::MulBaseSub(const BigUint& s, const BigUint& c,
+                            const EdPoint& p) {
+  static const auto* base_odd =
+      new std::array<Cached, 64>(OddMultiples<64>(Base()));
+  const std::array<Cached, 8> p_odd = OddMultiples<8>(p);
+  const Naf s_naf = Wnaf(s, 8);
+  const Naf c_naf = Wnaf(c, 5);
+  return Straus({{&s_naf, base_odd->data(), false},
+                 {&c_naf, p_odd.data(), true}});
+}
+
 EdPoint EdPoint::ScalarBaseMul(const BigUint& k) {
-  // table[8i + j] = (j + 1) * 16^i * B, built at first use from Base().
-  static const std::vector<EdPoint>* table = [] {
-    auto* t = new std::vector<EdPoint>();
-    t->reserve(64 * 8);
+  // table[8i + j] = (j + 1) * 256^i * B, built at first use from Base().
+  static const auto* table = [] {
+    auto* t = new std::array<Cached, 32 * 8>;
     EdPoint row_base = Base();
-    for (int i = 0; i < 64; ++i) {
-      t->push_back(row_base);
-      for (int j = 1; j < 8; ++j) t->push_back(Add(t->back(), row_base));
-      row_base = Double(t->back());
+    for (size_t i = 0; i < 32; ++i) {
+      const Cached row_step = row_base.ToCached();
+      EdPoint cur = row_base;
+      for (size_t j = 0; j < 8; ++j) {
+        (*t)[8 * i + j] = cur.ToCached();
+        cur = Add(cur, row_step);
+      }
+      row_base = DoubleTimes(row_base, 8);
     }
     return t;
   }();
@@ -429,20 +509,26 @@ EdPoint EdPoint::ScalarBaseMul(const BigUint& k) {
   // k * B = sum_i e[i] * 16^i * B.
   const BigUint r = k.Mod(GroupOrder());
   std::array<int, 64> e{};
-  for (size_t i = 0; i < 256; ++i) e[i / 4] |= r.Bit(i) << (i % 4);
+  for (size_t i = 0; i < 16 * r.limbs().size(); ++i) {
+    e[i] = static_cast<int>((r.limbs()[i / 16] >> (4 * (i % 16))) & 15);
+  }
   for (size_t i = 0; i < 63; ++i) {
     const int carry = (e[i] + 8) >> 4;
     e[i] -= carry << 4;
     e[i + 1] += carry;
   }
 
+  // 16 * sum_odd i e[i] * 256^((i-1)/2) * B + sum_even i e[i] * 256^(i/2) * B.
   EdPoint acc = Identity();
-  for (size_t i = 0; i < 64; ++i) {
-    const int d = e[i];
-    if (d == 0) continue;
-    const EdPoint& q = (*table)[8 * i + std::abs(d) - 1];
-    acc = Add(acc, d > 0 ? q : Negate(q));
-  }
+  auto add_digits = [&](size_t first) {
+    for (size_t i = first; i < 64; i += 2) {
+      if (e[i] == 0) continue;
+      acc = Add(acc, (*table)[8 * (i / 2) + std::abs(e[i]) - 1], e[i] < 0);
+    }
+  };
+  add_digits(1);
+  acc = DoubleTimes(acc, 4);
+  add_digits(0);
   return acc;
 }
 
@@ -452,14 +538,18 @@ EdPoint EdPoint::MultiScalarMul(const std::vector<BigUint>& scalars,
   const size_t n = scalars.size();
   if (n == 0) return Identity();
 
-  // Fixed-width little-endian limbs for cheap window extraction.
+  // Fixed-width little-endian limbs for cheap window extraction; each point
+  // is added once per window, so it is cached once up front.
   size_t max_bits = 0;
   std::vector<std::array<uint64_t, 4>> limbs(n, {0, 0, 0, 0});
+  std::vector<Cached> cached;
+  cached.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const auto& sl = scalars[i].limbs();
     assert(sl.size() <= 4 && "scalar exceeds 256 bits");
     for (size_t j = 0; j < sl.size() && j < 4; ++j) limbs[i][j] = sl[j];
     if (scalars[i].BitLength() > max_bits) max_bits = scalars[i].BitLength();
+    cached.push_back(points[i].ToCached());
   }
   if (max_bits == 0) return Identity();
 
@@ -481,12 +571,12 @@ EdPoint EdPoint::MultiScalarMul(const std::vector<BigUint>& scalars,
   std::vector<bool> used(buckets.size(), false);
   EdPoint result = Identity();
   for (size_t w = num_windows; w-- > 0;) {
-    for (size_t k = 0; k < c; ++k) result = Double(result);
+    result = DoubleTimes(result, static_cast<int>(c));
     std::fill(used.begin(), used.end(), false);
     for (size_t i = 0; i < n; ++i) {
       const uint64_t d = window_digit(i, w * c);
       if (d == 0) continue;
-      buckets[d] = used[d] ? Add(buckets[d], points[i]) : points[i];
+      buckets[d] = used[d] ? Add(buckets[d], cached[i]) : points[i];
       used[d] = true;
     }
     // sum_b b * bucket[b] through suffix sums: running accumulates the
@@ -539,6 +629,14 @@ Result<EdPoint> EdPoint::Decode(const Bytes& enc) {
     return Status::InvalidArgument("encoded point not on curve");
   }
   return FromAffine(x, y);
+}
+
+bool EdPoint::IsIdentity() const {
+  return x_.IsZero() && Fe25519::Sub(y_, z_).IsZero();
+}
+
+bool EdPoint::HasSmallOrder() const {
+  return DoubleTimes(*this, 3).IsIdentity();
 }
 
 bool EdPoint::Equals(const EdPoint& other) const {

@@ -15,12 +15,6 @@ BigUint HashToScalar(const Bytes& data) {
   return BigUint::FromBytesBE(Sha256::Hash(data)).Mod(EdPoint::GroupOrder());
 }
 
-// [8]p == O: p lies in the torsion subgroup (order 1, 2, 4 or 8).
-bool HasSmallOrder(EdPoint p) {
-  for (int i = 0; i < 3; ++i) p = EdPoint::Double(p);
-  return p.IsIdentity();
-}
-
 // A signature that passed the checks both verification paths share, with
 // its challenge c = H(R || P || message).
 struct ParsedSignature {
@@ -41,7 +35,7 @@ Result<ParsedSignature> Parse(const Bytes& public_key, const Bytes& message,
   if (!big_r.ok()) return Status::Unauthenticated("signature R not on curve");
   auto pub = EdPoint::Decode(public_key);
   if (!pub.ok()) return Status::Unauthenticated("public key not on curve");
-  if (HasSmallOrder(*pub)) {
+  if (pub->HasSmallOrder()) {
     return Status::Unauthenticated("public key has small order");
   }
   BigUint s = BigUint::FromBytesBE(
@@ -123,10 +117,9 @@ Status VerifySignature(const Bytes& public_key, const Bytes& message,
                         Parse(public_key, message, signature));
   // Cofactored check [8](s*B - R - c*P) == O, the equation the batch path
   // checks too, so torsion components never split the two verdicts.
-  const EdPoint rhs =
-      EdPoint::Add(sig.big_r, EdPoint::ScalarMul(sig.c, sig.pub));
-  if (!HasSmallOrder(EdPoint::Add(EdPoint::ScalarBaseMul(sig.s),
-                                  EdPoint::Negate(rhs)))) {
+  const EdPoint sb_minus_cp = EdPoint::MulBaseSub(sig.s, sig.c, sig.pub);
+  if (!EdPoint::Add(sb_minus_cp, sig.big_r.ToCached(), /*negate_q=*/true)
+           .HasSmallOrder()) {
     return Status::Unauthenticated("signature verification failed");
   }
   return Status::Ok();
@@ -200,7 +193,7 @@ bool VerifySignatureBatch(const std::vector<BatchVerifyEntry>& entries) {
 
   const EdPoint lhs = EdPoint::ScalarBaseMul(z_dot_s);
   const EdPoint rhs = EdPoint::MultiScalarMul(scalars, points);
-  return HasSmallOrder(EdPoint::Add(lhs, EdPoint::Negate(rhs)));
+  return EdPoint::Add(lhs, rhs.ToCached(), /*negate_q=*/true).HasSmallOrder();
 }
 
 }  // namespace pds2::crypto

@@ -6,6 +6,8 @@
 #ifndef PDS2_TESTS_CRYPTO_ED25519_ORACLE_H_
 #define PDS2_TESTS_CRYPTO_ED25519_ORACLE_H_
 
+#include <algorithm>
+
 #include "common/bytes.h"
 #include "crypto/bignum.h"
 #include "crypto/ed25519.h"
@@ -21,6 +23,15 @@ inline EdPoint DoubleAndAdd(const BigUint& k, const EdPoint& p) {
     if (k.Bit(i)) acc = EdPoint::Add(acc, p);
   }
   return acc;
+}
+
+/// -p, by re-encoding with x replaced by p - x.
+inline EdPoint Negate(const EdPoint& p) {
+  common::Bytes enc = p.Encode();
+  common::Bytes x(enc.begin(), enc.begin() + 32);
+  x = Fe25519::Sub(Fe25519(), Fe25519::FromBytes(x)).ToBytes();
+  std::copy(x.begin(), x.end(), enc.begin());
+  return EdPoint::Decode(enc).value();
 }
 
 /// T2 = (0, -1), the point of order 2.

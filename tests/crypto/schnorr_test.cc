@@ -4,6 +4,7 @@
 #include "common/rng.h"
 #include "crypto/ed25519.h"
 #include "crypto/schnorr.h"
+#include "crypto/sha256.h"
 #include "ed25519_oracle.h"
 
 namespace pds2::crypto {
@@ -261,6 +262,61 @@ TEST(SchnorrKatTest, SharedSecret) {
       "c784ba661de53d7cdd4ed4eaa6931664472f0c9976dac1591e8d35d3ce86ed31";
   EXPECT_EQ(HexEncode(a.SharedSecret(b.PublicKey()).value()), expected);
   EXPECT_EQ(HexEncode(b.SharedSecret(a.PublicKey()).value()), expected);
+}
+
+// One digest over 512 seeded outputs of the public-key API: 64 rounds of
+// a FromSeed key, a signature, an ECDH secret and the verdicts on a valid,
+// a tampered, a torsion-R, a small-order-key and an s >= l signature. The
+// value was computed before the point arithmetic took its current layout;
+// any change to the representation that leaks into an output moves it.
+TEST(SchnorrKatTest, SeededOutputDigest) {
+  Rng rng(26);
+  const BigUint& order = EdPoint::GroupOrder();
+  const EdPoint t2 = oracle::OrderTwoPoint();
+  const Bytes order_two_key = t2.Encode();
+  Sha256 digest;
+  int accepted = 0;
+  auto verdict = [&](const Bytes& pub, const Bytes& msg, const Bytes& sig) {
+    const uint8_t ok = VerifySignature(pub, msg, sig).ok() ? 1 : 0;
+    accepted += ok;
+    digest.Update(&ok, 1);
+  };
+  for (int round = 0; round < 64; ++round) {
+    const SigningKey key = SigningKey::FromSeed(rng.NextBytes(32));
+    const SigningKey peer = SigningKey::FromSeed(rng.NextBytes(32));
+    const Bytes msg = rng.NextBytes(1 + rng.NextU64(96));
+    const Bytes sig = key.Sign(msg);
+    digest.Update(key.PublicKey());
+    digest.Update(sig);
+    digest.Update(key.SharedSecret(peer.PublicKey()).value());
+    verdict(key.PublicKey(), msg, sig);
+
+    Bytes tampered = msg;
+    tampered[rng.NextU64(tampered.size())] ^= 0x01;
+    verdict(key.PublicKey(), tampered, sig);
+
+    // R = r*B + T2 under a key whose secret the test knows: the cofactored
+    // check accepts it.
+    const BigUint a = BigUint::RandomBelow(order, rng);
+    const Bytes pub_a = EdPoint::ScalarBaseMul(a).Encode();
+    verdict(pub_a, msg,
+            oracle::SignWithNonce(a, pub_a, msg,
+                                  BigUint::RandomBelow(order, rng), t2));
+
+    verdict(order_two_key, msg,
+            oracle::SignWithNonce(BigUint(), order_two_key, msg,
+                                  BigUint(1 + rng.NextU64(1000)),
+                                  EdPoint::Identity()));
+
+    // s + l still fits in 32 bytes (s < l < 2^253).
+    const BigUint s = BigUint::FromBytesBE(Bytes(sig.begin() + 64, sig.end()));
+    Bytes high_s(sig.begin(), sig.begin() + 64);
+    common::Append(high_s, s.Add(order).ToBytesBEPadded(32).value());
+    verdict(key.PublicKey(), msg, high_s);
+  }
+  EXPECT_EQ(accepted, 2 * 64);  // the valid and the torsion-R signatures
+  EXPECT_EQ(HexEncode(digest.Finish()),
+            "6c40c66025456e848da8f62f344bb6452fd6f20bdea9a2e00ceaaae4ca8642b5");
 }
 
 // Signatures whose key or nonce point carries the order-2 point T2. An
