@@ -5,8 +5,6 @@
 namespace pds2::auth {
 
 using common::Bytes;
-using common::Reader;
-using common::Result;
 using common::Status;
 using common::ToBytes;
 using common::Writer;
@@ -18,25 +16,6 @@ Bytes SignedReading::SigningBytes() const {
   w.PutU64(timestamp);
   w.PutDoubleVector(values);
   return w.Take();
-}
-
-Bytes SignedReading::Serialize() const {
-  Writer w;
-  w.PutRaw(SigningBytes());
-  w.PutBytes(signature);
-  return w.Take();
-}
-
-Result<SignedReading> SignedReading::Deserialize(const Bytes& data) {
-  Reader r(data);
-  SignedReading reading;
-  PDS2_ASSIGN_OR_RETURN(reading.device_id, r.GetString());
-  PDS2_ASSIGN_OR_RETURN(reading.sequence, r.GetU64());
-  PDS2_ASSIGN_OR_RETURN(reading.timestamp, r.GetU64());
-  PDS2_ASSIGN_OR_RETURN(reading.values, r.GetDoubleVector());
-  PDS2_ASSIGN_OR_RETURN(reading.signature, r.GetBytes());
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes in reading");
-  return reading;
 }
 
 Manufacturer::Manufacturer(const std::string& name)

@@ -24,8 +24,6 @@ struct SignedReading {
   common::Bytes signature;
 
   common::Bytes SigningBytes() const;
-  common::Bytes Serialize() const;
-  static common::Result<SignedReading> Deserialize(const common::Bytes& data);
 
   static const char* Domain() { return "pds2.reading"; }
 };

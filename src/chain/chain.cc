@@ -773,24 +773,6 @@ Status Blockchain::ApplyExternalBlockInner(const Block& block,
   return Status::Ok();
 }
 
-std::vector<Event> Blockchain::EventsFor(const std::string& contract,
-                                         uint64_t instance) const {
-  // Receipts are re-walked in chain order so the audit view is stable.
-  std::vector<Event> events;
-  for (const Block& block : blocks_) {
-    for (const Transaction& tx : block.transactions) {
-      auto it = receipts_.find(tx.Id());
-      if (it == receipts_.end()) continue;
-      for (const Event& event : it->second.events) {
-        if (event.contract == contract && event.instance == instance) {
-          events.push_back(event);
-        }
-      }
-    }
-  }
-  return events;
-}
-
 Result<Receipt> Blockchain::GetReceipt(const Hash& tx_id) const {
   auto it = receipts_.find(tx_id);
   if (it == receipts_.end()) {

@@ -206,12 +206,6 @@ class Blockchain {
   /// (each offence is punished exactly once, however many reporters race).
   bool HasEvidenceFor(const Address& offender, uint64_t height) const;
 
-  /// All events a contract instance emitted, across every executed
-  /// transaction, in block/receipt order — the audit-trail view of the
-  /// governance layer (paper §II-C).
-  std::vector<Event> EventsFor(const std::string& contract,
-                               uint64_t instance) const;
-
   /// Commitment to the current world state (equals the head block's
   /// state_root right after a commit). Exposed for durability verification.
   Hash StateDigest() const { return state_.Digest(ExecutionPool()); }

@@ -152,20 +152,6 @@ Status StateView::StakeBond(const Address& addr, uint64_t amount) {
   return Status::Ok();
 }
 
-Status StateView::StakeRelease(const Address& addr, uint64_t amount) {
-  const uint64_t stake = StakeOf(addr);
-  if (stake < amount) {
-    return Status::InsufficientFunds("stake below release amount");
-  }
-  PDS2_RETURN_IF_ERROR(Credit(addr, amount));
-  if (stake == amount) {
-    StorageDelete(kStakeSpace, addr);
-  } else {
-    StoragePut(kStakeSpace, addr, EncodeStakeAmount(stake - amount));
-  }
-  return Status::Ok();
-}
-
 Status StateView::StakeSlash(const Address& offender, uint64_t amount,
                              const Address& reporter, uint32_t reporter_bps) {
   if (reporter_bps > kSlashBpsDenominator) {
@@ -512,27 +498,11 @@ Hash WorldState::Digest(common::ThreadPool* pool) const {
   return root_tree_.Root();
 }
 
-StateProof WorldState::ProveAccount(const Address& addr) const {
-  (void)Digest();
-  const uint32_t bucket = AccountBucket(addr);
-  return {EncodeBucket(bucket), root_tree_.Prove(bucket)};
-}
-
 StateProof WorldState::ProveSlot(const std::string& space,
                                  const Bytes& key) const {
   (void)Digest();
   const uint32_t bucket = SlotBucket(space, key);
   return {EncodeBucket(bucket), root_tree_.Prove(bucket)};
-}
-
-Result<std::optional<Account>> WorldState::VerifyAccount(
-    const Hash& state_root, const Address& addr, const StateProof& proof) {
-  PDS2_ASSIGN_OR_RETURN(BucketContents contents,
-                        VerifyBucket(state_root, AccountBucket(addr), proof));
-  for (const auto& [entry, account] : contents.accounts) {
-    if (entry == addr) return std::optional<Account>(account);
-  }
-  return std::optional<Account>();
 }
 
 Result<std::optional<Bytes>> WorldState::VerifySlot(const Hash& state_root,
@@ -548,32 +518,6 @@ Result<std::optional<Bytes>> WorldState::VerifySlot(const Hash& state_root,
     }
   }
   return std::optional<Bytes>();
-}
-
-Bytes StateProof::Serialize() const {
-  common::Writer w;
-  w.PutBytes(bucket);
-  w.PutU32(static_cast<uint32_t>(path.size()));
-  for (const crypto::MerkleStep& step : path) {
-    w.PutBool(step.sibling_is_left);
-    w.PutBytes(step.sibling);
-  }
-  return w.Take();
-}
-
-Result<StateProof> StateProof::Deserialize(const Bytes& data) {
-  common::Reader r(data);
-  StateProof proof;
-  PDS2_ASSIGN_OR_RETURN(proof.bucket, r.GetBytes());
-  PDS2_ASSIGN_OR_RETURN(uint32_t steps, r.GetU32());
-  PDS2_RETURN_IF_ERROR(r.CheckCount(steps, 1 + 4));
-  proof.path.resize(steps);
-  for (crypto::MerkleStep& step : proof.path) {
-    PDS2_ASSIGN_OR_RETURN(step.sibling_is_left, r.GetBool());
-    PDS2_ASSIGN_OR_RETURN(step.sibling, r.GetBytes());
-  }
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes in state proof");
-  return proof;
 }
 
 }  // namespace pds2::chain

@@ -113,16 +113,15 @@ class StateView {
 
   // --- Stake ledger ---------------------------------------------------------
   // Accountability deposits (paper's D2M-style incentive layer). Stake
-  // lives in the kStakeSpace storage namespace and bonding/releasing moves
-  // value between an account's spendable balance and its stake record. The
-  // conserved quantity is TotalBalance() + TotalStaked() + BurnedTotal().
+  // lives in the kStakeSpace storage namespace; bonding moves value from an
+  // account's spendable balance into its stake record, and slashing moves
+  // it out to a reporter and the burned total. The conserved quantity is
+  // TotalBalance() + TotalStaked() + BurnedTotal().
 
   /// Bonded stake of `addr` (0 when none).
   uint64_t StakeOf(const Address& addr) const;
   /// Moves `amount` from `addr`'s balance into its stake record.
   common::Status StakeBond(const Address& addr, uint64_t amount);
-  /// Moves `amount` from `addr`'s stake record back to its balance.
-  common::Status StakeRelease(const Address& addr, uint64_t amount);
   /// Confiscates `amount` from `offender`'s stake: `reporter_bps` basis
   /// points go to `reporter` as a bounty, the remainder is burned (added to
   /// the burned-total record, never to any balance). Exact: the three-way
@@ -180,11 +179,6 @@ class StateView {
 struct StateProof {
   common::Bytes bucket;      // the bucket's leaf encoding; empty: no entries
   crypto::MerkleProof path;  // siblings from the bucket up to the root
-
-  common::Bytes Serialize() const;
-  /// Canonical: every accepted input re-serializes to itself. Corruption on
-  /// anything else; never crashes.
-  static common::Result<StateProof> Deserialize(const common::Bytes& data);
 };
 
 /// The replicated ledger state: native-token accounts plus raw contract
@@ -226,20 +220,14 @@ class WorldState final : public StateView {
 
   // --- Proofs ---------------------------------------------------------------
 
-  /// The bucket of `addr` with its path to Digest() (which it brings up to
-  /// date, so the same concurrency rule applies).
-  StateProof ProveAccount(const Address& addr) const;
-  /// The bucket of slot (`space`, `key`) with its path to Digest().
+  /// The bucket of slot (`space`, `key`) with its path to Digest() (which
+  /// it brings up to date, so the same concurrency rule applies).
   StateProof ProveSlot(const std::string& space,
                        const common::Bytes& key) const;
 
-  /// Checks `proof` for account `addr` under `state_root`: the account's
-  /// record, or nullopt when the proof shows it absent. Corruption when the
-  /// proof is not a proof of that key's bucket under that root.
-  static common::Result<std::optional<Account>> VerifyAccount(
-      const Hash& state_root, const Address& addr, const StateProof& proof);
   /// Checks `proof` for slot (`space`, `key`) under `state_root`: the
-  /// slot's value, or nullopt when absent. Corruption as for VerifyAccount.
+  /// slot's value, or nullopt when the proof shows it absent. Corruption
+  /// when the proof is not a proof of that key's bucket under that root.
   static common::Result<std::optional<common::Bytes>> VerifySlot(
       const Hash& state_root, const std::string& space,
       const common::Bytes& key, const StateProof& proof);

@@ -77,14 +77,4 @@ void LogDispatch(LogRecord&& record) {
   default_sink.Write(record);
 }
 
-void LogMessage(LogLevel level, const char* file, int line,
-                const std::string& msg) {
-  LogRecord record;
-  record.level = level;
-  record.file = file;
-  record.line = line;
-  record.message = msg;
-  LogDispatch(std::move(record));
-}
-
 }  // namespace pds2::common

@@ -104,10 +104,6 @@ LogSink* SetLogSink(LogSink* sink);
 /// Routes one record through the active sink (internal; use PDS2_LOG).
 void LogDispatch(LogRecord&& record);
 
-/// Back-compat helper for direct callers.
-void LogMessage(LogLevel level, const char* file, int line,
-                const std::string& msg);
-
 namespace internal_logging {
 
 /// Stream-style collector used by the macro below.

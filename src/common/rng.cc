@@ -47,13 +47,6 @@ uint64_t Rng::NextU64(uint64_t bound) {
   }
 }
 
-int64_t Rng::NextInt(int64_t lo, int64_t hi) {
-  assert(lo <= hi);
-  uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  if (span == 0) return static_cast<int64_t>(NextU64());  // full range
-  return lo + static_cast<int64_t>(NextU64(span));
-}
-
 double Rng::NextDouble() {
   // 53 significant bits.
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;

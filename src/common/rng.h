@@ -29,9 +29,6 @@ class Rng {
   /// avoid modulo bias.
   uint64_t NextU64(uint64_t bound);
 
-  /// Uniform in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t NextInt(int64_t lo, int64_t hi);
-
   /// Uniform double in [0, 1).
   double NextDouble();
 

@@ -6,10 +6,6 @@ namespace pds2::common {
 
 void Writer::PutU8(uint8_t v) { data_.push_back(v); }
 
-void Writer::PutU16(uint16_t v) {
-  for (int i = 0; i < 2; ++i) data_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
 void Writer::PutU32(uint32_t v) {
   for (int i = 0; i < 4; ++i) data_.push_back(static_cast<uint8_t>(v >> (8 * i)));
 }
@@ -17,8 +13,6 @@ void Writer::PutU32(uint32_t v) {
 void Writer::PutU64(uint64_t v) {
   for (int i = 0; i < 8; ++i) data_.push_back(static_cast<uint8_t>(v >> (8 * i)));
 }
-
-void Writer::PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
 
 void Writer::PutDouble(double v) {
   uint64_t bits;
@@ -43,11 +37,6 @@ void Writer::PutRaw(const Bytes& b) {
   data_.insert(data_.end(), b.begin(), b.end());
 }
 
-void Writer::PutU64Vector(const std::vector<uint64_t>& v) {
-  PutU32(static_cast<uint32_t>(v.size()));
-  for (uint64_t x : v) PutU64(x);
-}
-
 void Writer::PutDoubleVector(const std::vector<double>& v) {
   PutU32(static_cast<uint32_t>(v.size()));
   for (double x : v) PutDouble(x);
@@ -65,13 +54,6 @@ Result<uint8_t> Reader::GetU8() {
   return data_[pos_++];
 }
 
-Result<uint16_t> Reader::GetU16() {
-  PDS2_RETURN_IF_ERROR(Need(2));
-  uint16_t v = 0;
-  for (int i = 0; i < 2; ++i) v |= static_cast<uint16_t>(data_[pos_++]) << (8 * i);
-  return v;
-}
-
 Result<uint32_t> Reader::GetU32() {
   PDS2_RETURN_IF_ERROR(Need(4));
   uint32_t v = 0;
@@ -84,11 +66,6 @@ Result<uint64_t> Reader::GetU64() {
   uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
   return v;
-}
-
-Result<int64_t> Reader::GetI64() {
-  PDS2_ASSIGN_OR_RETURN(uint64_t v, GetU64());
-  return static_cast<int64_t>(v);
 }
 
 Result<double> Reader::GetDouble() {
@@ -127,18 +104,6 @@ Status Reader::CheckCount(uint64_t count, size_t min_element_bytes) const {
     return Status::Corruption("element count exceeds the remaining bytes");
   }
   return Status::Ok();
-}
-
-Result<std::vector<uint64_t>> Reader::GetU64Vector() {
-  PDS2_ASSIGN_OR_RETURN(uint32_t n, GetU32());
-  PDS2_RETURN_IF_ERROR(Need(static_cast<size_t>(n) * 8));
-  std::vector<uint64_t> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    auto r = GetU64();
-    v.push_back(r.value());
-  }
-  return v;
 }
 
 Result<std::vector<double>> Reader::GetDoubleVector() {

@@ -19,10 +19,8 @@ class Writer {
   Writer() = default;
 
   void PutU8(uint8_t v);
-  void PutU16(uint16_t v);
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
-  void PutI64(int64_t v);
   void PutDouble(double v);
   void PutBool(bool v);
   /// Length-prefixed (u32) raw bytes.
@@ -32,7 +30,6 @@ class Writer {
   /// Raw bytes with no length prefix (caller knows the size).
   void PutRaw(const Bytes& b);
 
-  void PutU64Vector(const std::vector<uint64_t>& v);
   void PutDoubleVector(const std::vector<double>& v);
 
   const Bytes& data() const { return data_; }
@@ -50,17 +47,14 @@ class Reader {
   explicit Reader(const Bytes& data) : data_(data) {}
 
   Result<uint8_t> GetU8();
-  Result<uint16_t> GetU16();
   Result<uint32_t> GetU32();
   Result<uint64_t> GetU64();
-  Result<int64_t> GetI64();
   Result<double> GetDouble();
   Result<bool> GetBool();
   Result<Bytes> GetBytes();
   Result<std::string> GetString();
   Result<Bytes> GetRaw(size_t n);
 
-  Result<std::vector<uint64_t>> GetU64Vector();
   Result<std::vector<double>> GetDoubleVector();
 
   /// Checks an element count read from the wire against the bytes left:

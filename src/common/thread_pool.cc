@@ -55,24 +55,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> future = packaged->get_future();
-  if (g_current_pool == this) {
-    PDS2_M_COUNT("pool.tasks_inline", 1);
-    (*packaged)();
-    return future;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.emplace_back([packaged] { (*packaged)(); });
-  }
-  PDS2_M_GAUGE_ADD("pool.queue_depth", 1);
-  cv_.notify_one();
-  return future;
-}
-
 size_t ThreadPool::ChunkBegin(size_t n, size_t num_chunks, size_t chunk) {
   return n / num_chunks * chunk + std::min(chunk, n % num_chunks);
 }

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -24,9 +23,9 @@ namespace pds2::common {
 /// everything inline on the calling thread in ascending order (exactly the
 /// pre-parallel sequential code path).
 ///
-/// Re-entrancy: work scheduled from inside a worker of the same pool runs
-/// inline on that worker (both Submit and the ParallelFor family), so nested
-/// parallelism can never deadlock waiting for an occupied worker.
+/// Re-entrancy: a ParallelFor issued from inside a worker of the same pool
+/// runs inline on that worker, so nested parallelism can never deadlock
+/// waiting for an occupied worker.
 class ThreadPool {
  public:
   /// `num_threads == 0` resolves to DefaultThreadCount().
@@ -37,11 +36,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   size_t NumThreads() const { return num_threads_; }
-
-  /// Schedules one task. The future reports completion and propagates any
-  /// exception the task throws. Called from a worker of this pool, the task
-  /// executes inline (the returned future is already satisfied).
-  std::future<void> Submit(std::function<void()> task);
 
   /// Invokes `body(i)` for every i in [begin, end), possibly concurrently.
   /// Blocks until all indices completed. Exceptions are collected and the

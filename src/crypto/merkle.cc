@@ -10,8 +10,6 @@
 namespace pds2::crypto {
 
 using common::Bytes;
-using common::Result;
-using common::Status;
 
 namespace {
 
@@ -80,8 +78,7 @@ Bytes MerkleTree::HashLeaf(const Bytes& data) {
 }
 
 MerkleTree::MerkleTree(const std::vector<Bytes>& leaves,
-                       common::ThreadPool* pool)
-    : leaf_count_(leaves.size()) {
+                       common::ThreadPool* pool) {
   if (leaves.empty()) {
     root_ = Sha256::Hash(Bytes{});
     return;
@@ -89,36 +86,16 @@ MerkleTree::MerkleTree(const std::vector<Bytes>& leaves,
   std::vector<Bytes> level(leaves.size());
   ForEach(leaves.size(), pool,
           [&](size_t i) { level[i] = HashLeaf(leaves[i]); });
-  levels_.push_back(std::move(level));
-
-  while (levels_.back().size() > 1) {
-    const std::vector<Bytes>& prev = levels_.back();
-    const size_t pairs = prev.size() / 2;
+  while (level.size() > 1) {
+    const size_t pairs = level.size() / 2;
     std::vector<Bytes> next(pairs);
     ForEach(pairs, pool, [&](size_t i) {
-      next[i] = HashNode(prev[2 * i], prev[2 * i + 1]);
+      next[i] = HashNode(level[2 * i], level[2 * i + 1]);
     });
-    if (prev.size() % 2 == 1) next.push_back(prev.back());  // promote odd node
-    levels_.push_back(std::move(next));
+    if (level.size() % 2 == 1) next.push_back(level.back());  // promote odd
+    level = std::move(next);
   }
-  root_ = levels_.back()[0];
-}
-
-Result<MerkleProof> MerkleTree::Prove(size_t index) const {
-  if (index >= leaf_count_) {
-    return Status::OutOfRange("leaf index beyond tree size");
-  }
-  MerkleProof proof;
-  size_t pos = index;
-  for (size_t lvl = 0; lvl + 1 < levels_.size(); ++lvl) {
-    const std::vector<Bytes>& level = levels_[lvl];
-    const size_t sibling = (pos % 2 == 0) ? pos + 1 : pos - 1;
-    if (sibling < level.size()) {
-      proof.push_back({level[sibling], /*sibling_is_left=*/pos % 2 == 1});
-    }
-    pos /= 2;
-  }
-  return proof;
+  root_ = std::move(level[0]);
 }
 
 bool MerkleTree::Verify(const Bytes& root, const Bytes& leaf_data,

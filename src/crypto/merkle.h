@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/result.h"
 
 namespace pds2::common {
 class ThreadPool;
@@ -25,11 +24,12 @@ struct MerkleStep {
 /// Inclusion proof for a single leaf.
 using MerkleProof = std::vector<MerkleStep>;
 
-/// Binary SHA-256 Merkle tree over a list of leaf byte-strings. Leaves are
+/// Binary SHA-256 Merkle root over a list of leaf byte-strings. Leaves are
 /// hashed with a 0x00 prefix and interior nodes with 0x01, preventing
 /// leaf/node second-preimage confusion. Odd nodes are promoted (not
 /// duplicated). The blockchain uses this for transaction roots; the storage
-/// subsystem uses it for dataset commitments.
+/// subsystem uses it for dataset commitments. Inclusion proofs come from
+/// IncrementalMerkleTree (the state root) and are checked by Verify.
 class MerkleTree {
  public:
   /// Builds the tree. An empty input yields the hash of the empty string as
@@ -41,12 +41,9 @@ class MerkleTree {
                       common::ThreadPool* pool = nullptr);
 
   const common::Bytes& Root() const { return root_; }
-  size_t LeafCount() const { return leaf_count_; }
 
-  /// Proof for leaf `index`; fails with OutOfRange on a bad index.
-  common::Result<MerkleProof> Prove(size_t index) const;
-
-  /// Verifies that `leaf_data` is at some position under `root`.
+  /// Verifies that `leaf_data` is at the position `proof` walks under
+  /// `root`.
   static bool Verify(const common::Bytes& root, const common::Bytes& leaf_data,
                      const MerkleProof& proof);
 
@@ -54,10 +51,7 @@ class MerkleTree {
   static common::Bytes HashLeaf(const common::Bytes& data);
 
  private:
-  // levels_[0] = leaf hashes, last level = {root}.
-  std::vector<std::vector<common::Bytes>> levels_;
   common::Bytes root_;
-  size_t leaf_count_ = 0;
 };
 
 /// A MerkleTree of fixed shape, 2^depth leaves, that keeps every node so a

@@ -1,57 +1,6 @@
 #include "crypto/secret_sharing.h"
 
-#include <unordered_set>
-
 namespace pds2::crypto {
-
-using common::Result;
-using common::Status;
-
-namespace {
-
-using u128 = unsigned __int128;
-
-// Arithmetic mod p = 2^61 - 1.
-uint64_t FieldReduce(u128 v) {
-  // Fold the high bits twice: x = hi*2^61 + lo = hi + lo (mod p).
-  uint64_t lo = static_cast<uint64_t>(v & kShamirPrime);
-  uint64_t hi = static_cast<uint64_t>(v >> 61);
-  uint64_t r = lo + hi;
-  // r can be up to ~2^64; fold once more.
-  r = (r & kShamirPrime) + (r >> 61);
-  if (r >= kShamirPrime) r -= kShamirPrime;
-  return r;
-}
-
-uint64_t FieldAdd(uint64_t a, uint64_t b) {
-  uint64_t r = a + b;
-  if (r >= kShamirPrime) r -= kShamirPrime;
-  return r;
-}
-
-uint64_t FieldSub(uint64_t a, uint64_t b) {
-  return a >= b ? a - b : a + kShamirPrime - b;
-}
-
-uint64_t FieldMul(uint64_t a, uint64_t b) {
-  return FieldReduce(static_cast<u128>(a) * b);
-}
-
-uint64_t FieldPow(uint64_t base, uint64_t exp) {
-  uint64_t result = 1;
-  while (exp) {
-    if (exp & 1) result = FieldMul(result, base);
-    base = FieldMul(base, base);
-    exp >>= 1;
-  }
-  return result;
-}
-
-uint64_t FieldInv(uint64_t a) { return FieldPow(a, kShamirPrime - 2); }
-
-uint64_t RandomField(common::Rng& rng) { return rng.NextU64(kShamirPrime); }
-
-}  // namespace
 
 std::vector<uint64_t> AdditiveShare(uint64_t secret, size_t n,
                                     common::Rng& rng) {
@@ -63,12 +12,6 @@ std::vector<uint64_t> AdditiveShare(uint64_t secret, size_t n,
   }
   if (n > 0) shares[n - 1] = secret - sum;  // wraps mod 2^64 by design
   return shares;
-}
-
-uint64_t AdditiveReconstruct(const std::vector<uint64_t>& shares) {
-  uint64_t sum = 0;
-  for (uint64_t s : shares) sum += s;
-  return sum;
 }
 
 BeaverTriple MakeBeaverTriple(common::Rng& rng) {
@@ -84,65 +27,6 @@ BeaverTriple MakeBeaverTriple(common::Rng& rng) {
   split(b, t.b_share);
   split(c, t.c_share);
   return t;
-}
-
-Result<std::vector<ShamirShare>> ShamirSplit(uint64_t secret, size_t t,
-                                             size_t n, common::Rng& rng) {
-  if (t == 0 || t > n) {
-    return Status::InvalidArgument("threshold must satisfy 1 <= t <= n");
-  }
-  if (secret >= kShamirPrime) {
-    return Status::InvalidArgument("secret not below field modulus");
-  }
-  if (n >= kShamirPrime) {
-    return Status::InvalidArgument("too many shares for field size");
-  }
-
-  // Random polynomial of degree t-1 with f(0) = secret.
-  std::vector<uint64_t> coeffs(t);
-  coeffs[0] = secret;
-  for (size_t i = 1; i < t; ++i) coeffs[i] = RandomField(rng);
-
-  std::vector<ShamirShare> shares(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t x = static_cast<uint64_t>(i + 1);
-    // Horner evaluation.
-    uint64_t y = 0;
-    for (size_t j = t; j-- > 0;) y = FieldAdd(FieldMul(y, x), coeffs[j]);
-    shares[i] = {x, y};
-  }
-  return shares;
-}
-
-Result<uint64_t> ShamirReconstruct(const std::vector<ShamirShare>& shares) {
-  if (shares.empty()) return Status::InvalidArgument("no shares given");
-  std::unordered_set<uint64_t> seen;
-  for (const ShamirShare& s : shares) {
-    if (!seen.insert(s.x).second) {
-      return Status::InvalidArgument("duplicate share x-coordinate");
-    }
-    if (s.x == 0 || s.x >= kShamirPrime || s.y >= kShamirPrime) {
-      return Status::InvalidArgument("share out of field range");
-    }
-  }
-
-  // Lagrange interpolation at x = 0.
-  uint64_t secret = 0;
-  for (size_t i = 0; i < shares.size(); ++i) {
-    // basis_i(0) = prod_j (0 - x_j) / (x_i - x_j). Using (x_j - x_i) in the
-    // denominator flips its sign (k-1) times, exactly cancelling the
-    // (-1)^(k-1) from the numerator's (0 - x_j) factors, so plain products
-    // of x_j and (x_j - x_i) are already correct.
-    uint64_t num = 1, den = 1;
-    for (size_t j = 0; j < shares.size(); ++j) {
-      if (i == j) continue;
-      num = FieldMul(num, shares[j].x);
-      den = FieldMul(den, FieldSub(shares[j].x, shares[i].x));
-    }
-    const uint64_t basis = FieldMul(num, FieldInv(den));
-    secret = FieldAdd(secret, FieldMul(shares[i].y, basis));
-  }
-  return secret;
 }
 
 }  // namespace pds2::crypto

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/result.h"
 #include "common/rng.h"
 
 namespace pds2::crypto {
@@ -21,9 +20,6 @@ namespace pds2::crypto {
 std::vector<uint64_t> AdditiveShare(uint64_t secret, size_t n,
                                     common::Rng& rng);
 
-/// Recombines additive shares.
-uint64_t AdditiveReconstruct(const std::vector<uint64_t>& shares);
-
 /// A multiplication triple a*b = c, secret-shared between two parties.
 struct BeaverTriple {
   uint64_t a_share[2];
@@ -33,34 +29,6 @@ struct BeaverTriple {
 
 /// Dealer-generated Beaver triple for a 2-party multiplication.
 BeaverTriple MakeBeaverTriple(common::Rng& rng);
-
-// ---------------------------------------------------------------------------
-// Shamir secret sharing over GF(p), p = 2^61 - 1 (Mersenne prime).
-//
-// Used by the storage subsystem for key escrow (the paper's related work
-// stores split decryption keys at "Key Keepers"); any t of n shares
-// reconstruct, fewer reveal nothing.
-
-/// The Shamir field modulus.
-constexpr uint64_t kShamirPrime = (uint64_t{1} << 61) - 1;
-
-/// One Shamir share: (x, f(x)).
-struct ShamirShare {
-  uint64_t x = 0;
-  uint64_t y = 0;
-};
-
-/// Splits `secret` (< kShamirPrime) into `n` shares with threshold `t`
-/// (any t reconstruct). Fails if t == 0, t > n or secret out of range.
-common::Result<std::vector<ShamirShare>> ShamirSplit(uint64_t secret,
-                                                     size_t t, size_t n,
-                                                     common::Rng& rng);
-
-/// Reconstructs the secret from >= t distinct shares (Lagrange at x = 0).
-/// Fails on duplicates or empty input. With fewer than t genuine shares the
-/// result is (by design) unrelated to the secret.
-common::Result<uint64_t> ShamirReconstruct(
-    const std::vector<ShamirShare>& shares);
 
 }  // namespace pds2::crypto
 

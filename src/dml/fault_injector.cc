@@ -28,7 +28,7 @@ void FaultInjector::OnStart(NodeContext& ctx) {
     ctx.SetTimer(plan_.churn[i].at, i);
   }
   // Leave the adversary roster in the black box: the Byzantine specs are
-  // enacted by the protocol layer (p2p::ApplyByzantineSpecs, the
+  // enacted by the protocol layer (p2p::ValidatorNode::SetByzantine, the
   // marketplace harnesses), not by this injector, so a chaos dump would
   // otherwise not show who was scripted to cheat.
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();

@@ -965,13 +965,12 @@ Status Marketplace::Finalize(RunContext& run) {
   return Status::Ok();
 }
 
-// Publication: pin the artifact, anchor its address on-chain, and memoize
+// Publication: anchor the artifact's address on-chain and memoize
 // the computation so future identical workloads substitute instead of
 // retraining. Best-effort: the workload is already settled, so a failure
 // here costs only future cache hits.
 Status Marketplace::PublishArtifact(RunContext& run) {
   const RunReport& report = run.report;
-  (void)artifact_store_->AddRoot(report.result_address);
   Writer args;
   args.PutBytes(report.result_address);
   args.PutBytes(report.result_hash);

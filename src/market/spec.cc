@@ -6,8 +6,6 @@
 namespace pds2::market {
 
 using common::Bytes;
-using common::Reader;
-using common::Result;
 using common::Status;
 using common::Writer;
 
@@ -38,46 +36,6 @@ Bytes WorkloadSpec::Serialize() const {
   w.PutU8(static_cast<uint8_t>(aggregation));
   w.PutU64(executor_stake);
   return w.Take();
-}
-
-Result<WorkloadSpec> WorkloadSpec::Deserialize(const Bytes& data) {
-  Reader r(data);
-  WorkloadSpec spec;
-  PDS2_ASSIGN_OR_RETURN(spec.name, r.GetString());
-  PDS2_ASSIGN_OR_RETURN(Bytes req_bytes, r.GetBytes());
-  PDS2_ASSIGN_OR_RETURN(spec.requirement,
-                        storage::DataRequirement::Deserialize(req_bytes));
-  PDS2_ASSIGN_OR_RETURN(spec.validation.enabled, r.GetBool());
-  PDS2_ASSIGN_OR_RETURN(spec.validation.feature_min, r.GetDouble());
-  PDS2_ASSIGN_OR_RETURN(spec.validation.feature_max, r.GetDouble());
-  PDS2_ASSIGN_OR_RETURN(spec.validation.min_label_fraction, r.GetDouble());
-  PDS2_ASSIGN_OR_RETURN(spec.model_kind, r.GetString());
-  PDS2_ASSIGN_OR_RETURN(spec.features, r.GetU64());
-  PDS2_ASSIGN_OR_RETURN(spec.hidden_units, r.GetU64());
-  PDS2_ASSIGN_OR_RETURN(spec.learning_rate, r.GetDouble());
-  PDS2_ASSIGN_OR_RETURN(spec.epochs, r.GetU64());
-  PDS2_ASSIGN_OR_RETURN(spec.batch_size, r.GetU64());
-  PDS2_ASSIGN_OR_RETURN(spec.l2, r.GetDouble());
-  PDS2_ASSIGN_OR_RETURN(spec.dp_enabled, r.GetBool());
-  PDS2_ASSIGN_OR_RETURN(spec.dp_clip, r.GetDouble());
-  PDS2_ASSIGN_OR_RETURN(spec.dp_noise, r.GetDouble());
-  PDS2_ASSIGN_OR_RETURN(spec.reward_pool, r.GetU64());
-  PDS2_ASSIGN_OR_RETURN(spec.min_providers, r.GetU64());
-  PDS2_ASSIGN_OR_RETURN(spec.max_providers, r.GetU64());
-  PDS2_ASSIGN_OR_RETURN(spec.executor_reward_permille, r.GetU64());
-  PDS2_ASSIGN_OR_RETURN(spec.deadline, r.GetU64());
-  PDS2_ASSIGN_OR_RETURN(uint8_t policy, r.GetU8());
-  if (policy > 1) return Status::Corruption("invalid reward policy");
-  spec.reward_policy = static_cast<RewardPolicy>(policy);
-  PDS2_ASSIGN_OR_RETURN(uint8_t aggregation, r.GetU8());
-  if (aggregation > 1) return Status::Corruption("invalid aggregation method");
-  spec.aggregation = static_cast<AggregationMethod>(aggregation);
-  // Optional trailing bond (pre-staking encodings omit it).
-  if (!r.AtEnd()) {
-    PDS2_ASSIGN_OR_RETURN(spec.executor_stake, r.GetU64());
-  }
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes in spec");
-  return spec;
 }
 
 Bytes WorkloadSpec::SpecHash() const {

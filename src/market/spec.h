@@ -79,7 +79,6 @@ struct WorkloadSpec {
   AggregationMethod aggregation = AggregationMethod::kAllReduce;
 
   common::Bytes Serialize() const;
-  static common::Result<WorkloadSpec> Deserialize(const common::Bytes& data);
 
   /// SHA-256 of the serialized spec — registered on-chain at deployment.
   common::Bytes SpecHash() const;

@@ -50,47 +50,6 @@ Dataset MakeTwoGaussians(size_t n, size_t d, double separation,
   return data;
 }
 
-Dataset MakeLinearRegression(size_t n, size_t d, double noise_stddev,
-                             common::Rng& rng, Vec* w_true) {
-  Vec w(d + 1);  // last entry is the bias
-  for (double& v : w) v = rng.NextGaussian();
-  if (w_true != nullptr) *w_true = w;
-
-  Dataset data;
-  data.x.reserve(n);
-  data.y.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Vec row(d);
-    for (double& v : row) v = rng.NextGaussian();
-    double target = w[d];
-    for (size_t j = 0; j < d; ++j) target += w[j] * row[j];
-    target += rng.NextGaussian(0.0, noise_stddev);
-    data.x.push_back(std::move(row));
-    data.y.push_back(target);
-  }
-  return data;
-}
-
-Dataset MakeGaussianClusters(size_t n, size_t d, size_t classes,
-                             double spread, common::Rng& rng) {
-  assert(classes >= 2);
-  std::vector<Vec> centers(classes, Vec(d));
-  for (auto& c : centers) {
-    for (double& v : c) v = rng.NextGaussian(0.0, spread);
-  }
-  Dataset data;
-  data.x.reserve(n);
-  data.y.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t cls = rng.NextU64(classes);
-    Vec row(d);
-    for (size_t j = 0; j < d; ++j) row[j] = centers[cls][j] + rng.NextGaussian();
-    data.x.push_back(std::move(row));
-    data.y.push_back(static_cast<double>(cls));
-  }
-  return data;
-}
-
 void CorruptLabels(Dataset& data, double rate, common::Rng& rng) {
   for (double& label : data.y) {
     if (rng.NextBool(rate)) label = label > 0.5 ? 0.0 : 1.0;

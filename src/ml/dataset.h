@@ -35,16 +35,6 @@ struct Dataset {
 Dataset MakeTwoGaussians(size_t n, size_t d, double separation,
                          common::Rng& rng);
 
-/// Linear regression: y = w.x + b + noise, with the true weights returned
-/// through `w_true` (bias appended last) for recovery checks.
-Dataset MakeLinearRegression(size_t n, size_t d, double noise_stddev,
-                             common::Rng& rng, Vec* w_true = nullptr);
-
-/// Multiclass: `classes` Gaussian clusters at random centers. Labels are
-/// class indices 0..classes-1.
-Dataset MakeGaussianClusters(size_t n, size_t d, size_t classes,
-                             double spread, common::Rng& rng);
-
 /// Flips the label of each example with probability `rate` (binary labels
 /// only). Models a low-quality or malicious data provider.
 void CorruptLabels(Dataset& data, double rate, common::Rng& rng);

@@ -17,10 +17,6 @@ void Axpy(double alpha, const Vec& x, Vec& y) {
   for (size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
-void Scale(double alpha, Vec& x) {
-  for (double& v : x) v *= alpha;
-}
-
 double Norm2(const Vec& x) { return std::sqrt(Dot(x, x)); }
 
 Vec Lerp(const Vec& a, const Vec& b, double t) {
@@ -41,28 +37,6 @@ Vec WeightedAverage(const std::vector<Vec>& vecs,
   for (size_t i = 0; i < vecs.size(); ++i) {
     assert(vecs[i].size() == out.size());
     Axpy(weights[i] / total, vecs[i], out);
-  }
-  return out;
-}
-
-Vec Matrix::MatVec(const Vec& x) const {
-  assert(x.size() == cols_);
-  Vec out(rows_, 0.0);
-  for (size_t r = 0; r < rows_; ++r) {
-    double sum = 0.0;
-    const double* row = &data_[r * cols_];
-    for (size_t c = 0; c < cols_; ++c) sum += row[c] * x[c];
-    out[r] = sum;
-  }
-  return out;
-}
-
-Vec Matrix::MatVecTransposed(const Vec& x) const {
-  assert(x.size() == rows_);
-  Vec out(cols_, 0.0);
-  for (size_t r = 0; r < rows_; ++r) {
-    const double* row = &data_[r * cols_];
-    for (size_t c = 0; c < cols_; ++c) out[c] += row[c] * x[r];
   }
   return out;
 }

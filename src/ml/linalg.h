@@ -16,9 +16,6 @@ double Dot(const Vec& a, const Vec& b);
 /// y += alpha * x (in place).
 void Axpy(double alpha, const Vec& x, Vec& y);
 
-/// x *= alpha (in place).
-void Scale(double alpha, Vec& x);
-
 /// Euclidean norm.
 double Norm2(const Vec& x);
 
@@ -44,11 +41,6 @@ class Matrix {
 
   double& At(size_t r, size_t c) { return data_[r * cols_ + c]; }
   double At(size_t r, size_t c) const { return data_[r * cols_ + c]; }
-
-  /// out = M * x. x.size() must equal cols().
-  Vec MatVec(const Vec& x) const;
-  /// out = M^T * x. x.size() must equal rows().
-  Vec MatVecTransposed(const Vec& x) const;
 
   Vec& data() { return data_; }
   const Vec& data() const { return data_; }

@@ -1,8 +1,5 @@
 #include "ml/metrics.h"
 
-#include <algorithm>
-#include <vector>
-
 namespace pds2::ml {
 
 double Accuracy(const Model& model, const Dataset& data) {
@@ -12,64 +9,6 @@ double Accuracy(const Model& model, const Dataset& data) {
     if (model.PredictLabel(data.x[i]) == data.y[i]) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(data.Size());
-}
-
-double MeanSquaredError(const Model& model, const Dataset& data) {
-  if (data.Size() == 0) return 0.0;
-  double total = 0.0;
-  for (size_t i = 0; i < data.Size(); ++i) {
-    const double err = model.PredictLabel(data.x[i]) - data.y[i];
-    total += err * err;
-  }
-  return total / static_cast<double>(data.Size());
-}
-
-double MeanLoss(const Model& model, const Dataset& data) {
-  return model.MeanLoss(data);
-}
-
-double AucRoc(const Dataset& data,
-              const std::function<double(const Vec&)>& score) {
-  // Rank statistic: AUC = (sum of positive ranks - n+(n+ + 1)/2) / (n+ n-).
-  struct Scored {
-    double s;
-    bool positive;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(data.Size());
-  size_t positives = 0;
-  for (size_t i = 0; i < data.Size(); ++i) {
-    const bool positive = data.y[i] > 0.5;
-    positives += positive ? 1 : 0;
-    scored.push_back({score(data.x[i]), positive});
-  }
-  const size_t negatives = data.Size() - positives;
-  if (positives == 0 || negatives == 0) return 0.5;
-
-  std::sort(scored.begin(), scored.end(),
-            [](const Scored& a, const Scored& b) { return a.s < b.s; });
-
-  // Assign average ranks to ties.
-  double positive_rank_sum = 0.0;
-  size_t i = 0;
-  while (i < scored.size()) {
-    size_t j = i;
-    while (j < scored.size() && scored[j].s == scored[i].s) ++j;
-    const double avg_rank = (static_cast<double>(i + 1) +
-                             static_cast<double>(j)) / 2.0;  // 1-based
-    for (size_t k = i; k < j; ++k) {
-      if (scored[k].positive) positive_rank_sum += avg_rank;
-    }
-    i = j;
-  }
-  const double n_pos = static_cast<double>(positives);
-  const double n_neg = static_cast<double>(negatives);
-  return (positive_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg);
-}
-
-double AucRoc(const LogisticRegressionModel& model, const Dataset& data) {
-  return AucRoc(data,
-                [&model](const Vec& x) { return model.PredictProbability(x); });
 }
 
 }  // namespace pds2::ml

@@ -1,8 +1,6 @@
 #ifndef PDS2_ML_METRICS_H_
 #define PDS2_ML_METRICS_H_
 
-#include <functional>
-
 #include "ml/dataset.h"
 #include "ml/model.h"
 
@@ -11,22 +9,6 @@ namespace pds2::ml {
 /// Fraction of examples whose predicted label equals the true label
 /// (classification). Empty datasets score 0.
 double Accuracy(const Model& model, const Dataset& data);
-
-/// Mean squared error between PredictLabel and y (regression).
-double MeanSquaredError(const Model& model, const Dataset& data);
-
-/// Mean per-example loss (the model's own loss function).
-double MeanLoss(const Model& model, const Dataset& data);
-
-/// Area under the ROC curve for a binary scorer. `score` maps a feature
-/// row to a real number where higher means "more likely class 1"; labels
-/// must be 0/1. Computed exactly via the rank statistic; ties get half
-/// credit. Returns 0.5 when either class is absent.
-double AucRoc(const Dataset& data,
-              const std::function<double(const Vec&)>& score);
-
-/// AUC of a LogisticRegressionModel / MlpModel-style probability scorer.
-double AucRoc(const LogisticRegressionModel& model, const Dataset& data);
 
 }  // namespace pds2::ml
 

@@ -154,23 +154,7 @@ std::string FlightRecorder::DumpNow(const std::string& reason) {
   out.flush();
   if (!out.good()) return "";  // also when the file never opened
   dumps_written_.fetch_add(1, std::memory_order_relaxed);
-  last_dump_path_ = path;
   return path;
-}
-
-std::string FlightRecorder::LastDumpPath() const {
-  std::lock_guard<std::mutex> lock(config_mu_);
-  return last_dump_path_;
-}
-
-void FlightRecorder::Clear() {
-  {
-    std::lock_guard<std::mutex> lock(ring_mu_);
-    ring_.clear();
-  }
-  std::lock_guard<std::mutex> lock(config_mu_);
-  baseline_ = Registry::Global().TakeSnapshot();
-  last_dump_path_.clear();
 }
 
 }  // namespace pds2::obs

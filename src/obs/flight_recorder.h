@@ -46,7 +46,8 @@ class FlightRecorder {
   static FlightRecorder& Global();
 
   /// Enabling captures a metrics baseline so dumps can report deltas.
-  /// Recording is off by default and costs one relaxed load when off.
+  /// Recording is off by default and costs one relaxed load when off; no
+  /// shipped binary turns it on, only the suites that assert on dumps.
   void SetEnabled(bool enabled);
   bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
@@ -76,14 +77,9 @@ class FlightRecorder {
   /// Buffered entries, oldest first (tests / post-mortem tooling).
   std::vector<FlightEntry> SnapshotEntries() const;
 
-  /// Drops all buffered entries and re-baselines the metric deltas.
-  void Clear();
-
   uint64_t dumps_written() const {
     return dumps_written_.load(std::memory_order_relaxed);
   }
-  /// Path of the most recent dump ("" if none since Clear).
-  std::string LastDumpPath() const;
 
  private:
   void Record(FlightEntry entry);
@@ -94,8 +90,7 @@ class FlightRecorder {
   std::deque<FlightEntry> ring_;  // at most kCapacity, oldest first
   mutable std::mutex config_mu_;  // also serializes DumpNow's file writes
   std::string dump_dir_ = ".";
-  std::string last_dump_path_;
-  Snapshot baseline_;  // metrics at SetEnabled(true) / Clear
+  Snapshot baseline_;  // metrics at SetEnabled(true)
 };
 
 }  // namespace pds2::obs

@@ -135,12 +135,6 @@ HealthRule InvariantRule(
   return rule;
 }
 
-void HealthMonitor::AddRule(HealthRule rule) {
-  std::lock_guard<std::mutex> lock(mu_);
-  rules_.push_back(std::move(rule));
-  states_.emplace_back();
-}
-
 void HealthMonitor::AddRules(std::vector<HealthRule> rules) {
   std::lock_guard<std::mutex> lock(mu_);
   for (HealthRule& rule : rules) {
@@ -230,7 +224,6 @@ void HealthMonitor::EmitLocked(const HealthRule& rule, const RuleState& state,
   }
 
   if (fired) {
-    ++fires_;
     PDS2_M_COUNT("obs.health.alerts_fired", 1);
     if (rule.severity >= Severity::kCritical) {
       PDS2_M_COUNT("obs.health.alerts_critical", 1);
@@ -293,15 +286,6 @@ std::vector<AlertEvent> HealthMonitor::Events() const {
   return events_;
 }
 
-std::vector<std::string> HealthMonitor::ActiveAlerts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> active;
-  for (size_t i = 0; i < rules_.size(); ++i) {
-    if (states_[i].active) active.push_back(rules_[i].id);
-  }
-  return active;
-}
-
 std::vector<std::string> HealthMonitor::FiredRuleIds() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::set<std::string> ids;
@@ -309,11 +293,6 @@ std::vector<std::string> HealthMonitor::FiredRuleIds() const {
     if (event.fired) ids.insert(event.rule_id);
   }
   return {ids.begin(), ids.end()};
-}
-
-uint64_t HealthMonitor::FireCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fires_;
 }
 
 uint64_t HealthMonitor::EventsDigest() const {
@@ -350,14 +329,6 @@ void HealthMonitor::WriteJsonLines(std::ostream& out) const {
     }
     out << "}\n";
   }
-}
-
-void HealthMonitor::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
-  fires_ = 0;
-  evaluated_through_ = 0;
-  for (RuleState& state : states_) state = RuleState{};
 }
 
 }  // namespace pds2::obs

@@ -104,7 +104,6 @@ class HealthMonitor {
 
   explicit HealthMonitor(const TimeSeries* ts) : ts_(ts) {}
 
-  void AddRule(HealthRule rule);
   void AddRules(std::vector<HealthRule> rules);
   size_t RuleCount() const;
 
@@ -113,11 +112,8 @@ class HealthMonitor {
   size_t EvaluateLatest();
 
   std::vector<AlertEvent> Events() const;
-  /// Rule ids currently in the fired state.
-  std::vector<std::string> ActiveAlerts() const;
   /// Distinct rule ids that ever fired.
   std::vector<std::string> FiredRuleIds() const;
-  uint64_t FireCount() const;
 
   /// FNV-1a over the sim-deterministic fields of every event (rule id,
   /// fired, sample index, first-bad, sim time, observed, bound). Equal
@@ -127,9 +123,6 @@ class HealthMonitor {
   /// JSON-lines alert export, one {"type":"alert",...} object per event
   /// (appended after TimeSeries::WriteJsonLines in a run export).
   void WriteJsonLines(std::ostream& out) const;
-
-  /// Drops events and per-rule state; rules stay registered.
-  void Clear();
 
  private:
   struct RuleState {
@@ -154,7 +147,6 @@ class HealthMonitor {
   std::vector<HealthRule> rules_;
   std::vector<RuleState> states_;
   std::vector<AlertEvent> events_;
-  uint64_t fires_ = 0;
   size_t evaluated_through_ = 0;  // SampleCount() already evaluated
 };
 

@@ -16,42 +16,6 @@ size_t ThisThreadIndex() {
 
 }  // namespace internal_metrics
 
-uint64_t Histogram::ValueAtQuantile(double q) const {
-  const uint64_t total = Count();
-  if (total == 0) return 0;
-  q = std::min(1.0, std::max(0.0, q));
-  // Rank of the order statistic we are after, 1-based.
-  const uint64_t rank = std::max<uint64_t>(
-      1, static_cast<uint64_t>(
-             std::ceil(q * static_cast<double>(total))));
-  uint64_t seen = 0;
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    seen += buckets_[i].load(std::memory_order_relaxed);
-    if (seen >= rank) return BucketMidpoint(i);
-  }
-  // A concurrent Observe bumped count_ before its bucket: fall back to the
-  // highest non-empty bucket.
-  return Max();
-}
-
-uint64_t Histogram::Min() const {
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    if (buckets_[i].load(std::memory_order_relaxed) > 0) {
-      return BucketMidpoint(i);
-    }
-  }
-  return 0;
-}
-
-uint64_t Histogram::Max() const {
-  for (size_t i = kNumBuckets; i-- > 0;) {
-    if (buckets_[i].load(std::memory_order_relaxed) > 0) {
-      return BucketMidpoint(i);
-    }
-  }
-  return 0;
-}
-
 HistogramSummary Histogram::Summarize() const {
   HistogramSummary summary;
   summary.count = Count();
@@ -77,8 +41,8 @@ HistogramSummary Histogram::Summarize() const {
     while (next < 3 && seen >= rank[next]) *out[next++] = value;
     if (seen >= summary.count) break;  // every later bucket is empty
   }
-  // A concurrent Observe bumped count_ before its bucket: as in
-  // ValueAtQuantile, an unreached quantile reads the highest bucket.
+  // A concurrent Observe bumped count_ before its bucket: an unreached
+  // quantile reads the highest bucket.
   while (next < 3) *out[next++] = summary.max;
   return summary;
 }
@@ -116,7 +80,7 @@ Counter& Registry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   if (it != counters_.end()) return *it->second;
-  if (counters_.size() >= max_series_) {
+  if (counters_.size() >= kMaxSeries) {
     dropped_series_->Add(1);
     return *overflow_counter_;
   }
@@ -127,7 +91,7 @@ Gauge& Registry::GetGauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   if (it != gauges_.end()) return *it->second;
-  if (gauges_.size() >= max_series_) {
+  if (gauges_.size() >= kMaxSeries) {
     dropped_series_->Add(1);
     return *overflow_gauge_;
   }
@@ -138,26 +102,11 @@ Histogram& Registry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it != histograms_.end()) return *it->second;
-  if (histograms_.size() >= max_series_) {
+  if (histograms_.size() >= kMaxSeries) {
     dropped_series_->Add(1);
     return *overflow_histogram_;
   }
   return *(histograms_[name] = std::make_unique<Histogram>());
-}
-
-void Registry::SetMaxSeries(size_t max_series) {
-  std::lock_guard<std::mutex> lock(mu_);
-  max_series_ = max_series == 0 ? 1 : max_series;
-}
-
-size_t Registry::MaxSeries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_series_;
-}
-
-uint64_t Registry::DroppedSeries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_series_->Value();
 }
 
 Snapshot Registry::TakeSnapshot() const {

@@ -125,18 +125,12 @@ class Histogram {
     return n == 0 ? 0.0 : static_cast<double>(Sum()) / static_cast<double>(n);
   }
 
-  /// Representative value (bucket midpoint) at quantile q in [0, 1]. 0 when
-  /// empty. The estimate is within 1/(2*kSubBuckets) relative error of the
-  /// exact order statistic for values >= kSubBuckets, exact below that.
-  uint64_t ValueAtQuantile(double q) const;
-
-  /// Smallest / largest non-empty bucket's representative value (0 if empty).
-  uint64_t Min() const;
-  uint64_t Max() const;
-
-  /// Count, sum, Min, the 0.5/0.9/0.99 ValueAtQuantile and Max, from one
-  /// scan that stops at the highest non-empty bucket. Equal to the separate
-  /// calls when no Observe runs concurrently.
+  /// Count, sum, and the representative values (bucket midpoints) of the
+  /// smallest and largest non-empty buckets and of the 0.5/0.9/0.99
+  /// quantiles, from one scan that stops at the highest non-empty bucket;
+  /// all zero when empty. A quantile is within 1/(2*kSubBuckets) relative
+  /// error of the exact order statistic for values >= kSubBuckets, exact
+  /// below that.
   HistogramSummary Summarize() const;
 
   void Reset();
@@ -195,8 +189,8 @@ struct Snapshot {
 /// keep their own handles.
 class Registry {
  public:
-  /// Default cap on distinct series per metric kind.
-  static constexpr size_t kDefaultMaxSeries = 4096;
+  /// Cap on distinct series per metric kind.
+  static constexpr size_t kMaxSeries = 4096;
 
   Registry();
 
@@ -226,16 +220,8 @@ class Registry {
   /// tests and benches).
   void ResetValues();
 
-  /// Adjusts the per-kind cardinality cap (names already registered stay).
-  void SetMaxSeries(size_t max_series);
-  size_t MaxSeries() const;
-  /// Series turned away by the cap so far (also published as the
-  /// "obs.metrics.dropped_series" counter).
-  uint64_t DroppedSeries() const;
-
  private:
   mutable std::mutex mu_;
-  size_t max_series_ = kDefaultMaxSeries;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;

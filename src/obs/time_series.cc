@@ -116,23 +116,6 @@ size_t TimeSeries::OldestRetainedLocked() const {
   return samples_ > config_.capacity ? samples_ - config_.capacity : 0;
 }
 
-size_t TimeSeries::OldestRetained() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return OldestRetainedLocked();
-}
-
-size_t TimeSeries::Capacity() const { return config_.capacity; }
-
-size_t TimeSeries::SeriesCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return series_.size();
-}
-
-uint64_t TimeSeries::DroppedSeries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_series_;
-}
-
 std::optional<TimeSeries::SampleInfo> TimeSeries::InfoAt(
     size_t sample_index) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -149,14 +132,6 @@ std::optional<double> TimeSeries::ValueAtLocked(const Series& s,
     return std::nullopt;
   }
   return SlotValue(s, index);
-}
-
-std::optional<double> TimeSeries::ValueAt(const std::string& series,
-                                          size_t sample_index) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = series_.find(series);
-  if (it == series_.end()) return std::nullopt;
-  return ValueAtLocked(it->second, sample_index);
 }
 
 std::optional<double> TimeSeries::Latest(const std::string& series) const {
@@ -226,13 +201,6 @@ std::optional<size_t> TimeSeries::SamplesSinceChange(
   return stale;
 }
 
-std::optional<SeriesKind> TimeSeries::KindOf(const std::string& series) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = series_.find(series);
-  if (it == series_.end()) return std::nullopt;
-  return it->second.kind;
-}
-
 void TimeSeries::WriteJsonLines(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
   const size_t lo = OldestRetainedLocked();
@@ -260,14 +228,6 @@ void TimeSeries::WriteJsonLines(std::ostream& out) const {
     }
     out << "]}\n";
   }
-}
-
-void TimeSeries::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  bindings_.clear();
-  series_.clear();
-  samples_ = 0;
-  dropped_series_ = 0;
 }
 
 }  // namespace pds2::obs

@@ -54,12 +54,6 @@ class TimeSeries {
 
   /// Total samples taken (not the retained count).
   size_t SampleCount() const;
-  /// Oldest retained sample index (SampleCount() - retained span).
-  size_t OldestRetained() const;
-  size_t Capacity() const;
-  size_t SeriesCount() const;
-  /// Series dropped by the max_series cap.
-  uint64_t DroppedSeries() const;
 
   struct SampleInfo {
     uint64_t wall_ns = 0;
@@ -69,12 +63,8 @@ class TimeSeries {
   /// Timestamp of a retained sample; nullopt if evicted / out of range.
   std::optional<SampleInfo> InfoAt(size_t sample_index) const;
 
-  /// Value of `series` at a retained sample (counters: cumulative value).
-  /// nullopt when the series is unknown, the sample was evicted, or the
-  /// series first appeared after `sample_index`.
-  std::optional<double> ValueAt(const std::string& series,
-                                size_t sample_index) const;
-  /// Value at the latest sample.
+  /// Value of `series` at the latest sample (counters: cumulative value).
+  /// nullopt when the series is unknown or nothing was sampled.
   std::optional<double> Latest(const std::string& series) const;
 
   /// v[latest] - v[latest - window], clamped to the retained range (a
@@ -92,17 +82,12 @@ class TimeSeries {
   /// span; nullopt for unknown series or when nothing is retained.
   std::optional<size_t> SamplesSinceChange(const std::string& series) const;
 
-  /// Kind of a known series.
-  std::optional<SeriesKind> KindOf(const std::string& series) const;
-
   /// JSON-lines export (schema: docs/PROTOCOL.md "Run export schema"):
   ///   {"type":"meta",...}
   ///   {"type":"sample","index":I,"wall_ns":W[,"sim_us":S]}   per retained
   ///   {"type":"series","name":N,"kind":K,"start":I,"values":[...]}
+  /// The one reader of per-sample values, kinds and the retained window.
   void WriteJsonLines(std::ostream& out) const;
-
-  /// Drops all samples and series (config and registry binding stay).
-  void Clear();
 
  private:
   struct Series {

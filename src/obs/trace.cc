@@ -132,11 +132,6 @@ void Tracer::SetCapacity(size_t capacity) {
   capacity_ = capacity;
 }
 
-size_t Tracer::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
 uint64_t Tracer::DroppedCount() const {
   return dropped_.load(std::memory_order_relaxed);
 }

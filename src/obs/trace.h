@@ -105,9 +105,9 @@ class Tracer {
   /// Caps stored SpanRecords; spans beyond the cap are dropped at Begin
   /// (counted in DroppedCount and the "obs.trace.dropped" counter) so the
   /// record vector — and span ids, which index it — stays dense. 0 means
-  /// unbounded. Takes effect for subsequent Begins.
+  /// unbounded. Takes effect for subsequent Begins. Only tests change it,
+  /// to reach the drop path without a million spans.
   void SetCapacity(size_t capacity);
-  size_t capacity() const;
 
   /// Spans dropped at Begin since the last Reset.
   uint64_t DroppedCount() const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/crc32.h"
 #include "common/logging.h"
 #include "common/serial.h"
 #include "obs/metrics.h"
@@ -28,7 +27,6 @@ constexpr uint8_t kMsgSyncResponse = 4;
 constexpr uint8_t kMsgHeadAnnounce = 5;
 constexpr uint8_t kMsgChainRequest = 6;
 constexpr uint8_t kMsgChainResponse = 7;
-constexpr uint8_t kMsgAdvert = 8;
 
 // Out-of-order block window. Anything farther ahead is evicted and
 // re-fetched by the sync protocol once the gap in front is filled.
@@ -135,20 +133,6 @@ Status ValidatorNode::SubmitTransaction(const chain::Transaction& tx,
   seen_txs_[tx.Id()] = true;
   Broadcast(ctx, EncodeTx(tx));
   return Status::Ok();
-}
-
-void ValidatorNode::AnnounceAdvert(const store::Advert& advert,
-                                   dml::NodeContext& ctx) {
-  if (!discovery_.Upsert(advert)) return;  // already known or stale
-  const Bytes serialized = advert.Serialize();
-  Writer w;
-  w.PutU8(kMsgAdvert);
-  // CRC-framed: adverts travel the same fault-injected links as blocks,
-  // and a flipped-but-parseable advert would pollute every replica.
-  w.PutU32(common::Crc32c(serialized));
-  w.PutBytes(serialized);
-  Broadcast(ctx, w.Take());
-  PDS2_M_COUNT("p2p.advert.announced", 1);
 }
 
 void ValidatorNode::TryProduce(dml::NodeContext& ctx) {
@@ -572,28 +556,6 @@ void ValidatorNode::OnMessage(dml::NodeContext& ctx, size_t from,
       ctx.Send(from, w.Take());
       break;
     }
-    case kMsgAdvert: {
-      if (quarantined_peers_.count(from) > 0) {
-        // Like tx gossip, advert relaying is discretionary: a
-        // double-signer's adverts are dropped unvalidated.
-        PDS2_M_COUNT("p2p.advert.quarantine_dropped", 1);
-        return;
-      }
-      auto crc = r.GetU32();
-      if (!crc.ok()) return;
-      auto advert_bytes = r.GetBytes();
-      if (!advert_bytes.ok()) return;
-      if (common::Crc32c(*advert_bytes) != *crc) return;  // bit rot in flight
-      Reader ar(*advert_bytes);
-      auto advert = store::Advert::Deserialize(ar);
-      if (!advert.ok() || !ar.AtEnd()) return;
-      // Flood-with-dedup, the tx gossip pattern: Upsert returning false
-      // means we already knew (or held newer), which breaks the loop.
-      if (!discovery_.Upsert(*advert)) return;
-      PDS2_M_COUNT("p2p.advert.relayed", 1);
-      Broadcast(ctx, payload);
-      break;
-    }
     case kMsgChainResponse: {
       auto count = r.GetU64();
       if (!count.ok() || *count > kMaxSnapshotBlocks) return;
@@ -647,16 +609,6 @@ std::unique_ptr<dml::NetSim> MakeValidatorNetwork(
   for (ValidatorNode* node : raw_nodes) node->SetPeers(ids);
   if (nodes != nullptr) *nodes = raw_nodes;
   return sim;
-}
-
-void ApplyByzantineSpecs(const common::FaultPlan& plan,
-                         const std::vector<ValidatorNode*>& nodes) {
-  for (const common::ByzantineValidatorSpec& spec :
-       plan.byzantine_validators) {
-    if (spec.node < nodes.size()) {
-      nodes[spec.node]->SetByzantine(spec.behavior);
-    }
-  }
 }
 
 }  // namespace pds2::p2p

@@ -12,7 +12,6 @@
 #include "common/fault.h"
 #include "dml/netsim.h"
 #include "storage/chain_store.h"
-#include "store/discovery.h"
 
 namespace pds2::p2p {
 
@@ -86,15 +85,6 @@ class ValidatorNode : public dml::Node {
   /// pools and gossips it.
   common::Status SubmitTransaction(const chain::Transaction& tx,
                                    dml::NodeContext& ctx);
-
-  /// Local ingress for the discovery layer: a provider hands this
-  /// validator a dataset/artifact advert, which joins the local index and
-  /// floods to peers (dedup'd by the index's LWW merge, exactly like tx
-  /// gossip). Quarantined peers' adverts are dropped on receipt.
-  void AnnounceAdvert(const store::Advert& advert, dml::NodeContext& ctx);
-
-  /// This validator's replica of the gossip discovery index.
-  const store::DiscoveryIndex& discovery() const { return discovery_; }
 
   const chain::Blockchain& chain() const { return *chain_; }
   chain::Blockchain& chain() { return *chain_; }
@@ -185,10 +175,6 @@ class ValidatorNode : public dml::Node {
   // (offender, height). Erased once chain_->HasEvidenceFor confirms.
   std::map<std::pair<chain::Address, uint64_t>, chain::EquivocationEvidence>
       pending_evidence_;
-  // Replica of the network's content-discovery adverts (store/discovery.h);
-  // fed by AnnounceAdvert locally and kMsgAdvert gossip remotely.
-  store::DiscoveryIndex discovery_;
-
   // Peers whose validator double-signed: their tx gossip is dropped and
   // sync avoids them when an honest peer is available. Never gates block
   // or snapshot processing — consensus safety cannot depend on scoring.
@@ -214,11 +200,6 @@ std::unique_ptr<dml::NetSim> MakeValidatorNetwork(
     uint64_t seed, std::vector<ValidatorNode*>* nodes,
     chain::ChainConfig chain_config = {}, const std::string& store_root = "",
     storage::ChainStoreOptions store_options = {});
-
-/// Applies a FaultPlan's scripted Byzantine validator assignments to the
-/// nodes of a network built by MakeValidatorNetwork.
-void ApplyByzantineSpecs(const common::FaultPlan& plan,
-                         const std::vector<ValidatorNode*>& nodes);
 
 }  // namespace pds2::p2p
 

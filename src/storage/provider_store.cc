@@ -113,24 +113,16 @@ Result<DatasetSummary> ProviderStorage::Summary(const std::string& name) const {
   return it->second.summary;
 }
 
-Result<Bytes> ProviderStorage::OpenAtRest(const std::string& name) const {
+Result<Bytes> ProviderStorage::SealForTransfer(
+    const std::string& name, const Bytes& transport_key) const {
   auto it = datasets_.find(name);
   if (it == datasets_.end()) {
     return Status::NotFound("unknown dataset: " + name);
   }
-  return AtRestCipher(master_key_, name).Open(it->second.sealed);
-}
-
-Result<ml::Dataset> ProviderStorage::Load(const std::string& name) const {
-  PDS2_ASSIGN_OR_RETURN(Bytes plain, OpenAtRest(name));
-  return DeserializeDataset(plain);
-}
-
-Result<Bytes> ProviderStorage::SealForTransfer(
-    const std::string& name, const Bytes& transport_key) const {
   // The at-rest plaintext is already the SerializeDataset wire form, so it
   // is resealed as is.
-  PDS2_ASSIGN_OR_RETURN(Bytes plain, OpenAtRest(name));
+  PDS2_ASSIGN_OR_RETURN(
+      Bytes plain, AtRestCipher(master_key_, name).Open(it->second.sealed));
   return crypto::AuthCipher(transport_key)
       .Seal(plain, common::ToBytes("transfer." + name));
 }

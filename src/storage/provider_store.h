@@ -51,11 +51,8 @@ class ProviderStorage {
   std::vector<DatasetSummary> Match(const Ontology& ontology,
                                     const DataRequirement& requirement) const;
 
-  /// Summary of one dataset by name.
+  /// Summary of one dataset by name (what a dataset NFT mints).
   common::Result<DatasetSummary> Summary(const std::string& name) const;
-
-  /// Decrypts a dataset (the owner's own access path).
-  common::Result<ml::Dataset> Load(const std::string& name) const;
 
   /// Seals a dataset for transfer under a transport key the provider
   /// negotiated with an executor (ECDH). Only this call ever exposes
@@ -79,9 +76,6 @@ class ProviderStorage {
     common::Bytes sealed;  // SerializeDataset bytes, sealed at rest
     DatasetSummary summary;
   };
-
-  /// Opens a dataset's at-rest blob back to its SerializeDataset bytes.
-  common::Result<common::Bytes> OpenAtRest(const std::string& name) const;
 
   common::Bytes master_key_;
   std::map<std::string, Entry> datasets_;

@@ -5,8 +5,6 @@
 namespace pds2::storage {
 
 using common::Bytes;
-using common::Reader;
-using common::Result;
 using common::Status;
 using common::Writer;
 
@@ -20,10 +18,6 @@ Status Ontology::AddClass(const std::string& name, const std::string& parent) {
   }
   parents_[name] = parent;
   return Status::Ok();
-}
-
-bool Ontology::HasClass(const std::string& name) const {
-  return parents_.count(name) != 0;
 }
 
 bool Ontology::IsSubclassOf(const std::string& cls,
@@ -52,40 +46,6 @@ Ontology Ontology::StandardIot() {
   return o;
 }
 
-Bytes Ontology::Serialize() const {
-  Writer w;
-  w.PutU32(static_cast<uint32_t>(parents_.size()));
-  for (const auto& [name, parent] : parents_) {
-    w.PutString(name);
-    w.PutString(parent);
-  }
-  return w.Take();
-}
-
-Result<Ontology> Ontology::Deserialize(const Bytes& data) {
-  Reader r(data);
-  Ontology ontology;
-  PDS2_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
-  // std::map iteration is name-ordered, which does not guarantee parents
-  // precede children; insert classes first, then validate parent links.
-  std::map<std::string, std::string> entries;
-  for (uint32_t i = 0; i < n; ++i) {
-    PDS2_ASSIGN_OR_RETURN(std::string name, r.GetString());
-    PDS2_ASSIGN_OR_RETURN(std::string parent, r.GetString());
-    if (name.empty()) return Status::Corruption("empty ontology class");
-    if (!entries.emplace(name, parent).second) {
-      return Status::Corruption("duplicate ontology class");
-    }
-  }
-  for (const auto& [name, parent] : entries) {
-    if (!parent.empty() && entries.count(parent) == 0) {
-      return Status::Corruption("ontology parent missing: " + parent);
-    }
-  }
-  ontology.parents_ = std::move(entries);
-  return ontology;
-}
-
 Bytes SemanticMetadata::Serialize() const {
   Writer w;
   w.PutU32(static_cast<uint32_t>(types.size()));
@@ -101,29 +61,6 @@ Bytes SemanticMetadata::Serialize() const {
     w.PutString(v);
   }
   return w.Take();
-}
-
-Result<SemanticMetadata> SemanticMetadata::Deserialize(const Bytes& data) {
-  Reader r(data);
-  SemanticMetadata meta;
-  PDS2_ASSIGN_OR_RETURN(uint32_t n_types, r.GetU32());
-  for (uint32_t i = 0; i < n_types; ++i) {
-    PDS2_ASSIGN_OR_RETURN(std::string t, r.GetString());
-    meta.types.push_back(std::move(t));
-  }
-  PDS2_ASSIGN_OR_RETURN(uint32_t n_numeric, r.GetU32());
-  for (uint32_t i = 0; i < n_numeric; ++i) {
-    PDS2_ASSIGN_OR_RETURN(std::string k, r.GetString());
-    PDS2_ASSIGN_OR_RETURN(double v, r.GetDouble());
-    meta.numeric[k] = v;
-  }
-  PDS2_ASSIGN_OR_RETURN(uint32_t n_text, r.GetU32());
-  for (uint32_t i = 0; i < n_text; ++i) {
-    PDS2_ASSIGN_OR_RETURN(std::string k, r.GetString());
-    PDS2_ASSIGN_OR_RETURN(std::string v, r.GetString());
-    meta.text[k] = v;
-  }
-  return meta;
 }
 
 bool DataRequirement::Matches(const Ontology& ontology,
@@ -170,30 +107,6 @@ Bytes DataRequirement::Serialize() const {
   }
   w.PutU64(min_records);
   return w.Take();
-}
-
-Result<DataRequirement> DataRequirement::Deserialize(const Bytes& data) {
-  Reader r(data);
-  DataRequirement req;
-  PDS2_ASSIGN_OR_RETURN(uint32_t n_types, r.GetU32());
-  for (uint32_t i = 0; i < n_types; ++i) {
-    PDS2_ASSIGN_OR_RETURN(std::string t, r.GetString());
-    req.required_types.push_back(std::move(t));
-  }
-  PDS2_ASSIGN_OR_RETURN(uint32_t n_constraints, r.GetU32());
-  for (uint32_t i = 0; i < n_constraints; ++i) {
-    PropertyConstraint c;
-    PDS2_ASSIGN_OR_RETURN(uint8_t kind, r.GetU8());
-    if (kind > 1) return Status::Corruption("invalid constraint kind");
-    c.kind = static_cast<PropertyConstraint::Kind>(kind);
-    PDS2_ASSIGN_OR_RETURN(c.key, r.GetString());
-    PDS2_ASSIGN_OR_RETURN(c.min, r.GetDouble());
-    PDS2_ASSIGN_OR_RETURN(c.max, r.GetDouble());
-    PDS2_ASSIGN_OR_RETURN(c.value, r.GetString());
-    req.constraints.push_back(std::move(c));
-  }
-  PDS2_ASSIGN_OR_RETURN(req.min_records, r.GetU64());
-  return req;
 }
 
 }  // namespace pds2::storage

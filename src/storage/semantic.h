@@ -21,8 +21,6 @@ class Ontology {
   common::Status AddClass(const std::string& name,
                           const std::string& parent = "");
 
-  bool HasClass(const std::string& name) const;
-
   /// True if `cls` equals `ancestor` or transitively derives from it.
   bool IsSubclassOf(const std::string& cls, const std::string& ancestor) const;
 
@@ -30,13 +28,6 @@ class Ontology {
   /// iot -> {sensor -> {temperature, humidity, heart_rate, location},
   ///         wearable -> {smartwatch, fitness_band}}.
   static Ontology StandardIot();
-
-  /// Wire encoding, so consumers can ship custom ontologies inside
-  /// workload specs and storage subsystems reason over the same taxonomy.
-  common::Bytes Serialize() const;
-  static common::Result<Ontology> Deserialize(const common::Bytes& data);
-
-  size_t NumClasses() const { return parents_.size(); }
 
  private:
   std::map<std::string, std::string> parents_;  // class -> parent ("" = root)
@@ -51,9 +42,8 @@ struct SemanticMetadata {
   std::map<std::string, double> numeric;      // e.g. {"sampling_hz", 10}
   std::map<std::string, std::string> text;    // e.g. {"region", "EU"}
 
+  /// The bytes a dataset NFT carries next to the dataset commitment.
   common::Bytes Serialize() const;
-  static common::Result<SemanticMetadata> Deserialize(
-      const common::Bytes& data);
 };
 
 /// One property constraint inside a data requirement.
@@ -77,8 +67,8 @@ struct DataRequirement {
   bool Matches(const Ontology& ontology, const SemanticMetadata& metadata,
                uint64_t num_records) const;
 
+  /// Part of the workload spec's hashed encoding.
   common::Bytes Serialize() const;
-  static common::Result<DataRequirement> Deserialize(const common::Bytes& data);
 };
 
 }  // namespace pds2::storage

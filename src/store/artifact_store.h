@@ -23,29 +23,20 @@ namespace pds2::store {
 /// Lifecycle safety:
 ///  - Reads are verified: every chunk is re-hashed against the manifest
 ///    before reassembly, so silent corruption cannot escape the store.
-///  - GC roots pin artifacts; `CollectGarbage` mark-and-sweeps manifests
-///    and chunks reachable from no root.
-///  - The optional on-disk layout is three record files of the storage
-///    layer (storage/record_io.h): `chunks.pack`, `manifests.log` and
-///    `roots.log` take appends through handles that stay open, and GC
-///    compacts them through the atomic replace. A torn or bit-rotted tail
-///    record is truncated on open, and the affected artifact fails closed
-///    on read instead of returning garbage. The store shares the chain
-///    store's crash model (a scripted common::CrashPoint kills it until
-///    reopened). Writes are flushed to the OS but never fsynced: they
-///    survive a process kill, not a power loss.
+///  - The optional on-disk layout is two append-only record files of the
+///    storage layer (storage/record_io.h): `chunks.pack` and
+///    `manifests.log` take appends through handles that stay open, and
+///    nothing is ever removed. A torn or bit-rotted tail record is
+///    truncated on open, and the affected artifact fails closed on read
+///    instead of returning garbage. The store shares the chain store's
+///    crash model (a scripted common::CrashPoint kills it until reopened).
+///    Writes are flushed to the OS but never fsynced: they survive a
+///    process kill, not a power loss.
 struct ArtifactStoreOptions {
   /// Chunking granularity. Smaller chunks dedup better, cost more hashes.
   size_t chunk_size = 4096;
   /// Directory for the durable layout; empty = in-memory only.
   std::string dir;
-};
-
-/// What `CollectGarbage` reclaimed.
-struct GcStats {
-  uint64_t manifests_removed = 0;
-  uint64_t chunks_removed = 0;
-  uint64_t bytes_reclaimed = 0;
 };
 
 class ArtifactStore {
@@ -67,20 +58,8 @@ class ArtifactStore {
   /// unknown address or a chunk lost to a torn write.
   common::Result<common::Bytes> Get(const common::Bytes& address) const;
 
-  bool Contains(const common::Bytes& address) const;
-
-  /// GC roots are refcounted: AddRoot twice requires RemoveRoot twice.
-  common::Status AddRoot(const common::Bytes& address);
-  common::Status RemoveRoot(const common::Bytes& address);
-
-  /// Mark-and-sweep: drops every manifest not reachable from a root, then
-  /// every chunk referenced by no surviving manifest. In disk mode the
-  /// manifest log, the root log and the pack are compacted through the
-  /// atomic replace, the same one the chain snapshot uses.
-  common::Result<GcStats> CollectGarbage();
-
   /// Dedup accounting. Logical = sum of blob sizes accepted by Put;
-  /// stored = bytes of unique live chunks. Ratio >= 1.0, and > 1.0 as
+  /// stored = bytes of unique chunks. Ratio >= 1.0, and > 1.0 as
   /// soon as two artifacts share a chunk.
   uint64_t LogicalBytes() const { return logical_bytes_; }
   uint64_t StoredBytes() const { return stored_bytes_; }
@@ -96,8 +75,6 @@ class ArtifactStore {
   struct Manifest {
     uint64_t blob_size = 0;
     std::vector<common::Bytes> chunk_hashes;
-    /// Logical bytes this artifact contributed (for GC accounting).
-    uint64_t logical_size = 0;
   };
 
   /// Manifest wire format: u64 blob size, u32 chunk count, then one
@@ -110,17 +87,14 @@ class ArtifactStore {
   explicit ArtifactStore(ArtifactStoreOptions options);
 
   common::Status ReplayDisk();
-  common::Status RewriteDisk();
 
   ArtifactStoreOptions options_;
   // Disk mode only; null in memory.
   std::unique_ptr<storage::RecordDir> disk_;
   std::unique_ptr<storage::RecordLog> chunk_log_;     // chunks.pack
   std::unique_ptr<storage::RecordLog> manifest_log_;  // manifests.log
-  std::unique_ptr<storage::RecordLog> root_log_;      // roots.log
   std::map<common::Bytes, common::Bytes> chunks_;    // chunk hash -> data
   std::map<common::Bytes, Manifest> manifests_;      // address -> manifest
-  std::map<common::Bytes, uint64_t> roots_;          // address -> refcount
   uint64_t logical_bytes_ = 0;
   uint64_t stored_bytes_ = 0;
 };

@@ -86,16 +86,6 @@ std::vector<Advert> DiscoveryIndex::FindByTag(const std::string& tag) const {
   return out;
 }
 
-std::vector<Advert> DiscoveryIndex::FindByHash(
-    const Bytes& content_hash) const {
-  std::vector<Advert> out;
-  auto it = entries_.lower_bound(Key{content_hash, ""});
-  for (; it != entries_.end() && it->first.first == content_hash; ++it) {
-    out.push_back(it->second);
-  }
-  return out;
-}
-
 Bytes DiscoveryIndex::Digest() const {
   // entries_ is an ordered map, so iteration is already canonical.
   crypto::Sha256 hasher;

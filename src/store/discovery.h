@@ -44,7 +44,6 @@ class DiscoveryIndex {
   bool Upsert(const Advert& advert);
 
   std::vector<Advert> FindByTag(const std::string& tag) const;
-  std::vector<Advert> FindByHash(const common::Bytes& content_hash) const;
 
   size_t size() const { return entries_.size(); }
 

@@ -5,8 +5,6 @@
 namespace pds2::tee {
 
 using common::Bytes;
-using common::Reader;
-using common::Result;
 using common::Status;
 using common::Writer;
 
@@ -47,30 +45,6 @@ Bytes AttestationQuote::SignedBytes() const {
   w.PutBytes(report_data);
   w.PutString(device_id);
   return w.Take();
-}
-
-Bytes AttestationQuote::Serialize() const {
-  Writer w;
-  w.PutBytes(measurement);
-  w.PutBytes(report_data);
-  w.PutString(device_id);
-  w.PutBytes(device_public_key);
-  w.PutBytes(device_certificate);
-  w.PutBytes(signature);
-  return w.Take();
-}
-
-Result<AttestationQuote> AttestationQuote::Deserialize(const Bytes& data) {
-  Reader r(data);
-  AttestationQuote quote;
-  PDS2_ASSIGN_OR_RETURN(quote.measurement, r.GetBytes());
-  PDS2_ASSIGN_OR_RETURN(quote.report_data, r.GetBytes());
-  PDS2_ASSIGN_OR_RETURN(quote.device_id, r.GetString());
-  PDS2_ASSIGN_OR_RETURN(quote.device_public_key, r.GetBytes());
-  PDS2_ASSIGN_OR_RETURN(quote.device_certificate, r.GetBytes());
-  PDS2_ASSIGN_OR_RETURN(quote.signature, r.GetBytes());
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes in quote");
-  return quote;
 }
 
 Status VerifyQuote(const AttestationQuote& quote,

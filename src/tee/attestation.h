@@ -54,9 +54,6 @@ struct AttestationQuote {
   common::Bytes signature;  // device key over (measurement, report_data)
 
   common::Bytes SignedBytes() const;
-  common::Bytes Serialize() const;
-  static common::Result<AttestationQuote> Deserialize(
-      const common::Bytes& data);
 };
 
 /// Full verification chain: device certificate against the root key, then

@@ -53,10 +53,6 @@ AttestationQuote Enclave::GenerateQuote(const Bytes& user_data) const {
   return quote;
 }
 
-Result<Bytes> Enclave::DeriveTransportKey(const Bytes& peer_public_key) const {
-  return transport_key_.SharedSecret(peer_public_key);
-}
-
 Bytes Enclave::SealingKey() const {
   // Bound to device AND measurement: neither another device nor another
   // enclave identity can derive it (MRENCLAVE sealing policy).

@@ -45,7 +45,8 @@ common::Bytes MeasureKernel(const std::string& name, uint64_t version);
 
 /// A simulated SGX enclave: measured launch, remote attestation, sealed
 /// storage bound to (device, measurement), an enclave-private transport key
-/// for ECDH with providers, and ecall-only access to the kernel.
+/// for ECDH with providers (derived only through EnclaveServices, inside an
+/// ecall), and ecall-only access to the kernel.
 class Enclave {
  public:
   /// "EINIT": creates an enclave running `kernel` on the device described
@@ -68,11 +69,6 @@ class Enclave {
   /// Remote attestation: a quote over `user_data` plus the transport key,
   /// verifiable against the attestation root.
   AttestationQuote GenerateQuote(const common::Bytes& user_data) const;
-
-  /// Derives the shared transport key with a peer (ECDH inside the
-  /// enclave).
-  common::Result<common::Bytes> DeriveTransportKey(
-      const common::Bytes& peer_public_key) const;
 
   /// Seals data so only this enclave identity on this device can unseal it
   /// (key = KDF(device_secret, measurement)).

@@ -35,15 +35,6 @@ TEST_F(AuthTest, GenuineReadingAccepted) {
   EXPECT_EQ(verifier_.Verify(reading, 2000), RejectReason::kAccepted);
 }
 
-TEST_F(AuthTest, SerializationRoundTrip) {
-  SignedReading reading = device_.Emit(1000, {21.5, 22.0});
-  auto round = SignedReading::Deserialize(reading.Serialize());
-  ASSERT_TRUE(round.ok());
-  EXPECT_EQ(round->device_id, "thermo-001");
-  EXPECT_EQ(round->values, reading.values);
-  EXPECT_EQ(verifier_.Verify(*round, 2000), RejectReason::kAccepted);
-}
-
 TEST_F(AuthTest, TamperedValuesRejected) {
   SignedReading reading = device_.Emit(1000, {21.5});
   reading.values[0] = 99.0;  // inflate the reading after signing

@@ -502,7 +502,7 @@ TEST_F(ChainTest, UnknownContractRejectedAtSubmission) {
   EXPECT_FALSE(chain_.SubmitTransaction(tx).ok());
 }
 
-TEST_F(ChainTest, EventsForAggregatesAuditTrail) {
+TEST_F(ChainTest, ReceiptsCarryTheInstanceEvents) {
   Writer deploy_args;
   deploy_args.PutString("AUD");
   deploy_args.PutU64(500);
@@ -510,25 +510,23 @@ TEST_F(ChainTest, EventsForAggregatesAuditTrail) {
       alice_, 0, Address{}, 0, kGas,
       CallPayload{"erc20", 0, "deploy", deploy_args.Take()}));
   const uint64_t inst = *InstanceIdFromReceipt(deploy);
+  ASSERT_EQ(deploy.events.size(), 1u);
+  EXPECT_EQ(deploy.events[0].name, "Deployed");
+  EXPECT_EQ(deploy.events[0].contract, "erc20");
+  EXPECT_EQ(deploy.events[0].instance, inst);
 
   for (uint64_t i = 0; i < 3; ++i) {
     Writer t;
     t.PutBytes(AddressOf(bob_));
     t.PutU64(10 + i);
-    ASSERT_TRUE(Run(Transaction::Make(alice_, 1 + i, Address{}, 0, kGas,
-                                      CallPayload{"erc20", inst, "transfer",
-                                                  t.Take()}))
-                    .success);
+    Receipt transfer = Run(Transaction::Make(
+        alice_, 1 + i, Address{}, 0, kGas,
+        CallPayload{"erc20", inst, "transfer", t.Take()}));
+    ASSERT_TRUE(transfer.success);
+    ASSERT_EQ(transfer.events.size(), 1u);
+    EXPECT_EQ(transfer.events[0].name, "Transfer");
+    EXPECT_EQ(transfer.events[0].instance, inst);
   }
-
-  auto events = chain_.EventsFor("erc20", inst);
-  // 1 Deployed + 3 Transfer events, in chain order.
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].name, "Deployed");
-  for (int i = 1; i < 4; ++i) EXPECT_EQ(events[i].name, "Transfer");
-  // Another instance sees nothing.
-  EXPECT_TRUE(chain_.EventsFor("erc20", inst + 1).empty());
-  EXPECT_TRUE(chain_.EventsFor("erc721", inst).empty());
 }
 
 TEST_F(ChainTest, CallToUndeployedInstanceFails) {

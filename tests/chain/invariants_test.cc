@@ -10,7 +10,6 @@
 #include <optional>
 #include <vector>
 
-#include "auth/device.h"
 #include "chain/chain.h"
 #include "chain/contracts/workload.h"
 #include "chain/evidence.h"
@@ -20,13 +19,10 @@
 #include "common/serial.h"
 #include "crypto/ed25519.h"
 #include "crypto/sha256.h"
-#include "market/spec.h"
 #include "storage/provider_store.h"
 #include "storage/record_io.h"
-#include "storage/semantic.h"
 #include "store/artifact_store.h"
 #include "store/discovery.h"
-#include "tee/attestation.h"
 
 namespace pds2::chain {
 namespace {
@@ -107,14 +103,7 @@ TEST_P(DeserializerFuzz, RandomBytesAreRejectedGracefully) {
     (void)Block::Deserialize(junk);
     (void)EquivocationEvidence::Deserialize(junk);
     (void)contracts::ParticipationCert::Deserialize(junk);
-    (void)tee::AttestationQuote::Deserialize(junk);
-    (void)auth::SignedReading::Deserialize(junk);
-    (void)market::WorkloadSpec::Deserialize(junk);
-    (void)storage::Ontology::Deserialize(junk);
-    (void)storage::SemanticMetadata::Deserialize(junk);
-    (void)storage::DataRequirement::Deserialize(junk);
     (void)WorldState::DeserializeSnapshot(junk);
-    (void)StateProof::Deserialize(junk);
     (void)storage::DeserializeDataset(junk);
     (void)store::ArtifactStore::DecodeManifest(junk);
     (void)crypto::EdPoint::Decode(junk);
@@ -284,24 +273,52 @@ TEST(CanonicalEncoding, AdvertDecodeAcceptsOnlyCanonicalBytes) {
       });
 }
 
-TEST(CanonicalEncoding, StateProofDecodeAcceptsOnlyCanonicalBytes) {
+TEST(CanonicalEncoding, ParticipationCertDecodeAcceptsOnlyCanonicalBytes) {
   Rng rng(14);
-  WorldState state;
-  ASSERT_TRUE(state.Credit(Bytes(kAddressSize, 3), 9).ok());
-  state.StoragePut("ns", ToBytes("k"), ToBytes("v"));
-  const Hash root = state.Digest();
-  const std::vector<Bytes> seeds = {
-      StateProof().Serialize(),
-      state.ProveAccount(Bytes(kAddressSize, 3)).Serialize(),
-      state.ProveSlot("ns", ToBytes("absent")).Serialize()};
+  const SigningKey provider = SigningKey::FromSeed(ToBytes("canonical-p"));
+  contracts::ParticipationCert cert;
+  cert.workload_instance = 9;
+  cert.provider_public_key = provider.PublicKey();
+  cert.executor_public_key = Bytes(32, 5);
+  cert.data_commitment = Bytes(32, 2);
+  cert.num_records = 10;
+  cert.Sign(provider);
   ExpectCanonicalUnderMutation(
-      seeds, rng, [&root](const Bytes& b) -> std::optional<Bytes> {
-        auto proof = StateProof::Deserialize(b);
-        if (!proof.ok()) return std::nullopt;
-        // Whatever decodes must also be safe to verify.
-        (void)WorldState::VerifySlot(root, "ns", ToBytes("k"), *proof);
-        (void)WorldState::VerifyAccount(root, Bytes(kAddressSize, 3), *proof);
-        return proof->Serialize();
+      {contracts::ParticipationCert().Serialize(), cert.Serialize()}, rng,
+      [](const Bytes& b) -> std::optional<Bytes> {
+        auto decoded = contracts::ParticipationCert::Deserialize(b);
+        if (!decoded.ok()) return std::nullopt;
+        return decoded->Serialize();
+      });
+}
+
+TEST(CanonicalEncoding, DatasetDecodeAcceptsOnlyCanonicalBytes) {
+  Rng rng(19);
+  ml::Dataset data;
+  data.x = {{1.5, -2.0, 0.0}, {}, {3.25}};
+  data.y = {1.0, 0.0, -7.5};
+  ExpectCanonicalUnderMutation(
+      {storage::SerializeDataset(ml::Dataset()),
+       storage::SerializeDataset(data)},
+      rng, [](const Bytes& b) -> std::optional<Bytes> {
+        auto decoded = storage::DeserializeDataset(b);
+        if (!decoded.ok()) return std::nullopt;
+        return storage::SerializeDataset(*decoded);
+      });
+}
+
+TEST(CanonicalEncoding, ArtifactManifestDecodeAcceptsOnlyCanonicalBytes) {
+  Rng rng(20);
+  store::ArtifactStore::Manifest manifest;
+  manifest.blob_size = 5000;
+  manifest.chunk_hashes = {rng.NextBytes(32), rng.NextBytes(32)};
+  ExpectCanonicalUnderMutation(
+      {store::ArtifactStore::EncodeManifest({}),
+       store::ArtifactStore::EncodeManifest(manifest)},
+      rng, [](const Bytes& b) -> std::optional<Bytes> {
+        auto decoded = store::ArtifactStore::DecodeManifest(b);
+        if (!decoded.ok()) return std::nullopt;
+        return store::ArtifactStore::EncodeManifest(*decoded);
       });
 }
 
@@ -451,13 +468,6 @@ TEST(CraftedDecoderInput, HugeElementCountsAreRejected) {
   auto merged = discovery.Merge(index.Take());
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), common::StatusCode::kCorruption);
-
-  Writer proof;
-  proof.PutBytes({});
-  proof.PutU32(0xFFFFFFFF);  // path steps
-  auto parsed_proof = StateProof::Deserialize(proof.Take());
-  ASSERT_FALSE(parsed_proof.ok());
-  EXPECT_EQ(parsed_proof.status().code(), common::StatusCode::kCorruption);
 }
 
 // --- Truncation fuzz: every prefix of a valid message is rejected -----------

@@ -224,10 +224,9 @@ TEST_F(LedgerSafetyTest, ExecutedTransactionCannotBeResubmitted) {
   EXPECT_EQ(chain_->GetBalance(AddressOf(*bob_)), bob_before + 7);  // once
 }
 
-// Bonding moves tokens balance -> stake and release moves them back; the
-// conserved quantity balance + staked + burned never changes, and neither
-// side can be overdrawn.
-TEST_F(LedgerSafetyTest, StakeBondReleaseConservesSupply) {
+// Bonding moves tokens balance -> stake; the conserved quantity balance +
+// staked + burned never changes, and the balance cannot be overdrawn.
+TEST_F(LedgerSafetyTest, StakeBondConservesSupply) {
   WorldState state;
   Address v(20, 0x44);
   ASSERT_TRUE(state.Credit(v, 1'000).ok());
@@ -238,13 +237,8 @@ TEST_F(LedgerSafetyTest, StakeBondReleaseConservesSupply) {
   EXPECT_EQ(state.StakeOf(v), 600u);
   EXPECT_EQ(state.TotalBalance() + state.TotalStaked() + state.BurnedTotal(),
             total);
-  EXPECT_FALSE(state.StakeBond(v, 500).ok());     // balance is only 400
-  EXPECT_FALSE(state.StakeRelease(v, 601).ok());  // stake is only 600
-  ASSERT_TRUE(state.StakeRelease(v, 600).ok());
-  EXPECT_EQ(state.GetBalance(v), 1'000u);
-  EXPECT_EQ(state.StakeOf(v), 0u);
-  EXPECT_EQ(state.TotalBalance() + state.TotalStaked() + state.BurnedTotal(),
-            total);
+  EXPECT_FALSE(state.StakeBond(v, 500).ok());  // balance is only 400
+  EXPECT_EQ(state.StakeOf(v), 600u);
 }
 
 // Slashing splits the forfeited stake exactly: the reporter bounty rounds

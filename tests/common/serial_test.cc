@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <limits>
 
 #include "common/serial.h"
 
@@ -10,20 +9,16 @@ namespace {
 TEST(SerialTest, PrimitivesRoundTrip) {
   Writer w;
   w.PutU8(0xab);
-  w.PutU16(0xbeef);
   w.PutU32(0xdeadbeef);
   w.PutU64(0x0123456789abcdefULL);
-  w.PutI64(-42);
   w.PutDouble(3.14159);
   w.PutBool(true);
   w.PutBool(false);
 
   Reader r(w.data());
   EXPECT_EQ(r.GetU8().value(), 0xab);
-  EXPECT_EQ(r.GetU16().value(), 0xbeef);
   EXPECT_EQ(r.GetU32().value(), 0xdeadbeefu);
   EXPECT_EQ(r.GetU64().value(), 0x0123456789abcdefULL);
-  EXPECT_EQ(r.GetI64().value(), -42);
   EXPECT_DOUBLE_EQ(r.GetDouble().value(), 3.14159);
   EXPECT_TRUE(r.GetBool().value());
   EXPECT_FALSE(r.GetBool().value());
@@ -45,13 +40,10 @@ TEST(SerialTest, StringsAndBytesRoundTrip) {
 
 TEST(SerialTest, VectorsRoundTrip) {
   Writer w;
-  w.PutU64Vector({1, 2, std::numeric_limits<uint64_t>::max()});
   w.PutDoubleVector({0.5, -1.25});
   w.PutDoubleVector({});
 
   Reader r(w.data());
-  EXPECT_EQ(r.GetU64Vector().value(),
-            (std::vector<uint64_t>{1, 2, std::numeric_limits<uint64_t>::max()}));
   EXPECT_EQ(r.GetDoubleVector().value(), (std::vector<double>{0.5, -1.25}));
   EXPECT_TRUE(r.GetDoubleVector().value().empty());
   EXPECT_TRUE(r.AtEnd());
@@ -94,8 +86,8 @@ TEST(SerialTest, RemainingTracksConsumption) {
   w.PutU32(5);
   Reader r(w.data());
   EXPECT_EQ(r.remaining(), 4u);
-  ASSERT_TRUE(r.GetU16().ok());
-  EXPECT_EQ(r.remaining(), 2u);
+  ASSERT_TRUE(r.GetU8().ok());
+  EXPECT_EQ(r.remaining(), 3u);
 }
 
 }  // namespace

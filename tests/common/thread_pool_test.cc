@@ -23,20 +23,6 @@ TEST(ThreadPoolTest, DefaultThreadCountHonorsEnvOverride) {
   EXPECT_GE(ThreadPool::DefaultThreadCount(), 1u);
 }
 
-TEST(ThreadPoolTest, SubmitRunsTaskAndSignalsFuture) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  auto future = pool.Submit([&] { ran.fetch_add(1); });
-  future.get();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  auto future = pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
 TEST(ThreadPoolTest, ParallelForEmptyRangeNeverInvokesBody) {
   for (size_t threads : {1u, 4u}) {
     ThreadPool pool(threads);
@@ -104,19 +90,6 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
       pool.ParallelFor(0, 8, [&](size_t j) { total.fetch_add(j); });
     });
     EXPECT_EQ(total.load(), 8u * 28u);  // 8 outer x sum(0..7)
-  }
-}
-
-TEST(ThreadPoolTest, NestedSubmitFromWorkerCompletes) {
-  for (size_t threads : {1u, 2u}) {
-    ThreadPool pool(threads);
-    std::atomic<int> inner_ran{0};
-    auto outer = pool.Submit([&] {
-      auto inner = pool.Submit([&] { inner_ran.fetch_add(1); });
-      inner.get();  // inline execution: already satisfied, cannot deadlock
-    });
-    outer.get();
-    EXPECT_EQ(inner_ran.load(), 1);
   }
 }
 

@@ -24,30 +24,46 @@ std::vector<Bytes> MakeLeaves(size_t n) {
 TEST(MerkleTest, EmptyTreeHasSentinelRoot) {
   MerkleTree tree({});
   EXPECT_EQ(tree.Root(), Sha256::Hash(Bytes{}));
-  EXPECT_EQ(tree.LeafCount(), 0u);
-  EXPECT_FALSE(tree.Prove(0).ok());
 }
 
 TEST(MerkleTest, SingleLeafRootIsLeafHash) {
   auto leaves = MakeLeaves(1);
   MerkleTree tree(leaves);
   EXPECT_EQ(tree.Root(), MerkleTree::HashLeaf(leaves[0]));
-  auto proof = tree.Prove(0);
-  ASSERT_TRUE(proof.ok());
-  EXPECT_TRUE(proof->empty());
-  EXPECT_TRUE(MerkleTree::Verify(tree.Root(), leaves[0], *proof));
+  EXPECT_TRUE(MerkleTree::Verify(tree.Root(), leaves[0], {}));
+}
+
+// The root the class comment describes: hash the leaves, then pair nodes
+// level by level, promoting an odd last node unchanged.
+Bytes ReferenceRoot(const std::vector<Bytes>& leaves) {
+  std::vector<Bytes> level;
+  for (const Bytes& leaf : leaves) level.push_back(MerkleTree::HashLeaf(leaf));
+  while (level.size() > 1) {
+    std::vector<Bytes> next;
+    for (size_t i = 0; i + 1 < level.size(); i += 2) {
+      Sha256 h;
+      const uint8_t prefix = 0x01;
+      h.Update(&prefix, 1);
+      h.Update(level[i]);
+      h.Update(level[i + 1]);
+      next.push_back(h.Finish());
+    }
+    if (level.size() % 2 == 1) next.push_back(level.back());
+    level = std::move(next);
+  }
+  return level[0];
 }
 
 class MerkleSizeSweep : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(MerkleSizeSweep, AllLeavesProveAndVerify) {
+TEST_P(MerkleSizeSweep, RootMatchesTheReferenceAtAnyPoolSize) {
   const size_t n = GetParam();
   auto leaves = MakeLeaves(n);
-  MerkleTree tree(leaves);
-  for (size_t i = 0; i < n; ++i) {
-    auto proof = tree.Prove(i);
-    ASSERT_TRUE(proof.ok()) << i;
-    EXPECT_TRUE(MerkleTree::Verify(tree.Root(), leaves[i], *proof)) << i;
+  const Bytes expected = ReferenceRoot(leaves);
+  EXPECT_EQ(MerkleTree(leaves).Root(), expected);
+  for (size_t threads : {2u, 4u}) {
+    common::ThreadPool pool(threads);
+    EXPECT_EQ(MerkleTree(leaves, &pool).Root(), expected) << threads;
   }
 }
 
@@ -55,30 +71,35 @@ INSTANTIATE_TEST_SUITE_P(Sizes, MerkleSizeSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17,
                                            31, 33, 64, 100));
 
+// Verify against proofs of a full tree (IncrementalMerkleTree, which hashes
+// exactly as MerkleTree does).
+struct ProvedLeaves {
+  std::vector<Bytes> leaves = MakeLeaves(8);
+  IncrementalMerkleTree tree{3};
+  ProvedLeaves() {
+    tree.Update({0, 1, 2, 3, 4, 5, 6, 7},
+                [this](size_t i) { return leaves[i]; });
+  }
+};
+
 TEST(MerkleTest, WrongLeafFailsVerification) {
-  auto leaves = MakeLeaves(8);
-  MerkleTree tree(leaves);
-  auto proof = tree.Prove(3);
-  ASSERT_TRUE(proof.ok());
-  EXPECT_FALSE(MerkleTree::Verify(tree.Root(), ToBytes("forged"), *proof));
+  ProvedLeaves t;
+  ASSERT_TRUE(MerkleTree::Verify(t.tree.Root(), t.leaves[3], t.tree.Prove(3)));
+  EXPECT_FALSE(
+      MerkleTree::Verify(t.tree.Root(), ToBytes("forged"), t.tree.Prove(3)));
 }
 
 TEST(MerkleTest, WrongRootFailsVerification) {
-  auto leaves = MakeLeaves(8);
-  MerkleTree tree(leaves);
-  auto proof = tree.Prove(3);
-  ASSERT_TRUE(proof.ok());
-  Bytes bad_root = tree.Root();
+  ProvedLeaves t;
+  Bytes bad_root = t.tree.Root();
   bad_root[0] ^= 1;
-  EXPECT_FALSE(MerkleTree::Verify(bad_root, leaves[3], *proof));
+  EXPECT_FALSE(MerkleTree::Verify(bad_root, t.leaves[3], t.tree.Prove(3)));
 }
 
 TEST(MerkleTest, ProofForOneLeafDoesNotVerifyAnother) {
-  auto leaves = MakeLeaves(8);
-  MerkleTree tree(leaves);
-  auto proof = tree.Prove(2);
-  ASSERT_TRUE(proof.ok());
-  EXPECT_FALSE(MerkleTree::Verify(tree.Root(), leaves[5], *proof));
+  ProvedLeaves t;
+  EXPECT_FALSE(
+      MerkleTree::Verify(t.tree.Root(), t.leaves[5], t.tree.Prove(2)));
 }
 
 TEST(MerkleTest, RootDependsOnLeafOrder) {
@@ -104,19 +125,6 @@ TEST(MerkleTest, LeafNodeDomainSeparation) {
   // the same hash (0x00/0x01 prefixes prevent second-preimage confusion).
   Bytes data = ToBytes("x");
   EXPECT_NE(MerkleTree::HashLeaf(data), Sha256::Hash(data));
-}
-
-TEST(MerkleTest, LargeRandomTree) {
-  Rng rng(1);
-  std::vector<Bytes> leaves;
-  for (int i = 0; i < 500; ++i) leaves.push_back(rng.NextBytes(40));
-  MerkleTree tree(leaves);
-  for (size_t i : {0u, 1u, 250u, 498u, 499u}) {
-    auto proof = tree.Prove(i);
-    ASSERT_TRUE(proof.ok());
-    EXPECT_TRUE(MerkleTree::Verify(tree.Root(), leaves[i], *proof));
-  }
-  EXPECT_FALSE(tree.Prove(500).ok());
 }
 
 // --- IncrementalMerkleTree --------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <numeric>
+#include <vector>
 
 #include "common/rng.h"
 #include "crypto/secret_sharing.h"
@@ -10,13 +11,18 @@ namespace {
 
 using common::Rng;
 
+// Additive shares recombine by plain addition mod 2^64.
+uint64_t Reconstruct(const std::vector<uint64_t>& shares) {
+  return std::accumulate(shares.begin(), shares.end(), uint64_t{0});
+}
+
 TEST(AdditiveShareTest, ReconstructsSecret) {
   Rng rng(1);
   for (size_t n : {1u, 2u, 3u, 10u, 100u}) {
     const uint64_t secret = rng.NextU64();
     auto shares = AdditiveShare(secret, n, rng);
     EXPECT_EQ(shares.size(), n);
-    EXPECT_EQ(AdditiveReconstruct(shares), secret);
+    EXPECT_EQ(Reconstruct(shares), secret);
   }
 }
 
@@ -29,7 +35,7 @@ TEST(AdditiveShareTest, SharesAreLinear) {
   auto sb = AdditiveShare(b, 3, rng);
   std::vector<uint64_t> sum(3);
   for (int i = 0; i < 3; ++i) sum[i] = sa[i] + sb[i];
-  EXPECT_EQ(AdditiveReconstruct(sum), a + b);
+  EXPECT_EQ(Reconstruct(sum), a + b);
 }
 
 TEST(AdditiveShareTest, SingleShareLeaksNothingStructural) {
@@ -59,84 +65,6 @@ TEST(BeaverTripleTest, TwoPartyMultiplicationProtocol) {
     uint64_t z1 = t.c_share[1] + e * t.b_share[1] + f * t.a_share[1];
     EXPECT_EQ(z0 + z1, x * y);
   }
-}
-
-class ShamirParamTest
-    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
-
-TEST_P(ShamirParamTest, ThresholdReconstruction) {
-  auto [t, n] = GetParam();
-  Rng rng(5 + t * 31 + n);
-  const uint64_t secret = rng.NextU64(kShamirPrime);
-  auto shares = ShamirSplit(secret, t, n, rng);
-  ASSERT_TRUE(shares.ok());
-  ASSERT_EQ(shares->size(), n);
-
-  // Any t shares reconstruct. Try the first t and the last t.
-  std::vector<ShamirShare> first(shares->begin(), shares->begin() + t);
-  EXPECT_EQ(ShamirReconstruct(first).value(), secret);
-  std::vector<ShamirShare> last(shares->end() - static_cast<ptrdiff_t>(t),
-                                shares->end());
-  EXPECT_EQ(ShamirReconstruct(last).value(), secret);
-
-  // All n shares also reconstruct.
-  EXPECT_EQ(ShamirReconstruct(*shares).value(), secret);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ThresholdSweep, ShamirParamTest,
-    ::testing::Values(std::make_tuple(1, 1), std::make_tuple(1, 5),
-                      std::make_tuple(2, 3), std::make_tuple(3, 5),
-                      std::make_tuple(5, 5), std::make_tuple(4, 10),
-                      std::make_tuple(7, 12)));
-
-TEST(ShamirTest, FewerThanThresholdSharesDoNotReconstruct) {
-  Rng rng(6);
-  const uint64_t secret = 123456789;
-  auto shares = ShamirSplit(secret, 3, 5, rng);
-  ASSERT_TRUE(shares.ok());
-  std::vector<ShamirShare> two(shares->begin(), shares->begin() + 2);
-  auto wrong = ShamirReconstruct(two);
-  ASSERT_TRUE(wrong.ok());
-  EXPECT_NE(*wrong, secret);  // interpolating a degree-2 poly from 2 points
-}
-
-TEST(ShamirTest, RejectsInvalidParameters) {
-  Rng rng(7);
-  EXPECT_FALSE(ShamirSplit(1, 0, 5, rng).ok());
-  EXPECT_FALSE(ShamirSplit(1, 6, 5, rng).ok());
-  EXPECT_FALSE(ShamirSplit(kShamirPrime, 2, 3, rng).ok());
-}
-
-TEST(ShamirTest, RejectsDuplicateShares) {
-  Rng rng(8);
-  auto shares = ShamirSplit(42, 2, 3, rng);
-  ASSERT_TRUE(shares.ok());
-  std::vector<ShamirShare> dup = {(*shares)[0], (*shares)[0]};
-  EXPECT_FALSE(ShamirReconstruct(dup).ok());
-}
-
-TEST(ShamirTest, RejectsOutOfFieldShares) {
-  EXPECT_FALSE(ShamirReconstruct({{0, 1}}).ok());
-  EXPECT_FALSE(ShamirReconstruct({{1, kShamirPrime}}).ok());
-  EXPECT_FALSE(ShamirReconstruct({}).ok());
-}
-
-TEST(ShamirTest, ZeroSecretWorks) {
-  Rng rng(9);
-  auto shares = ShamirSplit(0, 2, 4, rng);
-  ASSERT_TRUE(shares.ok());
-  std::vector<ShamirShare> any_two = {(*shares)[1], (*shares)[3]};
-  EXPECT_EQ(ShamirReconstruct(any_two).value(), 0u);
-}
-
-TEST(ShamirTest, MaxSecretWorks) {
-  Rng rng(10);
-  const uint64_t secret = kShamirPrime - 1;
-  auto shares = ShamirSplit(secret, 3, 4, rng);
-  ASSERT_TRUE(shares.ok());
-  std::vector<ShamirShare> three(shares->begin(), shares->begin() + 3);
-  EXPECT_EQ(ShamirReconstruct(three).value(), secret);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "../obs/time_series_reader.h"
 #include "health_sampler.h"
 #include "common/fault.h"
 #include "common/thread_pool.h"
@@ -167,11 +168,12 @@ TEST(ScaleNetSimTest, TickSampledHealthSeriesBitIdenticalAcrossThreads) {
     HealthTrace trace;
     trace.sample_count = ts.SampleCount();
     trace.digest = monitor.EventsDigest();
-    for (size_t i = ts.OldestRetained(); i < ts.SampleCount(); ++i) {
+    const obs::HealthExport health = obs::ReadBack(ts);
+    for (uint64_t i = obs::OldestRetained(health); i < health.samples; ++i) {
       // Absent means the counter had not been touched yet — semantically
       // zero. (Whether the series exists at the first tick depends on
       // global-registry warmup from earlier runs, not on thread count.)
-      const auto v = ts.ValueAt("dml.net.messages_sent", i);
+      const auto v = obs::ValueAt(health, "dml.net.messages_sent", i);
       trace.sent.push_back(v.value_or(0.0));
     }
     return trace;

@@ -241,18 +241,6 @@ TEST_F(MarketplaceTest, InEnclaveValidationLabelBalance) {
   EXPECT_EQ(report->provider_rewards.count("provider-onesided"), 0u);
 }
 
-TEST_F(MarketplaceTest, SpecSerializationRoundTrip) {
-  WorkloadSpec spec = BasicSpec();
-  spec.dp_enabled = true;
-  spec.reward_policy = RewardPolicy::kShapley;
-  auto round = WorkloadSpec::Deserialize(spec.Serialize());
-  ASSERT_TRUE(round.ok());
-  EXPECT_EQ(round->name, spec.name);
-  EXPECT_EQ(round->reward_pool, spec.reward_pool);
-  EXPECT_EQ(round->reward_policy, RewardPolicy::kShapley);
-  EXPECT_EQ(round->SpecHash(), spec.SpecHash());
-}
-
 TEST_F(MarketplaceTest, TeeStarAggregationMatchesAllReduce) {
   WorkloadSpec star = BasicSpec();
   star.aggregation = AggregationMethod::kTeeStar;

@@ -16,12 +16,6 @@ TEST(LinalgTest, AxpyAccumulates) {
   EXPECT_EQ(y, Vec({3, 5, 7}));
 }
 
-TEST(LinalgTest, ScaleInPlace) {
-  Vec x = {2, -4};
-  Scale(0.5, x);
-  EXPECT_EQ(x, Vec({1, -2}));
-}
-
 TEST(LinalgTest, Norm2) {
   EXPECT_DOUBLE_EQ(Norm2({3, 4}), 5.0);
   EXPECT_DOUBLE_EQ(Norm2({}), 0.0);
@@ -45,26 +39,6 @@ TEST(LinalgTest, WeightedAverageUnnormalizedWeights) {
 TEST(LinalgTest, WeightedAverageSingleVector) {
   Vec avg = WeightedAverage({{1, 2, 3}}, {42.0});
   EXPECT_EQ(avg, Vec({1, 2, 3}));
-}
-
-TEST(LinalgTest, MatVec) {
-  Matrix m(2, 3);
-  // [1 2 3; 4 5 6]
-  double vals[] = {1, 2, 3, 4, 5, 6};
-  for (size_t r = 0; r < 2; ++r) {
-    for (size_t c = 0; c < 3; ++c) m.At(r, c) = vals[r * 3 + c];
-  }
-  EXPECT_EQ(m.MatVec({1, 1, 1}), Vec({6, 15}));
-  EXPECT_EQ(m.MatVecTransposed({1, 1}), Vec({5, 7, 9}));
-}
-
-TEST(LinalgTest, MatrixAccessors) {
-  Matrix m(3, 4);
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m.cols(), 4u);
-  m.At(2, 3) = 1.5;
-  EXPECT_DOUBLE_EQ(m.At(2, 3), 1.5);
-  EXPECT_DOUBLE_EQ(m.At(0, 0), 0.0);
 }
 
 }  // namespace

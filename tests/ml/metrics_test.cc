@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/rng.h"
 #include "ml/metrics.h"
 #include "ml/sgd.h"
@@ -11,53 +9,26 @@ namespace {
 
 using common::Rng;
 
-TEST(AucTest, PerfectSeparationIsOne) {
+TEST(AccuracyTest, EmptyDatasetScoresZero) {
+  LogisticRegressionModel model(1);
+  EXPECT_DOUBLE_EQ(Accuracy(model, Dataset{}), 0.0);
+}
+
+TEST(AccuracyTest, CountsMatchingLabels) {
+  // Weight 1, bias 0: predicts 1 exactly for positive features.
+  LogisticRegressionModel model(1);
+  model.SetParams({1.0, 0.0});
   Dataset data;
-  for (int i = 0; i < 10; ++i) {
-    data.x.push_back({static_cast<double>(i)});
-    data.y.push_back(i < 5 ? 0.0 : 1.0);
+  for (double x : {-2.0, -1.0, 1.0, 2.0}) {
+    data.x.push_back({x});
+    data.y.push_back(1.0);
   }
-  // Score = feature: positives all score higher.
-  EXPECT_DOUBLE_EQ(AucRoc(data, [](const Vec& x) { return x[0]; }), 1.0);
+  EXPECT_DOUBLE_EQ(Accuracy(model, data), 0.5);
+  for (size_t i = 0; i < 2; ++i) data.y[i] = 0.0;
+  EXPECT_DOUBLE_EQ(Accuracy(model, data), 1.0);
 }
 
-TEST(AucTest, ReversedScorerIsZero) {
-  Dataset data;
-  for (int i = 0; i < 10; ++i) {
-    data.x.push_back({static_cast<double>(i)});
-    data.y.push_back(i < 5 ? 0.0 : 1.0);
-  }
-  EXPECT_DOUBLE_EQ(AucRoc(data, [](const Vec& x) { return -x[0]; }), 0.0);
-}
-
-TEST(AucTest, RandomScorerNearHalf) {
-  Rng rng(1);
-  Dataset data = MakeTwoGaussians(4000, 3, 1.0, rng);
-  Rng score_rng(2);
-  const double auc =
-      AucRoc(data, [&score_rng](const Vec&) { return score_rng.NextDouble(); });
-  EXPECT_NEAR(auc, 0.5, 0.05);
-}
-
-TEST(AucTest, ConstantScorerTiesGiveHalf) {
-  Dataset data;
-  for (int i = 0; i < 10; ++i) {
-    data.x.push_back({0.0});
-    data.y.push_back(i % 2 == 0 ? 0.0 : 1.0);
-  }
-  EXPECT_DOUBLE_EQ(AucRoc(data, [](const Vec&) { return 7.0; }), 0.5);
-}
-
-TEST(AucTest, DegenerateClassesGiveHalf) {
-  Dataset all_positive;
-  all_positive.x.push_back({1.0});
-  all_positive.y.push_back(1.0);
-  EXPECT_DOUBLE_EQ(AucRoc(all_positive, [](const Vec& x) { return x[0]; }),
-                   0.5);
-  EXPECT_DOUBLE_EQ(AucRoc(Dataset{}, [](const Vec&) { return 0.0; }), 0.5);
-}
-
-TEST(AucTest, TrainedModelBeatsChanceAndTracksAccuracy) {
+TEST(AccuracyTest, TrainedModelBeatsChance) {
   Rng rng(3);
   Dataset all = MakeTwoGaussians(2000, 4, 3.0, rng);
   auto [train, test] = TrainTestSplit(all, 0.3, rng);
@@ -65,24 +36,7 @@ TEST(AucTest, TrainedModelBeatsChanceAndTracksAccuracy) {
   SgdConfig config;
   config.epochs = 15;
   Train(model, train, config, rng);
-  const double auc = AucRoc(model, test);
-  EXPECT_GT(auc, 0.95);
-  EXPECT_GT(auc, Accuracy(model, test) - 0.05);
-}
-
-TEST(AucTest, InvariantUnderMonotoneScoreTransform) {
-  Rng rng(4);
-  Dataset data = MakeTwoGaussians(500, 3, 2.0, rng);
-  LogisticRegressionModel model(3);
-  SgdConfig config;
-  Train(model, data, config, rng);
-  const double auc_prob = AucRoc(model, data);
-  // Logit (monotone in the probability) must give the same AUC.
-  const double auc_logit = AucRoc(data, [&model](const Vec& x) {
-    const double p = model.PredictProbability(x);
-    return std::log(p / (1.0 - p + 1e-12) + 1e-12);
-  });
-  EXPECT_NEAR(auc_prob, auc_logit, 1e-9);
+  EXPECT_GT(Accuracy(model, test), 0.9);
 }
 
 }  // namespace

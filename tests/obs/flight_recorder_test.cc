@@ -7,7 +7,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -16,7 +15,6 @@
 
 #include "common/fault.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "dml/fault_injector.h"
 #include "dml/netsim.h"
 #include "obs/flight_recorder.h"
@@ -26,16 +24,20 @@
 namespace pds2::obs {
 namespace {
 
+// The file DumpNow writes for the `n`-th dump with sanitized `reason`.
+std::string DumpPath(const std::string& dir, uint64_t n,
+                     const std::string& reason) {
+  return dir + "/flight-" + std::to_string(n) + "-" + reason + ".json";
+}
+
 class FlightRecorderTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FlightRecorder::Global().SetDumpDir(".");
     FlightRecorder::Global().SetEnabled(true);
-    FlightRecorder::Global().Clear();
   }
   void TearDown() override {
     FlightRecorder::Global().SetEnabled(false);
-    FlightRecorder::Global().Clear();
     SetTracingEnabled(false);
     SetMetricsEnabled(false);
     common::DisarmCrash();
@@ -59,7 +61,7 @@ TEST_F(FlightRecorderTest, CapturesSpansLogsAndMetricDeltas) {
   SetTracingEnabled(true);
   Tracer::Global().Reset();
   Registry::Global().ResetValues();
-  FlightRecorder::Global().Clear();  // re-baseline after the reset
+  FlightRecorder::Global().SetEnabled(true);  // re-baseline after the reset
 
   // A silent sink: the flight-recorder hook fires inside LogDispatch
   // either way, and the test log line stays off stderr.
@@ -99,8 +101,8 @@ TEST_F(FlightRecorderTest, CapturesSpansLogsAndMetricDeltas) {
   EXPECT_NE(dump.find("\"kind\":\"log\""), std::string::npos);
   EXPECT_NE(dump.find("flight recorder probe"), std::string::npos);
   EXPECT_NE(dump.find("k=v"), std::string::npos);
-  // Deltas since enable: the counter bumped after Clear shows up, with its
-  // post-baseline value; the untouched gauge appears with its value.
+  // Deltas since the re-baseline: the counter bumped after it shows up with
+  // its post-baseline value; the untouched gauge appears with its value.
   EXPECT_NE(dump.find("\"flight.test_counter\": 3"), std::string::npos);
   EXPECT_NE(dump.find("\"flight.test_gauge\": -7"), std::string::npos);
 }
@@ -134,7 +136,7 @@ TEST_F(FlightRecorderTest, DumpInsideASpanListsItAsOpen) {
   EXPECT_NE(done_line.find("\"wall_dur_ns\":"), std::string::npos) << dump;
 }
 
-TEST_F(FlightRecorderTest, DumpWhilePoolThreadsTraceAndLog) {
+TEST_F(FlightRecorderTest, DumpWhileWorkerThreadsTraceAndLog) {
   SetTracingEnabled(true);
   Tracer::Global().Reset();
   class NullSink : public common::LogSink {
@@ -146,17 +148,16 @@ TEST_F(FlightRecorderTest, DumpWhilePoolThreadsTraceAndLog) {
   const common::LogLevel old_level = common::GetLogLevel();
   common::SetLogLevel(common::LogLevel::kInfo);
 
-  common::ThreadPool pool(4);
-  std::vector<std::future<void>> workers;
-  for (size_t t = 0; t < pool.NumThreads(); ++t) {
-    workers.push_back(pool.Submit([t] {
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < 4; ++t) {
+    workers.emplace_back([t] {
       NodeScope node("worker/", t);
       for (int i = 0; i < 2000; ++i) {
         ScopedSpan span("flight.worker_span");
         PDS2_LOG(kInfo) << "worker " << t << " tick " << i;
         FlightRecorder::Global().Note("worker note");
       }
-    }));
+    });
   }
   while (Tracer::Global().SpanCount() == 0) std::this_thread::yield();
   for (int i = 0; i < 50; ++i) {
@@ -167,7 +168,7 @@ TEST_F(FlightRecorderTest, DumpWhilePoolThreadsTraceAndLog) {
               std::string::npos);
     EXPECT_EQ(dump.substr(dump.size() - 4), "}\n}\n");  // well-formed end
   }
-  for (auto& worker : workers) worker.get();
+  for (auto& worker : workers) worker.join();
   common::SetLogLevel(old_level);
   common::SetLogSink(old_sink);
   Tracer::Global().Reset();
@@ -192,9 +193,8 @@ TEST_F(FlightRecorderTest, DumpNowWritesAReadableFile) {
   const std::string path = FlightRecorder::Global().DumpNow("unit test dump");
   ASSERT_FALSE(path.empty());
   EXPECT_EQ(FlightRecorder::Global().dumps_written(), dumps_before + 1);
-  EXPECT_EQ(FlightRecorder::Global().LastDumpPath(), path);
-  // The reason is sanitized into the filename.
-  EXPECT_NE(path.find("unit-test-dump"), std::string::npos);
+  // The dump's number and its sanitized reason name the file.
+  EXPECT_EQ(path, DumpPath(".", dumps_before, "unit-test-dump"));
 
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open()) << path;
@@ -213,7 +213,6 @@ TEST_F(FlightRecorderTest, FailedDumpIsNotCounted) {
   const uint64_t dumps_before = FlightRecorder::Global().dumps_written();
   EXPECT_EQ(FlightRecorder::Global().DumpNow("unwritable"), "");
   EXPECT_EQ(FlightRecorder::Global().dumps_written(), dumps_before);
-  EXPECT_EQ(FlightRecorder::Global().LastDumpPath(), "");
 
   // The next good dump takes the number the failed one did not use.
   FlightRecorder::Global().SetDumpDir(::testing::TempDir());
@@ -236,9 +235,8 @@ TEST_F(FlightRecorderTest, ScriptedCrashPointTriggersADump) {
   EXPECT_EQ(FlightRecorder::Global().dumps_written(), dumps_before);
   EXPECT_TRUE(common::CrashRequested(common::CrashPoint::kLogPreFsync));
   EXPECT_EQ(FlightRecorder::Global().dumps_written(), dumps_before + 1);
-  const std::string path = FlightRecorder::Global().LastDumpPath();
-  ASSERT_FALSE(path.empty());
-  EXPECT_NE(path.find("crashpoint-log-pre-fsync"), std::string::npos);
+  const std::string path =
+      DumpPath(".", dumps_before, "crashpoint-log-pre-fsync");
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open()) << path;
   std::ostringstream content;
@@ -267,8 +265,8 @@ TEST_F(FlightRecorderTest, FaultInjectorNodeCrashTriggersADump) {
   sim.RunUntil(20'000);
   EXPECT_FALSE(sim.IsOnline(1));
   ASSERT_EQ(FlightRecorder::Global().dumps_written(), dumps_before + 1);
-  const std::string path = FlightRecorder::Global().LastDumpPath();
-  EXPECT_NE(path.find("node-crash-victim"), std::string::npos);
+  const std::string path =
+      DumpPath(".", dumps_before, "node-crash-victim-1");
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open()) << path;
   std::ostringstream content;
@@ -279,10 +277,15 @@ TEST_F(FlightRecorderTest, FaultInjectorNodeCrashTriggersADump) {
 }
 
 TEST_F(FlightRecorderTest, DisabledRecorderCapturesNothing) {
+  const size_t entries_before =
+      FlightRecorder::Global().SnapshotEntries().size();
   FlightRecorder::Global().SetEnabled(false);
-  FlightRecorder::Global().Clear();
   FlightRecorder::Global().Note("should not appear");
-  EXPECT_TRUE(FlightRecorder::Global().SnapshotEntries().empty());
+  const auto entries = FlightRecorder::Global().SnapshotEntries();
+  EXPECT_EQ(entries.size(), entries_before);
+  for (const FlightEntry& entry : entries) {
+    EXPECT_NE(entry.text, "should not appear");
+  }
   const uint64_t dumps_before = FlightRecorder::Global().dumps_written();
   EXPECT_EQ(FlightRecorder::Global().DumpNow("disabled"), "");
   EXPECT_EQ(FlightRecorder::Global().dumps_written(), dumps_before);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +20,26 @@ constexpr uint64_t kNs = 1'000'000'000ull;
 // with other suites in this binary) never leaks series into rule
 // evaluation. The flight recorder stays disabled (so critical fires dump
 // nothing) except in the dedicated flight-dump test.
+
+// Fires in the event log.
+uint64_t FireCount(const HealthMonitor& monitor) {
+  uint64_t fires = 0;
+  for (const AlertEvent& event : monitor.Events()) fires += event.fired;
+  return fires;
+}
+
+// Rule ids whose latest event is a fire, in rule-id order.
+std::vector<std::string> ActiveAlerts(const HealthMonitor& monitor) {
+  std::map<std::string, bool> latest;
+  for (const AlertEvent& event : monitor.Events()) {
+    latest[event.rule_id] = event.fired;
+  }
+  std::vector<std::string> active;
+  for (const auto& [rule, fired] : latest) {
+    if (fired) active.push_back(rule);
+  }
+  return active;
+}
 
 class HealthMonitorTest : public ::testing::Test {
  protected:
@@ -41,8 +62,8 @@ class HealthMonitorTest : public ::testing::Test {
 
 TEST_F(HealthMonitorTest, ThresholdRuleFiresAndResolves) {
   HealthMonitor monitor(&ts_);
-  monitor.AddRule(ThresholdRule("t.too-high", Severity::kWarning, "t.g",
-                                Comparison::kGt, 3.0));
+  monitor.AddRules({ThresholdRule("t.too-high", Severity::kWarning, "t.g",
+                                 Comparison::kGt, 3.0)});
   Gauge& g = reg_.GetGauge("t.g");
 
   g.Set(1);
@@ -65,29 +86,29 @@ TEST_F(HealthMonitorTest, ThresholdRuleFiresAndResolves) {
   EXPECT_TRUE(events[0].has_sim);
   EXPECT_FALSE(events[1].fired);
   EXPECT_EQ(events[1].sample_index, 3u);
-  EXPECT_EQ(monitor.FireCount(), 1u);
-  EXPECT_TRUE(monitor.ActiveAlerts().empty());
+  EXPECT_EQ(FireCount(monitor), 1u);
+  EXPECT_TRUE(ActiveAlerts(monitor).empty());
   EXPECT_EQ(monitor.FiredRuleIds(), std::vector<std::string>{"t.too-high"});
 }
 
 TEST_F(HealthMonitorTest, MissingSeriesIsSkippedNotFired) {
   HealthMonitor monitor(&ts_);
-  monitor.AddRule(ThresholdRule("t.absent-series", Severity::kCritical,
-                                "never.published", Comparison::kGe, 0.0));
-  monitor.AddRule(RateRule("t.absent-rate", Severity::kCritical,
-                           "never.published", 4, Comparison::kGe, 0.0));
-  monitor.AddRule(AbsenceRule("t.absent-stale", Severity::kCritical,
-                              "never.published", 1));
+  monitor.AddRules({ThresholdRule("t.absent-series", Severity::kCritical,
+                                 "never.published", Comparison::kGe, 0.0)});
+  monitor.AddRules({RateRule("t.absent-rate", Severity::kCritical,
+                            "never.published", 4, Comparison::kGe, 0.0)});
+  monitor.AddRules({AbsenceRule("t.absent-stale", Severity::kCritical,
+                               "never.published", 1)});
   for (int i = 0; i < 5; ++i) EXPECT_EQ(Step(monitor), 0u);
   EXPECT_TRUE(monitor.Events().empty());
-  EXPECT_EQ(monitor.FireCount(), 0u);
+  EXPECT_EQ(FireCount(monitor), 0u);
 }
 
 TEST_F(HealthMonitorTest, RateRuleFiresOnSustainedGrowth) {
   HealthMonitor monitor(&ts_);
-  monitor.AddRule(RateRule("t.retry-storm", Severity::kWarning, "t.c",
-                           /*window=*/4, Comparison::kGt,
-                           /*bound_per_second=*/5.0));
+  monitor.AddRules({RateRule("t.retry-storm", Severity::kWarning, "t.c",
+                            /*window=*/4, Comparison::kGt,
+                            /*bound_per_second=*/5.0)});
   Counter& c = reg_.GetCounter("t.c");
 
   c.Add(1);
@@ -104,9 +125,9 @@ TEST_F(HealthMonitorTest, RateRuleFiresOnSustainedGrowth) {
 
 TEST_F(HealthMonitorTest, AbsenceRuleOnlyFiresWhileActivityMoves) {
   HealthMonitor monitor(&ts_);
-  monitor.AddRule(AbsenceRule("t.stalled", Severity::kWarning, "t.progress",
-                              /*max_stale_samples=*/2,
-                              /*activity_series=*/"t.traffic"));
+  monitor.AddRules({AbsenceRule("t.stalled", Severity::kWarning, "t.progress",
+                               /*max_stale_samples=*/2,
+                               /*activity_series=*/"t.traffic")});
   Counter& progress = reg_.GetCounter("t.progress");
   Counter& traffic = reg_.GetCounter("t.traffic");
 
@@ -122,19 +143,19 @@ TEST_F(HealthMonitorTest, AbsenceRuleOnlyFiresWhileActivityMoves) {
     fired += Step(monitor);
   }
   EXPECT_EQ(fired, 1u);
-  EXPECT_EQ(monitor.ActiveAlerts(),
+  EXPECT_EQ(ActiveAlerts(monitor),
             std::vector<std::string>{"t.stalled"});
 
   // Progress resumes: the alert resolves.
   progress.Add(1);
   traffic.Add(10);
   EXPECT_EQ(Step(monitor), 1u);
-  EXPECT_TRUE(monitor.ActiveAlerts().empty());
+  EXPECT_TRUE(ActiveAlerts(monitor).empty());
 }
 
 TEST_F(HealthMonitorTest, InvariantRuleCarriesObservedBoundAndDetail) {
   HealthMonitor monitor(&ts_);
-  monitor.AddRule(InvariantRule(
+  monitor.AddRules({InvariantRule(
       "t.conservation", Severity::kWarning, [](const TimeSeries& ts) {
         InvariantResult r;
         const auto a = ts.Latest("t.a");
@@ -145,7 +166,7 @@ TEST_F(HealthMonitorTest, InvariantRuleCarriesObservedBoundAndDetail) {
         r.ok = r.observed == r.bound;
         if (!r.ok) r.detail = "a+b drifted";
         return r;
-      }));
+      })});
   Gauge& a = reg_.GetGauge("t.a");
   Gauge& b = reg_.GetGauge("t.b");
 
@@ -168,24 +189,25 @@ TEST_F(HealthMonitorTest, CriticalFireTriggersFlightDump) {
   const uint64_t dumps_before = recorder.dumps_written();
 
   HealthMonitor monitor(&ts_);
-  monitor.AddRule(ThresholdRule("t.critical", Severity::kCritical, "t.g",
-                                Comparison::kGt, 0.0));
-  monitor.AddRule(ThresholdRule("t.warning", Severity::kWarning, "t.g",
-                                Comparison::kGt, 0.0));
+  monitor.AddRules({ThresholdRule("t.critical", Severity::kCritical, "t.g",
+                                 Comparison::kGt, 0.0)});
+  monitor.AddRules({ThresholdRule("t.warning", Severity::kWarning, "t.g",
+                                 Comparison::kGt, 0.0)});
   Gauge& g = reg_.GetGauge("t.g");
   g.Set(1);
   EXPECT_EQ(Step(monitor), 2u);  // both rules fire...
   EXPECT_EQ(recorder.dumps_written(), dumps_before + 1);  // ...one dump
   // The recorder sanitizes the reason for the filename: '.' becomes '-'.
-  const std::string path = recorder.LastDumpPath();
-  EXPECT_NE(path.find("alert-t-critical"), std::string::npos);
+  const std::string path = ::testing::TempDir() + "/flight-" +
+                           std::to_string(dumps_before) +
+                           "-alert-t-critical.json";
+  EXPECT_TRUE(std::filesystem::exists(path)) << path;
 
   // Staying bad does not dump again; only a fresh fire would.
   EXPECT_EQ(Step(monitor), 0u);
   EXPECT_EQ(recorder.dumps_written(), dumps_before + 1);
   std::filesystem::remove(path);
   recorder.SetEnabled(false);
-  recorder.Clear();
   recorder.SetDumpDir(".");
 }
 
@@ -199,8 +221,8 @@ TEST_F(HealthMonitorTest, CriticalFireWithRecorderDisabledWritesNoDump) {
   const uint64_t dumps_before = recorder.dumps_written();
 
   HealthMonitor monitor(&ts_);
-  monitor.AddRule(ThresholdRule("t.critical", Severity::kCritical, "t.g",
-                                Comparison::kGt, 0.0));
+  monitor.AddRules({ThresholdRule("t.critical", Severity::kCritical, "t.g",
+                                 Comparison::kGt, 0.0)});
   reg_.GetGauge("t.g").Set(1);
   EXPECT_EQ(Step(monitor), 1u);
   EXPECT_EQ(recorder.dumps_written(), dumps_before);
@@ -210,16 +232,16 @@ TEST_F(HealthMonitorTest, CriticalFireWithRecorderDisabledWritesNoDump) {
 
 TEST_F(HealthMonitorTest, EvaluateLatestIsOncePerSample) {
   HealthMonitor monitor(&ts_);
-  monitor.AddRule(ThresholdRule("t.hot", Severity::kWarning, "t.g",
-                                Comparison::kGt, 0.0));
+  monitor.AddRules({ThresholdRule("t.hot", Severity::kWarning, "t.g",
+                                 Comparison::kGt, 0.0)});
   reg_.GetGauge("t.g").Set(1);
   EXPECT_EQ(monitor.EvaluateLatest(), 0u);  // nothing sampled yet
   Step(monitor);
-  EXPECT_EQ(monitor.FireCount(), 1u);
+  EXPECT_EQ(FireCount(monitor), 1u);
   // Re-evaluating the same sample is a no-op (the sampler and a caller
   // polling EvaluateLatest may race benignly).
   EXPECT_EQ(monitor.EvaluateLatest(), 0u);
-  EXPECT_EQ(monitor.FireCount(), 1u);
+  EXPECT_EQ(FireCount(monitor), 1u);
 }
 
 TEST_F(HealthMonitorTest, EventsDigestIgnoresWallClockButSeesAlerts) {
@@ -227,8 +249,8 @@ TEST_F(HealthMonitorTest, EventsDigestIgnoresWallClockButSeesAlerts) {
     Registry reg;
     TimeSeries ts({.capacity = 64, .max_series = 256}, &reg);
     HealthMonitor monitor(&ts);
-    monitor.AddRule(ThresholdRule("t.hot", Severity::kWarning, "t.g",
-                                  Comparison::kGt, 2.0));
+    monitor.AddRules({ThresholdRule("t.hot", Severity::kWarning, "t.g",
+                                   Comparison::kGt, 2.0)});
     Gauge& g = reg.GetGauge("t.g");
     for (int i = 0; i < 6; ++i) {
       g.Set(i);  // crosses the bound at i == 3
@@ -237,7 +259,7 @@ TEST_F(HealthMonitorTest, EventsDigestIgnoresWallClockButSeesAlerts) {
                 static_cast<common::SimTime>(i) * common::kMicrosPerSecond);
       monitor.EvaluateLatest();
     }
-    EXPECT_EQ(monitor.FireCount(), 1u);
+    EXPECT_EQ(FireCount(monitor), 1u);
     return monitor.EventsDigest();
   };
   const uint64_t base = run(0);
@@ -277,8 +299,8 @@ TEST_F(HealthMonitorTest, DefaultRulePacksStayQuietOnHealthyRun) {
 
 TEST_F(HealthMonitorTest, WriteJsonLinesEmitsOneAlertPerEvent) {
   HealthMonitor monitor(&ts_);
-  monitor.AddRule(ThresholdRule("t.hot", Severity::kWarning, "t.g",
-                                Comparison::kGt, 0.0));
+  monitor.AddRules({ThresholdRule("t.hot", Severity::kWarning, "t.g",
+                                 Comparison::kGt, 0.0)});
   Gauge& g = reg_.GetGauge("t.g");
   g.Set(2);
   Step(monitor);

@@ -81,7 +81,6 @@ TEST(CompiledOutTest, FlightDumpKeepsNotesWithNoSpans) {
   Tracer::Global().Reset();
   FlightRecorder& recorder = FlightRecorder::Global();
   recorder.SetEnabled(true);
-  recorder.Clear();
   { PDS2_TRACE_SPAN("compiled_out.span"); }
   recorder.Note("compiled-out breadcrumb");
 
@@ -92,7 +91,6 @@ TEST(CompiledOutTest, FlightDumpKeepsNotesWithNoSpans) {
   EXPECT_NE(dump.find("compiled-out breadcrumb"), std::string::npos) << dump;
 
   recorder.SetEnabled(false);
-  recorder.Clear();
   SetTracingEnabled(false);
 }
 

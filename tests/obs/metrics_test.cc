@@ -66,51 +66,38 @@ TEST(HistogramTest, SmallValuesAreExact) {
   // Below kSubBuckets every value has its own unit-width bucket.
   Histogram h;
   for (uint64_t v = 0; v < Histogram::kSubBuckets; ++v) h.Observe(v);
-  EXPECT_EQ(h.Min(), 0u);
-  EXPECT_EQ(h.Max(), Histogram::kSubBuckets - 1);
-  EXPECT_EQ(h.ValueAtQuantile(0.5), (Histogram::kSubBuckets - 1) / 2);
-  EXPECT_EQ(h.Count(), Histogram::kSubBuckets);
+  const HistogramSummary s = h.Summarize();
+  EXPECT_EQ(s.min, 0u);
+  EXPECT_EQ(s.max, Histogram::kSubBuckets - 1);
+  EXPECT_EQ(s.p50, (Histogram::kSubBuckets - 1) / 2);
+  EXPECT_EQ(s.count, Histogram::kSubBuckets);
 }
 
 TEST(HistogramTest, EmptyHistogramReturnsZeros) {
   Histogram h;
   EXPECT_EQ(h.Count(), 0u);
-  EXPECT_EQ(h.ValueAtQuantile(0.5), 0u);
-  EXPECT_EQ(h.Min(), 0u);
-  EXPECT_EQ(h.Max(), 0u);
+  const HistogramSummary s = h.Summarize();
+  EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(s.p50, 0u);
+  EXPECT_EQ(s.min, 0u);
+  EXPECT_EQ(s.max, 0u);
   EXPECT_EQ(h.Mean(), 0.0);
 }
 
-TEST(HistogramTest, SummarizeMatchesTheSeparateQueries) {
-  std::mt19937_64 rng(7);
-  for (size_t n : {0, 1, 2, 5, 100, 10000}) {
-    Histogram h;
-    for (size_t i = 0; i < n; ++i) {
-      // Values across many bucket groups, with repeats.
-      h.Observe(rng() >> (rng() % 64));
-    }
-    const HistogramSummary s = h.Summarize();
-    EXPECT_EQ(s.count, h.Count()) << n;
-    EXPECT_EQ(s.sum, h.Sum()) << n;
-    EXPECT_EQ(s.min, h.Min()) << n;
-    EXPECT_EQ(s.p50, h.ValueAtQuantile(0.50)) << n;
-    EXPECT_EQ(s.p90, h.ValueAtQuantile(0.90)) << n;
-    EXPECT_EQ(s.p99, h.ValueAtQuantile(0.99)) << n;
-    EXPECT_EQ(s.max, h.Max()) << n;
-  }
-}
-
-// Compares the histogram's quantile estimate against the exact order
-// statistic of the recorded sample.
+// Compares the summary's quantile estimates, minimum and maximum against
+// the exact order statistics of the recorded sample.
 void ExpectQuantilesAccurate(Histogram& h, std::vector<uint64_t> values) {
   for (uint64_t v : values) h.Observe(v);
   std::sort(values.begin(), values.end());
+  const HistogramSummary s = h.Summarize();
+  ASSERT_EQ(s.count, values.size());
   ASSERT_EQ(h.Count(), values.size());
-  for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
+  const std::pair<double, uint64_t> estimates[] = {
+      {0.0, s.min}, {0.5, s.p50}, {0.9, s.p90}, {0.99, s.p99}, {1.0, s.max}};
+  for (const auto& [q, estimate] : estimates) {
     const size_t rank = std::max<size_t>(
         1, static_cast<size_t>(std::ceil(q * values.size())));
     const uint64_t exact = values[rank - 1];
-    const uint64_t estimate = h.ValueAtQuantile(q);
     // Small exact values get exact answers; larger ones get the bounded
     // relative error (plus one because midpoints round down).
     const double tolerance =
@@ -118,6 +105,17 @@ void ExpectQuantilesAccurate(Histogram& h, std::vector<uint64_t> values) {
     EXPECT_NEAR(static_cast<double>(estimate), static_cast<double>(exact),
                 tolerance)
         << "q=" << q << " over " << values.size() << " samples";
+  }
+}
+
+TEST(HistogramTest, QuantileAccuracySmallSamples) {
+  std::mt19937_64 rng(7);
+  for (size_t n : {1, 2, 5, 100}) {
+    std::vector<uint64_t> values(n);
+    // Values across many bucket groups, with repeats.
+    for (uint64_t& v : values) v = rng() >> (rng() % 64);
+    Histogram h;
+    ExpectQuantilesAccurate(h, std::move(values));
   }
 }
 
@@ -255,24 +253,34 @@ TEST(MacroTest, EnabledMacrosRecordIntoGlobalRegistry) {
 // grow the registry without bound: past the cap, new names share the
 // per-kind overflow sink and the spill is counted.
 
+// Registers `n` new counter names "<prefix>.<i>".
+void AddCounters(Registry& registry, const std::string& prefix, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    registry.GetCounter(prefix + "." + std::to_string(i));
+  }
+}
+
+uint64_t DroppedSeries(Registry& registry) {
+  return registry.GetCounter("obs.metrics.dropped_series").Value();
+}
+
 TEST(RegistryCardinalityTest, NewNamesPastCapShareTheOverflowSink) {
   Registry registry;
   // A fresh registry holds the 2 eager counters (dropped_series +
-  // overflow); cap at 4 leaves room for exactly two more counter names.
-  registry.SetMaxSeries(4);
-  EXPECT_EQ(registry.MaxSeries(), 4u);
+  // overflow); fill the rest of the cap but two names.
+  AddCounters(registry, "dyn.fill", Registry::kMaxSeries - 4);
 
   Counter& a = registry.GetCounter("dyn.shard.0");
   Counter& b = registry.GetCounter("dyn.shard.1");
   EXPECT_NE(&a, &b);
-  EXPECT_EQ(registry.DroppedSeries(), 0u);
+  EXPECT_EQ(DroppedSeries(registry), 0u);
 
   Counter& spill1 = registry.GetCounter("dyn.shard.2");
   Counter& spill2 = registry.GetCounter("dyn.shard.3");
   EXPECT_EQ(&spill1, &spill2);  // one shared sink, not new series
   EXPECT_EQ(&spill1, &registry.GetCounter("obs.metrics.overflow"));
-  EXPECT_EQ(registry.DroppedSeries(), 2u);
-  EXPECT_EQ(registry.TakeSnapshot().counters.size(), 4u);
+  EXPECT_EQ(DroppedSeries(registry), 2u);
+  EXPECT_EQ(registry.TakeSnapshot().counters.size(), Registry::kMaxSeries);
 
   // Writes through the sink are not lost, just aggregated.
   spill1.Add(5);
@@ -294,32 +302,41 @@ TEST(RegistryCardinalityTest, ExistingNamesKeepTheirHandlesAtTheCap) {
   Registry registry;
   Counter& before = registry.GetCounter("kept.counter");
   Gauge& gauge_before = registry.GetGauge("kept.gauge");
-  registry.SetMaxSeries(1);  // every map is already at or over the cap
+  Histogram& histogram_before = registry.GetHistogram("kept.hist");
+  // Fill every kind to the cap (2 eager counters, 1 eager gauge and
+  // histogram, plus the kept names).
+  AddCounters(registry, "fill", Registry::kMaxSeries - 3);
+  for (size_t i = 0; i < Registry::kMaxSeries - 2; ++i) {
+    registry.GetGauge("fill." + std::to_string(i));
+    registry.GetHistogram("fill." + std::to_string(i));
+  }
+  EXPECT_EQ(DroppedSeries(registry), 0u);
 
   // Existing names still resolve to their own objects...
   EXPECT_EQ(&registry.GetCounter("kept.counter"), &before);
   EXPECT_EQ(&registry.GetGauge("kept.gauge"), &gauge_before);
+  EXPECT_EQ(&registry.GetHistogram("kept.hist"), &histogram_before);
   // ...while any new name of any kind spills.
   registry.GetCounter("new.counter").Add(1);
   registry.GetGauge("new.gauge").Set(1);
   registry.GetHistogram("new.hist").Observe(1);
-  EXPECT_EQ(registry.DroppedSeries(), 3u);
+  EXPECT_EQ(DroppedSeries(registry), 3u);
   EXPECT_EQ(registry.GetHistogram("obs.metrics.overflow").Count(), 1u);
 }
 
 TEST(RegistryCardinalityTest, GuardIsPerKind) {
   Registry registry;
-  registry.SetMaxSeries(3);
-  // Counters start at 2 entries, gauges and histograms at 1: the same cap
-  // leaves different headroom per kind.
-  registry.GetCounter("c.0");
-  registry.GetCounter("c.1");  // spills (2 eager + 1 = cap)
-  registry.GetGauge("g.0");
-  registry.GetGauge("g.1");
-  registry.GetGauge("g.2");  // spills
-  EXPECT_EQ(registry.DroppedSeries(), 2u);
-  EXPECT_EQ(registry.TakeSnapshot().counters.size(), 3u);
-  EXPECT_EQ(registry.TakeSnapshot().gauges.size(), 3u);
+  // Counters start at 2 entries, gauges at 1: the same number of new
+  // names leaves different headroom per kind.
+  for (size_t i = 0; i < Registry::kMaxSeries - 1; ++i) {
+    registry.GetCounter("c." + std::to_string(i));  // the last one spills
+    registry.GetGauge("g." + std::to_string(i));
+  }
+  EXPECT_EQ(DroppedSeries(registry), 1u);
+  EXPECT_EQ(registry.TakeSnapshot().counters.size(), Registry::kMaxSeries);
+  EXPECT_EQ(registry.TakeSnapshot().gauges.size(), Registry::kMaxSeries);
+  registry.GetGauge("g.spill");
+  EXPECT_EQ(DroppedSeries(registry), 2u);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -140,9 +140,11 @@ TEST(ObsLifecycleTraceTest, ChaosRunProducesFullTelemetryAndExports) {
   SetTracingEnabled(true);
   Registry::Global().ResetValues();
   Tracer::Global().Reset();
-  FlightRecorder::Global().SetDumpDir(".");
+  const std::filesystem::path dump_dir =
+      std::filesystem::path(::testing::TempDir()) / "obs_lifecycle_dumps";
+  std::filesystem::remove_all(dump_dir);
+  FlightRecorder::Global().SetDumpDir(dump_dir.string());
   FlightRecorder::Global().SetEnabled(true);
-  FlightRecorder::Global().Clear();
 
   RunChaosMarketplaceLifecycle();
   RunChaosValidatorNetwork();
@@ -237,15 +239,21 @@ TEST(ObsLifecycleTraceTest, ChaosRunProducesFullTelemetryAndExports) {
   // RunChaosValidatorNetwork's fault plan kills node 0; the FaultInjector
   // hook must have dumped the recorder's rings for post-mortem reading.
   ASSERT_GE(FlightRecorder::Global().dumps_written(), 1u);
-  const std::string dump_path = FlightRecorder::Global().LastDumpPath();
+  std::string dump_path;
+  for (const auto& entry : std::filesystem::directory_iterator(dump_dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find("node-crash") != std::string::npos) {
+      dump_path = entry.path().string();
+    }
+  }
   ASSERT_FALSE(dump_path.empty());
-  EXPECT_NE(dump_path.find("node-crash"), std::string::npos) << dump_path;
   const std::string dump_text = Slurp(dump_path);
   EXPECT_NE(dump_text.find("\"reason\""), std::string::npos);
   EXPECT_NE(dump_text.find("\"entries\""), std::string::npos);
   EXPECT_NE(dump_text.find("fault injector crashed"), std::string::npos);
   EXPECT_NE(dump_text.find("\"counter_deltas\""), std::string::npos);
-  std::remove(dump_path.c_str());
+  std::filesystem::remove_all(dump_dir);
+  FlightRecorder::Global().SetDumpDir(".");
 
   // --- Per-run trace export. ---
   {
@@ -259,7 +267,6 @@ TEST(ObsLifecycleTraceTest, ChaosRunProducesFullTelemetryAndExports) {
 
   Registry::Global().ResetValues();
   Tracer::Global().Reset();
-  FlightRecorder::Global().Clear();
 }
 
 #else  // !PDS2_METRICS

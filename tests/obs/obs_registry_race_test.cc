@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/time_series.h"
 #include "obs/trace.h"
+#include "time_series_reader.h"
 
 namespace pds2::obs {
 namespace {
@@ -137,9 +138,10 @@ TEST(ObsRegistryRaceTest, TimeSeriesSamplingRacesWritersAndExport) {
   // property every rate/delta query depends on.
   ASSERT_EQ(ts.SampleCount(), 500u);
   double prev = -1.0;
-  for (size_t i = ts.OldestRetained(); i < ts.SampleCount(); ++i) {
-    const auto c = ts.ValueAt("race.c", i);
-    const auto h = ts.ValueAt("race.h#count", i);
+  const HealthExport health = ReadBack(ts);
+  for (uint64_t i = OldestRetained(health); i < health.samples; ++i) {
+    const auto c = ValueAt(health, "race.c", i);
+    const auto h = ValueAt(health, "race.h#count", i);
     ASSERT_TRUE(c.has_value());
     ASSERT_TRUE(h.has_value());
     EXPECT_GE(*c, prev);

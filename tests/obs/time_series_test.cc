@@ -4,6 +4,7 @@
 #include <string>
 
 #include "obs/time_series.h"
+#include "time_series_reader.h"
 
 namespace pds2::obs {
 namespace {
@@ -13,7 +14,8 @@ constexpr uint64_t kNs = 1'000'000'000ull;  // one wall second
 // Every test uses its own Registry so series sets are hermetic. A fresh
 // registry is not empty: the cardinality-guard sinks
 // (obs.metrics.dropped_series + the per-kind obs.metrics.overflow series)
-// are created eagerly in the constructor.
+// are created eagerly in the constructor. Per-sample values, kinds and the
+// retained window are read back through the run export (ReadBack).
 
 TEST(TimeSeriesTest, CountersAndGaugesSampledWithKinds) {
   Registry reg;
@@ -26,15 +28,16 @@ TEST(TimeSeriesTest, CountersAndGaugesSampledWithKinds) {
   ts.Sample(2 * kNs);
 
   EXPECT_EQ(ts.SampleCount(), 2u);
-  EXPECT_EQ(ts.KindOf("t.count"), SeriesKind::kCounter);
-  EXPECT_EQ(ts.KindOf("t.gauge"), SeriesKind::kGauge);
-  EXPECT_EQ(ts.ValueAt("t.count", 0), 3.0);
+  const HealthExport health = ReadBack(ts);
+  EXPECT_EQ(KindOf(health, "t.count"), "counter");
+  EXPECT_EQ(KindOf(health, "t.gauge"), "gauge");
+  EXPECT_EQ(ValueAt(health, "t.count", 0), 3.0);
   EXPECT_EQ(ts.Latest("t.count"), 5.0);
-  EXPECT_EQ(ts.ValueAt("t.gauge", 0), -7.0);
+  EXPECT_EQ(ValueAt(health, "t.gauge", 0), -7.0);
   EXPECT_EQ(ts.Latest("t.gauge"), 9.0);
   EXPECT_EQ(ts.Delta("t.count", 1), 2.0);
   EXPECT_FALSE(ts.Latest("t.unknown").has_value());
-  EXPECT_FALSE(ts.KindOf("t.unknown").has_value());
+  EXPECT_EQ(health.series.count("t.unknown"), 0u);
 }
 
 TEST(TimeSeriesTest, HistogramFansOutToCountAndQuantileSeries) {
@@ -44,10 +47,11 @@ TEST(TimeSeriesTest, HistogramFansOutToCountAndQuantileSeries) {
   TimeSeries ts({}, &reg);
   ts.Sample(kNs);
 
-  EXPECT_EQ(ts.KindOf("t.hist#count"), SeriesKind::kCounter);
-  EXPECT_EQ(ts.KindOf("t.hist#p50"), SeriesKind::kQuantile);
-  EXPECT_EQ(ts.KindOf("t.hist#p90"), SeriesKind::kQuantile);
-  EXPECT_EQ(ts.KindOf("t.hist#p99"), SeriesKind::kQuantile);
+  const HealthExport health = ReadBack(ts);
+  EXPECT_EQ(KindOf(health, "t.hist#count"), "counter");
+  EXPECT_EQ(KindOf(health, "t.hist#p50"), "quantile");
+  EXPECT_EQ(KindOf(health, "t.hist#p90"), "quantile");
+  EXPECT_EQ(KindOf(health, "t.hist#p99"), "quantile");
   EXPECT_EQ(ts.Latest("t.hist#count"), 100.0);
   ASSERT_TRUE(ts.Latest("t.hist#p50").has_value());
   // Log-linear buckets carry ~1.6% relative error; 50 +- 3 is generous.
@@ -65,9 +69,10 @@ TEST(TimeSeriesTest, RingEvictionNeverRenumbersSamples) {
   }
 
   EXPECT_EQ(ts.SampleCount(), 10u);
-  EXPECT_EQ(ts.OldestRetained(), 6u);
-  EXPECT_FALSE(ts.ValueAt("t.c", 5).has_value());  // evicted
-  EXPECT_EQ(ts.ValueAt("t.c", 6), 7.0);            // index = cumulative count
+  const HealthExport health = ReadBack(ts);
+  EXPECT_EQ(OldestRetained(health), 6u);
+  EXPECT_FALSE(ValueAt(health, "t.c", 5).has_value());  // evicted
+  EXPECT_EQ(ValueAt(health, "t.c", 6), 7.0);  // index = cumulative count
   EXPECT_EQ(ts.Latest("t.c"), 10.0);
   EXPECT_FALSE(ts.InfoAt(5).has_value());
   ASSERT_TRUE(ts.InfoAt(9).has_value());
@@ -131,8 +136,9 @@ TEST(TimeSeriesTest, LateAppearingSeriesHasNoEarlierValues) {
   reg.GetCounter("late.c").Add(1);
   ts.Sample(2 * kNs);
 
-  EXPECT_FALSE(ts.ValueAt("late.c", 0).has_value());
-  EXPECT_EQ(ts.ValueAt("late.c", 1), 1.0);
+  const HealthExport health = ReadBack(ts);
+  EXPECT_FALSE(ValueAt(health, "late.c", 0).has_value());
+  EXPECT_EQ(ValueAt(health, "late.c", 1), 1.0);
   // Delta clamps its window to the series' first sample.
   EXPECT_EQ(ts.Delta("late.c", 100), 0.0);
 }
@@ -153,14 +159,15 @@ TEST(TimeSeriesTest, NewMetricsThatShiftSnapshotOrderKeepEverySeriesApart) {
   reg.GetCounter("m.b").Add(1);
   ts.Sample(3 * kNs);
 
-  EXPECT_EQ(ts.ValueAt("m.b", 0), 1.0);
-  EXPECT_EQ(ts.ValueAt("m.b", 1), 2.0);
+  const HealthExport health = ReadBack(ts);
+  EXPECT_EQ(ValueAt(health, "m.b", 0), 1.0);
+  EXPECT_EQ(ValueAt(health, "m.b", 1), 2.0);
   EXPECT_EQ(ts.Latest("m.b"), 3.0);
-  EXPECT_FALSE(ts.ValueAt("m.a", 0).has_value());
+  EXPECT_FALSE(ValueAt(health, "m.a", 0).has_value());
   EXPECT_EQ(ts.Latest("m.a"), 10.0);
   EXPECT_EQ(ts.Latest("m.g"), 5.0);
   EXPECT_EQ(ts.Latest("m.f"), 7.0);
-  EXPECT_EQ(ts.KindOf("m.f"), SeriesKind::kGauge);
+  EXPECT_EQ(KindOf(health, "m.f"), "gauge");
   EXPECT_EQ(ts.Latest("m.h#count"), 1.0);
   EXPECT_EQ(ts.Latest("m.h#p99"), 3.0);
 }
@@ -175,9 +182,10 @@ TEST(TimeSeriesTest, LateSeriesAcrossRingWrapReadsItsOwnPoints) {
     c.Add(1);
     ts.Sample(kNs * static_cast<uint64_t>(i + 1));
   }
-  EXPECT_EQ(ts.OldestRetained(), 7u);
+  const HealthExport health = ReadBack(ts);
+  EXPECT_EQ(OldestRetained(health), 7u);
   for (size_t i = 7; i < 11; ++i) {
-    EXPECT_EQ(ts.ValueAt("late.c", i), static_cast<double>(i - 4)) << i;
+    EXPECT_EQ(ValueAt(health, "late.c", i), static_cast<double>(i - 4)) << i;
   }
   std::ostringstream out;
   ts.WriteJsonLines(out);
@@ -193,15 +201,15 @@ TEST(TimeSeriesTest, MaxSeriesCapDropsNewSeriesAndCountsThem) {
   // overflow counter's name, so it merges), and 4 histogram sub-series.
   TimeSeries ts({.capacity = 4, .max_series = 4}, &reg);
   ts.Sample(kNs);
-  EXPECT_EQ(ts.SeriesCount(), 4u);
-  EXPECT_EQ(ts.DroppedSeries(), 2u);  // #p90 and #p99 over the cap
+  EXPECT_EQ(ReadBack(ts).series_count, 4u);
+  EXPECT_EQ(ReadBack(ts).dropped_series, 2u);  // #p90 and #p99 over the cap
 
   for (int i = 0; i < 8; ++i) {
     reg.GetCounter("flood." + std::to_string(i)).Add(1);
   }
   ts.Sample(2 * kNs);
-  EXPECT_EQ(ts.SeriesCount(), 4u);  // cap held
-  EXPECT_EQ(ts.DroppedSeries(), 12u);
+  EXPECT_EQ(ReadBack(ts).series_count, 4u);  // cap held
+  EXPECT_EQ(ReadBack(ts).dropped_series, 12u);
   EXPECT_FALSE(ts.Latest("flood.0").has_value());
   // Pre-existing series keep sampling normally.
   EXPECT_TRUE(ts.Latest("obs.metrics.dropped_series").has_value());
@@ -231,20 +239,6 @@ TEST(TimeSeriesTest, WriteJsonLinesMatchesSchema) {
   EXPECT_NE(text.find("{\"type\":\"series\",\"name\":\"t.c\",\"kind\":"
                       "\"counter\",\"start\":0,\"values\":[1,2]}"),
             std::string::npos);
-}
-
-TEST(TimeSeriesTest, ClearDropsSamplesAndSeries) {
-  Registry reg;
-  reg.GetCounter("t.c").Add(1);
-  TimeSeries ts({}, &reg);
-  ts.Sample(kNs);
-  ASSERT_GT(ts.SeriesCount(), 0u);
-  ts.Clear();
-  EXPECT_EQ(ts.SampleCount(), 0u);
-  EXPECT_EQ(ts.SeriesCount(), 0u);
-  EXPECT_FALSE(ts.Latest("t.c").has_value());
-  // Sampling resumes from index 0 after a clear.
-  EXPECT_EQ(ts.Sample(kNs), 0u);
 }
 
 }  // namespace

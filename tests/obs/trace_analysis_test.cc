@@ -145,11 +145,11 @@ TEST(TraceAnalysisTest, EveryExportedRecordIsOneEscapedLineThatRoundTrips) {
   reg.GetGauge("odd\x02series").Set(-3);
   TimeSeries ts({.capacity = 4, .max_series = 16}, &reg);
   HealthMonitor monitor(&ts);
-  monitor.AddRule(InvariantRule("odd\nrule", Severity::kCritical,
-                                [&](const TimeSeries&) {
-                                  return InvariantResult{false, 0.5, 1e300,
-                                                         detail};
-                                }));
+  monitor.AddRules({InvariantRule("odd\nrule", Severity::kCritical,
+                                 [&](const TimeSeries&) {
+                                   return InvariantResult{false, 0.5, 1e300,
+                                                          detail};
+                                 })});
   ts.Sample(1000, /*has_sim=*/true, 7);
   monitor.EvaluateLatest();
 
@@ -199,11 +199,11 @@ TEST(TraceAnalysisTest, AlertValuesParseBackExactly) {
   HealthMonitor monitor(&ts);
   const double supply = 1e18;
   const double observed = supply + 256;
-  monitor.AddRule(InvariantRule("chain.supply-conservation",
-                                Severity::kCritical, [&](const TimeSeries&) {
-                                  return InvariantResult{false, observed,
-                                                         supply, ""};
-                                }));
+  monitor.AddRules({InvariantRule("chain.supply-conservation",
+                                 Severity::kCritical, [&](const TimeSeries&) {
+                                   return InvariantResult{false, observed,
+                                                          supply, ""};
+                                 })});
   ts.Sample(1000);
   monitor.EvaluateLatest();
 

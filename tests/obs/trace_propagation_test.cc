@@ -217,17 +217,16 @@ TEST_F(TracePropagationTest, ThreadPoolWorkersInheritContextViaScope) {
     parent_ctx = parent.context();
     parent_id = parent.id();
 
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 8; ++i) {
-      futures.push_back(pool.Submit([parent_ctx] {
+    // A multi-thread pool runs every index on a worker, never on this
+    // thread, where `parent` is open.
+    pool.ParallelFor(0, 16, [parent_ctx](size_t i) {
+      if (i % 2 == 0) {
         TraceContextScope scope(parent_ctx);
         ScopedSpan work("trace.worker_with_ctx");
-      }));
-      futures.push_back(pool.Submit([] {
+      } else {
         ScopedSpan work("trace.worker_bare");
-      }));
-    }
-    for (auto& f : futures) f.get();
+      }
+    });
   }
 
   const auto spans = Tracer::Global().Snapshot();

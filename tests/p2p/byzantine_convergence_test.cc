@@ -50,7 +50,10 @@ class ByzantineConvergenceTest : public ::testing::Test {
     nodes_.clear();
     sim_ = MakeValidatorNetwork(n, genesis, kBlockInterval, net, seed,
                                 &nodes_, chain_config);
-    ApplyByzantineSpecs(plan, nodes_);
+    for (const common::ByzantineValidatorSpec& spec :
+         plan.byzantine_validators) {
+      nodes_[spec.node]->SetByzantine(spec.behavior);
+    }
     dml::FaultInjector::Install(*sim_, plan);
     sim_->Start();
     supply_ = nodes_[0]->chain().TotalSupply();  // genesis + n bonds

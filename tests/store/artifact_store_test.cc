@@ -1,8 +1,8 @@
 // Content-addressed artifact store: Put/Get roundtrips, chunk-level dedup
-// accounting, refcounted GC roots with mark-and-sweep, verified reads that
-// fail closed on corruption, and the durable CRC-framed layout (reopen,
-// torn-tail truncation, bit-rot detection, interrupted creation, and
-// kill-and-reopen at the scripted crash points the chain store shares).
+// accounting, verified reads that fail closed on corruption, and the
+// durable CRC-framed layout (reopen, torn-tail truncation, bit-rot
+// detection, interrupted creation, and kill-and-reopen at the scripted
+// crash points the chain store shares).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -59,7 +59,6 @@ TEST_F(ArtifactStoreTest, PutGetRoundtripAndIdempotentPut) {
 
   auto addr = store->Put(blob);
   ASSERT_TRUE(addr.ok());
-  EXPECT_TRUE(store->Contains(*addr));
   EXPECT_EQ(store->NumArtifacts(), 1u);
 
   auto back = store->Get(*addr);
@@ -92,7 +91,6 @@ TEST_F(ArtifactStoreTest, UnknownAddressIsNotFound) {
   auto store = OpenOrDie({});
   EXPECT_EQ(store->Get(Bytes(32, 0xab)).status().code(),
             StatusCode::kNotFound);
-  EXPECT_FALSE(store->Contains(Bytes(32, 0xab)));
 }
 
 TEST_F(ArtifactStoreTest, OverlappingBlobsDeduplicateByChunk) {
@@ -130,89 +128,7 @@ TEST_F(ArtifactStoreTest, OverlappingBlobsDeduplicateByChunk) {
   EXPECT_EQ(*back_b, b);
 }
 
-TEST_F(ArtifactStoreTest, GcSweepsUnrootedAndKeepsRooted) {
-  ArtifactStoreOptions opt;
-  opt.chunk_size = 256;
-  auto store = OpenOrDie(opt);
-
-  const Bytes keep_blob = RandomBlob(4 * 256, rng_);
-  const Bytes drop_blob = RandomBlob(3 * 256, rng_);
-  auto keep = store->Put(keep_blob);
-  auto drop = store->Put(drop_blob);
-  ASSERT_TRUE(keep.ok());
-  ASSERT_TRUE(drop.ok());
-  ASSERT_TRUE(store->AddRoot(*keep).ok());
-
-  auto stats = store->CollectGarbage();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->manifests_removed, 1u);
-  EXPECT_EQ(stats->chunks_removed, 3u);
-  EXPECT_EQ(stats->bytes_reclaimed, 3u * 256);
-
-  EXPECT_TRUE(store->Contains(*keep));
-  EXPECT_FALSE(store->Contains(*drop));
-  auto back = store->Get(*keep);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, keep_blob);
-  EXPECT_EQ(store->Get(*drop).status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(ArtifactStoreTest, SharedChunksSurviveGcOfOneReferrer) {
-  ArtifactStoreOptions opt;
-  opt.chunk_size = 256;
-  auto store = OpenOrDie(opt);
-
-  Bytes shared = RandomBlob(4 * 256, rng_);
-  Bytes a = shared;  // exactly the shared prefix
-  Bytes b = shared;
-  Bytes tail = RandomBlob(256, rng_);
-  b.insert(b.end(), tail.begin(), tail.end());
-
-  auto addr_a = store->Put(a);
-  auto addr_b = store->Put(b);
-  ASSERT_TRUE(addr_a.ok());
-  ASSERT_TRUE(addr_b.ok());
-  ASSERT_TRUE(store->AddRoot(*addr_b).ok());
-
-  // a is unrooted; GC removes its manifest but every one of its chunks is
-  // also referenced by b, so only the manifest goes.
-  auto stats = store->CollectGarbage();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->manifests_removed, 1u);
-  EXPECT_EQ(stats->chunks_removed, 0u);
-
-  auto back = store->Get(*addr_b);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, b);
-}
-
-TEST_F(ArtifactStoreTest, RootsAreRefcounted) {
-  auto store = OpenOrDie({});
-  const Bytes blob = RandomBlob(1000, rng_);
-  auto addr = store->Put(blob);
-  ASSERT_TRUE(addr.ok());
-
-  ASSERT_TRUE(store->AddRoot(*addr).ok());
-  ASSERT_TRUE(store->AddRoot(*addr).ok());
-  ASSERT_TRUE(store->RemoveRoot(*addr).ok());
-
-  // One reference still pins it.
-  auto stats = store->CollectGarbage();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->manifests_removed, 0u);
-  EXPECT_TRUE(store->Contains(*addr));
-
-  ASSERT_TRUE(store->RemoveRoot(*addr).ok());
-  stats = store->CollectGarbage();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->manifests_removed, 1u);
-  EXPECT_FALSE(store->Contains(*addr));
-
-  // Removing a root that does not exist is an error, not a crash.
-  EXPECT_FALSE(store->RemoveRoot(*addr).ok());
-}
-
-TEST_F(ArtifactStoreTest, DurableStoreReopensWithArtifactsAndRoots) {
+TEST_F(ArtifactStoreTest, DurableStoreReopensWithArtifacts) {
   ArtifactStoreOptions opt;
   opt.dir = dir_;
   opt.chunk_size = 256;
@@ -228,7 +144,6 @@ TEST_F(ArtifactStoreTest, DurableStoreReopensWithArtifactsAndRoots) {
     ASSERT_TRUE(b.ok());
     addr_a = *a;
     addr_b = *b;
-    ASSERT_TRUE(store->AddRoot(addr_a).ok());
   }
 
   auto store = OpenOrDie(opt);
@@ -239,42 +154,7 @@ TEST_F(ArtifactStoreTest, DurableStoreReopensWithArtifactsAndRoots) {
   ASSERT_TRUE(back_b.ok());
   EXPECT_EQ(*back_a, blob_a);
   EXPECT_EQ(*back_b, blob_b);
-
-  // The recovered root still pins a through a GC: b goes, a stays.
-  auto stats = store->CollectGarbage();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->manifests_removed, 1u);
-  EXPECT_TRUE(store->Contains(addr_a));
-  EXPECT_FALSE(store->Contains(addr_b));
-}
-
-TEST_F(ArtifactStoreTest, GcCompactionSurvivesReopen) {
-  ArtifactStoreOptions opt;
-  opt.dir = dir_;
-  opt.chunk_size = 256;
-
-  Bytes keep_blob = RandomBlob(3 * 256, rng_);
-  Bytes addr;
-  {
-    auto store = OpenOrDie(opt);
-    auto keep = store->Put(keep_blob);
-    auto drop = store->Put(RandomBlob(6 * 256, rng_));
-    ASSERT_TRUE(keep.ok());
-    ASSERT_TRUE(drop.ok());
-    addr = *keep;
-    ASSERT_TRUE(store->AddRoot(addr).ok());
-    auto stats = store->CollectGarbage();
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats->chunks_removed, 6u);
-  }
-
-  // The compacted pack reloads to exactly the surviving artifact.
-  auto store = OpenOrDie(opt);
-  EXPECT_EQ(store->NumArtifacts(), 1u);
-  EXPECT_EQ(store->NumChunks(), 3u);
-  auto back = store->Get(addr);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, keep_blob);
+  EXPECT_EQ(store->LogicalBytes(), blob_a.size() + blob_b.size());
 }
 
 TEST_F(ArtifactStoreTest, TornTailRecordIsTruncatedAtReplay) {
@@ -353,7 +233,7 @@ TEST_F(ArtifactStoreTest, BitRottedChunkIsRejectedByCrcAtReplay) {
 // Creation killed before the magic landed leaves an empty file; it opens as
 // a fresh one, as the chain store's empty blocks.log does.
 TEST_F(ArtifactStoreTest, EmptyFileFromInterruptedCreationOpensFresh) {
-  for (const char* name : {"chunks.pack", "manifests.log", "roots.log"}) {
+  for (const char* name : {"chunks.pack", "manifests.log"}) {
     SCOPED_TRACE(name);
     fs::remove_all(dir_);
     ArtifactStoreOptions opt;
@@ -367,26 +247,22 @@ TEST_F(ArtifactStoreTest, EmptyFileFromInterruptedCreationOpensFresh) {
       auto a = store->Put(blob);
       ASSERT_TRUE(a.ok());
       addr = *a;
-      ASSERT_TRUE(store->AddRoot(addr).ok());
     }
     fs::resize_file(dir_ + "/" + name, 0);
 
     {
       auto store = OpenOrDie(opt);
       ASSERT_NE(store, nullptr);
-      // The store keeps working: a fresh put and root land in the file.
+      // The store keeps working: a fresh put lands in the file.
       auto a = store->Put(blob);
       ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(store->AddRoot(*a).ok());
     }
     auto store = OpenOrDie(opt);
     ASSERT_NE(store, nullptr);
     auto back = store->Get(addr);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     EXPECT_EQ(*back, blob);
-    auto stats = store->CollectGarbage();
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats->manifests_removed, 0u);
+    EXPECT_EQ(store->NumArtifacts(), 1u);
   }
 }
 
@@ -395,7 +271,7 @@ TEST_F(ArtifactStoreTest, LeftoverTmpFileIsSweptOnOpen) {
   opt.dir = dir_;
   fs::create_directories(dir_);
   const std::string tmp = dir_ + "/chunks.pack.tmp";
-  std::ofstream(tmp, std::ios::binary) << "half a compaction";
+  std::ofstream(tmp, std::ios::binary) << "half a replace";
   ASSERT_TRUE(fs::exists(tmp));
   auto store = OpenOrDie(opt);
   ASSERT_NE(store, nullptr);
@@ -429,65 +305,18 @@ TEST_F(ArtifactStoreTest, CrashMidAppendDuringPutKeepsEarlierArtifacts) {
     EXPECT_EQ(b.status().code(), StatusCode::kUnavailable);
     EXPECT_EQ(common::CrashesFired(), fired_before + 1);
     // Dead until reopened, like a killed process.
-    EXPECT_EQ(store->AddRoot(earlier).code(), StatusCode::kUnavailable);
+    EXPECT_EQ(store->Put(RandomBlob(256, rng_)).status().code(),
+              StatusCode::kUnavailable);
   }
   auto store = OpenOrDie(opt);
   auto back = store->Get(earlier);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(*back, earlier_blob);
-  EXPECT_FALSE(store->Contains(torn));
+  EXPECT_EQ(store->Get(torn).status().code(), StatusCode::kNotFound);
   // The reopened store accepts the interrupted put again.
   auto again = store->Put(torn_blob);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, torn);
-}
-
-// kSnapshotMidWrite inside CollectGarbage: the compaction dies with half a
-// tmp file written and nothing renamed, so every pre-GC artifact survives
-// the reopen and the tmp file is swept.
-TEST_F(ArtifactStoreTest, CrashMidCompactionKeepsPreGcArtifacts) {
-  ArtifactStoreOptions opt;
-  opt.dir = dir_;
-  opt.chunk_size = 256;
-  const Bytes keep_blob = RandomBlob(3 * 256, rng_);
-  const Bytes drop_blob = RandomBlob(2 * 256, rng_);
-  Bytes keep, drop;
-  {
-    auto store = OpenOrDie(opt);
-    auto k = store->Put(keep_blob);
-    auto d = store->Put(drop_blob);
-    ASSERT_TRUE(k.ok());
-    ASSERT_TRUE(d.ok());
-    keep = *k;
-    drop = *d;
-    ASSERT_TRUE(store->AddRoot(keep).ok());
-
-    common::ArmCrash(common::CrashPoint::kSnapshotMidWrite);
-    auto stats = store->CollectGarbage();
-    ASSERT_FALSE(stats.ok());
-    EXPECT_EQ(stats.status().code(), StatusCode::kUnavailable);
-  }
-  bool saw_tmp = false;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    saw_tmp |= entry.path().extension() == ".tmp";
-  }
-  EXPECT_TRUE(saw_tmp);  // the crash left real torn bytes behind
-
-  auto store = OpenOrDie(opt);
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
-  }
-  auto back_keep = store->Get(keep);
-  auto back_drop = store->Get(drop);
-  ASSERT_TRUE(back_keep.ok());
-  ASSERT_TRUE(back_drop.ok());
-  EXPECT_EQ(*back_keep, keep_blob);
-  EXPECT_EQ(*back_drop, drop_blob);
-  // The root survived too: a clean GC now drops only the unrooted one.
-  auto stats = store->CollectGarbage();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->manifests_removed, 1u);
-  EXPECT_TRUE(store->Contains(keep));
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Gossip discovery: CRDT merge semantics of the advert index (LWW with a
 // deterministic tiebreak, idempotence, corruption rejection), anti-entropy
 // convergence over NetSim — bit-identical digests across replicas and
-// across runs of the same seed, including under fault-injected churn — and
-// the validator network's advert flood.
+// across runs of the same seed, including under fault-injected churn.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,7 +12,6 @@
 #include "common/serial.h"
 #include "dml/fault_injector.h"
 #include "dml/netsim.h"
-#include "p2p/validator_network.h"
 #include "store/discovery.h"
 
 namespace pds2::store {
@@ -24,7 +22,6 @@ using common::FaultPlan;
 using common::FaultProfile;
 using common::kMicrosPerSecond;
 using common::SimTime;
-using common::ToBytes;
 
 Advert MakeAdvert(uint8_t tag, const std::string& provider,
                   uint64_t version = 1) {
@@ -36,6 +33,17 @@ Advert MakeAdvert(uint8_t tag, const std::string& provider,
   advert.price = 10u * tag;
   advert.version = version;
   return advert;
+}
+
+// The adverts for content hash Bytes(32, tag): MakeAdvert gives each hash
+// its own schema tag.
+std::vector<Advert> FindByHash(const DiscoveryIndex& index, uint8_t tag) {
+  std::vector<Advert> found =
+      index.FindByTag("schema:v" + std::to_string(tag));
+  for (const Advert& advert : found) {
+    EXPECT_EQ(advert.content_hash, Bytes(32, tag));
+  }
+  return found;
 }
 
 // --- DiscoveryIndex CRDT semantics ------------------------------------------
@@ -51,8 +59,8 @@ TEST(DiscoveryIndexTest, UpsertReportsChangeAndFindersSeeIt) {
 
   EXPECT_EQ(index.FindByTag("iot/sensor").size(), 2u);
   EXPECT_EQ(index.FindByTag("schema:v1").size(), 1u);
-  EXPECT_EQ(index.FindByHash(Bytes(32, 2)).size(), 1u);
-  EXPECT_TRUE(index.FindByHash(Bytes(32, 9)).empty());
+  EXPECT_EQ(FindByHash(index, 2).size(), 1u);
+  EXPECT_TRUE(FindByHash(index, 9).empty());
 }
 
 TEST(DiscoveryIndexTest, HigherVersionWinsLowerLoses) {
@@ -62,14 +70,14 @@ TEST(DiscoveryIndexTest, HigherVersionWinsLowerLoses) {
   EXPECT_TRUE(index.Upsert(v2));
   // A stale revision never regresses the entry.
   EXPECT_FALSE(index.Upsert(MakeAdvert(1, "alice", 1)));
-  auto found = index.FindByHash(Bytes(32, 1));
+  auto found = FindByHash(index, 1);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].price, 99u);
 
   Advert v3 = MakeAdvert(1, "alice", 3);
   v3.price = 7;
   EXPECT_TRUE(index.Upsert(v3));
-  found = index.FindByHash(Bytes(32, 1));
+  found = FindByHash(index, 1);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].price, 7u);
 }
@@ -89,8 +97,8 @@ TEST(DiscoveryIndexTest, VersionTieResolvesIdenticallyOnBothReplicas) {
   ba.Upsert(y);
   ba.Upsert(x);
   EXPECT_EQ(ab.Digest(), ba.Digest());
-  EXPECT_EQ(ab.FindByHash(Bytes(32, 1))[0].price,
-            ba.FindByHash(Bytes(32, 1))[0].price);
+  EXPECT_EQ(FindByHash(ab, 1)[0].price,
+            FindByHash(ba, 1)[0].price);
 }
 
 TEST(DiscoveryIndexTest, DigestIsOrderIndependentAndContentSensitive) {
@@ -243,44 +251,6 @@ TEST(DiscoveryGossipTest, ConvergesUnderSeededFaultPlanChurn) {
   };
 
   EXPECT_EQ(run(1177), run(1177));
-}
-
-// --- Advert flood on the validator network ----------------------------------
-
-TEST(ValidatorAdvertTest, AnnouncedAdvertFloodsToAllValidators) {
-  std::vector<p2p::GenesisAlloc> genesis = {
-      {chain::AddressFromPublicKey(
-           crypto::SigningKey::FromSeed(ToBytes("a")).PublicKey()),
-       1'000'000'000}};
-  dml::NetConfig net;
-  net.base_latency = 20 * common::kMicrosPerMilli;
-  net.latency_jitter = 10 * common::kMicrosPerMilli;
-  std::vector<p2p::ValidatorNode*> nodes;
-  auto sim = p2p::MakeValidatorNetwork(4, genesis, kMicrosPerSecond, net,
-                                       /*seed=*/3, &nodes);
-  sim->Start();
-
-  Advert advert = MakeAdvert(9, "provider-x");
-  dml::NodeContext ctx(*sim, 1);
-  nodes[1]->AnnounceAdvert(advert, ctx);
-  sim->RunUntil(5 * kMicrosPerSecond);
-
-  for (p2p::ValidatorNode* node : nodes) {
-    auto found = node->discovery().FindByHash(advert.content_hash);
-    ASSERT_EQ(found.size(), 1u);
-    EXPECT_EQ(found[0].provider, "provider-x");
-    EXPECT_EQ(found[0].price, advert.price);
-  }
-
-  // Re-announcing the identical advert is a no-op (the LWW dedup breaks
-  // the flood), not a storm.
-  const auto sent_before = sim->stats().messages_sent;
-  nodes[1]->AnnounceAdvert(advert, ctx);
-  sim->RunUntil(6 * kMicrosPerSecond);
-  (void)sent_before;  // flood suppressed: index unchanged everywhere
-  for (p2p::ValidatorNode* node : nodes) {
-    EXPECT_EQ(node->discovery().FindByHash(advert.content_hash).size(), 1u);
-  }
 }
 
 }  // namespace

@@ -56,16 +56,6 @@ TEST(AttestationTest, QuoteVerifiesEndToEnd) {
                   .ok());
 }
 
-TEST(AttestationTest, QuoteSerializationRoundTrip) {
-  AttestationService service(2);
-  Enclave enclave = MakeEnclave(service, "exec-0", 1);
-  AttestationQuote quote = enclave.GenerateQuote(ToBytes("x"));
-  auto round = AttestationQuote::Deserialize(quote.Serialize());
-  ASSERT_TRUE(round.ok());
-  EXPECT_TRUE(
-      VerifyQuote(*round, service.RootPublicKey(), enclave.Measurement()).ok());
-}
-
 TEST(AttestationTest, WrongRootRejected) {
   AttestationService real(3), fake(4);
   Enclave enclave = MakeEnclave(real, "exec-0", 1);
