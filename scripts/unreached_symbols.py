@@ -11,13 +11,14 @@ drops std:: and common::Result<...> instantiations, merges overloads into
 one name, and reports each name that no binary keeps:
 
   python3 scripts/unreached_symbols.py [--build-dir build-unreached]
-                                       [--jobs 4]
 
 Every unreached name must be on scripts/unreached_allowlist.txt, one
 `name  # reason` per line. Exits 1 when an unreached name is missing from
 the allowlist, or when an allowlisted name is reached again or no longer
-defined, so the list can only shrink. The result is a lower bound: a
-function referenced only from code that never runs still counts as kept.
+defined, so the list can only shrink. The result is a lower bound in two
+ways: a function referenced only from code that never runs still counts
+as kept, and an inline or header-only function that no .cc calls is never
+emitted into a library, so the script cannot see it at all.
 
   python3 scripts/unreached_symbols.py --check-allowlist
 
@@ -139,7 +140,7 @@ def configure(source, build):
     return targets
 
 
-def build_and_scan(build_dir, jobs):
+def build_and_scan(build_dir):
     """Returns (library names, names kept by shipped binaries, binaries)."""
     main = os.path.join(build_dir, "main")
     perf = os.path.join(build_dir, "perfbench")
@@ -148,11 +149,12 @@ def build_and_scan(build_dir, jobs):
                and t["dir"].split("/")[0] in SHIPPED_DIRS]
     libraries = [t for t in targets if t["type"] == "STATIC_LIBRARY"
                  and t["dir"].split("/")[0] == "src"]
-    run(["cmake", "--build", main, "-j", str(jobs), "--target"]
+    jobs = str(os.cpu_count() or 1)
+    run(["cmake", "--build", main, "-j", jobs, "--target"]
         + [t["name"] for t in shipped + libraries])
     perf_targets = configure(os.path.join(ROOT, "perfbench"), perf)
     perfbench = [t for t in perf_targets if t["name"] == "pds2_perfbench"]
-    run(["cmake", "--build", perf, "-j", str(jobs), "--target",
+    run(["cmake", "--build", perf, "-j", jobs, "--target",
          "pds2_perfbench"])
     binaries = [t["artifact"] for t in shipped + perfbench]
 
@@ -226,15 +228,13 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--build-dir", default=os.path.join(ROOT,
                                                             "build-unreached"))
-    parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--check-allowlist", action="store_true",
                         help="check the allowlist's lines only; no build")
     args = parser.parse_args()
     if args.check_allowlist:
         return check_allowlist()
 
-    library, kept, binaries = build_and_scan(
-        os.path.abspath(args.build_dir), args.jobs)
+    library, kept, binaries = build_and_scan(os.path.abspath(args.build_dir))
     unreached = sorted(library - kept)
     allowed = {name for _, name, _ in read_allowlist()}
     print("%d shipped binaries, %d unreached pds2:: names, %d allowlisted"

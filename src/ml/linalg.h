@@ -1,7 +1,6 @@
 #ifndef PDS2_ML_LINALG_H_
 #define PDS2_ML_LINALG_H_
 
-#include <cstddef>
 #include <vector>
 
 namespace pds2::ml {
@@ -27,29 +26,6 @@ Vec Lerp(const Vec& a, const Vec& b, double t);
 /// length and at least one weight must be positive.
 Vec WeightedAverage(const std::vector<Vec>& vecs,
                     const std::vector<double>& weights);
-
-/// Dense row-major matrix, minimal by design: the models here only need
-/// matvec and outer-product accumulation.
-class Matrix {
- public:
-  Matrix() = default;
-  Matrix(size_t rows, size_t cols) : rows_(rows), cols_(cols),
-                                     data_(rows * cols, 0.0) {}
-
-  size_t rows() const { return rows_; }
-  size_t cols() const { return cols_; }
-
-  double& At(size_t r, size_t c) { return data_[r * cols_ + c]; }
-  double At(size_t r, size_t c) const { return data_[r * cols_ + c]; }
-
-  Vec& data() { return data_; }
-  const Vec& data() const { return data_; }
-
- private:
-  size_t rows_ = 0;
-  size_t cols_ = 0;
-  Vec data_;
-};
 
 }  // namespace pds2::ml
 

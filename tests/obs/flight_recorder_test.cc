@@ -21,14 +21,10 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
+#include "flight_dump_path.h"
+
 namespace pds2::obs {
 namespace {
-
-// The file DumpNow writes for the `n`-th dump with sanitized `reason`.
-std::string DumpPath(const std::string& dir, uint64_t n,
-                     const std::string& reason) {
-  return dir + "/flight-" + std::to_string(n) + "-" + reason + ".json";
-}
 
 class FlightRecorderTest : public ::testing::Test {
  protected:
@@ -218,10 +214,7 @@ TEST_F(FlightRecorderTest, FailedDumpIsNotCounted) {
   FlightRecorder::Global().SetDumpDir(::testing::TempDir());
   const std::string path = FlightRecorder::Global().DumpNow("writable");
   ASSERT_FALSE(path.empty());
-  EXPECT_NE(path.find("/flight-" + std::to_string(dumps_before) +
-                      "-writable.json"),
-            std::string::npos)
-      << path;
+  EXPECT_EQ(path, DumpPath(::testing::TempDir(), dumps_before, "writable"));
   EXPECT_EQ(FlightRecorder::Global().dumps_written(), dumps_before + 1);
   std::remove(path.c_str());
   std::remove(blocker.c_str());

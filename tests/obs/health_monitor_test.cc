@@ -11,6 +11,8 @@
 #include "obs/health_rules.h"
 #include "obs/time_series.h"
 
+#include "flight_dump_path.h"
+
 namespace pds2::obs {
 namespace {
 
@@ -198,9 +200,8 @@ TEST_F(HealthMonitorTest, CriticalFireTriggersFlightDump) {
   EXPECT_EQ(Step(monitor), 2u);  // both rules fire...
   EXPECT_EQ(recorder.dumps_written(), dumps_before + 1);  // ...one dump
   // The recorder sanitizes the reason for the filename: '.' becomes '-'.
-  const std::string path = ::testing::TempDir() + "/flight-" +
-                           std::to_string(dumps_before) +
-                           "-alert-t-critical.json";
+  const std::string path =
+      DumpPath(::testing::TempDir(), dumps_before, "alert-t-critical");
   EXPECT_TRUE(std::filesystem::exists(path)) << path;
 
   // Staying bad does not dump again; only a fresh fire would.
