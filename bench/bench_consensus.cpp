@@ -6,7 +6,8 @@
 // divergence and sync-protocol activity across packet-loss rates, plus
 // block propagation under growing validator sets. Section (c) sweeps the
 // thread count of parallel block validation (signature batch + tx root)
-// and writes the "consensus" section of BENCH_parallel.json.
+// and writes the "consensus" section of BENCH_parallel.json; it also
+// prints per-entry against batched admission of the same block.
 //
 // Section (g) is the E15 parallel-execution experiment: sustained
 // 1000-transfer blocks over 100k accounts, applied at 1/2/4 threads across
@@ -118,6 +119,44 @@ void PropagationSweeps() {
               "validator count — PoA committees stay small)\n");
 }
 
+// Admission of `txs` on fresh chains, one SubmitTransaction call per entry
+// against one SubmitTransactions call, in interleaved trials whose first
+// arm alternates. Prints the medians and the paired overhead of per-entry
+// admission with its resolution (bench::PairedOverhead).
+void PrintAdmissionPaired(const common::Bytes& validator,
+                          const chain::Address& funded,
+                          const std::vector<chain::Transaction>& txs) {
+  constexpr int kTrials = 15;
+  std::vector<double> batched_ms, per_entry_ms;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    for (int arm = 0; arm < 2; ++arm) {
+      const bool batched = (trial + arm) % 2 == 0;
+      Blockchain chain({validator}, ContractRegistry::CreateDefault());
+      (void)chain.CreditGenesis(funded, 1'000'000'000'000ULL);
+      std::vector<common::Status> statuses;
+      bench::Timer timer;
+      if (batched) {
+        statuses = chain.SubmitTransactions(txs);
+      } else {
+        for (const auto& tx : txs) {
+          statuses.push_back(chain.SubmitTransaction(tx));
+        }
+      }
+      (batched ? batched_ms : per_entry_ms).push_back(timer.ElapsedMs());
+      for (const common::Status& status : statuses) {
+        bench::Require(status.ok(), "admission failed: " + status.ToString());
+      }
+    }
+  }
+  const bench::Overhead o = bench::PairedOverhead(batched_ms, per_entry_ms);
+  std::printf("admission of %zu txs (median of %d paired trials): batched "
+              "%.2f ms, per-entry %.2f ms; per-entry/batched %.2fx "
+              "(%+.1f%%, resolution %.1f%%)\n",
+              txs.size(), kTrials, bench::Median(batched_ms),
+              bench::Median(per_entry_ms), 1.0 + o.pct / 100.0, o.pct,
+              o.resolution_pct);
+}
+
 // (c) parallel block validation thread sweep; the "consensus" section.
 bench::Json ValidationSweep() {
   std::printf("\n-- (c) parallel block validation (128 transfers/block) --\n");
@@ -139,14 +178,14 @@ bench::Json ValidationSweep() {
   for (size_t i = 0; i < kTxs; ++i) {
     txs.push_back(chain::Transaction::Make(alice, i, bob, 1, 100000,
                                            chain::CallPayload{}));
-    (void)producer.SubmitTransaction(txs.back());
   }
+  (void)producer.SubmitTransactions(txs);
   auto block = producer.ProduceBlock(validator, 1);
   bench::Require(block.ok(),
                  "block production failed: " + block.status().ToString());
 
   // The pre-batching baseline: one Schnorr verification per transaction,
-  // exactly what VerifyBlockSignatures did before the batch-equation path.
+  // exactly what block validation did before the batch-equation path.
   bench::Timer per_entry_timer;
   for (const auto& tx : block->transactions) {
     bench::Require(tx.VerifySignature().ok(), "signature rejected");
@@ -188,7 +227,7 @@ bench::Json ValidationSweep() {
   // transaction to its mempool re-checks nothing at block arrival.
   Blockchain warm({validator.PublicKey()}, ContractRegistry::CreateDefault());
   (void)warm.CreditGenesis(alice_addr, 1'000'000'000'000ULL);
-  for (const auto& tx : txs) (void)warm.SubmitTransaction(tx);
+  (void)warm.SubmitTransactions(txs);
   const uint64_t before = warm.SignatureVerifications();
   bench::Timer warm_timer;
   const bool warm_ok = warm.ApplyExternalBlock(*block).ok();
@@ -197,6 +236,7 @@ bench::Json ValidationSweep() {
   std::printf("cached path: apply after submitting all %zu txs -> %" PRIu64
               " extra verifies, %.2f ms%s\n",
               kTxs, extra, warm_ms, warm_ok ? "" : " (REJECTED)");
+  PrintAdmissionPaired(validator.PublicKey(), alice_addr, txs);
   return bench::Json()
       .Add("txs_per_block", kTxs)
       .Add("per_entry_verify_ms", per_entry_ms)
@@ -258,6 +298,7 @@ struct LoadSetup {
         DerivedAddress("par-hot-" + std::to_string(conflict));
     std::vector<chain::Block> blocks;
     for (size_t b = 0; b < kBlocks; ++b) {
+      std::vector<chain::Transaction> txs;
       for (size_t i = 0; i < kLoadTxs; ++i) {
         // Bresenham spread: exactly conflict% of the block's transfers
         // land on the shared hot account, evenly interleaved.
@@ -268,9 +309,10 @@ struct LoadSetup {
             contended ? hot
                       : DerivedAddress("par-cold-" + std::to_string(b) + "-" +
                                        std::to_string(i));
-        (void)producer.SubmitTransaction(chain::Transaction::Make(
-            senders[i], b, to, 1, 100000, chain::CallPayload{}));
+        txs.push_back(chain::Transaction::Make(senders[i], b, to, 1, 100000,
+                                               chain::CallPayload{}));
       }
+      (void)producer.SubmitTransactions(txs);
       auto block = producer.ProduceBlock(validator, b + 1);
       bench::Require(block.ok() && block->transactions.size() == kLoadTxs,
                      "parallel_exec: block production failed");
@@ -290,11 +332,7 @@ double ApplyMs(const LoadSetup& setup, const std::vector<chain::Block>& blocks,
   Blockchain replica = setup.MakeChain(&pool);
   double total_ms = 0.0;
   for (const chain::Block& block : blocks) {
-    if (warm) {
-      for (const auto& tx : block.transactions) {
-        (void)replica.SubmitTransaction(tx);
-      }
-    }
+    if (warm) (void)replica.SubmitTransactions(block.transactions);
     bench::Timer timer;
     bench::Require(replica.ApplyExternalBlock(block).ok(),
                    "parallel_exec: replica rejected the block");

@@ -19,8 +19,7 @@ Bytes SignedReading::SigningBytes() const {
 }
 
 Manufacturer::Manufacturer(const std::string& name)
-    : name_(name),
-      key_(crypto::SigningKey::FromSeed(ToBytes("pds2.manufacturer." + name))),
+    : key_(crypto::SigningKey::FromSeed(ToBytes("pds2.manufacturer." + name))),
       public_key_(key_.PublicKey()) {}
 
 Bytes Manufacturer::CertifiedBytes(const std::string& device_id,
@@ -41,8 +40,7 @@ Device::Device(std::string device_id, const Manufacturer& manufacturer)
     : id_(std::move(device_id)),
       key_(crypto::SigningKey::FromSeed(ToBytes("pds2.devkey." + id_))),
       public_key_(key_.PublicKey()),
-      certificate_(manufacturer.CertifyDevice(id_, public_key_)),
-      manufacturer_name_(manufacturer.name()) {}
+      certificate_(manufacturer.CertifyDevice(id_, public_key_)) {}
 
 SignedReading Device::Emit(common::SimTime timestamp,
                            std::vector<double> values) {

@@ -35,7 +35,6 @@ class Manufacturer {
  public:
   explicit Manufacturer(const std::string& name);
 
-  const std::string& name() const { return name_; }
   const common::Bytes& PublicKey() const { return public_key_; }
 
   /// Issues a device certificate over (device_id, device public key).
@@ -47,7 +46,6 @@ class Manufacturer {
   static const char* Domain() { return "pds2.device.cert"; }
 
  private:
-  std::string name_;
   crypto::SigningKey key_;
   common::Bytes public_key_;
 };
@@ -61,7 +59,6 @@ class Device {
   const std::string& id() const { return id_; }
   const common::Bytes& PublicKey() const { return public_key_; }
   const common::Bytes& Certificate() const { return certificate_; }
-  const std::string& manufacturer_name() const { return manufacturer_name_; }
 
   /// Produces the next signed reading.
   SignedReading Emit(common::SimTime timestamp, std::vector<double> values);
@@ -71,7 +68,6 @@ class Device {
   crypto::SigningKey key_;
   common::Bytes public_key_;
   common::Bytes certificate_;
-  std::string manufacturer_name_;
   uint64_t next_sequence_ = 0;
 };
 

@@ -109,10 +109,13 @@ constexpr size_t kMinSignatureBatch = 16;
 // any conceivable parallel win; execute sequentially.
 constexpr size_t kMinParallelBlockTxs = 4;
 
-// Structural shape every evidence transaction must have: only the "submit"
-// method exists, and the fee exemption is all-or-nothing — an evidence tx
-// cannot smuggle value or occupy block gas.
-Status CheckEvidencePayload(const Transaction& tx) {
+// Structural shape every evidence transaction must have — only the "submit"
+// method exists, and the fee exemption is all-or-nothing, so an evidence tx
+// cannot smuggle value or occupy block gas — then a proof that decodes and
+// verifies against `validators`. Submission and execution both run it, and
+// receipts carry its status strings.
+Result<EquivocationEvidence> VerifiedEvidence(
+    const Transaction& tx, const std::vector<Bytes>& validators) {
   if (tx.payload().method != "submit") {
     return Status::InvalidArgument("unknown evidence method: " +
                                    tx.payload().method);
@@ -122,100 +125,120 @@ Status CheckEvidencePayload(const Transaction& tx) {
         "evidence transactions must carry zero value, gas limit and gas "
         "price");
   }
-  return Status::Ok();
+  PDS2_ASSIGN_OR_RETURN(EquivocationEvidence evidence,
+                        EquivocationEvidence::Deserialize(tx.payload().args));
+  PDS2_RETURN_IF_ERROR(evidence.Verify(validators));
+  return evidence;
+}
+
+std::vector<Hash> TxIds(std::span<const Transaction> txs) {
+  std::vector<Hash> ids;
+  ids.reserve(txs.size());
+  for (const Transaction& tx : txs) ids.push_back(tx.Id());
+  return ids;
 }
 
 }  // namespace
 
-void Blockchain::CacheVerified(Hash tx_id) {
-  if (verified_txs_.size() >= kMaxVerifiedTxCacheEntries) {
-    verified_txs_.clear();
-  }
-  verified_txs_.insert(std::move(tx_id));
-}
-
-Status Blockchain::VerifyTransactionCached(const Transaction& tx,
-                                           const Hash& id) {
-  if (verified_txs_.count(id) > 0) {
-    PDS2_M_COUNT("chain.sig_cache_hits", 1);
-    return Status::Ok();
-  }
-  ++signature_verifications_;
-  PDS2_M_COUNT("chain.sig_verifications", 1);
-  PDS2_RETURN_IF_ERROR(tx.VerifySignature());
-  CacheVerified(id);
-  return Status::Ok();
-}
-
-Status Blockchain::VerifyBlockSignatures(
-    const std::vector<Transaction>& txs) {
-  PDS2_TRACE_SPAN("chain.verify_block_signatures");
-  // Partition into cached and still-unverified transactions. The id covers
-  // the signature bytes, so a cache hit certifies this exact (tx, sig) pair.
-  std::vector<size_t> unverified;
-  std::vector<Hash> unverified_ids;
+std::vector<Status> Blockchain::VerifySignatures(
+    std::span<const Transaction> txs, std::span<const Hash> ids) {
+  // Split by the cache. The id covers the signature bytes, so a hit
+  // certifies this exact (tx, sig) pair. A miss whose id already missed
+  // earlier in this call shares that first check: `check_of[i]` indexes
+  // `misses`, the first occurrence of each uncached id.
+  constexpr size_t kCached = SIZE_MAX;
+  std::vector<size_t> check_of(txs.size(), kCached);
+  std::vector<size_t> misses;
+  std::map<Hash, size_t> first_miss;
   for (size_t i = 0; i < txs.size(); ++i) {
-    Hash id = txs[i].Id();
-    if (verified_txs_.count(id) == 0) {
-      unverified.push_back(i);
-      unverified_ids.push_back(std::move(id));
-    }
+    if (verified_txs_.count(ids[i]) > 0) continue;
+    const auto [it, fresh] = first_miss.try_emplace(ids[i], misses.size());
+    if (fresh) misses.push_back(i);
+    check_of[i] = it->second;
   }
 
-  const size_t n = unverified.size();
-  std::vector<Status> statuses(n, Status::Ok());
-  if (n > 0) {
-    // One randomized linear combination verifies a whole chunk of
-    // signatures at a fraction of the per-signature cost; chunk count is
-    // derived from the block (enough to feed the pool, never so many that
-    // chunks fall under the amortization floor), so a bigger block means
-    // bigger batches, not more dispatch overhead.
-    std::vector<crypto::BatchVerifyEntry> entries(n);
-    for (size_t k = 0; k < n; ++k) {
-      const Transaction& tx = txs[unverified[k]];
-      entries[k].public_key = tx.sender_public_key();
-      entries[k].message =
-          crypto::DomainSeparatedMessage(Transaction::Domain(),
-                                         tx.SigningBytes());
-      entries[k].signature = tx.signature();
+  // One randomized linear combination verifies a whole chunk of signatures
+  // at a fraction of the per-signature cost; chunk count is derived from
+  // the miss set (enough to feed the pool, never so many that chunks fall
+  // under the amortization floor), so more misses mean bigger batches, not
+  // more dispatch overhead. One chunk runs on the calling thread.
+  const size_t n = misses.size();
+  std::vector<Status> checked(n, Status::Ok());
+  auto check_chunk = [&](size_t, size_t begin, size_t end) {
+    if (end - begin > 1) {
+      std::vector<crypto::BatchVerifyEntry> batch;
+      batch.reserve(end - begin);
+      for (size_t k = begin; k < end; ++k) {
+        const Transaction& tx = txs[misses[k]];
+        batch.push_back({tx.sender_public_key(),
+                         crypto::DomainSeparatedMessage(Transaction::Domain(),
+                                                        tx.SigningBytes()),
+                         tx.signature()});
+      }
+      if (crypto::VerifySignatureBatch(batch)) return;
     }
-    common::ThreadPool* pool = ExecutionPool();
-    const size_t num_chunks =
-        std::max<size_t>(1, std::min(pool->NumThreads(),
-                                     (n + kMinSignatureBatch - 1) /
-                                         kMinSignatureBatch));
-    pool->ParallelForChunks(
-        n, num_chunks, [&](size_t, size_t begin, size_t end) {
-          std::vector<crypto::BatchVerifyEntry> chunk(
-              entries.begin() + begin, entries.begin() + end);
-          if (crypto::VerifySignatureBatch(chunk)) return;
-          // The batch cannot name the culprit: re-check this chunk's
-          // entries individually so the caller sees the exact per-tx
-          // status the sequential loop produced.
-          for (size_t k = begin; k < end; ++k) {
-            statuses[k] = txs[unverified[k]].VerifySignature();
-          }
-        });
+    // A batch cannot name the culprit (and one entry is no batch): check
+    // each entry on its own, so each gets the status a single check gives.
+    for (size_t k = begin; k < end; ++k) {
+      checked[k] = txs[misses[k]].VerifySignature();
+    }
+  };
+  common::ThreadPool* pool = ExecutionPool();
+  const size_t num_chunks = std::min(
+      pool->NumThreads(), (n + kMinSignatureBatch - 1) / kMinSignatureBatch);
+  if (num_chunks > 1) {
+    pool->ParallelForChunks(n, num_chunks, check_chunk);
+  } else {
+    check_chunk(0, 0, n);
   }
-  signature_verifications_ += n;
-  PDS2_M_COUNT("chain.sig_verifications", n);
-  PDS2_M_COUNT("chain.sig_cache_hits", txs.size() - n);
 
-  Status first_failure = Status::Ok();
+  // Count as n sequential checks would: a repeat of an id that verified is
+  // a hit, a repeat of one that failed is checked (and fails) again. Only
+  // successes are cached, in tx order.
+  std::vector<Status> statuses(txs.size(), Status::Ok());
+  uint64_t verified = 0;
+  for (size_t i = 0; i < txs.size(); ++i) {
+    const size_t k = check_of[i];
+    if (k == kCached) continue;
+    statuses[i] = checked[k];
+    if (misses[k] == i || !checked[k].ok()) ++verified;
+  }
   for (size_t k = 0; k < n; ++k) {
-    if (statuses[k].ok()) {
-      CacheVerified(std::move(unverified_ids[k]));
-    } else if (first_failure.ok()) {
-      first_failure = statuses[k];
+    if (!checked[k].ok()) continue;
+    if (verified_txs_.size() >= kMaxVerifiedTxCacheEntries) {
+      verified_txs_.clear();
     }
+    verified_txs_.insert(ids[misses[k]]);
   }
-  return first_failure;
+  signature_verifications_ += verified;
+  PDS2_M_COUNT("chain.sig_verifications", verified);
+  PDS2_M_COUNT("chain.sig_cache_hits", txs.size() - verified);
+  return statuses;
 }
 
 Status Blockchain::SubmitTransaction(const Transaction& tx) {
+  return SubmitTransactions({&tx, 1})[0];
+}
+
+std::vector<Status> Blockchain::SubmitTransactions(
+    std::span<const Transaction> txs) {
   obs::ScopedSpan span("chain.submit_tx");
-  const Hash id = tx.Id();
-  PDS2_RETURN_IF_ERROR(VerifyTransactionCached(tx, id));
+  const std::vector<Hash> ids = TxIds(txs);
+  // Signature checks are stateless and only successes are cached, so doing
+  // them all first ends exactly as n sequential submissions would.
+  std::vector<Status> statuses = VerifySignatures(txs, ids);
+  for (size_t i = 0; i < txs.size(); ++i) {
+    if (statuses[i].ok()) statuses[i] = AdmitVerified(txs[i], ids[i]);
+    // Remember where the tx came from so the block that executes it can
+    // link back to the submitter's span (the tx bytes stay trace-free).
+    if (statuses[i].ok() && span.id() != 0) {
+      tx_trace_ctx_[ids[i]] = span.context();
+    }
+  }
+  return statuses;
+}
+
+Status Blockchain::AdmitVerified(const Transaction& tx, const Hash& id) {
   // A tx id already executed is a duplicate: the signature cache would
   // happily re-admit it (it only dedups the *verification*), so check the
   // receipt history before queueing a copy that would burn the sender's
@@ -227,16 +250,12 @@ Status Blockchain::SubmitTransaction(const Transaction& tx) {
     // Evidence is fee-exempt (no intrinsic gas, no floor, no funded
     // account needed), but the proof itself must verify before it may
     // occupy mempool space — spam cannot ride the exemption.
-    PDS2_RETURN_IF_ERROR(CheckEvidencePayload(tx));
-    auto evidence = EquivocationEvidence::Deserialize(tx.payload().args);
+    auto evidence = VerifiedEvidence(tx, validators_);
     if (!evidence.ok()) return evidence.status();
-    PDS2_RETURN_IF_ERROR(evidence->Verify(validators_));
     if (HasEvidenceFor(evidence->Offender(), evidence->Height())) {
       return Status::AlreadyExists("offence already punished on chain");
     }
-    PDS2_RETURN_IF_ERROR(mempool_.Add(tx, id));
-    if (span.id() != 0) tx_trace_ctx_[id] = span.context();
-    return Status::Ok();
+    return mempool_.Add(tx, id);
   }
   if (tx.gas_price() < config_.gas_price) {
     return Status::InvalidArgument("gas price below network floor");
@@ -261,22 +280,7 @@ Status Blockchain::SubmitTransaction(const Transaction& tx) {
       registry_->Find(tx.payload().contract) == nullptr) {
     return Status::NotFound("unknown contract type: " + tx.payload().contract);
   }
-  PDS2_RETURN_IF_ERROR(mempool_.Add(tx, id));
-  // Remember where the tx came from so the block that executes it can
-  // link back to the submitter's span (the tx bytes stay trace-free).
-  if (span.id() != 0) tx_trace_ctx_[id] = span.context();
-  return Status::Ok();
-}
-
-void Blockchain::LinkAndForgetTxContexts(const std::vector<Transaction>& txs,
-                                         obs::ScopedSpan* span) {
-  if (tx_trace_ctx_.empty()) return;
-  for (const Transaction& tx : txs) {
-    const auto it = tx_trace_ctx_.find(tx.Id());
-    if (it == tx_trace_ctx_.end()) continue;
-    span->AddLink(it->second);
-    tx_trace_ctx_.erase(it);
-  }
+  return mempool_.Add(tx, id);
 }
 
 Hash Blockchain::LastBlockHash() const {
@@ -327,18 +331,14 @@ Receipt Blockchain::ExecuteTransactionOn(StateView& state,
   uint64_t max_fee, max_cost;
   if (!common::CheckedMul(tx.gas_limit(), tx.gas_price(), &max_fee) ||
       !common::CheckedAdd(tx.value(), max_fee, &max_cost)) {
-    receipt.success = false;
     receipt.error = Status::InvalidArgument(
                         "gas limit * gas price + value overflows "
                         "settlement arithmetic")
                         .ToString();
-    receipt.gas_used = 0;
     return receipt;
   }
   if (state.GetBalance(sender) < max_cost) {
-    receipt.success = false;
     receipt.error = "InsufficientFunds: cannot cover value + max gas fee";
-    receipt.gas_used = 0;
     return receipt;
   }
 
@@ -439,62 +439,50 @@ Receipt Blockchain::ExecuteTransactionOn(StateView& state,
 
 Receipt Blockchain::ExecuteEvidenceOn(StateView& state, const Transaction& tx,
                                       uint64_t block_number) const {
-  Receipt receipt;
+  Receipt receipt;  // gas_used stays 0: fee-exempt by construction
   receipt.tx_id = tx.Id();
   receipt.block_number = block_number;
-  receipt.gas_used = 0;  // fee-exempt by construction
-
   const Address reporter = tx.SenderAddress();
   state.BumpNonce(reporter);
 
-  Status status = CheckEvidencePayload(tx);
-  EquivocationEvidence evidence;
-  if (status.ok()) {
-    auto parsed = EquivocationEvidence::Deserialize(tx.payload().args);
-    if (parsed.ok()) {
-      evidence = *std::move(parsed);
-      status = evidence.Verify(validators_);
-    } else {
-      status = parsed.status();
-    }
-  }
-  if (status.ok()) {
+  auto slash = [&]() -> Status {
+    PDS2_ASSIGN_OR_RETURN(const EquivocationEvidence evidence,
+                          VerifiedEvidence(tx, validators_));
     const Address offender = evidence.Offender();
-    const common::Bytes marker = EvidenceKey(offender, evidence.Height());
+    const Bytes marker = EvidenceKey(offender, evidence.Height());
     if (state.StorageGet(kEvidenceSpace, marker).has_value()) {
-      status = Status::AlreadyExists("offence already punished on chain");
-    } else {
-      const uint64_t stake = state.StakeOf(offender);
-      if (stake == 0) {
-        status = Status::FailedPrecondition("offender has no bonded stake");
-      } else {
-        state.Begin();
-        status = state.StakeSlash(offender, stake, reporter,
-                                  config_.slash_reporter_bps);
-        if (status.ok()) {
-          Writer w;
-          w.PutU64(block_number);
-          state.StoragePut(kEvidenceSpace, marker, w.Take());
-          state.Commit();
-          const uint64_t bounty = static_cast<uint64_t>(
-              static_cast<unsigned __int128>(stake) *
-              config_.slash_reporter_bps / kSlashBpsDenominator);
-          PDS2_M_COUNT("chain.slash.count", 1);
-          PDS2_M_COUNT("chain.slash.amount", stake);
-          PDS2_M_COUNT("chain.slash.burned", stake - bounty);
-          Writer event_data;
-          event_data.PutRaw(offender);
-          event_data.PutU64(evidence.Height());
-          event_data.PutU64(stake);
-          receipt.events.push_back(Event{kEvidenceContract, 0, "slashed",
-                                         event_data.Take()});
-        } else {
-          state.Rollback();
-        }
-      }
+      return Status::AlreadyExists("offence already punished on chain");
     }
-  }
-
+    const uint64_t stake = state.StakeOf(offender);
+    if (stake == 0) {
+      return Status::FailedPrecondition("offender has no bonded stake");
+    }
+    state.Begin();
+    const Status slashed = state.StakeSlash(offender, stake, reporter,
+                                            config_.slash_reporter_bps);
+    if (!slashed.ok()) {
+      state.Rollback();
+      return slashed;
+    }
+    Writer w;
+    w.PutU64(block_number);
+    state.StoragePut(kEvidenceSpace, marker, w.Take());
+    state.Commit();
+    const uint64_t bounty = static_cast<uint64_t>(
+        static_cast<unsigned __int128>(stake) * config_.slash_reporter_bps /
+        kSlashBpsDenominator);
+    PDS2_M_COUNT("chain.slash.count", 1);
+    PDS2_M_COUNT("chain.slash.amount", stake);
+    PDS2_M_COUNT("chain.slash.burned", stake - bounty);
+    Writer event_data;
+    event_data.PutRaw(offender);
+    event_data.PutU64(evidence.Height());
+    event_data.PutU64(stake);
+    receipt.events.push_back(
+        Event{kEvidenceContract, 0, "slashed", event_data.Take()});
+    return Status::Ok();
+  };
+  const Status status = slash();
   receipt.success = status.ok();
   if (!status.ok()) receipt.error = status.ToString();
   return receipt;
@@ -686,7 +674,16 @@ Status Blockchain::CommitBlock(Block block, const crypto::SigningKey* signer,
   }
   blocks_.push_back(std::move(block));
   const Block& head = blocks_.back();
-  LinkAndForgetTxContexts(head.transactions, span);
+  // Link `span` to each executed tx's submit context, then forget it: the
+  // edge connects a producer's market.post span to the block that executes
+  // its tx, though the tx bytes carry no trace context.
+  for (const Transaction& tx : head.transactions) {
+    if (tx_trace_ctx_.empty()) break;
+    const auto it = tx_trace_ctx_.find(tx.Id());
+    if (it == tx_trace_ctx_.end()) continue;
+    span->AddLink(it->second);
+    tx_trace_ctx_.erase(it);
+  }
   PublishSupplyGauges();
   PDS2_LOG(kDebug) << "committed block " << head.header.number << " with "
                    << head.transactions.size() << " txs, fees " << fees;
@@ -764,7 +761,14 @@ Status Blockchain::ApplyExternalBlockInner(const Block& block,
   if (gas_limit_sum > config_.block_gas_limit) {
     return Status::InvalidArgument("block exceeds the block gas limit");
   }
-  PDS2_RETURN_IF_ERROR(VerifyBlockSignatures(block.transactions));
+  {
+    PDS2_TRACE_SPAN("chain.verify_block_signatures");
+    // The first failure in tx order, as checking one by one reports it.
+    for (const Status& status :
+         VerifySignatures(block.transactions, TxIds(block.transactions))) {
+      PDS2_RETURN_IF_ERROR(status);
+    }
+  }
   PDS2_RETURN_IF_ERROR(CommitBlock(block, /*signer=*/nullptr, span));
   // Locally queued copies of the block's transactions are now executed;
   // drop them instead of waiting for stale-nonce eviction at the next

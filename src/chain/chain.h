@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -107,8 +108,14 @@ class Blockchain {
   /// Pre-consensus token allocation (genesis only; fails after block 0).
   common::Status CreditGenesis(const Address& addr, uint64_t amount);
 
-  /// Validates a transaction's signature and queues it.
+  /// Admits one transaction: SubmitTransactions({&tx, 1})[0].
   common::Status SubmitTransaction(const Transaction& tx);
+
+  /// Admits a batch in one chain.submit_tx span, one status per tx: one
+  /// VerifySignatures pass, then the stateful checks in input order.
+  /// Statuses, signature cache and mempool end as after n single submits.
+  std::vector<common::Status> SubmitTransactions(
+      std::span<const Transaction> txs);
 
   /// Produces, executes and appends the next block. Fails unless `proposer`
   /// is ProposerAt(timestamp). `timestamp` must be strictly after the
@@ -178,11 +185,11 @@ class Blockchain {
   /// Total gas consumed by all executed transactions (experiment E6).
   uint64_t TotalGasUsed() const { return total_gas_used_; }
 
-  /// Number of Schnorr signature checks actually performed on transactions.
-  /// A (tx, signature) pair is verified at most once: SubmitTransaction and
-  /// ApplyExternalBlock share a verification cache keyed by tx id (which
-  /// covers the signature bytes), eliminating the historical double-verify
-  /// on the submit→validate path.
+  /// Number of Schnorr signature checks performed on transactions. Admission
+  /// and block apply share one checker (VerifySignatures) and its cache of
+  /// successful checks, keyed by tx id (which covers the signature bytes),
+  /// so a valid (tx, signature) pair is verified once however it arrives; a
+  /// failing one is checked again each time it is seen.
   uint64_t SignatureVerifications() const { return signature_verifications_; }
 
   /// Total native supply: circulating balances plus bonded stakes plus
@@ -304,32 +311,21 @@ class Blockchain {
   common::Status CommitBlock(Block block, const crypto::SigningKey* signer,
                              obs::ScopedSpan* span);
 
-  /// Verifies one signature through the cache (submit path); `id` is
-  /// tx.Id().
-  common::Status VerifyTransactionCached(const Transaction& tx,
-                                         const Hash& id);
+  /// The signature checker of admission and block apply, one status per tx
+  /// (`ids[i]` is txs[i].Id()). Cache misses are batch-verified in chunks
+  /// on the pool (one chunk on the calling thread) with a per-entry
+  /// fallback; counts and the cache of successes end as after n single
+  /// checks, a repeated id included.
+  std::vector<common::Status> VerifySignatures(
+      std::span<const Transaction> txs, std::span<const Hash> ids);
 
-  /// Verifies a block's signatures, skipping cached ones and checking the
-  /// rest with batched Schnorr verification (one randomized linear
-  /// combination per chunk, chunks sized from the block and spread over
-  /// the pool). A failing chunk falls back to per-signature checks, so the
-  /// returned status is the first failure in tx order — the same status
-  /// the sequential loop produced.
-  common::Status VerifyBlockSignatures(const std::vector<Transaction>& txs);
+  /// SubmitTransactions' stateful checks and mempool admission for one
+  /// transaction whose signature verified.
+  common::Status AdmitVerified(const Transaction& tx, const Hash& id);
 
   /// The pool every parallel path uses: the configured one, or the
   /// process-wide shared pool when none was plumbed through.
   common::ThreadPool* ExecutionPool() const;
-
-  void CacheVerified(Hash tx_id);
-
-  /// Adds a causal link from `span` to the recorded submit context of every
-  /// transaction in `txs`, then forgets those contexts. The resulting trace
-  /// edge (submit -> block execution) is what connects a producer's
-  /// market.post span to the validator's block-apply span even though the
-  /// transaction itself carries no trace bytes.
-  void LinkAndForgetTxContexts(const std::vector<Transaction>& txs,
-                               obs::ScopedSpan* span);
 
   std::vector<common::Bytes> validators_;
   std::unique_ptr<ContractRegistry> registry_;

@@ -86,11 +86,6 @@ class CaptureLogSink : public LogSink {
     return false;
   }
 
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    records_.clear();
-  }
-
  private:
   mutable std::mutex mu_;
   std::vector<LogRecord> records_;

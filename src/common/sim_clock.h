@@ -22,9 +22,6 @@ class SimClock {
 
   SimTime Now() const { return now_; }
 
-  /// Moves the clock forward by `delta` microseconds.
-  void Advance(SimTime delta) { now_ += delta; }
-
   /// Jumps to an absolute time; ignored if `t` is in the past (the clock is
   /// monotonic).
   void AdvanceTo(SimTime t) {

@@ -62,8 +62,6 @@ class FedClientNode : public Node {
   void OnMessage(NodeContext& ctx, size_t from,
                  const common::Bytes& payload) override;
 
-  size_t local_samples() const { return data_.Size(); }
-
  private:
   std::unique_ptr<ml::Model> model_;
   ml::Dataset data_;

@@ -51,7 +51,6 @@ class GossipNode : public Node {
   /// isolation.)
   const ml::Model& model() const { return *model_; }
   uint64_t age() const { return age_; }
-  size_t local_samples() const { return data_.Size(); }
 
  private:
   void LocalUpdate(NodeContext& ctx);

@@ -91,9 +91,6 @@ class MsgBuf {
   const uint8_t* data() const {
     return inline_storage() ? u_.inline_buf : u_.heap.data();
   }
-  uint8_t* mutable_data() {
-    return inline_storage() ? u_.inline_buf : u_.heap.data();
-  }
 
   /// The payload as a Bytes reference for handler delivery: heap payloads
   /// are returned directly, inline payloads are copied into `scratch`

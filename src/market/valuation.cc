@@ -101,7 +101,6 @@ Result<std::map<std::string, uint64_t>> ValuationService::ComputeWeights(
       provider_names_.size(), std::ref(utility), {permutations, tolerance},
       seed, /*pool=*/nullptr);
   PDS2_RETURN_IF_ERROR(oracle_error);
-  last_values_ = sampled.values;
   last_utility_calls_ = utility.misses();
 
   const std::vector<double> normalized = rewards::NormalizeToRewards(

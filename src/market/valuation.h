@@ -48,9 +48,6 @@ class ValuationService {
       const ml::Dataset& validation, size_t permutations, double tolerance,
       uint64_t seed, uint64_t weight_scale = 1'000'000);
 
-  /// Raw (possibly negative) Shapley estimates from the last ComputeWeights
-  /// call, by coalition index.
-  const std::vector<double>& last_values() const { return last_values_; }
   /// Number of in-enclave utility evaluations the last run needed.
   size_t last_utility_calls() const { return last_utility_calls_; }
 
@@ -58,7 +55,6 @@ class ValuationService {
   crypto::SigningKey identity_;
   mutable std::unique_ptr<tee::Enclave> enclave_;
   std::vector<std::string> provider_names_;
-  std::vector<double> last_values_;
   size_t last_utility_calls_ = 0;
 };
 

@@ -26,13 +26,6 @@ class Stopwatch {
   }
   double ElapsedUs() const { return ElapsedMs() * 1000.0; }
 
-  uint64_t ElapsedNs() const {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count());
-  }
-
  private:
   std::chrono::steady_clock::time_point start_;
 };

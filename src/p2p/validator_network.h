@@ -101,7 +101,6 @@ class ValidatorNode : public dml::Node {
   uint64_t future_blocks_evicted() const { return future_blocks_evicted_; }
   uint64_t evidence_detected() const { return evidence_detected_; }
   uint64_t evidence_submitted() const { return evidence_submitted_; }
-  size_t pending_evidence_count() const { return pending_evidence_.size(); }
   const std::set<size_t>& quarantined_peers() const {
     return quarantined_peers_;
   }

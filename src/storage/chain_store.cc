@@ -65,7 +65,6 @@ Result<std::unique_ptr<ChainStore>> ChainStore::Open(
         blocks.push_back(std::move(*block));
         return true;
       }));
-  store->blocks_logged_ = blocks.size();
   return store;
 }
 
@@ -73,7 +72,6 @@ Status ChainStore::AppendBlock(const chain::Block& block) {
   PDS2_M_TIME_US("store.append_us");
   const Bytes payload = block.Serialize();
   PDS2_RETURN_IF_ERROR(log_->Append(payload));
-  ++blocks_logged_;
   PDS2_M_COUNT("store.log_appends", 1);
   PDS2_M_OBSERVE("store.log_record_bytes", kRecordFrameBytes + payload.size());
   return Status::Ok();
@@ -91,7 +89,6 @@ Status ChainStore::WriteSnapshot(const chain::Blockchain& chain) {
   snapshot_heights_.erase(
       std::unique(snapshot_heights_.begin(), snapshot_heights_.end()),
       snapshot_heights_.end());
-  last_snapshot_height_ = height;
   PDS2_M_COUNT("store.snapshots_written", 1);
   PDS2_M_OBSERVE("store.snapshot_bytes",
                  kRecordFrameBytes + payload[0].size());
@@ -118,14 +115,12 @@ Status ChainStore::Rewrite(const chain::Blockchain& chain) {
     PDS2_RETURN_IF_ERROR(dir_->Remove(SnapshotName(height)));
   }
   snapshot_heights_.clear();
-  last_snapshot_height_ = 0;
   std::vector<Bytes> payloads;
   payloads.reserve(chain.blocks().size());
   for (const chain::Block& block : chain.blocks()) {
     payloads.push_back(block.Serialize());
   }
   PDS2_RETURN_IF_ERROR(log_->Replace(payloads));
-  blocks_logged_ = chain.Height();
   PDS2_M_COUNT("store.log_rewrites", 1);
   if (options_.snapshot_interval > 0 && chain.Height() > 0) {
     return WriteSnapshot(chain);

@@ -107,8 +107,6 @@ class ChainStore : public chain::CommitListener {
   bool dead() const { return dir_->dead(); }
   /// Last append/snapshot failure observed by OnBlockCommitted.
   const common::Status& last_error() const { return last_error_; }
-  uint64_t blocks_logged() const { return blocks_logged_; }
-  uint64_t last_snapshot_height() const { return last_snapshot_height_; }
 
  private:
   ChainStore(std::unique_ptr<RecordDir> dir, ChainStoreOptions options);
@@ -122,8 +120,6 @@ class ChainStore : public chain::CommitListener {
 
   std::vector<chain::Block> recovered_blocks_;
   std::vector<uint64_t> snapshot_heights_;  // ascending
-  uint64_t blocks_logged_ = 0;
-  uint64_t last_snapshot_height_ = 0;
 };
 
 /// One genesis allocation (p2p::GenesisAlloc is an alias of it).

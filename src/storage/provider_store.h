@@ -67,7 +67,6 @@ class ProviderStorage {
       const common::Bytes& sealed, const common::Bytes& transport_key,
       const common::Bytes& expected_commitment);
 
-  size_t DatasetCount() const { return datasets_.size(); }
   /// Bytes of sealed blobs held at rest.
   size_t StoredBytes() const { return stored_bytes_; }
 

@@ -70,7 +70,6 @@ class ArtifactStore {
                      static_cast<double>(stored_bytes_);
   }
   size_t NumArtifacts() const { return manifests_.size(); }
-  size_t NumChunks() const { return chunks_.size(); }
 
   struct Manifest {
     uint64_t blob_size = 0;

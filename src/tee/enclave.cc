@@ -94,7 +94,6 @@ class ServicesAdapter : public EnclaveServices {
 }  // namespace
 
 Result<Bytes> Enclave::Ecall(const std::string& method, const Bytes& input) {
-  ++ecall_count_;
   ServicesAdapter services(rng_, transport_key_);
   return kernel_->Handle(method, input, services);
 }

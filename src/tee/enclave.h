@@ -79,9 +79,6 @@ class Enclave {
   common::Result<common::Bytes> Ecall(const std::string& method,
                                       const common::Bytes& input);
 
-  /// Number of ecalls served (host-visible telemetry; contents are not).
-  uint64_t EcallCount() const { return ecall_count_; }
-
  private:
   common::Bytes SealingKey() const;
 
@@ -92,7 +89,6 @@ class Enclave {
   crypto::SigningKey transport_key_;
   common::Bytes transport_public_key_;
   common::Rng rng_;
-  uint64_t ecall_count_ = 0;
   // mutable: sealing uses a fresh nonce per call.
   mutable uint64_t seal_nonce_ = 0;
 };

@@ -16,10 +16,6 @@ class MemoryTrace {
  public:
   void RecordRead(size_t index) { accesses_.push_back({'R', index}); }
   void RecordWrite(size_t index) { accesses_.push_back({'W', index}); }
-  void RecordCompare(size_t a, size_t b) {
-    accesses_.push_back({'C', a});
-    accesses_.push_back({'C', b});
-  }
 
   const std::vector<std::pair<char, size_t>>& accesses() const {
     return accesses_;

@@ -2,6 +2,10 @@
 //  - parallel block validation and the shared signature-verification cache:
 //    one Schnorr check per (tx, signature) across the submit -> validate
 //    path, and bit-identical blocks for every thread-pool size;
+//  - batched admission: one SubmitTransactions call against one
+//    SubmitTransaction call per entry over a seeded stream, identical in
+//    statuses, signature checks, cache, mempool selection and blocks at
+//    every pool size;
 //  - parallel transaction execution: conflict-lane partitioning,
 //    StateOverlay store semantics, and — the contract that matters —
 //    bit-identical receipts, state digests and block hashes for every
@@ -13,15 +17,18 @@
 // -DPDS2_SANITIZE=thread to check the lane executor for data races.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "../crypto/ed25519_oracle.h"
 #include "chain/chain.h"
+#include "chain/evidence.h"
 #include "chain/parallel_exec.h"
 #include "common/rng.h"
 #include "common/serial.h"
 #include "common/thread_pool.h"
+#include "crypto/sha256.h"
 
 namespace pds2::chain {
 namespace {
@@ -315,6 +322,298 @@ TEST_F(ParallelChainTest, TorsionSignatureGetsOneVerdictAtEveryPoolSize) {
   const Block block = torsion_producer.ProduceBlock(validator_, 1).value();
   for (const std::string& status : statuses(block)) {
     EXPECT_EQ(status, common::Status::Ok().ToString());
+  }
+}
+
+// --- One admission path: SubmitTransactions against single submits --------
+
+// One round of a seeded admission stream. Each entry carries the status
+// code admission must give it and whether its signature is bad; `executes`
+// counts the entries the block sealed after the round must include.
+struct AdmissionRound {
+  std::vector<Transaction> txs;
+  std::vector<common::StatusCode> expected;
+  std::vector<bool> bad_signature;
+  size_t executes = 0;
+};
+
+constexpr uint64_t kAdmissionFloor = 2;  // the stream chain's price floor
+constexpr uint64_t kPunishedHeight = 1000;
+
+// Two staked validators (the second one double-signs), a reporter, and
+// twelve funded senders.
+struct AdmissionSetup {
+  SigningKey honest = SigningKey::FromSeed(ToBytes("admission-honest"));
+  SigningKey offender = SigningKey::FromSeed(ToBytes("admission-offender"));
+  SigningKey reporter = SigningKey::FromSeed(ToBytes("admission-reporter"));
+  std::vector<SigningKey> senders;
+
+  AdmissionSetup() {
+    for (int i = 0; i < 12; ++i) {
+      senders.push_back(
+          SigningKey::FromSeed(ToBytes("admission-" + std::to_string(i))));
+    }
+  }
+
+  Blockchain MakeChain(ThreadPool* pool) const {
+    ChainConfig config;
+    config.gas_price = kAdmissionFloor;
+    config.validator_stake = 1'000'000;
+    config.thread_pool = pool;
+    Blockchain chain({honest.PublicKey(), offender.PublicKey()},
+                     ContractRegistry::CreateDefault(), config);
+    for (const SigningKey& sender : senders) {
+      EXPECT_TRUE(chain
+                      .CreditGenesis(AddressFromPublicKey(sender.PublicKey()),
+                                     kGenesisEach)
+                      .ok());
+    }
+    return chain;
+  }
+
+  const SigningKey& ProposerAt(const Blockchain& chain,
+                               common::SimTime timestamp) const {
+    return chain.ProposerAt(timestamp) == honest.PublicKey() ? honest
+                                                             : offender;
+  }
+
+  // A double-sign by `offender` at `height`, reported with `nonce`.
+  Transaction Evidence(uint64_t nonce, uint64_t height) const {
+    auto header = [&](common::SimTime timestamp) {
+      BlockHeader h;
+      h.parent_hash = Hash(32, 0xab);
+      h.number = height;
+      h.timestamp = timestamp;
+      h.proposer_public_key = offender.PublicKey();
+      h.signature = offender.SignWithDomain(BlockHeader::Domain(),
+                                            h.SigningBytes());
+      return h;
+    };
+    return MakeEvidenceTransaction(reporter, nonce,
+                                   EquivocationEvidence{header(1), header(2)});
+  }
+
+  // `rounds` rounds of 96 entries: valid transfers, bad signatures,
+  // in-batch repeats, duplicates of queued transactions, already-executed
+  // resubmissions, valid, malformed and already-punished evidence,
+  // below-floor and below-intrinsic-gas offers, settlement overflow,
+  // unknown contracts and nonce gaps.
+  std::vector<AdmissionRound> Stream(uint64_t seed, int rounds) const {
+    using common::StatusCode;
+    common::Rng rng(seed);
+    std::vector<uint64_t> next_nonce(senders.size(), 0);
+    uint64_t reporter_nonce = 0;
+    uint64_t fresh_height = kPunishedHeight;
+    std::vector<Transaction> executed, queued;
+    std::vector<AdmissionRound> out;
+    for (int r = 0; r < rounds; ++r) {
+      AdmissionRound round;
+      auto add = [&](Transaction tx, StatusCode code, bool bad = false) {
+        round.txs.push_back(std::move(tx));
+        round.expected.push_back(code);
+        round.bad_signature.push_back(bad);
+      };
+      auto add_executed = [&](Transaction tx) {
+        executed.push_back(tx);
+        ++round.executes;
+        add(std::move(tx), StatusCode::kOk);
+      };
+      // Round 0 opens with a proof for kPunishedHeight, which slashes the
+      // whole bond; later rounds' proofs for that height are refused.
+      if (r == 0) add_executed(Evidence(reporter_nonce++, kPunishedHeight));
+      while (round.txs.size() < 96) {
+        const size_t s = rng.NextU64(senders.size());
+        const uint64_t gas = 21'000 + rng.NextU64(kGas / 10);
+        auto transfer = [&](uint64_t nonce, uint64_t gas_limit,
+                            uint64_t price) {
+          return Transaction::Make(senders[s], nonce, Address(kAddressSize, 7),
+                                   1 + rng.NextU64(9), gas_limit,
+                                   CallPayload{}, price);
+        };
+        switch (rng.NextU64(14)) {
+          case 0:
+          case 1:
+          case 2:
+          case 3:
+            add_executed(transfer(next_nonce[s]++, gas,
+                                  kAdmissionFloor + rng.NextU64(3)));
+            break;
+          case 4: {
+            Bytes raw =
+                transfer(next_nonce[s], gas, kAdmissionFloor).Serialize();
+            raw[raw.size() - 1 - rng.NextU64(32)] ^= 0x01;  // signature s
+            Transaction bad = Transaction::Deserialize(raw).value();
+            const StatusCode code = bad.VerifySignature().code();
+            EXPECT_NE(code, StatusCode::kOk);
+            add(std::move(bad), code, /*bad=*/true);
+            break;
+          }
+          case 5:  // in-batch repeat, of the last bad signature half the time
+            if (!round.txs.empty()) {
+              size_t k = rng.NextU64(round.txs.size());
+              const auto bad = std::find(round.bad_signature.rbegin(),
+                                         round.bad_signature.rend(), true);
+              if (rng.NextU64(2) == 0 && bad != round.bad_signature.rend()) {
+                k = round.bad_signature.rend() - bad - 1;
+              }
+              const StatusCode first = round.expected[k];
+              add(round.txs[k],
+                  first == StatusCode::kOk ? StatusCode::kAlreadyExists
+                                           : first,
+                  round.bad_signature[k]);
+            }
+            break;
+          case 6:  // duplicate of a still-queued transaction
+            if (!queued.empty()) {
+              add(queued[rng.NextU64(queued.size())],
+                  StatusCode::kAlreadyExists);
+            }
+            break;
+          case 7:
+            if (!executed.empty()) {
+              add(executed[rng.NextU64(executed.size())],
+                  StatusCode::kAlreadyExists);
+            }
+            break;
+          case 8: {
+            const uint64_t kind = rng.NextU64(3);
+            if (kind == 0) {
+              add_executed(Evidence(reporter_nonce++, ++fresh_height));
+            } else if (kind == 1) {
+              add(Transaction::Make(reporter, reporter_nonce, Address{}, 0, 0,
+                                    CallPayload{kEvidenceContract, 0,
+                                                "appeal", {}},
+                                    0),
+                  StatusCode::kInvalidArgument);
+            } else if (r == 0) {
+              add_executed(Evidence(reporter_nonce++, kPunishedHeight));
+            } else {
+              add(Evidence(reporter_nonce, kPunishedHeight),
+                  StatusCode::kAlreadyExists);
+            }
+            break;
+          }
+          case 9:
+            add(transfer(next_nonce[s], gas, kAdmissionFloor - 1),
+                StatusCode::kInvalidArgument);
+            break;
+          case 10:
+            add(transfer(next_nonce[s], 100, kAdmissionFloor),
+                StatusCode::kInvalidArgument);
+            break;
+          case 11:
+            add(transfer(next_nonce[s], UINT64_MAX / 2, kAdmissionFloor + 1),
+                StatusCode::kInvalidArgument);
+            break;
+          case 12:
+            add(Transaction::Make(senders[s], next_nonce[s], Address{}, 0,
+                                  kGas, CallPayload{"no-such", 1, "m", {}},
+                                  kAdmissionFloor),
+                StatusCode::kNotFound);
+            break;
+          default:  // nonce gap: queued, never executable
+            queued.push_back(transfer(1'000'000 + queued.size(), gas,
+                                      kAdmissionFloor));
+            add(queued.back(), StatusCode::kOk);
+            break;
+        }
+      }
+      out.push_back(std::move(round));
+    }
+    return out;
+  }
+};
+
+// What one chain made of the stream: every status string, the signature
+// checks after each round, each sealed block's hash, a digest of the
+// mempool's selections (block tx ids, then the pool size), and the checks
+// a resubmission of the whole stream performed.
+struct AdmissionRun {
+  std::vector<std::string> statuses;
+  std::vector<uint64_t> verifications;
+  std::vector<Hash> block_hashes;
+  Hash selection_digest;
+  uint64_t resubmit_verifications = 0;
+};
+
+AdmissionRun RunAdmission(const AdmissionSetup& setup,
+                          const std::vector<AdmissionRound>& rounds,
+                          size_t threads, bool batched) {
+  ThreadPool pool(threads);
+  Blockchain chain = setup.MakeChain(&pool);
+  auto submit = [&](const std::vector<Transaction>& txs) {
+    if (batched) return chain.SubmitTransactions(txs);
+    std::vector<common::Status> statuses;
+    for (const Transaction& tx : txs) {
+      statuses.push_back(chain.SubmitTransaction(tx));
+    }
+    return statuses;
+  };
+  AdmissionRun run;
+  Writer selection;
+  common::SimTime now = 0;
+  for (size_t r = 0; r < rounds.size(); ++r) {
+    const std::vector<common::Status> statuses = submit(rounds[r].txs);
+    for (size_t i = 0; i < statuses.size(); ++i) {
+      EXPECT_EQ(statuses[i].code(), rounds[r].expected[i])
+          << "round " << r << " entry " << i << ": " << statuses[i].ToString();
+      run.statuses.push_back(statuses[i].ToString());
+    }
+    run.verifications.push_back(chain.SignatureVerifications());
+    ++now;
+    auto block = chain.ProduceBlock(setup.ProposerAt(chain, now), now);
+    EXPECT_TRUE(block.ok()) << block.status().ToString();
+    EXPECT_EQ(block->transactions.size(), rounds[r].executes);
+    for (const Transaction& tx : block->transactions) {
+      selection.PutBytes(tx.Id());
+    }
+    selection.PutU64(chain.MempoolSize());
+    run.block_hashes.push_back(block->header.Id());
+  }
+  run.selection_digest = crypto::Sha256::Hash(selection.Take());
+
+  // Every entry again: only bad signatures are checked again (failures are
+  // never cached), and every admitted entry is now a duplicate.
+  const uint64_t before = chain.SignatureVerifications();
+  size_t bad_signatures = 0;
+  for (const AdmissionRound& round : rounds) {
+    const std::vector<common::Status> statuses = submit(round.txs);
+    for (size_t i = 0; i < statuses.size(); ++i) {
+      const common::StatusCode first = round.expected[i];
+      EXPECT_EQ(statuses[i].code(), first == common::StatusCode::kOk
+                                        ? common::StatusCode::kAlreadyExists
+                                        : first);
+      if (round.bad_signature[i]) ++bad_signatures;
+    }
+  }
+  run.resubmit_verifications = chain.SignatureVerifications() - before;
+  EXPECT_EQ(run.resubmit_verifications, bad_signatures);
+  return run;
+}
+
+void ExpectSameAdmission(const AdmissionRun& a, const AdmissionRun& b) {
+  EXPECT_EQ(a.statuses, b.statuses);
+  EXPECT_EQ(a.verifications, b.verifications);
+  EXPECT_EQ(a.block_hashes, b.block_hashes);
+  EXPECT_EQ(a.selection_digest, b.selection_digest);
+  EXPECT_EQ(a.resubmit_verifications, b.resubmit_verifications);
+}
+
+// One SubmitTransactions call per round against one SubmitTransaction call
+// per entry: the same statuses, signature checks, cache, mempool selection
+// and blocks, at every pool size.
+TEST(AdmissionTest, BatchedAdmissionMatchesSingleSubmitsAtEveryPoolSize) {
+  const AdmissionSetup setup;
+  const std::vector<AdmissionRound> rounds = setup.Stream(/*seed=*/1, 4);
+  const AdmissionRun reference = RunAdmission(setup, rounds, 1, false);
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectSameAdmission(RunAdmission(setup, rounds, threads, true),
+                        reference);
+    if (threads > 1) {
+      ExpectSameAdmission(RunAdmission(setup, rounds, threads, false),
+                          reference);
+    }
   }
 }
 

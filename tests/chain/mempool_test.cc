@@ -37,7 +37,8 @@ Transaction Tx(const SigningKey& from, uint64_t nonce, uint64_t value = 1,
                            gas_limit, CallPayload{}, gas_price);
 }
 
-// Queues `tx` the way Blockchain::SubmitTransaction does, with its id.
+// Queues `tx` the way Blockchain::SubmitTransactions admits a transaction
+// that passed its signature and stateful checks: with its id.
 common::Status Add(Mempool& pool, const Transaction& tx) {
   return pool.Add(tx, tx.Id());
 }

@@ -131,7 +131,7 @@ TEST(HexTest, PrefixTruncates) {
 TEST(SimClockTest, AdvanceIsMonotonic) {
   SimClock clock;
   EXPECT_EQ(clock.Now(), 0u);
-  clock.Advance(100);
+  clock.AdvanceTo(100);
   EXPECT_EQ(clock.Now(), 100u);
   clock.AdvanceTo(50);  // ignored, in the past
   EXPECT_EQ(clock.Now(), 100u);

@@ -105,7 +105,6 @@ TEST_F(ChainStoreTest, EmptyDirectoryYieldsFreshGenesisChain) {
   EXPECT_EQ(rec.info.log_blocks, 0u);
   EXPECT_FALSE(rec.info.used_snapshot);
   ProduceBlocks(*rec.chain, 3);
-  EXPECT_EQ(rec.store->blocks_logged(), 3u);
   EXPECT_TRUE(rec.store->last_error().ok());
 }
 
@@ -134,7 +133,6 @@ TEST_F(ChainStoreTest, SnapshotBoundsRecoveryReplay) {
   {
     RecoveredChain rec = MustOpen(options);
     ProduceBlocks(*rec.chain, 10);  // snapshots at heights 4 and 8
-    EXPECT_EQ(rec.store->last_snapshot_height(), 8u);
   }
   EXPECT_TRUE(fs::exists(SnapshotPath(8)));
   RecoveredChain rec = MustOpen(options);

@@ -138,14 +138,6 @@ TEST(EnclaveTest, SealedDataBoundToMeasurement) {
   EXPECT_FALSE(enclave_v2.Unseal(sealed).ok());
 }
 
-TEST(EnclaveTest, EcallCountsAreHostVisible) {
-  AttestationService service(11);
-  Enclave enclave = MakeEnclave(service, "exec-0", 1);
-  EXPECT_EQ(enclave.EcallCount(), 0u);
-  (void)enclave.Ecall("configure", ConfigureArgs("logistic", 4));
-  EXPECT_EQ(enclave.EcallCount(), 1u);
-}
-
 // End-to-end: provider seals data to the attested enclave; training happens
 // inside; host only sees parameters.
 TEST(TrainingKernelTest, SealedDataFlowsThroughEnclave) {
