@@ -2,7 +2,6 @@
 #define PDS2_COMMON_LOGGING_H_
 
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -57,38 +56,6 @@ class LogSink {
 class StderrLogSink : public LogSink {
  public:
   void Write(const LogRecord& record) override;
-};
-
-/// Test sink: captures records in memory for assertions.
-class CaptureLogSink : public LogSink {
- public:
-  void Write(const LogRecord& record) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    records_.push_back(record);
-  }
-
-  std::vector<LogRecord> Records() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return records_;
-  }
-
-  size_t Count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return records_.size();
-  }
-
-  /// True if any captured message contains `needle`.
-  bool Contains(const std::string& needle) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const LogRecord& record : records_) {
-      if (record.message.find(needle) != std::string::npos) return true;
-    }
-    return false;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::vector<LogRecord> records_;
 };
 
 /// Replaces the process-wide sink; pass nullptr to restore the default

@@ -4,15 +4,30 @@
 
 namespace pds2::common {
 
+namespace {
+
+// Appends the low `width` bytes of `v`, little-endian, in one insert.
+void AppendLe(Bytes& out, uint64_t v, size_t width) {
+  uint8_t word[8];
+  for (size_t i = 0; i < width; ++i) {
+    word[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+  out.insert(out.end(), word, word + width);
+}
+
+uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
+}  // namespace
+
 void Writer::PutU8(uint8_t v) { data_.push_back(v); }
 
-void Writer::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) data_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
+void Writer::PutU32(uint32_t v) { AppendLe(data_, v, 4); }
 
-void Writer::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) data_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
+void Writer::PutU64(uint64_t v) { AppendLe(data_, v, 8); }
 
 void Writer::PutDouble(double v) {
   uint64_t bits;
@@ -63,8 +78,8 @@ Result<uint32_t> Reader::GetU32() {
 
 Result<uint64_t> Reader::GetU64() {
   PDS2_RETURN_IF_ERROR(Need(8));
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
+  const uint64_t v = LoadLe64(&data_[pos_]);
+  pos_ += 8;
   return v;
 }
 
@@ -109,11 +124,11 @@ Status Reader::CheckCount(uint64_t count, size_t min_element_bytes) const {
 Result<std::vector<double>> Reader::GetDoubleVector() {
   PDS2_ASSIGN_OR_RETURN(uint32_t n, GetU32());
   PDS2_RETURN_IF_ERROR(Need(static_cast<size_t>(n) * 8));
-  std::vector<double> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    auto r = GetDouble();
-    v.push_back(r.value());
+  std::vector<double> v(n);
+  for (double& x : v) {
+    const uint64_t bits = LoadLe64(&data_[pos_]);
+    std::memcpy(&x, &bits, sizeof(x));
+    pos_ += 8;
   }
   return v;
 }

@@ -17,6 +17,10 @@ namespace pds2::common {
 class Writer {
  public:
   Writer() = default;
+  /// Reserves `capacity` bytes up front, for a caller that knows the whole
+  /// message size. The Put* calls never reserve exactly: repeated calls
+  /// into one Writer would then reallocate on every call.
+  explicit Writer(size_t capacity) { data_.reserve(capacity); }
 
   void PutU8(uint8_t v);
   void PutU32(uint32_t v);

@@ -25,8 +25,9 @@ void GossipNode::OnStart(NodeContext& ctx) {
 }
 
 Bytes GossipNode::EncodeState() const {
-  Writer w;
-  w.PutDoubleVector(model_->GetParams());
+  const ml::Vec& params = model_->GetParams();
+  Writer w(4 + 8 * params.size() + 8 + 8);  // count, params, age, samples
+  w.PutDoubleVector(params);
   w.PutU64(age_);
   w.PutU64(data_.Size());
   return w.Take();
@@ -71,12 +72,18 @@ void GossipNode::OnMessage(NodeContext& ctx, size_t /*from*/,
       // proportionally more weight (Ormándi et al.).
       const double own_w = static_cast<double>(age_);
       const double peer_w = static_cast<double>(*peer_age);
-      if (own_w + peer_w == 0.0) {
-        model_->SetParams(*params);
-      } else {
-        model_->SetParams(ml::WeightedAverage({model_->GetParams(), *params},
-                                              {own_w + 1e-9, peer_w + 1e-9}));
+      if (own_w + peer_w != 0.0) {
+        // WeightedAverage's per-element arithmetic, in place in the decoded
+        // peer vector (its leading 0.0 + turns -0.0 into 0.0, so keep it).
+        const double wa = own_w + 1e-9, wb = peer_w + 1e-9;
+        const double ca = wa / (wa + wb), cb = wb / (wa + wb);
+        const ml::Vec& own = model_->GetParams();
+        ml::Vec& peer = *params;
+        for (size_t i = 0; i < peer.size(); ++i) {
+          peer[i] = (0.0 + ca * own[i]) + cb * peer[i];
+        }
       }
+      model_->SetParams(*params);
       break;
     }
     case GossipMergeRule::kPlainAverage:

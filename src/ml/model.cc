@@ -31,25 +31,27 @@ double Model::MeanLoss(const Dataset& data) const {
   return total / static_cast<double>(data.Size());
 }
 
+void Model::SetParams(const Vec& params) {
+  assert(params.size() == params_.size());
+  params_ = params;
+}
+
+void Model::AddToParams(double alpha, const Vec& v) { Axpy(alpha, v, params_); }
+
 // ---------------------------------------------------------------------------
 // LinearRegressionModel
 
 LinearRegressionModel::LinearRegressionModel(size_t num_features)
-    : weights_(num_features + 1, 0.0) {}
+    : Model(num_features + 1) {}
 
 std::unique_ptr<Model> LinearRegressionModel::Clone() const {
   return std::make_unique<LinearRegressionModel>(*this);
 }
 
-void LinearRegressionModel::SetParams(const Vec& params) {
-  assert(params.size() == weights_.size());
-  weights_ = params;
-}
-
 double LinearRegressionModel::PredictLabel(const Vec& x) const {
-  assert(x.size() + 1 == weights_.size());
-  double z = weights_.back();
-  for (size_t i = 0; i < x.size(); ++i) z += weights_[i] * x[i];
+  assert(x.size() + 1 == params_.size());
+  double z = params_.back();
+  for (size_t i = 0; i < x.size(); ++i) z += params_[i] * x[i];
   return z;
 }
 
@@ -60,7 +62,7 @@ double LinearRegressionModel::ExampleLoss(const Vec& x, double y) const {
 
 void LinearRegressionModel::AccumulateGradient(const Vec& x, double y,
                                                Vec& grad) const {
-  assert(grad.size() == weights_.size());
+  assert(grad.size() == params_.size());
   const double err = PredictLabel(x) - y;
   for (size_t i = 0; i < x.size(); ++i) grad[i] += err * x[i];
   grad.back() += err;
@@ -70,21 +72,16 @@ void LinearRegressionModel::AccumulateGradient(const Vec& x, double y,
 // LogisticRegressionModel
 
 LogisticRegressionModel::LogisticRegressionModel(size_t num_features)
-    : weights_(num_features + 1, 0.0) {}
+    : Model(num_features + 1) {}
 
 std::unique_ptr<Model> LogisticRegressionModel::Clone() const {
   return std::make_unique<LogisticRegressionModel>(*this);
 }
 
-void LogisticRegressionModel::SetParams(const Vec& params) {
-  assert(params.size() == weights_.size());
-  weights_ = params;
-}
-
 double LogisticRegressionModel::PredictProbability(const Vec& x) const {
-  assert(x.size() + 1 == weights_.size());
-  double z = weights_.back();
-  for (size_t i = 0; i < x.size(); ++i) z += weights_[i] * x[i];
+  assert(x.size() + 1 == params_.size());
+  double z = params_.back();
+  for (size_t i = 0; i < x.size(); ++i) z += params_[i] * x[i];
   return Sigmoid(z);
 }
 
@@ -99,7 +96,7 @@ double LogisticRegressionModel::ExampleLoss(const Vec& x, double y) const {
 
 void LogisticRegressionModel::AccumulateGradient(const Vec& x, double y,
                                                  Vec& grad) const {
-  assert(grad.size() == weights_.size());
+  assert(grad.size() == params_.size());
   const double err = PredictProbability(x) - y;
   for (size_t i = 0; i < x.size(); ++i) grad[i] += err * x[i];
   grad.back() += err;
@@ -110,19 +107,14 @@ void LogisticRegressionModel::AccumulateGradient(const Vec& x, double y,
 
 SoftmaxRegressionModel::SoftmaxRegressionModel(size_t num_features,
                                                size_t num_classes)
-    : num_features_(num_features),
-      num_classes_(num_classes),
-      params_((num_features + 1) * num_classes, 0.0) {
+    : Model((num_features + 1) * num_classes),
+      num_features_(num_features),
+      num_classes_(num_classes) {
   assert(num_classes >= 2);
 }
 
 std::unique_ptr<Model> SoftmaxRegressionModel::Clone() const {
   return std::make_unique<SoftmaxRegressionModel>(*this);
-}
-
-void SoftmaxRegressionModel::SetParams(const Vec& params) {
-  assert(params.size() == params_.size());
-  params_ = params;
 }
 
 Vec SoftmaxRegressionModel::ClassScores(const Vec& x) const {
@@ -176,9 +168,9 @@ void SoftmaxRegressionModel::AccumulateGradient(const Vec& x, double y,
 // MlpModel
 
 MlpModel::MlpModel(size_t num_features, size_t hidden_units, common::Rng& rng)
-    : num_features_(num_features),
-      hidden_(hidden_units),
-      params_(hidden_units * num_features + hidden_units + hidden_units + 1) {
+    : Model(hidden_units * num_features + hidden_units + hidden_units + 1),
+      num_features_(num_features),
+      hidden_(hidden_units) {
   assert(hidden_units > 0);
   // Xavier-style initialization for the first layer; zeros elsewhere.
   const double scale = 1.0 / std::sqrt(static_cast<double>(num_features));
@@ -194,11 +186,6 @@ MlpModel::MlpModel(size_t num_features, size_t hidden_units, common::Rng& rng)
 
 std::unique_ptr<Model> MlpModel::Clone() const {
   return std::make_unique<MlpModel>(*this);
-}
-
-void MlpModel::SetParams(const Vec& params) {
-  assert(params.size() == params_.size());
-  params_ = params;
 }
 
 double MlpModel::PredictProbability(const Vec& x) const {

@@ -8,10 +8,10 @@
 
 namespace pds2::ml {
 
-/// Abstract trainable model with a flat parameter vector. The flat-vector
-/// view is what makes decentralized aggregation generic: gossip merging and
-/// FedAvg both operate on GetParams()/SetParams() without knowing the
-/// architecture.
+/// Abstract trainable model that owns one flat parameter buffer. The
+/// flat-vector view is what makes decentralized aggregation generic: gossip
+/// merging and FedAvg both operate on GetParams()/SetParams() without
+/// knowing the architecture.
 class Model {
  public:
   virtual ~Model() = default;
@@ -19,9 +19,13 @@ class Model {
   /// Deep copy with identical parameters.
   virtual std::unique_ptr<Model> Clone() const = 0;
 
-  virtual size_t NumParams() const = 0;
-  virtual Vec GetParams() const = 0;
-  virtual void SetParams(const Vec& params) = 0;
+  size_t NumParams() const { return params_.size(); }
+  /// A view of the parameters, valid until the model is next mutated.
+  const Vec& GetParams() const { return params_; }
+  /// Copies `params` (NumParams() entries) in, reusing the buffer.
+  void SetParams(const Vec& params);
+  /// params += alpha * v, in place: the SGD step.
+  void AddToParams(double alpha, const Vec& v);
 
   /// Predicted label: class index for classifiers, value for regressors.
   virtual double PredictLabel(const Vec& x) const = 0;
@@ -35,23 +39,23 @@ class Model {
 
   /// Mean loss over a dataset.
   double MeanLoss(const Dataset& data) const;
+
+ protected:
+  explicit Model(size_t num_params) : params_(num_params, 0.0) {}
+
+  Vec params_;
 };
 
 /// Ordinary least squares via SGD: y_hat = w.x + b, squared loss.
+/// params_ is [w_0..w_{d-1}, bias]; LogisticRegressionModel shares it.
 class LinearRegressionModel : public Model {
  public:
   explicit LinearRegressionModel(size_t num_features);
 
   std::unique_ptr<Model> Clone() const override;
-  size_t NumParams() const override { return weights_.size(); }
-  Vec GetParams() const override { return weights_; }
-  void SetParams(const Vec& params) override;
   double PredictLabel(const Vec& x) const override;
   double ExampleLoss(const Vec& x, double y) const override;
   void AccumulateGradient(const Vec& x, double y, Vec& grad) const override;
-
- private:
-  Vec weights_;  // [w_0..w_{d-1}, bias]
 };
 
 /// Binary logistic regression: p = sigmoid(w.x + b), log loss, labels 0/1.
@@ -60,18 +64,12 @@ class LogisticRegressionModel : public Model {
   explicit LogisticRegressionModel(size_t num_features);
 
   std::unique_ptr<Model> Clone() const override;
-  size_t NumParams() const override { return weights_.size(); }
-  Vec GetParams() const override { return weights_; }
-  void SetParams(const Vec& params) override;
   double PredictLabel(const Vec& x) const override;
   double ExampleLoss(const Vec& x, double y) const override;
   void AccumulateGradient(const Vec& x, double y, Vec& grad) const override;
 
   /// P(y = 1 | x).
   double PredictProbability(const Vec& x) const;
-
- private:
-  Vec weights_;
 };
 
 /// Multiclass softmax regression with cross-entropy loss.
@@ -80,9 +78,6 @@ class SoftmaxRegressionModel : public Model {
   SoftmaxRegressionModel(size_t num_features, size_t num_classes);
 
   std::unique_ptr<Model> Clone() const override;
-  size_t NumParams() const override { return params_.size(); }
-  Vec GetParams() const override { return params_; }
-  void SetParams(const Vec& params) override;
   double PredictLabel(const Vec& x) const override;
   double ExampleLoss(const Vec& x, double y) const override;
   void AccumulateGradient(const Vec& x, double y, Vec& grad) const override;
@@ -92,9 +87,9 @@ class SoftmaxRegressionModel : public Model {
  private:
   Vec ClassScores(const Vec& x) const;  // softmax probabilities
 
+  // Layout: per class, [w_0..w_{d-1}, bias].
   size_t num_features_;
   size_t num_classes_;
-  Vec params_;  // per class: [w_0..w_{d-1}, bias]
 };
 
 /// One-hidden-layer MLP (tanh activation) with a sigmoid output for binary
@@ -105,9 +100,6 @@ class MlpModel : public Model {
   MlpModel(size_t num_features, size_t hidden_units, common::Rng& rng);
 
   std::unique_ptr<Model> Clone() const override;
-  size_t NumParams() const override { return params_.size(); }
-  Vec GetParams() const override { return params_; }
-  void SetParams(const Vec& params) override;
   double PredictLabel(const Vec& x) const override;
   double ExampleLoss(const Vec& x, double y) const override;
   void AccumulateGradient(const Vec& x, double y, Vec& grad) const override;
@@ -118,7 +110,6 @@ class MlpModel : public Model {
   // Layout: W1 (hidden x d) || b1 (hidden) || w2 (hidden) || b2 (1).
   size_t num_features_;
   size_t hidden_;
-  Vec params_;
 };
 
 }  // namespace pds2::ml

@@ -14,11 +14,14 @@ TrainStats Train(Model& model, const Dataset& data, const SgdConfig& config,
 
   const size_t n = data.Size();
   const size_t num_params = model.NumParams();
-  std::vector<size_t> order(n);
+  // Scratch reused across calls. NetSim may run gossip handlers on a pool,
+  // so it is per thread, never shared.
+  thread_local std::vector<size_t> order;
+  thread_local Vec batch_grad, example_grad;
+  order.resize(n);
   std::iota(order.begin(), order.end(), 0);
-
-  Vec batch_grad(num_params);
-  Vec example_grad(num_params);
+  batch_grad.resize(num_params);
+  example_grad.resize(num_params);
 
   for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
     rng.Shuffle(order);
@@ -50,15 +53,13 @@ TrainStats Train(Model& model, const Dataset& data, const SgdConfig& config,
         }
       }
 
-      Vec params = model.GetParams();
-      if (config.l2 > 0.0) Axpy(config.l2 * batch_n, params, batch_grad);
-      Axpy(-config.learning_rate / batch_n, batch_grad, params);
-      model.SetParams(params);
+      if (config.l2 > 0.0) {
+        Axpy(config.l2 * batch_n, model.GetParams(), batch_grad);
+      }
+      model.AddToParams(-config.learning_rate / batch_n, batch_grad);
       ++stats.steps;
     }
   }
-
-  stats.final_train_loss = model.MeanLoss(data);
   return stats;
 }
 

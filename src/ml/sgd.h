@@ -25,14 +25,15 @@ struct DpConfig {
 
 /// Summary of a training run.
 struct TrainStats {
-  size_t steps = 0;             // gradient steps taken
-  double final_train_loss = 0;  // mean loss after training
+  size_t steps = 0;  // gradient steps taken
 };
 
 /// Trains `model` in place with mini-batch SGD. With `dp.enabled`, runs
 /// DP-SGD instead: each example's gradient is clipped to dp.clip_norm, the
 /// batch sum is perturbed with N(0, (sigma*clip)^2) per coordinate, then
-/// averaged. Empty datasets are a no-op.
+/// averaged. Empty datasets are a no-op. The shuffle order and gradient
+/// buffers are per-thread scratch, so a call allocates nothing once its
+/// thread has trained a model of this size.
 TrainStats Train(Model& model, const Dataset& data, const SgdConfig& config,
                  common::Rng& rng, const DpConfig& dp = {});
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -9,6 +10,38 @@
 
 namespace pds2::common {
 namespace {
+
+// Captures records in memory for assertions.
+class CaptureLogSink : public LogSink {
+ public:
+  void Write(const LogRecord& record) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    records_.push_back(record);
+  }
+
+  std::vector<LogRecord> Records() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return records_;
+  }
+
+  size_t Count() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return records_.size();
+  }
+
+  /// True if any captured message contains `needle`.
+  bool Contains(const std::string& needle) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const LogRecord& record : records_) {
+      if (record.message.find(needle) != std::string::npos) return true;
+    }
+    return false;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<LogRecord> records_;
+};
 
 // Installs a capture sink and restores the previous sink + level on exit.
 class LoggingTest : public ::testing::Test {

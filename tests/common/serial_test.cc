@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/serial.h"
 
 namespace pds2::common {
@@ -88,6 +91,36 @@ TEST(SerialTest, RemainingTracksConsumption) {
   EXPECT_EQ(r.remaining(), 4u);
   ASSERT_TRUE(r.GetU8().ok());
   EXPECT_EQ(r.remaining(), 3u);
+}
+
+// A seeded mixed sequence through every Put*, digested byte by byte with
+// FNV-1a. Pins the canonical wire bytes: any change to the encoding moves
+// the digest or the length.
+TEST(SerialTest, SeededMixedSequenceMatchesPinnedDigest) {
+  Rng rng(31);
+  Writer w;
+  for (int i = 0; i < 500; ++i) {
+    switch (rng.NextU64(9)) {
+      case 0: w.PutU8(static_cast<uint8_t>(rng.NextU64())); break;
+      case 1: w.PutU32(static_cast<uint32_t>(rng.NextU64())); break;
+      case 2: w.PutU64(rng.NextU64()); break;
+      case 3: w.PutDouble(rng.NextGaussian(0.0, 1e6)); break;
+      case 4: w.PutBool(rng.NextU64(2) == 1); break;
+      case 5: w.PutBytes(rng.NextBytes(rng.NextU64(40))); break;
+      case 6: w.PutString(std::string(rng.NextU64(20), static_cast<char>('a' + i % 26))); break;
+      case 7: w.PutRaw(rng.NextBytes(rng.NextU64(12))); break;
+      case 8: {
+        std::vector<double> v(rng.NextU64(10));
+        for (double& x : v) x = rng.NextGaussian();
+        w.PutDoubleVector(v);
+        break;
+      }
+    }
+  }
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint8_t b : w.data()) h = (h ^ b) * 0x100000001b3ULL;
+  EXPECT_EQ(w.data().size(), 5879u);
+  EXPECT_EQ(h, 0x66a37502a9659f13ULL);
 }
 
 }  // namespace

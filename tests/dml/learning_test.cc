@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <vector>
+
 #include "common/serial.h"
+#include "common/thread_pool.h"
 #include "dml/experiment.h"
 
 namespace pds2::dml {
@@ -181,6 +186,52 @@ TEST(DmlComparisonTest, DeterministicGivenSeed) {
   for (size_t i = 0; i < a.timeline.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.timeline[i].accuracy, b.timeline[i].accuracy);
     EXPECT_EQ(a.timeline[i].bytes_sent, b.timeline[i].bytes_sent);
+  }
+}
+
+// FNV-1a over whole 64-bit words.
+uint64_t Mix(uint64_t h, uint64_t v) { return (h ^ v) * 0x100000001b3ULL; }
+
+// Runs a seeded 2,000-node gossip-learning sim for 10 simulated seconds and
+// digests every node's parameter bits and age. `pool` nullptr runs inline.
+uint64_t GossipStateDigest(common::ThreadPool* pool) {
+  constexpr size_t kNodes = 2000;
+  NetSim sim(NetConfig{}, /*seed=*/21);
+  if (pool != nullptr) sim.EnableParallel(pool);
+  common::Rng data_rng(22);
+  const std::vector<ml::Dataset> shards = ml::PartitionIid(
+      ml::MakeTwoGaussians(kNodes * 10, 6, 3.0, data_rng), kNodes, data_rng);
+  std::vector<const GossipNode*> nodes;
+  for (const ml::Dataset& shard : shards) {
+    auto node = std::make_unique<GossipNode>(
+        std::make_unique<ml::LogisticRegressionModel>(6), shard,
+        GossipConfig{});
+    nodes.push_back(node.get());
+    sim.AddNode(std::move(node));
+  }
+  sim.Start();
+  sim.RunUntil(10 * common::kMicrosPerSecond);
+
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const GossipNode* node : nodes) {
+    for (double p : node->model().GetParams()) {
+      uint64_t bits;
+      std::memcpy(&bits, &p, sizeof(bits));
+      h = Mix(h, bits);
+    }
+    h = Mix(h, node->age());
+  }
+  return h;
+}
+
+// Pins the merge and local-SGD arithmetic bit for bit, at every pool size
+// (perfbench's gossip fingerprint covers message counts only).
+TEST(GossipLearningTest, LearnedStateMatchesPinnedDigest) {
+  constexpr uint64_t kPinned = 0xbd0bf9e2ce2fc15cULL;
+  EXPECT_EQ(GossipStateDigest(nullptr), kPinned);
+  for (size_t threads : {1u, 2u, 4u}) {
+    common::ThreadPool pool(threads);
+    EXPECT_EQ(GossipStateDigest(&pool), kPinned) << "threads=" << threads;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "ml/dataset.h"
@@ -212,6 +213,56 @@ TEST(SgdTest, DpNoiseDegradesWithHugeMultiplier) {
   dp.noise_multiplier = 50.0;
   Train(noisy, data, config, rb, dp);
   EXPECT_GT(Accuracy(clean, data), Accuracy(noisy, data));
+}
+
+// FNV-1a over the bit patterns of a parameter vector, one word per step.
+uint64_t ParamsDigest(const Vec& params, uint64_t h = 0xcbf29ce484222325ULL) {
+  for (double p : params) {
+    uint64_t bits;
+    std::memcpy(&bits, &p, sizeof(bits));
+    h = (h ^ bits) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Trains `model` twice on `data`, once plainly and once with DP-SGD (clip +
+// noise), both with weight decay, and digests the parameters after each.
+uint64_t TrainDigest(Model& model, const Dataset& data, uint64_t seed) {
+  Rng rng(seed);
+  SgdConfig config;
+  config.learning_rate = 0.05;
+  config.epochs = 3;
+  config.batch_size = 7;  // the last batch of each epoch is short
+  config.l2 = 0.01;
+  Train(model, data, config, rng);
+  uint64_t h = ParamsDigest(model.GetParams());
+  DpConfig dp;
+  dp.enabled = true;
+  dp.clip_norm = 0.5;
+  dp.noise_multiplier = 0.3;
+  Train(model, data, config, rng, dp);
+  return ParamsDigest(model.GetParams(), h);
+}
+
+// Pins the bits SGD produces for every model class: a change to the update
+// arithmetic, the RNG draw order or the parameter layout moves a digest.
+TEST(SgdTest, TrainedParametersMatchPinnedDigest) {
+  Rng data_rng(15);
+  Vec w_true;
+  const Dataset regression =
+      MakeLinearRegression(60, 3, 0.1, data_rng, &w_true);
+  const Dataset binary = MakeTwoGaussians(60, 3, 2.0, data_rng);
+  const Dataset clusters = MakeGaussianClusters(60, 3, 3, 4.0, data_rng);
+
+  LinearRegressionModel linear(3);
+  EXPECT_EQ(TrainDigest(linear, regression, 16), 0x1790008ab6c514acULL);
+  LogisticRegressionModel logistic(3);
+  EXPECT_EQ(TrainDigest(logistic, binary, 17), 0x17a046aedfd53b1fULL);
+  SoftmaxRegressionModel softmax(3, 3);
+  EXPECT_EQ(TrainDigest(softmax, clusters, 18), 0xfcdb95b091528f64ULL);
+  Rng init_rng(19);
+  MlpModel mlp(3, 4, init_rng);
+  EXPECT_EQ(TrainDigest(mlp, binary, 20), 0x3004660e02103497ULL);
 }
 
 }  // namespace
