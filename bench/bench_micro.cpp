@@ -440,8 +440,8 @@ bool WriteObservabilityReport() {
   const double median_disabled_us = pds2::bench::Median(disabled_us);
   const double median_enabled_us = pds2::bench::Median(enabled_us);
 
-  // The disabled path differs from a PDS2_METRICS=0 build by `macro_hits`
-  // flag checks per apply; that product over the apply time is the
+  // With metrics off, each apply still pays `macro_hits` flag checks; their
+  // cost (`macro_hits` × `disabled_macro_ns`) over the apply time is the
   // disabled-path overhead (the acceptance budget is < 2%).
   const double disabled_overhead_pct =
       median_disabled_us <= 0.0

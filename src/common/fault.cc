@@ -2,30 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <string>
 
 #include "common/rng.h"
-#include "obs/flight_recorder.h"
 
 namespace pds2::common {
 
 namespace {
-
-const char* CrashPointName(CrashPoint point) {
-  switch (point) {
-    case CrashPoint::kNone:
-      return "none";
-    case CrashPoint::kLogMidAppend:
-      return "log-mid-append";
-    case CrashPoint::kLogPreFsync:
-      return "log-pre-fsync";
-    case CrashPoint::kSnapshotMidWrite:
-      return "snapshot-mid-write";
-    case CrashPoint::kSnapshotPostRename:
-      return "snapshot-post-rename";
-  }
-  return "unknown";
-}
 
 // The armed scripted-crash point. Atomic so sanitizer builds running the
 // durability chaos suite under TSan see no race between the arming test
@@ -49,11 +31,6 @@ bool CrashRequested(CrashPoint point) {
   if (g_armed_crash.compare_exchange_strong(expected, CrashPoint::kNone,
                                             std::memory_order_acq_rel)) {
     g_crashes_fired.fetch_add(1, std::memory_order_relaxed);
-    // The scripted kill is about to take effect: capture the black box
-    // while the dying code path is still on the stack.
-    obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
-    recorder.Note(std::string("crash point fired: ") + CrashPointName(point));
-    (void)recorder.DumpNow(std::string("crashpoint-") + CrashPointName(point));
     return true;
   }
   return false;

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace pds2::common {
@@ -65,9 +64,6 @@ LogSink* SetLogSink(LogSink* sink) {
 void LogDispatch(LogRecord&& record) {
   record.file = Basename(record.file);
   CountRecord(record.level);
-  // The flight recorder keeps the most recent log lines so a post-mortem
-  // dump shows what the process was saying when it died.
-  obs::FlightRecorder::Global().OnLog(record);
   LogSink* sink = g_sink.load(std::memory_order_acquire);
   if (sink != nullptr) {
     sink->Write(record);

@@ -16,9 +16,7 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 
-// Inline so header-only consumers (e.g. pds2_obs, which pds2_common links
-// against and therefore cannot depend on) can format levels without
-// pulling in logging.cc.
+/// Upper-case name of `level`, as the default stderr sink prints it.
 inline const char* LogLevelName(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug:

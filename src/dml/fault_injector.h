@@ -42,7 +42,6 @@ class FaultInjector : public Node, public LinkFaultHook {
   explicit FaultInjector(common::FaultPlan plan);
 
   common::FaultPlan plan_;
-  NetSim* sim_ = nullptr;  // set by Install; needed for SetOnline
 };
 
 }  // namespace pds2::dml

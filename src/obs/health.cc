@@ -5,7 +5,6 @@
 #include <set>
 
 #include "common/logging.h"
-#include "obs/flight_recorder.h"
 #include "obs/json_codec.h"
 
 namespace pds2::obs {
@@ -244,11 +243,6 @@ void HealthMonitor::EmitLocked(const HealthRule& rule, const RuleState& state,
           .Field("first_bad_sample", state.first_bad_sample)
           << "health alert fired: " << rule.id << " (observed "
           << check.observed << " vs bound " << check.bound << ")";
-    }
-    if (rule.severity >= Severity::kCritical) {
-      FlightRecorder::Global().Note("health alert: " + rule.id, info.has_sim,
-                                    info.sim_us);
-      FlightRecorder::Global().DumpNow("alert-" + rule.id);
     }
   } else {
     PDS2_M_COUNT("obs.health.alerts_resolved", 1);

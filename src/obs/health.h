@@ -90,9 +90,8 @@ struct AlertEvent {
 /// every rule against the latest sample, fires a rule on its first bad
 /// sample and resolves it on its first good one, and emits AlertEvents
 /// into (a) its own event log (the newest kMaxEvents), (b) the metrics
-/// registry (obs.health.* counters), (c) the log sink, and (d) on critical
-/// fires, a FlightRecorder dump when the recorder is enabled — so a seeded
-/// chaos run that goes bad leaves a post-mortem artifact without crashing.
+/// registry (obs.health.* counters), and (c) the log sink (ERROR for
+/// critical fires, WARN otherwise).
 ///
 /// Rules that reference series absent from the time series are skipped
 /// (treated healthy): packs register rules for subsystems that may not be

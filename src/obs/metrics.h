@@ -11,14 +11,6 @@
 #include <utility>
 #include <vector>
 
-/// PDS2_METRICS=0 (cmake -DPDS2_METRICS=OFF) compiles every PDS2_M_* /
-/// PDS2_TRACE_* instrumentation macro down to nothing. The obs library and
-/// its direct API stay available either way; only the macro call sites in
-/// hot paths disappear.
-#ifndef PDS2_METRICS
-#define PDS2_METRICS 1
-#endif
-
 namespace pds2::obs {
 
 /// Process-wide runtime switch gating every PDS2_M_* macro. When false, an
@@ -241,8 +233,6 @@ class Registry {
 // is skipped — one relaxed load, one branch — while metrics are disabled.
 // ---------------------------------------------------------------------------
 
-#if PDS2_METRICS
-
 #define PDS2_M_COUNT(name, delta)                                     \
   do {                                                                \
     if (::pds2::obs::MetricsEnabled()) {                              \
@@ -278,22 +268,5 @@ class Registry {
       pds2_m_hist.Observe(static_cast<uint64_t>(value));              \
     }                                                                 \
   } while (0)
-
-#else  // !PDS2_METRICS
-
-#define PDS2_M_COUNT(name, delta) \
-  do {                            \
-  } while (0)
-#define PDS2_M_GAUGE_ADD(name, delta) \
-  do {                                \
-  } while (0)
-#define PDS2_M_GAUGE_SET(name, value) \
-  do {                                \
-  } while (0)
-#define PDS2_M_OBSERVE(name, value) \
-  do {                              \
-  } while (0)
-
-#endif  // PDS2_METRICS
 
 #endif  // PDS2_OBS_METRICS_H_

@@ -74,21 +74,11 @@ class ScopedHistogramTimer {
 
 }  // namespace pds2::obs
 
-#if PDS2_METRICS
-
 /// Times the rest of the enclosing scope into histogram `name` (µs).
 #define PDS2_M_TIME_US(name)                                              \
   static ::std::atomic<::pds2::obs::Histogram*> pds2_m_time_hist{nullptr}; \
   ::pds2::obs::ScopedHistogramTimer pds2_m_time_timer(                    \
       ::pds2::obs::internal_metrics::ResolveHistogram(pds2_m_time_hist,   \
                                                       name))
-
-#else  // !PDS2_METRICS
-
-#define PDS2_M_TIME_US(name) \
-  do {                       \
-  } while (0)
-
-#endif  // PDS2_METRICS
 
 #endif  // PDS2_OBS_STOPWATCH_H_

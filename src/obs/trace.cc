@@ -32,8 +32,6 @@ uint64_t WallNowNs() {
           .count());
 }
 
-const std::string& CurrentNodeLabel() { return t_node_label; }
-
 TraceContext CurrentTraceContext() {
   if (!TracingEnabled()) return {};
   const uint64_t epoch = Tracer::Global().epoch();
@@ -146,45 +144,29 @@ size_t Tracer::SpanCount() const {
   return records_.size();
 }
 
-std::vector<SpanRecord> Tracer::Tail(size_t n) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t first = records_.size() > n ? records_.size() - n : 0;
-  return {records_.begin() + static_cast<long>(first), records_.end()};
-}
-
-void WriteSpanJson(std::ostream& out, const SpanRecord& record) {
-  out << "{\"id\":" << record.id << ",\"parent\":" << record.parent
-      << ",\"trace\":" << record.trace_id
-      << ",\"name\":\"" << JsonEscape(record.name) << "\""
-      << ",\"node\":\"" << JsonEscape(record.node) << "\""
-      << ",\"thread\":" << record.thread;
-  if (!record.links.empty()) {
-    out << ",\"links\":[";
-    for (size_t i = 0; i < record.links.size(); ++i) {
-      out << (i == 0 ? "" : ",") << record.links[i];
-    }
-    out << "]";
-  }
-  const bool open = record.wall_end_ns == 0;
-  out << ",\"wall_start_ns\":" << record.wall_start_ns;
-  if (open) {
-    out << ",\"open\":true";
-  } else {
-    out << ",\"wall_dur_ns\":" << (record.wall_end_ns - record.wall_start_ns);
-  }
-  if (record.has_sim) {
-    out << ",\"sim_start_us\":" << record.sim_start;
-    if (!open) out << ",\"sim_dur_us\":" << (record.sim_end - record.sim_start);
-  }
-  out << "}";
-}
-
 void Tracer::WriteJsonLines(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const SpanRecord& record : records_) {
     if (record.wall_end_ns == 0) continue;  // still open
-    WriteSpanJson(out, record);
-    out << "\n";
+    out << "{\"id\":" << record.id << ",\"parent\":" << record.parent
+        << ",\"trace\":" << record.trace_id
+        << ",\"name\":\"" << JsonEscape(record.name) << "\""
+        << ",\"node\":\"" << JsonEscape(record.node) << "\""
+        << ",\"thread\":" << record.thread;
+    if (!record.links.empty()) {
+      out << ",\"links\":[";
+      for (size_t i = 0; i < record.links.size(); ++i) {
+        out << (i == 0 ? "" : ",") << record.links[i];
+      }
+      out << "]";
+    }
+    out << ",\"wall_start_ns\":" << record.wall_start_ns
+        << ",\"wall_dur_ns\":" << (record.wall_end_ns - record.wall_start_ns);
+    if (record.has_sim) {
+      out << ",\"sim_start_us\":" << record.sim_start
+          << ",\"sim_dur_us\":" << (record.sim_end - record.sim_start);
+    }
+    out << "}\n";
   }
 }
 

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/sim_clock.h"
-#include "obs/metrics.h"  // PDS2_METRICS compile-out switch
+#include "obs/metrics.h"
 
 namespace pds2::obs {
 
@@ -115,10 +115,6 @@ class Tracer {
   /// Copy of all recorded spans (open spans have wall_end_ns == 0).
   std::vector<SpanRecord> Snapshot() const;
 
-  /// Copy of the last `n` recorded spans, open ones included (what a
-  /// flight dump shows).
-  std::vector<SpanRecord> Tail(size_t n) const;
-
   size_t SpanCount() const;
 
   /// One JSON object per line per completed span — the per-run trace
@@ -141,11 +137,6 @@ class Tracer {
   size_t capacity_ = kDefaultCapacity;  // guarded by mu_
   Counter* dropped_counter_ = nullptr;  // lazily bound registry counter
 };
-
-/// Writes `record` as one JSON object with no trailing newline — one line
-/// of Tracer::WriteJsonLines. An open span carries "open":true in place of
-/// its durations.
-void WriteSpanJson(std::ostream& out, const SpanRecord& record);
 
 /// RAII span handle. Construction is a single relaxed load + branch while
 /// tracing is disabled. `End()` may be called early to close the span
@@ -238,12 +229,7 @@ class NodeScope {
   std::string saved_;
 };
 
-/// The node label NodeScope installed on this thread ("" outside scopes).
-const std::string& CurrentNodeLabel();
-
 }  // namespace pds2::obs
-
-#if PDS2_METRICS
 
 #define PDS2_OBS_CONCAT_INNER(a, b) a##b
 #define PDS2_OBS_CONCAT(a, b) PDS2_OBS_CONCAT_INNER(a, b)
@@ -257,16 +243,5 @@ const std::string& CurrentNodeLabel();
 #define PDS2_TRACE_SPAN_SIM(name, sim)                                \
   ::pds2::obs::ScopedSpan PDS2_OBS_CONCAT(pds2_trace_span_,           \
                                           __COUNTER__)(name, sim)
-
-#else  // !PDS2_METRICS
-
-#define PDS2_TRACE_SPAN(name) \
-  do {                        \
-  } while (0)
-#define PDS2_TRACE_SPAN_SIM(name, sim) \
-  do {                                 \
-  } while (0)
-
-#endif  // PDS2_METRICS
 
 #endif  // PDS2_OBS_TRACE_H_

@@ -119,9 +119,6 @@ TEST_F(LoggingTest, ConcurrentLoggingIsSafeAndLossless) {
   EXPECT_EQ(capture_.Count(), static_cast<size_t>(kThreads) * kLines);
 }
 
-// Volume counters flow through PDS2_M_COUNT, which -DPDS2_METRICS=OFF
-// compiles out.
-#if PDS2_METRICS
 TEST_F(LoggingTest, LogVolumeCountersFeedTheMetricsRegistry) {
   obs::SetMetricsEnabled(true);
   obs::Registry::Global().ResetValues();
@@ -132,7 +129,6 @@ TEST_F(LoggingTest, LogVolumeCountersFeedTheMetricsRegistry) {
   EXPECT_EQ(obs::Registry::Global().GetCounter("log.info").Value(), 1u);
   EXPECT_EQ(obs::Registry::Global().GetCounter("log.error").Value(), 2u);
 }
-#endif  // PDS2_METRICS
 
 TEST(LogLevelNameTest, NamesMatchLevels) {
   EXPECT_STREQ(LogLevelName(LogLevel::kDebug), "DEBUG");

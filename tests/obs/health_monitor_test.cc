@@ -1,17 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "obs/flight_recorder.h"
+#include "common/logging.h"
 #include "obs/health.h"
 #include "obs/health_rules.h"
 #include "obs/time_series.h"
-
-#include "flight_dump_path.h"
 
 namespace pds2::obs {
 namespace {
@@ -20,8 +17,7 @@ constexpr uint64_t kNs = 1'000'000'000ull;
 
 // Each test owns a Registry + TimeSeries so the global registry (shared
 // with other suites in this binary) never leaks series into rule
-// evaluation. The flight recorder stays disabled (so critical fires dump
-// nothing) except in the dedicated flight-dump test.
+// evaluation.
 
 // Fires in the event log.
 uint64_t FireCount(const HealthMonitor& monitor) {
@@ -184,11 +180,20 @@ TEST_F(HealthMonitorTest, InvariantRuleCarriesObservedBoundAndDetail) {
   EXPECT_EQ(events[0].detail, "a+b drifted");
 }
 
-TEST_F(HealthMonitorTest, CriticalFireTriggersFlightDump) {
-  FlightRecorder& recorder = FlightRecorder::Global();
-  recorder.SetDumpDir(::testing::TempDir());
-  recorder.SetEnabled(true);
-  const uint64_t dumps_before = recorder.dumps_written();
+// Keeps the level and "rule" field of each record routed to it.
+class RuleLogSink : public common::LogSink {
+ public:
+  void Write(const common::LogRecord& record) override {
+    for (const auto& [key, value] : record.fields) {
+      if (key == "rule") levels[value] = record.level;
+    }
+  }
+  std::map<std::string, common::LogLevel> levels;
+};
+
+TEST_F(HealthMonitorTest, CriticalAndWarningFireOnOneSampleAtTheirLogLevels) {
+  RuleLogSink sink;
+  common::LogSink* previous = common::SetLogSink(&sink);
 
   HealthMonitor monitor(&ts_);
   monitor.AddRules({ThresholdRule("t.critical", Severity::kCritical, "t.g",
@@ -197,38 +202,18 @@ TEST_F(HealthMonitorTest, CriticalFireTriggersFlightDump) {
                                  Comparison::kGt, 0.0)});
   Gauge& g = reg_.GetGauge("t.g");
   g.Set(1);
-  EXPECT_EQ(Step(monitor), 2u);  // both rules fire...
-  EXPECT_EQ(recorder.dumps_written(), dumps_before + 1);  // ...one dump
-  // The recorder sanitizes the reason for the filename: '.' becomes '-'.
-  const std::string path =
-      DumpPath(::testing::TempDir(), dumps_before, "alert-t-critical");
-  EXPECT_TRUE(std::filesystem::exists(path)) << path;
-
-  // Staying bad does not dump again; only a fresh fire would.
+  EXPECT_EQ(Step(monitor), 2u);  // both rules fire on the same sample
+  EXPECT_EQ(ActiveAlerts(monitor),
+            (std::vector<std::string>{"t.critical", "t.warning"}));
+  // Staying bad fires nothing more; only a fresh fire would.
   EXPECT_EQ(Step(monitor), 0u);
-  EXPECT_EQ(recorder.dumps_written(), dumps_before + 1);
-  std::filesystem::remove(path);
-  recorder.SetEnabled(false);
-  recorder.SetDumpDir(".");
-}
+  EXPECT_EQ(FireCount(monitor), 2u);
 
-TEST_F(HealthMonitorTest, CriticalFireWithRecorderDisabledWritesNoDump) {
-  FlightRecorder& recorder = FlightRecorder::Global();
-  ASSERT_FALSE(recorder.enabled());
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "health-no-dump";
-  std::filesystem::remove_all(dir);
-  recorder.SetDumpDir(dir.string());
-  const uint64_t dumps_before = recorder.dumps_written();
-
-  HealthMonitor monitor(&ts_);
-  monitor.AddRules({ThresholdRule("t.critical", Severity::kCritical, "t.g",
-                                 Comparison::kGt, 0.0)});
-  reg_.GetGauge("t.g").Set(1);
-  EXPECT_EQ(Step(monitor), 1u);
-  EXPECT_EQ(recorder.dumps_written(), dumps_before);
-  EXPECT_FALSE(std::filesystem::exists(dir));
-  recorder.SetDumpDir(".");
+  common::SetLogSink(previous);
+  EXPECT_EQ(sink.levels,
+            (std::map<std::string, common::LogLevel>{
+                {"t.critical", common::LogLevel::kError},
+                {"t.warning", common::LogLevel::kWarn}}));
 }
 
 TEST_F(HealthMonitorTest, EvaluateLatestIsOncePerSample) {

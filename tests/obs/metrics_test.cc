@@ -217,10 +217,6 @@ TEST(RegistryTest, SnapshotIsSortedByName) {
   EXPECT_EQ(snap.counters.back().first, "z.last");
 }
 
-// The macro-behavior tests only apply when the instrumentation is compiled
-// in; under -DPDS2_METRICS=OFF every macro is an empty statement and there
-// is nothing to observe.
-#if PDS2_METRICS
 TEST(MacroTest, DisabledMacroRecordsNothing) {
   SetMetricsEnabled(false);
   Registry::Global().ResetValues();
@@ -246,7 +242,6 @@ TEST(MacroTest, EnabledMacrosRecordIntoGlobalRegistry) {
   EXPECT_EQ(Registry::Global().GetGauge("obs_test.gauge").Value(), 5);
   EXPECT_EQ(Registry::Global().GetHistogram("obs_test.hist").Count(), 1u);
 }
-#endif  // PDS2_METRICS
 
 // --- Cardinality guard ------------------------------------------------------
 // Dynamically named series (per-node labels at 10^5-node scale) must not

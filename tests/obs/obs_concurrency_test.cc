@@ -78,8 +78,6 @@ TEST(ObsConcurrencyTest, RegistryCreationRaceYieldsOneMetric) {
   EXPECT_EQ(registry.TakeSnapshot().counters.size(), 3u);
 }
 
-// Macro-site behavior only exists when the instrumentation is compiled in.
-#if PDS2_METRICS
 TEST(ObsConcurrencyTest, MacroSitesExactUnderThreadPool) {
   SetMetricsEnabled(true);
   Registry::Global().ResetValues();
@@ -97,7 +95,6 @@ TEST(ObsConcurrencyTest, MacroSitesExactUnderThreadPool) {
   EXPECT_EQ(Registry::Global().GetHistogram("obs_conc.pool_hist").Count(),
             kTasks * 1000u);
 }
-#endif  // PDS2_METRICS
 
 TEST(ObsConcurrencyTest, TracerSpansFromManyThreadsAllComplete) {
   SetTracingEnabled(true);

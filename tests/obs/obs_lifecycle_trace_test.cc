@@ -2,12 +2,13 @@
 // lifecycle under the executor chaos harness plus a faulty validator-network
 // run, with metrics and tracing enabled end to end. The run must yield
 //   - a metrics snapshot covering chain.*, p2p.*, market.* and dml.*,
-//   - a hierarchical span trace carrying simulated time, and
+//   - a hierarchical span trace carrying simulated time, in which the
+//     scripted validator crash is visible, and
 //   - a per-run trace export as JSON lines.
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -17,7 +18,6 @@
 #include "common/rng.h"
 #include "dml/fault_injector.h"
 #include "market/marketplace.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_analysis.h"
@@ -30,8 +30,8 @@ using common::SimTime;
 using common::ToBytes;
 
 constexpr SimTime kBlockInterval = common::kMicrosPerSecond;
-
-#if PDS2_METRICS
+// RunChaosValidatorNetwork's fault plan kills validator 0 here for good.
+constexpr SimTime kValidatorCrashAt = 2 * kBlockInterval;
 
 uint64_t CounterValue(const Snapshot& snap, const std::string& name) {
   for (const auto& [n, v] : snap.counters) {
@@ -112,7 +112,7 @@ void RunChaosValidatorNetwork() {
   chain::ChainConfig chain_config;
   chain_config.proposer_grace = 4 * kBlockInterval;
   common::FaultPlan plan;
-  plan.churn.push_back({2 * kBlockInterval, 0, false});
+  plan.churn.push_back({kValidatorCrashAt, 0, false});
 
   std::vector<p2p::ValidatorNode*> nodes;
   auto sim = p2p::MakeValidatorNetwork(4, genesis, kBlockInterval, net,
@@ -140,18 +140,12 @@ TEST(ObsLifecycleTraceTest, ChaosRunProducesFullTelemetryAndExports) {
   SetTracingEnabled(true);
   Registry::Global().ResetValues();
   Tracer::Global().Reset();
-  const std::filesystem::path dump_dir =
-      std::filesystem::path(::testing::TempDir()) / "obs_lifecycle_dumps";
-  std::filesystem::remove_all(dump_dir);
-  FlightRecorder::Global().SetDumpDir(dump_dir.string());
-  FlightRecorder::Global().SetEnabled(true);
 
   RunChaosMarketplaceLifecycle();
   RunChaosValidatorNetwork();
 
   SetMetricsEnabled(false);
   SetTracingEnabled(false);
-  FlightRecorder::Global().SetEnabled(false);
   const Snapshot snap = Registry::Global().TakeSnapshot();
   const std::vector<SpanRecord> spans = Tracer::Global().Snapshot();
 
@@ -235,25 +229,27 @@ TEST(ObsLifecycleTraceTest, ChaosRunProducesFullTelemetryAndExports) {
   EXPECT_EQ(charged_total,
             path.back().sim_end - path.front().sim_start);
 
-  // --- The injected validator crash left a readable flight dump. ---
-  // RunChaosValidatorNetwork's fault plan kills node 0; the FaultInjector
-  // hook must have dumped the recorder's rings for post-mortem reading.
-  ASSERT_GE(FlightRecorder::Global().dumps_written(), 1u);
-  std::string dump_path;
-  for (const auto& entry : std::filesystem::directory_iterator(dump_dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.find("node-crash") != std::string::npos) {
-      dump_path = entry.path().string();
+  // --- The injected validator crash shows in the trace. ---
+  // NetSim labels each delivery and timer span with the receiving node, and
+  // only the validator network names its nodes "validator/<i>". Validator 0
+  // handles events up to its crash and none after; validator 1 keeps going.
+  SimTime last_v0 = 0;
+  SimTime last_v1 = 0;
+  size_t v0_events = 0;
+  for (const SpanRecord& span : spans) {
+    if (span.name != "dml.net.deliver" && span.name != "dml.net.timer") {
+      continue;
+    }
+    if (span.node == "validator/0") {
+      ++v0_events;
+      last_v0 = std::max(last_v0, span.sim_start);
+    } else if (span.node == "validator/1") {
+      last_v1 = std::max(last_v1, span.sim_start);
     }
   }
-  ASSERT_FALSE(dump_path.empty());
-  const std::string dump_text = Slurp(dump_path);
-  EXPECT_NE(dump_text.find("\"reason\""), std::string::npos);
-  EXPECT_NE(dump_text.find("\"entries\""), std::string::npos);
-  EXPECT_NE(dump_text.find("fault injector crashed"), std::string::npos);
-  EXPECT_NE(dump_text.find("\"counter_deltas\""), std::string::npos);
-  std::filesystem::remove_all(dump_dir);
-  FlightRecorder::Global().SetDumpDir(".");
+  EXPECT_GT(v0_events, 0u);
+  EXPECT_LE(last_v0, kValidatorCrashAt);
+  EXPECT_GT(last_v1, kValidatorCrashAt);
 
   // --- Per-run trace export. ---
   {
@@ -268,16 +264,6 @@ TEST(ObsLifecycleTraceTest, ChaosRunProducesFullTelemetryAndExports) {
   Registry::Global().ResetValues();
   Tracer::Global().Reset();
 }
-
-#else  // !PDS2_METRICS
-
-// The acceptance scenario is about the instrumentation; with the macros
-// compiled out there is no telemetry to assert against.
-TEST(ObsLifecycleTraceTest, ChaosRunProducesFullTelemetryAndExports) {
-  GTEST_SKIP() << "built with PDS2_METRICS=0";
-}
-
-#endif  // PDS2_METRICS
 
 }  // namespace
 }  // namespace pds2::obs

@@ -157,17 +157,14 @@ TEST_F(TraceTest, SimClockSpansRecordSimulatedTimeInANetSimRun) {
   EXPECT_LE(run->sim_end, kHorizon);
   EXPECT_GT(run->sim_end, run->sim_start);
 
-#if PDS2_METRICS
   // NetSim's own instrumentation produced a sim-time span nested under
-  // ours (RunUntil opens dml.net.run_until against the same clock). Under
-  // -DPDS2_METRICS=OFF that macro site is compiled out.
+  // ours (RunUntil opens dml.net.run_until against the same clock).
   const SpanRecord* inner = FindSpan(spans, "dml.net.run_until");
   ASSERT_TRUE(inner != nullptr);
   EXPECT_TRUE(inner->has_sim);
   EXPECT_EQ(inner->parent, run->id);
   EXPECT_GE(inner->sim_end, inner->sim_start);
   EXPECT_LE(inner->sim_end, kHorizon);
-#endif
 }
 
 }  // namespace
