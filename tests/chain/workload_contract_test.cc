@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "chain/chain.h"
 #include "chain/contracts/workload.h"
+#include "common/hex.h"
 #include "common/serial.h"
 #include "crypto/sha256.h"
 
@@ -375,6 +378,276 @@ TEST_F(WorkloadContractTest, ParticipantsQuery) {
   (void)r.GetBytes();
   (void)r.GetBytes();
   EXPECT_EQ(r.GetU32().value(), 1u);  // executors
+}
+
+// ---------------------------------------------------------------------------
+// Receipt matrix: every method of every built-in contract, sent by each
+// actor from each lifecycle phase on a fresh instance, with fixed
+// arguments. The digest covers each receipt's status, error string, gas,
+// output and events, so any change to what a call returns, costs or emits
+// fails it.
+
+using MatrixArgs = std::function<Bytes(const SigningKey& sender,
+                                       uint64_t instance)>;
+
+// One matrix row: a method and its arguments, which may depend on the
+// sending actor and the instance.
+struct MatrixCall {
+  std::string method;
+  MatrixArgs args;
+  uint64_t value = 0;
+};
+
+MatrixArgs Fixed(Bytes args) {
+  return [args](const SigningKey&, uint64_t) { return args; };
+}
+
+Bytes Args(std::initializer_list<Bytes> fields) {
+  Writer w;
+  for (const Bytes& field : fields) w.PutBytes(field);
+  return w.Take();
+}
+
+Bytes ArgsU64(std::initializer_list<Bytes> fields, uint64_t amount) {
+  Writer w;
+  w.PutRaw(Args(fields));
+  w.PutU64(amount);
+  return w.Take();
+}
+
+void AppendReceipt(Writer& w, const Receipt& receipt) {
+  w.PutBool(receipt.success);
+  w.PutString(receipt.error);
+  w.PutU64(receipt.gas_used);
+  w.PutBytes(receipt.output);
+  w.PutU32(static_cast<uint32_t>(receipt.events.size()));
+  for (const Event& event : receipt.events) {
+    w.PutString(event.contract);
+    w.PutU64(event.instance);
+    w.PutString(event.name);
+    w.PutBytes(event.data);
+  }
+}
+
+TEST_F(WorkloadContractTest, ReceiptMatrixDigest) {
+  constexpr uint64_t kStake = 1'000;
+  const SigningKey& stranger = executor2_;
+  const Bytes agreed = crypto::Sha256::Hash("agreed");
+  Writer weights;
+  weights.PutU32(1);
+  weights.PutBytes(Addr(providers_[0]));
+  weights.PutU64(1);
+  const Bytes finalize_args = weights.Take();
+
+  auto call = [&](const SigningKey& sender, const std::string& contract,
+                  uint64_t instance, const std::string& method, Bytes args,
+                  uint64_t value = 0) {
+    return Run(Transaction::Make(
+        sender, Nonce(sender), Address{}, value, kGas,
+        CallPayload{contract, instance, method, std::move(args)}));
+  };
+  auto deploy = [&](const std::string& contract, Bytes args,
+                    uint64_t value = 0) {
+    return *InstanceIdFromReceipt(
+        call(consumer_, contract, 0, "deploy", std::move(args), value));
+  };
+  auto register_args = [&](const SigningKey& executor, uint64_t inst,
+                           const SigningKey& provider) {
+    Writer w;
+    w.PutBytes(executor.PublicKey());
+    w.PutU32(1);
+    w.PutBytes(MakeCert(inst, provider, executor, 10).Serialize());
+    return w.Take();
+  };
+  // Runs `calls` as each of `actors`, each cell on a fresh instance from
+  // `fresh`, and returns the digest of the receipts in order.
+  auto run_matrix = [&](const std::string& contract,
+                        const std::vector<const SigningKey*>& actors,
+                        const std::function<uint64_t()>& fresh,
+                        const std::vector<MatrixCall>& calls) {
+    Writer w;
+    for (const MatrixCall& row : calls) {
+      for (const SigningKey* actor : actors) {
+        const uint64_t inst = fresh();
+        AppendReceipt(w, call(*actor, contract, inst, row.method,
+                              row.args(*actor, inst), row.value));
+      }
+    }
+    return common::HexEncode(crypto::Sha256::Hash(w.data()));
+  };
+
+  // Workload: a fresh instance with a non-zero executor stake, brought to
+  // `phase` with executor_ registered (and, from Completed on, voted for
+  // `agreed`); the consumer, executor_ and a stranger each call.
+  auto workload_in = [&](WorkloadPhase phase) {
+    Writer spec;
+    spec.PutBytes(crypto::Sha256::Hash("spec"));
+    spec.PutU64(kPool);
+    spec.PutU64(1);
+    spec.PutU64(10);
+    spec.PutU64(200);
+    spec.PutU64(1'000'000);
+    spec.PutString("gossip");
+    spec.PutU64(kStake);
+    const uint64_t inst = deploy("workload", spec.Take(), kPool);
+    auto step = [&](const SigningKey& sender, const std::string& method,
+                    Bytes args, uint64_t value = 0) {
+      EXPECT_TRUE(
+          call(sender, "workload", inst, method, std::move(args), value)
+              .success)
+          << method;
+    };
+    step(executor_, "register_executor",
+         register_args(executor_, inst, providers_[0]), kStake);
+    if (phase == WorkloadPhase::kAborted) step(consumer_, "abort", {});
+    if (phase == WorkloadPhase::kAccepting ||
+        phase == WorkloadPhase::kAborted) {
+      return inst;
+    }
+    step(consumer_, "start", {});
+    if (phase == WorkloadPhase::kRunning) return inst;
+    step(executor_, "submit_result", Args({agreed}));
+    if (phase == WorkloadPhase::kCompleted) return inst;
+    step(consumer_, "finalize", finalize_args);
+    return inst;
+  };
+  const std::vector<MatrixCall> workload_calls = {
+      {"register_executor",
+       [&](const SigningKey& sender, uint64_t inst) {
+         return register_args(sender, inst, providers_[1]);
+       },
+       kStake},
+      {"start", Fixed({})},
+      {"submit_result", Fixed(Args({agreed}))},
+      {"report_attestation", Fixed(Args({Addr(executor_)}))},
+      {"finalize", Fixed(finalize_args)},
+      {"abort", Fixed({})},
+      {"anchor_artifact",
+       Fixed(Args({crypto::Sha256::Hash("artifact"), agreed}))},
+      {"phase", Fixed({})},
+      {"result", Fixed({})},
+      {"artifact", Fixed({})},
+      {"no_such_method", Fixed({})},
+  };
+  std::string workload;
+  for (int p = 0; p <= static_cast<int>(WorkloadPhase::kAborted); ++p) {
+    workload += run_matrix(
+        "workload", {&consumer_, &executor_, &stranger},
+        [&] { return workload_in(static_cast<WorkloadPhase>(p)); },
+        workload_calls);
+  }
+  // Two settlements no single call reaches: a fault-flagged executor
+  // slashed at finalize, and a running workload aborted past its deadline
+  // with the bond refunded.
+  workload += run_matrix(
+      "workload", {&consumer_},
+      [&] {
+        const uint64_t inst = workload_in(WorkloadPhase::kCompleted);
+        EXPECT_TRUE(call(consumer_, "workload", inst, "report_attestation",
+                         Args({Addr(executor_)}))
+                        .success);
+        return inst;
+      },
+      {{"finalize", Fixed(finalize_args)}});
+  workload += run_matrix(
+      "workload", {&consumer_},
+      [&] {
+        const uint64_t inst = workload_in(WorkloadPhase::kRunning);
+        now_ += 1'000'000;
+        return inst;
+      },
+      {{"abort", Fixed({})}});
+
+  // Token contracts: consumer_ deploys and owns; stranger is the other
+  // caller.
+  const std::vector<const SigningKey*> owners = {&consumer_, &stranger};
+  const std::string erc20 = run_matrix(
+      "erc20", owners,
+      [&] {
+        Writer w;
+        w.PutString("tok");
+        w.PutU64(1'000);
+        const uint64_t inst = deploy("erc20", w.Take());
+        EXPECT_TRUE(call(consumer_, "erc20", inst, "approve",
+                         ArgsU64({Addr(stranger)}, 5))
+                        .success);
+        return inst;
+      },
+      {
+          {"transfer", Fixed(ArgsU64({Addr(executor_)}, 10))},
+          {"approve", Fixed(ArgsU64({Addr(executor_)}, 4))},
+          {"transfer_from",
+           Fixed(ArgsU64({Addr(consumer_), Addr(executor_)}, 3))},
+          {"mint", Fixed(ArgsU64({Addr(executor_)}, 7))},
+          {"mint", Fixed(ArgsU64({Bytes(3, 1)}, 7))},
+          {"balance_of", Fixed(Args({Addr(consumer_)}))},
+          {"allowance", Fixed(Args({Addr(consumer_), Addr(stranger)}))},
+          {"total_supply", Fixed({})},
+          {"token_name", Fixed({})},
+          {"no_such_method", Fixed({})},
+      });
+
+  const std::string erc721 = run_matrix(
+      "erc721", owners,
+      [&] {
+        Writer w;
+        w.PutString("registry");
+        const uint64_t inst = deploy("erc721", w.Take());
+        EXPECT_TRUE(call(consumer_, "erc721", inst, "mint",
+                         Args({ToBytes("t1"), ToBytes("m1")}))
+                        .success);
+        return inst;
+      },
+      {
+          {"mint", Fixed(Args({ToBytes("t2"), ToBytes("m2")}))},
+          {"mint", Fixed(Args({ToBytes("t1"), ToBytes("m2")}))},
+          {"transfer", Fixed(Args({ToBytes("t1"), Addr(executor_)}))},
+          {"transfer", Fixed(Args({ToBytes("t1"), Bytes(3, 1)}))},
+          {"owner_of", Fixed(Args({ToBytes("t1")}))},
+          {"metadata_of", Fixed(Args({ToBytes("t1")}))},
+          {"count", Fixed({})},
+          {"no_such_method", Fixed({})},
+      });
+
+  auto actor_args = [](const Bytes& public_key, uint64_t roles) {
+    Writer w;
+    w.PutBytes(public_key);
+    w.PutU64(roles);
+    w.PutString("meta");
+    return w.Take();
+  };
+  const std::string actors = run_matrix(
+      "actors", owners,
+      [&] {
+        const uint64_t inst = deploy("actors", {});
+        EXPECT_TRUE(call(consumer_, "actors", inst, "register",
+                         actor_args(consumer_.PublicKey(), 3))
+                        .success);
+        return inst;
+      },
+      {
+          {"register",
+           [&](const SigningKey& sender, uint64_t) {
+             return actor_args(sender.PublicKey(), 1);
+           }},
+          {"register", Fixed(actor_args(executor_.PublicKey(), 1))},
+          {"register",
+           [&](const SigningKey& sender, uint64_t) {
+             return actor_args(sender.PublicKey(), 0);
+           }},
+          {"get", Fixed(Args({Addr(consumer_)}))},
+          {"count", Fixed({})},
+          {"no_such_method", Fixed({})},
+      });
+
+  EXPECT_EQ(common::HexEncode(crypto::Sha256::Hash(workload)),
+            "e8ebc8c35a0dca0190cbead5d9518dafd1c8d60deced6bd440fb0dee7156e4ee");
+  EXPECT_EQ(erc20,
+            "7e25e3b8c6536f1328418edfcf080f599e1c17041fdd3deb1e46b1ac6a15afb3");
+  EXPECT_EQ(erc721,
+            "9e72eeb7328abea9f48ca1a238c2660f0e5a8fd0f790eb64842b3c32a5a8289e");
+  EXPECT_EQ(actors,
+            "1fd70472a92fae17500f20cf5929c530fd9cdb62f89eefe7138c6ef6626896d4");
 }
 
 }  // namespace

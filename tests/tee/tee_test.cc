@@ -269,6 +269,50 @@ TEST(TrainingKernelTest, UnknownMethodAndModelRejected) {
   EXPECT_FALSE(enclave.Ecall("configure", ConfigureArgs("quantum", 2)).ok());
 }
 
+// Pins the status of every ecall on a kernel that was never configured:
+// load_data opens the transfer before it checks the configuration, so a bad
+// blob reports the transfer error and a good one the missing configuration.
+TEST(TrainingKernelTest, UnconfiguredKernelRefusals) {
+  Rng rng(22);
+  AttestationService service(18);
+  Enclave enclave = MakeEnclave(service, "exec-0", 1);
+  auto status = [&](const std::string& method, const Bytes& input) {
+    return enclave.Ecall(method, input).status().ToString();
+  };
+  const std::string kNotConfigured =
+      "FailedPrecondition: kernel not configured";
+
+  ml::Dataset data = ml::MakeTwoGaussians(20, 4, 1.0, rng);
+  storage::ProviderStorage store(ToBytes("master"));
+  ASSERT_TRUE(store.AddDataset("d", data, {}).ok());
+  crypto::SigningKey provider = crypto::SigningKey::FromSeed(ToBytes("p"));
+  auto key = provider.SharedSecret(enclave.TransportPublicKey());
+  ASSERT_TRUE(key.ok());
+  auto sealed = store.SealForTransfer("d", *key);
+  ASSERT_TRUE(sealed.ok());
+
+  Writer bad;
+  bad.PutBytes(Bytes(64, 0));
+  bad.PutBytes(provider.PublicKey());
+  bad.PutBytes(storage::DatasetCommitment(data));
+  EXPECT_EQ(status("load_data", bad.Take()),
+            "Unauthenticated: MAC verification failed");
+  Writer good;
+  good.PutBytes(*sealed);
+  good.PutBytes(provider.PublicKey());
+  good.PutBytes(storage::DatasetCommitment(data));
+  EXPECT_EQ(status("load_data", good.Take()), kNotConfigured);
+
+  for (const char* method :
+       {"train", "set_params", "get_params", "merge", "merge_all",
+        "sample_count", "coalition_eval", "evaluate", "bogus"}) {
+    EXPECT_EQ(status(method, {}), kNotConfigured) << method;
+  }
+  ASSERT_TRUE(enclave.Ecall("configure", ConfigureArgs("logistic", 4)).ok());
+  EXPECT_EQ(status("bogus", {}),
+            "NotFound: training kernel: unknown method bogus");
+}
+
 // --- Oblivious primitives ----------------------------------------------------
 
 TEST(ObliviousTest, SelectMatchesTernary) {
