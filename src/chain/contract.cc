@@ -1,5 +1,7 @@
 #include "chain/contract.h"
 
+#include <algorithm>
+
 #include "chain/contracts/actor_registry.h"
 #include "chain/contracts/erc20.h"
 #include "chain/contracts/erc721.h"
@@ -54,6 +56,18 @@ Status CallContext::Delete(const Bytes& key) {
   return Status::Ok();
 }
 
+Result<uint64_t> CallContext::ReadU64(const Bytes& key) {
+  PDS2_ASSIGN_OR_RETURN(auto value, Read(key));
+  if (!value.has_value()) return uint64_t{0};
+  return common::Reader(*value).GetU64();
+}
+
+Status CallContext::WriteU64(const Bytes& key, uint64_t value) {
+  common::Writer w;
+  w.PutU64(value);
+  return Write(key, w.Take());
+}
+
 Result<std::vector<std::pair<Bytes, Bytes>>> CallContext::Scan(
     const Bytes& prefix) {
   auto entries = state_.StorageScan(space_, prefix);
@@ -98,8 +112,47 @@ Status CallContext::Burn(uint64_t amount) {
   return Status::Ok();
 }
 
+Status CallContext::RequireNoValue() const {
+  if (value_ > 0) return Status::InvalidArgument("call takes no value");
+  return Status::Ok();
+}
+
 Address CallContext::SelfAddress() const {
   return ContractAddress(contract_name_, instance_);
+}
+
+Status Contract::Deploy(CallContext& ctx, const Bytes& args) {
+  (void)args;
+  return ctx.RequireNoValue();
+}
+
+Result<Bytes> Contract::Call(CallContext& ctx, const std::string& method,
+                             const Bytes& args) const {
+  const auto row =
+      std::ranges::find(methods_, std::string_view(method), &Method::name);
+  if (row == methods_.end()) {
+    return Status::NotFound(Name() + ": unknown method " + method);
+  }
+  if (!row->payable) PDS2_RETURN_IF_ERROR(ctx.RequireNoValue());
+  if (row->phases != 0) {
+    PDS2_ASSIGN_OR_RETURN(auto phase, ctx.Read(common::ToBytes("phase")));
+    if (!phase.has_value() || phase->size() != 1) {
+      return Status::Corruption(Name() + " phase missing");
+    }
+    ctx.phase_ = (*phase)[0];
+    if (ctx.phase_ >= 8 || (row->phases >> ctx.phase_ & 1) == 0) {
+      return Status::FailedPrecondition(row->phase_refusal);
+    }
+  }
+  if (row->consumer_refusal != nullptr) {
+    PDS2_ASSIGN_OR_RETURN(auto consumer,
+                          ctx.Read(common::ToBytes("consumer")));
+    if (consumer != ctx.sender()) {
+      return Status::PermissionDenied(row->consumer_refusal);
+    }
+  }
+  common::Reader r(args);
+  return row->handler(ctx, r);
 }
 
 Status ContractRegistry::Register(std::unique_ptr<Contract> contract) {

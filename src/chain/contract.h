@@ -3,13 +3,16 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "chain/gas.h"
 #include "chain/state.h"
 #include "chain/types.h"
 #include "common/result.h"
+#include "common/serial.h"
 #include "common/sim_clock.h"
 
 namespace pds2::chain {
@@ -48,6 +51,10 @@ class CallContext {
   common::Status Write(const common::Bytes& key, const common::Bytes& value);
   /// Gas-metered storage delete.
   common::Status Delete(const common::Bytes& key);
+  /// Read of a u64 slot: one Read, and a missing key reads as 0.
+  common::Result<uint64_t> ReadU64(const common::Bytes& key);
+  /// Write of a u64 slot: one Write.
+  common::Status WriteU64(const common::Bytes& key, uint64_t value);
   /// Gas-metered prefix scan (charged one read per returned entry).
   common::Result<std::vector<std::pair<common::Bytes, common::Bytes>>> Scan(
       const common::Bytes& prefix);
@@ -73,8 +80,14 @@ class CallContext {
   /// (balances + stakes + burned) stays exactly conserved.
   common::Status Burn(uint64_t amount);
 
+  /// InvalidArgument when the call carries value: a method or constructor
+  /// that takes none would otherwise strand it in the instance's account.
+  common::Status RequireNoValue() const;
+
   const Address& sender() const { return sender_; }
   uint64_t value() const { return value_; }
+  /// The `phase` slot as the dispatcher read it for a phase-guarded method.
+  uint8_t phase() const { return phase_; }
   const BlockContext& block() const { return block_; }
   uint64_t instance() const { return instance_; }
   /// The contract instance's own account address (escrow holder).
@@ -92,29 +105,51 @@ class CallContext {
   std::string space_;
   BlockContext block_;
   std::vector<Event>* events_;
+  uint8_t phase_ = 0;
+
+  friend class Contract;
 };
 
 /// A contract type: stateless logic whose persistent state lives in the
 /// WorldState namespace of each deployed instance. Mirrors how Solidity
-/// code is shared while storage is per-deployment.
+/// code is shared while storage is per-deployment. Each type hands the base
+/// one static table with a row per method (one state transition or query).
 class Contract {
  public:
+  /// One dispatch-table row. The guards run in column order before the
+  /// handler, which reads its arguments from the Reader.
+  struct Method {
+    std::string_view name;
+    common::Result<common::Bytes> (*handler)(CallContext&, common::Reader&);
+    /// Whether the call may carry value; other rows refuse value > 0.
+    bool payable = false;
+    /// Bit p admits `phase` slot value p, else FailedPrecondition with
+    /// `phase_refusal`. 0: any phase, and the slot is not read.
+    uint8_t phases = 0;
+    const char* phase_refusal = nullptr;
+    /// Set: only the `consumer` slot's address may call, else
+    /// PermissionDenied with this string.
+    const char* consumer_refusal = nullptr;
+  };
+
+  explicit Contract(std::span<const Method> methods) : methods_(methods) {}
   virtual ~Contract() = default;
 
   /// Registered type name ("erc20", "workload", ...).
   virtual std::string Name() const = 0;
 
-  /// Called once at deployment with constructor arguments.
-  virtual common::Status Deploy(CallContext& ctx, const common::Bytes& args) {
-    (void)ctx;
-    (void)args;
-    return common::Status::Ok();
-  }
+  /// Called once at deployment with constructor arguments. The default
+  /// ignores them and refuses value.
+  virtual common::Status Deploy(CallContext& ctx, const common::Bytes& args);
 
-  /// Dispatches a method call; returns the method's serialized result.
-  virtual common::Result<common::Bytes> Call(CallContext& ctx,
-                                             const std::string& method,
-                                             const common::Bytes& args) = 0;
+  /// Dispatches a method call through its row; returns the method's
+  /// serialized result.
+  common::Result<common::Bytes> Call(CallContext& ctx,
+                                     const std::string& method,
+                                     const common::Bytes& args) const;
+
+ private:
+  std::span<const Method> methods_;
 };
 
 /// Maps contract type names to their logic singletons.

@@ -21,7 +21,7 @@ enum ActorRole : uint64_t {
   kRoleStorage = 1 << 3,
 };
 
-/// Deploy args: none.
+/// Deploy args: none. No method or deploy takes value.
 ///
 /// Methods:
 ///   "register" (bytes public_key, u64 roles, string metadata) -> ()
@@ -30,10 +30,8 @@ enum ActorRole : uint64_t {
 ///   "count"    () -> u64
 class ActorRegistry : public Contract {
  public:
+  ActorRegistry();
   std::string Name() const override { return "actors"; }
-  common::Result<common::Bytes> Call(CallContext& ctx,
-                                     const std::string& method,
-                                     const common::Bytes& args) override;
 };
 
 }  // namespace pds2::chain::contracts

@@ -27,24 +27,6 @@ Bytes AllowanceKey(const Address& owner, const Address& spender) {
   return key;
 }
 
-Bytes EncodeU64(uint64_t v) {
-  Writer w;
-  w.PutU64(v);
-  return w.Take();
-}
-
-Result<uint64_t> DecodeU64(const Bytes& data) {
-  Reader r(data);
-  PDS2_ASSIGN_OR_RETURN(uint64_t v, r.GetU64());
-  return v;
-}
-
-Result<uint64_t> ReadU64(CallContext& ctx, const Bytes& key) {
-  PDS2_ASSIGN_OR_RETURN(auto value, ctx.Read(key));
-  if (!value.has_value()) return uint64_t{0};
-  return DecodeU64(*value);
-}
-
 Status AddressValid(const Bytes& addr) {
   if (addr.size() != kAddressSize) {
     return Status::InvalidArgument("malformed address");
@@ -53,125 +35,131 @@ Status AddressValid(const Bytes& addr) {
 }
 
 Status CreditBalance(CallContext& ctx, const Address& addr, uint64_t amount) {
-  PDS2_ASSIGN_OR_RETURN(uint64_t balance, ReadU64(ctx, BalanceKey(addr)));
+  PDS2_ASSIGN_OR_RETURN(uint64_t balance, ctx.ReadU64(BalanceKey(addr)));
   if (balance + amount < balance) {
     return Status::OutOfRange("balance overflow");
   }
-  return ctx.Write(BalanceKey(addr), EncodeU64(balance + amount));
+  return ctx.WriteU64(BalanceKey(addr), balance + amount);
 }
 
 Status DebitBalance(CallContext& ctx, const Address& addr, uint64_t amount) {
-  PDS2_ASSIGN_OR_RETURN(uint64_t balance, ReadU64(ctx, BalanceKey(addr)));
+  PDS2_ASSIGN_OR_RETURN(uint64_t balance, ctx.ReadU64(BalanceKey(addr)));
   if (balance < amount) {
     return Status::InsufficientFunds("token balance too low");
   }
-  return ctx.Write(BalanceKey(addr), EncodeU64(balance - amount));
+  return ctx.WriteU64(BalanceKey(addr), balance - amount);
 }
+
+Result<Bytes> Transfer(CallContext& ctx, Reader& r) {
+  PDS2_ASSIGN_OR_RETURN(Bytes to, r.GetBytes());
+  PDS2_ASSIGN_OR_RETURN(uint64_t amount, r.GetU64());
+  PDS2_RETURN_IF_ERROR(AddressValid(to));
+  PDS2_RETURN_IF_ERROR(DebitBalance(ctx, ctx.sender(), amount));
+  PDS2_RETURN_IF_ERROR(CreditBalance(ctx, to, amount));
+  Writer ev;
+  ev.PutBytes(ctx.sender());
+  ev.PutBytes(to);
+  ev.PutU64(amount);
+  PDS2_RETURN_IF_ERROR(ctx.Emit("Transfer", ev.Take()));
+  return Bytes{};
+}
+
+Result<Bytes> Approve(CallContext& ctx, Reader& r) {
+  PDS2_ASSIGN_OR_RETURN(Bytes spender, r.GetBytes());
+  PDS2_ASSIGN_OR_RETURN(uint64_t amount, r.GetU64());
+  PDS2_RETURN_IF_ERROR(AddressValid(spender));
+  PDS2_RETURN_IF_ERROR(
+      ctx.WriteU64(AllowanceKey(ctx.sender(), spender), amount));
+  return Bytes{};
+}
+
+Result<Bytes> TransferFrom(CallContext& ctx, Reader& r) {
+  PDS2_ASSIGN_OR_RETURN(Bytes from, r.GetBytes());
+  PDS2_ASSIGN_OR_RETURN(Bytes to, r.GetBytes());
+  PDS2_ASSIGN_OR_RETURN(uint64_t amount, r.GetU64());
+  PDS2_RETURN_IF_ERROR(AddressValid(from));
+  PDS2_RETURN_IF_ERROR(AddressValid(to));
+  PDS2_ASSIGN_OR_RETURN(uint64_t allowance,
+                        ctx.ReadU64(AllowanceKey(from, ctx.sender())));
+  if (allowance < amount) {
+    return Status::PermissionDenied("allowance exceeded");
+  }
+  PDS2_RETURN_IF_ERROR(DebitBalance(ctx, from, amount));
+  PDS2_RETURN_IF_ERROR(CreditBalance(ctx, to, amount));
+  PDS2_RETURN_IF_ERROR(
+      ctx.WriteU64(AllowanceKey(from, ctx.sender()), allowance - amount));
+  return Bytes{};
+}
+
+// Owner only; the destination is validated before the owner is read.
+Result<Bytes> Mint(CallContext& ctx, Reader& r) {
+  PDS2_ASSIGN_OR_RETURN(Bytes to, r.GetBytes());
+  PDS2_ASSIGN_OR_RETURN(uint64_t amount, r.GetU64());
+  PDS2_RETURN_IF_ERROR(AddressValid(to));
+  PDS2_ASSIGN_OR_RETURN(auto owner, ctx.Read(ToBytes("meta/owner")));
+  if (!owner.has_value() || *owner != ctx.sender()) {
+    return Status::PermissionDenied("only the token owner may mint");
+  }
+  PDS2_ASSIGN_OR_RETURN(uint64_t supply, ctx.ReadU64(ToBytes("meta/supply")));
+  if (supply + amount < supply) return Status::OutOfRange("supply overflow");
+  PDS2_RETURN_IF_ERROR(ctx.WriteU64(ToBytes("meta/supply"), supply + amount));
+  PDS2_RETURN_IF_ERROR(CreditBalance(ctx, to, amount));
+  return Bytes{};
+}
+
+// A u64 slot as a query result; a missing slot reads as 0.
+Result<Bytes> U64Result(CallContext& ctx, const Bytes& key) {
+  PDS2_ASSIGN_OR_RETURN(uint64_t value, ctx.ReadU64(key));
+  Writer w;
+  w.PutU64(value);
+  return w.Take();
+}
+
+Result<Bytes> BalanceOf(CallContext& ctx, Reader& r) {
+  PDS2_ASSIGN_OR_RETURN(Bytes addr, r.GetBytes());
+  PDS2_RETURN_IF_ERROR(AddressValid(addr));
+  return U64Result(ctx, BalanceKey(addr));
+}
+
+Result<Bytes> Allowance(CallContext& ctx, Reader& r) {
+  PDS2_ASSIGN_OR_RETURN(Bytes owner, r.GetBytes());
+  PDS2_ASSIGN_OR_RETURN(Bytes spender, r.GetBytes());
+  return U64Result(ctx, AllowanceKey(owner, spender));
+}
+
+Result<Bytes> TotalSupply(CallContext& ctx, Reader&) {
+  return U64Result(ctx, ToBytes("meta/supply"));
+}
+
+Result<Bytes> TokenName(CallContext& ctx, Reader&) {
+  PDS2_ASSIGN_OR_RETURN(auto name, ctx.Read(ToBytes("meta/name")));
+  return name.value_or(Bytes{});
+}
+
+constexpr Contract::Method kMethods[] = {
+    {"transfer", Transfer},         {"approve", Approve},
+    {"transfer_from", TransferFrom}, {"mint", Mint},
+    {"balance_of", BalanceOf},      {"allowance", Allowance},
+    {"total_supply", TotalSupply},  {"token_name", TokenName},
+};
 
 }  // namespace
 
+Erc20Token::Erc20Token() : Contract(kMethods) {}
+
 Status Erc20Token::Deploy(CallContext& ctx, const Bytes& args) {
+  PDS2_RETURN_IF_ERROR(ctx.RequireNoValue());
   Reader r(args);
   PDS2_ASSIGN_OR_RETURN(std::string name, r.GetString());
   PDS2_ASSIGN_OR_RETURN(uint64_t initial_supply, r.GetU64());
 
   PDS2_RETURN_IF_ERROR(ctx.Write(ToBytes("meta/name"), ToBytes(name)));
   PDS2_RETURN_IF_ERROR(ctx.Write(ToBytes("meta/owner"), ctx.sender()));
-  PDS2_RETURN_IF_ERROR(
-      ctx.Write(ToBytes("meta/supply"), EncodeU64(initial_supply)));
+  PDS2_RETURN_IF_ERROR(ctx.WriteU64(ToBytes("meta/supply"), initial_supply));
   if (initial_supply > 0) {
     PDS2_RETURN_IF_ERROR(CreditBalance(ctx, ctx.sender(), initial_supply));
   }
   return ctx.Emit("Deployed", ToBytes(name));
-}
-
-Result<Bytes> Erc20Token::Call(CallContext& ctx, const std::string& method,
-                               const Bytes& args) {
-  Reader r(args);
-
-  if (method == "transfer") {
-    PDS2_ASSIGN_OR_RETURN(Bytes to, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(uint64_t amount, r.GetU64());
-    PDS2_RETURN_IF_ERROR(AddressValid(to));
-    PDS2_RETURN_IF_ERROR(DebitBalance(ctx, ctx.sender(), amount));
-    PDS2_RETURN_IF_ERROR(CreditBalance(ctx, to, amount));
-    Writer ev;
-    ev.PutBytes(ctx.sender());
-    ev.PutBytes(to);
-    ev.PutU64(amount);
-    PDS2_RETURN_IF_ERROR(ctx.Emit("Transfer", ev.Take()));
-    return Bytes{};
-  }
-
-  if (method == "approve") {
-    PDS2_ASSIGN_OR_RETURN(Bytes spender, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(uint64_t amount, r.GetU64());
-    PDS2_RETURN_IF_ERROR(AddressValid(spender));
-    PDS2_RETURN_IF_ERROR(
-        ctx.Write(AllowanceKey(ctx.sender(), spender), EncodeU64(amount)));
-    return Bytes{};
-  }
-
-  if (method == "transfer_from") {
-    PDS2_ASSIGN_OR_RETURN(Bytes from, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(Bytes to, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(uint64_t amount, r.GetU64());
-    PDS2_RETURN_IF_ERROR(AddressValid(from));
-    PDS2_RETURN_IF_ERROR(AddressValid(to));
-    PDS2_ASSIGN_OR_RETURN(uint64_t allowance,
-                          ReadU64(ctx, AllowanceKey(from, ctx.sender())));
-    if (allowance < amount) {
-      return Status::PermissionDenied("allowance exceeded");
-    }
-    PDS2_RETURN_IF_ERROR(DebitBalance(ctx, from, amount));
-    PDS2_RETURN_IF_ERROR(CreditBalance(ctx, to, amount));
-    PDS2_RETURN_IF_ERROR(ctx.Write(AllowanceKey(from, ctx.sender()),
-                                   EncodeU64(allowance - amount)));
-    return Bytes{};
-  }
-
-  if (method == "mint") {
-    PDS2_ASSIGN_OR_RETURN(Bytes to, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(uint64_t amount, r.GetU64());
-    PDS2_RETURN_IF_ERROR(AddressValid(to));
-    PDS2_ASSIGN_OR_RETURN(auto owner, ctx.Read(ToBytes("meta/owner")));
-    if (!owner.has_value() || *owner != ctx.sender()) {
-      return Status::PermissionDenied("only the token owner may mint");
-    }
-    PDS2_ASSIGN_OR_RETURN(uint64_t supply, ReadU64(ctx, ToBytes("meta/supply")));
-    if (supply + amount < supply) return Status::OutOfRange("supply overflow");
-    PDS2_RETURN_IF_ERROR(
-        ctx.Write(ToBytes("meta/supply"), EncodeU64(supply + amount)));
-    PDS2_RETURN_IF_ERROR(CreditBalance(ctx, to, amount));
-    return Bytes{};
-  }
-
-  if (method == "balance_of") {
-    PDS2_ASSIGN_OR_RETURN(Bytes addr, r.GetBytes());
-    PDS2_RETURN_IF_ERROR(AddressValid(addr));
-    PDS2_ASSIGN_OR_RETURN(uint64_t balance, ReadU64(ctx, BalanceKey(addr)));
-    return EncodeU64(balance);
-  }
-
-  if (method == "allowance") {
-    PDS2_ASSIGN_OR_RETURN(Bytes owner, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(Bytes spender, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(uint64_t allowance,
-                          ReadU64(ctx, AllowanceKey(owner, spender)));
-    return EncodeU64(allowance);
-  }
-
-  if (method == "total_supply") {
-    PDS2_ASSIGN_OR_RETURN(uint64_t supply, ReadU64(ctx, ToBytes("meta/supply")));
-    return EncodeU64(supply);
-  }
-
-  if (method == "token_name") {
-    PDS2_ASSIGN_OR_RETURN(auto name, ctx.Read(ToBytes("meta/name")));
-    return name.value_or(Bytes{});
-  }
-
-  return Status::NotFound("erc20: unknown method " + method);
 }
 
 }  // namespace pds2::chain::contracts

@@ -13,6 +13,7 @@ namespace pds2::chain::contracts {
 /// coin.
 ///
 /// Deploy args: string name, u64 initial_supply (minted to the deployer).
+/// No method or deploy takes value.
 ///
 /// Methods (args -> result):
 ///   "transfer"      (bytes to_addr, u64 amount) -> ()
@@ -25,11 +26,9 @@ namespace pds2::chain::contracts {
 ///   "token_name"    () -> string
 class Erc20Token : public Contract {
  public:
+  Erc20Token();
   std::string Name() const override { return "erc20"; }
   common::Status Deploy(CallContext& ctx, const common::Bytes& args) override;
-  common::Result<common::Bytes> Call(CallContext& ctx,
-                                     const std::string& method,
-                                     const common::Bytes& args) override;
 };
 
 }  // namespace pds2::chain::contracts

@@ -25,83 +25,76 @@ Bytes MetadataKey(const Bytes& token_id) {
   return key;
 }
 
+// Mints a new token id to the sender, with its metadata.
+Result<Bytes> Mint(CallContext& ctx, Reader& r) {
+  PDS2_ASSIGN_OR_RETURN(Bytes token_id, r.GetBytes());
+  PDS2_ASSIGN_OR_RETURN(Bytes metadata, r.GetBytes());
+  if (token_id.empty()) {
+    return Status::InvalidArgument("empty token id");
+  }
+  PDS2_ASSIGN_OR_RETURN(auto existing, ctx.Read(OwnerKey(token_id)));
+  if (existing.has_value()) {
+    return Status::AlreadyExists("token id already minted");
+  }
+  PDS2_RETURN_IF_ERROR(ctx.Write(OwnerKey(token_id), ctx.sender()));
+  PDS2_RETURN_IF_ERROR(ctx.Write(MetadataKey(token_id), metadata));
+  PDS2_ASSIGN_OR_RETURN(uint64_t count, ctx.ReadU64(ToBytes("registry/count")));
+  PDS2_RETURN_IF_ERROR(ctx.WriteU64(ToBytes("registry/count"), count + 1));
+  PDS2_RETURN_IF_ERROR(ctx.Emit("Minted", token_id));
+  return Bytes{};
+}
+
+// Owner only.
+Result<Bytes> Transfer(CallContext& ctx, Reader& r) {
+  PDS2_ASSIGN_OR_RETURN(Bytes token_id, r.GetBytes());
+  PDS2_ASSIGN_OR_RETURN(Bytes to, r.GetBytes());
+  if (to.size() != kAddressSize) {
+    return Status::InvalidArgument("malformed destination address");
+  }
+  PDS2_ASSIGN_OR_RETURN(auto owner, ctx.Read(OwnerKey(token_id)));
+  if (!owner.has_value()) return Status::NotFound("unknown token id");
+  if (*owner != ctx.sender()) {
+    return Status::PermissionDenied("sender does not own this token");
+  }
+  PDS2_RETURN_IF_ERROR(ctx.Write(OwnerKey(token_id), to));
+  PDS2_RETURN_IF_ERROR(ctx.Emit("Transferred", token_id));
+  return Bytes{};
+}
+
+Result<Bytes> OwnerOf(CallContext& ctx, Reader& r) {
+  PDS2_ASSIGN_OR_RETURN(Bytes token_id, r.GetBytes());
+  PDS2_ASSIGN_OR_RETURN(auto owner, ctx.Read(OwnerKey(token_id)));
+  if (!owner.has_value()) return Status::NotFound("unknown token id");
+  return *owner;
+}
+
+Result<Bytes> MetadataOf(CallContext& ctx, Reader& r) {
+  PDS2_ASSIGN_OR_RETURN(Bytes token_id, r.GetBytes());
+  PDS2_ASSIGN_OR_RETURN(auto metadata, ctx.Read(MetadataKey(token_id)));
+  if (!metadata.has_value()) return Status::NotFound("unknown token id");
+  return *metadata;
+}
+
+Result<Bytes> Count(CallContext& ctx, Reader&) {
+  PDS2_ASSIGN_OR_RETURN(auto count_bytes, ctx.Read(ToBytes("registry/count")));
+  return count_bytes.value_or(Bytes(8, 0));
+}
+
+constexpr Contract::Method kMethods[] = {
+    {"mint", Mint},           {"transfer", Transfer}, {"owner_of", OwnerOf},
+    {"metadata_of", MetadataOf}, {"count", Count},
+};
+
 }  // namespace
 
+Erc721Registry::Erc721Registry() : Contract(kMethods) {}
+
 Status Erc721Registry::Deploy(CallContext& ctx, const Bytes& args) {
+  PDS2_RETURN_IF_ERROR(ctx.RequireNoValue());
   Reader r(args);
   PDS2_ASSIGN_OR_RETURN(std::string name, r.GetString());
   PDS2_RETURN_IF_ERROR(ctx.Write(ToBytes("registry/name"), ToBytes(name)));
-  Writer zero;
-  zero.PutU64(0);
-  return ctx.Write(ToBytes("registry/count"), zero.Take());
-}
-
-Result<Bytes> Erc721Registry::Call(CallContext& ctx, const std::string& method,
-                                   const Bytes& args) {
-  Reader r(args);
-
-  if (method == "mint") {
-    PDS2_ASSIGN_OR_RETURN(Bytes token_id, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(Bytes metadata, r.GetBytes());
-    if (token_id.empty()) {
-      return Status::InvalidArgument("empty token id");
-    }
-    PDS2_ASSIGN_OR_RETURN(auto existing, ctx.Read(OwnerKey(token_id)));
-    if (existing.has_value()) {
-      return Status::AlreadyExists("token id already minted");
-    }
-    PDS2_RETURN_IF_ERROR(ctx.Write(OwnerKey(token_id), ctx.sender()));
-    PDS2_RETURN_IF_ERROR(ctx.Write(MetadataKey(token_id), metadata));
-
-    PDS2_ASSIGN_OR_RETURN(auto count_bytes, ctx.Read(ToBytes("registry/count")));
-    uint64_t count = 0;
-    if (count_bytes.has_value()) {
-      Reader cr(*count_bytes);
-      PDS2_ASSIGN_OR_RETURN(count, cr.GetU64());
-    }
-    Writer w;
-    w.PutU64(count + 1);
-    PDS2_RETURN_IF_ERROR(ctx.Write(ToBytes("registry/count"), w.Take()));
-    PDS2_RETURN_IF_ERROR(ctx.Emit("Minted", token_id));
-    return Bytes{};
-  }
-
-  if (method == "transfer") {
-    PDS2_ASSIGN_OR_RETURN(Bytes token_id, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(Bytes to, r.GetBytes());
-    if (to.size() != kAddressSize) {
-      return Status::InvalidArgument("malformed destination address");
-    }
-    PDS2_ASSIGN_OR_RETURN(auto owner, ctx.Read(OwnerKey(token_id)));
-    if (!owner.has_value()) return Status::NotFound("unknown token id");
-    if (*owner != ctx.sender()) {
-      return Status::PermissionDenied("sender does not own this token");
-    }
-    PDS2_RETURN_IF_ERROR(ctx.Write(OwnerKey(token_id), to));
-    PDS2_RETURN_IF_ERROR(ctx.Emit("Transferred", token_id));
-    return Bytes{};
-  }
-
-  if (method == "owner_of") {
-    PDS2_ASSIGN_OR_RETURN(Bytes token_id, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(auto owner, ctx.Read(OwnerKey(token_id)));
-    if (!owner.has_value()) return Status::NotFound("unknown token id");
-    return *owner;
-  }
-
-  if (method == "metadata_of") {
-    PDS2_ASSIGN_OR_RETURN(Bytes token_id, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(auto metadata, ctx.Read(MetadataKey(token_id)));
-    if (!metadata.has_value()) return Status::NotFound("unknown token id");
-    return *metadata;
-  }
-
-  if (method == "count") {
-    PDS2_ASSIGN_OR_RETURN(auto count_bytes, ctx.Read(ToBytes("registry/count")));
-    return count_bytes.value_or(Bytes(8, 0));
-  }
-
-  return Status::NotFound("erc721: unknown method " + method);
+  return ctx.WriteU64(ToBytes("registry/count"), 0);
 }
 
 }  // namespace pds2::chain::contracts

@@ -13,7 +13,7 @@ namespace pds2::chain::contracts {
 /// blob carries the semantic description. The data itself never touches the
 /// chain.
 ///
-/// Deploy args: string name.
+/// Deploy args: string name. No method or deploy takes value.
 ///
 /// Methods:
 ///   "mint"        (bytes token_id, bytes metadata) -> ()    [id must be new]
@@ -23,11 +23,9 @@ namespace pds2::chain::contracts {
 ///   "count"       () -> u64
 class Erc721Registry : public Contract {
  public:
+  Erc721Registry();
   std::string Name() const override { return "erc721"; }
   common::Status Deploy(CallContext& ctx, const common::Bytes& args) override;
-  common::Result<common::Bytes> Call(CallContext& ctx,
-                                     const std::string& method,
-                                     const common::Bytes& args) override;
 };
 
 }  // namespace pds2::chain::contracts

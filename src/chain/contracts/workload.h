@@ -53,19 +53,23 @@ struct ParticipationCert {
 /// [u64 executor_stake] (optional accountability bond; older encodings
 /// omit it, meaning 0).
 ///
-/// Methods:
+/// Methods (phase and caller checks are the dispatch table's rows; only
+/// register_executor takes value, every other method refuses it):
 ///   "register_executor" (bytes executor_pubkey, u32 n, n x cert) -> ()
-///       sender must be the executor; each certificate is verified on-chain;
-///       the tx value must escrow exactly `executor_stake`
-///   "start"             () -> ()    anyone, once min_providers reached
-///   "submit_result"     (bytes result_hash) -> ()   registered executors;
-///       completes when a strict majority agrees on one hash
+///       in Accepting; sender must be the executor; each certificate is
+///       verified on-chain; the tx value must escrow exactly `executor_stake`
+///   "start"             () -> ()    anyone, in Accepting, once
+///       min_providers reached
+///   "submit_result"     (bytes result_hash) -> ()   registered executors,
+///       in Running or (late votes) Completed; completes when a strict
+///       majority agrees on one hash
 ///   "report_attestation" (bytes executor_addr) -> ()   consumer only, in
 ///       Running/Completed; flags an attestation mismatch, converting the
 ///       executor's bond into a slash (and forfeiting its reward share)
 ///   "finalize"          (u32 n, n x (bytes provider_addr, u64 weight)) -> ()
-///       consumer only, in Completed; pays executors evenly from the
-///       executor pool and providers by weight from the remainder, then
+///       consumer only, in Completed; splits the executor pool evenly among
+///       executors whose vote matches the agreed result and carries no
+///       fault flag, pays providers by weight from the remainder, then
 ///       settles bonds: matching voters refunded, wrong-voters and
 ///       fault-reported executors slashed (half to the consumer, half
 ///       burned), non-voters refunded (silence is not provable fraud)
@@ -80,16 +84,11 @@ struct ParticipationCert {
 ///   "phase"             () -> u8
 ///   "result"            () -> bytes result_hash
 ///   "artifact"          () -> bytes artifact_address
-///   "spec"              () -> deploy args echo
-///   "provider_records"  (bytes provider_addr) -> u64
-///   "participants"      () -> (u32 p, p x bytes, u32 e, e x bytes)
 class WorkloadContract : public Contract {
  public:
+  WorkloadContract();
   std::string Name() const override { return "workload"; }
   common::Status Deploy(CallContext& ctx, const common::Bytes& args) override;
-  common::Result<common::Bytes> Call(CallContext& ctx,
-                                     const std::string& method,
-                                     const common::Bytes& args) override;
 };
 
 }  // namespace pds2::chain::contracts

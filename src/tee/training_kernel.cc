@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <vector>
 
-#include "common/serial.h"
 #include "ml/metrics.h"
 #include "storage/provider_store.h"
 
@@ -16,9 +15,7 @@ using common::Result;
 using common::Status;
 using common::Writer;
 
-common::Status TrainingKernel::Configure(const Bytes& input,
-                                         EnclaveServices& services) {
-  Reader r(input);
+Result<Bytes> TrainingKernel::Configure(Reader& r, EnclaveServices& services) {
   PDS2_ASSIGN_OR_RETURN(std::string model_kind, r.GetString());
   PDS2_ASSIGN_OR_RETURN(uint64_t features, r.GetU64());
   PDS2_ASSIGN_OR_RETURN(uint64_t hidden, r.GetU64());
@@ -33,9 +30,7 @@ common::Status TrainingKernel::Configure(const Bytes& input,
   PDS2_ASSIGN_OR_RETURN(feature_min_, r.GetDouble());
   PDS2_ASSIGN_OR_RETURN(feature_max_, r.GetDouble());
   PDS2_ASSIGN_OR_RETURN(min_label_fraction_, r.GetDouble());
-
   if (features == 0) return Status::InvalidArgument("zero features");
-
   if (model_kind == "logistic") {
     model_ = std::make_unique<ml::LogisticRegressionModel>(features);
   } else if (model_kind == "linear") {
@@ -63,7 +58,7 @@ common::Status TrainingKernel::Configure(const Bytes& input,
   samples_seen_ = 0;
   initial_params_ = model_->GetParams();
   provider_spans_.clear();
-  return Status::Ok();
+  return Bytes{};
 }
 
 common::Status TrainingKernel::ValidateIncoming(
@@ -91,164 +86,164 @@ common::Status TrainingKernel::ValidateIncoming(
   return Status::Ok();
 }
 
-Result<Bytes> TrainingKernel::Handle(const std::string& method,
-                                     const Bytes& input,
-                                     EnclaveServices& services) {
-  if (method == "configure") {
-    PDS2_RETURN_IF_ERROR(Configure(input, services));
-    return Bytes{};
-  }
-
-  if (method == "load_data") {
-    Reader r(input);
-    PDS2_ASSIGN_OR_RETURN(Bytes sealed, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(Bytes provider_pubkey, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(Bytes commitment, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(Bytes transport_key,
-                          services.DeriveTransportKey(provider_pubkey));
-    PDS2_ASSIGN_OR_RETURN(
-        ml::Dataset incoming,
-        storage::ProviderStorage::OpenTransfer(sealed, transport_key,
-                                               commitment));
-    if (model_ == nullptr) {
-      return Status::FailedPrecondition("kernel not configured");
-    }
-    PDS2_RETURN_IF_ERROR(ValidateIncoming(incoming));
-    const size_t begin = data_.Size();
-    data_.Append(incoming);
-    provider_spans_.emplace_back(begin, data_.Size());
-    Writer w;
-    w.PutU64(incoming.Size());
-    return w.Take();
-  }
-
+// Opens the transfer first: a bad blob reports its error even unconfigured.
+Result<Bytes> TrainingKernel::LoadData(Reader& r, EnclaveServices& services) {
+  PDS2_ASSIGN_OR_RETURN(Bytes sealed, r.GetBytes());
+  PDS2_ASSIGN_OR_RETURN(Bytes provider_pubkey, r.GetBytes());
+  PDS2_ASSIGN_OR_RETURN(Bytes commitment, r.GetBytes());
+  PDS2_ASSIGN_OR_RETURN(Bytes transport_key,
+                        services.DeriveTransportKey(provider_pubkey));
+  PDS2_ASSIGN_OR_RETURN(
+      ml::Dataset incoming,
+      storage::ProviderStorage::OpenTransfer(sealed, transport_key,
+                                             commitment));
   if (model_ == nullptr) {
     return Status::FailedPrecondition("kernel not configured");
   }
+  PDS2_RETURN_IF_ERROR(ValidateIncoming(incoming));
+  const size_t begin = data_.Size();
+  data_.Append(incoming);
+  provider_spans_.emplace_back(begin, data_.Size());
+  Writer w;
+  w.PutU64(incoming.Size());
+  return w.Take();
+}
 
-  if (method == "train") {
-    ml::TrainStats stats = ml::Train(*model_, data_, sgd_config_,
-                                     services.Entropy(), dp_config_);
-    samples_seen_ = data_.Size();
-    Writer w;
-    w.PutDoubleVector(model_->GetParams());
-    w.PutU64(stats.steps);
-    return w.Take();
+Result<Bytes> TrainingKernel::Train(Reader&, EnclaveServices& services) {
+  ml::TrainStats stats = ml::Train(*model_, data_, sgd_config_,
+                                   services.Entropy(), dp_config_);
+  samples_seen_ = data_.Size();
+  Writer w;
+  w.PutDoubleVector(model_->GetParams());
+  w.PutU64(stats.steps);
+  return w.Take();
+}
+
+Result<Bytes> TrainingKernel::SetParams(Reader& r, EnclaveServices&) {
+  PDS2_ASSIGN_OR_RETURN(ml::Vec params, r.GetDoubleVector());
+  if (params.size() != model_->NumParams()) {
+    return Status::InvalidArgument("parameter size mismatch");
   }
+  model_->SetParams(params);
+  return Bytes{};
+}
 
-  if (method == "set_params") {
-    Reader r(input);
+Result<Bytes> TrainingKernel::GetParams(Reader&, EnclaveServices&) {
+  Writer w;
+  w.PutDoubleVector(model_->GetParams());
+  return w.Take();
+}
+
+Result<Bytes> TrainingKernel::Merge(Reader& r, EnclaveServices&) {
+  PDS2_ASSIGN_OR_RETURN(ml::Vec peer_params, r.GetDoubleVector());
+  PDS2_ASSIGN_OR_RETURN(uint64_t peer_samples, r.GetU64());
+  if (peer_params.size() != model_->NumParams()) {
+    return Status::InvalidArgument("parameter size mismatch");
+  }
+  const double own = static_cast<double>(samples_seen_);
+  const double peer = static_cast<double>(peer_samples);
+  if (own + peer <= 0) {
+    model_->SetParams(peer_params);
+  } else {
+    model_->SetParams(ml::WeightedAverage(
+        {model_->GetParams(), peer_params}, {own > 0 ? own : 1e-9, peer}));
+  }
+  samples_seen_ = static_cast<uint64_t>(own + peer);
+  return Bytes{};
+}
+
+Result<Bytes> TrainingKernel::MergeAll(Reader& r, EnclaveServices& services) {
+  PDS2_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
+  if (n == 0) return Status::InvalidArgument("merge_all with no inputs");
+  std::vector<ml::Vec> all_params;
+  std::vector<double> weights;
+  uint64_t total_samples = 0;
+  for (uint32_t i = 0; i < n; ++i) {
     PDS2_ASSIGN_OR_RETURN(ml::Vec params, r.GetDoubleVector());
+    PDS2_ASSIGN_OR_RETURN(uint64_t samples, r.GetU64());
     if (params.size() != model_->NumParams()) {
-      return Status::InvalidArgument("parameter size mismatch");
+      return Status::InvalidArgument("parameter size mismatch in merge_all");
     }
-    model_->SetParams(params);
-    return Bytes{};
+    all_params.push_back(std::move(params));
+    weights.push_back(static_cast<double>(std::max<uint64_t>(1, samples)));
+    total_samples += samples;
   }
+  model_->SetParams(ml::WeightedAverage(all_params, weights));
+  samples_seen_ = total_samples;
+  return GetParams(r, services);
+}
 
-  if (method == "get_params") {
-    Writer w;
-    w.PutDoubleVector(model_->GetParams());
-    return w.Take();
-  }
+Result<Bytes> TrainingKernel::SampleCount(Reader&, EnclaveServices&) {
+  Writer w;
+  w.PutU64(samples_seen_);
+  return w.Take();
+}
 
-  if (method == "merge") {
-    Reader r(input);
-    PDS2_ASSIGN_OR_RETURN(ml::Vec peer_params, r.GetDoubleVector());
-    PDS2_ASSIGN_OR_RETURN(uint64_t peer_samples, r.GetU64());
-    if (peer_params.size() != model_->NumParams()) {
-      return Status::InvalidArgument("parameter size mismatch");
+Result<Bytes> TrainingKernel::CoalitionEval(Reader& r, EnclaveServices&) {
+  PDS2_ASSIGN_OR_RETURN(uint32_t k, r.GetU32());
+  ml::Dataset coalition_data;
+  for (uint32_t i = 0; i < k; ++i) {
+    PDS2_ASSIGN_OR_RETURN(uint32_t idx, r.GetU32());
+    if (idx >= provider_spans_.size()) {
+      return Status::OutOfRange("unknown provider index in coalition");
     }
-    const double own = static_cast<double>(samples_seen_);
-    const double peer = static_cast<double>(peer_samples);
-    if (own + peer <= 0) {
-      model_->SetParams(peer_params);
-    } else {
-      model_->SetParams(ml::WeightedAverage(
-          {model_->GetParams(), peer_params}, {own > 0 ? own : 1e-9, peer}));
+    const auto [begin, end] = provider_spans_[idx];
+    for (size_t row = begin; row < end; ++row) {
+      coalition_data.x.push_back(data_.x[row]);
+      coalition_data.y.push_back(data_.y[row]);
     }
-    samples_seen_ = static_cast<uint64_t>(own + peer);
-    return Bytes{};
   }
+  PDS2_ASSIGN_OR_RETURN(Bytes eval_bytes, r.GetBytes());
+  PDS2_ASSIGN_OR_RETURN(ml::Dataset eval,
+                        storage::DeserializeDataset(eval_bytes));
 
-  if (method == "merge_all") {
-    Reader r(input);
-    PDS2_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
-    if (n == 0) return Status::InvalidArgument("merge_all with no inputs");
-    std::vector<ml::Vec> all_params;
-    std::vector<double> weights;
-    uint64_t total_samples = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-      PDS2_ASSIGN_OR_RETURN(ml::Vec params, r.GetDoubleVector());
-      PDS2_ASSIGN_OR_RETURN(uint64_t samples, r.GetU64());
-      if (params.size() != model_->NumParams()) {
-        return Status::InvalidArgument("parameter size mismatch in merge_all");
-      }
-      all_params.push_back(std::move(params));
-      weights.push_back(static_cast<double>(std::max<uint64_t>(1, samples)));
-      total_samples += samples;
-    }
-    model_->SetParams(ml::WeightedAverage(all_params, weights));
-    samples_seen_ = total_samples;
-    Writer w;
-    w.PutDoubleVector(model_->GetParams());
-    return w.Take();
+  // Fresh model from the configured initialization; the kernel's live
+  // training state is untouched. Deterministic training seed keeps the
+  // utility a pure set function (Shapley axioms need that).
+  auto probe = model_->Clone();
+  probe->SetParams(initial_params_);
+  common::Rng train_rng(0x5eed);
+  ml::Train(*probe, coalition_data, sgd_config_, train_rng, dp_config_);
+  Writer w;
+  w.PutDouble(ml::Accuracy(*probe, eval));
+  return w.Take();
+}
+
+Result<Bytes> TrainingKernel::Evaluate(Reader& r, EnclaveServices&) {
+  PDS2_ASSIGN_OR_RETURN(Bytes dataset_bytes, r.GetBytes());
+  PDS2_ASSIGN_OR_RETURN(ml::Dataset eval,
+                        storage::DeserializeDataset(dataset_bytes));
+  Writer w;
+  w.PutDouble(ml::Accuracy(*model_, eval));
+  w.PutDouble(model_->MeanLoss(eval));
+  return w.Take();
+}
+
+Result<Bytes> TrainingKernel::Handle(const std::string& method,
+                                     const Bytes& input,
+                                     EnclaveServices& services) {
+  using K = TrainingKernel;
+  // needs_model: refused as unconfigured until `configure` ran.
+  struct Row { std::string_view name; Ecall K::*handler; bool needs_model; };
+  static constexpr Row kEcalls[] = {
+      {"configure", &K::Configure, false}, {"load_data", &K::LoadData, false},
+      {"train", &K::Train, true},         {"evaluate", &K::Evaluate, true},
+      {"set_params", &K::SetParams, true}, {"get_params", &K::GetParams, true},
+      {"merge", &K::Merge, true},         {"merge_all", &K::MergeAll, true},
+      {"sample_count", &K::SampleCount, true},
+      {"coalition_eval", &K::CoalitionEval, true},
+  };
+  const auto row =
+      std::ranges::find(kEcalls, std::string_view(method), &Row::name);
+  // An unconfigured kernel refuses even an unknown method as unconfigured.
+  if ((row == std::end(kEcalls) || row->needs_model) && model_ == nullptr) {
+    return Status::FailedPrecondition("kernel not configured");
   }
-
-  if (method == "sample_count") {
-    Writer w;
-    w.PutU64(samples_seen_);
-    return w.Take();
+  if (row == std::end(kEcalls)) {
+    return Status::NotFound("training kernel: unknown method " + method);
   }
-
-  if (method == "coalition_eval") {
-    Reader r(input);
-    PDS2_ASSIGN_OR_RETURN(uint32_t k, r.GetU32());
-    std::vector<size_t> members;
-    for (uint32_t i = 0; i < k; ++i) {
-      PDS2_ASSIGN_OR_RETURN(uint32_t idx, r.GetU32());
-      if (idx >= provider_spans_.size()) {
-        return Status::OutOfRange("unknown provider index in coalition");
-      }
-      members.push_back(idx);
-    }
-    PDS2_ASSIGN_OR_RETURN(Bytes eval_bytes, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(ml::Dataset eval,
-                          storage::DeserializeDataset(eval_bytes));
-
-    ml::Dataset coalition_data;
-    for (size_t idx : members) {
-      const auto [begin, end] = provider_spans_[idx];
-      for (size_t row = begin; row < end; ++row) {
-        coalition_data.x.push_back(data_.x[row]);
-        coalition_data.y.push_back(data_.y[row]);
-      }
-    }
-
-    // Fresh model from the configured initialization; the kernel's live
-    // training state is untouched. Deterministic training seed keeps the
-    // utility a pure set function (Shapley axioms need that).
-    auto probe = model_->Clone();
-    probe->SetParams(initial_params_);
-    common::Rng train_rng(0x5eed);
-    ml::Train(*probe, coalition_data, sgd_config_, train_rng, dp_config_);
-    Writer w;
-    w.PutDouble(ml::Accuracy(*probe, eval));
-    return w.Take();
-  }
-
-  if (method == "evaluate") {
-    Reader r(input);
-    PDS2_ASSIGN_OR_RETURN(Bytes dataset_bytes, r.GetBytes());
-    PDS2_ASSIGN_OR_RETURN(ml::Dataset eval,
-                          storage::DeserializeDataset(dataset_bytes));
-    Writer w;
-    w.PutDouble(ml::Accuracy(*model_, eval));
-    w.PutDouble(model_->MeanLoss(eval));
-    return w.Take();
-  }
-
-  return Status::NotFound("training kernel: unknown method " + method);
+  Reader r(input);
+  return (this->*row->handler)(r, services);
 }
 
 }  // namespace pds2::tee

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "common/serial.h"
 #include "ml/model.h"
 #include "ml/sgd.h"
 #include "tee/enclave.h"
@@ -19,10 +20,9 @@ namespace pds2::tee {
 ///
 /// Ecall methods (all arguments serialized with common::Writer):
 ///   "configure"  (string model, u64 features, u64 hidden, double lr,
-///                 u64 epochs, u64 batch, double l2,
-///                 bool dp, double clip, double noise,
-///                 bool validate, double feat_min, double feat_max,
-///                 double min_label_fraction) -> ()
+///                 u64 epochs, u64 batch, double l2, bool dp, double clip,
+///                 double noise, bool validate, double feat_min,
+///                 double feat_max, double min_label_fraction) -> ()
 ///       model in {"logistic", "linear", "mlp", "softmax:<classes>"}
 ///       The validate block enables in-enclave data checks (§IV-C): every
 ///       incoming record's features must lie in [feat_min, feat_max] and
@@ -62,8 +62,11 @@ class TrainingKernel : public EnclaveKernel {
                                        EnclaveServices& services) override;
 
  private:
-  common::Status Configure(const common::Bytes& input,
-                           EnclaveServices& services);
+  // The ecall handlers, one per row of Handle's table.
+  using Ecall =
+      common::Result<common::Bytes>(common::Reader&, EnclaveServices&);
+  Ecall Configure, LoadData, Train, SetParams, GetParams, Merge, MergeAll,
+      SampleCount, CoalitionEval, Evaluate;
 
   common::Status ValidateIncoming(const ml::Dataset& incoming) const;
 

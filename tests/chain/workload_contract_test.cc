@@ -146,11 +146,16 @@ TEST_F(WorkloadContractTest, ExecutorRegistrationVerifiesCertificates) {
   Receipt receipt = RegisterExecutor(inst, executor_, {cert0, cert1});
   EXPECT_TRUE(receipt.success) << receipt.error;
 
-  Writer q;
-  q.PutBytes(Addr(providers_[0]));
-  auto records = chain_.Query("workload", inst, "provider_records", q.Take());
-  ASSERT_TRUE(records.ok());
-  Reader r(*records);
+  // The provider record's slot, proven against the head block.
+  Bytes key = ToBytes("prov/");
+  common::Append(key, Addr(providers_[0]));
+  auto proof = chain_.QuerySlot("workload", inst, key);
+  ASSERT_TRUE(proof.ok());
+  auto record = WorldState::VerifySlot(chain_.blocks().back().header.state_root,
+                                       ContractSpace("workload", inst), key,
+                                       *proof);
+  ASSERT_TRUE(record.ok() && record->has_value());
+  Reader r(**record);
   EXPECT_EQ(r.GetU64().value(), 100u);
 }
 
@@ -366,18 +371,58 @@ TEST_F(WorkloadContractTest, StrangerCannotAbort) {
   EXPECT_FALSE(CallSimple(executor_, inst, "abort").success);
 }
 
-TEST_F(WorkloadContractTest, ParticipantsQuery) {
+// Only register_executor takes value. Anything else sent with value is
+// refused and the rollback returns it, so no method can strand tokens in an
+// instance's account: not `start` on a workload, not `mint` on an erc721
+// call at an instance id deployed as a workload, not a token deploy.
+TEST_F(WorkloadContractTest, ValueToNonPayableMethodIsRefused) {
+  const uint64_t inst = DeployWorkload(/*min=*/1);
+  ASSERT_TRUE(RegisterExecutor(inst, executor_,
+                               {MakeCert(inst, providers_[0], executor_, 10)})
+                  .success);
+  auto refused = [&](const std::string& contract, uint64_t instance,
+                     const std::string& method, Bytes args, uint64_t value) {
+    const uint64_t before = chain_.GetBalance(Addr(consumer_));
+    Receipt receipt = Run(Transaction::Make(
+        consumer_, Nonce(consumer_), Address{}, value, kGas,
+        CallPayload{contract, instance, method, std::move(args)}));
+    EXPECT_EQ(receipt.error, "InvalidArgument: call takes no value")
+        << contract << " " << method;
+    EXPECT_EQ(chain_.GetBalance(Addr(consumer_)), before - receipt.gas_used);
+  };
+  refused("workload", inst, "start", {}, 7);
+  EXPECT_EQ(Phase(inst), WorkloadPhase::kAccepting);
+  Writer mint;
+  mint.PutBytes(ToBytes("token"));
+  mint.PutBytes(ToBytes("metadata"));
+  refused("erc721", inst, "mint", mint.Take(), 3);
+  EXPECT_EQ(chain_.GetBalance(ContractAddress("erc721", inst)), 0u);
+  Writer erc20;
+  erc20.PutString("tok");
+  erc20.PutU64(100);
+  refused("erc20", 0, "deploy", erc20.Take(), 5);
+  Writer erc721;
+  erc721.PutString("registry");
+  refused("erc721", 0, "deploy", erc721.Take(), 5);
+  refused("actors", 0, "deploy", {}, 5);
+  EXPECT_EQ(chain_.GetBalance(ContractAddress("workload", inst)), kPool);
+}
+
+TEST_F(WorkloadContractTest, RegistrationEmitsParticipants) {
   const uint64_t inst = DeployWorkload(/*min=*/1);
   auto cert0 = MakeCert(inst, providers_[0], executor_, 10);
   auto cert1 = MakeCert(inst, providers_[1], executor_, 20);
-  ASSERT_TRUE(RegisterExecutor(inst, executor_, {cert0, cert1}).success);
-  auto result = chain_.Query("workload", inst, "participants", {});
-  ASSERT_TRUE(result.ok());
-  Reader r(*result);
-  EXPECT_EQ(r.GetU32().value(), 2u);  // providers
-  (void)r.GetBytes();
-  (void)r.GetBytes();
-  EXPECT_EQ(r.GetU32().value(), 1u);  // executors
+  Receipt receipt = RegisterExecutor(inst, executor_, {cert0, cert1});
+  ASSERT_TRUE(receipt.success) << receipt.error;
+  std::vector<std::pair<std::string, Bytes>> events;
+  for (const Event& event : receipt.events) {
+    events.emplace_back(event.name, event.data);
+  }
+  const std::vector<std::pair<std::string, Bytes>> expected = {
+      {"ProviderJoined", Addr(providers_[0])},
+      {"ProviderJoined", Addr(providers_[1])},
+      {"ExecutorRegistered", Addr(executor_)}};
+  EXPECT_EQ(events, expected);
 }
 
 // ---------------------------------------------------------------------------

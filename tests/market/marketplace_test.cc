@@ -296,9 +296,19 @@ TEST_F(MarketplaceTest, AuditTrailOnChain) {
   ASSERT_TRUE(phase.ok());
   EXPECT_EQ((*phase)[0],
             static_cast<uint8_t>(chain::contracts::WorkloadPhase::kPaid));
-  auto participants =
-      market_.chain().Query("workload", report->instance, "participants", {});
-  ASSERT_TRUE(participants.ok());
+  size_t joined = 0;
+  for (const chain::Block& block : market_.chain().blocks()) {
+    for (const chain::Transaction& tx : block.transactions) {
+      auto receipt = market_.chain().GetReceipt(tx.Id());
+      ASSERT_TRUE(receipt.ok());
+      for (const chain::Event& event : receipt->events) {
+        joined += event.contract == "workload" &&
+                  event.instance == report->instance &&
+                  event.name == "ProviderJoined";
+      }
+    }
+  }
+  EXPECT_EQ(joined, report->num_providers);
 }
 
 // Replay must not depend on heap layout: two marketplaces built from the
